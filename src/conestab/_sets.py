@@ -9,6 +9,8 @@ scheme.
 """
 
 from dataclasses import dataclass, field
+import math
+
 import numpy as np
 
 from .symmat import svec, smat, svec_dim
@@ -39,7 +41,9 @@ DEFAULT_TOL = Tol()
 
 
 def _norm(z):
-    return float(np.linalg.norm(z))
+    # what np.linalg.norm computes for real input, without its dispatch
+    z = np.asarray(z, dtype=float).ravel()
+    return math.sqrt(z @ z)
 
 
 class ConvexSet:
@@ -109,13 +113,15 @@ class SignPattern(ConvexSet):
     def __init__(self, codes):
         self.codes = np.asarray(codes, dtype=int)
         self.dim = self.codes.size
+        self._nonneg = self.codes == self.NONNEG
+        self._nonpos = self.codes == self.NONPOS
+        self._zero = self.codes == self.ZERO
 
     def project(self, z):
         out = np.asarray(z, float).copy()
-        c = self.codes
-        out[c == self.NONNEG] = np.maximum(out[c == self.NONNEG], 0.0)
-        out[c == self.NONPOS] = np.minimum(out[c == self.NONPOS], 0.0)
-        out[c == self.ZERO] = 0.0
+        out[self._nonneg] = np.maximum(out[self._nonneg], 0.0)
+        out[self._nonpos] = np.minimum(out[self._nonpos], 0.0)
+        out[self._zero] = 0.0
         return out
 
     def polar(self):
@@ -280,12 +286,13 @@ class Subspace(ConvexSet):
         if basis.ndim != 2:
             raise ValueError("basis must be a (dim, k) matrix")
         self.dim = basis.shape[0]
-        if basis.shape[1] == 0:
+        if basis.size == 0:
             self.Q = np.zeros((self.dim, 0))
         else:
-            q, r = np.linalg.qr(basis)
-            keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-            self.Q = q[:, keep]
+            # rank from the singular values, which stay reliable for wide
+            # and rank-deficient bases
+            u, s, _ = np.linalg.svd(basis, full_matrices=False)
+            self.Q = u[:, s > 1e-12 * max(1.0, s[0])]
 
     def project(self, z):
         z = np.asarray(z, float)
@@ -422,23 +429,33 @@ class PSDBlockSet(ConvexSet):
         self.groups = [np.asarray(g, dtype=int) for g in groups]
         self.codes = dict(codes)
         self.dim = svec_dim(self.n)
+        # block operations that write something: (block index, index of
+        # the mirrored block or None, code); empty and 'zero' blocks
+        # leave their zeros in place.  (g[:, None], h) indexes the same
+        # block as np.ix_(g, h), at a tenth of the cost.
+        self._ops = []
+        for (i, j), code in self.codes.items():
+            if code not in _PSD_POLAR:
+                raise ValueError(f"unknown block code {code!r}")
+            if code in ("psd", "nsd") and i != j:
+                raise ValueError(f"code {code!r} on off-diagonal block {(i, j)}")
+            gi, gj = self.groups[i], self.groups[j]
+            if gi.size == 0 or gj.size == 0 or code == "zero":
+                continue
+            mirror = (gj[:, None], gi) if code == "free" and i != j else None
+            self._ops.append(((gi[:, None], gj), mirror, code))
 
     def project(self, zvec):
         W = self.U.T @ smat(zvec) @ self.U
         out = np.zeros_like(W)
-        for (i, j), code in self.codes.items():
-            gi, gj = self.groups[i], self.groups[j]
-            if gi.size == 0 or gj.size == 0 or code == "zero":
-                continue
-            B = W[np.ix_(gi, gj)]
+        for block, mirror, code in self._ops:
+            B = W[block]
             if code == "free":
-                out[np.ix_(gi, gj)] = B
-                if i != j:
-                    out[np.ix_(gj, gi)] = B.T
-            elif code in ("psd", "nsd"):
-                out[np.ix_(gi, gj)] = _eig_clip(B, code == "psd")
+                out[block] = B
+                if mirror is not None:
+                    out[mirror] = B.T
             else:
-                raise ValueError(f"unknown block code {code!r}")
+                out[block] = _eig_clip(B, code == "psd")
         return svec(self.U @ out @ self.U.T)
 
     def polar(self):

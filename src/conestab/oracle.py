@@ -142,11 +142,10 @@ def polyhedral_trivial_exact(halfspaces: np.ndarray, L: np.ndarray,
     d = L.shape[0]
     if d > 8:
         raise ValueError("ambient dimension cap (8) exceeded")
-    if L.shape[1] == 0:
+    if L.size == 0:
         return True
-    q, r = np.linalg.qr(L)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-    B = q[:, keep]
+    u, s, _ = np.linalg.svd(L, full_matrices=False)
+    B = u[:, s > 1e-12 * max(1.0, s[0])]
     if B.shape[1] == 0:
         return True
     rows = [np.asarray(halfspaces, float) @ B]

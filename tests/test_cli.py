@@ -89,8 +89,15 @@ def test_custom_tolerance_accepted(tmp_path, capsys):
 
 
 def test_module_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
+    import conestab
+    # run the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(conestab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "conestab", "repro",
-                           "section32"], capture_output=True, text=True)
+                           "section32"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert "MISMATCH" not in proc.stdout

@@ -93,6 +93,17 @@ def test_subspace_cone_trivial_full_space_cases():
     assert cert.verdict == "holds"
 
 
+def test_subspace_cone_trivial_rank_deficient_basis():
+    # L = [e1, e1, e2, e3] spans a 3-D subspace; C = {z1 = z2 = 0, z3 >= 0}
+    # meets it along the ray of e3
+    L = np.eye(4)[:, [0, 0, 1, 2]]
+    C = SignPattern([2, 2, 1, 0])
+    cert = subspace_cone_trivial(L, C)
+    assert cert.verdict == "fails"
+    w = cert.witness / np.linalg.norm(cert.witness)
+    assert np.allclose(w, [0.0, 0.0, 1.0, 0.0], atol=1e-6)
+
+
 def test_subspace_cone_trivial_halfspace():
     # any line meets a halfspace nontrivially
     C = Halfspace(np.array([0.0, 0.0, 1.0]))

@@ -73,6 +73,15 @@ def test_polyhedral_trivial_exact_known_cases():
         polyhedral_trivial_exact(-np.eye(9), np.eye(9))
 
 
+def test_polyhedral_trivial_exact_rank_deficient_basis():
+    # L = [e1, e1, e2, e3] has rank 3; {z1 = z2 = 0, z3 >= 0} meets its
+    # span along the ray of e3
+    L = np.eye(4)[:, [0, 0, 1, 2]]
+    ineq = -np.eye(4)[[2]]
+    eq = np.eye(4)[[0, 1]]
+    assert not polyhedral_trivial_exact(ineq, L, equalities=eq)
+
+
 def test_polyhedral_trivial_exact_matches_sign_structure():
     # cross-check against a direct ray enumeration on random instances
     rng = np.random.default_rng(3)

@@ -4,8 +4,9 @@ import pytest
 from conestab._sets import (
     Tol, DEFAULT_TOL, SignPattern, SOCLike, Halfspace, Hyperplane, Ray,
     LineSpan, Subspace, AffineSet, ProductSet, ShiftedSet, ZeroSet,
-    FullSpace, Intersection, dykstra,
+    FullSpace, Intersection, PSDBlockSet, dykstra, _eig_clip, _norm,
 )
+from conestab.symmat import svec, smat
 
 
 def _check_projection_optimality(S, rng, n_points=30, n_dirs=10):
@@ -123,3 +124,88 @@ def test_tol_halved():
     th = t.halved()
     assert th.membership == t.membership / 2
     assert th.zero == t.zero / 2
+
+
+def test_subspace_keeps_the_rank_of_a_wide_basis():
+    # rank 3 with a repeated column: every spanned direction is kept
+    L = np.eye(4)[:, [0, 0, 1, 2]]
+    S = Subspace(L)
+    assert S.Q.shape == (4, 3)
+    for j in range(3):
+        assert np.allclose(S.project(np.eye(4)[:, j]), np.eye(4)[:, j])
+    assert np.allclose(S.project(np.eye(4)[:, 3]), 0.0)
+
+
+def test_norm_matches_numpy_exactly():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 3, 10, 465):
+        for _ in range(50):
+            z = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+            assert _norm(z) == float(np.linalg.norm(z))
+    M = rng.standard_normal((3, 4))
+    assert _norm(M) == float(np.linalg.norm(M.ravel()))
+    assert _norm([3, 4]) == 5.0
+
+
+# Per-call form of PSDBlockSet.project that rebuilds each block index on
+# every call; the precompiled block operations must reproduce it exactly.
+def _psd_block_project_ref(U, groups, codes, zvec):
+    W = U.T @ smat(zvec) @ U
+    out = np.zeros_like(W)
+    for (i, j), code in codes.items():
+        gi, gj = groups[i], groups[j]
+        if gi.size == 0 or gj.size == 0 or code == "zero":
+            continue
+        B = W[np.ix_(gi, gj)]
+        if code == "free":
+            out[np.ix_(gi, gj)] = B
+            if i != j:
+                out[np.ix_(gj, gi)] = B.T
+        elif code in ("psd", "nsd"):
+            out[np.ix_(gi, gj)] = _eig_clip(B, code == "psd")
+        else:
+            raise ValueError(f"unknown block code {code!r}")
+    return svec(U @ out @ U.T)
+
+
+_POLAR_REF = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
+_NEG_REF = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_psd_block_set_matches_reference_exactly(n):
+    rng = np.random.default_rng(10 + n)
+    for trial in range(40):
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # three groups, some of them empty
+        labels = rng.integers(0, 3, size=n)
+        if trial % 2:
+            labels[labels == trial % 3] = (trial + 1) % 3
+        groups = [np.where(labels == g)[0] for g in range(3)]
+        codes = {}
+        for i in range(3):
+            for j in range(i, 3):
+                pool = ("free", "zero", "psd", "nsd") if i == j else ("free", "zero")
+                codes[(i, j)] = pool[rng.integers(len(pool))]
+        S = PSDBlockSet(U, groups, codes)
+        variants = [
+            (S, codes),
+            (S.polar(), {k: _POLAR_REF[c] for k, c in codes.items()}),
+            (S.negate(), {k: _NEG_REF[c] for k, c in codes.items()}),
+        ]
+        for T, ref_codes in variants:
+            for _ in range(3):
+                z = rng.standard_normal(S.dim) * 2
+                assert np.array_equal(
+                    T.project(z), _psd_block_project_ref(U, groups, ref_codes, z))
+
+
+@pytest.mark.parametrize("groups", [[[0, 1], []], [[0], [1]]])
+def test_psd_block_set_rejects_bad_codes(groups):
+    with pytest.raises(ValueError, match="unknown block code"):
+        PSDBlockSet(np.eye(2), groups,
+                    {(0, 0): "psd", (0, 1): "free", (1, 1): "sdp"})
+    # a semidefinite constraint applies to diagonal blocks only
+    with pytest.raises(ValueError, match="off-diagonal"):
+        PSDBlockSet(np.eye(2), groups,
+                    {(0, 0): "free", (0, 1): "psd", (1, 1): "free"})
