@@ -109,6 +109,9 @@ class SignPattern(ConvexSet):
     """Coordinatewise constraints: 0 free, +1 nonneg, -1 nonpos, 2 zero."""
 
     FREE, NONNEG, NONPOS, ZERO = 0, 1, -1, 2
+    # the polar and the negated code of each code c, at index c + 1
+    _POLAR = np.array([NONNEG, ZERO, NONPOS, FREE])
+    _NEG = np.array([NONNEG, FREE, NONPOS, ZERO])
 
     def __init__(self, codes):
         self.codes = np.asarray(codes, dtype=int)
@@ -125,12 +128,10 @@ class SignPattern(ConvexSet):
         return out
 
     def polar(self):
-        flip = {self.FREE: self.ZERO, self.ZERO: self.FREE,
-                self.NONNEG: self.NONPOS, self.NONPOS: self.NONNEG}
-        return SignPattern([flip[int(c)] for c in self.codes])
+        return SignPattern(self._POLAR[self.codes + 1])
 
     def negate(self):
-        return SignPattern(-np.where(self.codes == self.ZERO, -2, self.codes))
+        return SignPattern(self._NEG[self.codes + 1])
 
     def lineality_basis(self):
         eye = np.eye(self.dim)

@@ -6,16 +6,22 @@ plain numpy vectors; symmetric-matrix blocks are stored in the sqrt(2)
 scaled vectorized form of `symmat`, so every inner product below is a
 coordinate dot product.
 
-Sign-mirrored cones (the negative orthant, the negative PSD cone, the
-polar of the second-order cone) are handled by computing on the negated
-data and mirroring back; all formulas are written for the "plus" cone.
+Each primitive is written for the "plus" cone K only.  Its mirror -K
+(the negative orthant, the negative PSD cone, the polar of the
+second-order cone) is applied once, in `PrimitiveCone`, by negating the
+data going in and the result coming out: T_{-K}(y) = -T_K(-y),
+Pi'_{-K}(z; h) = -Pi'_K(-z; -h) and Upsilon_{-K}(y, lam, h) =
+Upsilon_K(-y, -lam, -h).  The second-order cone of dimension 1 is the
+half-line, so SOC(1, sign) constructs Orthant(1, sign).  `ConeDesc` is
+the `ProductSet` of its blocks.
 """
 
 import numpy as np
 
 from ._sets import (
     Tol, DEFAULT_TOL, ConvexSet, FullSpace, ZeroSet, SignPattern, SOCLike,
-    Halfspace, Hyperplane, Ray, ProductSet, PSDBlockSet,
+    Halfspace, Hyperplane, Ray, ProductSet, PSDBlockSet, _soc_project,
+    _eig_clip,
 )
 from .symmat import svec, smat, svec_dim
 
@@ -40,163 +46,177 @@ def _zscale(v):
     return max(1.0, float(np.linalg.norm(v)))
 
 
-class PrimitiveCone:
-    dim: int
-    is_polyhedral = False
+class PrimitiveCone(ConvexSet):
+    """A primitive cone K (sign plus) or its mirror -K (sign minus).
 
-    def project(self, z):
-        raise NotImplementedError
+    `size` is the dimension, or the matrix order for PSD.  Subclasses
+    write the underscored methods for K; the public methods map the data
+    of -K to K and the result back.  A negation is exact, so the mirror
+    adds no rounding.
+    """
+
+    is_polyhedral = False
+    signed = True  # False for the subspaces Zero and Free, where -K = K
+
+    def __init__(self, size, sign="plus"):
+        self.size = self.dim = int(size)
+        self.sign = _parse_sign(sign)
+
+    def _in(self, *vs):
+        vs = [np.asarray(v, float) for v in vs]
+        return vs if self.sign > 0 else [-v for v in vs]
+
+    def _out(self, r):
+        if self.sign > 0:
+            return r
+        return r.negate() if isinstance(r, ConvexSet) else -r
 
     def polar(self):
-        raise NotImplementedError
+        return type(self)(self.size, -self.sign)
+
+    def __repr__(self):
+        sign = "," + "+-"[self.sign < 0] if self.signed else ""
+        return f"{type(self).__name__}({self.size}{sign})"
+
+    def project(self, z):
+        return self._out(self._project(*self._in(z)))
 
     # first-order geometry -------------------------------------------------
     def tangent_set(self, y, tol) -> ConvexSet:
-        raise NotImplementedError
+        return self._out(self._tangent(*self._in(y), tol))
 
     def normal_set(self, y, tol) -> ConvexSet:
-        return self.tangent_set(y, tol).polar()
+        return self._out(self._normal(*self._in(y), tol))
+
+    def _normal(self, y, tol):
+        return self._tangent(y, tol).polar()
 
     def critical_set(self, y, lam, tol) -> ConvexSet:
-        raise NotImplementedError
-
-    def tangent_lineality(self, y, tol) -> np.ndarray:
-        return self.tangent_set(y, tol).lineality_basis()
+        return self._out(self._critical(*self._in(y, lam), tol))
 
     def ri_normal(self, y, lam, tol) -> bool:
-        raise NotImplementedError
+        return self._ri_normal(*self._in(y, lam), tol)
 
     # second-order geometry ------------------------------------------------
     def dir_deriv(self, z, h, tol):
-        raise NotImplementedError
+        return self._out(self._dir_deriv(*self._in(z, h), tol))
+
+    def _curved(self, y, lam, tol):
+        """Whether the sigma term Upsilon may be nonzero at (y, lam)."""
+        return not self.is_polyhedral
 
     def upsilon(self, y, lam, h, tol) -> float:
-        return 0.0
+        y, lam, h = self._in(y, lam, h)
+        if not self._curved(y, lam, tol):
+            return 0.0
+        return self._upsilon(y, lam, h, tol)
 
     def upsilon_grad(self, y, lam, h, tol):
-        return np.zeros(self.dim)
+        y, lam, h = self._in(y, lam, h)
+        if not self._curved(y, lam, tol):
+            return np.zeros(self.dim)
+        return self._out(self._upsilon_grad(y, lam, h, tol))
 
 
 class Orthant(PrimitiveCone):
     is_polyhedral = True
 
-    def __init__(self, dim, sign="plus"):
-        self.dim = int(dim)
-        self.sign = _parse_sign(sign)
-
-    def project(self, z):
-        s = self.sign
-        return s * np.maximum(s * np.asarray(z, float), 0.0)
-
-    def polar(self):
-        return Orthant(self.dim, -self.sign)
+    def _project(self, z):
+        return np.maximum(z, 0.0)
 
     def _active(self, y, tol):
-        return np.abs(np.asarray(y, float)) <= tol.zero * _zscale(y)
+        return np.abs(y) <= tol.zero * _zscale(y)
 
-    def tangent_set(self, y, tol):
-        codes = np.where(self._active(y, tol), self.sign, SignPattern.FREE)
-        return SignPattern(codes)
+    def _tangent(self, y, tol):
+        return SignPattern(np.where(self._active(y, tol), SignPattern.NONNEG,
+                                    SignPattern.FREE))
 
-    def normal_set(self, y, tol):
-        codes = np.where(self._active(y, tol), -self.sign, SignPattern.ZERO)
-        return SignPattern(codes)
-
-    def critical_set(self, y, lam, tol):
-        act = self._active(y, tol)
-        lam_on = np.abs(np.asarray(lam, float)) > tol.zero * _zscale(lam)
-        codes = np.where(act, np.where(lam_on, SignPattern.ZERO, self.sign),
+    def _critical(self, y, lam, tol):
+        lam_on = np.abs(lam) > tol.zero * _zscale(lam)
+        codes = np.where(self._active(y, tol),
+                         np.where(lam_on, SignPattern.ZERO, SignPattern.NONNEG),
                          SignPattern.FREE)
         return SignPattern(codes)
 
-    def ri_normal(self, y, lam, tol):
+    def _ri_normal(self, y, lam, tol):
         act = self._active(y, tol)
-        lam = np.asarray(lam, float)
         return bool(np.all(np.abs(lam[act]) > tol.zero * _zscale(lam)))
 
-    def dir_deriv(self, z, h, tol):
-        s = self.sign
-        u = s * np.asarray(z, float)
-        hu = s * np.asarray(h, float)
+    def _dir_deriv(self, u, hu, tol):
         sc = tol.zero * _zscale(u)
-        out = np.where(u > sc, hu, np.where(u < -sc, 0.0, np.maximum(hu, 0.0)))
-        return s * out
+        return np.where(u > sc, hu, np.where(u < -sc, 0.0, np.maximum(hu, 0.0)))
 
 
 class Zero(PrimitiveCone):
     is_polyhedral = True
+    signed = False
 
     def __init__(self, dim):
-        self.dim = int(dim)
-
-    def project(self, z):
-        return np.zeros(self.dim)
+        super().__init__(dim)
 
     def polar(self):
         return Free(self.dim)
 
-    def tangent_set(self, y, tol):
+    def _project(self, z):
+        return np.zeros(self.dim)
+
+    def _tangent(self, y, tol):
         return ZeroSet(self.dim)
 
-    def critical_set(self, y, lam, tol):
+    def _critical(self, y, lam, tol):
         return ZeroSet(self.dim)
 
-    def ri_normal(self, y, lam, tol):
+    def _ri_normal(self, y, lam, tol):
         return True
 
-    def dir_deriv(self, z, h, tol):
+    def _dir_deriv(self, z, h, tol):
         return np.zeros(self.dim)
 
 
 class Free(PrimitiveCone):
     is_polyhedral = True
+    signed = False
 
     def __init__(self, dim):
-        self.dim = int(dim)
-
-    def project(self, z):
-        return np.asarray(z, float).copy()
+        super().__init__(dim)
 
     def polar(self):
         return Zero(self.dim)
 
-    def tangent_set(self, y, tol):
+    def _project(self, z):
+        return z.copy()
+
+    def _tangent(self, y, tol):
         return FullSpace(self.dim)
 
-    def critical_set(self, y, lam, tol):
+    def _critical(self, y, lam, tol):
         return FullSpace(self.dim)
 
-    def ri_normal(self, y, lam, tol):
+    def _ri_normal(self, y, lam, tol):
         return float(np.linalg.norm(lam)) <= tol.membership * _zscale(lam)
 
-    def dir_deriv(self, z, h, tol):
-        return np.asarray(h, float).copy()
+    def _dir_deriv(self, z, h, tol):
+        return h.copy()
 
 
 class SOC(PrimitiveCone):
     """Second-order cone {(z0, zbar): ||zbar|| <= z0} (sign plus) or its
-    negative (sign minus, the polar of the plus cone)."""
+    negative (sign minus, the polar of the plus cone).  In dimension 1 it
+    is the half-line, and the constructor returns Orthant(1, sign)."""
 
-    def __init__(self, dim, sign="plus"):
+    def __new__(cls, dim, sign="plus"):
         if dim < 1:
             raise ValueError("SOC dimension must be >= 1")
-        self.dim = int(dim)
-        self.sign = _parse_sign(sign)
-        self._scalar = Orthant(1, self.sign) if dim == 1 else None
+        if dim == 1:
+            return Orthant(1, sign)
+        return super().__new__(cls)
 
-    def _m(self, S):
-        return S if self.sign == 1 else S.negate()
+    def __getnewargs__(self):
+        # pickle and copy call __new__ with these
+        return self.size, self.sign
 
-    def project(self, z):
-        if self._scalar:
-            return self._scalar.project(z)
-        s = self.sign
-        u = s * np.asarray(z, float)
-        from ._sets import _soc_project
-        return s * _soc_project(u)
-
-    def polar(self):
-        return SOC(self.dim, -self.sign)
+    def _project(self, u):
+        return _soc_project(u)
 
     @staticmethod
     def _classify(u, tol):
@@ -223,62 +243,44 @@ class SOC(PrimitiveCone):
         a[1:] = u[1:] / np.linalg.norm(u[1:])
         return a
 
-    def tangent_set(self, y, tol):
-        if self._scalar:
-            return self._scalar.tangent_set(y, tol)
-        u = self.sign * np.asarray(y, float)
+    def _tangent(self, u, tol):
         case = self._classify(u, tol)
         if case == "int":
             return FullSpace(self.dim)
         if case == "apex":
-            return self._m(SOCLike(self.dim, 1))
+            return SOCLike(self.dim, 1)
         if case == "bd":
-            return self._m(Halfspace(self._bd_normal(u)))
+            return Halfspace(self._bd_normal(u))
         raise ValueError("point is not in the cone")
 
-    def normal_set(self, y, tol):
-        if self._scalar:
-            return self._scalar.normal_set(y, tol)
-        u = self.sign * np.asarray(y, float)
-        case = self._classify(u, tol)
-        if case == "int":
-            return ZeroSet(self.dim)
-        if case == "apex":
-            return self._m(SOCLike(self.dim, -1))
-        if case == "bd":
-            return self._m(Ray(self._bd_normal(u)))
-        raise ValueError("point is not in the cone")
+    def _normal(self, u, tol):
+        # Ray(a) rather than Halfspace(a).polar(), which normalizes a twice
+        if self._classify(u, tol) == "bd":
+            return Ray(self._bd_normal(u))
+        return self._tangent(u, tol).polar()
 
-    def critical_set(self, y, lam, tol):
-        if self._scalar:
-            return self._scalar.critical_set(y, lam, tol)
-        u = self.sign * np.asarray(y, float)
-        lu = self.sign * np.asarray(lam, float)
+    def _critical(self, u, lu, tol):
         ycase = self._classify(u, tol)
         lam_zero = float(np.linalg.norm(lu)) <= tol.zero * _zscale(lu)
         if ycase == "int":
             return FullSpace(self.dim)
         if ycase == "apex":
             if lam_zero:
-                return self._m(SOCLike(self.dim, 1))
+                return SOCLike(self.dim, 1)
             lcase = self._classify(lu, tol)
             if lcase == "polar_int":
                 return ZeroSet(self.dim)
             if lcase == "polar_bd":
                 refl = lu.copy()
                 refl[0] = -refl[0]
-                return self._m(Ray(refl))
+                return Ray(refl)
             raise ValueError("multiplier outside the normal cone")
         if ycase == "bd":
             a = self._bd_normal(u)
-            return self._m(Halfspace(a) if lam_zero else Hyperplane(a))
+            return Halfspace(a) if lam_zero else Hyperplane(a)
         raise ValueError("point is not in the cone")
 
-    def ri_normal(self, y, lam, tol):
-        if self._scalar:
-            return self._scalar.ri_normal(y, lam, tol)
-        u = self.sign * np.asarray(y, float)
-        lu = self.sign * np.asarray(lam, float)
+    def _ri_normal(self, u, lu, tol):
         case = self._classify(u, tol)
         sc = _zscale(lu)
         if case == "int":
@@ -293,66 +295,45 @@ class SOC(PrimitiveCone):
             return on_ray and t > tol.zero * sc
         raise ValueError("point is not in the cone")
 
-    def dir_deriv(self, z, h, tol):
-        if self._scalar:
-            return self._scalar.dir_deriv(z, h, tol)
-        s = self.sign
-        u = s * np.asarray(z, float)
-        hu = s * np.asarray(h, float)
+    def _dir_deriv(self, u, hu, tol):
         case = self._classify(u, tol)
         if case == "int":
-            out = hu
-        elif case == "polar_int":
-            out = np.zeros(self.dim)
-        elif case == "apex":
-            from ._sets import _soc_project
-            out = _soc_project(hu)
-        elif case == "bd":
-            out = Halfspace(self._bd_normal(u)).project(hu)
-        elif case == "polar_bd":
+            return hu.copy()
+        if case == "polar_int":
+            return np.zeros(self.dim)
+        if case == "apex":
+            return _soc_project(hu)
+        if case == "bd":
+            return Halfspace(self._bd_normal(u)).project(hu)
+        if case == "polar_bd":
             refl = u.copy()
             refl[0] = -refl[0]
-            out = Ray(refl).project(hu)
-        else:
-            u0, ub = u[0], u[1:]
-            nb = float(np.linalg.norm(ub))
-            w = ub / nb
-            h0, hb = hu[0], hu[1:]
-            wh = float(w @ hb)
-            out = np.empty(self.dim)
-            out[0] = 0.5 * (h0 + wh)
-            out[1:] = 0.5 * (h0 * w + (1.0 + u0 / nb) * hb - (u0 / nb) * wh * w)
-        return s * out
+            return Ray(refl).project(hu)
+        u0, ub = u[0], u[1:]
+        nb = float(np.linalg.norm(ub))
+        w = ub / nb
+        h0, hb = hu[0], hu[1:]
+        wh = float(w @ hb)
+        out = np.empty(self.dim)
+        out[0] = 0.5 * (h0 + wh)
+        out[1:] = 0.5 * (h0 * w + (1.0 + u0 / nb) * hb - (u0 / nb) * wh * w)
+        return out
 
-    def _upsilon_data(self, y, lam, tol):
-        u = self.sign * np.asarray(y, float)
-        lu = self.sign * np.asarray(lam, float)
-        if self._scalar or self._classify(u, tol) != "bd":
-            return None
-        if float(np.linalg.norm(lu)) <= tol.zero * _zscale(lu):
-            return None
-        return u, lu
+    def _curved(self, u, lu, tol):
+        # only a boundary point with a nonzero multiplier
+        return self._classify(u, tol) == "bd" and \
+            float(np.linalg.norm(lu)) > tol.zero * _zscale(lu)
 
-    def upsilon(self, y, lam, h, tol):
-        data = self._upsilon_data(y, lam, tol)
-        if data is None:
-            return 0.0
-        u, lu = data
-        hu = self.sign * np.asarray(h, float)
+    def _upsilon(self, u, lu, hu, tol):
         t = -lu[0]
         return (t / u[0]) * (float(hu[1:] @ hu[1:]) - hu[0] ** 2)
 
-    def upsilon_grad(self, y, lam, h, tol):
-        data = self._upsilon_data(y, lam, tol)
-        if data is None:
-            return np.zeros(self.dim)
-        u, lu = data
-        hu = self.sign * np.asarray(h, float)
+    def _upsilon_grad(self, u, lu, hu, tol):
         t = -lu[0]
         g = np.empty(self.dim)
         g[0] = -2.0 * (t / u[0]) * hu[0]
         g[1:] = 2.0 * (t / u[0]) * hu[1:]
-        return self.sign * g
+        return g
 
 
 class PSD(PrimitiveCone):
@@ -360,23 +341,14 @@ class PSD(PrimitiveCone):
     symmetric matrices of a given order, in vectorized form."""
 
     def __init__(self, order, sign="plus"):
-        self.order = int(order)
+        super().__init__(order, sign)
+        self.order = self.size
         self.dim = svec_dim(self.order)
-        self.sign = _parse_sign(sign)
 
-    def _mat(self, z):
-        return self.sign * smat(z)
-
-    def _m(self, S):
-        return S if self.sign == 1 else S.negate()
-
-    def project(self, z):
-        w, U = np.linalg.eigh(self._mat(z))
+    def _project(self, z):
+        w, U = np.linalg.eigh(smat(z))
         wp = np.maximum(w, 0.0)
-        return self.sign * svec((U * wp) @ U.T)
-
-    def polar(self):
-        return PSD(self.order, -self.sign)
+        return svec((U * wp) @ U.T)
 
     def _eig_groups(self, A, tol):
         w, U = np.linalg.eigh(A)
@@ -386,28 +358,21 @@ class PSD(PrimitiveCone):
         zero = np.where((w <= sc) & (w >= -sc))[0]
         return w, U, pos, zero, neg
 
-    def tangent_set(self, y, tol):
-        w, U, pos, zero, neg = self._eig_groups(self._mat(y), tol)
+    def _tangent(self, y, tol):
+        w, U, pos, zero, neg = self._eig_groups(smat(y), tol)
         if neg.size:
             raise ValueError("point is not in the cone")
         codes = {(0, 0): "free", (0, 1): "free", (1, 1): "psd"}
-        return self._m(PSDBlockSet(U, [pos, zero], codes))
+        return PSDBlockSet(U, [pos, zero], codes)
 
-    def normal_set(self, y, tol):
-        w, U, pos, zero, neg = self._eig_groups(self._mat(y), tol)
-        if neg.size:
-            raise ValueError("point is not in the cone")
-        codes = {(0, 0): "zero", (0, 1): "zero", (1, 1): "nsd"}
-        return self._m(PSDBlockSet(U, [pos, zero], codes))
-
-    def critical_set(self, y, lam, tol):
-        Z = self._mat(y) + self._mat(lam)
+    def _critical(self, y, lam, tol):
+        Z = smat(y) + smat(lam)
         w, U, alpha, beta, gamma = self._eig_groups(Z, tol)
         codes = {(0, 0): "free", (0, 1): "free", (0, 2): "free",
                  (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
-        return self._m(PSDBlockSet(U, [alpha, beta, gamma], codes))
+        return PSDBlockSet(U, [alpha, beta, gamma], codes)
 
-    def ri_normal(self, y, lam, tol):
+    def _ri_normal(self, y, lam, tol):
         def rank(A):
             w = np.linalg.eigvalsh(A)
             sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
@@ -415,9 +380,9 @@ class PSD(PrimitiveCone):
 
         return rank(smat(y)) + rank(smat(lam)) == self.order
 
-    def dir_deriv(self, z, h, tol):
-        A = self._mat(z)
-        H = self._mat(h)
+    def _dir_deriv(self, z, h, tol):
+        A = smat(z)
+        H = smat(h)
         w, U = np.linalg.eigh(A)
         sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
         wc = np.where(np.abs(w) <= sc, 0.0, w)
@@ -430,42 +395,33 @@ class PSD(PrimitiveCone):
         out = C * W
         beta = np.where(wc == 0.0)[0]
         if beta.size:
-            from ._sets import _eig_clip
             out[np.ix_(beta, beta)] = _eig_clip(W[np.ix_(beta, beta)], True)
-        return self.sign * svec(U @ out @ U.T)
+        return svec(U @ out @ U.T)
 
     def _upsilon_mats(self, y, lam, tol):
-        Y = self._mat(y)
-        L = self._mat(lam)
-        w, U = np.linalg.eigh(Y)
+        w, U = np.linalg.eigh(smat(y))
         sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
         winv = np.where(w > sc, 1.0 / np.where(w > sc, w, 1.0), 0.0)
-        Ypinv = (U * winv) @ U.T
-        return Y, L, Ypinv
+        return smat(lam), (U * winv) @ U.T
 
-    def upsilon(self, y, lam, h, tol):
-        _, L, Ypinv = self._upsilon_mats(y, lam, tol)
-        H = self._mat(h)
+    def _upsilon(self, y, lam, h, tol):
+        L, Ypinv = self._upsilon_mats(y, lam, tol)
+        H = smat(h)
         return -2.0 * float(np.trace(L @ H @ Ypinv @ H))
 
-    def upsilon_grad(self, y, lam, h, tol):
-        _, L, Ypinv = self._upsilon_mats(y, lam, tol)
-        H = self._mat(h)
+    def _upsilon_grad(self, y, lam, h, tol):
+        L, Ypinv = self._upsilon_mats(y, lam, tol)
+        H = smat(h)
         G = -2.0 * (Ypinv @ H @ L + L @ H @ Ypinv)
-        return self.sign * svec(0.5 * (G + G.T))
+        return svec(0.5 * (G + G.T))
 
 
-class ConeDesc:
+class ConeDesc(ProductSet):
     """Ordered product of primitive cones."""
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
-        self.dim = sum(b.dim for b in self.blocks)
-        self.slices = []
-        off = 0
-        for b in self.blocks:
-            self.slices.append(slice(off, off + b.dim))
-            off += b.dim
+        super().__init__(self.blocks)
 
     @property
     def is_polyhedral(self):
@@ -481,68 +437,47 @@ class ConeDesc:
         return np.concatenate([np.asarray(p, float).ravel() for p in parts]) \
             if parts else np.zeros(0)
 
+    def _parts(self, *vs):
+        """The blocks, each zipped with its part of every vector in vs."""
+        return zip(self.blocks, *map(self.split, vs))
+
     def project(self, z):
-        return self.join([b.project(p) for b, p in zip(self.blocks, self.split(z))])
+        return self.join([b.project(p) for b, p in self._parts(z)])
 
     def polar(self):
         return ConeDesc([b.polar() for b in self.blocks])
 
-    def contains(self, z, tol=DEFAULT_TOL):
-        z = np.asarray(z, float)
-        return float(np.linalg.norm(z - self.project(z))) <= tol.membership * (
-            1.0 + float(np.linalg.norm(z)))
-
     def tangent_set(self, y, tol=DEFAULT_TOL):
-        return ProductSet([b.tangent_set(p, tol)
-                           for b, p in zip(self.blocks, self.split(y))])
+        return ProductSet([b.tangent_set(p, tol) for b, p in self._parts(y)])
 
     def normal_set(self, y, tol=DEFAULT_TOL):
-        return ProductSet([b.normal_set(p, tol)
-                           for b, p in zip(self.blocks, self.split(y))])
+        return ProductSet([b.normal_set(p, tol) for b, p in self._parts(y)])
 
     def critical_set(self, y, lam, tol=DEFAULT_TOL):
-        return ProductSet([b.critical_set(py, pl, tol) for b, py, pl in
-                           zip(self.blocks, self.split(y), self.split(lam))])
+        return ProductSet([b.critical_set(py, pl, tol)
+                           for b, py, pl in self._parts(y, lam)])
 
     def tangent_lineality(self, y, tol=DEFAULT_TOL):
-        cols = []
-        for b, sl, p in zip(self.blocks, self.slices, self.split(y)):
-            B = b.tangent_lineality(p, tol)
-            for j in range(B.shape[1]):
-                v = np.zeros(self.dim)
-                v[sl] = B[:, j]
-                cols.append(v)
-        return np.array(cols).T if cols else np.zeros((self.dim, 0))
+        return self.tangent_set(y, tol).lineality_basis()
 
     def ri_normal(self, y, lam, tol=DEFAULT_TOL):
-        return all(b.ri_normal(py, pl, tol) for b, py, pl in
-                   zip(self.blocks, self.split(y), self.split(lam)))
+        return all(b.ri_normal(py, pl, tol)
+                   for b, py, pl in self._parts(y, lam))
 
     def dir_deriv(self, z, h, tol=DEFAULT_TOL):
-        return self.join([b.dir_deriv(pz, ph, tol) for b, pz, ph in
-                          zip(self.blocks, self.split(z), self.split(h))])
+        return self.join([b.dir_deriv(pz, ph, tol)
+                          for b, pz, ph in self._parts(z, h)])
 
     def upsilon(self, y, lam, h, tol=DEFAULT_TOL):
-        return sum(b.upsilon(py, pl, ph, tol) for b, py, pl, ph in
-                   zip(self.blocks, self.split(y), self.split(lam), self.split(h)))
+        return sum(b.upsilon(py, pl, ph, tol)
+                   for b, py, pl, ph in self._parts(y, lam, h))
 
     def upsilon_grad(self, y, lam, h, tol=DEFAULT_TOL):
-        return self.join([b.upsilon_grad(py, pl, ph, tol) for b, py, pl, ph in
-                          zip(self.blocks, self.split(y), self.split(lam),
-                              self.split(h))])
+        return self.join([b.upsilon_grad(py, pl, ph, tol)
+                          for b, py, pl, ph in self._parts(y, lam, h)])
 
     def __repr__(self):
-        names = []
-        for b in self.blocks:
-            if isinstance(b, Orthant):
-                names.append(f"Orthant({b.dim},{'+' if b.sign > 0 else '-'})")
-            elif isinstance(b, SOC):
-                names.append(f"SOC({b.dim},{'+' if b.sign > 0 else '-'})")
-            elif isinstance(b, PSD):
-                names.append(f"PSD({b.order},{'+' if b.sign > 0 else '-'})")
-            else:
-                names.append(f"{type(b).__name__}({b.dim})")
-        return "ConeDesc(" + " x ".join(names) + ")"
+        return "ConeDesc(" + " x ".join(map(repr, self.blocks)) + ")"
 
 
 # Module-level API ---------------------------------------------------------

@@ -42,7 +42,8 @@ class ConstraintSystem:
 
     def __init__(self, dim_x, cone: ConeDesc, value, jac, hess=None,
                  name="custom", is_affine=False):
-        assert dim_x >= 1
+        if not dim_x >= 1:
+            raise ValueError(f"dim_x must be >= 1, got {dim_x}")
         self.dim_x = int(dim_x)
         self.cone = cone
         self._value = value
@@ -53,12 +54,16 @@ class ConstraintSystem:
 
     def g(self, x):
         out = np.asarray(self._value(np.asarray(x, float)), float)
-        assert out.size == self.cone.dim
+        if out.size != self.cone.dim:
+            raise ValueError(f"g(x) has size {out.size}; the cone has "
+                             f"dimension {self.cone.dim}")
         return out
 
     def jacobian(self, x):
         J = np.asarray(self._jac(np.asarray(x, float)), float)
-        assert J.shape == (self.cone.dim, self.dim_x)
+        if J.shape != (self.cone.dim, self.dim_x):
+            raise ValueError(f"Jacobian has shape {J.shape}, expected "
+                             f"{(self.cone.dim, self.dim_x)}")
         return J
 
     def jac_apply(self, x, h):
@@ -72,7 +77,9 @@ class ConstraintSystem:
             return np.zeros((self.dim_x, self.dim_x))
         H = np.asarray(self._hess(np.asarray(x, float),
                                   np.asarray(lam, float)), float)
-        assert H.shape == (self.dim_x, self.dim_x)
+        if H.shape != (self.dim_x, self.dim_x):
+            raise ValueError(f"Hessian has shape {H.shape}, expected "
+                             f"{(self.dim_x, self.dim_x)}")
         return H
 
     def hess_apply(self, x, lam, d):
@@ -81,7 +88,7 @@ class ConstraintSystem:
     def self_check(self, x, rng=None, n_probes=5):
         """Derivative consistency on random probes: finite-difference
         Jacobian (1e-5 relative), adjoint identity and Hessian symmetry
-        (1e-10)."""
+        (1e-10).  Raises ValueError on the first mismatch."""
         rng = rng or np.random.default_rng(0)
         x = np.asarray(x, float)
         J = self.jacobian(x)
@@ -94,13 +101,16 @@ class ConstraintSystem:
             e = rng.standard_normal(self.dim_x)
             fd = (self.g(x + t * h) - self.g(x - t * h)) / (2 * t)
             rel = np.linalg.norm(fd - J @ h) / (1.0 + np.linalg.norm(J @ h))
-            assert rel <= 1e-5, f"Jacobian mismatch {rel:.2e}"
+            if not rel <= 1e-5:
+                raise ValueError(f"Jacobian mismatch {rel:.2e}")
             gap = abs(float((J @ h) @ mu) - float(h @ (J.T @ mu)))
-            assert gap <= 1e-10 * (1 + np.linalg.norm(h) * np.linalg.norm(mu))
+            if not gap <= 1e-10 * (1 + np.linalg.norm(h) * np.linalg.norm(mu)):
+                raise ValueError(f"adjoint mismatch {gap:.2e}")
             Hd = self.hess_apply(x, lam, h)
             He = self.hess_apply(x, lam, e)
             sym = abs(float(Hd @ e) - float(He @ h))
-            assert sym <= 1e-10 * (1 + np.linalg.norm(h) * np.linalg.norm(e))
+            if not sym <= 1e-10 * (1 + np.linalg.norm(h) * np.linalg.norm(e)):
+                raise ValueError(f"Hessian asymmetry {sym:.2e}")
         return True
 
 
@@ -165,7 +175,9 @@ def section32_system() -> ConstraintSystem:
 def affine_system(cone: ConeDesc, A, b, name="affine") -> ConstraintSystem:
     A = np.asarray(A, float)
     b = np.asarray(b, float)
-    assert A.shape[0] == cone.dim and b.size == cone.dim
+    if not (A.shape[0] == cone.dim and b.size == cone.dim):
+        raise ValueError(f"A has shape {A.shape} and b has {b.size} "
+                         f"entries; the cone has dimension {cone.dim}")
     return ConstraintSystem(A.shape[1], cone,
                             lambda x: A @ x + b, lambda x: A,
                             name=name, is_affine=True)
@@ -176,7 +188,9 @@ def quadratic_system(cone: ConeDesc, Q_list, A, b, name="quadratic") -> Constrai
     A = np.asarray(A, float)
     b = np.asarray(b, float)
     Qs = [0.5 * (np.asarray(Q, float) + np.asarray(Q, float).T) for Q in Q_list]
-    assert A.shape[0] == cone.dim and len(Qs) == cone.dim
+    if not (A.shape[0] == cone.dim and len(Qs) == cone.dim):
+        raise ValueError(f"A has shape {A.shape} and there are {len(Qs)} "
+                         f"Q matrices; the cone has dimension {cone.dim}")
 
     def value(x):
         return np.array([0.5 * float(x @ (Q @ x)) for Q in Qs]) + A @ x + b

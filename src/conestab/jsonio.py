@@ -42,29 +42,26 @@ def _field(obj, key, where):
     return obj[key]
 
 
+# block kind -> (class, size key); Zero and Free carry no sign
+_KINDS = {"orthant": (Orthant, "dim"), "soc": (SOC, "dim"),
+          "psd": (PSD, "order"), "zero": (Zero, "dim"), "free": (Free, "dim")}
+_KIND_OF = {cls: (kind, key) for kind, (cls, key) in _KINDS.items()}
+
+
 def parse_cone(obj) -> ConeDesc:
     blocks = []
     for i, entry in enumerate(_field(obj, "product", "cone")):
         if not isinstance(entry, dict) or len(entry) != 1:
             raise SchemaError(f"cone.product[{i}]: expected one-key object")
         kind, spec = next(iter(entry.items()))
-        sign = spec.get("sign", "plus") if isinstance(spec, dict) else "plus"
+        if kind not in _KINDS:
+            raise SchemaError(f"cone.product[{i}]: unknown kind {kind!r}")
+        cls, key = _KINDS[kind]
         try:
-            if kind == "orthant":
-                blocks.append(Orthant(int(spec["dim"]), sign))
-            elif kind == "soc":
-                blocks.append(SOC(int(spec["dim"]), sign))
-            elif kind == "psd":
-                blocks.append(PSD(int(spec["order"]), sign))
-            elif kind == "zero":
-                blocks.append(Zero(int(spec["dim"])))
-            elif kind == "free":
-                blocks.append(Free(int(spec["dim"])))
-            else:
-                raise SchemaError(f"cone.product[{i}]: unknown kind {kind!r}")
+            size = int(spec[key])
+            blocks.append(cls(size, spec.get("sign", "plus")) if cls.signed
+                          else cls(size))
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
             raise SchemaError(f"cone.product[{i}].{kind}: {exc}") from exc
     if not blocks:
         raise SchemaError("cone.product: empty")
@@ -74,21 +71,13 @@ def parse_cone(obj) -> ConeDesc:
 def emit_cone(K: ConeDesc):
     out = []
     for b in K.blocks:
-        if isinstance(b, Orthant):
-            out.append({"orthant": {"dim": b.dim,
-                                    "sign": "plus" if b.sign > 0 else "minus"}})
-        elif isinstance(b, SOC):
-            out.append({"soc": {"dim": b.dim,
-                                "sign": "plus" if b.sign > 0 else "minus"}})
-        elif isinstance(b, PSD):
-            out.append({"psd": {"order": b.order,
-                                "sign": "plus" if b.sign > 0 else "minus"}})
-        elif isinstance(b, Zero):
-            out.append({"zero": {"dim": b.dim}})
-        elif isinstance(b, Free):
-            out.append({"free": {"dim": b.dim}})
-        else:
+        if type(b) not in _KIND_OF:
             raise SchemaError(f"unknown block type {type(b).__name__}")
+        kind, key = _KIND_OF[type(b)]
+        spec = {key: b.size}
+        if b.signed:
+            spec["sign"] = "plus" if b.sign > 0 else "minus"
+        out.append({kind: spec})
     return {"product": out}
 
 

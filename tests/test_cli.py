@@ -101,3 +101,33 @@ def test_module_entry_point():
                           env=env)
     assert proc.returncode == 0
     assert "MISMATCH" not in proc.stdout
+
+
+def _shape_mismatch(tmp_path):
+    # a 1 x 2 matrix A for an orthant of dimension 2
+    problem = _write(tmp_path / "p.json", {
+        "cone": {"product": [{"orthant": {"dim": 2}}]},
+        "mapping": {"affine": {"A": [[1.0, 0.0]], "b": [0.0, 0.0]}}})
+    point = _write(tmp_path / "pt.json", {"x": [0.0, 0.0]})
+    return ["analyze", "--problem", problem, "--point", point]
+
+
+def test_analyze_shape_mismatch_exits_2(tmp_path, capsys):
+    assert main(_shape_mismatch(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err and "Traceback" not in err
+
+
+def test_shape_mismatch_exits_2_under_optimize(tmp_path):
+    # the input checks must survive python -O, which strips asserts
+    import os, subprocess, sys
+    import conestab
+    src = os.path.dirname(os.path.dirname(conestab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-m", "conestab",
+                           *_shape_mismatch(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "input error: A has shape (1, 2)" in proc.stderr

@@ -6,6 +6,7 @@ from conestab.cone_core import (
     ConeDesc, Orthant, SOC, PSD, Zero, Free,
     project, contains, tangent_cone, normal_cone, ri_normal_contains,
 )
+from conestab.jsonio import emit_cone, parse_cone
 from conestab.symmat import svec
 
 CONES = {
@@ -189,3 +190,71 @@ def test_project_rejects_nonfinite():
     K = ConeDesc([Orthant(2, "plus")])
     with pytest.raises(ValueError):
         project(K, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_soc_of_dimension_one_is_the_orthant(sign):
+    b = SOC(1, sign)
+    assert type(b) is Orthant
+    assert b.dim == 1 and b.sign == Orthant(1, sign).sign
+    assert b.is_polyhedral
+    with pytest.raises(ValueError):
+        SOC(0)
+
+
+def test_cones_survive_pickle_and_copy():
+    import copy
+    import pickle
+    K = CONES["mixed"]
+    z = np.random.default_rng(5).standard_normal(K.dim)
+    for K2 in (pickle.loads(pickle.dumps(K)), copy.deepcopy(K)):
+        assert repr(K2) == repr(K)
+        assert np.array_equal(K2.project(z), K.project(z))
+
+
+def test_emit_cone_writes_soc1_as_orthant():
+    K = parse_cone({"product": [{"soc": {"dim": 1}},
+                                {"soc": {"dim": 1, "sign": "minus"}},
+                                {"soc": {"dim": 3}}]})
+    out = emit_cone(K)
+    assert out == {"product": [{"orthant": {"dim": 1, "sign": "plus"}},
+                               {"orthant": {"dim": 1, "sign": "minus"}},
+                               {"soc": {"dim": 3, "sign": "plus"}}]}
+    K2 = parse_cone(out)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        z = rng.standard_normal(K.dim)
+        assert np.array_equal(K2.project(z), K.project(z))
+
+
+def _pairs(K, rng, count):
+    """(y, lam) with lam in N_K(y): Moreau pairs of K and their faces
+    with a zero multiplier or at the apex."""
+    for _ in range(count):
+        z = rng.standard_normal(K.dim) * 2
+        y, lam = K.project(z), K.polar().project(z)
+        yield from ((y, lam), (y, np.zeros(K.dim)), (np.zeros(K.dim), lam))
+
+
+@pytest.mark.parametrize("kind,size", [(Orthant, 3), (SOC, 4), (PSD, 3)])
+def test_minus_primitive_is_the_negated_plus_primitive(kind, size):
+    # (-K).critical_set(y, lam) = -K.critical_set(-y, -lam), and the same
+    # mirror for the tangent cone, the projection derivative and Upsilon
+    tol = DEFAULT_TOL
+    plus, minus = kind(size, "plus"), kind(size, "minus")
+    rng = np.random.default_rng(11)
+    for y, lam in _pairs(minus, rng, 20):
+        C, Cp = minus.critical_set(y, lam, tol), plus.critical_set(-y, -lam, tol)
+        T, Tp = minus.tangent_set(y, tol), plus.tangent_set(-y, tol)
+        assert minus.ri_normal(y, lam, tol) == plus.ri_normal(-y, -lam, tol)
+        for _ in range(5):
+            w = rng.standard_normal(minus.dim)
+            assert np.allclose(C.project(w), -Cp.project(-w), atol=1e-12)
+            assert np.allclose(T.project(w), -Tp.project(-w), atol=1e-12)
+            assert np.allclose(minus.dir_deriv(y + lam, w, tol),
+                               -plus.dir_deriv(-y - lam, -w, tol), atol=1e-12)
+            assert minus.upsilon(y, lam, w, tol) == pytest.approx(
+                plus.upsilon(-y, -lam, -w, tol), abs=1e-12)
+            assert np.allclose(minus.upsilon_grad(y, lam, w, tol),
+                               -plus.upsilon_grad(-y, -lam, -w, tol),
+                               atol=1e-12)

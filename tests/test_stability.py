@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conestab._sets import Tol, DEFAULT_TOL
-from conestab.cone_core import ConeDesc, Orthant, Free
+from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free
 from conestab.constraint_system import (
     affine_system, example1_system, section32_system,
-    ngamma_graph_deriv_contains, srcq_check,
+    ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
+    nondegeneracy_check, strict_complementarity_check,
 )
 from conestab.stability import (
     GEProblem, PhiPoint, SmoothFn, SmoothMap,
@@ -244,3 +245,109 @@ def test_samplers_reject_unverified_multiplier():
         ngamma_tangent_generate(sys, XBAR1, np.ones(3), np.zeros(4))
     with pytest.raises(ValueError):
         regular_normal_lower_generate(sys, XBAR1, np.ones(3), np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# SOC(1) is the half-line
+
+@pytest.mark.parametrize("F,Fx,expected", [
+    (lambda p, x: np.asarray(x) - np.asarray(p), np.eye(2), "holds"),
+    (lambda p, x: -np.asarray(p), np.zeros((2, 2)), "fails"),
+])
+def test_soc1_problem_takes_the_exact_route_like_orthant1(F, Fx, expected):
+    # Gamma = {x1 <= 0, x2 >= 0}; with F = -p every point of Gamma solves
+    # the inclusion at p = 0, with F = x - p only x = 0 does
+    certs = []
+    for first in (SOC(1, "minus"), Orthant(1, "minus")):
+        sys = affine_system(ConeDesc([first, Orthant(1, "plus")]),
+                            np.eye(2), np.zeros(2))
+        problem = GEProblem(sys, F=F,
+                            Fprime=lambda base, dirn: F(dirn[0], dirn[1]),
+                            pbar=np.zeros(2), xbar=np.zeros(2), Fx=Fx)
+        certs.append(solution_map_isolated_calm(problem, np.zeros(2)))
+    for cert in certs:
+        assert "exact branch enumeration" in cert.method
+        assert cert.verdict == expected
+
+
+# ---------------------------------------------------------------------------
+# mirror metamorphic referee: K -> -K with (A, b) -> (-A, -b)
+
+def _mirror(sys):
+    """The affine system g(x) = A x + b over K rewritten as -g over -K:
+    every block sign flipped and (A, b) negated."""
+    x0 = np.zeros(sys.dim_x)
+    cone = ConeDesc([type(b)(b.size, -b.sign) for b in sys.cone.blocks])
+    return affine_system(cone, -sys.jacobian(x0), -sys.g(x0))
+
+
+def _qualifications(sys, x, v, lam):
+    res = multiplier_solve(sys, x, v)
+    st = strict_complementarity_check(sys, x, v)
+    verdicts = (srcq_check(sys, x, v, lam).verdict,
+                nondegeneracy_check(sys, x).verdict, st.verdict)
+    return verdicts, res.lam, st.witness
+
+
+def _assert_mirror_invariant(sys, x, v, lam):
+    mirror = _mirror(sys)
+    verdicts, lam_found, st_witness = _qualifications(sys, x, v, lam)
+    m_verdicts, m_lam_found, m_st_witness = _qualifications(mirror, x, v,
+                                                            -lam)
+    assert m_verdicts == verdicts
+    assert np.allclose(m_lam_found, -lam_found, atol=1e-10)
+    if st_witness is None:
+        assert m_st_witness is None
+    else:
+        assert np.allclose(m_st_witness, -st_witness, atol=1e-10)
+    return verdicts
+
+
+def _calm_verdicts(sys, x, v, lam):
+    # F(p, x) = -p - x with pbar = v - x, so that vbar = v
+    certs = []
+    for s, sign in ((sys, 1.0), (_mirror(sys), -1.0)):
+        problem = GEProblem(s, F=lambda p, x: -np.asarray(p) - np.asarray(x),
+                            Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                            - np.asarray(dirn[1]),
+                            pbar=v - x, xbar=x, Fx=-np.eye(s.dim_x))
+        certs.append(solution_map_isolated_calm(problem, sign * lam))
+    return [c.verdict for c in certs]
+
+
+def test_mirror_invariance_example1():
+    sys = example1_system()
+    lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
+    v_hat = np.array([-1.0, 0.0, -1.0])
+    zero = _assert_mirror_invariant(sys, XBAR1, np.zeros(3), np.zeros(4))
+    hat = _assert_mirror_invariant(sys, XBAR1, v_hat, lam_hat)
+    # srcq(0), srcq(vhat), nondegeneracy, strict complementarity at 0
+    assert (zero[0], hat[0], zero[1], zero[2]) == \
+        ("holds", "fails", "fails", "fails")
+    lam41 = np.concatenate([svec(np.zeros((2, 2))), [-1.0]])
+    v41 = sys.jacobian(XBAR1).T @ lam41
+    assert _calm_verdicts(sys, XBAR1, v41, lam41) == ["holds", "holds"]
+
+
+@pytest.mark.parametrize("dim_x,expected", [
+    (2, ("fails", "fails", "holds")), (5, ("holds", "holds", "holds"))])
+def test_mirror_invariance_mixed_affine_system(dim_x, expected):
+    # PSD(2) x SOC(3) x R^2_+ at a boundary point with a planted strictly
+    # complementary multiplier, and a seeded affine g
+    rng = np.random.default_rng(17)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    r = rng.standard_normal(2)
+    r /= np.linalg.norm(r)
+    y = np.concatenate([svec(np.outer(U[:, 0], U[:, 0])), [1.0], r,
+                        [0.0, 1.0]])
+    lam = np.concatenate([-svec(np.outer(U[:, 1], U[:, 1])), [-1.0], r,
+                          [-1.0, 0.0]])
+    cone = ConeDesc([PSD(2, "plus"), SOC(3, "plus"), Orthant(2, "plus")])
+    A = rng.standard_normal((cone.dim, dim_x))
+    x = rng.standard_normal(dim_x)
+    sys = affine_system(cone, A, y - A @ x)
+    v = A.T @ lam
+    # srcq, nondegeneracy, strict complementarity
+    assert _assert_mirror_invariant(sys, x, v, lam) == expected
+    calm = _calm_verdicts(sys, x, v, lam)
+    assert calm[0] == calm[1]

@@ -31,6 +31,34 @@ def test_self_check_builtins():
     assert sys.self_check(rng.standard_normal(2))
 
 
+def test_system_input_checks_raise_value_error():
+    K = ConeDesc([Orthant(2, "plus")])
+    with pytest.raises(ValueError, match="dim_x"):
+        ConstraintSystem(0, K, lambda x: x, lambda x: np.eye(2))
+    with pytest.raises(ValueError, match="A has shape"):
+        affine_system(K, np.ones((1, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="Q matrices"):
+        quadratic_system(K, [np.eye(2)], np.eye(2), np.zeros(2))
+    bad = ConstraintSystem(2, K, lambda x: x[:1], lambda x: np.eye(2))
+    with pytest.raises(ValueError, match="g\\(x\\) has size 1"):
+        bad.g(np.zeros(2))
+    bad = ConstraintSystem(2, K, lambda x: x, lambda x: np.eye(3))
+    with pytest.raises(ValueError, match="Jacobian has shape"):
+        bad.jacobian(np.zeros(2))
+    bad = ConstraintSystem(2, K, lambda x: x, lambda x: np.eye(2),
+                           hess=lambda x, lam: np.eye(3))
+    with pytest.raises(ValueError, match="Hessian has shape"):
+        bad.hess_lambda(np.zeros(2), np.zeros(2))
+    # a Jacobian that does not match g fails the derivative self-check
+    bad = ConstraintSystem(2, K, lambda x: x, lambda x: 2 * np.eye(2))
+    with pytest.raises(ValueError, match="Jacobian mismatch"):
+        bad.self_check(np.zeros(2))
+    bad = ConstraintSystem(2, K, lambda x: x, lambda x: np.eye(2),
+                           hess=lambda x, lam: np.triu(np.ones((2, 2))))
+    with pytest.raises(ValueError, match="Hessian asymmetry"):
+        bad.self_check(np.zeros(2))
+
+
 def test_gamma_tangent_contains():
     sys = example1_system()
     assert gamma_tangent_contains(sys, XBAR1, np.zeros(3))
