@@ -15,7 +15,7 @@ from .constraint_system import (
     ConstraintSystem, MultiplierSolveResult, NGammaImage,
     example1_system, example3_system, section32_system,
     affine_system, quadratic_system,
-    gamma_tangent_contains, multiplier_solve, multiplier_verify,
+    gamma_tangent_contains, multiplier_solve, multiplier_verify, BasePair,
     srcq_check, nondegeneracy_check, strict_complementarity_check,
     critical_cone_gamma_contains, ngamma_graph_deriv_contains,
 )

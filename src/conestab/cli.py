@@ -16,11 +16,11 @@ from ._sets import Tol
 from .cone_core import normal_cone
 from .cone_geometry import radial_probe
 from .constraint_system import (
-    example1_system, example3_system, section32_system,
+    BasePair, example1_system, example3_system, section32_system,
     multiplier_solve, srcq_check, nondegeneracy_check,
     strict_complementarity_check, ngamma_graph_deriv_contains,
 )
-from .jsonio import SchemaError, load_json, parse_problem
+from .jsonio import SchemaError, load_json, parse_problem, _field
 from .stability import (
     PhiPoint, phi_subregularity_probe, solution_map_isolated_calm,
     kkt_isolated_calm, example41_problem, lp_kkt_data,
@@ -54,24 +54,19 @@ def _cert_entry(name, cert):
 def cmd_analyze(args):
     sysm, points = parse_problem(load_json(args.problem))
     pt = load_json(args.point)
-    x = np.asarray(pt["x"], float)
+    x = np.asarray(_field(pt, "x", "point"), float)
     v = np.asarray(pt.get("v", np.zeros(sysm.dim_x)), float)
     tol = _make_tol(args.tol)
-
-    gx = sysm.g(x)
-    dist = np.linalg.norm(gx - sysm.cone.project(gx))
-    if dist > tol.membership * (1 + np.linalg.norm(gx)):
-        print(f"point infeasible: dist(g(x),K)={dist:.3e}", file=_sys.stderr)
-        return 2
 
     lines = [f"problem: {sysm.name}  cone: {sysm.cone!r}",
              "feasibility: ok", ASSUMED, CHECKED]
     certs = []
+    # raises on a non-finite or infeasible point (exit 2)
     mres = multiplier_solve(sysm, x, v, tol)
     lines.append(f"multiplier: {'found' if mres.found else 'not found'} "
                  f"residual={mres.residual:.3e} members={len(mres.members)}")
     if mres.found:
-        sc = srcq_check(sysm, x, v, mres.lam, tol)
+        sc = srcq_check(BasePair(sysm, x, v, mres.lam, tol))
         certs.append(_cert_entry("srcq", sc))
         lines.append(f"srcq: {sc.verdict}")
         st = strict_complementarity_check(sysm, x, v, tol)
@@ -90,13 +85,10 @@ def cmd_gderiv(args):
     sysm, _ = parse_problem(load_json(args.problem))
     pr = load_json(args.pair)
     tol = _make_tol(args.tol)
-    x = np.asarray(pr["x"], float)
-    v = np.asarray(pr["v"], float)
-    lam = np.asarray(pr["lam"], float)
-    d = np.asarray(pr["d"], float)
-    w = np.asarray(pr["w"], float)
+    x, v, lam, d, w = (np.asarray(_field(pr, key, "pair"), float)
+                       for key in ("x", "v", "lam", "d", "w"))
 
-    cert = ngamma_graph_deriv_contains(sysm, x, v, lam, d, w, tol)
+    cert = ngamma_graph_deriv_contains(BasePair(sysm, x, v, lam, tol), d, w)
     det = cert.details
     lines = [ASSUMED, CHECKED]
     if args.route in ("a", "both"):
@@ -148,11 +140,11 @@ def _repro_example1(lines, failures, tol):
 def _repro_example2(lines, failures, tol):
     sysm = example1_system()
     xbar = np.array([-1.0, -1.0, 0.0])
-    s1 = srcq_check(sysm, xbar, np.zeros(3), np.zeros(4), tol)
+    s1 = srcq_check(BasePair(sysm, xbar, np.zeros(3), np.zeros(4), tol))
     _check(lines, failures, "srcq(vbar)", s1.verdict, "holds")
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    s2 = srcq_check(sysm, xbar, v_hat, lam_hat, tol)
+    s2 = srcq_check(BasePair(sysm, xbar, v_hat, lam_hat, tol))
     _check(lines, failures, "srcq(vhat)", s2.verdict, "fails")
     _check(lines, failures, "srcq(vhat) witness nonzero",
            s2.witness is not None and float(np.linalg.norm(s2.witness)) > 1e-6,
@@ -174,7 +166,7 @@ def _repro_example41(lines, failures, tol):
     problem = example41_problem()
     sysm = problem.sys
     lam = problem.lam_hint
-    s = srcq_check(sysm, problem.xbar, problem.vbar, lam, tol)
+    s = srcq_check(BasePair(sysm, problem.xbar, problem.vbar, lam, tol))
     _check(lines, failures, "srcq", s.verdict, "holds")
     nd = nondegeneracy_check(sysm, problem.xbar, tol)
     _check(lines, failures, "nondegeneracy", nd.verdict, "fails")

@@ -9,6 +9,7 @@ is assumed, never computed.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 from ._sets import (
@@ -16,7 +17,7 @@ from ._sets import (
     dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec
-from .cone_geometry import tangent_of_normal, subspace_cone_trivial
+from .cone_geometry import subspace_cone_trivial
 from .proj_deriv import GraphPoint, dnk_contains
 
 SUBREG_ASSUMPTION = "metric subregularity of x -> g(x) - K at the base point"
@@ -26,6 +27,7 @@ __all__ = [
     "example1_system", "example3_system", "section32_system",
     "affine_system", "quadratic_system",
     "gamma_tangent_contains", "multiplier_solve", "multiplier_verify",
+    "BasePair",
     "srcq_check", "nondegeneracy_check", "strict_complementarity_check",
     "critical_cone_gamma_contains", "ngamma_graph_deriv_contains",
 ]
@@ -82,9 +84,6 @@ class ConstraintSystem:
                              f"{(self.dim_x, self.dim_x)}")
         return H
 
-    def hess_apply(self, x, lam, d):
-        return self.hess_lambda(x, lam) @ np.asarray(d, float)
-
     def self_check(self, x, rng=None, n_probes=5):
         """Derivative consistency on random probes: finite-difference
         Jacobian (1e-5 relative), adjoint identity and Hessian symmetry
@@ -106,8 +105,8 @@ class ConstraintSystem:
             gap = abs(float((J @ h) @ mu) - float(h @ (J.T @ mu)))
             if not gap <= 1e-10 * (1 + np.linalg.norm(h) * np.linalg.norm(mu)):
                 raise ValueError(f"adjoint mismatch {gap:.2e}")
-            Hd = self.hess_apply(x, lam, h)
-            He = self.hess_apply(x, lam, e)
+            H = self.hess_lambda(x, lam)
+            Hd, He = H @ h, H @ e
             sym = abs(float(Hd @ e) - float(He @ h))
             if not sym <= 1e-10 * (1 + np.linalg.norm(h) * np.linalg.norm(e)):
                 raise ValueError(f"Hessian asymmetry {sym:.2e}")
@@ -208,9 +207,15 @@ def quadratic_system(cone: ConeDesc, Q_list, A, b, name="quadratic") -> Constrai
 # operations
 
 def _require_feasible(sys, x, tol):
-    gx = sys.g(x)
+    """g(x), after checking that x and g(x) are finite and g(x) is in K:
+    the one feasibility decision of the package."""
+    gx = sys.g(x) if np.all(np.isfinite(x)) else None
+    if gx is None or not np.all(np.isfinite(gx)):
+        raise ValueError("base point not finite: x or g(x) has a NaN or "
+                         "infinite entry")
     if not sys.cone.contains(gx, tol):
-        raise ValueError("base point is infeasible")
+        raise ValueError("base point infeasible: "
+                         f"dist(g(x), K) = {sys.cone.dist(gx):.3e}")
     return gx
 
 
@@ -260,6 +265,46 @@ def multiplier_verify(sys: ConstraintSystem, x, v, lam,
     return max(ra, rc) <= tol.membership * scale
 
 
+class BasePair:
+    """A verified base pair: x feasible and lam a multiplier for (x, v),
+    that is grad g(x) lam = v with lam in N_K(g(x)).
+
+    The constructor is the one place that verifies a base pair.  Every
+    second-order check at the pair reads g(x) (`gx`) and the Jacobian `J`
+    from it, and the critical cone of K at (g(x), lam), its polar, the
+    Hessian of <lam, g> at x and the cone-level graph point, each built
+    on first use.
+    """
+
+    def __init__(self, sys: ConstraintSystem, x, v, lam,
+                 tol: Tol = DEFAULT_TOL):
+        self.sys = sys
+        self.x = np.asarray(x, float)
+        self.v = np.asarray(v, float)
+        self.lam = np.asarray(lam, float)
+        self.tol = tol
+        self.gx = _require_feasible(sys, self.x, tol)
+        if not multiplier_verify(sys, self.x, self.v, self.lam, tol):
+            raise ValueError("lam is not a verified multiplier for (x, v)")
+        self.J = sys.jacobian(self.x)
+
+    @cached_property
+    def critical(self):
+        return self.sys.cone.critical_set(self.gx, self.lam, self.tol)
+
+    @cached_property
+    def critical_polar(self):
+        return self.critical.polar()
+
+    @cached_property
+    def hess(self):
+        return self.sys.hess_lambda(self.x, self.lam)
+
+    @cached_property
+    def graph_point(self):
+        return GraphPoint(self.sys.cone, self.gx, self.lam, self.tol)
+
+
 def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
                      with_uniqueness=True, reseed=True) -> MultiplierSolveResult:
     """Find lambda in N_K(g(x)) with grad g(x) lambda = v, by alternating
@@ -302,7 +347,7 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
     lam, _, ra, rc, ok = best
     res = MultiplierSolveResult(lam, ra, rc, ok, members)
     if ok and with_uniqueness:
-        res.uniqueness = srcq_check(sys, x, v, lam, tol)
+        res.uniqueness = srcq_check(BasePair(sys, x, v, lam, tol))
         if len(members) > 1 and res.uniqueness.verdict == "holds":
             # distinct verified members trump the subspace probe
             res.uniqueness = Certificate(
@@ -330,19 +375,15 @@ class NGammaImage:
         return res.found
 
 
-def srcq_check(sys: ConstraintSystem, x, v, lam,
-               tol: Tol = DEFAULT_TOL) -> Certificate:
+def srcq_check(pair: BasePair) -> Certificate:
     """Strict Robinson qualification at x w.r.t. the multiplier lam:
-    Ker(adjoint) meets the tangent cone to N_K(g(x)) at lam only at 0.
-    Holds is simultaneously: the qualification, isolated calmness of the
-    multiplier map at v for lam, and local single-valuedness of the
-    multiplier selection; all three readings are reported."""
-    gx = _require_feasible(sys, x, tol)
-    if not multiplier_verify(sys, x, v, lam, tol):
-        raise ValueError("lam is not a verified multiplier for (x, v)")
-    ker = _null_basis(sys.jacobian(x).T, tol)
-    C = tangent_of_normal(sys.cone, gx, np.asarray(lam, float), tol)
-    cert = subspace_cone_trivial(ker, C, tol)
+    Ker(adjoint) meets the tangent cone to N_K(g(x)) at lam (the polar of
+    the critical cone) only at 0.  Holds is simultaneously: the
+    qualification, isolated calmness of the multiplier map at v for lam,
+    and local single-valuedness of the multiplier selection; all three
+    readings are reported."""
+    ker = _null_basis(pair.J.T, pair.tol)
+    cert = subspace_cone_trivial(ker, pair.critical_polar, pair.tol)
     cert.checked = cert.checked + (
         "adjoint-kernel/tangent-of-normal trivial intersection",
         "multiplier-map isolated calmness at v for lam (equivalent)",
@@ -423,22 +464,17 @@ def strict_complementarity_check(sys: ConstraintSystem, x, v,
                        details={"candidates": len(candidates)})
 
 
-def critical_cone_gamma_contains(sys: ConstraintSystem, x, v, lam, d,
-                                 tol: Tol = DEFAULT_TOL) -> bool:
+def critical_cone_gamma_contains(pair: BasePair, d) -> bool:
     """Membership of d in the critical cone of the feasible set at (x, v),
     decided through g'(x)d against the cone-level critical cone."""
-    gx = _require_feasible(sys, x, tol)
-    if not multiplier_verify(sys, x, v, lam, tol):
-        raise ValueError("lam is not a verified multiplier for (x, v)")
-    C = sys.cone.critical_set(gx, np.asarray(lam, float), tol)
-    return C.contains(sys.jac_apply(x, d), tol)
+    return pair.critical.contains(pair.J @ np.asarray(d, float), pair.tol)
 
 
-def ngamma_graph_deriv_contains(sys: ConstraintSystem, x, v, lam, d, w,
-                                tol: Tol = DEFAULT_TOL,
+def ngamma_graph_deriv_contains(pair: BasePair, d, w,
                                 srcq: Certificate | None = None) -> Certificate:
     """Membership of (d, w) in the graphical derivative of the normal-cone
-    map of the feasible set at (x, v), for the verified multiplier lam.
+    map of the feasible set at the base pair (x, v), for its verified
+    multiplier lam.
 
     Route A solves for xi in the normal cone to the critical cone at
     g'(x)d with adjoint image w - Hess d - grad-Upsilon correction.
@@ -446,60 +482,54 @@ def ngamma_graph_deriv_contains(sys: ConstraintSystem, x, v, lam, d, w,
     (g'(x)d, mu) against the cone-level graphical derivative.  The
     verdict holds or fails only when the routes agree.
     """
-    gx = _require_feasible(sys, x, tol)
+    sys, gx, lam, tol = pair.sys, pair.gx, pair.lam, pair.tol
     d = np.asarray(d, float)
     w = np.asarray(w, float)
-    if not multiplier_verify(sys, x, v, lam, tol):
-        raise ValueError("lam is not a verified multiplier for (x, v)")
-    lam = np.asarray(lam, float)
-    Jt = sys.jacobian(x).T
-    gd = sys.jac_apply(x, d)
+    Jt = pair.J.T
+    gd = pair.J @ d
     scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
     checked = ()
     if srcq is not None:
         checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
 
-    C = sys.cone.critical_set(gx, lam, tol)
-    gate = C.dist(gd)
-    details = {"critical_gate": gate}
-    if gate > tol.membership * scale:
-        return Certificate("fails", gate, np.concatenate([d, w]),
-                           "critical-cone gate on g'(x)d", tol,
+    def verdict(name, residual, witness, method):
+        return Certificate(name, residual, witness, method, tol,
                            assumptions=(SUBREG_ASSUMPTION,),
                            checked=checked, details=details)
 
-    Hd = sys.hess_apply(x, lam, d)
+    def solve(rhs, cones):
+        # Dykstra on {Jt z = rhs} and `cones` from the least-squares seed
+        sets = [AffineSet(Jt, rhs)] + cones
+        z, info = dykstra(sets, np.linalg.lstsq(Jt, rhs, rcond=None)[0], tol)
+        res = max(float(np.linalg.norm(Jt @ z - rhs)),
+                  max(S.dist(z) for S in cones))
+        sc = 1.0 + float(np.linalg.norm(z))
+        return z, info, res, res <= tol.membership * sc * scale
+
+    gate = pair.critical.dist(gd)
+    details = {"critical_gate": gate}
+    if gate > tol.membership * scale:
+        return verdict("fails", gate, np.concatenate([d, w]),
+                       "critical-cone gate on g'(x)d")
+
+    Hd = pair.hess @ d
     u = sys.cone.upsilon_grad(gx, lam, gd, tol)
-    Cp = C.polar()
+    Cp = pair.critical_polar
     nz = float(np.linalg.norm(gd)) > tol.zero * (1 + np.linalg.norm(gx))
 
     # Route A: xi in N_C(gd) with Jt xi = w - Hd - Jt u / 2
-    r = w - Hd - 0.5 * (Jt @ u)
-    sets_a = [AffineSet(Jt, r), Cp] + ([Hyperplane(gd)] if nz else [])
-    seed = np.linalg.lstsq(Jt, r, rcond=None)[0]
-    xi, info_a = dykstra(sets_a, seed, tol)
-    res_a = max(float(np.linalg.norm(Jt @ xi - r)),
-                max(S.dist(xi) for S in sets_a[1:]))
-    sc_a = 1.0 + float(np.linalg.norm(xi))
-    holds_a = res_a <= tol.membership * sc_a * scale
+    xi, info_a, res_a, holds_a = solve(
+        w - Hd - 0.5 * (Jt @ u), [Cp] + ([Hyperplane(gd)] if nz else []))
     details["route_a_residual"] = res_a
 
     # Route B: mu with Jt mu = w - Hd and (gd, mu) in the cone-level
     # graphical derivative, parameterized as u/2 + (polar critical ∩ gd⊥)
-    rb = w - Hd
     shift = 0.5 * u
-    sets_b = [AffineSet(Jt, rb), ShiftedSet(Cp, shift)]
-    if nz:
-        sets_b.append(ShiftedSet(Hyperplane(gd), shift))
-    seed_b = np.linalg.lstsq(Jt, rb, rcond=None)[0]
-    mu, info_b = dykstra(sets_b, seed_b, tol)
-    res_b = max(float(np.linalg.norm(Jt @ mu - rb)),
-                max(S.dist(mu) for S in sets_b[1:]))
-    sc_b = 1.0 + float(np.linalg.norm(mu))
-    holds_b = res_b <= tol.membership * sc_b * scale
+    mu, info_b, res_b, holds_b = solve(
+        w - Hd, [ShiftedSet(Cp, shift)]
+        + ([ShiftedSet(Hyperplane(gd), shift)] if nz else []))
     if holds_b:
-        gp = GraphPoint(sys.cone, gx, lam, tol)
-        inner = dnk_contains(sys.cone, gp, gd, mu, tol)
+        inner = dnk_contains(sys.cone, pair.graph_point, gd, mu, tol)
         details["route_b_inner_verdict"] = inner.verdict
         holds_b = inner.verdict == "holds"
     details["route_b_residual"] = res_b
@@ -508,22 +538,12 @@ def ngamma_graph_deriv_contains(sys: ConstraintSystem, x, v, lam, d, w,
 
     method = ("normal-of-critical fiber solve + cone-level graphical "
               "derivative solve (dual routes)")
-    assumptions = (SUBREG_ASSUMPTION,)
+    res = max(res_a, res_b)
     if holds_a and holds_b:
-        return Certificate("holds", max(res_a, res_b), xi, method, tol,
-                           assumptions=assumptions, checked=checked,
-                           details=details)
-    if not holds_a and not holds_b:
-        if info_a.stalled or info_a.converged or info_b.stalled or info_b.converged:
-            return Certificate("fails", max(res_a, res_b),
-                               np.concatenate([d, w]), method, tol,
-                               assumptions=assumptions, checked=checked,
-                               details=details)
-        return Certificate("inconclusive", max(res_a, res_b), None,
-                           method + " (nonconvergence)", tol,
-                           assumptions=assumptions, checked=checked,
-                           details=details)
-    return Certificate("inconclusive", max(res_a, res_b), None,
-                       method + " (route disagreement)", tol,
-                       assumptions=assumptions, checked=checked,
-                       details=details)
+        return verdict("holds", res, xi, method)
+    if holds_a or holds_b:
+        return verdict("inconclusive", res, None,
+                       method + " (route disagreement)")
+    if info_a.stalled or info_a.converged or info_b.stalled or info_b.converged:
+        return verdict("fails", res, np.concatenate([d, w]), method)
+    return verdict("inconclusive", res, None, method + " (nonconvergence)")

@@ -17,9 +17,8 @@ import numpy as np
 from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern
 from .cone_core import ConeDesc, Orthant, Zero, Free, project
 from .constraint_system import (
-    ConstraintSystem, SUBREG_ASSUMPTION, affine_system,
-    multiplier_solve, multiplier_verify, srcq_check,
-    ngamma_graph_deriv_contains, _null_basis,
+    ConstraintSystem, SUBREG_ASSUMPTION, BasePair, affine_system,
+    multiplier_solve, srcq_check, ngamma_graph_deriv_contains, _null_basis,
 )
 
 NET_K_DEFAULT = 6
@@ -162,15 +161,12 @@ def _kronecker_unit(dim, count, seed):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     alpha = np.sqrt(primes[:dim])
     alpha -= np.floor(alpha)
-    out = np.empty((count, dim))
     shift = 0.5 + 0.61803398875 * seed
-    for i in range(count):
-        u = np.mod(shift + (i + 1) * alpha, 1.0)
-        u = np.clip(u, 1e-12, 1 - 1e-12)
-        g = ndtri(u)
-        n = np.linalg.norm(g)
-        out[i] = g / (n if n > 0 else 1.0)
-    return out
+    u = np.mod(shift + np.arange(1, count + 1)[:, None] * alpha, 1.0)
+    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    # row norms as sqrt(r @ r), the arithmetic of 1-D np.linalg.norm
+    n = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0]
+    return g / np.where(n > 0, n, 1.0)
 
 
 def direction_net(dim, k=NET_K_DEFAULT, seed=None):
@@ -180,14 +176,11 @@ def direction_net(dim, k=NET_K_DEFAULT, seed=None):
     if seed is None:
         seed = int(os.environ.get("CONESTAB_SEED", "0"))
     total = (2 ** k) * (dim + 1)
-    axes = []
-    for j in range(dim):
-        for s in (1.0, -1.0):
-            e = np.zeros(dim)
-            e[j] = s
-            axes.append(e)
-    rest = _kronecker_unit(dim, max(total - len(axes), 0), seed)
-    return np.vstack([np.array(axes), rest])[:total]
+    axes = np.zeros((2 * dim, dim))
+    j = np.arange(dim)
+    axes[2 * j, j], axes[2 * j + 1, j] = 1.0, -1.0
+    rest = _kronecker_unit(dim, max(total - 2 * dim, 0), seed)
+    return np.vstack([axes, rest])[:total]
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +262,13 @@ def _branch_lp_max(J, M, branch, n, m, objective_sign, j):
     return -res.fun, res.x[:n]
 
 
-def _polyhedral_route(problem, lam, tol):
-    sys = problem.sys
-    x = problem.xbar
-    J = sys.jacobian(x)
-    gx = sys.g(x)
+def _polyhedral_route(problem, pair):
+    sys, J, tol = pair.sys, pair.J, pair.tol
     n, m = sys.dim_x, sys.cone.dim
-    M = problem.Fx + sys.hess_lambda(x, lam)
+    M = problem.Fx + pair.hess
     options = []
     for block, sl in zip(sys.cone.blocks, sys.cone.slices):
-        options.extend(_scalar_branches(block, gx[sl], lam[sl], tol))
+        options.extend(_scalar_branches(block, pair.gx[sl], pair.lam[sl], tol))
 
     best = 0.0
     witness = None
@@ -318,12 +308,8 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     """
     sys = problem.sys
     x = problem.xbar
-    v = problem.vbar
-    lam = np.asarray(lam, float)
-    if not multiplier_verify(sys, x, v, lam, tol):
-        raise ValueError("lam is not a verified multiplier at the base pair")
-
-    srcq = srcq_check(sys, x, v, lam, tol)
+    pair = BasePair(sys, x, problem.vbar, lam, tol)
+    srcq = srcq_check(pair)
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     if srcq.verdict != "holds":
         return Certificate("inconclusive", srcq.residual, srcq.witness,
@@ -335,7 +321,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
                     for b in sys.cone.blocks)
     if sys.cone.is_polyhedral and sys.is_affine and scalar_ok \
             and problem.Fx is not None:
-        cert = _polyhedral_route(problem, lam, tol)
+        cert = _polyhedral_route(problem, pair)
         cert.checked = cert.checked + checked
         return cert
 
@@ -346,8 +332,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     inconclusive_hits = 0
     for d in net:
         w = -np.asarray(problem.Fprime((problem.pbar, x), (zero_p, d)), float)
-        cert = ngamma_graph_deriv_contains(sys, x, v, lam, d, w, tol,
-                                           srcq=srcq)
+        cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
         if cert.verdict == "holds":
             return Certificate(
                 "fails", cert.residual, d,
@@ -469,8 +454,10 @@ def lp_kkt_data(kind="nondegenerate"):
 
 def _normal_to_critical_sample(block, y, lam, gd, rng, tol):
     """An exact member of the normal cone to the block-level critical cone
-    at gd, for a zero multiplier or a polyhedral block."""
-    from .cone_core import PSD
+    at gd, for a zero multiplier or a polyhedral block.  PSD and SOC blocks
+    are read in the plus cone through block.sign, as the mirror of the
+    cone is: N_{-C}(gd) = -N_C(-gd)."""
+    from .cone_core import PSD, SOC
     from .symmat import svec, smat
 
     scale = 1.0 + float(np.linalg.norm(gd))
@@ -483,13 +470,12 @@ def _normal_to_critical_sample(block, y, lam, gd, rng, tol):
         yscale = 1.0 + float(np.linalg.norm(y))
         q = np.zeros(block.dim)
         for i in range(block.dim):
-            crit_zero = abs(np.atleast_1d(y)[i]) <= tol.zero * yscale and \
-                s * np.atleast_1d(lam)[i] < -tol.zero
-            if crit_zero:
+            if abs(y[i]) > tol.zero * yscale:
+                continue
+            if s * lam[i] < -tol.zero:
                 # critical cone coordinate is {0}: normal is the full line
                 q[i] = rng.standard_normal()
-            elif abs(np.atleast_1d(y)[i]) <= tol.zero * yscale and \
-                    abs(np.atleast_1d(gd)[i]) <= tol.zero * scale:
+            elif abs(gd[i]) <= tol.zero * scale:
                 q[i] = -s * abs(rng.standard_normal())
         return q
     if isinstance(block, PSD):
@@ -504,28 +490,46 @@ def _normal_to_critical_sample(block, y, lam, gd, rng, tol):
             return np.zeros(block.dim)
         A = rng.standard_normal((U0.shape[1], U0.shape[1]))
         return -block.sign * svec(U0 @ (A @ A.T) @ U0.T)
+    if isinstance(block, SOC):
+        if float(np.linalg.norm(lam)) > tol.zero * (1 + np.linalg.norm(y)):
+            raise ValueError("exact sampling needs a zero block multiplier")
+        # critical cone = tangent cone at y, read in the plus cone
+        u, gu = block.sign * y, block.sign * gd
+        ycase = SOC._classify(u, tol)
+        if ycase == "int":
+            return np.zeros(block.dim)
+        if ycase == "apex":
+            # C = K: N_K(gu) is -K at 0, {0} inside, a ray on the boundary
+            gcase = SOC._classify(gu, tol)
+            if gcase == "int":
+                return np.zeros(block.dim)
+            if gcase == "apex":
+                r = rng.standard_normal(block.dim)
+                r[0] = -abs(r[0]) - float(np.linalg.norm(r[1:]))
+                return block.sign * r
+            ray = np.concatenate([[-gu[0]], gu[1:]])
+        else:
+            # C = {h : a.h <= 0}: N_C(gu) is the ray of a when a.gu = 0
+            ray = SOC._bd_normal(u)
+            if float(ray @ gu) < -tol.zero * scale:
+                return np.zeros(block.dim)
+        return block.sign * abs(rng.standard_normal()) * ray
     raise ValueError("unsupported block type for exact sampling")
 
 
-def ngamma_tangent_generate(sys: ConstraintSystem, x, v, lam, count=50,
-                            tol: Tol = DEFAULT_TOL, seed=0):
+def ngamma_tangent_generate(pair: BasePair, count=50, seed=0):
     """Exact members (d, w) of the graph tangent of the feasible-set
-    normal-cone map at (x, v): d is rejection-sampled with g'(x)d in the
-    cone-level critical cone, and w = Hess d + grad g(x)(grad-Upsilon/2
-    + q) with q an exact member of the normal cone to the critical cone
-    at g'(x)d, built blockwise.
+    normal-cone map at the base pair (x, v): d is rejection-sampled with
+    g'(x)d in the cone-level critical cone, and w = Hess d + grad g(x)
+    (grad-Upsilon/2 + q) with q an exact member of the normal cone to the
+    critical cone at g'(x)d, built blockwise.
 
     Restricted to zero multipliers on curved blocks; there the generated
     curves stay on the graph exactly for affine g, which is what makes
     these samples usable as referee ground truth.
     """
-    x = np.asarray(x, float)
-    if not multiplier_verify(sys, x, v, lam, tol):
-        raise ValueError("lam is not a verified multiplier for (x, v)")
-    lam = np.asarray(lam, float)
-    gx = sys.g(x)
-    J = sys.jacobian(x)
-    C = sys.cone.critical_set(gx, lam, tol)
+    sys, gx, lam, J, C, tol = (pair.sys, pair.gx, pair.lam, pair.J,
+                               pair.critical, pair.tol)
     rng = np.random.default_rng(seed)
 
     pairs = []
@@ -540,7 +544,7 @@ def ngamma_tangent_generate(sys: ConstraintSystem, x, v, lam, count=50,
             _normal_to_critical_sample(b, gx[sl], lam[sl], gd[sl], rng, tol)
             for b, sl in zip(sys.cone.blocks, sys.cone.slices)])
         mu = 0.5 * sys.cone.upsilon_grad(gx, lam, gd, tol) + q
-        w = sys.hess_apply(x, lam, d) + J.T @ mu
+        w = pair.hess @ d + J.T @ mu
         pairs.append((d, w))
     if len(pairs) < count:
         raise RuntimeError("rejection sampling starved; critical cone too thin")
@@ -550,11 +554,9 @@ def ngamma_tangent_generate(sys: ConstraintSystem, x, v, lam, count=50,
 # ---------------------------------------------------------------------------
 # regular-coderivative lower generators
 
-def regular_normal_lower_generate(sys: ConstraintSystem, x, v, lam,
-                                  count=20, tol: Tol = DEFAULT_TOL,
-                                  seed=0):
+def regular_normal_lower_generate(pair: BasePair, count=20, seed=0):
     """Samples of pairs (xi, eta) in the regular normal cone to the graph
-    of the feasible-set normal-cone map at (x, v).
+    of the feasible-set normal-cone map at the base pair (x, v).
 
     Construction: mu is drawn from the polar of the cone-level critical
     cone, eta is drawn so that g'(x)eta lands exactly in the critical
@@ -563,14 +565,9 @@ def regular_normal_lower_generate(sys: ConstraintSystem, x, v, lam,
     xi = -Hess(x, lam) eta + grad g(x) mu.  Every returned pair satisfies
     the anti-alignment inequality against graph tangents.
     """
-    x = np.asarray(x, float)
-    if not multiplier_verify(sys, x, v, lam, tol):
-        raise ValueError("lam is not a verified multiplier for (x, v)")
-    lam = np.asarray(lam, float)
-    gx = sys.g(x)
-    J = sys.jacobian(x)
-    C = sys.cone.critical_set(gx, lam, tol)
-    Cp = C.polar()
+    sys, gx, lam, J, C, tol = (pair.sys, pair.gx, pair.lam, pair.J,
+                               pair.critical, pair.tol)
+    Cp = pair.critical_polar
     rng = np.random.default_rng(seed)
     lam_zero = float(np.linalg.norm(lam)) <= tol.zero * (1 + np.linalg.norm(gx))
     free_eta = lam_zero or sys.cone.is_polyhedral
@@ -590,7 +587,7 @@ def regular_normal_lower_generate(sys: ConstraintSystem, x, v, lam,
                 eta = np.zeros(sys.dim_x)
             else:
                 eta = ker @ rng.standard_normal(ker.shape[1])
-        xi = -sys.hess_apply(x, lam, eta) + J.T @ mu
+        xi = -(pair.hess @ eta) + J.T @ mu
         pairs.append((xi, eta))
     if len(pairs) < count:
         raise RuntimeError("rejection sampling starved; cone slice too thin")

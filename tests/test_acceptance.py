@@ -15,7 +15,7 @@ from conestab.cone_geometry import radial_probe, subspace_cone_trivial
 from conestab.constraint_system import (
     affine_system, example1_system, example3_system, section32_system,
     multiplier_solve, multiplier_verify, srcq_check, nondegeneracy_check,
-    strict_complementarity_check, ngamma_graph_deriv_contains,
+    strict_complementarity_check, ngamma_graph_deriv_contains, BasePair,
 )
 from conestab.oracle import (
     fd_proj_deriv, ngamma_graph_residual, polyhedral_trivial_exact,
@@ -62,10 +62,10 @@ def test_criterion_1_example1_regression():
 def test_criterion_2_example2_regression():
     t0 = time.perf_counter()
     sys = example1_system()
-    s1 = srcq_check(sys, XBAR1, np.zeros(3), np.zeros(4))
+    s1 = srcq_check(BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)))
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    s2 = srcq_check(sys, XBAR1, v_hat, lam_hat)
+    s2 = srcq_check(BasePair(sys, XBAR1, v_hat, lam_hat))
     ok = s1.verdict == "holds" and s2.verdict == "fails"
     w = s2.witness
     ok = ok and w is not None and float(np.linalg.norm(w)) > 1e-6
@@ -123,7 +123,8 @@ def test_criterion_4_example41_regression():
     problem = example41_problem()
     lam = problem.lam_hint
     sys = problem.sys
-    ok = srcq_check(sys, problem.xbar, problem.vbar, lam).verdict == "holds"
+    ok = srcq_check(BasePair(sys, problem.xbar, problem.vbar,
+                             lam)).verdict == "holds"
     ok = ok and nondegeneracy_check(sys, problem.xbar).verdict == "fails"
     ic = solution_map_isolated_calm(problem, lam)
     ok = ok and ic.verdict == "holds"
@@ -238,7 +239,8 @@ def test_criterion_9_graph_derivative_referee():
     sys = example1_system()
     v0 = np.zeros(3)
     lam0 = np.zeros(4)
-    members = ngamma_tangent_generate(sys, XBAR1, v0, lam0, count=25, seed=4)
+    pair = BasePair(sys, XBAR1, v0, lam0)
+    members = ngamma_tangent_generate(pair, count=25, seed=4)
     rng = np.random.default_rng(21)
     spike = sys.adjoint_apply(XBAR1, np.concatenate([svec(np.eye(2)), [1.0]]))
     pairs = list(members)
@@ -255,7 +257,7 @@ def test_criterion_9_graph_derivative_referee():
 
     disagreements = 0
     for d, w in pairs:
-        cert = ngamma_graph_deriv_contains(sys, XBAR1, v0, lam0, d, w)
+        cert = ngamma_graph_deriv_contains(pair, d, w)
         res = ngamma_graph_residual(sys, XBAR1, v0, d, w)
         scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
         if res[-1] <= 1e-6 * scale:
@@ -297,9 +299,9 @@ def test_criterion_11_anti_alignment():
 
     def run(sys, x, v, lam):
         nonlocal worst
-        tangents = ngamma_tangent_generate(sys, x, v, lam, count=50, seed=4)
-        lowers = regular_normal_lower_generate(sys, x, v, lam, count=20,
-                                               seed=0)
+        pair = BasePair(sys, x, v, lam)
+        tangents = ngamma_tangent_generate(pair, count=50, seed=4)
+        lowers = regular_normal_lower_generate(pair, count=20, seed=0)
         for xi, eta in lowers:
             for d, w in tangents:
                 pairing = float(xi @ d) + float(eta @ w)

@@ -51,6 +51,27 @@ def test_analyze_infeasible_point_exits_2(tmp_path, capsys):
     assert "point infeasible" in capsys.readouterr().err
 
 
+def test_analyze_nan_point_exits_2(tmp_path, capsys):
+    # NaN compares False against any threshold; it must not pass as
+    # feasible nor be reported as merely infeasible
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    point = _write(tmp_path / "pt.json", {"x": [float("nan"), -1, 0]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+
+
+def test_missing_point_fields_exit_2(tmp_path, capsys):
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    point = _write(tmp_path / "pt.json", {"v": [0, 0, 0]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    assert "point: missing field 'x'" in capsys.readouterr().err
+    pair = _write(tmp_path / "pair.json", {
+        "x": [-1, -1, 0], "v": [0, 0, 0], "d": [0, 0, 0], "w": [0, 0, 0]})
+    assert main(["gderiv", "--problem", problem, "--pair", pair]) == 2
+    assert "pair: missing field 'lam'" in capsys.readouterr().err
+
+
 def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -8,14 +8,14 @@ from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free
 from conestab.constraint_system import (
     affine_system, example1_system, section32_system,
     ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
-    nondegeneracy_check, strict_complementarity_check,
+    nondegeneracy_check, strict_complementarity_check, BasePair,
 )
 from conestab.stability import (
     GEProblem, PhiPoint, SmoothFn, SmoothMap,
     phi_residual, phi_subregularity_probe, solution_map_isolated_calm,
     kkt_isolated_calm, regular_normal_lower_generate,
     ngamma_tangent_generate, example41_problem, lp_kkt_data,
-    direction_net,
+    direction_net, _kronecker_unit, _normal_to_critical_sample,
 )
 from conestab.symmat import svec
 
@@ -195,6 +195,41 @@ def test_direction_net_shape_and_determinism():
     assert not np.allclose(net, direction_net(3, k=4, seed=1))
 
 
+def _kronecker_unit_loop(dim, count, seed):
+    # the row-by-row form of _kronecker_unit, kept as its reference
+    from scipy.special import ndtri
+
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    alpha = np.sqrt(primes[:dim])
+    alpha -= np.floor(alpha)
+    out = np.empty((count, dim))
+    shift = 0.5 + 0.61803398875 * seed
+    for i in range(count):
+        u = np.mod(shift + (i + 1) * alpha, 1.0)
+        u = np.clip(u, 1e-12, 1 - 1e-12)
+        g = ndtri(u)
+        n = np.linalg.norm(g)
+        out[i] = g / (n if n > 0 else 1.0)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("k", [3, 6])
+def test_kronecker_unit_matches_row_loop_bit_for_bit(k, seed):
+    for dim in range(1, 13):
+        count = 2 ** k * (dim + 1) - 2 * dim
+        ref = _kronecker_unit_loop(dim, count, seed)
+        assert np.array_equal(_kronecker_unit(dim, count, seed), ref)
+        axes = []
+        for j in range(dim):
+            for sgn in (1.0, -1.0):
+                e = np.zeros(dim)
+                e[j] = sgn
+                axes.append(e)
+        net = direction_net(dim, k, seed)
+        assert net.tobytes() == np.vstack([np.array(axes), ref]).tobytes()
+
+
 def test_direction_net_env_seed():
     old = os.environ.get("CONESTAB_SEED")
     try:
@@ -213,11 +248,10 @@ def test_direction_net_env_seed():
 
 def test_ngamma_tangent_generate_members_certify():
     sys = example1_system()
-    pairs = ngamma_tangent_generate(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                    count=10, seed=4)
+    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    pairs = ngamma_tangent_generate(pair, count=10, seed=4)
     for d, w in pairs:
-        cert = ngamma_graph_deriv_contains(sys, XBAR1, np.zeros(3),
-                                           np.zeros(4), d, w)
+        cert = ngamma_graph_deriv_contains(pair, d, w)
         assert cert.verdict == "holds"
 
 
@@ -225,10 +259,9 @@ def test_regular_normal_lower_anti_alignment():
     # every generated pair (xi, eta) must anti-align with every exact
     # graph tangent (d, w): <xi, d> + <eta, w> <= 0
     sys = example1_system()
-    tangents = ngamma_tangent_generate(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                       count=25, seed=4)
-    lowers = regular_normal_lower_generate(sys, XBAR1, np.zeros(3),
-                                           np.zeros(4), count=15, seed=0)
+    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    tangents = ngamma_tangent_generate(pair, count=25, seed=4)
+    lowers = regular_normal_lower_generate(pair, count=15, seed=0)
     worst = -np.inf
     for xi, eta in lowers:
         for d, w in tangents:
@@ -242,9 +275,58 @@ def test_regular_normal_lower_anti_alignment():
 def test_samplers_reject_unverified_multiplier():
     sys = example1_system()
     with pytest.raises(ValueError):
-        ngamma_tangent_generate(sys, XBAR1, np.ones(3), np.zeros(4))
+        ngamma_tangent_generate(BasePair(sys, XBAR1, np.ones(3),
+                                         np.zeros(4)))
     with pytest.raises(ValueError):
-        regular_normal_lower_generate(sys, XBAR1, np.ones(3), np.zeros(4))
+        regular_normal_lower_generate(BasePair(sys, XBAR1, np.ones(3),
+                                               np.zeros(4)))
+
+
+def _soc_normal_cases(s):
+    # (y, gd, nonzero expected) in the plus cone, mirrored by s; the
+    # outward normal direction at y = (1, 1, 0) is a = (-1, 1, 0)
+    cases = [
+        ((2.0, 1.0, 0.0), (0.3, -1.0, 2.0), False),   # y interior
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), True),     # apex, gd = 0
+        ((0.0, 0.0, 0.0), (2.0, 1.0, 0.0), False),    # apex, gd interior
+        ((0.0, 0.0, 0.0), (1.0, 0.6, 0.8), True),     # apex, gd on boundary
+        ((1.0, 1.0, 0.0), (0.5, 0.5, 0.3), True),     # boundary, a.gd = 0
+        ((1.0, 1.0, 0.0), (1.0, 0.0, 0.0), False),    # boundary, a.gd < 0
+    ]
+    return [(s * np.array(y), s * np.array(gd), nz) for y, gd, nz in cases]
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_soc_normal_to_critical_sample_is_exact(sign):
+    # zero multiplier: C = T_K(y), and the sample must lie in N_C(gd),
+    # that is in the polar of C and orthogonal to gd
+    block = SOC(3, sign)
+    rng = np.random.default_rng(5)
+    for y, gd, nonzero in _soc_normal_cases(block.sign):
+        C = block.critical_set(y, np.zeros(3), DEFAULT_TOL)
+        for _ in range(5):
+            q = _normal_to_critical_sample(block, y, np.zeros(3), gd, rng,
+                                           DEFAULT_TOL)
+            assert C.polar().dist(q) <= 1e-12 * (1 + np.linalg.norm(q))
+            assert abs(q @ gd) <= 1e-12 * (1 + np.linalg.norm(q))
+            assert (np.linalg.norm(q) > 0) == nonzero
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("A,x", [
+    (np.eye(3), np.zeros(3)),                          # apex
+    (np.eye(3), np.array([1.0, 1.0, 0.0])),            # boundary point
+    (np.array([[1.0], [1.0], [0.0]]), np.zeros(1)),    # apex, gd on a ray
+    (np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),   # boundary, gd in a⊥
+     np.array([1.0, 0.0])),
+])
+def test_soc_tangent_samples_certify(sign, A, x):
+    # g(x) = s A x over SOC(3, sign): one geometry in both mirrors
+    s = 1.0 if sign == "plus" else -1.0
+    sys = affine_system(ConeDesc([SOC(3, sign)]), s * A, np.zeros(3))
+    pair = BasePair(sys, x, np.zeros(A.shape[1]), np.zeros(3))
+    for d, w in ngamma_tangent_generate(pair, count=8, seed=2):
+        assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +366,7 @@ def _mirror(sys):
 def _qualifications(sys, x, v, lam):
     res = multiplier_solve(sys, x, v)
     st = strict_complementarity_check(sys, x, v)
-    verdicts = (srcq_check(sys, x, v, lam).verdict,
+    verdicts = (srcq_check(BasePair(sys, x, v, lam)).verdict,
                 nondegeneracy_check(sys, x).verdict, st.verdict)
     return verdicts, res.lam, st.witness
 

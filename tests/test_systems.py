@@ -11,7 +11,7 @@ from conestab.constraint_system import (
     affine_system, quadratic_system,
     gamma_tangent_contains, multiplier_solve, multiplier_verify,
     srcq_check, nondegeneracy_check, strict_complementarity_check,
-    critical_cone_gamma_contains, ngamma_graph_deriv_contains,
+    critical_cone_gamma_contains, ngamma_graph_deriv_contains, BasePair,
 )
 from conestab.jsonio import SchemaError, parse_cone, emit_cone, parse_problem
 from conestab.symmat import svec
@@ -108,12 +108,12 @@ def test_multiplier_example3_segment():
 
 def test_srcq_example1_both_verdicts():
     sys = example1_system()
-    holds = srcq_check(sys, XBAR1, np.zeros(3), np.zeros(4))
+    holds = srcq_check(BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)))
     assert holds.verdict == "holds"
     assert len(holds.checked) >= 3
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    fails = srcq_check(sys, XBAR1, v_hat, lam_hat)
+    fails = srcq_check(BasePair(sys, XBAR1, v_hat, lam_hat))
     assert fails.verdict == "fails"
     w = fails.witness
     assert w is not None and np.linalg.norm(w) > 1e-6
@@ -125,14 +125,17 @@ def test_srcq_homogeneous_in_target():
     sys = example1_system()
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    assert srcq_check(sys, XBAR1, 2 * v_hat, 2 * lam_hat).verdict == "fails"
-    assert srcq_check(sys, XBAR1, np.zeros(3), np.zeros(4)).verdict == "holds"
+    assert srcq_check(BasePair(sys, XBAR1, 2 * v_hat,
+                               2 * lam_hat)).verdict == "fails"
+    assert srcq_check(BasePair(sys, XBAR1, np.zeros(3),
+                               np.zeros(4))).verdict == "holds"
 
 
 def test_srcq_rejects_unverified_multiplier():
     sys = example1_system()
     with pytest.raises(ValueError):
-        srcq_check(sys, XBAR1, np.array([1.0, 0.0, 0.0]), np.zeros(4))
+        srcq_check(BasePair(sys, XBAR1, np.array([1.0, 0.0, 0.0]),
+                            np.zeros(4)))
 
 
 def test_nondegeneracy_cases():
@@ -165,18 +168,17 @@ def test_strict_complementarity_cases():
 def test_critical_cone_gamma_contains():
     sys = example1_system()
     lam0 = np.zeros(4)
-    assert critical_cone_gamma_contains(sys, XBAR1, np.zeros(3), lam0,
-                                        np.zeros(3))
-    assert critical_cone_gamma_contains(sys, XBAR1, np.zeros(3), lam0,
-                                        np.array([1.0, 1.0, 0.0]))
-    assert not critical_cone_gamma_contains(sys, XBAR1, np.zeros(3), lam0,
-                                            np.array([0.0, 0.0, -1.0]))
+    pair = BasePair(sys, XBAR1, np.zeros(3), lam0)
+    assert critical_cone_gamma_contains(pair, np.zeros(3))
+    assert critical_cone_gamma_contains(pair, np.array([1.0, 1.0, 0.0]))
+    assert not critical_cone_gamma_contains(pair, np.array([0.0, 0.0, -1.0]))
 
 
 def test_ngamma_graph_deriv_trivial_pair_holds():
     sys = example1_system()
-    cert = ngamma_graph_deriv_contains(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                       np.zeros(3), np.zeros(3))
+    cert = ngamma_graph_deriv_contains(
+        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)),
+        np.zeros(3), np.zeros(3))
     assert cert.verdict == "holds"
     assert cert.details["route_a_holds"] and cert.details["route_b_holds"]
     assert len(cert.assumptions) == 1
@@ -187,15 +189,16 @@ def test_ngamma_graph_deriv_adjoint_image_holds():
     sys = example1_system()
     xi = np.concatenate([svec(-np.eye(2)), [-1.0]])
     w = sys.adjoint_apply(XBAR1, xi)
-    cert = ngamma_graph_deriv_contains(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                       np.zeros(3), w)
+    cert = ngamma_graph_deriv_contains(
+        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)), np.zeros(3), w)
     assert cert.verdict == "holds"
 
 
 def test_ngamma_graph_deriv_gate_fails_fast():
     sys = example1_system()
-    cert = ngamma_graph_deriv_contains(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                       np.array([0.0, 0.0, -1.0]), np.zeros(3))
+    cert = ngamma_graph_deriv_contains(
+        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)),
+        np.array([0.0, 0.0, -1.0]), np.zeros(3))
     assert cert.verdict == "fails"
     assert "route_a_residual" not in cert.details
     assert cert.details["critical_gate"] > 1e-6
@@ -207,16 +210,17 @@ def test_ngamma_graph_deriv_fails_on_wrong_dual_motion():
     # realized over the polar at d = 0
     xi = np.concatenate([svec(np.eye(2)), [1.0]])
     w = sys.adjoint_apply(XBAR1, xi)
-    cert = ngamma_graph_deriv_contains(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                       np.zeros(3), w)
+    cert = ngamma_graph_deriv_contains(
+        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)), np.zeros(3), w)
     assert cert.verdict == "fails"
 
 
 def test_ngamma_graph_deriv_carries_srcq_note():
     sys = example1_system()
-    sc = srcq_check(sys, XBAR1, np.zeros(3), np.zeros(4))
-    cert = ngamma_graph_deriv_contains(sys, XBAR1, np.zeros(3), np.zeros(4),
-                                       np.zeros(3), np.zeros(3), srcq=sc)
+    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    sc = srcq_check(pair)
+    cert = ngamma_graph_deriv_contains(pair, np.zeros(3), np.zeros(3),
+                                       srcq=sc)
     assert any("holds" in line for line in cert.checked)
 
 
