@@ -10,6 +10,7 @@ scheme.
 
 from dataclasses import dataclass, field
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +48,15 @@ def _norm(z):
 
 
 class ConvexSet:
-    """Base class: closed convex set with projection-backed membership."""
+    """Base class: closed convex set with projection-backed membership.
+
+    `exact` says the projection is computed in closed form, so Moreau's
+    decomposition holds to rounding; an iterated projection is not exact.
+    """
 
     dim: int
     is_cone = True
+    exact = True
 
     def project(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -331,6 +337,10 @@ class PolarCone(ConvexSet):
         self.base = base
         self.dim = base.dim
 
+    @property
+    def exact(self):
+        return self.base.exact
+
     def project(self, z):
         z = np.asarray(z, float)
         return z - self.base.project(z)
@@ -344,6 +354,10 @@ class NegatedSet(ConvexSet):
         self.base = base
         self.dim = base.dim
         self.is_cone = base.is_cone
+
+    @property
+    def exact(self):
+        return self.base.exact
 
     def project(self, z):
         return -self.base.project(-np.asarray(z, float))
@@ -368,6 +382,10 @@ class ShiftedSet(ConvexSet):
         self.offset = np.asarray(offset, float)
         self.dim = base.dim
 
+    @property
+    def exact(self):
+        return self.base.exact
+
     def project(self, z):
         return self.offset + self.base.project(np.asarray(z, float) - self.offset)
 
@@ -382,6 +400,10 @@ class ProductSet(ConvexSet):
             self.slices.append(slice(off, off + s.dim))
             off += s.dim
         self.is_cone = all(s.is_cone for s in self.sets)
+
+    @property
+    def exact(self):
+        return all(s.exact for s in self.sets)
 
     def project(self, z):
         z = np.asarray(z, float)
@@ -486,23 +508,108 @@ class PSDBlockSet(ConvexSet):
         return np.array(cols).T if cols else np.zeros((self.dim, 0))
 
 
+class Farkas(NamedTuple):
+    """Certificate that {M z = b} ∩ (o_1 + K_1) ∩ ... ∩ (o_k + K_k) is
+    empty: each y_i lies in the polar of the cone K_i, M^T h = sum y_i
+    to rounding, and the gain <h, b> - sum <y_i, o_i> is positive.
+
+    Any z in the intersection would give <h, b> = <h, M z> = sum <y_i, z>
+    <= sum <y_i, o_i>.  For every z, max(||M z - b||, dist(z, o_i + K_i))
+    is at least `bound` = gain / (||h|| + sum ||y_i||).  `cycle` is the
+    Dykstra cycle whose increments gave the certificate.
+    """
+
+    h: np.ndarray
+    y: list
+    bound: float
+    cycle: int
+
+
+# a residual within this many units in the last place of its terms is
+# rounding, not a defect
+_ROUNDING = 256 * np.finfo(float).eps
+
+
+def _farkas_parts(sets):
+    """(cones K_i, offsets o_i or None) when sets[0] is an AffineSet and
+    every other set is a cone, or a shifted cone, with an exact
+    projection; None otherwise."""
+    if not isinstance(sets[0], AffineSet):
+        return None
+    cones, offsets = [], []
+    for S in sets[1:]:
+        K, o = (S.base, S.offset) if isinstance(S, ShiftedSet) else (S, None)
+        if not (K.is_cone and K.exact):
+            return None
+        cones.append(K)
+        offsets.append(o)
+    return cones, offsets
+
+
+def _farkas_test(affine, offsets, ys):
+    """(h, gain, sum ||y_i||) when h = pinv(M)^T sum y_i has a positive
+    gain and M^T h = sum y_i holds to rounding; None otherwise."""
+    total = sum(ys[1:], ys[0])
+    h = affine.pinv.T @ total
+    shifted = [(y, o) for y, o in zip(ys, offsets) if o is not None]
+    gain = float(h @ affine.b) - sum(float(y @ o) for y, o in shifted)
+    if gain <= 0.0:
+        return None
+    ynorm = sum(_norm(y) for y in ys)
+    defect = _norm(affine.M.T @ h - total)
+    if defect > _ROUNDING * (_norm(affine.M) * _norm(h) + ynorm):
+        return None
+    gain_terms = float(np.abs(h) @ np.abs(affine.b)) + sum(
+        float(np.abs(y) @ np.abs(o)) for y, o in shifted)
+    if gain <= _ROUNDING * gain_terms:
+        return None
+    return h, gain, ynorm
+
+
+def _farkas(affine, cones, offsets, incs, cycle):
+    """A Farkas certificate read from Dykstra's increments, or None.
+
+    The increment of a cone (or shifted cone) lies in the polar of the
+    cone up to rounding, so a test that fails on the increments spares
+    the projections.  Otherwise y_i = inc_i - K_i.project(inc_i) is the
+    exact projection of inc_i onto the polar (Moreau), and the test is
+    made again on the y_i; h = pinv(M)^T sum y_i solves M^T h = sum y_i
+    whenever that system is solvable.
+    """
+    if _farkas_test(affine, offsets, incs) is None:
+        return None
+    ys = [inc - K.project(inc) for K, inc in zip(cones, incs)]
+    passed = _farkas_test(affine, offsets, ys)
+    if passed is None:
+        return None
+    h, gain, ynorm = passed
+    return Farkas(h, ys, gain / (_norm(h) + ynorm), cycle)
+
+
 @dataclass
 class DykstraInfo:
     residual: float
     cycles: int
     converged: bool
     stalled: bool
+    farkas: Farkas | None = None
 
 
 def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
     """Dykstra's alternating projections onto the intersection of `sets`.
 
-    Returns the final iterate plus convergence diagnostics.  When the
-    intersection is empty the scheme stalls at a positive residual; the
-    stall is detected by lack of residual progress and reported.
+    Returns the final iterate plus convergence diagnostics.  When
+    `sets[0]` is an AffineSet and the others are cones or shifted cones,
+    the increments are tested for a Farkas certificate of emptiness after
+    cycles 1, 2, 4, 8, ...; a certified call returns at once with
+    `farkas` set and `stalled` true.  Otherwise a run without residual
+    progress is reported as stalled; a stall is not a proof that the
+    intersection is empty, only the end of the search.
     """
 
     cap = max_iter if max_iter is not None else tol.max_iter
+    parts = _farkas_parts(sets)
+    next_check = 1
     z = np.asarray(z0, float).copy()
     incs = [np.zeros_like(z) for _ in sets]
     last_checkpoint = np.inf
@@ -520,6 +627,14 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
         scale = 1.0 + _norm(z)
         if move <= tol.zero * scale:
             break
+        # a call that stops moving ends within a few moves of every set,
+        # so no certificate with a bound above that distance exists
+        if parts is not None and cycle == next_check:
+            next_check *= 2
+            cert = _farkas(sets[0], *parts, incs[1:], cycle)
+            if cert is not None:
+                res = max(S.dist(z) for S in sets)
+                return z, DykstraInfo(res, cycle, False, True, cert)
         if cycle % 25 == 0:
             res = max(S.dist(z) for S in sets)
             if res > 10 * tol.membership * scale and res > 0.97 * last_checkpoint:
@@ -537,6 +652,8 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
 
 class Intersection(ConvexSet):
     """Intersection of convex sets; projection via Dykstra."""
+
+    exact = False
 
     def __init__(self, sets, tol: Tol = DEFAULT_TOL, max_iter=400):
         self.sets = list(sets)

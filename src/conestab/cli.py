@@ -91,12 +91,16 @@ def cmd_gderiv(args):
     cert = ngamma_graph_deriv_contains(BasePair(sysm, x, v, lam, tol), d, w)
     det = cert.details
     lines = [ASSUMED, CHECKED]
-    if args.route in ("a", "both"):
-        lines.append(f"route a: residual={det.get('route_a_residual', det['critical_gate']):.3e} "
-                     f"holds={det.get('route_a_holds', False)}")
-    if args.route in ("b", "both"):
-        lines.append(f"route b: residual={det.get('route_b_residual', det['critical_gate']):.3e} "
-                     f"holds={det.get('route_b_holds', False)}")
+    for route in "ab":
+        if args.route not in (route, "both"):
+            continue
+        lines.append(f"route {route}: residual="
+                     f"{det.get(f'route_{route}_residual', det['critical_gate']):.3e} "
+                     f"holds={det.get(f'route_{route}_holds', False)}")
+        farkas = det.get(f"route_{route}_farkas")
+        if farkas is not None:
+            lines.append(f"route {route}: certified empty at cycle "
+                         f"{farkas['cycle']} (residual >= {farkas['bound']:.3e})")
     if "route_a_residual" not in det:
         lines.append("reason: critical cone violation "
                      f"(gate residual {det['critical_gate']:.3e})")

@@ -480,7 +480,12 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     g'(x)d with adjoint image w - Hess d - grad-Upsilon correction.
     Route B solves for mu with adjoint image w - Hess d and validates
     (g'(x)d, mu) against the cone-level graphical derivative.  The
-    verdict holds or fails only when the routes agree.
+    verdict holds only when both routes hold, and fails only at the
+    critical-cone gate or when a route's fiber system carries a Farkas
+    certificate of emptiness (details `route_a_farkas`/`route_b_farkas`);
+    its residual is then the largest certified lower bound.  A route
+    that stalls or converges without holding, with no certificate, is
+    inconclusive.
     """
     sys, gx, lam, tol = pair.sys, pair.gx, pair.lam, pair.tol
     d = np.asarray(d, float)
@@ -535,6 +540,11 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     details["route_b_residual"] = res_b
     details["route_a_holds"] = bool(holds_a)
     details["route_b_holds"] = bool(holds_b)
+    bounds = []
+    for name, info in (("route_a_farkas", info_a), ("route_b_farkas", info_b)):
+        if info.farkas is not None:
+            details[name] = info.farkas._asdict()
+            bounds.append(info.farkas.bound)
 
     method = ("normal-of-critical fiber solve + cone-level graphical "
               "derivative solve (dual routes)")
@@ -544,6 +554,8 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     if holds_a or holds_b:
         return verdict("inconclusive", res, None,
                        method + " (route disagreement)")
-    if info_a.stalled or info_a.converged or info_b.stalled or info_b.converged:
-        return verdict("fails", res, np.concatenate([d, w]), method)
-    return verdict("inconclusive", res, None, method + " (nonconvergence)")
+    if bounds:
+        return verdict("fails", max(bounds), np.concatenate([d, w]),
+                       method + " (Farkas certificate of an empty route)")
+    return verdict("inconclusive", res, None,
+                   method + " (no Farkas certificate)")

@@ -235,11 +235,11 @@ def test_criterion_8_moreau_property_suite():
                f"cone: worst residual {worst:.2e} <= 1e-10", worst <= 1e-10)
 
 
-def test_criterion_9_graph_derivative_referee():
+def _criterion_9_pairs():
+    """The base pair of criterion 9 and its 50 (d, w) pairs: 25 generated
+    members, 13 gate violations and 12 members pushed off by a spike."""
     sys = example1_system()
-    v0 = np.zeros(3)
-    lam0 = np.zeros(4)
-    pair = BasePair(sys, XBAR1, v0, lam0)
+    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
     members = ngamma_tangent_generate(pair, count=25, seed=4)
     rng = np.random.default_rng(21)
     spike = sys.adjoint_apply(XBAR1, np.concatenate([svec(np.eye(2)), [1.0]]))
@@ -254,7 +254,13 @@ def test_criterion_9_graph_derivative_referee():
             d, _ = members[i % len(members)]
             w = members[i % len(members)][1] + (0.5 + abs(rng.standard_normal())) * spike
         pairs.append((d, w))
+    return pair, pairs
 
+
+def test_criterion_9_graph_derivative_referee():
+    pair, pairs = _criterion_9_pairs()
+    sys = pair.sys
+    v0 = np.zeros(3)
     disagreements = 0
     for d, w in pairs:
         cert = ngamma_graph_deriv_contains(pair, d, w)
@@ -271,6 +277,111 @@ def test_criterion_9_graph_derivative_referee():
     _report(9, "graphical-derivative certificates vs finite-t graph "
                f"residual on 50 pairs ({disagreements} disagreements)",
             disagreements == 0)
+
+
+def _check_fails_certificate(pair, d, w, cert):
+    """A `fails` from ngamma_graph_deriv_contains: either the critical-cone
+    gate fired, or some route's Farkas certificate re-verifies against
+    that route's fiber system, rebuilt here from its definition.  Returns
+    the number of certificates checked."""
+    tol = pair.tol
+    scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
+    det = cert.details
+    if "route_a_residual" not in det:
+        assert det["critical_gate"] > tol.membership * scale
+        return 0
+    gd = pair.J @ d
+    u = pair.sys.cone.upsilon_grad(pair.gx, pair.lam, gd, tol)
+    Hd = pair.hess @ d
+    # route A: J^T xi = w - Hd - J^T u / 2, xi in C° (∩ gd⊥);
+    # route B: J^T mu = w - Hd, mu in u / 2 + C° (∩ u / 2 + gd⊥)
+    fibers = {"route_a_farkas": (w - Hd - 0.5 * (pair.J.T @ u), 0.0 * u),
+              "route_b_farkas": (w - Hd, 0.5 * u)}
+    checked = 0
+    bounds = []
+    for key, (rhs, offset) in fibers.items():
+        if key not in det:
+            continue
+        h, ys, bound = det[key]["h"], det[key]["y"], det[key]["bound"]
+        total = np.sum(ys, axis=0)
+        assert np.linalg.norm(pair.J @ h - total) <= 1e-12 * (
+            1.0 + np.linalg.norm(pair.J) * np.linalg.norm(h))
+        gain = float(h @ rhs) - float(total @ offset)
+        assert gain > 0.0
+        assert bound == pytest.approx(
+            gain / (np.linalg.norm(h) + sum(np.linalg.norm(y) for y in ys)),
+            rel=1e-12)
+        # y_0 in the polar of C° (which is C); y_1 in the polar of gd⊥
+        assert pair.critical.dist(ys[0]) <= 1e-12 * (1 + np.linalg.norm(ys[0]))
+        if len(ys) == 2:
+            a = gd / np.linalg.norm(gd)
+            assert np.linalg.norm(ys[1] - (ys[1] @ a) * a) <= 1e-12 * (
+                1 + np.linalg.norm(ys[1]))
+        bounds.append(bound)
+        checked += 1
+    assert checked > 0, "fails past the gate without a Farkas certificate"
+    assert cert.residual == max(bounds)
+    return checked
+
+
+def test_ngamma_fails_only_at_gate_or_with_certificate(monkeypatch):
+    import conestab.stability as stability
+
+    pair, pairs = _criterion_9_pairs()
+    certified = gated = 0
+    for d, w in pairs:
+        cert = ngamma_graph_deriv_contains(pair, d, w)
+        if cert.verdict == "fails":
+            n = _check_fails_certificate(pair, d, w, cert)
+            certified += n > 0
+            gated += n == 0
+    assert certified == 12 and gated == 13
+
+    seen = []
+    real = stability.ngamma_graph_deriv_contains
+
+    def spy(pair, d, w, srcq=None):
+        cert = real(pair, d, w, srcq=srcq)
+        seen.append((pair, d, w, cert))
+        return cert
+
+    monkeypatch.setattr(stability, "ngamma_graph_deriv_contains", spy)
+    problem = example41_problem()
+    assert solution_map_isolated_calm(problem, problem.lam_hint).verdict == "holds"
+    assert len(seen) == 256
+    for pair41, d, w, cert in seen:
+        if cert.verdict == "fails":
+            _check_fails_certificate(pair41, d, w, cert)
+    # the two gate-passing directions stall without a certificate; their
+    # residual stays above the net's margin, so the net still holds
+    assert sum(cert.verdict == "inconclusive" for *_, cert in seen) == 2
+
+
+def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
+    import dataclasses
+    import conestab.constraint_system as cs
+
+    real = cs.dykstra
+
+    def uncertified(*args, **kwargs):
+        z, info = real(*args, **kwargs)
+        return z, dataclasses.replace(info, farkas=None)
+
+    pair, pairs = _criterion_9_pairs()
+    before = [ngamma_graph_deriv_contains(pair, d, w) for d, w in pairs]
+    monkeypatch.setattr(cs, "dykstra", uncertified)
+    spiked = 0
+    for (d, w), old in zip(pairs, before):
+        cert = ngamma_graph_deriv_contains(pair, d, w)
+        if "route_a_farkas" in old.details or "route_b_farkas" in old.details:
+            spiked += 1
+            assert cert.verdict == "inconclusive"
+            assert cert.method.endswith("(no Farkas certificate)")
+            assert cert.residual == max(cert.details["route_a_residual"],
+                                        cert.details["route_b_residual"])
+        else:
+            assert cert.verdict == old.verdict
+    assert spiked == 12
 
 
 def test_criterion_10_polyhedral_triviality_referee():

@@ -101,6 +101,30 @@ def test_gderiv_member_and_gate_reason(tmp_path, capsys):
     assert "route b:" not in out
 
 
+def test_gderiv_reports_farkas_certificates(tmp_path, capsys):
+    # d = 0 and w the adjoint image of an interior direction of K: both
+    # fibers are empty, certified from the first cycle
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    pair = _write(tmp_path / "pair.json", {
+        "x": [-1, -1, 0], "v": [0, 0, 0], "lam": [0, 0, 0, 0],
+        "d": [0, 0, 0], "w": [1, 1, 3]})
+    assert main(["gderiv", "--problem", problem, "--pair", pair]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: fails" in out
+    for route in "ab":
+        assert f"route {route}: certified empty at cycle 1 (residual >= " in out
+
+    assert main(["gderiv", "--problem", problem, "--pair", pair,
+                 "--report", "json"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificates"][0]
+    for key in ("route_a_farkas", "route_b_farkas"):
+        farkas = cert["details"][key]
+        assert set(farkas) == {"h", "y", "bound", "cycle"}
+        assert farkas["cycle"] == 1 and farkas["bound"] > 0
+    assert cert["residual"] == max(cert["details"][k]["bound"]
+                                   for k in ("route_a_farkas", "route_b_farkas"))
+
+
 def test_custom_tolerance_accepted(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     point = _write(tmp_path / "pt.json", {"x": [-1, -1, 0]})

@@ -104,6 +104,143 @@ def test_dykstra_stalls_on_empty_intersection():
     z, info = dykstra(sets, np.array([0.0, 0.0]), DEFAULT_TOL)
     assert not info.converged
     assert info.residual > 0.1
+    assert info.farkas is None  # two affine sets: no cone part to certify
+
+
+def _dykstra_reference(sets, z0, tol=DEFAULT_TOL):
+    # Dykstra without the emptiness certificate, copied from the loop it
+    # replaced: the certificate only reads the increments, so the iterates
+    # must agree bit for bit
+    cap = tol.max_iter
+    z = np.asarray(z0, float).copy()
+    incs = [np.zeros_like(z) for _ in sets]
+    last_checkpoint = np.inf
+    stalls = 0
+    cycle = 0
+    for cycle in range(1, cap + 1):
+        move = 0.0
+        for i, S in enumerate(sets):
+            w = z + incs[i]
+            znew = S.project(w)
+            incs[i] = w - znew
+            move = max(move, _norm(znew - z))
+            z = znew
+        scale = 1.0 + _norm(z)
+        if move <= tol.zero * scale:
+            break
+        if cycle % 25 == 0:
+            res = max(S.dist(z) for S in sets)
+            if res > 10 * tol.membership * scale and res > 0.97 * last_checkpoint:
+                stalls += 1
+                if stalls >= 3:
+                    return z, (res, cycle, False, True)
+            else:
+                stalls = 0
+            last_checkpoint = res
+    res = max(S.dist(z) for S in sets)
+    scale = 1.0 + _norm(z)
+    return z, (res, cycle, res <= tol.membership * scale, False)
+
+
+def test_dykstra_certifies_empty_fiber_at_cycle_1():
+    # {x1 + x2 = -1} ∩ R^2_+ from the least-squares seed (-1/2, -1/2):
+    # the orthant increment is y = (-1/2, -1/2), h = pinv^T y = -1/2 and
+    # the gain <h, b> = 1/2
+    A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
+    z, info = dykstra([A, SignPattern([1, 1])], np.array([-0.5, -0.5]))
+    cert = info.farkas
+    assert cert is not None
+    assert info.stalled and not info.converged
+    assert info.cycles == cert.cycle == 1
+    assert cert.h == pytest.approx([-0.5], abs=1e-15)
+    assert len(cert.y) == 1
+    assert cert.y[0] == pytest.approx([-0.5, -0.5], abs=1e-15)
+    assert np.all(cert.y[0] <= 0.0)  # in the polar of R^2_+
+    assert A.M.T @ cert.h == pytest.approx(cert.y[0], abs=1e-15)
+    assert float(cert.h @ A.b) == pytest.approx(0.5, abs=1e-15)
+    # bound = gain / (|h| + |y|) = 1 / (1 + sqrt 2); it is attained at
+    # z = -t (1, 1), where |x1 + x2 + 1| = dist(z, R^2_+)
+    assert cert.bound == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-14)
+    t = 1.0 / (2.0 + np.sqrt(2.0))
+    zt = np.array([-t, -t])
+    worst = max(abs(float((A.M @ zt - A.b)[0])), SignPattern([1, 1]).dist(zt))
+    assert worst == pytest.approx(cert.bound, rel=1e-14)
+    rng = np.random.default_rng(3)
+    for zr in rng.standard_normal((200, 2)) * 2:
+        worst = max(abs(float((A.M @ zr - A.b)[0])), SignPattern([1, 1]).dist(zr))
+        assert worst >= cert.bound * (1 - 1e-12)
+
+
+def test_dykstra_certificate_uses_the_shift():
+    # {x1 + x2 = 1} meets R^2_+ but not (1, 1) + R^2_+: <h, b> = -1/2 is
+    # negative, and only the offset term -<y, o> = 1 makes the gain 1/2
+    A = AffineSet(np.array([[1.0, 1.0]]), np.array([1.0]))
+    o = np.array([1.0, 1.0])
+    z, info = dykstra([A, ShiftedSet(SignPattern([1, 1]), o)],
+                      np.array([0.5, 0.5]))
+    cert = info.farkas
+    assert cert is not None and cert.cycle == 1
+    y = cert.y[0]
+    assert np.all(y <= 0.0)
+    assert A.M.T @ cert.h == pytest.approx(y, abs=1e-15)
+    assert float(cert.h @ A.b) < 0.0
+    assert float(cert.h @ A.b) - float(y @ o) == pytest.approx(0.5, abs=1e-15)
+    _, plain = dykstra([A, SignPattern([1, 1])], np.array([0.5, 0.5]))
+    assert plain.converged and plain.farkas is None
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
+    # a feasible fiber ∩ cone system gives no certificate, the iterates
+    # and diagnostics equal those of the loop without one, and the
+    # certificate is tried after cycles 1, 2, 4, 8, ... before the last
+    from conestab import _sets
+
+    tried = []
+    real = _sets._farkas
+
+    def spy(affine, cones, offsets, incs, cycle):
+        tried.append(cycle)
+        return real(affine, cones, offsets, incs, cycle)
+
+    monkeypatch.setattr(_sets, "_farkas", spy)
+    rng = np.random.default_rng(40 + case)
+    n, m = 3, 5
+    M = rng.standard_normal((n, m))
+    cones = [ProductSet([SOCLike(3), SignPattern([1, -1])])]
+    if case % 2:
+        cones = [ShiftedSet(cones[0], rng.standard_normal(m)),
+                 Hyperplane(rng.standard_normal(m))]
+    member = cones[0].project(rng.standard_normal(m) * 2)
+    if case % 2:
+        member = Intersection(cones, max_iter=10000).project(member)
+    sets = [AffineSet(M, M @ member)] + cones
+    z0 = rng.standard_normal(m)
+    z, info = dykstra(sets, z0)
+    z_ref, ref = _dykstra_reference(sets, z0)
+    assert info.farkas is None
+    assert info.cycles > 8  # the certificate was tried several times
+    assert tried == [2 ** k for k in range(20) if 2 ** k < info.cycles]
+    assert np.array_equal(z, z_ref)
+    assert (info.residual, info.cycles, info.converged, info.stalled) == ref
+
+
+def test_dykstra_certificate_needs_exact_cone_projections():
+    # an Intersection projects by Dykstra itself, so Moreau's identity
+    # holds only approximately and no certificate is read from it
+    from conestab._sets import _farkas_parts, PolarCone
+
+    A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
+    quarter = Intersection([Halfspace(np.array([-1.0, 0.0])),
+                            Halfspace(np.array([0.0, -1.0]))])
+    assert not quarter.exact and not PolarCone(quarter).exact
+    assert not ShiftedSet(quarter, np.zeros(2)).exact
+    assert not ProductSet([SignPattern([1]), quarter]).exact
+    assert _farkas_parts([A, quarter]) is None
+    assert _farkas_parts([quarter, A]) is None
+    assert _farkas_parts([A, SignPattern([1, 1])]) is not None
+    _, info = dykstra([A, quarter], np.array([-0.5, -0.5]))
+    assert info.farkas is None
 
 
 def test_intersection_contains_and_dist():

@@ -127,6 +127,35 @@ def test_isolated_calm_inconclusive_without_qualification():
     assert "preconditions" in cert.method
 
 
+def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
+    # g(x) = x in SOC(3) at the apex, lam = 0, F = -p - x: a critical d
+    # with d = mu, mu in N_C(d) has |d|^2 = <d, mu> = 0, so the solution
+    # map is isolated calm and every gate-passing direction has an empty
+    # fiber, certified from the first cycle's increments
+    import conestab.constraint_system as cs
+
+    sys = affine_system(ConeDesc([SOC(3)]), np.eye(3), np.zeros(3))
+    problem = GEProblem(sys, F=lambda p, x: -np.asarray(p) - np.asarray(x),
+                        Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                        - np.asarray(dirn[1]),
+                        pbar=np.zeros(3), xbar=np.zeros(3))
+    infos = []
+    real = cs.dykstra
+
+    def counting(*args, **kwargs):
+        z, info = real(*args, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(cs, "dykstra", counting)
+    cert = solution_map_isolated_calm(problem, np.zeros(3), net_k=3)
+    assert cert.verdict == "holds"
+    assert infos
+    for info in infos:
+        assert info.converged or (info.farkas is not None
+                                  and info.cycles <= 2)
+
+
 def test_example41_holds_and_is_tolerance_stable():
     problem = example41_problem()
     lam = problem.lam_hint
