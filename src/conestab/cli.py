@@ -66,10 +66,9 @@ def cmd_analyze(args):
     lines.append(f"multiplier: {'found' if mres.found else 'not found'} "
                  f"residual={mres.residual:.3e} members={len(mres.members)}")
     if mres.found:
-        sc = srcq_check(BasePair(sysm, x, v, mres.lam, tol))
-        certs.append(_cert_entry("srcq", sc))
-        lines.append(f"srcq: {sc.verdict}")
-        st = strict_complementarity_check(sysm, x, v, tol)
+        certs.append(_cert_entry("srcq", mres.srcq))
+        lines.append(f"srcq: {mres.srcq.verdict}")
+        st = strict_complementarity_check(mres)
         certs.append(_cert_entry("strict_complementarity", st))
         lines.append(f"strict_complementarity: {st.verdict}")
     nd = nondegeneracy_check(sysm, x, tol)
@@ -125,8 +124,8 @@ def _check(lines, failures, label, got, expected):
 def _repro_example1(lines, failures, tol):
     sysm = example1_system()
     xbar = np.array([-1.0, -1.0, 0.0])
-    v0 = np.zeros(3)
-    st = strict_complementarity_check(sysm, xbar, v0, tol)
+    st = strict_complementarity_check(multiplier_solve(sysm, xbar,
+                                                       np.zeros(3), tol))
     _check(lines, failures, "strict_complementarity(vbar=0)", st.verdict, "fails")
     N = normal_cone(sysm.cone, sysm.g(xbar), tol)
     table = [
@@ -159,9 +158,9 @@ def _repro_example3(lines, failures, tol):
     sysm = example3_system()
     xbar = svec(np.diag([0.0, 1.0]))
     vbar = svec(np.diag([-1.0, 0.0]))
-    st = strict_complementarity_check(sysm, xbar, vbar, tol)
-    _check(lines, failures, "strict_complementarity", st.verdict, "holds")
     mres = multiplier_solve(sysm, xbar, vbar, tol)
+    st = strict_complementarity_check(mres)
+    _check(lines, failures, "strict_complementarity", st.verdict, "holds")
     _check(lines, failures, "distinct members found", len(mres.members) > 1, True)
     _check(lines, failures, "uniqueness", mres.uniqueness.verdict, "fails")
 

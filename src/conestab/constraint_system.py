@@ -238,23 +238,6 @@ def _null_basis(M, tol):
     return vt[rank:].T
 
 
-@dataclass
-class MultiplierSolveResult:
-    """Outcome of the multiplier search for v = grad g(x) lambda with
-    lambda in N_K(g(x))."""
-
-    lam: np.ndarray
-    residual_affine: float
-    residual_cone: float
-    found: bool
-    members: list = field(default_factory=list)
-    uniqueness: Certificate | None = None
-
-    @property
-    def residual(self):
-        return max(self.residual_affine, self.residual_cone)
-
-
 def multiplier_verify(sys: ConstraintSystem, x, v, lam,
                       tol: Tol = DEFAULT_TOL) -> bool:
     gx = _require_feasible(sys, x, tol)
@@ -305,6 +288,31 @@ class BasePair:
         return GraphPoint(self.sys.cone, self.gx, self.lam, self.tol)
 
 
+@dataclass
+class MultiplierSolveResult:
+    """Outcome of the multiplier search for v = grad g(x) lambda with
+    lambda in N_K(g(x)).
+
+    A search run with uniqueness that finds a multiplier also keeps its
+    verified base pair at `lam` (`pair`) and the raw strict Robinson
+    certificate at that pair (`srcq`); `uniqueness` is that certificate,
+    or "distinct verified members" when the search found more than one.
+    """
+
+    lam: np.ndarray
+    residual_affine: float
+    residual_cone: float
+    found: bool
+    members: list = field(default_factory=list)
+    uniqueness: Certificate | None = None
+    srcq: Certificate | None = None
+    pair: BasePair | None = None
+
+    @property
+    def residual(self):
+        return max(self.residual_affine, self.residual_cone)
+
+
 def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
                      with_uniqueness=True, reseed=True) -> MultiplierSolveResult:
     """Find lambda in N_K(g(x)) with grad g(x) lambda = v, by alternating
@@ -347,8 +355,9 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
     lam, _, ra, rc, ok = best
     res = MultiplierSolveResult(lam, ra, rc, ok, members)
     if ok and with_uniqueness:
-        res.uniqueness = srcq_check(BasePair(sys, x, v, lam, tol))
-        if len(members) > 1 and res.uniqueness.verdict == "holds":
+        res.pair = BasePair(sys, x, v, lam, tol)
+        res.srcq = res.uniqueness = srcq_check(res.pair)
+        if len(members) > 1 and res.srcq.verdict == "holds":
             # distinct verified members trump the subspace probe
             res.uniqueness = Certificate(
                 "fails", 0.0, members[1] - members[0],
@@ -426,21 +435,23 @@ def nondegeneracy_check(sys: ConstraintSystem, x,
                       "kernel_projection_sigma_min": kres})
 
 
-def strict_complementarity_check(sys: ConstraintSystem, x, v,
-                                 tol: Tol = DEFAULT_TOL) -> Certificate:
-    """Existence of a relative-interior multiplier for (x, v).
+def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
+    """Existence of a relative-interior multiplier for the (x, v) of the
+    re-seeded multiplier search `res` (run with uniqueness).
 
-    Candidates come from the re-seeded multiplier search plus convex
-    averages of distinct members (averaging pushes toward the relative
-    interior of the multiplier segment).  Fails only when the multiplier
-    is certified unique and that unique member is not relative-interior;
-    otherwise a fruitless search is inconclusive.
+    Candidates are the search's members plus convex averages of distinct
+    members (averaging pushes toward the relative interior of the
+    multiplier segment).  Fails only when the multiplier is certified
+    unique and that unique member is not relative-interior; otherwise a
+    fruitless search is inconclusive.
     """
-    gx = _require_feasible(sys, x, tol)
-    method = "relative-interior test over re-seeded multiplier candidates"
-    res = multiplier_solve(sys, x, v, tol, with_uniqueness=True)
     if not res.found:
         raise ValueError("v is not in the normal cone to the feasible set at x")
+    if res.pair is None:
+        raise ValueError("strict complementarity needs a multiplier search "
+                         "run with uniqueness")
+    pair, tol = res.pair, res.pair.tol
+    method = "relative-interior test over re-seeded multiplier candidates"
 
     candidates = list(res.members)
     for i in range(len(res.members)):
@@ -450,11 +461,11 @@ def strict_complementarity_check(sys: ConstraintSystem, x, v,
         candidates.append(np.mean(res.members, axis=0))
 
     for lam in candidates:
-        if multiplier_verify(sys, x, v, lam, tol) and \
-                sys.cone.ri_normal(gx, lam, tol):
+        if multiplier_verify(pair.sys, pair.x, pair.v, lam, tol) and \
+                pair.sys.cone.ri_normal(pair.gx, lam, tol):
             return Certificate("holds", 0.0, lam, method, tol,
                                assumptions=(SUBREG_ASSUMPTION,))
-    if res.uniqueness is not None and res.uniqueness.verdict == "holds":
+    if res.uniqueness.verdict == "holds":
         return Certificate("fails", 0.0, res.lam,
                            method + " (unique member fails)", tol,
                            assumptions=(SUBREG_ASSUMPTION,))

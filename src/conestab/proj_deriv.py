@@ -37,9 +37,10 @@ class GraphPoint:
         res = float(np.linalg.norm(self.y - self.cone.project(z)))
         if res > self.tol.membership * (1.0 + float(np.linalg.norm(z))):
             raise ValueError(f"(y, lambda) not on the graph (residual {res:.3e})")
+        # complementarity threshold: a tenth of tol.zero (1e-10 by default)
         comp = abs(float(self.y @ self.lam))
-        if comp > 1e-10 * (1.0 + float(np.linalg.norm(self.y))
-                           * float(np.linalg.norm(self.lam))):
+        if comp > self.tol.zero / 10 * (1.0 + float(np.linalg.norm(self.y))
+                                        * float(np.linalg.norm(self.lam))):
             raise ValueError(f"complementarity violated ({comp:.3e})")
 
     @property

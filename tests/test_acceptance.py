@@ -39,7 +39,8 @@ def _report(num, desc, ok):
 def test_criterion_1_example1_regression():
     t0 = time.perf_counter()
     sys = example1_system()
-    st = strict_complementarity_check(sys, XBAR1, np.zeros(3))
+    st = strict_complementarity_check(multiplier_solve(sys, XBAR1,
+                                                       np.zeros(3)))
     ok = st.verdict == "fails"
 
     # the normal cone at the apex is the negative-semidefinite matrices
@@ -101,13 +102,13 @@ def test_criterion_3_example3_regression():
     sys = example3_system()
     xbar = svec(np.diag([0.0, 1.0]))
     vbar = svec(np.diag([-1.0, 0.0]))
-    st = strict_complementarity_check(sys, xbar, vbar)
+    mres = multiplier_solve(sys, xbar, vbar)
+    st = strict_complementarity_check(mres)
     ok = st.verdict == "holds" and st.witness is not None
     # the split (0; diag(-1,0)) is itself a relative-interior multiplier
     lam_named = np.concatenate([np.zeros(3), vbar])
     ok = ok and multiplier_verify(sys, xbar, vbar, lam_named)
     ok = ok and sys.cone.ri_normal(sys.g(xbar), lam_named)
-    mres = multiplier_solve(sys, xbar, vbar)
     ok = ok and len(mres.members) > 1
     ok = ok and all(multiplier_verify(sys, xbar, vbar, m)
                     for m in mres.members[:2])

@@ -1,7 +1,9 @@
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conestab.cli import main
 from conestab.symmat import svec
@@ -176,3 +178,97 @@ def test_shape_mismatch_exits_2_under_optimize(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "input error: A has shape (1, 2)" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# scaling metamorphic referee: v -> t v (the planted multiplier scales with
+# it) keeps the verdicts
+
+def _verdicts(report):
+    return {c["name"]: c["verdict"] for c in report["certificates"]}
+
+
+def test_analyze_verdicts_invariant_under_scaling_v(planted, analyze):
+    seen = set()
+    for seed in range(4):
+        for srcq_holds in (True, False):
+            _, x, v, _, problem = planted(seed, srcq_holds)
+            rc, report = analyze(problem, {"x": x, "v": v})
+            assert rc == 0
+            base = _verdicts(report)
+            assert set(base) == {"srcq", "strict_complementarity",
+                                 "nondegeneracy"}
+            for t in (0.5, 3.0):
+                rc, report = analyze(problem, {"x": x, "v": t * v})
+                assert rc == 0
+                assert _verdicts(report) == base, (seed, srcq_holds, t)
+            seen.add((base["srcq"], base["nondegeneracy"]))
+    # the draws reach both srcq verdicts and both nondegeneracy verdicts
+    assert seen == {("holds", "holds"), ("fails", "fails")}
+
+
+# ---------------------------------------------------------------------------
+# fuzz: JSON -> analyze exits 0 or 2, with verdicts from the allowed set
+
+# small cones and an adjoint kernel of dimension at most 2 keep each
+# request to milliseconds (large kernels cost seconds in the multiplier
+# search and the triviality decision)
+_BLOCK = st.tuples(st.sampled_from(["orthant", "soc", "psd", "zero", "free"]),
+                   st.integers(1, 2), st.sampled_from(["plus", "minus"]))
+
+
+@st.composite
+def _analyze_inputs(draw):
+    from conestab.jsonio import parse_cone
+
+    blocks = draw(st.lists(_BLOCK, min_size=1, max_size=2))
+    cone_obj = {"product": [
+        {kind: {"order" if kind == "psd" else "dim": size}
+         | ({"sign": sign} if kind in ("orthant", "soc", "psd") else {})}
+        for kind, size, sign in blocks]}
+    cone = parse_cone(cone_obj)
+    dim_x = draw(st.integers(max(1, cone.dim - 2), cone.dim + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    # singular values 0.7 to 1.4
+    U, _, Vt = np.linalg.svd(rng.standard_normal((cone.dim, dim_x)),
+                             full_matrices=False)
+    A = (U * np.linspace(0.7, 1.4, U.shape[1])) @ Vt
+    x = rng.standard_normal(dim_x)
+    # a graph point of N_K from a coarse z: apexes, faces and interiors
+    z = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                               min_size=cone.dim, max_size=cone.dim)))
+    y = cone.project(z)
+    b, v = y - A @ x, A.T @ (z - y)
+    mode = draw(st.sampled_from(["planted", "scaled", "random v",
+                                 "infeasible", "short x", "non-finite v",
+                                 "missing x"]))
+    if mode == "scaled":
+        v = draw(st.sampled_from([1e-6, 1e3])) * v
+    elif mode == "random v":
+        v = rng.standard_normal(dim_x)
+    elif mode == "infeasible":
+        b = b - 1.0 - rng.random(cone.dim)
+    elif mode == "short x":
+        x = x[:-1]
+    elif mode == "non-finite v":
+        v = v.copy()
+        v[0] = draw(st.sampled_from([np.nan, np.inf]))
+    point = {"x": x, "v": v}
+    if mode == "missing x":
+        del point["x"]
+    problem = {"cone": cone_obj,
+               "mapping": {"affine": {"A": A.tolist(), "b": b.tolist()}}}
+    return problem, point
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True,
+          database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_analyze_inputs())
+def test_analyze_fuzz_exit_code_and_verdicts(inputs, analyze):
+    rc, report = analyze(*inputs)
+    assert rc in (0, 2)
+    if rc == 0:
+        assert report["certificates"]
+        for cert in report["certificates"]:
+            assert cert["verdict"] in ("holds", "fails", "inconclusive")

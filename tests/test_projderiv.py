@@ -30,6 +30,26 @@ def test_graph_point_invariant_raises():
     assert np.allclose(gp.z, [-2.0, 1.0])
 
 
+def test_graph_point_complementarity_threshold_follows_tol():
+    # y = (1, 0), lam = (delta, -1): the graph residual |delta| passes the
+    # membership test, and |<y, lam>| = delta meets the complementarity
+    # threshold tol.zero / 10 * (1 + |y| |lam|) = 2 tol.zero / 10
+    K = ConeDesc([Orthant(2, "plus")])
+    y = np.array([1.0, 0.0])
+
+    def lam(delta):
+        return np.array([delta, -1.0])
+
+    GraphPoint(K, y, lam(1.9e-10))
+    with pytest.raises(ValueError, match="complementarity"):
+        GraphPoint(K, y, lam(2.1e-10))
+    with pytest.raises(ValueError, match="complementarity"):
+        GraphPoint(K, y, lam(1e-9), DEFAULT_TOL)
+    GraphPoint(K, y, lam(1e-9), Tol(zero=1e-7))
+    with pytest.raises(ValueError, match="complementarity"):
+        GraphPoint(K, y, lam(1.9e-10), Tol(zero=1e-10))
+
+
 def test_proj_dir_deriv_input_checks():
     K = ConeDesc([Orthant(2, "plus")])
     with pytest.raises(ValueError):

@@ -394,7 +394,7 @@ def _mirror(sys):
 
 def _qualifications(sys, x, v, lam):
     res = multiplier_solve(sys, x, v)
-    st = strict_complementarity_check(sys, x, v)
+    st = strict_complementarity_check(res)
     verdicts = (srcq_check(BasePair(sys, x, v, lam)).verdict,
                 nondegeneracy_check(sys, x).verdict, st.verdict)
     return verdicts, res.lam, st.witness

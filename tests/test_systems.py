@@ -154,15 +154,18 @@ def test_strict_complementarity_cases():
     sys3 = example3_system()
     xbar = svec(np.diag([0.0, 1.0]))
     vbar = svec(np.diag([-1.0, 0.0]))
-    assert strict_complementarity_check(sys3, xbar, vbar).verdict == "holds"
+    assert strict_complementarity_check(
+        multiplier_solve(sys3, xbar, vbar)).verdict == "holds"
     sys1 = example1_system()
-    assert strict_complementarity_check(sys1, XBAR1, np.zeros(3)).verdict == "fails"
+    assert strict_complementarity_check(
+        multiplier_solve(sys1, XBAR1, np.zeros(3))).verdict == "fails"
     inactive = affine_system(ConeDesc([Orthant(2, "plus")]), np.eye(2),
                              np.ones(2))
-    assert strict_complementarity_check(inactive, np.ones(2),
-                                        np.zeros(2)).verdict == "holds"
+    assert strict_complementarity_check(
+        multiplier_solve(inactive, np.ones(2), np.zeros(2))).verdict == "holds"
     with pytest.raises(ValueError):
-        strict_complementarity_check(sys1, XBAR1, np.array([1.0, 1.0, 1.0]))
+        strict_complementarity_check(
+            multiplier_solve(sys1, XBAR1, np.array([1.0, 1.0, 1.0])))
 
 
 def test_critical_cone_gamma_contains():

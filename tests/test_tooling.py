@@ -1,7 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
+
+import numpy as np
+import pytest
 
 import conestab
 
@@ -56,3 +60,126 @@ def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     cert = solution_map_isolated_calm(problem, problem.lam_hint)
     assert cert.verdict == "holds"
     assert len(calls) == 1
+
+
+def test_analyze_decides_the_qualification_once(monkeypatch, planted,
+                                               analyze):
+    from conestab import cli, constraint_system
+
+    calls = {"multiplier_solve": 0, "subspace_cone_trivial": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for module, name in ((cli, "multiplier_solve"),
+                         (constraint_system, "multiplier_solve"),
+                         (constraint_system, "subspace_cone_trivial")):
+        monkeypatch.setattr(module, name, counting(module, name))
+    _, x, v, _, problem = planted(3, srcq_holds=True)
+    rc, report = analyze(problem, {"x": x, "v": v})
+    assert rc == 0
+    assert [c["name"] for c in report["certificates"]] == \
+        ["srcq", "strict_complementarity", "nondegeneracy"]
+    assert calls == {"multiplier_solve": 1, "subspace_cone_trivial": 1}
+
+
+def _independent_strict_complementarity(sys, x, v):
+    """Reference strict-complementarity certificate, computed from a
+    separate re-seeded multiplier search of its own."""
+    from conestab._sets import Certificate, DEFAULT_TOL as tol
+    from conestab.constraint_system import (
+        SUBREG_ASSUMPTION, multiplier_solve, multiplier_verify)
+
+    res = multiplier_solve(sys, x, v)
+    gx = sys.g(x)
+    method = "relative-interior test over re-seeded multiplier candidates"
+    members = res.members
+    candidates = list(members) + [0.5 * (members[i] + members[j])
+                                  for i in range(len(members))
+                                  for j in range(i + 1, len(members))]
+    if len(members) > 1:
+        candidates.append(np.mean(members, axis=0))
+    for lam in candidates:
+        if multiplier_verify(sys, x, v, lam) and \
+                sys.cone.ri_normal(gx, lam, tol):
+            return Certificate("holds", 0.0, lam, method, tol,
+                               assumptions=(SUBREG_ASSUMPTION,))
+    if res.uniqueness.verdict == "holds":
+        return Certificate("fails", 0.0, res.lam,
+                           method + " (unique member fails)", tol,
+                           assumptions=(SUBREG_ASSUMPTION,))
+    return Certificate("inconclusive", 0.0, None,
+                       method + " (no interior member found)", tol,
+                       assumptions=(SUBREG_ASSUMPTION,),
+                       details={"candidates": len(candidates)})
+
+
+def _example3():
+    from conestab.constraint_system import example3_system
+    from conestab.symmat import svec
+
+    return (example3_system(), svec(np.diag([0.0, 1.0])),
+            svec(np.diag([-1.0, 0.0])), {"mapping": {"builtin": "example3"}})
+
+
+@pytest.mark.parametrize("case,srcq,uniqueness", [
+    ("srcq holds", "holds", "holds"), ("srcq fails", "fails", "fails"),
+    ("example3", "fails", "fails")])
+def test_analyze_certificates_match_independent_checks(case, srcq,
+                                                       uniqueness, planted,
+                                                       analyze):
+    from conestab.constraint_system import (
+        BasePair, multiplier_solve, srcq_check)
+
+    if case == "example3":
+        sys, x, v, problem = _example3()
+    else:
+        sys, x, v, _, problem = planted(5, srcq_holds=case == "srcq holds")
+    rc, report = analyze(problem, {"x": x, "v": v})
+    assert rc == 0
+    got = {c.pop("name"): c for c in report["certificates"]}
+    mres = multiplier_solve(sys, x, v)
+    assert (mres.srcq.verdict, mres.uniqueness.verdict) == (srcq, uniqueness)
+    assert (len(mres.members) > 1) == (srcq == "fails")
+    expected = {
+        "srcq": srcq_check(BasePair(sys, x, v, mres.lam)),
+        "strict_complementarity": _independent_strict_complementarity(
+            sys, x, v),
+    }
+    for name, cert in expected.items():
+        assert got[name] == json.loads(json.dumps(cert.to_json())), name
+
+
+def test_analyze_reports_the_raw_srcq_beside_distinct_members(monkeypatch,
+                                                              analyze):
+    # with a subspace decision that says holds, example3's distinct
+    # verified members still make `uniqueness` fail; the srcq entry is
+    # the raw decision, and strict complementarity reads `uniqueness`
+    from conestab import constraint_system
+    from conestab.cone_core import ConeDesc
+    from conestab._sets import Certificate
+    from conestab.constraint_system import multiplier_solve
+
+    def srcq_holds(pair):
+        return Certificate("holds", 0.0, None, "stub", pair.tol)
+
+    monkeypatch.setattr(constraint_system, "srcq_check", srcq_holds)
+    sys, x, v, problem = _example3()
+    mres = multiplier_solve(sys, x, v)
+    assert mres.srcq.verdict == "holds"
+    assert (mres.uniqueness.verdict, mres.uniqueness.method) == \
+        ("fails", "distinct verified members")
+    rc, report = analyze(problem, {"x": x, "v": v})
+    assert rc == 0
+    got = {c["name"]: c for c in report["certificates"]}
+    assert (got["srcq"]["verdict"], got["srcq"]["method"]) == ("holds", "stub")
+    # no relative-interior candidate and no certified unique member
+    monkeypatch.setattr(ConeDesc, "ri_normal", lambda *args: False)
+    rc, report = analyze(problem, {"x": x, "v": v})
+    got = {c["name"]: c for c in report["certificates"]}
+    assert got["strict_complementarity"]["verdict"] == "inconclusive"
