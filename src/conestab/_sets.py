@@ -31,8 +31,10 @@ class Tol:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.membership <= 0 or self.zero <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(math.isfinite(t) and t > 0 for t in
+                   (self.membership, self.zero, self.max_iter)):
+            raise ValueError("tolerances must be finite and strictly "
+                             "positive")
 
     def halved(self) -> "Tol":
         return Tol(self.membership / 2, self.zero / 2, self.max_iter)

@@ -1,11 +1,19 @@
 """Derived cone sets and the subspace-cone triviality decision.
 
 Critical cones, tangent cones to normal cones, and normal cones of
-critical cones are produced as closed-form convex-set oracles; the
-triviality decision L ∩ C = {0} behind every constraint-qualification
-certificate is settled by projected ascent of the signed basis
-functionals of L over C ∩ L ∩ (unit ball).
+critical cones are produced as closed-form convex-set oracles.  The
+triviality decision span(L) ∩ C = {0} behind every constraint-qualification
+certificate takes one of two routes, chosen from the rank of L:
+
+- span(L) a line span{q} and C a cone with a closed-form projection: a
+  cone meets a line only along ±q, so the two distances
+  d± = ||±q - Π_C(±q)|| decide it exactly, and a reader re-checks
+  the verdict with two projections.
+- rank >= 2, or a C projected by iteration: projected ascent of the
+  signed basis functionals of L over C ∩ L ∩ (unit ball).
 """
+
+import math
 
 import numpy as np
 
@@ -66,15 +74,42 @@ def _ball_clip(z):
     return z / n if n > 1.0 else z
 
 
+def _line_cone_trivial(q, C, tol):
+    """Decide span{q} ∩ C = {0} for a unit vector q and a cone C whose
+    projection is closed form.
+
+    C ∩ span{q} is a closed convex cone on a line: {0}, a ray along q or
+    -q, or the whole line.  It is nontrivial exactly when dist(q, C) or
+    dist(-q, C) is 0, and since dist(t z, C) = t dist(z, C) for t > 0,
+    every unit z in span{q} is at distance at least min d± from C.
+    """
+    method = "closed-form distances of ±q to C (span(L) is the line of q)"
+    dists = (C.dist(q), C.dist(-q))
+    details = {"dist_plus": dists[0], "dist_minus": dists[1]}
+    best = min(dists)
+    point = q if dists[0] == best else -q
+    if best <= tol.membership:
+        return Certificate("fails", 1.0, point, method, tol, details=details)
+    if best >= math.sqrt(tol.membership):
+        return Certificate("holds", 0.0, None, method, tol, details=details)
+    return Certificate("inconclusive", best, point, method, tol,
+                       details=details)
+
+
 def subspace_cone_trivial(L: np.ndarray, C: ConeSetOracle,
                           tol: Tol = DEFAULT_TOL) -> Certificate:
     """Decide whether span(L) ∩ C = {0}.
 
-    For each signed basis direction ±c of span(L), maximize <c, z> over
-    the convex compact set C ∩ span(L) ∩ B by projected ascent.  A cone
-    on which every such functional is <= 0 is {0}; since the objective is
-    linear, the ascent has no spurious maxima, and any nontrivial ray of
-    the intersection yields a maximum bounded well away from 0.
+    When span(L) is a line (rank 1 by the singular values of L) and C is
+    a cone with a closed-form projection, the distances of the two unit
+    points of the line to C decide it exactly (`_line_cone_trivial`).
+
+    Otherwise, for each signed basis direction ±c of span(L), maximize
+    <c, z> over the convex compact set C ∩ span(L) ∩ B by projected
+    ascent.  A cone on which every such functional is <= 0 is {0}; since
+    the objective is linear, the ascent has no spurious maxima, and any
+    nontrivial ray of the intersection yields a maximum bounded well away
+    from 0.
     """
     L = np.asarray(L, float)
     if L.ndim == 1:
@@ -85,6 +120,8 @@ def subspace_cone_trivial(L: np.ndarray, C: ConeSetOracle,
         return Certificate("holds", 0.0, None, method, tol,
                            details={"directions": 0})
     Q = sub.Q
+    if Q.shape[1] == 1 and C.is_cone and C.exact:
+        return _line_cone_trivial(Q[:, 0], C, tol)
     sets = [C, sub]
 
     def feas_project(z, budget=300):

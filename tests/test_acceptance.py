@@ -385,25 +385,50 @@ def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
     assert spiked == 12
 
 
-def test_criterion_10_polyhedral_triviality_referee():
+def _criterion_10_instances():
+    """(codes, L) pairs: the original 50 draws (whose code list draws
+    FREE twice and never ZERO), 50 draws over all four codes, and 30
+    rank-deficient bases of one line, k >= 2 multiples of one vector q;
+    every other such q is projected onto the cone first, so the line
+    meets it whenever the projection is not 0."""
     rng = np.random.default_rng(7)
-    mismatches = 0
     for _ in range(50):
         dim = int(rng.integers(2, 7))
         codes = [int(rng.choice([0, 1, -1, SignPattern.FREE]))
                  for _ in range(dim)]
-        C = SignPattern(codes)
         k = int(rng.integers(1, dim))
-        L = rng.standard_normal((dim, k))
+        yield codes, rng.standard_normal((dim, k))
+    all_codes = [SignPattern.FREE, SignPattern.NONNEG, SignPattern.NONPOS,
+                 SignPattern.ZERO]
+    rng = np.random.default_rng(10)
+    for i in range(80):
+        dim = int(rng.integers(2, 7))
+        codes = [int(c) for c in rng.choice(all_codes, size=dim)]
+        if i < 50:
+            L = rng.standard_normal((dim, int(rng.integers(1, dim))))
+        else:
+            q = rng.standard_normal(dim)
+            if i % 2:
+                q = SignPattern(codes).project(q)
+            L = np.outer(q, rng.standard_normal(int(rng.integers(2, 4))))
+        yield codes, L
+
+
+def test_criterion_10_polyhedral_triviality_referee():
+    mismatches = count = 0
+    for codes, L in _criterion_10_instances():
+        C = SignPattern(codes)
         ineq, eq = C.halfspace_rows()
         exact = polyhedral_trivial_exact(ineq, L, equalities=eq)
         cert = subspace_cone_trivial(L, C)
         got = {"holds": True, "fails": False}.get(cert.verdict)
         if got != exact:
             mismatches += 1
-    _report(10, "iterative triviality decision vs exact ray enumeration on "
-                f"50 random sign-pattern instances ({mismatches} mismatches)",
-            mismatches == 0)
+        count += 1
+    _report(10, "triviality decision vs exact ray enumeration on "
+                f"{count} random sign-pattern instances "
+                f"({mismatches} mismatches)",
+            mismatches == 0 and count == 130)
 
 
 def test_criterion_11_anti_alignment():

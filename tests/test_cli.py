@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conestab.cli import main
-from conestab.symmat import svec
+from conestab.symmat import smat, svec
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3",
@@ -135,6 +135,22 @@ def test_custom_tolerance_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_exits_2(value, tmp_path, capsys):
+    # inf would accept every residual and NaN would fail every comparison,
+    # so both are input errors before any decision is made
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    point = _write(tmp_path / "pt.json", {"x": [-1, -1, 0]})
+    for argv in (["repro", "example2"],
+                 ["analyze", "--problem", problem, "--point", point]):
+        assert main(argv + ["--tol", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: tolerances must be finite and strictly " \
+               "positive" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_module_entry_point():
     import os, subprocess, sys
     import conestab
@@ -205,6 +221,67 @@ def test_analyze_verdicts_invariant_under_scaling_v(planted, analyze):
             seen.add((base["srcq"], base["nondegeneracy"]))
     # the draws reach both srcq verdicts and both nondegeneracy verdicts
     assert seen == {("holds", "holds"), ("fails", "fails")}
+
+
+# ---------------------------------------------------------------------------
+# srcq metamorphic referee: the planted problems in rotated PSD coordinates
+# or with their blocks permuted get the same srcq verdict
+
+# the planted cone is PSD(2) x SOC(3) x R^2: rows 0-2, 3-5 and 6-7
+_PLANTED_ROWS = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 8)]
+
+
+def _psd_rotation(U):
+    """The matrix of svec(X) -> svec(U^T X U), orthogonal for orthogonal U."""
+    eye = np.eye(3)
+    return np.column_stack([svec(U.T @ smat(e) @ U) for e in eye])
+
+
+def _srcq_verdict(problem, x, v, lam):
+    """srcq at the given multiplier, without the multiplier search."""
+    from conestab.constraint_system import BasePair, affine_system, srcq_check
+    from conestab.jsonio import parse_cone
+    affine = problem["mapping"]["affine"]
+    sys = affine_system(parse_cone(problem["cone"]),
+                        np.array(affine["A"]), np.array(affine["b"]))
+    return srcq_check(BasePair(sys, x, v, lam)).verdict
+
+
+def test_srcq_invariant_under_psd_rotation_and_block_permutation(planted,
+                                                                 analyze):
+    rng = np.random.default_rng(0)
+    seen = set()
+    for seed in range(4):
+        for srcq_holds in (True, False):
+            _, x, v, lam, problem = planted(seed, srcq_holds)
+            rc, report = analyze(problem, {"x": x, "v": v})
+            assert rc == 0
+            base = _verdicts(report)["srcq"]
+            assert base == ("holds" if srcq_holds else "fails")
+            assert _srcq_verdict(problem, x, v, lam) == base
+            affine = problem["mapping"]["affine"]
+            A, b = np.array(affine["A"]), np.array(affine["b"])
+            variants = []
+            # X -> U^T X U on the PSD block; v = A^T lam is unchanged
+            U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            T = np.eye(8)
+            T[:3, :3] = _psd_rotation(U)
+            assert np.allclose(T.T @ T, np.eye(8), atol=1e-14)
+            variants.append((problem["cone"], T @ A, T @ b, T @ lam))
+            for order in ([2, 0, 1], [1, 2, 0]):
+                rows = np.concatenate([_PLANTED_ROWS[i] for i in order])
+                cone = {"product": [problem["cone"]["product"][i]
+                                    for i in order]}
+                variants.append((cone, A[rows], b[rows], lam[rows]))
+            for cone, A2, b2, lam2 in variants:
+                moved = {"cone": cone, "mapping": {"affine": {"A": A2,
+                                                              "b": b2}}}
+                rc, report = analyze(moved, {"x": x, "v": v})
+                assert rc == 0
+                assert _verdicts(report)["srcq"] == base, (seed, srcq_holds)
+                assert _srcq_verdict(moved, x, v, lam2) == base
+            seen.add(base)
+    assert seen == {"holds", "fails"}
 
 
 # ---------------------------------------------------------------------------

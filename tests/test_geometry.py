@@ -133,3 +133,101 @@ def test_radial_probe():
     assert radial_probe(C, vbar, np.array([0.0, -1.0]), tgrid)
     assert not radial_probe(C, np.array([0.0, 1.0]), np.array([-1.0, 0.0]),
                             tgrid)
+
+
+# ---------------------------------------------------------------------------
+# a one-dimensional span(L) and a cone with a closed-form projection are
+# decided exactly by the distances of ±q to C; everything else by ascent
+
+LINE = "closed-form distances of ±q to C"
+ASCENT = "projected ascent"
+
+
+def _in_span(L, z):
+    Q, _ = np.linalg.qr(np.asarray(L, float).reshape(len(z), -1))
+    return float(np.linalg.norm(z - Q @ (Q.T @ z)))
+
+
+def test_line_along_soc_boundary_ray_fails():
+    C = ConeDesc([SOC(3, "plus")])
+    L = np.array([[1.0], [0.6], [0.8]])
+    cert = subspace_cone_trivial(L, C)
+    assert cert.verdict == "fails" and cert.method.startswith(LINE)
+    assert cert.residual == 1.0
+    assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
+    assert C.dist(cert.witness) <= DEFAULT_TOL.membership
+    assert _in_span(L, cert.witness) <= 1e-15
+    # the witness is the point of the line on the ray, not its opposite
+    assert float(cert.witness @ L[:, 0]) > 0
+    assert min(cert.details["dist_plus"], cert.details["dist_minus"]) <= \
+        DEFAULT_TOL.membership
+
+
+def test_line_meeting_psd_critical_cone_only_at_origin_holds():
+    # at y = diag(1, 0, 0) with lam = 0 the critical cone is
+    # {H : H[1:, 1:] psd}; diag(0, 1, -1) is indefinite there, and so is
+    # its negative
+    K = ConeDesc([PSD(3, "plus")])
+    C = critical_cone(K, svec(np.diag([1.0, 0.0, 0.0])), np.zeros(6))
+    L = svec(np.diag([0.0, 1.0, -1.0])).reshape(-1, 1)
+    cert = subspace_cone_trivial(L, C)
+    assert cert.verdict == "holds" and cert.method.startswith(LINE)
+    assert cert.residual == 0.0 and cert.witness is None
+    dists = sorted(cert.details[k] for k in ("dist_plus", "dist_minus"))
+    assert dists[0] >= 1e-4
+    # a reader re-checks both distances with one projection each
+    q = L[:, 0] / np.linalg.norm(L)
+    assert dists == pytest.approx(sorted([C.dist(q), C.dist(-q)]), abs=1e-15)
+    assert dists[0] == pytest.approx(1 / np.sqrt(2))
+
+
+def test_near_touching_line_is_inconclusive():
+    # (1, 1 + 1e-6, 0) leaves SOC(3) by about 3.5e-7: above the fail
+    # threshold 1e-8 and below the hold threshold sqrt(1e-8) = 1e-4
+    C = ConeDesc([SOC(3, "plus")])
+    L = np.array([[1.0], [1.0 + 1e-6], [0.0]])
+    cert = subspace_cone_trivial(L, C)
+    assert cert.verdict == "inconclusive" and cert.method.startswith(LINE)
+    assert 1e-8 < cert.residual < 1e-4
+    assert cert.residual == min(cert.details["dist_plus"],
+                                cert.details["dist_minus"])
+
+
+def test_rank_one_basis_with_two_columns_takes_the_line_route():
+    C = ConeDesc([SOC(3, "plus")])
+    q = np.array([1.0, 0.6, 0.8])
+    for L, verdict in ((np.column_stack([q, 2 * q]), "fails"),
+                       (np.column_stack([-q, 3 * q]), "fails"),
+                       (np.column_stack([[0.0, 1, 0], [0.0, -2, 0]]),
+                        "holds")):
+        cert = subspace_cone_trivial(L, C)
+        assert cert.method.startswith(LINE)
+        assert cert.verdict == verdict
+        assert cert.verdict == subspace_cone_trivial(L[:, :1], C).verdict
+
+
+def test_intersection_cone_keeps_the_ascent(monkeypatch):
+    from conestab import cone_geometry
+    from conestab._sets import Hyperplane, Intersection
+
+    # SOC(3) cut by z1 = 0 is the planar cone |z2| <= z0; its projection
+    # is iterated, so even a line goes through the ascent
+    C = Intersection([ConeDesc([SOC(3, "plus")]),
+                      Hyperplane(np.array([0.0, 1.0, 0.0]))])
+    assert not C.exact
+    calls = []
+    dykstra = cone_geometry.dykstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dykstra(*args, **kwargs)
+
+    monkeypatch.setattr(cone_geometry, "dykstra", counted)
+    for column, verdict in (([1.0, 0.0, 1.0], "fails"),
+                            ([0.0, 0.0, 1.0], "holds"),
+                            ([1.0, 1.0, 0.0], "holds")):
+        calls.clear()
+        cert = subspace_cone_trivial(np.array(column).reshape(-1, 1), C)
+        assert cert.method.startswith(ASCENT)
+        assert cert.verdict == verdict
+        assert calls

@@ -263,6 +263,13 @@ def test_tol_halved():
     assert th.zero == t.zero / 2
 
 
+@pytest.mark.parametrize("field", ["membership", "zero", "max_iter"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_tol_rejects_non_positive_and_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        Tol(**{field: value})
+
+
 def test_subspace_keeps_the_rank_of_a_wide_basis():
     # rank 3 with a repeated column: every spanned direction is kept
     L = np.eye(4)[:, [0, 0, 1, 2]]

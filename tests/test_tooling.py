@@ -88,6 +88,39 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
     assert calls == {"multiplier_solve": 1, "subspace_cone_trivial": 1}
 
 
+def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted, analyze,
+                                             capsys):
+    # the adjoint kernel of the planted problems and of example41 is a
+    # line, so every triviality decision takes the two-projection route
+    from conestab import cli, cone_geometry, constraint_system
+
+    calls = {"decisions": 0, "dykstra": 0}
+    decide, dykstra = constraint_system.subspace_cone_trivial, \
+        cone_geometry.dykstra
+
+    def counted_decide(*args, **kwargs):
+        calls["decisions"] += 1
+        return decide(*args, **kwargs)
+
+    def counted_dykstra(*args, **kwargs):
+        calls["dykstra"] += 1
+        return dykstra(*args, **kwargs)
+
+    monkeypatch.setattr(constraint_system, "subspace_cone_trivial",
+                        counted_decide)
+    monkeypatch.setattr(cone_geometry, "dykstra", counted_dykstra)
+    for srcq_holds in (True, False):
+        _, x, v, _, problem = planted(3, srcq_holds)
+        rc, report = analyze(problem, {"x": x, "v": v})
+        assert rc == 0
+        assert report["certificates"][0]["verdict"] == \
+            ("holds" if srcq_holds else "fails")
+    assert calls == {"decisions": 2, "dykstra": 0}
+    assert cli.main(["repro", "example41"]) == 0
+    capsys.readouterr()
+    assert calls["decisions"] > 2 and calls["dykstra"] == 0
+
+
 def _independent_strict_complementarity(sys, x, v):
     """Reference strict-complementarity certificate, computed from a
     separate re-seeded multiplier search of its own."""
