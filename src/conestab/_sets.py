@@ -374,24 +374,6 @@ class NegatedSet(ConvexSet):
         return self.base.lineality_basis()
 
 
-class ShiftedSet(ConvexSet):
-    """offset + base."""
-
-    is_cone = False
-
-    def __init__(self, base, offset):
-        self.base = base
-        self.offset = np.asarray(offset, float)
-        self.dim = base.dim
-
-    @property
-    def exact(self):
-        return self.base.exact
-
-    def project(self, z):
-        return self.offset + self.base.project(np.asarray(z, float) - self.offset)
-
-
 class ProductSet(ConvexSet):
     def __init__(self, sets):
         self.sets = list(sets)
@@ -511,14 +493,14 @@ class PSDBlockSet(ConvexSet):
 
 
 class Farkas(NamedTuple):
-    """Certificate that {M z = b} ∩ (o_1 + K_1) ∩ ... ∩ (o_k + K_k) is
-    empty: each y_i lies in the polar of the cone K_i, M^T h = sum y_i
-    to rounding, and the gain <h, b> - sum <y_i, o_i> is positive.
+    """Certificate that {M z = b} ∩ K_1 ∩ ... ∩ K_k is empty: each y_i
+    lies in the polar of the cone K_i, M^T h = sum y_i to rounding, and
+    the gain <h, b> is positive.
 
     Any z in the intersection would give <h, b> = <h, M z> = sum <y_i, z>
-    <= sum <y_i, o_i>.  For every z, max(||M z - b||, dist(z, o_i + K_i))
-    is at least `bound` = gain / (||h|| + sum ||y_i||).  `cycle` is the
-    Dykstra cycle whose increments gave the certificate.
+    <= 0.  For every z, max(||M z - b||, dist(z, K_i)) is at least
+    `bound` = gain / (||h|| + sum ||y_i||).  `cycle` is the Dykstra cycle
+    whose increments gave the certificate.
     """
 
     h: np.ndarray
@@ -532,56 +514,49 @@ class Farkas(NamedTuple):
 _ROUNDING = 256 * np.finfo(float).eps
 
 
-def _farkas_parts(sets):
-    """(cones K_i, offsets o_i or None) when sets[0] is an AffineSet and
-    every other set is a cone, or a shifted cone, with an exact
-    projection; None otherwise."""
+def _farkas_cones(sets):
+    """The cones K_i when sets[0] is an AffineSet and every other set is
+    a cone with an exact projection; None otherwise."""
     if not isinstance(sets[0], AffineSet):
         return None
-    cones, offsets = [], []
-    for S in sets[1:]:
-        K, o = (S.base, S.offset) if isinstance(S, ShiftedSet) else (S, None)
-        if not (K.is_cone and K.exact):
-            return None
-        cones.append(K)
-        offsets.append(o)
-    return cones, offsets
+    cones = sets[1:]
+    if not all(K.is_cone and K.exact for K in cones):
+        return None
+    return cones
 
 
-def _farkas_test(affine, offsets, ys):
+def _farkas_test(affine, ys):
     """(h, gain, sum ||y_i||) when h = pinv(M)^T sum y_i has a positive
-    gain and M^T h = sum y_i holds to rounding; None otherwise."""
+    gain and M^T h = sum y_i holds to rounding; None otherwise.  Each
+    test accepts only when its comparison holds, so a NaN fails it."""
     total = sum(ys[1:], ys[0])
     h = affine.pinv.T @ total
-    shifted = [(y, o) for y, o in zip(ys, offsets) if o is not None]
-    gain = float(h @ affine.b) - sum(float(y @ o) for y, o in shifted)
-    if gain <= 0.0:
+    gain = float(h @ affine.b)
+    if not gain > 0.0:
         return None
     ynorm = sum(_norm(y) for y in ys)
     defect = _norm(affine.M.T @ h - total)
-    if defect > _ROUNDING * (_norm(affine.M) * _norm(h) + ynorm):
+    if not defect <= _ROUNDING * (_norm(affine.M) * _norm(h) + ynorm):
         return None
-    gain_terms = float(np.abs(h) @ np.abs(affine.b)) + sum(
-        float(np.abs(y) @ np.abs(o)) for y, o in shifted)
-    if gain <= _ROUNDING * gain_terms:
+    if not gain > _ROUNDING * float(np.abs(h) @ np.abs(affine.b)):
         return None
     return h, gain, ynorm
 
 
-def _farkas(affine, cones, offsets, incs, cycle):
+def _farkas(affine, cones, incs, cycle):
     """A Farkas certificate read from Dykstra's increments, or None.
 
-    The increment of a cone (or shifted cone) lies in the polar of the
-    cone up to rounding, so a test that fails on the increments spares
-    the projections.  Otherwise y_i = inc_i - K_i.project(inc_i) is the
-    exact projection of inc_i onto the polar (Moreau), and the test is
-    made again on the y_i; h = pinv(M)^T sum y_i solves M^T h = sum y_i
-    whenever that system is solvable.
+    The increment of a cone lies in its polar up to rounding, so a test
+    that fails on the increments spares the projections.  Otherwise
+    y_i = inc_i - K_i.project(inc_i) is the exact projection of inc_i
+    onto the polar (Moreau), and the test is made again on the y_i;
+    h = pinv(M)^T sum y_i solves M^T h = sum y_i whenever that system is
+    solvable.
     """
-    if _farkas_test(affine, offsets, incs) is None:
+    if _farkas_test(affine, incs) is None:
         return None
     ys = [inc - K.project(inc) for K, inc in zip(cones, incs)]
-    passed = _farkas_test(affine, offsets, ys)
+    passed = _farkas_test(affine, ys)
     if passed is None:
         return None
     h, gain, ynorm = passed
@@ -601,16 +576,16 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
     """Dykstra's alternating projections onto the intersection of `sets`.
 
     Returns the final iterate plus convergence diagnostics.  When
-    `sets[0]` is an AffineSet and the others are cones or shifted cones,
-    the increments are tested for a Farkas certificate of emptiness after
-    cycles 1, 2, 4, 8, ...; a certified call returns at once with
-    `farkas` set and `stalled` true.  Otherwise a run without residual
-    progress is reported as stalled; a stall is not a proof that the
-    intersection is empty, only the end of the search.
+    `sets[0]` is an AffineSet and the others are cones with closed-form
+    projections, the increments are tested for a Farkas certificate of
+    emptiness after cycles 1, 2, 4, 8, ...; a certified call returns at
+    once with `farkas` set and `stalled` true.  Otherwise a run without
+    residual progress is reported as stalled; a stall is not a proof
+    that the intersection is empty, only the end of the search.
     """
 
     cap = max_iter if max_iter is not None else tol.max_iter
-    parts = _farkas_parts(sets)
+    cones = _farkas_cones(sets)
     next_check = 1
     z = np.asarray(z0, float).copy()
     incs = [np.zeros_like(z) for _ in sets]
@@ -631,9 +606,9 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
             break
         # a call that stops moving ends within a few moves of every set,
         # so no certificate with a bound above that distance exists
-        if parts is not None and cycle == next_check:
+        if cones is not None and cycle == next_check:
             next_check *= 2
-            cert = _farkas(sets[0], *parts, incs[1:], cycle)
+            cert = _farkas(sets[0], cones, incs[1:], cycle)
             if cert is not None:
                 res = max(S.dist(z) for S in sets)
                 return z, DykstraInfo(res, cycle, False, True, cert)

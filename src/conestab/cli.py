@@ -20,7 +20,7 @@ from .constraint_system import (
     multiplier_solve, srcq_check, nondegeneracy_check,
     strict_complementarity_check, ngamma_graph_deriv_contains,
 )
-from .jsonio import SchemaError, load_json, parse_problem, _field
+from .jsonio import SchemaError, load_json, parse_problem, _vector
 from .stability import (
     PhiPoint, phi_subregularity_probe, solution_map_isolated_calm,
     kkt_isolated_calm, example41_problem, lp_kkt_data,
@@ -54,8 +54,8 @@ def _cert_entry(name, cert):
 def cmd_analyze(args):
     sysm, points = parse_problem(load_json(args.problem))
     pt = load_json(args.point)
-    x = np.asarray(_field(pt, "x", "point"), float)
-    v = np.asarray(pt.get("v", np.zeros(sysm.dim_x)), float)
+    x = _vector(pt, "x", "point")
+    v = _vector(pt, "v", "point", default=np.zeros(sysm.dim_x))
     tol = _make_tol(args.tol)
 
     lines = [f"problem: {sysm.name}  cone: {sysm.cone!r}",
@@ -84,23 +84,20 @@ def cmd_gderiv(args):
     sysm, _ = parse_problem(load_json(args.problem))
     pr = load_json(args.pair)
     tol = _make_tol(args.tol)
-    x, v, lam, d, w = (np.asarray(_field(pr, key, "pair"), float)
+    x, v, lam, d, w = (_vector(pr, key, "pair")
                        for key in ("x", "v", "lam", "d", "w"))
 
     cert = ngamma_graph_deriv_contains(BasePair(sysm, x, v, lam, tol), d, w)
     det = cert.details
     lines = [ASSUMED, CHECKED]
-    for route in "ab":
-        if args.route not in (route, "both"):
-            continue
-        lines.append(f"route {route}: residual="
-                     f"{det.get(f'route_{route}_residual', det['critical_gate']):.3e} "
-                     f"holds={det.get(f'route_{route}_holds', False)}")
-        farkas = det.get(f"route_{route}_farkas")
+    if "fiber_residual" in det:
+        lines.append(f"fiber: residual={det['fiber_residual']:.3e} "
+                     f"holds={det['fiber_holds']}")
+        farkas = det.get("fiber_farkas")
         if farkas is not None:
-            lines.append(f"route {route}: certified empty at cycle "
-                         f"{farkas['cycle']} (residual >= {farkas['bound']:.3e})")
-    if "route_a_residual" not in det:
+            lines.append(f"fiber: certified empty at cycle {farkas['cycle']} "
+                         f"(residual >= {farkas['bound']:.3e})")
+    else:
         lines.append("reason: critical cone violation "
                      f"(gate residual {det['critical_gate']:.3e})")
     lines.append(f"verdict: {cert.verdict}")
@@ -237,7 +234,6 @@ def build_parser():
     pg = sub.add_parser("gderiv", help="graphical-derivative membership")
     pg.add_argument("--problem", required=True)
     pg.add_argument("--pair", required=True)
-    pg.add_argument("--route", choices=["a", "b", "both"], default="both")
     pg.set_defaults(func=cmd_gderiv)
 
     pr = sub.add_parser("repro", help="pinned scenario suites")

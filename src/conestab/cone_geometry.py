@@ -23,11 +23,8 @@ from ._sets import (
 )
 from .cone_core import ConeDesc, AmbientVec
 
-# The derived sets are plain ConvexSet instances.
-ConeSetOracle = ConvexSet
-
 __all__ = [
-    "ConeSetOracle", "Certificate", "critical_cone", "tangent_of_normal",
+    "Certificate", "critical_cone", "tangent_of_normal",
     "normal_of_critical", "subspace_cone_trivial", "radial_probe",
 ]
 
@@ -43,22 +40,22 @@ def _check_graph_pair(K, y, lam, tol):
 
 
 def critical_cone(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
-                  tol: Tol = DEFAULT_TOL) -> ConeSetOracle:
+                  tol: Tol = DEFAULT_TOL) -> ConvexSet:
     """Tangent directions at y orthogonal to the multiplier lam."""
     _check_graph_pair(K, y, lam, tol)
     return K.critical_set(y, lam, tol)
 
 
 def tangent_of_normal(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
-                      tol: Tol = DEFAULT_TOL) -> ConeSetOracle:
+                      tol: Tol = DEFAULT_TOL) -> ConvexSet:
     """Tangent cone to the normal cone N_K(y) at lam, realized as the
     polar of the critical cone."""
     _check_graph_pair(K, y, lam, tol)
     return K.critical_set(y, lam, tol).polar()
 
 
-def normal_of_critical(C: ConeSetOracle, d: AmbientVec,
-                       tol: Tol = DEFAULT_TOL) -> ConeSetOracle:
+def normal_of_critical(C: ConvexSet, d: AmbientVec,
+                       tol: Tol = DEFAULT_TOL) -> ConvexSet:
     """Normal cone to C at d: the polar of C sliced by the hyperplane
     orthogonal to d."""
     if not C.contains(d, tol):
@@ -96,7 +93,7 @@ def _line_cone_trivial(q, C, tol):
                        details=details)
 
 
-def subspace_cone_trivial(L: np.ndarray, C: ConeSetOracle,
+def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
                           tol: Tol = DEFAULT_TOL) -> Certificate:
     """Decide whether span(L) ∩ C = {0}.
 

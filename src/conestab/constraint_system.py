@@ -13,8 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, AffineSet, Hyperplane, ShiftedSet,
-    dykstra,
+    Tol, DEFAULT_TOL, Certificate, AffineSet, Hyperplane, dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec
 from .cone_geometry import subspace_cone_trivial
@@ -207,8 +206,13 @@ def quadratic_system(cone: ConeDesc, Q_list, A, b, name="quadratic") -> Constrai
 # operations
 
 def _require_feasible(sys, x, tol):
-    """g(x), after checking that x and g(x) are finite and g(x) is in K:
-    the one feasibility decision of the package."""
+    """g(x), after checking that x has shape (dim_x,), x and g(x) are
+    finite and g(x) is in K: the one feasibility decision of the
+    package."""
+    x = np.asarray(x, float)
+    if x.shape != (sys.dim_x,):
+        raise ValueError(f"x has shape {x.shape}; the system has dim_x "
+                         f"{sys.dim_x}")
     gx = sys.g(x) if np.all(np.isfinite(x)) else None
     if gx is None or not np.all(np.isfinite(gx)):
         raise ValueError("base point not finite: x or g(x) has a NaN or "
@@ -487,16 +491,19 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     map of the feasible set at the base pair (x, v), for its verified
     multiplier lam.
 
-    Route A solves for xi in the normal cone to the critical cone at
-    g'(x)d with adjoint image w - Hess d - grad-Upsilon correction.
-    Route B solves for mu with adjoint image w - Hess d and validates
-    (g'(x)d, mu) against the cone-level graphical derivative.  The
-    verdict holds only when both routes hold, and fails only at the
-    critical-cone gate or when a route's fiber system carries a Farkas
-    certificate of emptiness (details `route_a_farkas`/`route_b_farkas`);
-    its residual is then the largest certified lower bound.  A route
-    that stalls or converges without holding, with no certificate, is
-    inconclusive.
+    That set is Hess d + J^T DN_K(g(x)|lam)(gd), gd = g'(x)d, where the
+    cone-level derivative is u/2 + N_C(gd) with u = grad Upsilon(gd) and
+    C the critical cone, so N_C(gd) = C° ∩ gd⊥.  Its fiber over w,
+    {mu : J^T mu = w - Hess d, mu in u/2 + N_C(gd)}, is the translate by
+    u/2 of {xi in N_C(gd) : J^T xi = w - Hess d - J^T u/2}, so one
+    Dykstra solve of the latter decides both.  When the fiber holds,
+    (gd, xi + u/2) is checked against the cone-level graphical
+    derivative through the projection derivative (`dnk_contains`,
+    detail `inner_verdict`); the verdict holds only when both hold.  It
+    fails only at the critical-cone gate or when the fiber carries a
+    Farkas certificate of emptiness (detail `fiber_farkas`), whose bound
+    is then the residual.  A fiber that stalls or converges without
+    holding, with no certificate, is inconclusive.
     """
     sys, gx, lam, tol = pair.sys, pair.gx, pair.lam, pair.tol
     d = np.asarray(d, float)
@@ -513,60 +520,40 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
                            assumptions=(SUBREG_ASSUMPTION,),
                            checked=checked, details=details)
 
-    def solve(rhs, cones):
-        # Dykstra on {Jt z = rhs} and `cones` from the least-squares seed
-        sets = [AffineSet(Jt, rhs)] + cones
-        z, info = dykstra(sets, np.linalg.lstsq(Jt, rhs, rcond=None)[0], tol)
-        res = max(float(np.linalg.norm(Jt @ z - rhs)),
-                  max(S.dist(z) for S in cones))
-        sc = 1.0 + float(np.linalg.norm(z))
-        return z, info, res, res <= tol.membership * sc * scale
-
     gate = pair.critical.dist(gd)
     details = {"critical_gate": gate}
     if gate > tol.membership * scale:
         return verdict("fails", gate, np.concatenate([d, w]),
                        "critical-cone gate on g'(x)d")
 
-    Hd = pair.hess @ d
+    # xi in C° (∩ gd⊥ when gd is not 0) with J^T xi = w - Hd - J^T u / 2
     u = sys.cone.upsilon_grad(gx, lam, gd, tol)
-    Cp = pair.critical_polar
-    nz = float(np.linalg.norm(gd)) > tol.zero * (1 + np.linalg.norm(gx))
-
-    # Route A: xi in N_C(gd) with Jt xi = w - Hd - Jt u / 2
-    xi, info_a, res_a, holds_a = solve(
-        w - Hd - 0.5 * (Jt @ u), [Cp] + ([Hyperplane(gd)] if nz else []))
-    details["route_a_residual"] = res_a
-
-    # Route B: mu with Jt mu = w - Hd and (gd, mu) in the cone-level
-    # graphical derivative, parameterized as u/2 + (polar critical ∩ gd⊥)
-    shift = 0.5 * u
-    mu, info_b, res_b, holds_b = solve(
-        w - Hd, [ShiftedSet(Cp, shift)]
-        + ([ShiftedSet(Hyperplane(gd), shift)] if nz else []))
-    if holds_b:
-        inner = dnk_contains(sys.cone, pair.graph_point, gd, mu, tol)
-        details["route_b_inner_verdict"] = inner.verdict
-        holds_b = inner.verdict == "holds"
-    details["route_b_residual"] = res_b
-    details["route_a_holds"] = bool(holds_a)
-    details["route_b_holds"] = bool(holds_b)
-    bounds = []
-    for name, info in (("route_a_farkas", info_a), ("route_b_farkas", info_b)):
-        if info.farkas is not None:
-            details[name] = info.farkas._asdict()
-            bounds.append(info.farkas.bound)
+    rhs = w - pair.hess @ d - 0.5 * (Jt @ u)
+    cones = [pair.critical_polar]
+    if float(np.linalg.norm(gd)) > tol.zero * (1 + np.linalg.norm(gx)):
+        cones.append(Hyperplane(gd))
+    xi, info = dykstra([AffineSet(Jt, rhs)] + cones,
+                       np.linalg.lstsq(Jt, rhs, rcond=None)[0], tol)
+    res = max(float(np.linalg.norm(Jt @ xi - rhs)),
+              max(S.dist(xi) for S in cones))
+    holds = res <= tol.membership * (1.0 + float(np.linalg.norm(xi))) * scale
+    details["fiber_residual"] = res
+    details["fiber_holds"] = bool(holds)
+    if info.farkas is not None:
+        details["fiber_farkas"] = info.farkas._asdict()
 
     method = ("normal-of-critical fiber solve + cone-level graphical "
-              "derivative solve (dual routes)")
-    res = max(res_a, res_b)
-    if holds_a and holds_b:
-        return verdict("holds", res, xi, method)
-    if holds_a or holds_b:
+              "derivative check")
+    if holds:
+        inner = dnk_contains(sys.cone, pair.graph_point, gd, xi + 0.5 * u,
+                             tol)
+        details["inner_verdict"] = inner.verdict
+        if inner.verdict == "holds":
+            return verdict("holds", res, xi, method)
         return verdict("inconclusive", res, None,
-                       method + " (route disagreement)")
-    if bounds:
-        return verdict("fails", max(bounds), np.concatenate([d, w]),
-                       method + " (Farkas certificate of an empty route)")
+                       method + " (cone-level check disagrees)")
+    if info.farkas is not None:
+        return verdict("fails", info.farkas.bound, np.concatenate([d, w]),
+                       method + " (Farkas certificate of an empty fiber)")
     return verdict("inconclusive", res, None,
                    method + " (no Farkas certificate)")

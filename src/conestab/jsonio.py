@@ -42,6 +42,26 @@ def _field(obj, key, where):
     return obj[key]
 
 
+def _vector(obj, key, where, default=None):
+    """Field `key` of `obj` as a float vector; `default` when the field is
+    absent and a default is given.  SchemaError unless the field is a
+    1-D list of finite numbers."""
+    if default is not None and isinstance(obj, dict) and key not in obj:
+        return default
+    value = _field(obj, key, where)
+    try:
+        vec = np.asarray(value, float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}.{key}: {exc}") from exc
+    if vec.ndim != 1:
+        raise SchemaError(f"{where}.{key}: expected a flat list of numbers, "
+                          f"got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise SchemaError(f"{where}.{key}: not finite (a NaN or infinite "
+                          "entry)")
+    return vec
+
+
 # block kind -> (class, size key); Zero and Free carry no sign
 _KINDS = {"orthant": (Orthant, "dim"), "soc": (SOC, "dim"),
           "psd": (PSD, "order"), "zero": (Zero, "dim"), "free": (Free, "dim")}

@@ -282,47 +282,39 @@ def test_criterion_9_graph_derivative_referee():
 
 def _check_fails_certificate(pair, d, w, cert):
     """A `fails` from ngamma_graph_deriv_contains: either the critical-cone
-    gate fired, or some route's Farkas certificate re-verifies against
-    that route's fiber system, rebuilt here from its definition.  Returns
-    the number of certificates checked."""
+    gate fired, or the fiber's Farkas certificate re-verifies against the
+    fiber system, rebuilt here from its definition.  Returns the number
+    of certificates checked."""
     tol = pair.tol
     scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
     det = cert.details
-    if "route_a_residual" not in det:
+    if "fiber_residual" not in det:
         assert det["critical_gate"] > tol.membership * scale
         return 0
+    assert "fiber_farkas" in det, "fails past the gate without a Farkas " \
+        "certificate"
     gd = pair.J @ d
     u = pair.sys.cone.upsilon_grad(pair.gx, pair.lam, gd, tol)
-    Hd = pair.hess @ d
-    # route A: J^T xi = w - Hd - J^T u / 2, xi in C° (∩ gd⊥);
-    # route B: J^T mu = w - Hd, mu in u / 2 + C° (∩ u / 2 + gd⊥)
-    fibers = {"route_a_farkas": (w - Hd - 0.5 * (pair.J.T @ u), 0.0 * u),
-              "route_b_farkas": (w - Hd, 0.5 * u)}
-    checked = 0
-    bounds = []
-    for key, (rhs, offset) in fibers.items():
-        if key not in det:
-            continue
-        h, ys, bound = det[key]["h"], det[key]["y"], det[key]["bound"]
-        total = np.sum(ys, axis=0)
-        assert np.linalg.norm(pair.J @ h - total) <= 1e-12 * (
-            1.0 + np.linalg.norm(pair.J) * np.linalg.norm(h))
-        gain = float(h @ rhs) - float(total @ offset)
-        assert gain > 0.0
-        assert bound == pytest.approx(
-            gain / (np.linalg.norm(h) + sum(np.linalg.norm(y) for y in ys)),
-            rel=1e-12)
-        # y_0 in the polar of C° (which is C); y_1 in the polar of gd⊥
-        assert pair.critical.dist(ys[0]) <= 1e-12 * (1 + np.linalg.norm(ys[0]))
-        if len(ys) == 2:
-            a = gd / np.linalg.norm(gd)
-            assert np.linalg.norm(ys[1] - (ys[1] @ a) * a) <= 1e-12 * (
-                1 + np.linalg.norm(ys[1]))
-        bounds.append(bound)
-        checked += 1
-    assert checked > 0, "fails past the gate without a Farkas certificate"
-    assert cert.residual == max(bounds)
-    return checked
+    # the fiber: J^T xi = w - Hd - J^T u / 2, xi in C° (∩ gd⊥)
+    rhs = w - pair.hess @ d - 0.5 * (pair.J.T @ u)
+    farkas = det["fiber_farkas"]
+    h, ys, bound = farkas["h"], farkas["y"], farkas["bound"]
+    total = np.sum(ys, axis=0)
+    assert np.linalg.norm(pair.J @ h - total) <= 1e-12 * (
+        1.0 + np.linalg.norm(pair.J) * np.linalg.norm(h))
+    gain = float(h @ rhs)
+    assert gain > 0.0
+    assert bound == pytest.approx(
+        gain / (np.linalg.norm(h) + sum(np.linalg.norm(y) for y in ys)),
+        rel=1e-12)
+    # y_0 in the polar of C° (which is C); y_1 in the polar of gd⊥
+    assert pair.critical.dist(ys[0]) <= 1e-12 * (1 + np.linalg.norm(ys[0]))
+    if len(ys) == 2:
+        a = gd / np.linalg.norm(gd)
+        assert np.linalg.norm(ys[1] - (ys[1] @ a) * a) <= 1e-12 * (
+            1 + np.linalg.norm(ys[1]))
+    assert cert.residual == bound
+    return 1
 
 
 def test_ngamma_fails_only_at_gate_or_with_certificate(monkeypatch):
@@ -374,12 +366,11 @@ def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
     spiked = 0
     for (d, w), old in zip(pairs, before):
         cert = ngamma_graph_deriv_contains(pair, d, w)
-        if "route_a_farkas" in old.details or "route_b_farkas" in old.details:
+        if "fiber_farkas" in old.details:
             spiked += 1
             assert cert.verdict == "inconclusive"
             assert cert.method.endswith("(no Farkas certificate)")
-            assert cert.residual == max(cert.details["route_a_residual"],
-                                        cert.details["route_b_residual"])
+            assert cert.residual == cert.details["fiber_residual"]
         else:
             assert cert.verdict == old.verdict
     assert spiked == 12

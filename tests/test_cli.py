@@ -63,6 +63,38 @@ def test_analyze_nan_point_exits_2(tmp_path, capsys):
     assert "not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("x", [[-1, -1], [[-1, -1, 0]]])
+def test_analyze_wrong_shape_x_on_builtin_exits_2(tmp_path, capsys, x):
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    point = _write(tmp_path / "pt.json", {"x": x})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err and "Traceback" not in err
+
+
+def test_analyze_nan_multiplier_target_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    point = _write(tmp_path / "pt.json",
+                   {"x": [-1, -1, 0], "v": [0, 0, float("nan")]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert "input error: point.v: not finite" in err
+
+
+@pytest.mark.parametrize("key, value", [("d", [0, 0, float("nan")]),
+                                        ("w", [0, 0, float("inf")])])
+def test_gderiv_non_finite_direction_exits_2(tmp_path, capsys, key, value):
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    fields = {"x": [-1, -1, 0], "v": [0, 0, 0], "lam": [0, 0, 0, 0],
+              "d": [0, 0, 0], "w": [0, 0, 0]}
+    fields[key] = value
+    pair = _write(tmp_path / "pair.json", fields)
+    assert main(["gderiv", "--problem", problem, "--pair", pair]) == 2
+    out, err = capsys.readouterr()
+    assert f"input error: pair.{key}: not finite" in err
+    assert "verdict" not in out
+
+
 def test_missing_point_fields_exit_2(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     point = _write(tmp_path / "pt.json", {"v": [0, 0, 0]})
@@ -90,22 +122,21 @@ def test_gderiv_member_and_gate_reason(tmp_path, capsys):
     assert main(["gderiv", "--problem", problem, "--pair", member]) == 0
     out = capsys.readouterr().out
     assert "verdict: holds" in out
-    assert "route a:" in out and "route b:" in out
+    assert "fiber: residual=" in out and "holds=True" in out
 
     gate = _write(tmp_path / "gate.json", {
         "x": [-1, -1, 0], "v": [0, 0, 0], "lam": [0, 0, 0, 0],
         "d": [0, 0, -1], "w": [0, 0, 0]})
-    assert main(["gderiv", "--problem", problem, "--pair", gate,
-                 "--route", "a"]) == 0
+    assert main(["gderiv", "--problem", problem, "--pair", gate]) == 0
     out = capsys.readouterr().out
     assert "verdict: fails" in out
     assert "critical cone violation" in out
-    assert "route b:" not in out
+    assert "fiber:" not in out
 
 
 def test_gderiv_reports_farkas_certificates(tmp_path, capsys):
-    # d = 0 and w the adjoint image of an interior direction of K: both
-    # fibers are empty, certified from the first cycle
+    # d = 0 and w the adjoint image of an interior direction of K: the
+    # fiber is empty, certified from the first cycle
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     pair = _write(tmp_path / "pair.json", {
         "x": [-1, -1, 0], "v": [0, 0, 0], "lam": [0, 0, 0, 0],
@@ -113,18 +144,16 @@ def test_gderiv_reports_farkas_certificates(tmp_path, capsys):
     assert main(["gderiv", "--problem", problem, "--pair", pair]) == 0
     out = capsys.readouterr().out
     assert "verdict: fails" in out
-    for route in "ab":
-        assert f"route {route}: certified empty at cycle 1 (residual >= " in out
+    assert "fiber: residual=" in out and "holds=False" in out
+    assert "fiber: certified empty at cycle 1 (residual >= " in out
 
     assert main(["gderiv", "--problem", problem, "--pair", pair,
                  "--report", "json"]) == 0
     cert = json.loads(capsys.readouterr().out)["certificates"][0]
-    for key in ("route_a_farkas", "route_b_farkas"):
-        farkas = cert["details"][key]
-        assert set(farkas) == {"h", "y", "bound", "cycle"}
-        assert farkas["cycle"] == 1 and farkas["bound"] > 0
-    assert cert["residual"] == max(cert["details"][k]["bound"]
-                                   for k in ("route_a_farkas", "route_b_farkas"))
+    farkas = cert["details"]["fiber_farkas"]
+    assert set(farkas) == {"h", "y", "bound", "cycle"}
+    assert farkas["cycle"] == 1 and farkas["bound"] > 0
+    assert cert["residual"] == farkas["bound"]
 
 
 def test_custom_tolerance_accepted(tmp_path, capsys):

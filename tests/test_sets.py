@@ -3,7 +3,7 @@ import pytest
 
 from conestab._sets import (
     Tol, DEFAULT_TOL, SignPattern, SOCLike, Halfspace, Hyperplane, Ray,
-    LineSpan, Subspace, AffineSet, ProductSet, ShiftedSet, ZeroSet,
+    LineSpan, Subspace, AffineSet, ProductSet, ZeroSet,
     FullSpace, Intersection, PSDBlockSet, dykstra, _eig_clip, _norm,
 )
 from conestab.symmat import svec, smat
@@ -171,24 +171,6 @@ def test_dykstra_certifies_empty_fiber_at_cycle_1():
         assert worst >= cert.bound * (1 - 1e-12)
 
 
-def test_dykstra_certificate_uses_the_shift():
-    # {x1 + x2 = 1} meets R^2_+ but not (1, 1) + R^2_+: <h, b> = -1/2 is
-    # negative, and only the offset term -<y, o> = 1 makes the gain 1/2
-    A = AffineSet(np.array([[1.0, 1.0]]), np.array([1.0]))
-    o = np.array([1.0, 1.0])
-    z, info = dykstra([A, ShiftedSet(SignPattern([1, 1]), o)],
-                      np.array([0.5, 0.5]))
-    cert = info.farkas
-    assert cert is not None and cert.cycle == 1
-    y = cert.y[0]
-    assert np.all(y <= 0.0)
-    assert A.M.T @ cert.h == pytest.approx(y, abs=1e-15)
-    assert float(cert.h @ A.b) < 0.0
-    assert float(cert.h @ A.b) - float(y @ o) == pytest.approx(0.5, abs=1e-15)
-    _, plain = dykstra([A, SignPattern([1, 1])], np.array([0.5, 0.5]))
-    assert plain.converged and plain.farkas is None
-
-
 @pytest.mark.parametrize("case", range(4))
 def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
     # a feasible fiber ∩ cone system gives no certificate, the iterates
@@ -199,9 +181,9 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
     tried = []
     real = _sets._farkas
 
-    def spy(affine, cones, offsets, incs, cycle):
+    def spy(affine, cones, incs, cycle):
         tried.append(cycle)
-        return real(affine, cones, offsets, incs, cycle)
+        return real(affine, cones, incs, cycle)
 
     monkeypatch.setattr(_sets, "_farkas", spy)
     rng = np.random.default_rng(40 + case)
@@ -209,8 +191,10 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
     M = rng.standard_normal((n, m))
     cones = [ProductSet([SOCLike(3), SignPattern([1, -1])])]
     if case % 2:
-        cones = [ShiftedSet(cones[0], rng.standard_normal(m)),
-                 Hyperplane(rng.standard_normal(m))]
+        # one unused draw: the hyperplane after it keeps these fibers
+        # running past cycle 8
+        rng.standard_normal(m)
+        cones = [cones[0], Hyperplane(rng.standard_normal(m))]
     member = cones[0].project(rng.standard_normal(m) * 2)
     if case % 2:
         member = Intersection(cones, max_iter=10000).project(member)
@@ -225,20 +209,30 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
     assert (info.residual, info.cycles, info.converged, info.stalled) == ref
 
 
+def test_dykstra_rejects_a_nan_certificate():
+    # every comparison with NaN is false, so each certificate test must
+    # accept only when its condition holds
+    for b in (np.nan, np.inf):
+        A = AffineSet(np.array([[1.0, 1.0]]), np.array([b]))
+        with np.errstate(invalid="ignore"):
+            _, info = dykstra([A, SignPattern([1, 1])], np.zeros(2),
+                              max_iter=4)
+        assert info.farkas is None
+
+
 def test_dykstra_certificate_needs_exact_cone_projections():
     # an Intersection projects by Dykstra itself, so Moreau's identity
     # holds only approximately and no certificate is read from it
-    from conestab._sets import _farkas_parts, PolarCone
+    from conestab._sets import _farkas_cones, PolarCone
 
     A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
     quarter = Intersection([Halfspace(np.array([-1.0, 0.0])),
                             Halfspace(np.array([0.0, -1.0]))])
     assert not quarter.exact and not PolarCone(quarter).exact
-    assert not ShiftedSet(quarter, np.zeros(2)).exact
     assert not ProductSet([SignPattern([1]), quarter]).exact
-    assert _farkas_parts([A, quarter]) is None
-    assert _farkas_parts([quarter, A]) is None
-    assert _farkas_parts([A, SignPattern([1, 1])]) is not None
+    assert _farkas_cones([A, quarter]) is None
+    assert _farkas_cones([quarter, A]) is None
+    assert _farkas_cones([A, SignPattern([1, 1])]) is not None
     _, info = dykstra([A, quarter], np.array([-0.5, -0.5]))
     assert info.farkas is None
 
@@ -249,11 +243,6 @@ def test_intersection_contains_and_dist():
     assert I.contains(np.array([2.0, 0.0]))
     assert not I.contains(np.array([-1.0, 0.0]))
     assert I.dist(np.array([3.0, 1.0])) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_shifted_set():
-    S = ShiftedSet(SignPattern([1, 1]), np.array([1.0, -1.0]))
-    assert np.allclose(S.project(np.array([0.0, 0.0])), [1.0, 0.0])
 
 
 def test_tol_halved():

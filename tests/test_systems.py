@@ -183,7 +183,8 @@ def test_ngamma_graph_deriv_trivial_pair_holds():
         BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)),
         np.zeros(3), np.zeros(3))
     assert cert.verdict == "holds"
-    assert cert.details["route_a_holds"] and cert.details["route_b_holds"]
+    assert cert.details["fiber_holds"]
+    assert cert.details["inner_verdict"] == "holds"
     assert len(cert.assumptions) == 1
 
 
@@ -203,7 +204,7 @@ def test_ngamma_graph_deriv_gate_fails_fast():
         BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)),
         np.array([0.0, 0.0, -1.0]), np.zeros(3))
     assert cert.verdict == "fails"
-    assert "route_a_residual" not in cert.details
+    assert "fiber_residual" not in cert.details
     assert cert.details["critical_gate"] > 1e-6
 
 
@@ -216,6 +217,32 @@ def test_ngamma_graph_deriv_fails_on_wrong_dual_motion():
     cert = ngamma_graph_deriv_contains(
         BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)), np.zeros(3), w)
     assert cert.verdict == "fails"
+
+
+def test_ngamma_fiber_translates_to_the_cone_level_fiber():
+    # mu = xi + u/2 solves the cone-level fiber J^T mu = w - Hd,
+    # mu in u/2 + (C° ∩ gd⊥), for the fiber solution xi of each member
+    from conestab.stability import ngamma_tangent_generate
+
+    pair = BasePair(example1_system(), XBAR1, np.zeros(3), np.zeros(4))
+    tol = pair.tol
+    members = ngamma_tangent_generate(pair, count=25, seed=4)
+    held = 0
+    for d, w in members:
+        cert = ngamma_graph_deriv_contains(pair, d, w)
+        if cert.verdict != "holds":
+            continue
+        held += 1
+        gd = pair.J @ d
+        u = pair.sys.cone.upsilon_grad(pair.gx, pair.lam, gd, tol)
+        mu = cert.witness + 0.5 * u
+        scale = (1.0 + np.linalg.norm(d) + np.linalg.norm(w)) * (
+            1.0 + np.linalg.norm(mu))
+        assert np.linalg.norm(pair.J.T @ mu - (w - pair.hess @ d)) <= (
+            tol.membership * scale)
+        assert pair.critical_polar.dist(mu - 0.5 * u) <= tol.membership * scale
+        assert abs(float(gd @ (mu - 0.5 * u))) <= tol.membership * scale
+    assert held == 25
 
 
 def test_ngamma_graph_deriv_carries_srcq_note():

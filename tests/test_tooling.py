@@ -121,6 +121,43 @@ def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted, analyze,
     assert calls["decisions"] > 2 and calls["dykstra"] == 0
 
 
+def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
+    # a gate-passing direction costs exactly one Dykstra call, a gate
+    # rejection none
+    from conestab import constraint_system, stability
+    from test_acceptance import _criterion_9_pairs
+
+    dykstra_calls = []
+    dykstra, decide = constraint_system.dykstra, \
+        constraint_system.ngamma_graph_deriv_contains
+    counts = {"gated": [], "passed": []}
+
+    def counted_dykstra(*args, **kwargs):
+        dykstra_calls.append(1)
+        return dykstra(*args, **kwargs)
+
+    def counted_decide(*args, **kwargs):
+        before = len(dykstra_calls)
+        cert = decide(*args, **kwargs)
+        key = "gated" if cert.method == "critical-cone gate on g'(x)d" \
+            else "passed"
+        counts[key].append(len(dykstra_calls) - before)
+        return cert
+
+    monkeypatch.setattr(constraint_system, "dykstra", counted_dykstra)
+    monkeypatch.setattr(stability, "ngamma_graph_deriv_contains",
+                        counted_decide)
+    pair, pairs = _criterion_9_pairs()
+    for d, w in pairs:
+        counted_decide(pair, d, w)
+    problem = stability.example41_problem()
+    assert stability.solution_map_isolated_calm(
+        problem, problem.lam_hint).verdict == "holds"
+    assert len(counts["gated"]) + len(counts["passed"]) == 50 + 256
+    assert len(counts["passed"]) == 37 + 2
+    assert set(counts["passed"]) == {1} and set(counts["gated"]) == {0}
+
+
 def _independent_strict_complementarity(sys, x, v):
     """Reference strict-complementarity certificate, computed from a
     separate re-seeded multiplier search of its own."""
