@@ -64,7 +64,8 @@ def cmd_analyze(args):
     # raises on a non-finite or infeasible point (exit 2)
     mres = multiplier_solve(sysm, x, v, tol)
     lines.append(f"multiplier: {'found' if mres.found else 'not found'} "
-                 f"residual={mres.residual:.3e} members={len(mres.members)}")
+                 f"residual={mres.residual:.3e} members={len(mres.members)} "
+                 f"route={mres.route}")
     if mres.found:
         certs.append(_cert_entry("srcq", mres.srcq))
         lines.append(f"srcq: {mres.srcq.verdict}")

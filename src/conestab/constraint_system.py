@@ -10,6 +10,7 @@ is assumed, never computed.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 import numpy as np
 
 from ._sets import (
@@ -297,6 +298,8 @@ class MultiplierSolveResult:
     """Outcome of the multiplier search for v = grad g(x) lambda with
     lambda in N_K(g(x)).
 
+    `route` names how the multiplier was sought: "span-N solve" (the
+    exact solve over span N_K(g(x))) or "re-seeded search" (Dykstra).
     A search run with uniqueness that finds a multiplier also keeps its
     verified base pair at `lam` (`pair`) and the raw strict Robinson
     certificate at that pair (`srcq`); `uniqueness` is that certificate,
@@ -311,29 +314,85 @@ class MultiplierSolveResult:
     uniqueness: Certificate | None = None
     srcq: Certificate | None = None
     pair: BasePair | None = None
+    route: str = "re-seeded search"
 
     @property
     def residual(self):
         return max(self.residual_affine, self.residual_cone)
 
 
+def _span_normal_solve(Jt, v, Lin, tol):
+    """The only possible multiplier when the adjoint Jt is injective on
+    span N = Lin^perp (rank cut as in `_null_basis`): B lstsq(Jt B, v)
+    for an orthonormal basis B of span N.  Any multiplier lam' lies in
+    span N and solves Jt lam' = v, so it equals this one.  None when Jt
+    B is not injective."""
+    B = _null_basis(Lin.T, tol)
+    if B.shape[1] == 0:
+        return np.zeros(Jt.shape[1])
+    if B.shape[1] > Jt.shape[0]:
+        return None
+    u, s, vt = np.linalg.svd(Jt @ B, full_matrices=False)
+    if not s[-1] > tol.zero * s[0]:
+        return None
+    return B @ (vt.T @ ((u.T @ v) / s))
+
+
 def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
                      with_uniqueness=True, reseed=True) -> MultiplierSolveResult:
-    """Find lambda in N_K(g(x)) with grad g(x) lambda = v, by alternating
-    projections between the affine fiber and the normal cone.
+    """Find lambda in N_K(g(x)) with grad g(x) lambda = v.
 
-    The seed is the least-squares solution of the affine system; the
+    The exact route comes first: when the adjoint is injective on span
+    N_K(g(x)), one least-squares solve over that span gives the only
+    possible multiplier, and it is accepted when it verifies (route
+    "span-N solve", one member).  Otherwise, or when that candidate
+    fails verification, alternating projections run between the affine
+    fiber and the normal cone (route "re-seeded search"): the seed is
+    the least-squares solution of the affine system, and the
     deterministic re-seeding schedule walks signed kernel directions of
-    the adjoint to probe non-uniqueness.  A stall of the alternating
-    scheme above tolerance is the emptiness signal (v outside the image).
+    the adjoint to probe non-uniqueness.  A stall of the search above
+    tolerance is read as v outside the image ("not found").  Raises
+    ValueError when v is not finite.
     """
     gx = _require_feasible(sys, x, tol)
     v = np.asarray(v, float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v not finite: it has a NaN or infinite entry")
     Jt = sys.jacobian(x).T
     N = sys.cone.normal_set(gx, tol)
+
+    def check(lam):
+        ra = float(np.linalg.norm(Jt @ lam - v))
+        rc = N.dist(lam)
+        scale = 1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v))
+        bound = tol.membership * scale
+        return ra, rc, ra <= bound and rc <= bound, scale
+
+    lam = _span_normal_solve(Jt, v, sys.cone.tangent_lineality(gx, tol), tol)
+    ra, rc, ok, _ = check(lam) if lam is not None else (0.0, 0.0, False, 0.0)
+    if ok:
+        res = MultiplierSolveResult(lam, ra, rc, True, [lam],
+                                    route="span-N solve")
+    else:
+        res = _reseeded_search(Jt, v, N, check, tol, reseed)
+    if res.found and with_uniqueness:
+        res.pair = BasePair(sys, x, v, res.lam, tol)
+        res.srcq = res.uniqueness = srcq_check(res.pair)
+        if len(res.members) > 1 and res.srcq.verdict == "holds":
+            # distinct verified members trump the subspace probe
+            res.uniqueness = Certificate(
+                "fails", 0.0, res.members[1] - res.members[0],
+                "distinct verified members", tol)
+    return res
+
+
+def _reseeded_search(Jt, v, N, check, tol, reseed):
+    """Dykstra on the fiber {Jt lam = v} and N from the least-squares
+    seed and, with `reseed`, from the seed moved each way along each
+    adjoint-kernel direction; the best iterate and the distinct verified
+    members."""
     fiber = AffineSet(Jt, v)
     seed0, *_ = np.linalg.lstsq(Jt, v, rcond=None)
-
     ker = _null_basis(Jt, tol)
     seeds = [seed0]
     if reseed:
@@ -346,10 +405,7 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
     best = None
     for seed in seeds:
         lam, info = dykstra([fiber, N], seed, tol)
-        ra = float(np.linalg.norm(Jt @ lam - v))
-        rc = N.dist(lam)
-        scale = 1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v))
-        ok = max(ra, rc) <= tol.membership * scale
+        ra, rc, ok, scale = check(lam)
         if best is None or max(ra, rc) < best[1]:
             best = (lam, max(ra, rc), ra, rc, ok)
         if ok and not any(np.linalg.norm(lam - m) <= 1e-6 * scale
@@ -357,16 +413,7 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
             members.append(lam)
 
     lam, _, ra, rc, ok = best
-    res = MultiplierSolveResult(lam, ra, rc, ok, members)
-    if ok and with_uniqueness:
-        res.pair = BasePair(sys, x, v, lam, tol)
-        res.srcq = res.uniqueness = srcq_check(res.pair)
-        if len(members) > 1 and res.srcq.verdict == "holds":
-            # distinct verified members trump the subspace probe
-            res.uniqueness = Certificate(
-                "fails", 0.0, members[1] - members[0],
-                "distinct verified members", tol)
-    return res
+    return MultiplierSolveResult(lam, ra, rc, ok, members)
 
 
 class NGammaImage:
@@ -503,14 +550,19 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     fails only at the critical-cone gate or when the fiber carries a
     Farkas certificate of emptiness (detail `fiber_farkas`), whose bound
     is then the residual.  A fiber that stalls or converges without
-    holding, with no certificate, is inconclusive.
+    holding, with no certificate, is inconclusive.  Raises ValueError
+    when d or w is not finite.
     """
     sys, gx, lam, tol = pair.sys, pair.gx, pair.lam, pair.tol
     d = np.asarray(d, float)
     w = np.asarray(w, float)
+    scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
+    if not math.isfinite(scale):
+        bad = [n for n, z in (("d", d), ("w", w)) if not np.isfinite(z).all()]
+        raise ValueError(f"{' and '.join(bad)} not finite: NaN or infinite "
+                         "entries" if bad else "the norm of (d, w) overflows")
     Jt = pair.J.T
     gd = pair.J @ d
-    scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
     checked = ()
     if srcq is not None:
         checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)

@@ -106,6 +106,44 @@ def test_multiplier_example3_segment():
     assert res.uniqueness.witness is not None
 
 
+def test_multiplier_solve_rejects_non_finite_v():
+    with pytest.raises(ValueError, match="v not finite"):
+        multiplier_solve(example1_system(), XBAR1, [np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="v not finite"):
+        NGammaImage(example1_system(), XBAR1).contains([0.0, np.inf, 0.0])
+
+
+@pytest.mark.parametrize("srcq_holds", [True, False])
+def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
+                                                              srcq_holds):
+    # the reference is one Dykstra run from the least-squares seed, made
+    # here and not through multiplier_solve.  With a unique multiplier
+    # (srcq holds) the exact span-N route must land on it and on the
+    # planted multiplier; on a segment the search's first member is that
+    # same run, and lam is one of its verified members
+    from conestab import _sets
+
+    for seed in range(20):
+        sys, x, v, lam, _ = planted(100 + seed, srcq_holds)
+        Jt = sys.jacobian(x).T
+        N = sys.cone.normal_set(sys.g(x), DEFAULT_TOL)
+        ref, _ = _sets.dykstra([_sets.AffineSet(Jt, v), N],
+                               np.linalg.lstsq(Jt, v, rcond=None)[0])
+        scale = 1.0 + np.linalg.norm(ref) + np.linalg.norm(v)
+        res = multiplier_solve(sys, x, v)
+        assert res.found, seed
+        if srcq_holds:
+            assert res.route == "span-N solve" and len(res.members) == 1
+            got = res.lam
+            assert np.linalg.norm(res.lam - lam) <= \
+                1e-8 * (1.0 + np.linalg.norm(lam)), seed
+        else:
+            assert res.route == "re-seeded search" and len(res.members) > 1
+            got = res.members[0]
+            assert any(m is res.lam for m in res.members)
+        assert np.linalg.norm(got - ref) <= 1e-6 * scale, seed
+
+
 def test_srcq_example1_both_verdicts():
     sys = example1_system()
     holds = srcq_check(BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)))
@@ -206,6 +244,17 @@ def test_ngamma_graph_deriv_gate_fails_fast():
     assert cert.verdict == "fails"
     assert "fiber_residual" not in cert.details
     assert cert.details["critical_gate"] > 1e-6
+
+
+@pytest.mark.parametrize("d,w,name", [
+    ([0.0, 0.0, np.nan], np.zeros(3), "d"),
+    (np.zeros(3), [0.0, np.inf, 0.0], "w")])
+def test_ngamma_graph_deriv_rejects_non_finite_input(d, w, name):
+    # a NaN direction used to pass the critical-cone gate (the comparison
+    # is False for NaN) and end as inconclusive with residual nan
+    pair = BasePair(example1_system(), XBAR1, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match=f"{name} not finite"):
+        ngamma_graph_deriv_contains(pair, d, w)
 
 
 def test_ngamma_graph_deriv_fails_on_wrong_dual_motion():

@@ -22,9 +22,12 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _bench_spans():
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+def _bench_module(name):
+    """bench/<name>.py, loaded read-only without putting bench/ on the
+    import path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+        f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -34,7 +37,7 @@ def test_bench_tracer_targets_resolve():
     # the tracer wraps these names from outside the package; a rename
     # would silently drop a layer from the per-layer metrics
     missing = []
-    for modname, attr, _ in _bench_spans().TARGETS:
+    for modname, attr, _ in _bench_module("spans").TARGETS:
         owner = importlib.import_module(modname)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
@@ -156,6 +159,59 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
     assert len(counts["gated"]) + len(counts["passed"]) == 50 + 256
     assert len(counts["passed"]) == 37 + 2
     assert set(counts["passed"]) == {1} and set(counts["gated"]) == {0}
+
+
+def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
+                                                       analyze):
+    # an adjoint injective on span N_K(g(x)) leaves one candidate, solved
+    # exactly; a kernel line inside that span keeps the 1 + 2 dim ker
+    # re-seeded searches and their distinct members
+    from conestab import constraint_system
+
+    calls = []
+    dykstra = constraint_system.dykstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dykstra(*args, **kwargs)
+
+    monkeypatch.setattr(constraint_system, "dykstra", counted)
+    for seed, srcq_holds, n_calls, members, route in (
+            (3, True, 0, 1, "span-N solve"),
+            (7, True, 0, 1, "span-N solve"),
+            (3, False, 3, 2, "re-seeded search"),
+            (5, False, 3, 3, "re-seeded search")):
+        del calls[:]
+        _, x, v, _, problem = planted(seed, srcq_holds)
+        rc, report = analyze(problem, {"x": x, "v": v})
+        assert rc == 0
+        line = next(l for l in report["lines"]
+                    if l.startswith("multiplier:"))
+        assert line.startswith("multiplier: found")
+        assert line.endswith(f" members={members} route={route}"), line
+        assert len(calls) == n_calls, (seed, srcq_holds)
+
+
+def test_qualify_pinned_instances_find_the_planted_multiplier():
+    # Gaussian systems on which the re-seeded search stalled and read the
+    # stall as "not found"; the adjoint is injective on span N there
+    from conestab.constraint_system import (
+        affine_system, multiplier_solve, strict_complementarity_check)
+
+    wl = _bench_module("workloads")
+    for pin_seed, (shape, n) in wl.Qualify.PINNED:
+        item = wl.Qualify._instance(np.random.default_rng(pin_seed), shape,
+                                    n, conditioned=False)
+        sys = affine_system(wl.make_cone(item["blocks"]), item["A"],
+                            item["b"])
+        res = multiplier_solve(sys, item["x"], item["v"])
+        lam = item["lam"]
+        assert res.found and len(res.members) == 1, pin_seed
+        assert res.route == "span-N solve"
+        assert np.linalg.norm(res.lam - lam) <= \
+            1e-8 * (1.0 + np.linalg.norm(lam)), pin_seed
+        assert res.srcq.verdict == "holds"
+        assert strict_complementarity_check(res).verdict == "holds"
 
 
 def _independent_strict_complementarity(sys, x, v):
