@@ -488,7 +488,8 @@ def nondegeneracy_check(sys: ConstraintSystem, x,
 
 def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
     """Existence of a relative-interior multiplier for the (x, v) of the
-    re-seeded multiplier search `res` (run with uniqueness).
+    multiplier search `res` (run with uniqueness); the method string names
+    its route.
 
     Candidates are the search's members plus convex averages of distinct
     members (averaging pushes toward the relative interior of the
@@ -502,7 +503,7 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
         raise ValueError("strict complementarity needs a multiplier search "
                          "run with uniqueness")
     pair, tol = res.pair, res.pair.tol
-    method = "relative-interior test over re-seeded multiplier candidates"
+    method = f"relative-interior test over the members of the {res.route}"
 
     candidates = list(res.members)
     for i in range(len(res.members)):

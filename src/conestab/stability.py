@@ -4,9 +4,10 @@ residual with subregularity probes, and lower generators for the regular
 coderivative of the feasible-set normal-cone map.
 
 A "holds" verdict is only issued under one of two licenses: exact branch
-enumeration when the data is polyhedral and affine, or a uniform
-residual margin over a deterministic direction net.  Sampling can refute
-the universally quantified implication but never prove it, so everything
+enumeration when the data is polyhedral and affine, or a second-order
+form definite on the span of the critical directions, carried with its
+basis and eigenvalue range.  A direction search can refute the
+universally quantified implication but never prove it, so everything
 else is inconclusive.
 """
 
@@ -14,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 import numpy as np
 
-from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern
+from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace
 from .cone_core import ConeDesc, Orthant, Zero, Free, project
 from .constraint_system import (
     ConstraintSystem, SUBREG_ASSUMPTION, BasePair, affine_system,
@@ -294,6 +295,93 @@ def _polyhedral_route(problem, pair):
 # ---------------------------------------------------------------------------
 # isolated calmness
 
+FX_ASSUMPTION = "F is C¹ in x (Fprime linear in dx)"
+
+
+def _second_order_form(problem, pair):
+    """S = sym(-F_x - Hess - J^T U J / 2), where U h = grad Upsilon(h) is
+    the curvature term of the cone-level graphical derivative, and the
+    assumptions S rests on.  F_x is `problem.Fx`, or is assembled from n
+    `Fprime` columns when that is not given."""
+    sys, J, tol = pair.sys, pair.J, pair.tol
+    n = sys.dim_x
+    assumptions = (SUBREG_ASSUMPTION,)
+    if problem.Fx is not None:
+        Fx = np.asarray(problem.Fx, float)
+    else:
+        zero_p = np.zeros_like(problem.pbar)
+        Fx = np.column_stack([
+            np.asarray(problem.Fprime((problem.pbar, problem.xbar),
+                                      (zero_p, e)), float)
+            for e in np.eye(n)])
+        assumptions += (FX_ASSUMPTION,)
+    UJ = np.column_stack([sys.cone.upsilon_grad(pair.gx, pair.lam, J[:, j],
+                                                tol) for j in range(n)])
+    A = -Fx - pair.hess - 0.5 * (J.T @ UJ)
+    return 0.5 * (A + A.T), assumptions
+
+
+def _critical_span_basis(pair):
+    """Orthonormal basis B of {d : J d in span C}, C the critical cone:
+    span C = (lin C°)^perp, so B spans the kernel of Lp^T J for a basis
+    Lp of lin C°.  The identity when C° gives no lineality data."""
+    try:
+        Lp = pair.critical_polar.lineality_basis()
+    except NotImplementedError:
+        return np.eye(pair.sys.dim_x)
+    return _null_basis(Lp.T @ pair.J, pair.tol)
+
+
+def _lineality_directions(pair):
+    """Plus and minus each column of an orthonormal basis of
+    W = {d : J d in lin C}, the kernel of J first.  Every direction of W
+    passes the critical-cone gate, where a net over the whole sphere can
+    miss a thin critical set altogether; a coordinate that enters neither
+    g nor F lies in the kernel of J."""
+    J, tol = pair.J, pair.tol
+    ker = _null_basis(J, tol)
+    try:
+        Q = Subspace(pair.critical.lineality_basis()).Q
+    except NotImplementedError:
+        Q = np.zeros((J.shape[0], 0))
+    # J d in span Q, d orthogonal to the kernel already listed
+    rest = _null_basis(np.vstack([J - Q @ (Q.T @ J), ker.T]), tol)
+    W = np.hstack([ker, rest]).T
+    return np.stack([W, -W], axis=1).reshape(-1, J.shape[1])
+
+
+def _net_witness_search(problem, pair, srcq, net_k=NET_K_DEFAULT):
+    """Search for a nonzero solution d of the linearized inclusion
+    -F'((pbar, xbar); (0, d)) in DN_Gamma(xbar|vbar)(d): plus and minus
+    each basis direction of W = {d : J d in lin C} (kernel of J first),
+    then the deterministic direction net of size 2^net_k (n + 1).  A
+    direction that `ngamma_graph_deriv_contains` accepts is a `fails`
+    witness.  Finding none proves nothing, so the answer is then
+    `inconclusive`."""
+    tol = pair.tol
+    lin = _lineality_directions(pair)
+    net = direction_net(pair.sys.dim_x, net_k)
+    details = {"net_size": len(net), "lineality_directions": len(lin)}
+    checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
+    base, zero_p = (problem.pbar, problem.xbar), np.zeros_like(problem.pbar)
+    dirs = np.vstack([lin, net])
+    for i, d in enumerate(dirs):
+        w = -np.asarray(problem.Fprime(base, (zero_p, d)), float)
+        cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
+        if cert.verdict == "holds":
+            details["directions"] = i + 1
+            return Certificate(
+                "fails", cert.residual, d,
+                "witness search exhibited a nonzero solution of the "
+                "inclusion", tol, assumptions=(SUBREG_ASSUMPTION,),
+                checked=checked, details=details)
+    details["directions"] = len(dirs)
+    return Certificate("inconclusive", 0.0, None,
+                       "no witness found by the lineality and net search",
+                       tol, assumptions=(SUBREG_ASSUMPTION,), checked=checked,
+                       details=details)
+
+
 def solution_map_isolated_calm(problem: GEProblem, lam,
                                tol: Tol = DEFAULT_TOL,
                                net_k=NET_K_DEFAULT) -> Certificate:
@@ -302,13 +390,20 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
 
     The certified implication: any dx with
     -F'((pbar,xbar);(0,dx)) - Hess dx in the adjoint image of the
-    cone-level graphical derivative at g'(xbar)dx must vanish.  Exact
-    polyhedral enumeration is used when the data allows it; otherwise a
-    deterministic direction net must exhibit a uniform residual margin.
+    cone-level graphical derivative at g'(xbar)dx must vanish.  Under the
+    multiplier-uniqueness qualification, exact polyhedral enumeration is
+    used when the data allows it.  Otherwise such a d has A d = J^T xi
+    with A = -F_x - Hess - J^T U J / 2 and xi in N_C(J d), which is
+    orthogonal to J d, so <d, A d> = 0; the answer is `holds` when
+    S = sym(A) is definite on span B, B an orthonormal basis of
+    {d : J d in span C} (details `basis`, `lambda_min`, `lambda_max` and
+    `threshold`, the eigenvalue range of B^T S B against
+    sqrt(tol.membership) (1 + ||B^T S B||)).  When S is not definite
+    there, `_net_witness_search` looks for a nonzero solution (`fails`);
+    finding none is `inconclusive`.
     """
     sys = problem.sys
-    x = problem.xbar
-    pair = BasePair(sys, x, problem.vbar, lam, tol)
+    pair = BasePair(sys, problem.xbar, problem.vbar, lam, tol)
     srcq = srcq_check(pair)
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     if srcq.verdict != "holds":
@@ -325,35 +420,24 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
         cert.checked = cert.checked + checked
         return cert
 
-    net = direction_net(sys.dim_x, net_k)
-    margin = float(np.sqrt(tol.membership))
-    zero_p = np.zeros_like(problem.pbar)
-    min_res = np.inf
-    inconclusive_hits = 0
-    for d in net:
-        w = -np.asarray(problem.Fprime((problem.pbar, x), (zero_p, d)), float)
-        cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
-        if cert.verdict == "holds":
-            return Certificate(
-                "fails", cert.residual, d,
-                "direction net exhibited a nonzero solution of the "
-                "inclusion", tol, assumptions=(SUBREG_ASSUMPTION,),
-                checked=checked, details={"net_size": len(net)})
-        if cert.verdict == "inconclusive" and cert.residual < margin:
-            inconclusive_hits += 1
-        min_res = min(min_res, cert.residual)
-    details = {"net_size": len(net), "min_residual": min_res,
-               "margin": margin}
-    if min_res >= margin and inconclusive_hits == 0:
-        return Certificate("holds", min_res, None,
-                           "uniform residual margin over a deterministic "
-                           "direction net", tol,
-                           assumptions=(SUBREG_ASSUMPTION,),
-                           checked=checked, details=details)
-    return Certificate("inconclusive", min_res, None,
-                       "no counterexample found; margin not met", tol,
-                       assumptions=(SUBREG_ASSUMPTION,), checked=checked,
-                       details=details)
+    S, assumptions = _second_order_form(problem, pair)
+    B = _critical_span_basis(pair)
+    eig = np.linalg.eigvalsh(B.T @ S @ B)
+    # an empty B (only d = 0 has J d in span C) is definite either way
+    lo, hi = eig.min(initial=np.inf), eig.max(initial=-np.inf)
+    threshold = float(np.sqrt(tol.membership)
+                      * (1.0 + np.abs(eig).max(initial=0.0)))
+    details = {"basis": B, "lambda_min": float(lo), "lambda_max": float(hi),
+               "threshold": threshold}
+    if lo > threshold or hi < -threshold:
+        return Certificate("holds", max(float(lo), -float(hi)), None,
+                           "second-order form definite on the span of the "
+                           "critical directions", tol,
+                           assumptions=assumptions, checked=checked,
+                           details=details)
+    cert = _net_witness_search(problem, pair, srcq, net_k)
+    cert.details.update(details)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -340,13 +340,20 @@ def test_ngamma_fails_only_at_gate_or_with_certificate(monkeypatch):
 
     monkeypatch.setattr(stability, "ngamma_graph_deriv_contains", spy)
     problem = example41_problem()
-    assert solution_map_isolated_calm(problem, problem.lam_hint).verdict == "holds"
+    base41 = BasePair(problem.sys, problem.xbar, problem.vbar,
+                      problem.lam_hint)
+    search = stability._net_witness_search(problem, base41,
+                                           srcq_check(base41))
+    assert search.verdict == "inconclusive"
+    # the definiteness certificate decides before any net direction
+    assert solution_map_isolated_calm(problem, problem.lam_hint).verdict \
+        == "holds"
     assert len(seen) == 256
     for pair41, d, w, cert in seen:
         if cert.verdict == "fails":
             _check_fails_certificate(pair41, d, w, cert)
-    # the two gate-passing directions stall without a certificate; their
-    # residual stays above the net's margin, so the net still holds
+    # the two gate-passing directions stall without a certificate, so the
+    # search finds no witness
     assert sum(cert.verdict == "inconclusive" for *_, cert in seen) == 2
 
 

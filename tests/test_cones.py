@@ -258,3 +258,49 @@ def test_minus_primitive_is_the_negated_plus_primitive(kind, size):
             assert np.allclose(minus.upsilon_grad(y, lam, w, tol),
                                -plus.upsilon_grad(-y, -lam, -w, tol),
                                atol=1e-12)
+
+
+def _curved_pairs(kind, sign):
+    """(y, lam) with lam != 0 in N_K(y) for the curved cone kind(3, sign):
+    a point on a proper face and the apex, in the plus cone and mirrored."""
+    rng = np.random.default_rng(23)
+    if kind is PSD:
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        face = (svec(Q[:, :2] @ np.diag([1.5, 0.5]) @ Q[:, :2].T),
+                -svec(0.7 * np.outer(Q[:, 2], Q[:, 2])))
+        apex = (np.zeros(6), -svec(Q @ np.diag([1.0, 0.3, 0.0]) @ Q.T))
+    else:
+        r = rng.standard_normal(2)
+        r /= np.linalg.norm(r)
+        face = (np.concatenate([[2.0], 2.0 * r]),
+                0.8 * np.concatenate([[-1.0], r]))
+        apex = (np.zeros(3), np.array([-1.0, 0.3, -0.4]))
+    s = 1.0 if sign == "plus" else -1.0
+    return [(s * y, s * lam) for y, lam in (face, apex)]
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("kind", [PSD, SOC])
+def test_upsilon_grad_is_a_symmetric_matrix_of_twice_upsilon(kind, sign):
+    # h -> upsilon_grad(h) is h -> U h with U symmetric and
+    # <h, U h> = 2 Upsilon(h): the premise of the second-order form used
+    # by the isolated-calmness certificate
+    tol = DEFAULT_TOL
+    K = kind(3, sign)
+    rng = np.random.default_rng(29)
+    for y, lam in _curved_pairs(kind, sign):
+        assert contains(ConeDesc([K]), y)
+        assert K.normal_set(y, tol).contains(lam, tol)
+        assert np.linalg.norm(lam) > 0.1
+        U = np.column_stack([K.upsilon_grad(y, lam, e, tol)
+                             for e in np.eye(K.dim)])
+        # the curvature term lives on the face; at the apex it is 0
+        assert (np.linalg.norm(U) > 0.1) == (np.linalg.norm(y) > 0)
+        assert np.linalg.norm(U - U.T) <= 1e-12 * (1 + np.linalg.norm(U))
+        for _ in range(5):
+            h, k = rng.standard_normal(K.dim), rng.standard_normal(K.dim)
+            a, b = rng.standard_normal(2)
+            assert np.allclose(K.upsilon_grad(y, lam, a * h + b * k, tol),
+                               U @ (a * h + b * k), atol=1e-12)
+            assert float(h @ U @ h) == pytest.approx(
+                2.0 * K.upsilon(y, lam, h, tol), abs=1e-12)

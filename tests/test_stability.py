@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conestab._sets import Tol, DEFAULT_TOL
-from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free
+from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free, Zero
 from conestab.constraint_system import (
     affine_system, example1_system, section32_system,
     ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
@@ -16,6 +16,7 @@ from conestab.stability import (
     kkt_isolated_calm, regular_normal_lower_generate,
     ngamma_tangent_generate, example41_problem, lp_kkt_data,
     direction_net, _kronecker_unit, _normal_to_critical_sample,
+    _net_witness_search, FX_ASSUMPTION,
 )
 from conestab.symmat import svec
 
@@ -127,18 +128,32 @@ def test_isolated_calm_inconclusive_without_qualification():
     assert "preconditions" in cert.method
 
 
+def _apex_problem(block):
+    # g(x) = x in a 3-dimensional cone at its apex, lam = 0, F = -p - x and
+    # no Fx
+    sys = affine_system(ConeDesc([block]), np.eye(3), np.zeros(3))
+    return GEProblem(sys, F=lambda p, x: -np.asarray(p) - np.asarray(x),
+                     Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                     - np.asarray(dirn[1]),
+                     pbar=np.zeros(3), xbar=np.zeros(3))
+
+
+def _pair_and_srcq(problem, lam, tol=DEFAULT_TOL):
+    pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam, tol)
+    return pair, srcq_check(pair)
+
+
 def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
-    # g(x) = x in SOC(3) at the apex, lam = 0, F = -p - x: a critical d
-    # with d = mu, mu in N_C(d) has |d|^2 = <d, mu> = 0, so the solution
-    # map is isolated calm and every gate-passing direction has an empty
-    # fiber, certified from the first cycle's increments
+    # a critical d with d = mu, mu in N_C(d) has |d|^2 = <d, mu> = 0, so
+    # the solution map is isolated calm (S = I certifies it) and every
+    # gate-passing net direction has an empty fiber, certified from the
+    # first cycle's increments
     import conestab.constraint_system as cs
 
-    sys = affine_system(ConeDesc([SOC(3)]), np.eye(3), np.zeros(3))
-    problem = GEProblem(sys, F=lambda p, x: -np.asarray(p) - np.asarray(x),
-                        Fprime=lambda base, dirn: -np.asarray(dirn[0])
-                        - np.asarray(dirn[1]),
-                        pbar=np.zeros(3), xbar=np.zeros(3))
+    problem = _apex_problem(SOC(3))
+    assert solution_map_isolated_calm(problem, np.zeros(3),
+                                      net_k=3).verdict == "holds"
+    pair, srcq = _pair_and_srcq(problem, np.zeros(3))
     infos = []
     real = cs.dykstra
 
@@ -148,8 +163,9 @@ def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
         return z, info
 
     monkeypatch.setattr(cs, "dykstra", counting)
-    cert = solution_map_isolated_calm(problem, np.zeros(3), net_k=3)
-    assert cert.verdict == "holds"
+    search = _net_witness_search(problem, pair, srcq, net_k=3)
+    assert search.verdict == "inconclusive"
+    assert search.details["directions"] == search.details["net_size"]
     assert infos
     for info in infos:
         assert info.converged or (info.farkas is not None
@@ -159,19 +175,192 @@ def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
 def test_example41_holds_and_is_tolerance_stable():
     problem = example41_problem()
     lam = problem.lam_hint
-    cert = solution_map_isolated_calm(problem, lam)
-    assert cert.verdict == "holds"
-    assert cert.details["min_residual"] >= cert.details["margin"]
     tighter = Tol(membership=DEFAULT_TOL.membership / 2,
                   zero=DEFAULT_TOL.zero / 2)
-    assert solution_map_isolated_calm(problem, lam, tighter).verdict == "holds"
+    for tol in (DEFAULT_TOL, tighter):
+        cert = solution_map_isolated_calm(problem, lam, tol)
+        assert cert.verdict == "holds"
+        assert cert.details["lambda_min"] > cert.details["threshold"]
+        # the net finds no solution of the inclusion at either tolerance
+        search = _net_witness_search(problem, *_pair_and_srcq(problem, lam,
+                                                               tol))
+        assert search.verdict == "inconclusive"
 
 
 def test_example41_holds_under_denser_net():
     problem = example41_problem()
     cert = solution_map_isolated_calm(problem, problem.lam_hint, net_k=7)
     assert cert.verdict == "holds"
-    assert cert.details["net_size"] == 2 ** 7 * 4
+    search = _net_witness_search(
+        problem, *_pair_and_srcq(problem, problem.lam_hint), net_k=7)
+    assert search.verdict == "inconclusive"
+    assert search.details["net_size"] == 2 ** 7 * 4
+
+
+@pytest.mark.parametrize("a", [np.array([1.0, 1.0]),
+                               np.random.default_rng(5).standard_normal(2)])
+def test_isolated_calm_fails_on_thin_set_without_fx(a):
+    # Gamma = {a.x = 0}, F = -p and no Fx: every point of Gamma solves the
+    # inclusion at p = 0, so the solution map is not isolated calm
+    sys = affine_system(ConeDesc([Zero(1)]), a.reshape(1, 2), np.zeros(1))
+    problem = GEProblem(sys, F=lambda p, x: -np.asarray(p, float),
+                        Fprime=lambda base, dirn: -np.asarray(dirn[0], float),
+                        pbar=np.zeros(2), xbar=np.zeros(2))
+    cert = solution_map_isolated_calm(problem, np.zeros(1))
+    assert cert.verdict == "fails"
+    d = cert.witness
+    assert np.linalg.norm(d) == pytest.approx(1.0)
+    assert abs(float(a @ d)) <= 1e-12
+    pair = BasePair(sys, problem.xbar, problem.vbar, np.zeros(1))
+    w = -problem.Fprime((problem.pbar, problem.xbar), (np.zeros(2), d))
+    assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
+
+
+def _soc_face_problem(alpha, scale=1.0):
+    """g(x) = x in SOC(3) at the boundary point y = (1, r), lam = c(-1, r)
+    and F(p, x) = -p - alpha x.  C is the hyperplane a^perp, a = (-1, r),
+    and U = 2c diag(-1, 1, 1), so B^T S B has the eigenvalues alpha - c
+    and alpha."""
+    r = np.array([0.6, 0.8])
+    y = np.concatenate([[1.0], r])
+    lam = scale * np.concatenate([[-1.0], r])
+    sys = affine_system(ConeDesc([SOC(3)]), np.eye(3), np.zeros(3))
+    problem = GEProblem(sys, F=lambda p, x: -np.asarray(p) - alpha
+                        * np.asarray(x),
+                        Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                        - alpha * np.asarray(dirn[1]),
+                        pbar=lam - alpha * y, xbar=y)
+    return problem, lam
+
+
+@pytest.mark.parametrize("alpha,c,expected", [
+    (2.0, 1.0, "holds"), (-2.0, 1.0, "holds"), (0.5, 1.0, "inconclusive"),
+    (0.5, 0.25, "holds")])
+def test_curvature_term_enters_the_definiteness_certificate(alpha, c,
+                                                            expected):
+    # with S = alpha I the form is definite for every alpha != 0; the
+    # curvature term -U/2 makes it indefinite on a^perp when
+    # 0 < alpha < c.  There the compression is nonsingular and no witness
+    # exists, so the search finds none
+    problem, lam = _soc_face_problem(alpha, c)
+    cert = solution_map_isolated_calm(problem, lam)
+    assert cert.verdict == expected
+    assert cert.details["basis"].shape == (3, 2)
+    assert cert.details["lambda_min"] == pytest.approx(min(alpha - c, alpha))
+    assert cert.details["lambda_max"] == pytest.approx(max(alpha - c, alpha))
+    # S was assembled from Fprime columns, so the certificate says so
+    assert (FX_ASSUMPTION in cert.assumptions) == (expected == "holds")
+
+
+def _referee_form(problem, pair):
+    """S rebuilt by the test: F_x by central differences of F, and the
+    matrix of h -> 2 Upsilon(J h) by polarization of the scalar
+    curvature functional."""
+    sys, J, x = problem.sys, pair.J, problem.xbar
+    n, t = sys.dim_x, 1e-6
+    eye = np.eye(n)
+    Fx = np.column_stack([
+        (np.asarray(problem.F(problem.pbar, x + t * e))
+         - np.asarray(problem.F(problem.pbar, x - t * e))) / (2 * t)
+        for e in eye])
+
+    def ups(h):
+        return sys.cone.upsilon(pair.gx, pair.lam, J @ h)
+
+    JUJ = np.array([[ups(eye[i] + eye[j]) - ups(eye[i] - eye[j])
+                     for j in range(n)] for i in range(n)]) / 2.0
+    A = -Fx - sys.hess_lambda(x, pair.lam) - 0.5 * JUJ
+    return 0.5 * (A + A.T)
+
+
+def _mixed_planted(dim_x, seed=17):
+    """PSD(2) x SOC(3) x R^2_+ at a boundary point with a planted strictly
+    complementary multiplier, and a seeded affine g."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    r = rng.standard_normal(2)
+    r /= np.linalg.norm(r)
+    y = np.concatenate([svec(np.outer(U[:, 0], U[:, 0])), [1.0], r,
+                        [0.0, 1.0]])
+    lam = np.concatenate([-svec(np.outer(U[:, 1], U[:, 1])), [-1.0], r,
+                          [-1.0, 0.0]])
+    cone = ConeDesc([PSD(2, "plus"), SOC(3, "plus"), Orthant(2, "plus")])
+    A = rng.standard_normal((cone.dim, dim_x))
+    x = rng.standard_normal(dim_x)
+    sys = affine_system(cone, A, y - A @ x)
+    return sys, x, A.T @ lam, lam
+
+
+def _shifted_problem(sys, x, v, alpha):
+    # F(p, x) = -p - alpha x with pbar = v - alpha x, so that vbar = v
+    return GEProblem(sys, F=lambda p, xx: -np.asarray(p) - alpha
+                     * np.asarray(xx),
+                     Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                     - alpha * np.asarray(dirn[1]),
+                     pbar=v - alpha * x, xbar=x, Fx=-alpha * np.eye(sys.dim_x))
+
+
+def _certified_holds():
+    """(problem, lam, zero curved multipliers) for the non-polyhedral
+    `holds` instances of this file."""
+    ex41 = example41_problem()
+    out = [(ex41, ex41.lam_hint, False),
+           (_apex_problem(SOC(3)), np.zeros(3), True),
+           (_apex_problem(PSD(2)), np.zeros(3), True)]
+    for alpha, c in ((2.0, 1.0), (-2.0, 1.0), (0.5, 0.25)):
+        out.append(_soc_face_problem(alpha, c) + (False,))
+    sys, x, v, lam = _mixed_planted(8)
+    out.append((_shifted_problem(sys, x, v, 10.0), lam, False))
+    return out
+
+
+def test_every_definiteness_holds_reverifies():
+    for problem, lam, exact_samples in _certified_holds():
+        cert = solution_map_isolated_calm(problem, lam)
+        assert cert.verdict == "holds", problem.name
+        det = cert.details
+        B = det["basis"]
+        k = B.shape[1]
+        assert np.linalg.norm(B.T @ B - np.eye(k)) <= 1e-12
+        pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam)
+        S = _referee_form(problem, pair)
+        eig = np.linalg.eigvalsh(B.T @ S @ B)
+        assert eig.min() == pytest.approx(det["lambda_min"], abs=1e-6)
+        assert eig.max() == pytest.approx(det["lambda_max"], abs=1e-6)
+        assert eig.min() > det["threshold"] or eig.max() < -det["threshold"]
+        assert det["threshold"] == pytest.approx(
+            np.sqrt(DEFAULT_TOL.membership) * (1 + np.abs(eig).max()))
+        if exact_samples:
+            # exact graph-tangent directions have g'(x)d in C, so they lie
+            # in span B
+            for d, _ in ngamma_tangent_generate(pair, count=20, seed=3):
+                assert np.linalg.norm(d - B @ (B.T @ d)) <= \
+                    1e-9 * np.linalg.norm(d)
+
+
+def _permuted(sys, order):
+    """The affine system with its cone blocks taken in `order` and the rows
+    of (A, b) permuted with them; the row permutation."""
+    x0 = np.zeros(sys.dim_x)
+    rows = np.concatenate([np.arange(sys.cone.dim)[sys.cone.slices[i]]
+                           for i in order])
+    cone = ConeDesc([sys.cone.blocks[i] for i in order])
+    return affine_system(cone, sys.jacobian(x0)[rows], sys.g(x0)[rows]), rows
+
+
+@pytest.mark.parametrize("alpha,expected", [(10.0, "holds"),
+                                            (1.0, "inconclusive")])
+def test_definiteness_verdict_invariant_under_mirror_and_permutation(
+        alpha, expected):
+    sys, x, v, lam = _mixed_planted(8)
+    perm, rows = _permuted(sys, [2, 0, 1])
+    certs = [solution_map_isolated_calm(_shifted_problem(s, x, v, alpha), l)
+             for s, l in ((sys, lam), (_mirror(sys), -lam),
+                          (perm, lam[rows]))]
+    for cert in certs:
+        assert cert.verdict == expected
+        assert cert.details["lambda_min"] == pytest.approx(
+            certs[0].details["lambda_min"], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +604,9 @@ def _assert_mirror_invariant(sys, x, v, lam):
 
 
 def _calm_verdicts(sys, x, v, lam):
-    # F(p, x) = -p - x with pbar = v - x, so that vbar = v
-    certs = []
-    for s, sign in ((sys, 1.0), (_mirror(sys), -1.0)):
-        problem = GEProblem(s, F=lambda p, x: -np.asarray(p) - np.asarray(x),
-                            Fprime=lambda base, dirn: -np.asarray(dirn[0])
-                            - np.asarray(dirn[1]),
-                            pbar=v - x, xbar=x, Fx=-np.eye(s.dim_x))
-        certs.append(solution_map_isolated_calm(problem, sign * lam))
-    return [c.verdict for c in certs]
+    return [solution_map_isolated_calm(_shifted_problem(s, x, v, 1.0),
+                                       sign * lam).verdict
+            for s, sign in ((sys, 1.0), (_mirror(sys), -1.0))]
 
 
 def test_mirror_invariance_example1():
@@ -443,21 +626,7 @@ def test_mirror_invariance_example1():
 @pytest.mark.parametrize("dim_x,expected", [
     (2, ("fails", "fails", "holds")), (5, ("holds", "holds", "holds"))])
 def test_mirror_invariance_mixed_affine_system(dim_x, expected):
-    # PSD(2) x SOC(3) x R^2_+ at a boundary point with a planted strictly
-    # complementary multiplier, and a seeded affine g
-    rng = np.random.default_rng(17)
-    U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    r = rng.standard_normal(2)
-    r /= np.linalg.norm(r)
-    y = np.concatenate([svec(np.outer(U[:, 0], U[:, 0])), [1.0], r,
-                        [0.0, 1.0]])
-    lam = np.concatenate([-svec(np.outer(U[:, 1], U[:, 1])), [-1.0], r,
-                          [-1.0, 0.0]])
-    cone = ConeDesc([PSD(2, "plus"), SOC(3, "plus"), Orthant(2, "plus")])
-    A = rng.standard_normal((cone.dim, dim_x))
-    x = rng.standard_normal(dim_x)
-    sys = affine_system(cone, A, y - A @ x)
-    v = A.T @ lam
+    sys, x, v, lam = _mixed_planted(dim_x)
     # srcq, nondegeneracy, strict complementarity
     assert _assert_mirror_invariant(sys, x, v, lam) == expected
     calm = _calm_verdicts(sys, x, v, lam)

@@ -65,6 +65,36 @@ def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
+    # example41 and the SOC apex are certified by the definiteness check,
+    # before any direction of the net is tried
+    from conestab import cone_geometry, constraint_system, stability
+    from conestab.cone_core import SOC
+    from test_stability import _apex_problem
+
+    ex41 = stability.example41_problem()
+    cases = [(ex41, ex41.lam_hint), (_apex_problem(SOC(3)), np.zeros(3))]
+    calls = {"dykstra": 0, "ngamma_graph_deriv_contains": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    for module, name in ((constraint_system, "dykstra"),
+                         (cone_geometry, "dykstra"),
+                         (stability, "ngamma_graph_deriv_contains")):
+        monkeypatch.setattr(module, name, counting(module, name))
+    for problem, lam in cases:
+        cert = stability.solution_map_isolated_calm(problem, lam)
+        assert cert.verdict == "holds"
+        assert cert.details["lambda_min"] == 1.0
+    assert calls == {"dykstra": 0, "ngamma_graph_deriv_contains": 0}
+
+
 def test_analyze_decides_the_qualification_once(monkeypatch, planted,
                                                analyze):
     from conestab import cli, constraint_system
@@ -154,6 +184,11 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
     for d, w in pairs:
         counted_decide(pair, d, w)
     problem = stability.example41_problem()
+    pair41 = constraint_system.BasePair(problem.sys, problem.xbar,
+                                        problem.vbar, problem.lam_hint)
+    assert stability._net_witness_search(
+        problem, pair41, constraint_system.srcq_check(pair41)).verdict == \
+        "inconclusive"
     assert stability.solution_map_isolated_calm(
         problem, problem.lam_hint).verdict == "holds"
     assert len(counts["gated"]) + len(counts["passed"]) == 50 + 256
@@ -189,6 +224,10 @@ def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
                     if l.startswith("multiplier:"))
         assert line.startswith("multiplier: found")
         assert line.endswith(f" members={members} route={route}"), line
+        st = next(c for c in report["certificates"]
+                  if c["name"] == "strict_complementarity")
+        assert st["method"].startswith(
+            f"relative-interior test over the members of the {route}")
         assert len(calls) == n_calls, (seed, srcq_holds)
 
 
@@ -216,14 +255,14 @@ def test_qualify_pinned_instances_find_the_planted_multiplier():
 
 def _independent_strict_complementarity(sys, x, v):
     """Reference strict-complementarity certificate, computed from a
-    separate re-seeded multiplier search of its own."""
+    separate multiplier search of its own."""
     from conestab._sets import Certificate, DEFAULT_TOL as tol
     from conestab.constraint_system import (
         SUBREG_ASSUMPTION, multiplier_solve, multiplier_verify)
 
     res = multiplier_solve(sys, x, v)
     gx = sys.g(x)
-    method = "relative-interior test over re-seeded multiplier candidates"
+    method = f"relative-interior test over the members of the {res.route}"
     members = res.members
     candidates = list(members) + [0.5 * (members[i] + members[j])
                                   for i in range(len(members))
