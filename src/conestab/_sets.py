@@ -23,7 +23,7 @@ class Tol:
 
     membership: absolute/relative threshold for set membership residuals.
     zero: threshold classifying a numeric value (eigenvalue, activity) as 0.
-    max_iter: cap on feasibility (Dykstra) cycles.
+    max_iter: cap on feasibility (Dykstra) cycles, an integer.
     """
 
     membership: float = 1e-8
@@ -35,6 +35,9 @@ class Tol:
                    (self.membership, self.zero, self.max_iter)):
             raise ValueError("tolerances must be finite and strictly "
                              "positive")
+        if isinstance(self.max_iter, bool) or \
+                not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError("max_iter must be an integer")
 
     def halved(self) -> "Tol":
         return Tol(self.membership / 2, self.zero / 2, self.max_iter)
@@ -563,6 +566,28 @@ def _farkas(affine, cones, incs, cycle):
     return Farkas(h, ys, gain / (_norm(h) + ynorm), cycle)
 
 
+def _gordan(affine, cones, z):
+    """(h, R): every x in {M x = b} ∩ C, C = K_1 ∩ ... ∩ K_k, has norm
+    at least R.  y_i = a - Pi_{K_i}(a), a = Pi_A(z), lies in K_i°
+    (Moreau), so sum y_i lies in C°; h = pinv(M)^T sum y_i, u = M^T h.
+    Such an x has <h, b> = <u, x> <= dist(u, C°) ||x||, and
+    dist(u, C°) is ||Pi_C(u)|| for one cone (Moreau), at most
+    ||u - sum y_i|| otherwise.  The rounding allowance of `_farkas_test`
+    is taken off the gain and added to the distance; R is 0 unless the
+    gain is positive.
+    """
+    a = affine.project(z)
+    ys = [a - K.project(a) for K in cones]
+    total = sum(ys[1:], ys[0])
+    h = affine.pinv.T @ total
+    u = affine.M.T @ h
+    gain = float(h @ affine.b) - \
+        _ROUNDING * float(np.abs(h) @ np.abs(affine.b))
+    dist = _norm(cones[0].project(u) if len(cones) == 1 else u - total) + \
+        _ROUNDING * (_norm(affine.M) * _norm(h) + sum(_norm(y) for y in ys))
+    return h, (gain / dist if gain > 0.0 and dist > 0.0 else 0.0)
+
+
 @dataclass
 class DykstraInfo:
     residual: float
@@ -570,9 +595,10 @@ class DykstraInfo:
     converged: bool
     stalled: bool
     farkas: Farkas | None = None
+    gordan: tuple | None = None  # (h, R) of `_gordan`
 
 
-def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
+def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None, radius=None):
     """Dykstra's alternating projections onto the intersection of `sets`.
 
     Returns the final iterate plus convergence diagnostics.  When
@@ -582,16 +608,20 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
     once with `farkas` set and `stalled` true.  Otherwise a run without
     residual progress is reported as stalled; a stall is not a proof
     that the intersection is empty, only the end of the search.
+
+    With a `radius`, each checkpoint reads `_gordan` from the iterate
+    instead and returns, stalled, once R > `radius`; every other exit
+    reads it too, so `gordan` is always set.
     """
 
     cap = max_iter if max_iter is not None else tol.max_iter
     cones = _farkas_cones(sets)
+    read = radius is not None and cones is not None
     next_check = 1
     z = np.asarray(z0, float).copy()
     incs = [np.zeros_like(z) for _ in sets]
     last_checkpoint = np.inf
     stalls = 0
-    res = np.inf
     cycle = 0
     for cycle in range(1, cap + 1):
         move = 0.0
@@ -608,23 +638,25 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None):
         # so no certificate with a bound above that distance exists
         if cones is not None and cycle == next_check:
             next_check *= 2
-            cert = _farkas(sets[0], cones, incs[1:], cycle)
-            if cert is not None:
+            cert = None if read else _farkas(sets[0], cones, incs[1:], cycle)
+            gordan = _gordan(sets[0], cones, z) if read else None
+            if cert is not None or (read and gordan[1] > radius):
                 res = max(S.dist(z) for S in sets)
-                return z, DykstraInfo(res, cycle, False, True, cert)
+                return z, DykstraInfo(res, cycle, False, True, cert, gordan)
         if cycle % 25 == 0:
             res = max(S.dist(z) for S in sets)
             if res > 10 * tol.membership * scale and res > 0.97 * last_checkpoint:
                 stalls += 1
                 if stalls >= 3:
-                    return z, DykstraInfo(res, cycle, False, True)
+                    break
             else:
                 stalls = 0
             last_checkpoint = res
+    stalled = stalls >= 3
     res = max(S.dist(z) for S in sets)
-    scale = 1.0 + _norm(z)
-    converged = res <= tol.membership * scale
-    return z, DykstraInfo(res, cycle, converged, False)
+    converged = not stalled and res <= tol.membership * (1.0 + _norm(z))
+    gordan = _gordan(sets[0], cones, z) if read else None
+    return z, DykstraInfo(res, cycle, converged, stalled, gordan=gordan)
 
 
 class Intersection(ConvexSet):

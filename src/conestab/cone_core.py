@@ -102,8 +102,10 @@ class PrimitiveCone(ConvexSet):
         return self._out(self._dir_deriv(*self._in(z, h), tol))
 
     def _curved(self, y, lam, tol):
-        """Whether the sigma term Upsilon may be nonzero at (y, lam)."""
-        return not self.is_polyhedral
+        """Whether the sigma term Upsilon may be nonzero at (y, lam): it
+        is linear in lam, so only a curved block with lam != 0."""
+        return not self.is_polyhedral and \
+            float(np.linalg.norm(lam)) > tol.zero * _zscale(lam)
 
     def upsilon(self, y, lam, h, tol) -> float:
         y, lam, h = self._in(y, lam, h)
@@ -320,9 +322,9 @@ class SOC(PrimitiveCone):
         return out
 
     def _curved(self, u, lu, tol):
-        # only a boundary point with a nonzero multiplier
-        return self._classify(u, tol) == "bd" and \
-            float(np.linalg.norm(lu)) > tol.zero * _zscale(lu)
+        # of the points with a nonzero multiplier, only the boundary ones
+        return super()._curved(u, lu, tol) and \
+            self._classify(u, tol) == "bd"
 
     def _upsilon(self, u, lu, hu, tol):
         t = -lu[0]

@@ -9,8 +9,9 @@ certificate takes one of two routes, chosen from the rank of L:
   cone meets a line only along ±q, so the two distances
   d± = ||±q - Π_C(±q)|| decide it exactly, and a reader re-checks
   the verdict with two projections.
-- rank >= 2, or a C projected by iteration: projected ascent of the
-  signed basis functionals of L over C ∩ L ∩ (unit ball).
+- otherwise, for C such a cone or an intersection of them, each slice
+  {z in span(L) : <q_j, z> = ±1} yields a witness or a Gordan vector h
+  bounding the norm of its points in C, re-checked from h by a reader.
 """
 
 import math
@@ -18,8 +19,8 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, ConvexSet, Hyperplane, Intersection,
-    Subspace, dykstra,
+    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Hyperplane,
+    Intersection, Subspace, dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec
 
@@ -66,11 +67,6 @@ def normal_of_critical(C: ConvexSet, d: AmbientVec,
     return Intersection([Cp, Hyperplane(d)], tol)
 
 
-def _ball_clip(z):
-    n = float(np.linalg.norm(z))
-    return z / n if n > 1.0 else z
-
-
 def _line_cone_trivial(q, C, tol):
     """Decide span{q} ∩ C = {0} for a unit vector q and a cone C whose
     projection is closed form.
@@ -97,89 +93,58 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
                           tol: Tol = DEFAULT_TOL) -> Certificate:
     """Decide whether span(L) ∩ C = {0}.
 
-    When span(L) is a line (rank 1 by the singular values of L) and C is
-    a cone with a closed-form projection, the distances of the two unit
-    points of the line to C decide it exactly (`_line_cone_trivial`).
+    A line span(L) (rank 1 by the singular values of L) against a cone C
+    with a closed-form projection is decided by `_line_cone_trivial`.
 
-    Otherwise, for each signed basis direction ±c of span(L), maximize
-    <c, z> over the convex compact set C ∩ span(L) ∩ B by projected
-    ascent.  A cone on which every such functional is <= 0 is {0}; since
-    the objective is linear, the ascent has no spurious maxima, and any
-    nontrivial ray of the intersection yields a maximum bounded well away
-    from 0.
+    Otherwise C must be such a cone or an `Intersection` of them (any
+    other C is `inconclusive`), and span(L) is cut into slices.  With Q
+    an orthonormal basis of span(L) (k columns), a nonzero z in
+    span(L) ∩ C rescales to max_j |<q_j, z>| = 1, so it lies in a slice
+    A_j± = {z in span(L) : <q_j, z> = ±1} with norm at most sqrt(k).
+    Dykstra on [A_j±, parts of C] converges, and its point of A_j± is
+    the witness of `fails`, or reads (h, R) by `_sets._gordan`: every
+    point of A_j± ∩ C has norm at least R.  `holds` needs R > sqrt(k) on
+    all 2k slices, and carries each (j, sign, h, R).
     """
     L = np.asarray(L, float)
     if L.ndim == 1:
         L = L.reshape(-1, 1)
-    method = "projected ascent of signed basis functionals over C ∩ L ∩ B"
-    sub = Subspace(L) if L.shape[1] else None
-    if sub is None or sub.Q.shape[1] == 0:
-        return Certificate("holds", 0.0, None, method, tol,
-                           details={"directions": 0})
-    Q = sub.Q
-    if Q.shape[1] == 1 and C.is_cone and C.exact:
+    Q = Subspace(L).Q
+    n, k = Q.shape
+    if k == 0:
+        return Certificate("holds", 0.0, None, "span(L) is {0}", tol)
+    if k == 1 and C.is_cone and C.exact:
         return _line_cone_trivial(Q[:, 0], C, tol)
-    sets = [C, sub]
-
-    def feas_project(z, budget=300):
-        out, _ = dykstra(sets, z, tol, max_iter=budget)
-        return _ball_clip(out)
-
-    def infeas(z):
-        return max(C.dist(z),
-                   float(np.linalg.norm(z - sub.project(z))))
-
-    # cheap ascent passes collect candidates; the loose feasibility gate
-    # only filters blow-ups, the strict check happens after polishing
-    best = 0.0
-    witness = None
-    for j in range(Q.shape[1]):
-        for sgn in (1.0, -1.0):
-            c = sgn * Q[:, j]
-            z = feas_project(c)
-            for _ in range(60):
-                znew = feas_project(z + c)
-                if float(np.linalg.norm(znew - z)) <= tol.zero * (1 + np.linalg.norm(z)):
-                    z = znew
-                    break
-                z = znew
-                if float(c @ z) > 1e-2:
-                    break
-            val = float(c @ z)
-            if val > best and infeas(z) <= 1e-4 * (1 + np.linalg.norm(z)):
-                best, witness = val, z
-
-    if witness is not None:
-        # long-budget polish of the best candidate before deciding
-        witness = feas_project(witness, budget=tol.max_iter)
-        gap = infeas(witness)
-        nrm = float(np.linalg.norm(witness))
-        if gap <= tol.membership * (1 + nrm):
-            best = nrm
-            if tol.membership < nrm < 1e-2:
-                # a genuine ray rescales to unit length, numerical dust
-                # collapses back toward the origin
-                amp = feas_project(witness / nrm, budget=tol.max_iter)
-                if infeas(amp) <= tol.membership * (1 + np.linalg.norm(amp)):
-                    best = float(np.linalg.norm(amp))
-                    if best > 10 * tol.membership:
-                        witness = amp
-        elif nrm > 10 * tol.membership:
-            return Certificate("inconclusive", nrm, witness,
-                               method + " (candidate did not polish to "
-                               "feasibility)", tol)
-        else:
-            best = 0.0
-
-    # any genuine ray survives polishing and amplification at norm near 1,
-    # numerical dust stays orders of magnitude below the fail threshold
-    hold_cut = 100 * tol.membership
-    fail_cut = float(np.sqrt(tol.membership))
-    if best <= hold_cut:
-        return Certificate("holds", best, None, method, tol)
-    if best >= fail_cut:
-        return Certificate("fails", best, witness, method, tol)
-    return Certificate("inconclusive", best, witness, method, tol)
+    parts = C.sets if isinstance(C, Intersection) else [C]
+    if not all(K.is_cone and K.exact for K in parts):
+        return Certificate("inconclusive", 0.0, None, "C has no parts that "
+                           "are cones with closed-form projections", tol)
+    method = "radius-certified slices <q_j, z> = ±1 of span(L) against C"
+    bound = math.sqrt(k)
+    # the rows of each slice's M, q_j and the columns of W, are orthonormal
+    W = np.linalg.svd(Q)[0][:, k:]
+    slices = []
+    for j in range(k):
+        for sign in (1.0, -1.0):
+            A = AffineSet(np.vstack([Q[:, j], W.T]),
+                          np.concatenate([[sign], np.zeros(n - k)]))
+            z, info = dykstra([A] + parts, sign * Q[:, j], tol,
+                              radius=bound)
+            w = A.project(z)
+            if info.converged and \
+                    max(K.dist(w) for K in parts) <= tol.membership:
+                return Certificate("fails", 1.0, w, method, tol, details={
+                    "basis": Q, "j": j, "sign": sign, "cycles": info.cycles})
+            h, R = info.gordan
+            slices.append({"j": j, "sign": sign, "h": h, "radius": R,
+                           "cycles": info.cycles})
+    details = {"basis": Q, "complement": W, "bound": bound, "slices": slices}
+    weakest = min(s["radius"] for s in slices)
+    if weakest > bound:
+        return Certificate("holds", 0.0, None, method, tol, details=details)
+    return Certificate("inconclusive", weakest, None,
+                       method + " (a slice radius is at most sqrt(k))", tol,
+                       details=details)
 
 
 def radial_probe(omega: object, vbar: AmbientVec, z: AmbientVec,

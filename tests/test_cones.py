@@ -7,7 +7,7 @@ from conestab.cone_core import (
     project, contains, tangent_cone, normal_cone, ri_normal_contains,
 )
 from conestab.jsonio import emit_cone, parse_cone
-from conestab.symmat import svec
+from conestab.symmat import smat, svec
 
 CONES = {
     "orthant": ConeDesc([Orthant(4, "plus")]),
@@ -304,3 +304,37 @@ def test_upsilon_grad_is_a_symmetric_matrix_of_twice_upsilon(kind, sign):
                                U @ (a * h + b * k), atol=1e-12)
             assert float(h @ U @ h) == pytest.approx(
                 2.0 * K.upsilon(y, lam, h, tol), abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_psd_upsilon_skips_eigh_at_a_zero_multiplier(monkeypatch, sign):
+    # Upsilon is linear in lam, so at lam = 0 it and its gradient are 0
+    # with no eigendecomposition; at lam != 0 the values are those of
+    # -2 tr(L H Y^+ H) and its gradient, computed here from numpy alone
+    tol = DEFAULT_TOL
+    K = PSD(3, sign)
+    s = 1.0 if sign == "plus" else -1.0
+    rng = np.random.default_rng(31)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for y, lam in _curved_pairs(PSD, sign):
+        for _ in range(3):
+            h = rng.standard_normal(K.dim)
+            calls.clear()
+            assert K.upsilon(y, np.zeros(6), h, tol) == 0.0
+            assert np.array_equal(K.upsilon_grad(y, np.zeros(6), h, tol),
+                                  np.zeros(6))
+            assert calls == []
+            Y, L, H = (s * smat(v) for v in (y, lam, h))
+            Yp = np.linalg.pinv(Y, hermitian=True)
+            G = -2.0 * (Yp @ H @ L + L @ H @ Yp)
+            assert K.upsilon(y, lam, h, tol) == pytest.approx(
+                -2.0 * np.trace(L @ H @ Yp @ H), abs=1e-12)
+            assert np.allclose(K.upsilon_grad(y, lam, h, tol),
+                               s * svec(0.5 * (G + G.T)), atol=1e-12)

@@ -7,7 +7,7 @@ from conestab.cone_geometry import (
     critical_cone, tangent_of_normal, normal_of_critical,
     subspace_cone_trivial, radial_probe,
 )
-from conestab.symmat import svec
+from conestab.symmat import smat, svec
 
 
 def _graph_pair(K, rng):
@@ -137,10 +137,10 @@ def test_radial_probe():
 
 # ---------------------------------------------------------------------------
 # a one-dimensional span(L) and a cone with a closed-form projection are
-# decided exactly by the distances of ±q to C; everything else by ascent
+# decided exactly by the distances of ±q to C; everything else by slices
 
 LINE = "closed-form distances of ±q to C"
-ASCENT = "projected ascent"
+SLICES = "radius-certified slices"
 
 
 def _in_span(L, z):
@@ -206,12 +206,13 @@ def test_rank_one_basis_with_two_columns_takes_the_line_route():
         assert cert.verdict == subspace_cone_trivial(L[:, :1], C).verdict
 
 
-def test_intersection_cone_keeps_the_ascent(monkeypatch):
+def test_intersection_cone_takes_the_slices(monkeypatch):
     from conestab import cone_geometry
     from conestab._sets import Hyperplane, Intersection
 
     # SOC(3) cut by z1 = 0 is the planar cone |z2| <= z0; its projection
-    # is iterated, so even a line goes through the ascent
+    # is iterated, so even a line goes through the slices, with Dykstra
+    # on the two exact parts
     C = Intersection([ConeDesc([SOC(3, "plus")]),
                       Hyperplane(np.array([0.0, 1.0, 0.0]))])
     assert not C.exact
@@ -228,6 +229,202 @@ def test_intersection_cone_keeps_the_ascent(monkeypatch):
                             ([1.0, 1.0, 0.0], "holds")):
         calls.clear()
         cert = subspace_cone_trivial(np.array(column).reshape(-1, 1), C)
-        assert cert.method.startswith(ASCENT)
+        assert cert.method.startswith(SLICES)
         assert cert.verdict == verdict
         assert calls
+
+
+# ---------------------------------------------------------------------------
+# known answers at rank >= 2, each re-checked here with numpy alone: a
+# `fails` by its witness, a `holds` by every slice's Gordan vector h
+
+def _own_projection(blocks):
+    """Projection onto a product of ("psd" | "soc" | "orthant", size,
+    sign) blocks, written with numpy and the svec coordinates only."""
+    def plus(kind, u):
+        if kind == "orthant":
+            return np.maximum(u, 0.0)
+        if kind == "psd":
+            w, U = np.linalg.eigh(smat(u))
+            return svec((U * np.maximum(w, 0.0)) @ U.T)
+        nb = np.linalg.norm(u[1:])
+        if nb <= u[0]:
+            return u.copy()
+        if nb <= -u[0]:
+            return np.zeros_like(u)
+        c = (u[0] + nb) / 2.0
+        return np.concatenate([[c], c * u[1:] / nb])
+
+    sizes = [size * (size + 1) // 2 if kind == "psd" else size
+             for kind, size, _ in blocks]
+
+    def project(z):
+        parts = np.split(np.asarray(z, float), np.cumsum(sizes)[:-1])
+        return np.concatenate([s * plus(kind, s * u) for (kind, _, s), u
+                               in zip(blocks, parts)])
+
+    return project
+
+
+def _cone_of(blocks):
+    ctor = {"psd": PSD, "soc": SOC, "orthant": Orthant}
+    return ConeDesc([ctor[kind](size, "plus" if s > 0 else "minus")
+                     for kind, size, s in blocks])
+
+
+def _recheck_slices(cert, L, project, tol=DEFAULT_TOL):
+    """Re-check a rank >= 2 certificate against span(L) and the cone
+    with projection `project`; returns its verdict."""
+    k = np.linalg.matrix_rank(L)
+    Q = cert.details["basis"]
+    assert Q.shape[1] == k >= 2 and cert.method.startswith(SLICES)
+    assert np.allclose(Q.T @ Q, np.eye(k), atol=1e-12)
+    assert np.linalg.norm(L - Q @ (Q.T @ L)) <= 1e-10 * np.linalg.norm(L)
+    if cert.verdict == "fails":
+        w = cert.witness
+        # a coordinate of w in an orthonormal basis of span(L) is ±1
+        assert abs(abs(Q[:, cert.details["j"]] @ w) - 1.0) <= 1e-12
+        assert _in_span(L, w) <= 1e-10 * np.linalg.norm(w)
+        assert np.linalg.norm(w - project(w)) <= tol.membership
+        return "fails"
+    W = cert.details["complement"]
+    n = Q.shape[0]
+    assert np.allclose(np.hstack([Q, W]).T @ np.hstack([Q, W]), np.eye(n),
+                       atol=1e-12)
+    got = sorted((s["j"], s["sign"]) for s in cert.details["slices"])
+    assert got == sorted((j, s) for j in range(k) for s in (1.0, -1.0))
+    worst = np.inf
+    for s in cert.details["slices"]:
+        # a point x of the slice {x in span(L) : <q_j, x> = sign} has
+        # <h, b> = <M^T h, x> <= ||Pi_C(M^T h)|| ||x|| (Moreau), so
+        # ||x|| >= <h, b> / dist(M^T h, C°): the stored R, or better
+        M = np.vstack([Q[:, s["j"]], W.T])
+        b = np.concatenate([[s["sign"]], np.zeros(n - k)])
+        u = M.T @ s["h"]
+        dist = np.linalg.norm(project(u))
+        reread = float(s["h"] @ b) / dist if dist > 0 else np.inf
+        assert reread >= s["radius"] * (1 - 1e-9)
+        worst = min(worst, reread)
+    if cert.verdict == "holds":
+        assert worst > np.sqrt(k)
+    else:
+        assert cert.verdict == "inconclusive"
+        assert cert.residual == min(s["radius"] for s in
+                                    cert.details["slices"]) <= np.sqrt(k)
+    return cert.verdict
+
+
+GAUSSIAN_SHAPES = (
+    (("psd", 3, 1), ("orthant", 2, 1)),
+    (("soc", 3, 1), ("orthant", 1, 1)),
+    (("psd", 2, 1), ("soc", 3, 1)),
+    (("psd", 3, 1), ("psd", 3, -1), ("orthant", 1, 1)),
+)
+
+
+def test_slices_decide_gaussian_rank_two_kernels():
+    # 35 Gaussian bases of rank 2 to dim - 1 per cone.  The one
+    # `inconclusive` draw is near-tangent: its weakest slice stalls at
+    # R = 1.06 against sqrt(3), with the residual level at about 2e-3.
+    rng = np.random.default_rng(12)
+    counts = {"holds": 0, "fails": 0, "inconclusive": 0}
+    weak = []
+    for blocks in GAUSSIAN_SHAPES:
+        C, project = _cone_of(blocks), _own_projection(blocks)
+        for _ in range(35):
+            L = rng.standard_normal((C.dim, int(rng.integers(2, C.dim))))
+            verdict = _recheck_slices(subspace_cone_trivial(L, C), L,
+                                      project)
+            counts[verdict] += 1
+            if verdict == "inconclusive":
+                weak.append((C.dim, L.shape[1]))
+    assert counts == {"holds": 63, "fails": 76, "inconclusive": 1}
+    assert weak == [(6, 3)]
+
+
+def test_slice_witnesses_keep_a_loose_tolerance():
+    # with a loose membership tolerance and a short cycle cap, Dykstra
+    # "converges" at points up to tol.membership (1 + ||z||) from the
+    # sets; a witness is kept only within tol.membership of C
+    tol = Tol(membership=0.05, zero=0.005, max_iter=4)
+    rng = np.random.default_rng(12)
+    fails = 0
+    for blocks in GAUSSIAN_SHAPES:
+        C, project = _cone_of(blocks), _own_projection(blocks)
+        for _ in range(35):
+            L = rng.standard_normal((C.dim, int(rng.integers(2, C.dim))))
+            cert = subspace_cone_trivial(L, C, tol)
+            fails += _recheck_slices(cert, L, project, tol) == "fails"
+    assert fails > 50
+
+
+def test_slices_hold_on_the_pinned_qualify_kernels():
+    # srcq at the planted relative-interior multiplier: the polar of the
+    # critical cone is span N_K(y), so it holds exactly when A^T is
+    # injective on that span
+    from test_tooling import _bench_module
+    from conestab.constraint_system import BasePair, affine_system, \
+        srcq_check
+
+    wl = _bench_module("workloads")
+    for pin_seed in (19, 61):
+        shape, n = dict(wl.Qualify.PINNED)[pin_seed]
+        item = wl.Qualify._instance(np.random.default_rng(pin_seed), shape,
+                                    n, conditioned=False)
+        A, N = item["A"], item["span_normal"]
+        assert np.linalg.svd(A.T @ N, compute_uv=False).min() > 1e-6
+        pair = BasePair(affine_system(_cone_of(item["blocks"]), A,
+                                      item["b"]), item["x"], item["v"],
+                        item["lam"])
+        cert = srcq_check(pair)
+        ker = np.linalg.svd(A.T)[2][n:].T
+        P = N @ np.linalg.pinv(N)
+        assert cert.verdict == "holds", pin_seed
+        assert _recheck_slices(cert, ker, lambda z: P @ z) == "holds"
+        assert ker.shape[1] == {19: 4, 61: 5}[pin_seed]
+
+
+def test_slices_fail_on_example3_and_a_nine_dimensional_kernel():
+    from conestab.constraint_system import BasePair, affine_system, \
+        example3_system, srcq_check
+
+    # example3: ker J^T = {(a, -a)}, and with lam = (-E11/2, -E11/2) the
+    # polar of the critical cone is R^3 x span(E11)
+    e11 = svec(np.diag([1.0, 0.0]))
+    pair = BasePair(example3_system(), svec(np.diag([0.0, 1.0])),
+                    svec(np.diag([-1.0, 0.0])),
+                    np.concatenate([-0.5 * e11, -0.5 * e11]))
+    cert = srcq_check(pair)
+    ker = np.vstack([np.eye(3), -np.eye(3)])
+    line = np.outer(e11, e11)
+    assert _recheck_slices(cert, ker, lambda z: np.concatenate(
+        [z[:3], line @ z[3:]])) == "fails"
+    assert cert.details["cycles"] == 1
+
+    # PSD(3) x -PSD(3) x -R_+ at rank-one faces with strictly
+    # complementary multipliers, Gaussian A with dim_x 4: the kernel of
+    # A^T (dimension 9) and span N_K(y) (dimension 3 + 3 + 1) share at
+    # least a 3-dimensional subspace of R^13
+    rng = np.random.default_rng(5)
+    ys, lams, spans = [], [], []
+    for s in (1.0, -1.0):
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        ys.append(s * svec(1.3 * np.outer(U[:, 0], U[:, 0])))
+        lams.append(-s * svec(U[:, 1:] @ np.diag([0.8, 1.7]) @ U[:, 1:].T))
+        spans.append(np.column_stack([
+            svec(U[:, 1:] @ E @ U[:, 1:].T) for E in
+            (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+             np.array([[0.0, 1.0], [1.0, 0.0]]))]))
+    y = np.concatenate(ys + [[0.0]])
+    lam = np.concatenate(lams + [[0.9]])
+    N = np.zeros((13, 7))
+    N[:6, :3], N[6:12, 3:6], N[12, 6] = spans[0], spans[1], 1.0
+    A = rng.standard_normal((13, 4))
+    x = rng.standard_normal(4)
+    system = affine_system(
+        ConeDesc([PSD(3), PSD(3, "minus"), SOC(1, "minus")]), A, y - A @ x)
+    cert = srcq_check(BasePair(system, x, A.T @ lam, lam))
+    ker = np.linalg.svd(A.T)[2][4:].T
+    P = N @ np.linalg.pinv(N)
+    assert _recheck_slices(cert, ker, lambda z: P @ z) == "fails"
+    assert np.linalg.norm(A.T @ cert.witness) <= 1e-9

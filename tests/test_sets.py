@@ -259,6 +259,14 @@ def test_tol_rejects_non_positive_and_non_finite(field, value):
         Tol(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 1e4 + 0.5, True])
+def test_tol_rejects_a_non_integer_cycle_cap(value):
+    # dykstra runs range(1, max_iter + 1), which takes only integers
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        Tol(max_iter=value)
+    assert Tol(max_iter=np.int64(7)).max_iter == 7
+
+
 def test_subspace_keeps_the_rank_of_a_wide_basis():
     # rank 3 with a repeated column: every spanned direction is kept
     L = np.eye(4)[:, [0, 0, 1, 2]]
