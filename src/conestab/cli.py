@@ -8,6 +8,7 @@ error.
 """
 
 import argparse
+import functools
 import json
 import sys as _sys
 import numpy as np
@@ -221,7 +222,11 @@ def cmd_repro(args):
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared after it:
+    `parse_args` leaves the parser unchanged and returns a new
+    namespace each time."""
     p = argparse.ArgumentParser(
         prog="conestab",
         description="certificates for conic constraint systems")

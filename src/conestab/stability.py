@@ -3,10 +3,12 @@ F(p,x) + N_Gamma(x)}, the KKT specialization, the stationarity-system
 residual with subregularity probes, and lower generators for the regular
 coderivative of the feasible-set normal-cone map.
 
-A "holds" verdict is only issued under one of two licenses: exact branch
-enumeration when the data is polyhedral and affine, or a second-order
-form definite on the span of the critical directions, carried with its
-basis and eigenvalue range.  A direction search can refute the
+A "holds" verdict is only issued under one of three licenses: exact
+branch enumeration when the data is polyhedral and affine, a
+second-order form definite on the span of the critical directions,
+carried with its basis and eigenvalue range, or, when the critical cone
+is a subspace, a nonsingular compression of that form, carried with its
+basis and smallest singular value.  A direction search can refute the
 universally quantified implication but never prove it, so everything
 else is inconclusive.
 """
@@ -19,7 +21,8 @@ from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace
 from .cone_core import ConeDesc, Orthant, Zero, Free, project
 from .constraint_system import (
     ConstraintSystem, SUBREG_ASSUMPTION, BasePair, affine_system,
-    multiplier_solve, srcq_check, ngamma_graph_deriv_contains, _null_basis,
+    multiplier_solve, multiplier_verify, srcq_check,
+    ngamma_graph_deriv_contains, _null_basis,
 )
 
 NET_K_DEFAULT = 6
@@ -105,7 +108,10 @@ class GEProblem:
 
     `Fprime((pbar, xbar), (dp, dx))` is the directional derivative of F;
     `Fx` optionally carries the Jacobian of F in x at the base pair,
-    which unlocks the exact polyhedral enumeration route.
+    which unlocks the exact polyhedral enumeration route.  The
+    constructor checks that the pair solves the inclusion: a `lam_hint`
+    that `multiplier_verify` accepts settles it, and otherwise a
+    multiplier search must find one.
     """
 
     sys: ConstraintSystem
@@ -121,6 +127,11 @@ class GEProblem:
     def __post_init__(self):
         self.pbar = np.asarray(self.pbar, float)
         self.xbar = np.asarray(self.xbar, float)
+        hint = self.lam_hint
+        if hint is not None and np.shape(hint) == (self.sys.cone.dim,) and \
+                multiplier_verify(self.sys, self.xbar, self.vbar, hint,
+                                  self.tol):
+            return
         res = multiplier_solve(self.sys, self.xbar, self.vbar, self.tol,
                                with_uniqueness=False, reseed=False)
         if not res.found:
@@ -227,25 +238,37 @@ def _enumerate_branches(options, cap=4096):
     return itertools.product(*options)
 
 
-def _branch_lp_max(J, M, branch, n, m, objective_sign, j):
-    """Feasibility LP over (d, mu) in the box [-1,1]^{n+m} with
-    M d + J^T mu = 0 and the branch sign pattern on ((J d)_i, mu_i);
-    maximizes objective_sign * d_j.  Returns (value, d) or None."""
+def _branch_lp_max(J, M, branch):
+    """Largest |d_j| over the branch face, by one LP.
+
+    The face is the set of (d, mu) in the box [-1,1]^{n+m} with
+    M d + J^T mu = 0 and the branch sign pattern on ((J d)_i, mu_i).  The
+    LP stacks 2n copies (d_k, mu_k) of these constraints, and copy
+    k = 2j or 2j + 1 maximizes +d_j or -d_j.  The objective is separable,
+    so each copy reaches the optimum of its own LP, and one HiGHS call
+    replaces 2n.  The blocks are sparse (`scipy.sparse.kron`), so memory
+    stays linear in the number of copies.
+
+    Returns (res, value, d): the `linprog` result, the largest copy value
+    and the d of the first copy that attains it.  When HiGHS does not
+    report success, value and d are None, and `_polyhedral_route` answers
+    `inconclusive` with the HiGHS status: a face left unsearched is no
+    evidence.  Data that is not polyhedral and affine never reaches this
+    LP; `solution_map_isolated_calm` decides it by the second-order form
+    and, when C is a subspace, by `_subspace_decision`.
+    """
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    nv = n + m
-    c = np.zeros(nv)
-    c[j] = -objective_sign
+    m, n = J.shape
+    nv, copies = n + m, 2 * n
     A_eq = [np.hstack([M, J.T])]
-    b_eq = [np.zeros(n)]
     A_ub = []
     bounds = [(-1.0, 1.0)] * n
     for i, (ca, cb) in enumerate(branch):
-        row = np.zeros(nv)
-        row[:n] = J[i]
+        row = np.concatenate([J[i], np.zeros(m)])
         if ca == SignPattern.ZERO:
-            A_eq.append(row.reshape(1, -1))
-            b_eq.append(np.zeros(1))
+            A_eq.append(row)
         elif ca != SignPattern.FREE:
             A_ub.append(-ca * row)
         if cb == SignPattern.ZERO:
@@ -254,37 +277,48 @@ def _branch_lp_max(J, M, branch, n, m, objective_sign, j):
             bounds.append((-1.0, 1.0))
         else:
             bounds.append((0.0, 1.0) if cb > 0 else (-1.0, 0.0))
-    res = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.zeros(len(A_ub)) if A_ub else None,
-                  A_eq=np.vstack(A_eq), b_eq=np.concatenate(b_eq),
-                  bounds=bounds, method="highs")
+    eye = sparse.identity(copies, format="csr")
+    A_eq = sparse.kron(eye, np.vstack(A_eq), format="csr")
+    A_ub = sparse.kron(eye, np.array(A_ub), format="csr") if A_ub else None
+    # copy k maximizes sign_k * d_{j_k}: (j, +) then (j, -) for each j
+    sign = np.tile([1.0, -1.0], n)
+    col = np.arange(copies) * nv + np.repeat(np.arange(n), 2)
+    c = np.zeros(copies * nv)
+    c[col] = -sign
+    res = linprog(c, A_ub=A_ub,
+                  b_ub=np.zeros(A_ub.shape[0]) if A_ub is not None else None,
+                  A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]),
+                  bounds=np.tile(bounds, (copies, 1)), method="highs")
     if not res.success:
-        return None
-    return -res.fun, res.x[:n]
+        return res, None, None
+    vals = sign * res.x[col]
+    k = int(np.argmax(vals))
+    return res, float(vals[k]), res.x[k * nv:k * nv + n]
 
 
 def _polyhedral_route(problem, pair):
     sys, J, tol = pair.sys, pair.J, pair.tol
-    n, m = sys.dim_x, sys.cone.dim
     M = problem.Fx + pair.hess
     options = []
     for block, sl in zip(sys.cone.blocks, sys.cone.slices):
         options.extend(_scalar_branches(block, pair.gx[sl], pair.lam[sl], tol))
 
+    method = "exact branch enumeration over polyhedral graph-tangent faces"
     best = 0.0
     witness = None
-    for branch in _enumerate_branches(options):
-        for j in range(n):
-            for sgn in (1.0, -1.0):
-                out = _branch_lp_max(J, M, branch, n, m, sgn, j)
-                if out is None:
-                    continue
-                val, d = out
-                if val > best:
-                    best, witness = val, d
+    for index, branch in enumerate(_enumerate_branches(options)):
+        res, val, d = _branch_lp_max(J, M, branch)
+        if val is None:
+            # an unsolved face is a face not searched: no verdict
+            return Certificate(
+                "inconclusive", best, None, method, tol,
+                assumptions=(SUBREG_ASSUMPTION,),
+                details={"branch": index, "lp_status": int(res.status),
+                         "lp_message": str(res.message)})
+        if val > best:
+            best, witness = val, d
         if best > WITNESS_CUT:
             break
-    method = "exact branch enumeration over polyhedral graph-tangent faces"
     if best > WITNESS_CUT:
         return Certificate("fails", best, witness / np.linalg.norm(witness),
                            method, tol, assumptions=(SUBREG_ASSUMPTION,))
@@ -299,10 +333,11 @@ FX_ASSUMPTION = "F is C¹ in x (Fprime linear in dx)"
 
 
 def _second_order_form(problem, pair):
-    """S = sym(-F_x - Hess - J^T U J / 2), where U h = grad Upsilon(h) is
-    the curvature term of the cone-level graphical derivative, and the
-    assumptions S rests on.  F_x is `problem.Fx`, or is assembled from n
-    `Fprime` columns when that is not given."""
+    """A = -F_x - Hess - J^T U J / 2, where U h = grad Upsilon(h) is the
+    curvature term of the cone-level graphical derivative, and the
+    assumptions A rests on.  F_x is `problem.Fx`, or is assembled from n
+    `Fprime` columns when that is not given.  A is not symmetrized: its
+    symmetric part decides definiteness, A itself the subspace case."""
     sys, J, tol = pair.sys, pair.J, pair.tol
     n = sys.dim_x
     assumptions = (SUBREG_ASSUMPTION,)
@@ -317,8 +352,7 @@ def _second_order_form(problem, pair):
         assumptions += (FX_ASSUMPTION,)
     UJ = np.column_stack([sys.cone.upsilon_grad(pair.gx, pair.lam, J[:, j],
                                                 tol) for j in range(n)])
-    A = -Fx - pair.hess - 0.5 * (J.T @ UJ)
-    return 0.5 * (A + A.T), assumptions
+    return -Fx - pair.hess - 0.5 * (J.T @ UJ), assumptions
 
 
 def _critical_span_basis(pair):
@@ -330,6 +364,51 @@ def _critical_span_basis(pair):
     except NotImplementedError:
         return np.eye(pair.sys.dim_x)
     return _null_basis(Lp.T @ pair.J, pair.tol)
+
+
+def _critical_is_subspace(pair):
+    """Whether the critical cone C is a subspace: dim lin C + dim lin C°
+    is the cone dimension exactly when lin C = span C."""
+    try:
+        k = pair.critical.lineality_basis().shape[1]
+        k_polar = pair.critical_polar.lineality_basis().shape[1]
+    except NotImplementedError:
+        return False
+    return k + k_polar == pair.sys.cone.dim
+
+
+def _subspace_decision(problem, pair, srcq, A, B, assumptions, checked):
+    """The inclusion when C is a subspace.  Then N_C(J d) = C^perp, and the
+    orthogonal complement of span B = {d : J d in C} is J^T C^perp, so
+    d = B c solves A d in J^T C^perp exactly when B^T A B c = 0.  The
+    answer is `holds` when sigma_min(B^T A B) exceeds
+    sqrt(tol.membership) (1 + sigma_max), and `fails` when sigma_min is
+    below tol.membership (1 + sigma_max) and `ngamma_graph_deriv_contains`
+    accepts the witness B v_min.  Anything between is None: no decision."""
+    tol = pair.tol
+    _, sv, vt = np.linalg.svd(B.T @ A @ B)
+    s_min, s_max = float(sv[-1]), float(sv[0])
+    threshold = float(np.sqrt(tol.membership) * (1.0 + s_max))
+    details = {"sigma_min": s_min, "sigma_max": s_max,
+               "sigma_threshold": threshold}
+    method = "inclusion on the critical subspace decided by B^T A B"
+    if s_min > threshold:
+        return Certificate("holds", s_min, None, method, tol,
+                           assumptions=assumptions, checked=checked,
+                           details=details)
+    if s_min > tol.membership * (1.0 + s_max):
+        return None
+    d = B @ vt[-1]
+    zero_p = np.zeros_like(problem.pbar)
+    w = -np.asarray(problem.Fprime((problem.pbar, problem.xbar),
+                                   (zero_p, d)), float)
+    cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
+    if cert.verdict != "holds":
+        return None
+    details["membership_residual"] = cert.residual
+    return Certificate("fails", s_min, d, method, tol,
+                       assumptions=assumptions, checked=checked,
+                       details=details)
 
 
 def _lineality_directions(pair):
@@ -399,8 +478,10 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     {d : J d in span C} (details `basis`, `lambda_min`, `lambda_max` and
     `threshold`, the eigenvalue range of B^T S B against
     sqrt(tol.membership) (1 + ||B^T S B||)).  When S is not definite
-    there, `_net_witness_search` looks for a nonzero solution (`fails`);
-    finding none is `inconclusive`.
+    there and C is a subspace, `_subspace_decision` decides by the
+    singular values of B^T A B.  Otherwise, or when those are too close
+    to call, `_net_witness_search` looks for a nonzero solution
+    (`fails`); finding none is `inconclusive`.
     """
     sys = problem.sys
     pair = BasePair(sys, problem.xbar, problem.vbar, lam, tol)
@@ -420,7 +501,8 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
         cert.checked = cert.checked + checked
         return cert
 
-    S, assumptions = _second_order_form(problem, pair)
+    A, assumptions = _second_order_form(problem, pair)
+    S = 0.5 * (A + A.T)
     B = _critical_span_basis(pair)
     eig = np.linalg.eigvalsh(B.T @ S @ B)
     # an empty B (only d = 0 has J d in span C) is definite either way
@@ -435,6 +517,12 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
                            "critical directions", tol,
                            assumptions=assumptions, checked=checked,
                            details=details)
+    if _critical_is_subspace(pair):
+        cert = _subspace_decision(problem, pair, srcq, A, B, assumptions,
+                                  checked)
+        if cert is not None:
+            cert.details.update(details)
+            return cert
     cert = _net_witness_search(problem, pair, srcq, net_k)
     cert.details.update(details)
     return cert

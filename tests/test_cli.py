@@ -29,6 +29,37 @@ def _write(path, obj):
     return str(path)
 
 
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
+    # the parser is built once; analyze, an argv error (exit 2) and repro
+    # in a row print what they print with a parser built for each call
+    from conestab import cli
+
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    point = _write(tmp_path / "pt.json", {"x": [-1, -1, 0], "v": [0, 0, 0]})
+    calls = [["analyze", "--problem", problem, "--point", point,
+              "--report", "json"],
+             ["repro", "example1", "--report", "xml"],
+             ["repro", "example41"]]
+
+    def run(fresh):
+        outs = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            outs.append((rc, *capsys.readouterr()))
+        return outs
+
+    cached = run(fresh=False)
+    assert [rc for rc, _, _ in cached] == [0, 2, 0]
+    assert "invalid choice: 'xml'" in cached[1][2]
+    assert cli.build_parser() is cli.build_parser()
+    assert run(fresh=True) == cached
+
+
 def test_analyze_text_and_json(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     point = _write(tmp_path / "pt.json", {"x": [-1, -1, 0], "v": [0, 0, 0]})

@@ -85,6 +85,32 @@ def test_ge_problem_rejects_non_solution():
                   pbar=np.zeros(3), xbar=XBAR1)
 
 
+def test_ge_problem_accepts_a_verified_hint_without_a_search(monkeypatch):
+    import conestab.stability as stability
+
+    calls = []
+    search = stability.multiplier_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "multiplier_solve", counted)
+    problem = example41_problem()
+    assert calls == []
+    # a wrong hint, or one of the wrong shape, falls back to the search
+    for hint in (np.zeros(4), np.zeros(3)):
+        GEProblem(problem.sys, problem.F, problem.Fprime, problem.pbar,
+                  problem.xbar, lam_hint=hint)
+    assert len(calls) == 2
+    # a hint cannot rescue a pair that solves nothing
+    with pytest.raises(ValueError, match="does not solve"):
+        GEProblem(problem.sys, F=lambda p, x: np.array([-1.0, 0.0, 0.0]),
+                  Fprime=lambda base, dirn: np.zeros(3), pbar=np.zeros(3),
+                  xbar=XBAR1, lam_hint=problem.lam_hint)
+    assert len(calls) == 3
+
+
 def test_isolated_calm_fails_on_flat_free_problem():
     # F identically 0 over an unconstrained set: every x solves the
     # inclusion, so the solution map cannot be isolated calm anywhere
@@ -234,22 +260,49 @@ def _soc_face_problem(alpha, scale=1.0):
 
 
 @pytest.mark.parametrize("alpha,c,expected", [
-    (2.0, 1.0, "holds"), (-2.0, 1.0, "holds"), (0.5, 1.0, "inconclusive"),
+    (2.0, 1.0, "holds"), (-2.0, 1.0, "holds"), (0.5, 1.0, "holds"),
     (0.5, 0.25, "holds")])
 def test_curvature_term_enters_the_definiteness_certificate(alpha, c,
                                                             expected):
     # with S = alpha I the form is definite for every alpha != 0; the
     # curvature term -U/2 makes it indefinite on a^perp when
-    # 0 < alpha < c.  There the compression is nonsingular and no witness
-    # exists, so the search finds none
+    # 0 < alpha < c.  C = a^perp is a subspace and the compression
+    # diag(alpha - c, alpha) is nonsingular, so that case holds by the
+    # subspace decision with sigma_min = min(|alpha - c|, |alpha|)
+    definite = not 0 < alpha < c
     problem, lam = _soc_face_problem(alpha, c)
     cert = solution_map_isolated_calm(problem, lam)
     assert cert.verdict == expected
+    assert ("definite" in cert.method) == definite
+    assert ("critical subspace" in cert.method) == (not definite)
     assert cert.details["basis"].shape == (3, 2)
     assert cert.details["lambda_min"] == pytest.approx(min(alpha - c, alpha))
     assert cert.details["lambda_max"] == pytest.approx(max(alpha - c, alpha))
+    if not definite:
+        assert cert.details["sigma_min"] == pytest.approx(
+            min(abs(alpha - c), abs(alpha)))
+        assert "directions" not in cert.details
     # S was assembled from Fprime columns, so the certificate says so
-    assert (FX_ASSUMPTION in cert.assumptions) == (expected == "holds")
+    assert FX_ASSUMPTION in cert.assumptions
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_singular_compression_on_a_critical_subspace_fails(alpha):
+    # alpha = c or alpha = 0 makes diag(alpha - c, alpha) singular: its
+    # kernel direction solves the inclusion, and the witness is checked
+    # against the graphical derivative independently here
+    problem, lam = _soc_face_problem(alpha, 1.0)
+    cert = solution_map_isolated_calm(problem, lam)
+    assert cert.verdict == "fails"
+    assert "critical subspace" in cert.method
+    assert cert.details["sigma_min"] <= 1e-12
+    d = cert.witness
+    assert np.linalg.norm(d) == pytest.approx(1.0)
+    a = np.array([-1.0, 0.6, 0.8])
+    assert abs(float(a @ d)) <= 1e-12
+    pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam)
+    w = -problem.Fprime((problem.pbar, problem.xbar), (np.zeros(3), d))
+    assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
 
 
 def _referee_form(problem, pair):
@@ -349,9 +402,11 @@ def _permuted(sys, order):
 
 
 @pytest.mark.parametrize("alpha,expected", [(10.0, "holds"),
-                                            (1.0, "inconclusive")])
+                                            (1.0, "holds")])
 def test_definiteness_verdict_invariant_under_mirror_and_permutation(
         alpha, expected):
+    # alpha = 1 leaves the form indefinite on span B; C is a subspace
+    # there, and the compression is nonsingular in every coordinate system
     sys, x, v, lam = _mixed_planted(8)
     perm, rows = _permuted(sys, [2, 0, 1])
     certs = [solution_map_isolated_calm(_shifted_problem(s, x, v, alpha), l)
@@ -359,8 +414,10 @@ def test_definiteness_verdict_invariant_under_mirror_and_permutation(
                           (perm, lam[rows]))]
     for cert in certs:
         assert cert.verdict == expected
-        assert cert.details["lambda_min"] == pytest.approx(
-            certs[0].details["lambda_min"], rel=1e-10)
+        assert ("critical subspace" in cert.method) == (alpha == 1.0)
+        for key in ("lambda_min", "sigma_min"):
+            assert cert.details.get(key) == pytest.approx(
+                certs[0].details.get(key), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +454,151 @@ def test_kkt_rejects_non_kkt_pair():
 def test_lp_kkt_data_unknown_kind():
     with pytest.raises(ValueError):
         lp_kkt_data("typo")
+
+
+# ---------------------------------------------------------------------------
+# polyhedral branch LP against a one-LP-per-objective referee
+
+def _scalar_ge_draw(seed):
+    """A seeded GE problem over Orthant/Zero/Free blocks with affine g,
+    xbar = 0 and a planted multiplier: some active Orthant coordinates
+    carry a zero multiplier, and F_x is Gaussian, positive definite,
+    rank-deficient or zero.  Returns (problem, lam, per-coordinate
+    (kind, active, strict) tags)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    blocks, y, lam, tags = [], [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = rng.choice(["plus", "minus", "zero", "free"],
+                          p=[0.35, 0.35, 0.15, 0.15])
+        k = int(rng.integers(1, 3))
+        if kind == "zero":
+            blocks.append(Zero(k))
+            y += [0.0] * k
+            lam += list(rng.standard_normal(k))
+            tags += [("zero", True, True)] * k
+        elif kind == "free":
+            blocks.append(Free(k))
+            y += list(rng.standard_normal(k))
+            lam += [0.0] * k
+            tags += [("free", False, False)] * k
+        else:
+            s = 1.0 if kind == "plus" else -1.0
+            blocks.append(Orthant(k, kind))
+            for _ in range(k):
+                state = rng.choice(["inactive", "strict", "degenerate"])
+                y.append(s * rng.uniform(0.5, 2.0)
+                         if state == "inactive" else 0.0)
+                lam.append(-s * rng.uniform(0.5, 2.0)
+                           if state == "strict" else 0.0)
+                tags.append((s, state != "inactive", state == "strict"))
+    m = len(y)
+    A = rng.standard_normal((m, n))
+    sys = affine_system(ConeDesc(blocks), A, np.array(y))
+    lam = np.array(lam)
+    form = rng.choice(["gauss", "definite", "singular", "zero"])
+    G = rng.standard_normal((n, n))
+    Fx = {"gauss": G, "definite": G @ G.T + 0.1 * np.eye(n),
+          "singular": G[:, :1] @ rng.standard_normal((1, n)),
+          "zero": np.zeros((n, n))}[form]
+    v = A.T @ lam
+    problem = GEProblem(
+        sys, F=lambda p, x: Fx @ np.asarray(x) - np.asarray(p),
+        Fprime=lambda base, dirn: Fx @ np.asarray(dirn[1])
+        - np.asarray(dirn[0]),
+        pbar=v, xbar=np.zeros(n), Fx=Fx, lam_hint=lam)
+    return problem, lam, tags
+
+
+def _referee_branch_max(problem, tags, cut):
+    """The largest |d_j| by one dense `linprog` per (branch, j, sign),
+    branches in coordinate order with the free-side option first, and the
+    enumeration stopped after the first branch whose best exceeds `cut`.
+    The face of a branch: (d, mu) in the box, F_x d + J^T mu = 0, and per
+    coordinate either (J d)_i free with mu_i = 0, or (J d)_i = 0 with mu_i
+    free, or at a degenerate Orthant coordinate of sign s the choice
+    s (J d)_i >= 0, mu_i = 0 or (J d)_i = 0, s mu_i <= 0."""
+    import itertools
+    from scipy.optimize import linprog
+
+    J = problem.sys.jacobian(problem.xbar)
+    m, n = J.shape
+    options = []
+    for kind, active, strict in tags:
+        if not active:
+            options.append([("free", (0.0, 0.0))])
+        elif strict:
+            options.append([("zero", (-1.0, 1.0))])
+        else:
+            s = kind
+            options.append([(s, (0.0, 0.0)),
+                            ("zero", (-1.0, 0.0) if s > 0 else (0.0, 1.0))])
+    best = 0.0
+    for branch in itertools.product(*options):
+        eq = [np.hstack([problem.Fx, J.T])]
+        ub = []
+        bounds = [(-1.0, 1.0)] * n
+        for i, (a, bnd) in enumerate(branch):
+            row = np.concatenate([J[i], np.zeros(m)])
+            if a == "zero":
+                eq.append(row[None])
+            elif a != "free":
+                ub.append(-a * row)
+            bounds.append(bnd)
+        eq = np.vstack(eq)
+        for j in range(n):
+            for sgn in (1.0, -1.0):
+                c = np.zeros(n + m)
+                c[j] = -sgn
+                res = linprog(c, A_ub=np.array(ub) if ub else None,
+                              b_ub=np.zeros(len(ub)) if ub else None,
+                              A_eq=eq, b_eq=np.zeros(len(eq)),
+                              bounds=bounds, method="highs")
+                assert res.success
+                best = max(best, -res.fun)
+        if best > cut:
+            break
+    return best
+
+
+def test_branch_lp_matches_one_lp_per_objective():
+    from conestab.stability import _polyhedral_route, WITNESS_CUT
+
+    verdicts = []
+    for seed in range(200):
+        problem, lam, tags = _scalar_ge_draw(seed)
+        pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam)
+        cert = _polyhedral_route(problem, pair)
+        best = _referee_branch_max(problem, tags, WITNESS_CUT)
+        assert cert.verdict == ("fails" if best > WITNESS_CUT else "holds")
+        assert cert.residual == pytest.approx(best, abs=1e-9), seed
+        if cert.verdict == "fails":
+            # the witness may be another optimal vertex than the
+            # referee's, but it must solve the linearized inclusion
+            d = cert.witness
+            assert np.linalg.norm(d) == pytest.approx(1.0)
+            assert ngamma_graph_deriv_contains(
+                pair, d, -problem.Fx @ d).verdict == "holds"
+        verdicts.append(cert.verdict)
+    # both verdicts occur among the draws
+    assert 0 < verdicts.count("fails") < len(verdicts)
+
+
+def test_branch_lp_failure_is_inconclusive(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    def failing(*args, **kwargs):
+        return OptimizeResult(success=False, status=4, x=None, fun=None,
+                              message="numerical difficulties")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    for kind in ("nondegenerate", "degenerate"):
+        cert = kkt_isolated_calm(*lp_kkt_data(kind))
+        assert cert.verdict == "inconclusive"
+        assert "exact branch enumeration" in cert.method
+        assert cert.details["lp_status"] == 4
+        assert cert.details["lp_message"] == "numerical difficulties"
 
 
 # ---------------------------------------------------------------------------
@@ -631,3 +833,29 @@ def test_mirror_invariance_mixed_affine_system(dim_x, expected):
     assert _assert_mirror_invariant(sys, x, v, lam) == expected
     calm = _calm_verdicts(sys, x, v, lam)
     assert calm[0] == calm[1]
+
+
+def test_mixed_system_holds_on_its_critical_subspace():
+    # at dim_x 5 the form is indefinite on span B, but C is a subspace
+    # and B^T A B is nonsingular: both mirrors hold without a net
+    sys, x, v, lam = _mixed_planted(5)
+    for s, sign in ((sys, 1.0), (_mirror(sys), -1.0)):
+        problem = _shifted_problem(s, x, v, 1.0)
+        cert = solution_map_isolated_calm(problem, sign * lam)
+        det = cert.details
+        assert cert.verdict == "holds"
+        assert "critical subspace" in cert.method
+        assert "directions" not in det
+        assert det["lambda_min"] < -det["threshold"] < det["threshold"] \
+            < det["lambda_max"]
+        # F_x = -I and U are symmetric, so A = S here and the compression
+        # can be rebuilt from the test's own form
+        pair = BasePair(s, x, problem.vbar, sign * lam)
+        S = _referee_form(problem, pair)
+        B = det["basis"]
+        sv = np.linalg.svd(B.T @ S @ B, compute_uv=False)
+        assert det["sigma_min"] == pytest.approx(sv[-1], abs=1e-6)
+        assert det["sigma_max"] == pytest.approx(sv[0], abs=1e-6)
+        assert det["sigma_min"] == pytest.approx(0.4116, abs=1e-4)
+        assert det["sigma_max"] == pytest.approx(7.5075, abs=1e-4)
+        assert det["sigma_min"] > det["sigma_threshold"]

@@ -65,6 +65,33 @@ def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
+    # kkt_lp decides each of its two instances with one branch LP, and
+    # example41's pair is settled by its verified multiplier hint alone
+    import scipy.optimize
+    from conestab import _sets, cli, cone_geometry, constraint_system
+    from conestab.stability import example41_problem
+
+    calls = {"linprog": 0, "dykstra": 0}
+
+    def counting(name, inner):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        counting("linprog", scipy.optimize.linprog))
+    dykstra = counting("dykstra", _sets.dykstra)
+    for module in (_sets, cone_geometry, constraint_system):
+        monkeypatch.setattr(module, "dykstra", dykstra)
+    assert cli.main(["repro", "kkt_lp"]) == 0
+    capsys.readouterr()
+    assert calls == {"linprog": 2, "dykstra": 0}
+    example41_problem()
+    assert calls == {"linprog": 2, "dykstra": 0}
+
+
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
     # example41 and the SOC apex are certified by the definiteness check,
     # before any direction of the net is tried
