@@ -2,13 +2,14 @@
 
 Every derived cone used by the toolkit (tangent cones, normal cones,
 critical cones, their polars, intersections with subspaces or hyperplanes)
-is represented by one of the classes below.  All sets are closed and
-convex; sets are cones unless `is_cone` says otherwise.  Projections are
-exact per class; intersections project through Dykstra's alternating
-scheme.
+is one of the classes below or a primitive cone of `cone_core` (the
+whole space, {0}, a second-order cone).  All sets are closed and convex;
+sets are cones unless `is_cone` says otherwise.  Projections are exact
+per class; intersections project through Dykstra's alternating scheme.
+The cones have their polar, mirror and lineality basis in closed form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 from typing import NamedTuple
 
@@ -73,47 +74,16 @@ class ConvexSet:
         return self.dist(z) <= tol.membership * (1.0 + _norm(z))
 
     def polar(self) -> "ConvexSet":
-        return PolarCone(self)
+        """The polar cone {w : <w, z> <= 0 for every z in the set}."""
+        raise NotImplementedError
 
     def negate(self) -> "ConvexSet":
-        return NegatedSet(self)
+        """The mirror {-z : z in the set}."""
+        raise NotImplementedError
 
     def lineality_basis(self) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no lineality data")
-
-
-class FullSpace(ConvexSet):
-    def __init__(self, dim):
-        self.dim = dim
-
-    def project(self, z):
-        return np.asarray(z, float).copy()
-
-    def polar(self):
-        return ZeroSet(self.dim)
-
-    def negate(self):
-        return self
-
-    def lineality_basis(self):
-        return np.eye(self.dim)
-
-
-class ZeroSet(ConvexSet):
-    def __init__(self, dim):
-        self.dim = dim
-
-    def project(self, z):
-        return np.zeros(self.dim)
-
-    def polar(self):
-        return FullSpace(self.dim)
-
-    def negate(self):
-        return self
-
-    def lineality_basis(self):
-        return np.zeros((self.dim, 0))
+        """Columns spanning the largest subspace inside the set."""
+        raise NotImplementedError
 
 
 class SignPattern(ConvexSet):
@@ -163,43 +133,6 @@ class SignPattern(ConvexSet):
         ineq = np.array(ineq) if ineq else np.zeros((0, self.dim))
         eq = np.array(eq) if eq else np.zeros((0, self.dim))
         return ineq, eq
-
-
-def _soc_project(u):
-    u0, ub = u[0], u[1:]
-    nb = _norm(ub)
-    if nb <= u0:
-        return u.copy()
-    if nb <= -u0:
-        return np.zeros_like(u)
-    coef = (nb + u0) / 2.0
-    out = np.empty_like(u)
-    out[0] = coef
-    out[1:] = coef * ub / nb
-    return out
-
-
-class SOCLike(ConvexSet):
-    """Second-order cone {(z0, zbar): ||zbar|| <= z0} or its negative."""
-
-    def __init__(self, dim, sign=1):
-        if dim < 2:
-            raise ValueError("use SignPattern for the 1-D case")
-        self.dim = dim
-        self.sign = 1 if sign >= 0 else -1
-
-    def project(self, z):
-        u = self.sign * np.asarray(z, float)
-        return self.sign * _soc_project(u)
-
-    def polar(self):
-        return SOCLike(self.dim, -self.sign)
-
-    def negate(self):
-        return SOCLike(self.dim, -self.sign)
-
-    def lineality_basis(self):
-        return np.zeros((self.dim, 0))
 
 
 class Halfspace(ConvexSet):
@@ -310,9 +243,6 @@ class Subspace(ConvexSet):
         z = np.asarray(z, float)
         return self.Q @ (self.Q.T @ z)
 
-    def negate(self):
-        return self
-
     def lineality_basis(self):
         return self.Q
 
@@ -331,50 +261,6 @@ class AffineSet(ConvexSet):
     def project(self, z):
         z = np.asarray(z, float)
         return z - self.pinv @ (self.M @ z - self.b)
-
-
-class PolarCone(ConvexSet):
-    """Negative polar of a cone, projected through Moreau decomposition."""
-
-    def __init__(self, base):
-        if not base.is_cone:
-            raise ValueError("polar requires a cone")
-        self.base = base
-        self.dim = base.dim
-
-    @property
-    def exact(self):
-        return self.base.exact
-
-    def project(self, z):
-        z = np.asarray(z, float)
-        return z - self.base.project(z)
-
-    def polar(self):
-        return self.base
-
-
-class NegatedSet(ConvexSet):
-    def __init__(self, base):
-        self.base = base
-        self.dim = base.dim
-        self.is_cone = base.is_cone
-
-    @property
-    def exact(self):
-        return self.base.exact
-
-    def project(self, z):
-        return -self.base.project(-np.asarray(z, float))
-
-    def polar(self):
-        return self.base.polar().negate()
-
-    def negate(self):
-        return self.base
-
-    def lineality_basis(self):
-        return self.base.lineality_basis()
 
 
 class ProductSet(ConvexSet):
@@ -398,9 +284,6 @@ class ProductSet(ConvexSet):
 
     def polar(self):
         return ProductSet([s.polar() for s in self.sets])
-
-    def negate(self):
-        return ProductSet([s.negate() for s in self.sets])
 
     def lineality_basis(self):
         cols = []
@@ -598,23 +481,23 @@ class DykstraInfo:
     gordan: tuple | None = None  # (h, R) of `_gordan`
 
 
-def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None, radius=None):
+def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
     """Dykstra's alternating projections onto the intersection of `sets`.
 
-    Returns the final iterate plus convergence diagnostics.  When
-    `sets[0]` is an AffineSet and the others are cones with closed-form
-    projections, the increments are tested for a Farkas certificate of
-    emptiness after cycles 1, 2, 4, 8, ...; a certified call returns at
-    once with `farkas` set and `stalled` true.  Otherwise a run without
-    residual progress is reported as stalled; a stall is not a proof
-    that the intersection is empty, only the end of the search.
+    Returns the final iterate plus convergence diagnostics after at most
+    `tol.max_iter` cycles.  When `sets[0]` is an AffineSet and the others
+    are cones with closed-form projections, the increments are tested for
+    a Farkas certificate of emptiness after cycles 1, 2, 4, 8, ...; a
+    certified call returns at once with `farkas` set and `stalled` true.
+    Otherwise a run without residual progress is reported as stalled; a
+    stall is not a proof that the intersection is empty, only the end of
+    the search.
 
     With a `radius`, each checkpoint reads `_gordan` from the iterate
     instead and returns, stalled, once R > `radius`; every other exit
     reads it too, so `gordan` is always set.
     """
 
-    cap = max_iter if max_iter is not None else tol.max_iter
     cones = _farkas_cones(sets)
     read = radius is not None and cones is not None
     next_check = 1
@@ -623,7 +506,7 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, max_iter=None, radius=None):
     last_checkpoint = np.inf
     stalls = 0
     cycle = 0
-    for cycle in range(1, cap + 1):
+    for cycle in range(1, tol.max_iter + 1):
         move = 0.0
         for i, S in enumerate(sets):
             w = z + incs[i]
@@ -667,12 +550,11 @@ class Intersection(ConvexSet):
     def __init__(self, sets, tol: Tol = DEFAULT_TOL, max_iter=400):
         self.sets = list(sets)
         self.dim = self.sets[0].dim
-        self.tol = tol
-        self.max_iter = max_iter
+        self.tol = replace(tol, max_iter=max_iter)
         self.is_cone = all(s.is_cone for s in self.sets)
 
     def project(self, z):
-        out, _ = dykstra(self.sets, z, self.tol, self.max_iter)
+        out, _ = dykstra(self.sets, z, self.tol)
         return out
 
     def contains(self, z, tol: Tol = DEFAULT_TOL):

@@ -12,16 +12,18 @@ second-order cone) is applied once, in `PrimitiveCone`, by negating the
 data going in and the result coming out: T_{-K}(y) = -T_K(-y),
 Pi'_{-K}(z; h) = -Pi'_K(-z; -h) and Upsilon_{-K}(y, lam, h) =
 Upsilon_K(-y, -lam, -h).  The second-order cone of dimension 1 is the
-half-line, so SOC(1, sign) constructs Orthant(1, sign).  `ConeDesc` is
-the `ProductSet` of its blocks.
+half-line, so SOC(1, sign) constructs Orthant(1, sign).  The primitives
+also serve as derived sets: Zero, Free and the second-order cone itself
+are the tangent and critical cones of the pieces where those are {0},
+the whole space or the cone.  `ConeDesc` is the `ProductSet` of its
+blocks.
 """
 
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, ConvexSet, FullSpace, ZeroSet, SignPattern, SOCLike,
-    Halfspace, Hyperplane, Ray, ProductSet, PSDBlockSet, _soc_project,
-    _eig_clip,
+    Tol, DEFAULT_TOL, ConvexSet, SignPattern, Halfspace, Hyperplane, Ray,
+    ProductSet, PSDBlockSet, _eig_clip, _norm,
 )
 from .symmat import svec, smat, svec_dim
 
@@ -52,7 +54,9 @@ class PrimitiveCone(ConvexSet):
     `size` is the dimension, or the matrix order for PSD.  Subclasses
     write the underscored methods for K; the public methods map the data
     of -K to K and the result back.  A negation is exact, so the mirror
-    adds no rounding.
+    adds no rounding.  The orthant, second-order and PSD cones are
+    self-dual, so the polar of K is -K; a primitive is pointed unless it
+    is Free.
     """
 
     is_polyhedral = False
@@ -73,6 +77,12 @@ class PrimitiveCone(ConvexSet):
 
     def polar(self):
         return type(self)(self.size, -self.sign)
+
+    def negate(self):
+        return self.polar() if self.signed else self
+
+    def lineality_basis(self):
+        return np.zeros((self.dim, 0))
 
     def __repr__(self):
         sign = "," + "+-"[self.sign < 0] if self.signed else ""
@@ -159,14 +169,16 @@ class Zero(PrimitiveCone):
     def polar(self):
         return Free(self.dim)
 
-    def _project(self, z):
+    def project(self, z):
+        # Zero and Free are their own mirrors, so they project without the
+        # mirror's wrapping; as derived sets they sit in Dykstra's loop
         return np.zeros(self.dim)
 
     def _tangent(self, y, tol):
-        return ZeroSet(self.dim)
+        return Zero(self.dim)
 
     def _critical(self, y, lam, tol):
-        return ZeroSet(self.dim)
+        return Zero(self.dim)
 
     def _ri_normal(self, y, lam, tol):
         return True
@@ -185,14 +197,17 @@ class Free(PrimitiveCone):
     def polar(self):
         return Zero(self.dim)
 
-    def _project(self, z):
-        return z.copy()
+    def lineality_basis(self):
+        return np.eye(self.dim)
+
+    def project(self, z):
+        return np.asarray(z, float).copy()
 
     def _tangent(self, y, tol):
-        return FullSpace(self.dim)
+        return Free(self.dim)
 
     def _critical(self, y, lam, tol):
-        return FullSpace(self.dim)
+        return Free(self.dim)
 
     def _ri_normal(self, y, lam, tol):
         return float(np.linalg.norm(lam)) <= tol.membership * _zscale(lam)
@@ -217,8 +232,19 @@ class SOC(PrimitiveCone):
         # pickle and copy call __new__ with these
         return self.size, self.sign
 
-    def _project(self, u):
-        return _soc_project(u)
+    @staticmethod
+    def _project(u):
+        u0, ub = u[0], u[1:]
+        nb = _norm(ub)
+        if nb <= u0:
+            return u.copy()
+        if nb <= -u0:
+            return np.zeros_like(u)
+        coef = (nb + u0) / 2.0
+        out = np.empty_like(u)
+        out[0] = coef
+        out[1:] = coef * ub / nb
+        return out
 
     @staticmethod
     def _classify(u, tol):
@@ -248,9 +274,9 @@ class SOC(PrimitiveCone):
     def _tangent(self, u, tol):
         case = self._classify(u, tol)
         if case == "int":
-            return FullSpace(self.dim)
+            return Free(self.dim)
         if case == "apex":
-            return SOCLike(self.dim, 1)
+            return SOC(self.dim)
         if case == "bd":
             return Halfspace(self._bd_normal(u))
         raise ValueError("point is not in the cone")
@@ -265,13 +291,13 @@ class SOC(PrimitiveCone):
         ycase = self._classify(u, tol)
         lam_zero = float(np.linalg.norm(lu)) <= tol.zero * _zscale(lu)
         if ycase == "int":
-            return FullSpace(self.dim)
+            return Free(self.dim)
         if ycase == "apex":
             if lam_zero:
-                return SOCLike(self.dim, 1)
+                return SOC(self.dim)
             lcase = self._classify(lu, tol)
             if lcase == "polar_int":
-                return ZeroSet(self.dim)
+                return Zero(self.dim)
             if lcase == "polar_bd":
                 refl = lu.copy()
                 refl[0] = -refl[0]
@@ -304,7 +330,7 @@ class SOC(PrimitiveCone):
         if case == "polar_int":
             return np.zeros(self.dim)
         if case == "apex":
-            return _soc_project(hu)
+            return self._project(hu)
         if case == "bd":
             return Halfspace(self._bd_normal(u)).project(hu)
         if case == "polar_bd":

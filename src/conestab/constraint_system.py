@@ -339,7 +339,7 @@ def _span_normal_solve(Jt, v, Lin, tol):
 
 
 def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
-                     with_uniqueness=True, reseed=True) -> MultiplierSolveResult:
+                     with_uniqueness=True) -> MultiplierSolveResult:
     """Find lambda in N_K(g(x)) with grad g(x) lambda = v.
 
     The exact route comes first: when the adjoint is injective on span
@@ -348,9 +348,10 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
     "span-N solve", one member).  Otherwise, or when that candidate
     fails verification, alternating projections run between the affine
     fiber and the normal cone (route "re-seeded search"): the seed is
-    the least-squares solution of the affine system, and the
-    deterministic re-seeding schedule walks signed kernel directions of
-    the adjoint to probe non-uniqueness.  A stall of the search above
+    the least-squares solution of the affine system and, when
+    `with_uniqueness` asks for the uniqueness verdict, the deterministic
+    re-seeding schedule walks signed kernel directions of the adjoint to
+    probe non-uniqueness.  A stall of the search above
     tolerance is read as v outside the image ("not found").  Raises
     ValueError when v is not finite.
     """
@@ -374,7 +375,7 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
         res = MultiplierSolveResult(lam, ra, rc, True, [lam],
                                     route="span-N solve")
     else:
-        res = _reseeded_search(Jt, v, N, check, tol, reseed)
+        res = _reseeded_search(Jt, v, N, check, tol, with_uniqueness)
     if res.found and with_uniqueness:
         res.pair = BasePair(sys, x, v, res.lam, tol)
         res.srcq = res.uniqueness = srcq_check(res.pair)
@@ -431,7 +432,7 @@ class NGammaImage:
     def contains(self, v, tol: Tol | None = None) -> bool:
         tol = tol or self.tol
         res = multiplier_solve(self.sys, self.x, v, tol,
-                               with_uniqueness=False, reseed=False)
+                               with_uniqueness=False)
         return res.found
 
 

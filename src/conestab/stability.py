@@ -13,7 +13,6 @@ universally quantified implication but never prove it, so everything
 else is inconclusive.
 """
 
-import os
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -133,7 +132,7 @@ class GEProblem:
                                   self.tol):
             return
         res = multiplier_solve(self.sys, self.xbar, self.vbar, self.tol,
-                               with_uniqueness=False, reseed=False)
+                               with_uniqueness=False)
         if not res.found:
             raise ValueError("reference pair does not solve the inclusion "
                              f"(residual {res.residual:.3e})")
@@ -181,12 +180,9 @@ def _kronecker_unit(dim, count, seed):
     return g / np.where(n > 0, n, 1.0)
 
 
-def direction_net(dim, k=NET_K_DEFAULT, seed=None):
+def direction_net(dim, k=NET_K_DEFAULT, seed=0):
     """Deterministic unit-direction net of size 2^k (dim+1); the first
-    2 dim entries are the signed coordinate axes.  The seed comes from
-    the CONESTAB_SEED environment variable when not given."""
-    if seed is None:
-        seed = int(os.environ.get("CONESTAB_SEED", "0"))
+    2 dim entries are the signed coordinate axes."""
     total = (2 ** k) * (dim + 1)
     axes = np.zeros((2 * dim, dim))
     j = np.arange(dim)
@@ -358,22 +354,16 @@ def _second_order_form(problem, pair):
 def _critical_span_basis(pair):
     """Orthonormal basis B of {d : J d in span C}, C the critical cone:
     span C = (lin C°)^perp, so B spans the kernel of Lp^T J for a basis
-    Lp of lin C°.  The identity when C° gives no lineality data."""
-    try:
-        Lp = pair.critical_polar.lineality_basis()
-    except NotImplementedError:
-        return np.eye(pair.sys.dim_x)
+    Lp of lin C°."""
+    Lp = pair.critical_polar.lineality_basis()
     return _null_basis(Lp.T @ pair.J, pair.tol)
 
 
 def _critical_is_subspace(pair):
     """Whether the critical cone C is a subspace: dim lin C + dim lin C°
     is the cone dimension exactly when lin C = span C."""
-    try:
-        k = pair.critical.lineality_basis().shape[1]
-        k_polar = pair.critical_polar.lineality_basis().shape[1]
-    except NotImplementedError:
-        return False
+    k = pair.critical.lineality_basis().shape[1]
+    k_polar = pair.critical_polar.lineality_basis().shape[1]
     return k + k_polar == pair.sys.cone.dim
 
 
@@ -419,10 +409,7 @@ def _lineality_directions(pair):
     g nor F lies in the kernel of J."""
     J, tol = pair.J, pair.tol
     ker = _null_basis(J, tol)
-    try:
-        Q = Subspace(pair.critical.lineality_basis()).Q
-    except NotImplementedError:
-        Q = np.zeros((J.shape[0], 0))
+    Q = Subspace(pair.critical.lineality_basis()).Q
     # J d in span Q, d orthogonal to the kernel already listed
     rest = _null_basis(np.vstack([J - Q @ (Q.T @ J), ker.T]), tol)
     W = np.hstack([ker, rest]).T
@@ -591,12 +578,12 @@ def kkt_isolated_calm(f: SmoothFn, G: SmoothMap, mult_cone: ConeDesc,
         dF_p = np.concatenate([-dp[:nz], dp[nz:]])
         return dF_p + Fx @ dx
 
-    problem = GEProblem(sys_ge, F, Fprime,
-                        pbar=np.zeros(nz + m),
-                        xbar=np.concatenate([zbar, lbar]),
-                        Fx=Fx, name="kkt_wrapper", tol=tol)
+    pbar, xbar = np.zeros(nz + m), np.concatenate([zbar, lbar])
     # identity g: the generalized-equation multiplier equals vbar itself
-    return solution_map_isolated_calm(problem, problem.vbar, tol, net_k)
+    vbar = -F(pbar, xbar)
+    problem = GEProblem(sys_ge, F, Fprime, pbar=pbar, xbar=xbar, Fx=Fx,
+                        name="kkt_wrapper", lam_hint=vbar, tol=tol)
+    return solution_map_isolated_calm(problem, vbar, tol, net_k)
 
 
 def lp_kkt_data(kind="nondegenerate"):

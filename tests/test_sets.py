@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conestab._sets import (
-    Tol, DEFAULT_TOL, SignPattern, SOCLike, Halfspace, Hyperplane, Ray,
-    LineSpan, Subspace, AffineSet, ProductSet, ZeroSet,
-    FullSpace, Intersection, PSDBlockSet, dykstra, _eig_clip, _norm,
+    Tol, DEFAULT_TOL, SignPattern, Halfspace, Hyperplane, Ray, LineSpan,
+    Subspace, AffineSet, ProductSet, Intersection, PSDBlockSet, dykstra,
+    _eig_clip, _norm,
 )
+from conestab.cone_core import SOC, Zero, Free
 from conestab.symmat import svec, smat
 
 
@@ -23,16 +24,16 @@ def _check_projection_optimality(S, rng, n_points=30, n_dirs=10):
 
 @pytest.mark.parametrize("S", [
     SignPattern([0, 1, -1, 2]),
-    SOCLike(3),
-    SOCLike(4, sign=-1),
+    SOC(3),
+    SOC(4, sign=-1),
     Halfspace(np.array([1.0, -2.0, 0.5])),
     Hyperplane(np.array([1.0, 1.0])),
     Ray(np.array([1.0, 2.0])),
     LineSpan(np.array([0.0, 1.0, 1.0])),
     Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
     AffineSet(np.array([[1.0, 1.0, 0.0]]), np.array([2.0])),
-    ZeroSet(3),
-    FullSpace(3),
+    Zero(3),
+    Free(3),
 ])
 def test_projection_optimality(S):
     _check_projection_optimality(S, np.random.default_rng(0))
@@ -40,15 +41,15 @@ def test_projection_optimality(S):
 
 @pytest.mark.parametrize("S", [
     SignPattern([0, 1, -1, 2]),
-    SOCLike(3),
-    SOCLike(4, sign=-1),
+    SOC(3),
+    SOC(4, sign=-1),
     Halfspace(np.array([1.0, -2.0, 0.5])),
     Hyperplane(np.array([1.0, 1.0])),
     Ray(np.array([1.0, 2.0])),
     LineSpan(np.array([0.0, 1.0, 1.0])),
-    ZeroSet(3),
-    FullSpace(3),
-    ProductSet([SignPattern([1, -1]), SOCLike(3)]),
+    Zero(3),
+    Free(3),
+    ProductSet([SignPattern([1, -1]), SOC(3)]),
 ])
 def test_polar_moreau(S):
     rng = np.random.default_rng(1)
@@ -189,7 +190,7 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
     rng = np.random.default_rng(40 + case)
     n, m = 3, 5
     M = rng.standard_normal((n, m))
-    cones = [ProductSet([SOCLike(3), SignPattern([1, -1])])]
+    cones = [ProductSet([SOC(3), SignPattern([1, -1])])]
     if case % 2:
         # one unused draw: the hyperplane after it keeps these fibers
         # running past cycle 8
@@ -216,19 +217,19 @@ def test_dykstra_rejects_a_nan_certificate():
         A = AffineSet(np.array([[1.0, 1.0]]), np.array([b]))
         with np.errstate(invalid="ignore"):
             _, info = dykstra([A, SignPattern([1, 1])], np.zeros(2),
-                              max_iter=4)
+                              Tol(max_iter=4))
         assert info.farkas is None
 
 
 def test_dykstra_certificate_needs_exact_cone_projections():
     # an Intersection projects by Dykstra itself, so Moreau's identity
     # holds only approximately and no certificate is read from it
-    from conestab._sets import _farkas_cones, PolarCone
+    from conestab._sets import _farkas_cones
 
     A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
     quarter = Intersection([Halfspace(np.array([-1.0, 0.0])),
                             Halfspace(np.array([0.0, -1.0]))])
-    assert not quarter.exact and not PolarCone(quarter).exact
+    assert not quarter.exact
     assert not ProductSet([SignPattern([1]), quarter]).exact
     assert _farkas_cones([A, quarter]) is None
     assert _farkas_cones([quarter, A]) is None

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -648,19 +646,6 @@ def test_kronecker_unit_matches_row_loop_bit_for_bit(k, seed):
                 axes.append(e)
         net = direction_net(dim, k, seed)
         assert net.tobytes() == np.vstack([np.array(axes), ref]).tobytes()
-
-
-def test_direction_net_env_seed():
-    old = os.environ.get("CONESTAB_SEED")
-    try:
-        os.environ["CONESTAB_SEED"] = "5"
-        net_env = direction_net(2, k=3)
-        assert np.allclose(net_env, direction_net(2, k=3, seed=5))
-    finally:
-        if old is None:
-            os.environ.pop("CONESTAB_SEED", None)
-        else:
-            os.environ["CONESTAB_SEED"] = old
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,14 @@ def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
 
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
     # kkt_lp decides each of its two instances with one branch LP, and
-    # example41's pair is settled by its verified multiplier hint alone
+    # its pairs, like example41's, are settled by their verified
+    # multiplier hints alone
     import scipy.optimize
-    from conestab import _sets, cli, cone_geometry, constraint_system
+    from conestab import (_sets, cli, cone_geometry, constraint_system,
+                          stability)
     from conestab.stability import example41_problem
 
-    calls = {"linprog": 0, "dykstra": 0}
+    calls = {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
 
     def counting(name, inner):
         def counted(*args, **kwargs):
@@ -85,11 +87,14 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
     dykstra = counting("dykstra", _sets.dykstra)
     for module in (_sets, cone_geometry, constraint_system):
         monkeypatch.setattr(module, "dykstra", dykstra)
+    solve = counting("multiplier_solve", constraint_system.multiplier_solve)
+    for module in (cli, constraint_system, stability):
+        monkeypatch.setattr(module, "multiplier_solve", solve)
     assert cli.main(["repro", "kkt_lp"]) == 0
     capsys.readouterr()
-    assert calls == {"linprog": 2, "dykstra": 0}
+    assert calls == {"linprog": 2, "dykstra": 0, "multiplier_solve": 0}
     example41_problem()
-    assert calls == {"linprog": 2, "dykstra": 0}
+    assert calls == {"linprog": 2, "dykstra": 0, "multiplier_solve": 0}
 
 
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
