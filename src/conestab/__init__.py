@@ -12,7 +12,7 @@ from .cone_geometry import (
 )
 from .proj_deriv import GraphPoint, proj_dir_deriv, sigma_term, sigma_grad, dnk_contains
 from .constraint_system import (
-    ConstraintSystem, MultiplierSolveResult, NGammaImage,
+    ConstraintSystem, BasePoint, MultiplierSolveResult, NGammaImage,
     example1_system, example3_system, section32_system,
     affine_system, quadratic_system,
     gamma_tangent_contains, multiplier_solve, multiplier_verify, BasePair,

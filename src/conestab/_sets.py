@@ -9,7 +9,7 @@ per class; intersections project through Dykstra's alternating scheme.
 The cones have their polar, mirror and lineality basis in closed form.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 from typing import NamedTuple
 
@@ -135,92 +135,90 @@ class SignPattern(ConvexSet):
         return ineq, eq
 
 
-class Halfspace(ConvexSet):
-    """{z : <a, z> <= 0}."""
+class _UnitVectorSet(ConvexSet):
+    """A cone given by one vector, stored as the unit vector `u`."""
 
-    def __init__(self, a):
-        a = np.asarray(a, float)
-        self.a = a / _norm(a)
-        self.dim = a.size
+    def __init__(self, u):
+        u = np.asarray(u, float)
+        self.u = u / _norm(u)
+        self.dim = u.size
+
+    @classmethod
+    def _of_unit(cls, u):
+        """The set at u, already a unit vector: negating u or taking the
+        polar keeps it one, so it is not normalized again and the mirror
+        and the polar are exact."""
+        S = object.__new__(cls)
+        S.u, S.dim = u, u.size
+        return S
+
+
+class Halfspace(_UnitVectorSet):
+    """{z : <u, z> <= 0}."""
 
     def project(self, z):
         z = np.asarray(z, float)
-        t = float(self.a @ z)
-        return z - max(t, 0.0) * self.a
+        t = float(self.u @ z)
+        return z - max(t, 0.0) * self.u
 
     def polar(self):
-        return Ray(self.a)
+        return Ray._of_unit(self.u)
 
     def negate(self):
-        return Halfspace(-self.a)
+        return Halfspace._of_unit(-self.u)
 
     def lineality_basis(self):
-        return _complement_basis(self.a)
+        return _complement_basis(self.u)
 
 
-class Hyperplane(ConvexSet):
-    """{z : <a, z> = 0}."""
-
-    def __init__(self, a):
-        a = np.asarray(a, float)
-        self.a = a / _norm(a)
-        self.dim = a.size
+class Hyperplane(_UnitVectorSet):
+    """{z : <u, z> = 0}."""
 
     def project(self, z):
         z = np.asarray(z, float)
-        return z - float(self.a @ z) * self.a
+        return z - float(self.u @ z) * self.u
 
     def polar(self):
-        return LineSpan(self.a)
+        return LineSpan._of_unit(self.u)
 
     def negate(self):
         return self
 
     def lineality_basis(self):
-        return _complement_basis(self.a)
+        return _complement_basis(self.u)
 
 
-class Ray(ConvexSet):
-    """{t v : t >= 0}."""
-
-    def __init__(self, v):
-        v = np.asarray(v, float)
-        self.v = v / _norm(v)
-        self.dim = v.size
+class Ray(_UnitVectorSet):
+    """{t u : t >= 0}."""
 
     def project(self, z):
-        t = max(float(self.v @ np.asarray(z, float)), 0.0)
-        return t * self.v
+        t = max(float(self.u @ np.asarray(z, float)), 0.0)
+        return t * self.u
 
     def polar(self):
-        return Halfspace(self.v)
+        return Halfspace._of_unit(self.u)
 
     def negate(self):
-        return Ray(-self.v)
+        return Ray._of_unit(-self.u)
 
     def lineality_basis(self):
         return np.zeros((self.dim, 0))
 
 
-class LineSpan(ConvexSet):
-    """span{v}."""
-
-    def __init__(self, v):
-        v = np.asarray(v, float)
-        self.v = v / _norm(v)
-        self.dim = v.size
+class LineSpan(_UnitVectorSet):
+    """span{u}."""
 
     def project(self, z):
-        return float(self.v @ np.asarray(z, float)) * self.v
+        return float(self.u @ np.asarray(z, float)) * self.u
 
     def polar(self):
-        return Hyperplane(self.v)
+        return Hyperplane._of_unit(self.u)
 
     def negate(self):
         return self
 
     def lineality_basis(self):
-        return self.v.reshape(-1, 1)
+        return self.u.reshape(-1, 1)
 
 
 class Subspace(ConvexSet):
@@ -300,11 +298,12 @@ _PSD_POLAR = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
 _PSD_NEG = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
 
 
-def _eig_clip(B, keep_positive):
+def _eig_clip(B):
+    """Projection of the symmetric part of B onto the PSD matrices; the
+    NSD projection is its mirror, -_eig_clip(-B)."""
     B = 0.5 * (B + B.T)
     w, U = np.linalg.eigh(B)
-    w = np.maximum(w, 0.0) if keep_positive else np.minimum(w, 0.0)
-    return (U * w) @ U.T
+    return (U * np.maximum(w, 0.0)) @ U.T
 
 
 class PSDBlockSet(ConvexSet):
@@ -348,7 +347,7 @@ class PSDBlockSet(ConvexSet):
                 if mirror is not None:
                     out[mirror] = B.T
             else:
-                out[block] = _eig_clip(B, code == "psd")
+                out[block] = _eig_clip(B) if code == "psd" else -_eig_clip(-B)
         return svec(self.U @ out @ self.U.T)
 
     def polar(self):
@@ -547,10 +546,10 @@ class Intersection(ConvexSet):
 
     exact = False
 
-    def __init__(self, sets, tol: Tol = DEFAULT_TOL, max_iter=400):
+    def __init__(self, sets, tol: Tol = DEFAULT_TOL):
         self.sets = list(sets)
         self.dim = self.sets[0].dim
-        self.tol = replace(tol, max_iter=max_iter)
+        self.tol = tol
         self.is_cone = all(s.is_cone for s in self.sets)
 
     def project(self, z):

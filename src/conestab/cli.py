@@ -14,10 +14,8 @@ import sys as _sys
 import numpy as np
 
 from ._sets import Tol
-from .cone_core import normal_cone
-from .cone_geometry import radial_probe
 from .constraint_system import (
-    BasePair, example1_system, example3_system, section32_system,
+    BasePoint, BasePair, example1_system, example3_system, section32_system,
     multiplier_solve, srcq_check, nondegeneracy_check,
     strict_complementarity_check, ngamma_graph_deriv_contains,
 )
@@ -63,7 +61,8 @@ def cmd_analyze(args):
              "feasibility: ok", ASSUMED, CHECKED]
     certs = []
     # raises on a non-finite or infeasible point (exit 2)
-    mres = multiplier_solve(sysm, x, v, tol)
+    point = BasePoint(sysm, x, tol)
+    mres = multiplier_solve(point, v)
     lines.append(f"multiplier: {'found' if mres.found else 'not found'} "
                  f"residual={mres.residual:.3e} members={len(mres.members)} "
                  f"route={mres.route}")
@@ -73,7 +72,7 @@ def cmd_analyze(args):
         st = strict_complementarity_check(mres)
         certs.append(_cert_entry("strict_complementarity", st))
         lines.append(f"strict_complementarity: {st.verdict}")
-    nd = nondegeneracy_check(sysm, x, tol)
+    nd = nondegeneracy_check(point)
     certs.append(_cert_entry("nondegeneracy", nd))
     lines.append(f"nondegeneracy: {nd.verdict}")
 
@@ -89,7 +88,8 @@ def cmd_gderiv(args):
     x, v, lam, d, w = (_vector(pr, key, "pair")
                        for key in ("x", "v", "lam", "d", "w"))
 
-    cert = ngamma_graph_deriv_contains(BasePair(sysm, x, v, lam, tol), d, w)
+    cert = ngamma_graph_deriv_contains(
+        BasePair(BasePoint(sysm, x, tol), v, lam), d, w)
     det = cert.details
     lines = [ASSUMED, CHECKED]
     if "fiber_residual" in det:
@@ -121,12 +121,10 @@ def _check(lines, failures, label, got, expected):
 
 
 def _repro_example1(lines, failures, tol):
-    sysm = example1_system()
-    xbar = np.array([-1.0, -1.0, 0.0])
-    st = strict_complementarity_check(multiplier_solve(sysm, xbar,
-                                                       np.zeros(3), tol))
+    point = BasePoint(example1_system(), np.array([-1.0, -1.0, 0.0]), tol)
+    st = strict_complementarity_check(multiplier_solve(point, np.zeros(3)))
     _check(lines, failures, "strict_complementarity(vbar=0)", st.verdict, "fails")
-    N = normal_cone(sysm.cone, sysm.g(xbar), tol)
+    N = point.normal
     table = [
         (np.concatenate([svec(-np.eye(2)), [-1.0]]), True),
         (np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]]), True),
@@ -140,13 +138,12 @@ def _repro_example1(lines, failures, tol):
 
 
 def _repro_example2(lines, failures, tol):
-    sysm = example1_system()
-    xbar = np.array([-1.0, -1.0, 0.0])
-    s1 = srcq_check(BasePair(sysm, xbar, np.zeros(3), np.zeros(4), tol))
+    point = BasePoint(example1_system(), np.array([-1.0, -1.0, 0.0]), tol)
+    s1 = srcq_check(BasePair(point, np.zeros(3), np.zeros(4)))
     _check(lines, failures, "srcq(vbar)", s1.verdict, "holds")
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    s2 = srcq_check(BasePair(sysm, xbar, v_hat, lam_hat, tol))
+    s2 = srcq_check(BasePair(point, v_hat, lam_hat))
     _check(lines, failures, "srcq(vhat)", s2.verdict, "fails")
     _check(lines, failures, "srcq(vhat) witness nonzero",
            s2.witness is not None and float(np.linalg.norm(s2.witness)) > 1e-6,
@@ -154,10 +151,8 @@ def _repro_example2(lines, failures, tol):
 
 
 def _repro_example3(lines, failures, tol):
-    sysm = example3_system()
-    xbar = svec(np.diag([0.0, 1.0]))
-    vbar = svec(np.diag([-1.0, 0.0]))
-    mres = multiplier_solve(sysm, xbar, vbar, tol)
+    point = BasePoint(example3_system(), svec(np.diag([0.0, 1.0])), tol)
+    mres = multiplier_solve(point, svec(np.diag([-1.0, 0.0])))
     st = strict_complementarity_check(mres)
     _check(lines, failures, "strict_complementarity", st.verdict, "holds")
     _check(lines, failures, "distinct members found", len(mres.members) > 1, True)
@@ -166,11 +161,11 @@ def _repro_example3(lines, failures, tol):
 
 def _repro_example41(lines, failures, tol):
     problem = example41_problem()
-    sysm = problem.sys
     lam = problem.lam_hint
-    s = srcq_check(BasePair(sysm, problem.xbar, problem.vbar, lam, tol))
+    point = BasePoint(problem.sys, problem.xbar, tol)
+    s = srcq_check(BasePair(point, problem.vbar, lam))
     _check(lines, failures, "srcq", s.verdict, "holds")
-    nd = nondegeneracy_check(sysm, problem.xbar, tol)
+    nd = nondegeneracy_check(point)
     _check(lines, failures, "nondegeneracy", nd.verdict, "fails")
     ic = solution_map_isolated_calm(problem, lam, tol)
     _check(lines, failures, "solution_map_isolated_calm", ic.verdict, "holds")

@@ -95,12 +95,6 @@ class PrimitiveCone(ConvexSet):
     def tangent_set(self, y, tol) -> ConvexSet:
         return self._out(self._tangent(*self._in(y), tol))
 
-    def normal_set(self, y, tol) -> ConvexSet:
-        return self._out(self._normal(*self._in(y), tol))
-
-    def _normal(self, y, tol):
-        return self._tangent(y, tol).polar()
-
     def critical_set(self, y, lam, tol) -> ConvexSet:
         return self._out(self._critical(*self._in(y, lam), tol))
 
@@ -281,12 +275,6 @@ class SOC(PrimitiveCone):
             return Halfspace(self._bd_normal(u))
         raise ValueError("point is not in the cone")
 
-    def _normal(self, u, tol):
-        # Ray(a) rather than Halfspace(a).polar(), which normalizes a twice
-        if self._classify(u, tol) == "bd":
-            return Ray(self._bd_normal(u))
-        return self._tangent(u, tol).polar()
-
     def _critical(self, u, lu, tol):
         ycase = self._classify(u, tol)
         lam_zero = float(np.linalg.norm(lu)) <= tol.zero * _zscale(lu)
@@ -423,7 +411,7 @@ class PSD(PrimitiveCone):
         out = C * W
         beta = np.where(wc == 0.0)[0]
         if beta.size:
-            out[np.ix_(beta, beta)] = _eig_clip(W[np.ix_(beta, beta)], True)
+            out[np.ix_(beta, beta)] = _eig_clip(W[np.ix_(beta, beta)])
         return svec(U @ out @ U.T)
 
     def _upsilon_mats(self, y, lam, tol):
@@ -478,9 +466,6 @@ class ConeDesc(ProductSet):
     def tangent_set(self, y, tol=DEFAULT_TOL):
         return ProductSet([b.tangent_set(p, tol) for b, p in self._parts(y)])
 
-    def normal_set(self, y, tol=DEFAULT_TOL):
-        return ProductSet([b.normal_set(p, tol) for b, p in self._parts(y)])
-
     def critical_set(self, y, lam, tol=DEFAULT_TOL):
         return ProductSet([b.critical_set(py, pl, tol)
                            for b, py, pl in self._parts(y, lam)])
@@ -532,13 +517,13 @@ def tangent_cone(K: ConeDesc, y: AmbientVec, tol: Tol = DEFAULT_TOL) -> ConvexSe
 
 
 def normal_cone(K: ConeDesc, y: AmbientVec, tol: Tol = DEFAULT_TOL) -> ConvexSet:
+    """N_K(y), the polar of the tangent cone T_K(y)."""
     _require_member(K, y, tol)
-    return K.normal_set(y, tol)
+    return K.tangent_set(y, tol).polar()
 
 
 def ri_normal_contains(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
                        tol: Tol = DEFAULT_TOL) -> bool:
-    _require_member(K, y, tol)
-    if not K.normal_set(y, tol).contains(lam, tol):
+    if not normal_cone(K, y, tol).contains(lam, tol):
         raise ValueError("multiplier is outside the normal cone")
     return K.ri_normal(y, lam, tol)

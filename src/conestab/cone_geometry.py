@@ -23,6 +23,7 @@ from ._sets import (
     Intersection, Subspace, dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec
+from .proj_deriv import GraphPoint
 
 __all__ = [
     "Certificate", "critical_cone", "tangent_of_normal",
@@ -30,29 +31,17 @@ __all__ = [
 ]
 
 
-def _check_graph_pair(K, y, lam, tol):
-    if not K.contains(y, tol):
-        raise ValueError("base point is not in the cone")
-    z = np.asarray(y, float) + np.asarray(lam, float)
-    res = float(np.linalg.norm(np.asarray(y, float) - K.project(z)))
-    if res > tol.membership * (1.0 + float(np.linalg.norm(z))):
-        raise ValueError(f"(y, lambda) is not on the normal-cone graph "
-                         f"(residual {res:.3e})")
-
-
 def critical_cone(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
                   tol: Tol = DEFAULT_TOL) -> ConvexSet:
     """Tangent directions at y orthogonal to the multiplier lam."""
-    _check_graph_pair(K, y, lam, tol)
-    return K.critical_set(y, lam, tol)
+    return GraphPoint(K, y, lam, tol).critical
 
 
 def tangent_of_normal(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
                       tol: Tol = DEFAULT_TOL) -> ConvexSet:
     """Tangent cone to the normal cone N_K(y) at lam, realized as the
     polar of the critical cone."""
-    _check_graph_pair(K, y, lam, tol)
-    return K.critical_set(y, lam, tol).polar()
+    return GraphPoint(K, y, lam, tol).critical_polar
 
 
 def normal_of_critical(C: ConvexSet, d: AmbientVec,

@@ -16,14 +16,14 @@ import numpy as np
 from ._sets import (
     Tol, DEFAULT_TOL, Certificate, AffineSet, Hyperplane, dykstra,
 )
-from .cone_core import ConeDesc, AmbientVec
+from .cone_core import ConeDesc
 from .cone_geometry import subspace_cone_trivial
 from .proj_deriv import GraphPoint, dnk_contains
 
 SUBREG_ASSUMPTION = "metric subregularity of x -> g(x) - K at the base point"
 
 __all__ = [
-    "ConstraintSystem", "MultiplierSolveResult", "NGammaImage",
+    "ConstraintSystem", "BasePoint", "MultiplierSolveResult", "NGammaImage",
     "example1_system", "example3_system", "section32_system",
     "affine_system", "quadratic_system",
     "gamma_tangent_contains", "multiplier_solve", "multiplier_verify",
@@ -206,30 +206,48 @@ def quadratic_system(cone: ConeDesc, Q_list, A, b, name="quadratic") -> Constrai
 # ---------------------------------------------------------------------------
 # operations
 
-def _require_feasible(sys, x, tol):
-    """g(x), after checking that x has shape (dim_x,), x and g(x) are
-    finite and g(x) is in K: the one feasibility decision of the
-    package."""
-    x = np.asarray(x, float)
-    if x.shape != (sys.dim_x,):
-        raise ValueError(f"x has shape {x.shape}; the system has dim_x "
-                         f"{sys.dim_x}")
-    gx = sys.g(x) if np.all(np.isfinite(x)) else None
-    if gx is None or not np.all(np.isfinite(gx)):
-        raise ValueError("base point not finite: x or g(x) has a NaN or "
-                         "infinite entry")
-    if not sys.cone.contains(gx, tol):
-        raise ValueError("base point infeasible: "
-                         f"dist(g(x), K) = {sys.cone.dist(gx):.3e}")
-    return gx
+class BasePoint:
+    """A verified base point: x has shape (dim_x,), x and g(x) are finite
+    and g(x) is in K.
+
+    The constructor makes the one feasibility decision of the package.
+    Every check at x reads g(x) (`gx`) and the Jacobian `J` from the
+    point, and T_K(g(x)) (`tangent`), its lineality basis (`lineality`)
+    and N_K(g(x)) = T_K(g(x))° (`normal`), each built on first use.
+    """
+
+    def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
+        x = np.asarray(x, float)
+        if x.shape != (sys.dim_x,):
+            raise ValueError(f"x has shape {x.shape}; the system has dim_x "
+                             f"{sys.dim_x}")
+        gx = sys.g(x) if np.all(np.isfinite(x)) else None
+        if gx is None or not np.all(np.isfinite(gx)):
+            raise ValueError("base point not finite: x or g(x) has a NaN or "
+                             "infinite entry")
+        if not sys.cone.contains(gx, tol):
+            raise ValueError("base point infeasible: "
+                             f"dist(g(x), K) = {sys.cone.dist(gx):.3e}")
+        self.sys, self.x, self.gx, self.tol = sys, x, gx, tol
+        self.J = sys.jacobian(x)
+
+    @cached_property
+    def tangent(self):
+        return self.sys.cone.tangent_set(self.gx, self.tol)
+
+    @cached_property
+    def lineality(self):
+        return self.tangent.lineality_basis()
+
+    @cached_property
+    def normal(self):
+        return self.tangent.polar()
 
 
-def gamma_tangent_contains(sys: ConstraintSystem, x, h,
-                           tol: Tol = DEFAULT_TOL) -> bool:
+def gamma_tangent_contains(point: BasePoint, h) -> bool:
     """Tangency of h to the feasible set at x, via g'(x)h in T_K(g(x)).
     Exact under the subregularity assumption on g(.) - K."""
-    gx = _require_feasible(sys, x, tol)
-    return sys.cone.tangent_set(gx, tol).contains(sys.jac_apply(x, h), tol)
+    return point.tangent.contains(point.J @ np.asarray(h, float), point.tol)
 
 
 def _null_basis(M, tol):
@@ -243,54 +261,60 @@ def _null_basis(M, tol):
     return vt[rank:].T
 
 
-def multiplier_verify(sys: ConstraintSystem, x, v, lam,
-                      tol: Tol = DEFAULT_TOL) -> bool:
-    gx = _require_feasible(sys, x, tol)
-    lam = np.asarray(lam, float)
+def _multiplier_residuals(point: BasePoint, v, lam):
+    """The multiplier test of lam for (x, v): (ra, rc, ok, scale) with
+    ra = ||J^T lam - v||, rc = dist(lam, N_K(g(x))) and ok when both are
+    at most tol.membership * scale, scale = 1 + ||lam|| + ||v||.  Each
+    comparison must hold, so a NaN never passes."""
+    ra = float(np.linalg.norm(point.J.T @ lam - v))
+    rc = point.normal.dist(lam)
     scale = 1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v))
-    ra = float(np.linalg.norm(sys.adjoint_apply(x, lam) - np.asarray(v, float)))
-    rc = sys.cone.normal_set(gx, tol).dist(lam)
-    return max(ra, rc) <= tol.membership * scale
+    bound = point.tol.membership * scale
+    return ra, rc, ra <= bound and rc <= bound, scale
+
+
+def multiplier_verify(point: BasePoint, v, lam) -> bool:
+    """Whether lam is a multiplier for (x, v): grad g(x) lam = v with lam
+    in N_K(g(x)), to the tolerance of `_multiplier_residuals`."""
+    return _multiplier_residuals(point, np.asarray(v, float),
+                                 np.asarray(lam, float))[2]
 
 
 class BasePair:
-    """A verified base pair: x feasible and lam a multiplier for (x, v),
-    that is grad g(x) lam = v with lam in N_K(g(x)).
+    """A verified base pair: lam a multiplier for (x, v) at the verified
+    base point `point`, that is grad g(x) lam = v with lam in N_K(g(x)).
 
     The constructor is the one place that verifies a base pair.  Every
     second-order check at the pair reads g(x) (`gx`) and the Jacobian `J`
-    from it, and the critical cone of K at (g(x), lam), its polar, the
-    Hessian of <lam, g> at x and the cone-level graph point, each built
-    on first use.
+    of its point, the Hessian of <lam, g> at x, built on first use, and
+    the critical cone of K at (g(x), lam) and its polar from the
+    cone-level graph point.
     """
 
-    def __init__(self, sys: ConstraintSystem, x, v, lam,
-                 tol: Tol = DEFAULT_TOL):
-        self.sys = sys
-        self.x = np.asarray(x, float)
+    def __init__(self, point: BasePoint, v, lam):
+        self.point = point
+        self.sys, self.x, self.gx, self.J, self.tol = (
+            point.sys, point.x, point.gx, point.J, point.tol)
         self.v = np.asarray(v, float)
         self.lam = np.asarray(lam, float)
-        self.tol = tol
-        self.gx = _require_feasible(sys, self.x, tol)
-        if not multiplier_verify(sys, self.x, self.v, self.lam, tol):
+        if not multiplier_verify(point, self.v, self.lam):
             raise ValueError("lam is not a verified multiplier for (x, v)")
-        self.J = sys.jacobian(self.x)
-
-    @cached_property
-    def critical(self):
-        return self.sys.cone.critical_set(self.gx, self.lam, self.tol)
-
-    @cached_property
-    def critical_polar(self):
-        return self.critical.polar()
-
-    @cached_property
-    def hess(self):
-        return self.sys.hess_lambda(self.x, self.lam)
 
     @cached_property
     def graph_point(self):
         return GraphPoint(self.sys.cone, self.gx, self.lam, self.tol)
+
+    @property
+    def critical(self):
+        return self.graph_point.critical
+
+    @property
+    def critical_polar(self):
+        return self.graph_point.critical_polar
+
+    @cached_property
+    def hess(self):
+        return self.sys.hess_lambda(self.x, self.lam)
 
 
 @dataclass
@@ -338,7 +362,7 @@ def _span_normal_solve(Jt, v, Lin, tol):
     return B @ (vt.T @ ((u.T @ v) / s))
 
 
-def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
+def multiplier_solve(point: BasePoint, v,
                      with_uniqueness=True) -> MultiplierSolveResult:
     """Find lambda in N_K(g(x)) with grad g(x) lambda = v.
 
@@ -355,29 +379,20 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
     tolerance is read as v outside the image ("not found").  Raises
     ValueError when v is not finite.
     """
-    gx = _require_feasible(sys, x, tol)
+    tol = point.tol
     v = np.asarray(v, float)
     if not np.all(np.isfinite(v)):
         raise ValueError("v not finite: it has a NaN or infinite entry")
-    Jt = sys.jacobian(x).T
-    N = sys.cone.normal_set(gx, tol)
-
-    def check(lam):
-        ra = float(np.linalg.norm(Jt @ lam - v))
-        rc = N.dist(lam)
-        scale = 1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v))
-        bound = tol.membership * scale
-        return ra, rc, ra <= bound and rc <= bound, scale
-
-    lam = _span_normal_solve(Jt, v, sys.cone.tangent_lineality(gx, tol), tol)
-    ra, rc, ok, _ = check(lam) if lam is not None else (0.0, 0.0, False, 0.0)
+    lam = _span_normal_solve(point.J.T, v, point.lineality, tol)
+    ra, rc, ok, _ = _multiplier_residuals(point, v, lam) \
+        if lam is not None else (0.0, 0.0, False, 0.0)
     if ok:
         res = MultiplierSolveResult(lam, ra, rc, True, [lam],
                                     route="span-N solve")
     else:
-        res = _reseeded_search(Jt, v, N, check, tol, with_uniqueness)
+        res = _reseeded_search(point, v, with_uniqueness)
     if res.found and with_uniqueness:
-        res.pair = BasePair(sys, x, v, res.lam, tol)
+        res.pair = BasePair(point, v, res.lam)
         res.srcq = res.uniqueness = srcq_check(res.pair)
         if len(res.members) > 1 and res.srcq.verdict == "holds":
             # distinct verified members trump the subspace probe
@@ -387,11 +402,12 @@ def multiplier_solve(sys: ConstraintSystem, x, v, tol: Tol = DEFAULT_TOL,
     return res
 
 
-def _reseeded_search(Jt, v, N, check, tol, reseed):
-    """Dykstra on the fiber {Jt lam = v} and N from the least-squares
-    seed and, with `reseed`, from the seed moved each way along each
-    adjoint-kernel direction; the best iterate and the distinct verified
-    members."""
+def _reseeded_search(point, v, reseed):
+    """Dykstra on the fiber {J^T lam = v} and N_K(g(x)) from the
+    least-squares seed and, with `reseed`, from the seed moved each way
+    along each adjoint-kernel direction; the best iterate and the
+    distinct verified members."""
+    Jt, tol = point.J.T, point.tol
     fiber = AffineSet(Jt, v)
     seed0, *_ = np.linalg.lstsq(Jt, v, rcond=None)
     ker = _null_basis(Jt, tol)
@@ -405,8 +421,8 @@ def _reseeded_search(Jt, v, N, check, tol, reseed):
     members = []
     best = None
     for seed in seeds:
-        lam, info = dykstra([fiber, N], seed, tol)
-        ra, rc, ok, scale = check(lam)
+        lam, info = dykstra([fiber, point.normal], seed, tol)
+        ra, rc, ok, scale = _multiplier_residuals(point, v, lam)
         if best is None or max(ra, rc) < best[1]:
             best = (lam, max(ra, rc), ra, rc, ok)
         if ok and not any(np.linalg.norm(lam - m) <= 1e-6 * scale
@@ -422,18 +438,12 @@ class NGammaImage:
     realized as the adjoint image of N_K(g(x)).  Exact under the
     subregularity assumption."""
 
-    def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
-        self.sys = sys
-        self.x = np.asarray(x, float)
-        self.tol = tol
-        _require_feasible(sys, x, tol)
-        self.dim = sys.dim_x
+    def __init__(self, point: BasePoint):
+        self.point = point
+        self.dim = point.sys.dim_x
 
-    def contains(self, v, tol: Tol | None = None) -> bool:
-        tol = tol or self.tol
-        res = multiplier_solve(self.sys, self.x, v, tol,
-                               with_uniqueness=False)
-        return res.found
+    def contains(self, v) -> bool:
+        return multiplier_solve(self.point, v, with_uniqueness=False).found
 
 
 def srcq_check(pair: BasePair) -> Certificate:
@@ -453,18 +463,15 @@ def srcq_check(pair: BasePair) -> Certificate:
     return cert
 
 
-def nondegeneracy_check(sys: ConstraintSystem, x,
-                        tol: Tol = DEFAULT_TOL) -> Certificate:
+def nondegeneracy_check(point: BasePoint) -> Certificate:
     """Surjectivity of g'(x) onto Y modulo the lineality space of
     T_K(g(x)): rank of the stacked matrix [J  Lin] equals dim Y."""
-    gx = _require_feasible(sys, x, tol)
-    J = sys.jacobian(x)
-    Lin = sys.cone.tangent_lineality(gx, tol)
+    J, Lin, tol = point.J, point.lineality, point.tol
     stacked = np.hstack([J, Lin]) if Lin.size else J
     s = np.linalg.svd(stacked, compute_uv=False)
     cut = tol.zero * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cut))
-    m = sys.cone.dim
+    m = point.sys.cone.dim
 
     # kernel form: the adjoint kernel must project injectively onto Lin
     ker = _null_basis(J.T, tol)
@@ -514,7 +521,7 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
         candidates.append(np.mean(res.members, axis=0))
 
     for lam in candidates:
-        if multiplier_verify(pair.sys, pair.x, pair.v, lam, tol) and \
+        if multiplier_verify(pair.point, pair.v, lam) and \
                 pair.sys.cone.ri_normal(pair.gx, lam, tol):
             return Certificate("holds", 0.0, lam, method, tol,
                                assumptions=(SUBREG_ASSUMPTION,))
@@ -599,8 +606,7 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     method = ("normal-of-critical fiber solve + cone-level graphical "
               "derivative check")
     if holds:
-        inner = dnk_contains(sys.cone, pair.graph_point, gd, xi + 0.5 * u,
-                             tol)
+        inner = dnk_contains(sys.cone, pair.graph_point, gd, xi + 0.5 * u)
         details["inner_verdict"] = inner.verdict
         if inner.verdict == "holds":
             return verdict("holds", res, xi, method)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from .constraint_system import (
-    ConstraintSystem, example1_system, example3_system, section32_system,
-    affine_system, quadratic_system,
+    example1_system, example3_system, section32_system, affine_system,
+    quadratic_system,
 )
 
 __all__ = ["parse_cone", "emit_cone", "parse_problem", "load_json",

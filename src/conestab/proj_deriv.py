@@ -11,6 +11,7 @@ nonzero boundary points of the second-order cone.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 from ._sets import Tol, DEFAULT_TOL, Certificate
@@ -23,7 +24,13 @@ __all__ = ["GraphPoint", "proj_dir_deriv", "sigma_term", "sigma_grad",
 @dataclass
 class GraphPoint:
     """A pair (y, lam) on the graph of the normal-cone map of `cone`:
-    y = Pi_K(y + lam), equivalently y in K, lam in N_K(y)."""
+    y = Pi_K(y + lam), equivalently y in K, lam in N_K(y).
+
+    The constructor is the one place that checks a graph pair.  The
+    critical cone of K at (y, lam) (`critical`) and its polar, the
+    tangent cone to N_K(y) at lam (`critical_polar`), are built on first
+    use.
+    """
 
     cone: ConeDesc
     y: np.ndarray
@@ -42,6 +49,14 @@ class GraphPoint:
         if comp > self.tol.zero / 10 * (1.0 + float(np.linalg.norm(self.y))
                                         * float(np.linalg.norm(self.lam))):
             raise ValueError(f"complementarity violated ({comp:.3e})")
+
+    @cached_property
+    def critical(self):
+        return self.cone.critical_set(self.y, self.lam, self.tol)
+
+    @cached_property
+    def critical_polar(self):
+        return self.critical.polar()
 
     @property
     def z(self):
@@ -65,31 +80,35 @@ def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
     return K.dir_deriv(z, h, tol)
 
 
-def _critical_precheck(K, gp, h, tol):
-    C = K.critical_set(gp.y, gp.lam, tol)
-    if not C.contains(h, tol):
+def _require_cone(K, gp):
+    if K is not gp.cone:
+        raise ValueError("K is not the cone of the graph point")
+
+
+def _critical_precheck(K, gp, h):
+    _require_cone(K, gp)
+    if not gp.critical.contains(h, gp.tol):
         raise ValueError("direction is outside the critical cone")
 
 
-def sigma_term(K: ConeDesc, gp: GraphPoint, h: AmbientVec,
-               tol: Tol = DEFAULT_TOL) -> float:
+def sigma_term(K: ConeDesc, gp: GraphPoint, h: AmbientVec) -> float:
     """Curvature functional Upsilon(h) at the graph point; quadratic in h,
     additive over blocks, nonnegative on the critical cone."""
-    _critical_precheck(K, gp, h, tol)
-    return K.upsilon(gp.y, gp.lam, h, tol)
+    _critical_precheck(K, gp, h)
+    return K.upsilon(gp.y, gp.lam, h, gp.tol)
 
 
-def sigma_grad(K: ConeDesc, gp: GraphPoint, h: AmbientVec,
-               tol: Tol = DEFAULT_TOL) -> AmbientVec:
+def sigma_grad(K: ConeDesc, gp: GraphPoint, h: AmbientVec) -> AmbientVec:
     """Gradient of the quadratic form Upsilon at h; <grad, h> = 2 Upsilon(h)."""
-    _critical_precheck(K, gp, h, tol)
-    return K.upsilon_grad(gp.y, gp.lam, h, tol)
+    _critical_precheck(K, gp, h)
+    return K.upsilon_grad(gp.y, gp.lam, h, gp.tol)
 
 
-def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec, dl: AmbientVec,
-                 tol: Tol = DEFAULT_TOL) -> Certificate:
+def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
+                 dl: AmbientVec) -> Certificate:
     """Membership of (dy, dl) in the graphical derivative of the
-    normal-cone map of K at the graph point.
+    normal-cone map of K at the graph point, to the graph point's
+    tolerance; K must be the graph point's cone.
 
     Two independent characterizations are evaluated:
       (a) the projection-derivative equation dy = Pi'_K(y + lam; dy + dl);
@@ -99,6 +118,8 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec, dl: AmbientVec,
     disagreement beyond tolerance is reported as inconclusive with the
     per-route residuals, since it indicates a numerical fault.
     """
+    _require_cone(K, gp)
+    tol = gp.tol
     dy = np.asarray(dy, float)
     dl = np.asarray(dl, float)
     scale = 1.0 + float(np.linalg.norm(dy)) + float(np.linalg.norm(dl))
@@ -108,13 +129,12 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec, dl: AmbientVec,
     res_a = float(np.linalg.norm(dy - pd))
     holds_a = res_a <= thresh
 
-    C = K.critical_set(gp.y, gp.lam, tol)
-    res1 = C.dist(dy)
+    res1 = gp.critical.dist(dy)
     details = {"route_a_residual": res_a, "critical_dist": res1}
     if res1 <= thresh:
         ups = K.upsilon(gp.y, gp.lam, dy, tol)
         grad = K.upsilon_grad(gp.y, gp.lam, dy, tol)
-        res2 = C.polar().dist(dl - 0.5 * grad)
+        res2 = gp.critical_polar.dist(dl - 0.5 * grad)
         pairing = float(dy @ dl) - ups
         res3 = abs(pairing) / (1.0 + float(np.linalg.norm(dy))
                                * float(np.linalg.norm(dl)))

@@ -19,7 +19,7 @@ import numpy as np
 from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace
 from .cone_core import ConeDesc, Orthant, Zero, Free, project
 from .constraint_system import (
-    ConstraintSystem, SUBREG_ASSUMPTION, BasePair, affine_system,
+    ConstraintSystem, SUBREG_ASSUMPTION, BasePoint, BasePair, affine_system,
     multiplier_solve, multiplier_verify, srcq_check,
     ngamma_graph_deriv_contains, _null_basis,
 )
@@ -126,13 +126,12 @@ class GEProblem:
     def __post_init__(self):
         self.pbar = np.asarray(self.pbar, float)
         self.xbar = np.asarray(self.xbar, float)
+        point = BasePoint(self.sys, self.xbar, self.tol)
         hint = self.lam_hint
         if hint is not None and np.shape(hint) == (self.sys.cone.dim,) and \
-                multiplier_verify(self.sys, self.xbar, self.vbar, hint,
-                                  self.tol):
+                multiplier_verify(point, self.vbar, hint):
             return
-        res = multiplier_solve(self.sys, self.xbar, self.vbar, self.tol,
-                               with_uniqueness=False)
+        res = multiplier_solve(point, self.vbar, with_uniqueness=False)
         if not res.found:
             raise ValueError("reference pair does not solve the inclusion "
                              f"(residual {res.residual:.3e})")
@@ -194,32 +193,25 @@ def direction_net(dim, k=NET_K_DEFAULT, seed=0):
 # ---------------------------------------------------------------------------
 # polyhedral branch enumeration
 
-def _scalar_branches(block, y, lam, tol):
+def _scalar_branches(C):
     """Per-coordinate branch options of the graph tangent of the
-    normal-cone map for scalar polyhedral blocks.  Each option is a pair
-    (a_code, b_code) constraining ((g'(x)d)_i, mu_i) with codes from
-    SignPattern plus 'free'."""
+    normal-cone map, read from the codes of the polyhedral critical cone
+    C.  Each option is a pair (a_code, b_code) of SignPattern codes
+    constraining ((g'(x)d)_i, mu_i): a sign code c offers (c, ZERO) and
+    (ZERO, -c), -c being its polar; FREE gives (FREE, ZERO) and ZERO
+    gives (ZERO, FREE)."""
+    fixed = {Zero: SignPattern.ZERO, Free: SignPattern.FREE}
+    codes = np.concatenate([S.codes if isinstance(S, SignPattern)
+                            else np.full(S.dim, fixed[type(S)])
+                            for S in C.sets])
     opts = []
-    if isinstance(block, Free):
-        for _ in range(block.dim):
+    for c in codes:
+        if c == SignPattern.FREE:
             opts.append([(SignPattern.FREE, SignPattern.ZERO)])
-    elif isinstance(block, Zero):
-        for _ in range(block.dim):
+        elif c == SignPattern.ZERO:
             opts.append([(SignPattern.ZERO, SignPattern.FREE)])
-    elif isinstance(block, Orthant):
-        s = block.sign
-        scale = 1.0 + float(np.linalg.norm(y))
-        for yi, li in zip(np.atleast_1d(y), np.atleast_1d(lam)):
-            active = abs(yi) <= tol.zero * scale
-            if not active:
-                opts.append([(SignPattern.FREE, SignPattern.ZERO)])
-            elif s * li < -tol.zero * (1 + abs(li)):
-                opts.append([(SignPattern.ZERO, SignPattern.FREE)])
-            else:
-                opts.append([(s, SignPattern.ZERO),
-                             (SignPattern.ZERO, -s)])
-    else:
-        raise ValueError("non-scalar block in polyhedral enumeration")
+        else:
+            opts.append([(c, SignPattern.ZERO), (SignPattern.ZERO, -c)])
     return opts
 
 
@@ -293,11 +285,9 @@ def _branch_lp_max(J, M, branch):
 
 
 def _polyhedral_route(problem, pair):
-    sys, J, tol = pair.sys, pair.J, pair.tol
+    J, tol = pair.J, pair.tol
     M = problem.Fx + pair.hess
-    options = []
-    for block, sl in zip(sys.cone.blocks, sys.cone.slices):
-        options.extend(_scalar_branches(block, pair.gx[sl], pair.lam[sl], tol))
+    options = _scalar_branches(pair.critical)
 
     method = "exact branch enumeration over polyhedral graph-tangent faces"
     best = 0.0
@@ -471,7 +461,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     (`fails`); finding none is `inconclusive`.
     """
     sys = problem.sys
-    pair = BasePair(sys, problem.xbar, problem.vbar, lam, tol)
+    pair = BasePair(BasePoint(sys, problem.xbar, tol), problem.vbar, lam)
     srcq = srcq_check(pair)
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     if srcq.verdict != "holds":
@@ -480,10 +470,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
                            "qualification did not certify)", tol,
                            assumptions=(SUBREG_ASSUMPTION,), checked=checked)
 
-    scalar_ok = all(isinstance(b, (Orthant, Zero, Free))
-                    for b in sys.cone.blocks)
-    if sys.cone.is_polyhedral and sys.is_affine and scalar_ok \
-            and problem.Fx is not None:
+    if sys.cone.is_polyhedral and sys.is_affine and problem.Fx is not None:
         cert = _polyhedral_route(problem, pair)
         cert.checked = cert.checked + checked
         return cert
@@ -553,7 +540,7 @@ def kkt_isolated_calm(f: SmoothFn, G: SmoothMap, mult_cone: ConeDesc,
     if np.linalg.norm(stat) > tol.membership * (1 + np.linalg.norm(lbar)):
         raise ValueError("stationarity fails: not a KKT pair")
     if not mult_cone.contains(lbar, tol) or \
-            not mult_cone.normal_set(lbar, tol).contains(Gz, tol):
+            not mult_cone.tangent_set(lbar, tol).polar().contains(Gz, tol):
         raise ValueError("complementarity fails: not a KKT pair")
 
     cone_ge = ConeDesc([Free(nz)] + list(mult_cone.blocks))

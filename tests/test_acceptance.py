@@ -14,7 +14,7 @@ from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free, normal_c
 from conestab.cone_geometry import radial_probe, subspace_cone_trivial
 from conestab.constraint_system import (
     affine_system, example1_system, example3_system, section32_system,
-    multiplier_solve, multiplier_verify, srcq_check, nondegeneracy_check,
+    BasePoint, multiplier_solve, multiplier_verify, srcq_check, nondegeneracy_check,
     strict_complementarity_check, ngamma_graph_deriv_contains, BasePair,
 )
 from conestab.oracle import (
@@ -39,7 +39,7 @@ def _report(num, desc, ok):
 def test_criterion_1_example1_regression():
     t0 = time.perf_counter()
     sys = example1_system()
-    st = strict_complementarity_check(multiplier_solve(sys, XBAR1,
+    st = strict_complementarity_check(multiplier_solve(BasePoint(sys, XBAR1),
                                                        np.zeros(3)))
     ok = st.verdict == "fails"
 
@@ -63,10 +63,10 @@ def test_criterion_1_example1_regression():
 def test_criterion_2_example2_regression():
     t0 = time.perf_counter()
     sys = example1_system()
-    s1 = srcq_check(BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)))
+    s1 = srcq_check(BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4)))
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    s2 = srcq_check(BasePair(sys, XBAR1, v_hat, lam_hat))
+    s2 = srcq_check(BasePair(BasePoint(sys, XBAR1), v_hat, lam_hat))
     ok = s1.verdict == "holds" and s2.verdict == "fails"
     w = s2.witness
     ok = ok and w is not None and float(np.linalg.norm(w)) > 1e-6
@@ -102,15 +102,16 @@ def test_criterion_3_example3_regression():
     sys = example3_system()
     xbar = svec(np.diag([0.0, 1.0]))
     vbar = svec(np.diag([-1.0, 0.0]))
-    mres = multiplier_solve(sys, xbar, vbar)
+    point = BasePoint(sys, xbar)
+    mres = multiplier_solve(point, vbar)
     st = strict_complementarity_check(mres)
     ok = st.verdict == "holds" and st.witness is not None
     # the split (0; diag(-1,0)) is itself a relative-interior multiplier
     lam_named = np.concatenate([np.zeros(3), vbar])
-    ok = ok and multiplier_verify(sys, xbar, vbar, lam_named)
+    ok = ok and multiplier_verify(point, vbar, lam_named)
     ok = ok and sys.cone.ri_normal(sys.g(xbar), lam_named)
     ok = ok and len(mres.members) > 1
-    ok = ok and all(multiplier_verify(sys, xbar, vbar, m)
+    ok = ok and all(multiplier_verify(point, vbar, m)
                     for m in mres.members[:2])
     ok = ok and float(np.linalg.norm(mres.members[0] - mres.members[1])) > 1e-4
     elapsed = time.perf_counter() - t0
@@ -123,10 +124,9 @@ def test_criterion_4_example41_regression():
     t0 = time.perf_counter()
     problem = example41_problem()
     lam = problem.lam_hint
-    sys = problem.sys
-    ok = srcq_check(BasePair(sys, problem.xbar, problem.vbar,
-                             lam)).verdict == "holds"
-    ok = ok and nondegeneracy_check(sys, problem.xbar).verdict == "fails"
+    point = BasePoint(problem.sys, problem.xbar)
+    ok = srcq_check(BasePair(point, problem.vbar, lam)).verdict == "holds"
+    ok = ok and nondegeneracy_check(point).verdict == "fails"
     ic = solution_map_isolated_calm(problem, lam)
     ok = ok and ic.verdict == "holds"
     halved = Tol(membership=DEFAULT_TOL.membership / 2,
@@ -240,7 +240,7 @@ def _criterion_9_pairs():
     """The base pair of criterion 9 and its 50 (d, w) pairs: 25 generated
     members, 13 gate violations and 12 members pushed off by a spike."""
     sys = example1_system()
-    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
     members = ngamma_tangent_generate(pair, count=25, seed=4)
     rng = np.random.default_rng(21)
     spike = sys.adjoint_apply(XBAR1, np.concatenate([svec(np.eye(2)), [1.0]]))
@@ -340,7 +340,7 @@ def test_ngamma_fails_only_at_gate_or_with_certificate(monkeypatch):
 
     monkeypatch.setattr(stability, "ngamma_graph_deriv_contains", spy)
     problem = example41_problem()
-    base41 = BasePair(problem.sys, problem.xbar, problem.vbar,
+    base41 = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
                       problem.lam_hint)
     search = stability._net_witness_search(problem, base41,
                                            srcq_check(base41))
@@ -434,7 +434,7 @@ def test_criterion_11_anti_alignment():
 
     def run(sys, x, v, lam):
         nonlocal worst
-        pair = BasePair(sys, x, v, lam)
+        pair = BasePair(BasePoint(sys, x), v, lam)
         tangents = ngamma_tangent_generate(pair, count=50, seed=4)
         lowers = regular_normal_lower_generate(pair, count=20, seed=0)
         for xi, eta in lowers:
@@ -454,7 +454,7 @@ def test_criterion_11_anti_alignment():
     # zero multiplier at a point with one active coordinate: the critical
     # cone has interior, so exact tangent sampling succeeds
     lam = np.zeros(3)
-    assert multiplier_verify(sys, x0, np.zeros(3), lam)
+    assert multiplier_verify(BasePoint(sys, x0), np.zeros(3), lam)
     run(sys, x0, np.zeros(3), lam)
 
     _report(11, "lower generators anti-align with sampled graph tangents: "

@@ -299,12 +299,13 @@ def _psd_rotation(U):
 
 def _srcq_verdict(problem, x, v, lam):
     """srcq at the given multiplier, without the multiplier search."""
-    from conestab.constraint_system import BasePair, affine_system, srcq_check
+    from conestab.constraint_system import (
+        BasePoint, BasePair, affine_system, srcq_check)
     from conestab.jsonio import parse_cone
     affine = problem["mapping"]["affine"]
     sys = affine_system(parse_cone(problem["cone"]),
                         np.array(affine["A"]), np.array(affine["b"]))
-    return srcq_check(BasePair(sys, x, v, lam)).verdict
+    return srcq_check(BasePair(BasePoint(sys, x), v, lam)).verdict
 
 
 def test_srcq_invariant_under_psd_rotation_and_block_permutation(planted,

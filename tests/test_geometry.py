@@ -363,8 +363,8 @@ def test_slices_hold_on_the_pinned_qualify_kernels():
     # critical cone is span N_K(y), so it holds exactly when A^T is
     # injective on that span
     from test_tooling import _bench_module
-    from conestab.constraint_system import BasePair, affine_system, \
-        srcq_check
+    from conestab.constraint_system import BasePoint, BasePair, \
+        affine_system, srcq_check
 
     wl = _bench_module("workloads")
     for pin_seed in (19, 61):
@@ -373,9 +373,8 @@ def test_slices_hold_on_the_pinned_qualify_kernels():
                                     n, conditioned=False)
         A, N = item["A"], item["span_normal"]
         assert np.linalg.svd(A.T @ N, compute_uv=False).min() > 1e-6
-        pair = BasePair(affine_system(_cone_of(item["blocks"]), A,
-                                      item["b"]), item["x"], item["v"],
-                        item["lam"])
+        system = affine_system(_cone_of(item["blocks"]), A, item["b"])
+        pair = BasePair(BasePoint(system, item["x"]), item["v"], item["lam"])
         cert = srcq_check(pair)
         ker = np.linalg.svd(A.T)[2][n:].T
         P = N @ np.linalg.pinv(N)
@@ -385,13 +384,13 @@ def test_slices_hold_on_the_pinned_qualify_kernels():
 
 
 def test_slices_fail_on_example3_and_a_nine_dimensional_kernel():
-    from conestab.constraint_system import BasePair, affine_system, \
-        example3_system, srcq_check
+    from conestab.constraint_system import BasePoint, BasePair, \
+        affine_system, example3_system, srcq_check
 
     # example3: ker J^T = {(a, -a)}, and with lam = (-E11/2, -E11/2) the
     # polar of the critical cone is R^3 x span(E11)
     e11 = svec(np.diag([1.0, 0.0]))
-    pair = BasePair(example3_system(), svec(np.diag([0.0, 1.0])),
+    pair = BasePair(BasePoint(example3_system(), svec(np.diag([0.0, 1.0]))),
                     svec(np.diag([-1.0, 0.0])),
                     np.concatenate([-0.5 * e11, -0.5 * e11]))
     cert = srcq_check(pair)
@@ -423,7 +422,7 @@ def test_slices_fail_on_example3_and_a_nine_dimensional_kernel():
     x = rng.standard_normal(4)
     system = affine_system(
         ConeDesc([PSD(3), PSD(3, "minus"), SOC(1, "minus")]), A, y - A @ x)
-    cert = srcq_check(BasePair(system, x, A.T @ lam, lam))
+    cert = srcq_check(BasePair(BasePoint(system, x), A.T @ lam, lam))
     ker = np.linalg.svd(A.T)[2][4:].T
     P = N @ np.linalg.pinv(N)
     assert _recheck_slices(cert, ker, lambda z: P @ z) == "fails"

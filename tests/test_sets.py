@@ -198,7 +198,7 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
         cones = [cones[0], Hyperplane(rng.standard_normal(m))]
     member = cones[0].project(rng.standard_normal(m) * 2)
     if case % 2:
-        member = Intersection(cones, max_iter=10000).project(member)
+        member = Intersection(cones).project(member)
     sets = [AffineSet(M, M @ member)] + cones
     z0 = rng.standard_normal(m)
     z, info = dykstra(sets, z0)
@@ -303,8 +303,10 @@ def _psd_block_project_ref(U, groups, codes, zvec):
             out[np.ix_(gi, gj)] = B
             if i != j:
                 out[np.ix_(gj, gi)] = B.T
-        elif code in ("psd", "nsd"):
-            out[np.ix_(gi, gj)] = _eig_clip(B, code == "psd")
+        elif code == "psd":
+            out[np.ix_(gi, gj)] = _eig_clip(B)
+        elif code == "nsd":
+            out[np.ix_(gi, gj)] = -_eig_clip(-B)
         else:
             raise ValueError(f"unknown block code {code!r}")
     return svec(U @ out @ U.T)

@@ -6,7 +6,7 @@ from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free, Zero
 from conestab.constraint_system import (
     affine_system, example1_system, section32_system,
     ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
-    nondegeneracy_check, strict_complementarity_check, BasePair,
+    nondegeneracy_check, strict_complementarity_check, BasePoint, BasePair,
 )
 from conestab.stability import (
     GEProblem, PhiPoint, SmoothFn, SmoothMap,
@@ -163,7 +163,8 @@ def _apex_problem(block):
 
 
 def _pair_and_srcq(problem, lam, tol=DEFAULT_TOL):
-    pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam, tol)
+    pair = BasePair(BasePoint(problem.sys, problem.xbar, tol), problem.vbar,
+                    lam)
     return pair, srcq_check(pair)
 
 
@@ -235,7 +236,7 @@ def test_isolated_calm_fails_on_thin_set_without_fx(a):
     d = cert.witness
     assert np.linalg.norm(d) == pytest.approx(1.0)
     assert abs(float(a @ d)) <= 1e-12
-    pair = BasePair(sys, problem.xbar, problem.vbar, np.zeros(1))
+    pair = BasePair(BasePoint(sys, problem.xbar), problem.vbar, np.zeros(1))
     w = -problem.Fprime((problem.pbar, problem.xbar), (np.zeros(2), d))
     assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
 
@@ -298,7 +299,7 @@ def test_singular_compression_on_a_critical_subspace_fails(alpha):
     assert np.linalg.norm(d) == pytest.approx(1.0)
     a = np.array([-1.0, 0.6, 0.8])
     assert abs(float(a @ d)) <= 1e-12
-    pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam)
+    pair = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar, lam)
     w = -problem.Fprime((problem.pbar, problem.xbar), (np.zeros(3), d))
     assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
 
@@ -373,7 +374,8 @@ def test_every_definiteness_holds_reverifies():
         B = det["basis"]
         k = B.shape[1]
         assert np.linalg.norm(B.T @ B - np.eye(k)) <= 1e-12
-        pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam)
+        pair = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
+                        lam)
         S = _referee_form(problem, pair)
         eig = np.linalg.eigvalsh(B.T @ S @ B)
         assert eig.min() == pytest.approx(det["lambda_min"], abs=1e-6)
@@ -565,7 +567,8 @@ def test_branch_lp_matches_one_lp_per_objective():
     verdicts = []
     for seed in range(200):
         problem, lam, tags = _scalar_ge_draw(seed)
-        pair = BasePair(problem.sys, problem.xbar, problem.vbar, lam)
+        pair = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
+                        lam)
         cert = _polyhedral_route(problem, pair)
         best = _referee_branch_max(problem, tags, WITNESS_CUT)
         assert cert.verdict == ("fails" if best > WITNESS_CUT else "holds")
@@ -653,7 +656,7 @@ def test_kronecker_unit_matches_row_loop_bit_for_bit(k, seed):
 
 def test_ngamma_tangent_generate_members_certify():
     sys = example1_system()
-    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
     pairs = ngamma_tangent_generate(pair, count=10, seed=4)
     for d, w in pairs:
         cert = ngamma_graph_deriv_contains(pair, d, w)
@@ -664,7 +667,7 @@ def test_regular_normal_lower_anti_alignment():
     # every generated pair (xi, eta) must anti-align with every exact
     # graph tangent (d, w): <xi, d> + <eta, w> <= 0
     sys = example1_system()
-    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
     tangents = ngamma_tangent_generate(pair, count=25, seed=4)
     lowers = regular_normal_lower_generate(pair, count=15, seed=0)
     worst = -np.inf
@@ -678,12 +681,11 @@ def test_regular_normal_lower_anti_alignment():
 
 
 def test_samplers_reject_unverified_multiplier():
-    sys = example1_system()
+    point = BasePoint(example1_system(), XBAR1)
     with pytest.raises(ValueError):
-        ngamma_tangent_generate(BasePair(sys, XBAR1, np.ones(3),
-                                         np.zeros(4)))
+        ngamma_tangent_generate(BasePair(point, np.ones(3), np.zeros(4)))
     with pytest.raises(ValueError):
-        regular_normal_lower_generate(BasePair(sys, XBAR1, np.ones(3),
+        regular_normal_lower_generate(BasePair(point, np.ones(3),
                                                np.zeros(4)))
 
 
@@ -729,7 +731,7 @@ def test_soc_tangent_samples_certify(sign, A, x):
     # g(x) = s A x over SOC(3, sign): one geometry in both mirrors
     s = 1.0 if sign == "plus" else -1.0
     sys = affine_system(ConeDesc([SOC(3, sign)]), s * A, np.zeros(3))
-    pair = BasePair(sys, x, np.zeros(A.shape[1]), np.zeros(3))
+    pair = BasePair(BasePoint(sys, x), np.zeros(A.shape[1]), np.zeros(3))
     for d, w in ngamma_tangent_generate(pair, count=8, seed=2):
         assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
 
@@ -769,10 +771,11 @@ def _mirror(sys):
 
 
 def _qualifications(sys, x, v, lam):
-    res = multiplier_solve(sys, x, v)
+    point = BasePoint(sys, x)
+    res = multiplier_solve(point, v)
     st = strict_complementarity_check(res)
-    verdicts = (srcq_check(BasePair(sys, x, v, lam)).verdict,
-                nondegeneracy_check(sys, x).verdict, st.verdict)
+    verdicts = (srcq_check(BasePair(point, v, lam)).verdict,
+                nondegeneracy_check(point).verdict, st.verdict)
     return verdicts, res.lam, st.witness
 
 
@@ -835,7 +838,7 @@ def test_mixed_system_holds_on_its_critical_subspace():
             < det["lambda_max"]
         # F_x = -I and U are symmetric, so A = S here and the compression
         # can be rebuilt from the test's own form
-        pair = BasePair(s, x, problem.vbar, sign * lam)
+        pair = BasePair(BasePoint(s, x), problem.vbar, sign * lam)
         S = _referee_form(problem, pair)
         B = det["basis"]
         sv = np.linalg.svd(B.T @ S @ B, compute_uv=False)

@@ -6,7 +6,7 @@ import pytest
 from conestab._sets import Tol, DEFAULT_TOL
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from conestab.constraint_system import (
-    ConstraintSystem, NGammaImage,
+    ConstraintSystem, BasePoint, NGammaImage,
     example1_system, example3_system, section32_system,
     affine_system, quadratic_system,
     gamma_tangent_contains, multiplier_solve, multiplier_verify,
@@ -61,26 +61,28 @@ def test_system_input_checks_raise_value_error():
 
 def test_gamma_tangent_contains():
     sys = example1_system()
-    assert gamma_tangent_contains(sys, XBAR1, np.zeros(3))
-    assert gamma_tangent_contains(sys, XBAR1, np.array([1.0, 1.0, 0.0]))
-    assert not gamma_tangent_contains(sys, XBAR1, np.array([0.0, 0.0, -1.0]))
+    point = BasePoint(sys, XBAR1)
+    assert gamma_tangent_contains(point, np.zeros(3))
+    assert gamma_tangent_contains(point, np.array([1.0, 1.0, 0.0]))
+    assert not gamma_tangent_contains(point, np.array([0.0, 0.0, -1.0]))
     # the slack coordinate pulls the matrix part with it
-    assert gamma_tangent_contains(sys, XBAR1, np.array([0.0, 0.0, 1.0]))
+    assert gamma_tangent_contains(point, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        gamma_tangent_contains(sys, np.array([0.0, 0.0, -1.0]), np.zeros(3))
+        gamma_tangent_contains(BasePoint(sys, np.array([0.0, 0.0, -1.0])),
+                               np.zeros(3))
 
 
 def test_multiplier_zero_target():
-    sys = example1_system()
-    res = multiplier_solve(sys, XBAR1, np.zeros(3))
+    point = BasePoint(example1_system(), XBAR1)
+    res = multiplier_solve(point, np.zeros(3))
     assert res.found
     assert np.linalg.norm(res.lam) <= 1e-8
-    assert multiplier_verify(sys, XBAR1, np.zeros(3), res.lam)
+    assert multiplier_verify(point, np.zeros(3), res.lam)
 
 
 def test_multiplier_image_membership():
     sys = example1_system()
-    img = NGammaImage(sys, XBAR1)
+    img = NGammaImage(BasePoint(sys, XBAR1))
     lam = np.concatenate([svec(-np.eye(2)), [-1.0]])
     v = sys.adjoint_apply(XBAR1, lam)
     assert np.allclose(v, [-1.0, -1.0, -3.0])
@@ -97,9 +99,10 @@ def test_multiplier_example3_segment():
     vbar = svec(np.diag([-1.0, 0.0]))
     lam_a = np.concatenate([vbar, np.zeros(3)])
     lam_b = np.concatenate([np.zeros(3), vbar])
-    assert multiplier_verify(sys, xbar, vbar, lam_a)
-    assert multiplier_verify(sys, xbar, vbar, lam_b)
-    res = multiplier_solve(sys, xbar, vbar)
+    point = BasePoint(sys, xbar)
+    assert multiplier_verify(point, vbar, lam_a)
+    assert multiplier_verify(point, vbar, lam_b)
+    res = multiplier_solve(point, vbar)
     assert res.found
     assert len(res.members) > 1
     assert res.uniqueness.verdict == "fails"
@@ -107,10 +110,11 @@ def test_multiplier_example3_segment():
 
 
 def test_multiplier_solve_rejects_non_finite_v():
+    point = BasePoint(example1_system(), XBAR1)
     with pytest.raises(ValueError, match="v not finite"):
-        multiplier_solve(example1_system(), XBAR1, [np.nan, 0.0, 0.0])
+        multiplier_solve(point, [np.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match="v not finite"):
-        NGammaImage(example1_system(), XBAR1).contains([0.0, np.inf, 0.0])
+        NGammaImage(point).contains([0.0, np.inf, 0.0])
 
 
 @pytest.mark.parametrize("srcq_holds", [True, False])
@@ -126,11 +130,11 @@ def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
     for seed in range(20):
         sys, x, v, lam, _ = planted(100 + seed, srcq_holds)
         Jt = sys.jacobian(x).T
-        N = sys.cone.normal_set(sys.g(x), DEFAULT_TOL)
+        N = sys.cone.tangent_set(sys.g(x), DEFAULT_TOL).polar()
         ref, _ = _sets.dykstra([_sets.AffineSet(Jt, v), N],
                                np.linalg.lstsq(Jt, v, rcond=None)[0])
         scale = 1.0 + np.linalg.norm(ref) + np.linalg.norm(v)
-        res = multiplier_solve(sys, x, v)
+        res = multiplier_solve(BasePoint(sys, x), v)
         assert res.found, seed
         if srcq_holds:
             assert res.route == "span-N solve" and len(res.members) == 1
@@ -146,12 +150,13 @@ def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
 
 def test_srcq_example1_both_verdicts():
     sys = example1_system()
-    holds = srcq_check(BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)))
+    point = BasePoint(sys, XBAR1)
+    holds = srcq_check(BasePair(point, np.zeros(3), np.zeros(4)))
     assert holds.verdict == "holds"
     assert len(holds.checked) >= 3
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    fails = srcq_check(BasePair(sys, XBAR1, v_hat, lam_hat))
+    fails = srcq_check(BasePair(point, v_hat, lam_hat))
     assert fails.verdict == "fails"
     w = fails.witness
     assert w is not None and np.linalg.norm(w) > 1e-6
@@ -160,30 +165,30 @@ def test_srcq_example1_both_verdicts():
 
 
 def test_srcq_homogeneous_in_target():
-    sys = example1_system()
+    point = BasePoint(example1_system(), XBAR1)
     lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
     v_hat = np.array([-1.0, 0.0, -1.0])
-    assert srcq_check(BasePair(sys, XBAR1, 2 * v_hat,
+    assert srcq_check(BasePair(point, 2 * v_hat,
                                2 * lam_hat)).verdict == "fails"
-    assert srcq_check(BasePair(sys, XBAR1, np.zeros(3),
+    assert srcq_check(BasePair(point, np.zeros(3),
                                np.zeros(4))).verdict == "holds"
 
 
 def test_srcq_rejects_unverified_multiplier():
     sys = example1_system()
     with pytest.raises(ValueError):
-        srcq_check(BasePair(sys, XBAR1, np.array([1.0, 0.0, 0.0]),
+        srcq_check(BasePair(BasePoint(sys, XBAR1), np.array([1.0, 0.0, 0.0]),
                             np.zeros(4)))
 
 
 def test_nondegeneracy_cases():
     free = affine_system(ConeDesc([Free(2)]), np.eye(2), np.zeros(2))
-    assert nondegeneracy_check(free, np.zeros(2)).verdict == "holds"
+    assert nondegeneracy_check(BasePoint(free, np.zeros(2))).verdict == "holds"
     ortho = affine_system(ConeDesc([Orthant(2, "plus")]), np.eye(2), np.zeros(2))
-    assert nondegeneracy_check(ortho, np.zeros(2)).verdict == "holds"
+    assert nondegeneracy_check(BasePoint(ortho, np.zeros(2))).verdict == "holds"
     # a wide cone with a thin Jacobian cannot be nondegenerate
     thin = affine_system(ConeDesc([Zero(3)]), np.ones((3, 1)), np.zeros(3))
-    cert = nondegeneracy_check(thin, np.zeros(1))
+    cert = nondegeneracy_check(BasePoint(thin, np.zeros(1)))
     assert cert.verdict == "fails"
     assert cert.details["rank"] < cert.details["dim_y"]
 
@@ -193,23 +198,23 @@ def test_strict_complementarity_cases():
     xbar = svec(np.diag([0.0, 1.0]))
     vbar = svec(np.diag([-1.0, 0.0]))
     assert strict_complementarity_check(
-        multiplier_solve(sys3, xbar, vbar)).verdict == "holds"
+        multiplier_solve(BasePoint(sys3, xbar), vbar)).verdict == "holds"
     sys1 = example1_system()
-    assert strict_complementarity_check(
-        multiplier_solve(sys1, XBAR1, np.zeros(3))).verdict == "fails"
+    assert strict_complementarity_check(multiplier_solve(
+        BasePoint(sys1, XBAR1), np.zeros(3))).verdict == "fails"
     inactive = affine_system(ConeDesc([Orthant(2, "plus")]), np.eye(2),
                              np.ones(2))
-    assert strict_complementarity_check(
-        multiplier_solve(inactive, np.ones(2), np.zeros(2))).verdict == "holds"
+    assert strict_complementarity_check(multiplier_solve(
+        BasePoint(inactive, np.ones(2)), np.zeros(2))).verdict == "holds"
     with pytest.raises(ValueError):
-        strict_complementarity_check(
-            multiplier_solve(sys1, XBAR1, np.array([1.0, 1.0, 1.0])))
+        strict_complementarity_check(multiplier_solve(
+            BasePoint(sys1, XBAR1), np.array([1.0, 1.0, 1.0])))
 
 
 def test_critical_cone_gamma_contains():
     sys = example1_system()
     lam0 = np.zeros(4)
-    pair = BasePair(sys, XBAR1, np.zeros(3), lam0)
+    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), lam0)
     assert critical_cone_gamma_contains(pair, np.zeros(3))
     assert critical_cone_gamma_contains(pair, np.array([1.0, 1.0, 0.0]))
     assert not critical_cone_gamma_contains(pair, np.array([0.0, 0.0, -1.0]))
@@ -218,7 +223,7 @@ def test_critical_cone_gamma_contains():
 def test_ngamma_graph_deriv_trivial_pair_holds():
     sys = example1_system()
     cert = ngamma_graph_deriv_contains(
-        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)),
+        BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4)),
         np.zeros(3), np.zeros(3))
     assert cert.verdict == "holds"
     assert cert.details["fiber_holds"]
@@ -232,14 +237,15 @@ def test_ngamma_graph_deriv_adjoint_image_holds():
     xi = np.concatenate([svec(-np.eye(2)), [-1.0]])
     w = sys.adjoint_apply(XBAR1, xi)
     cert = ngamma_graph_deriv_contains(
-        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)), np.zeros(3), w)
+        BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4)),
+        np.zeros(3), w)
     assert cert.verdict == "holds"
 
 
 def test_ngamma_graph_deriv_gate_fails_fast():
     sys = example1_system()
     cert = ngamma_graph_deriv_contains(
-        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)),
+        BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4)),
         np.array([0.0, 0.0, -1.0]), np.zeros(3))
     assert cert.verdict == "fails"
     assert "fiber_residual" not in cert.details
@@ -252,7 +258,8 @@ def test_ngamma_graph_deriv_gate_fails_fast():
 def test_ngamma_graph_deriv_rejects_non_finite_input(d, w, name):
     # a NaN direction used to pass the critical-cone gate (the comparison
     # is False for NaN) and end as inconclusive with residual nan
-    pair = BasePair(example1_system(), XBAR1, np.zeros(3), np.zeros(4))
+    pair = BasePair(BasePoint(example1_system(), XBAR1), np.zeros(3),
+                    np.zeros(4))
     with pytest.raises(ValueError, match=f"{name} not finite"):
         ngamma_graph_deriv_contains(pair, d, w)
 
@@ -264,7 +271,8 @@ def test_ngamma_graph_deriv_fails_on_wrong_dual_motion():
     xi = np.concatenate([svec(np.eye(2)), [1.0]])
     w = sys.adjoint_apply(XBAR1, xi)
     cert = ngamma_graph_deriv_contains(
-        BasePair(sys, XBAR1, np.zeros(3), np.zeros(4)), np.zeros(3), w)
+        BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4)),
+        np.zeros(3), w)
     assert cert.verdict == "fails"
 
 
@@ -273,7 +281,8 @@ def test_ngamma_fiber_translates_to_the_cone_level_fiber():
     # mu in u/2 + (C° ∩ gd⊥), for the fiber solution xi of each member
     from conestab.stability import ngamma_tangent_generate
 
-    pair = BasePair(example1_system(), XBAR1, np.zeros(3), np.zeros(4))
+    pair = BasePair(BasePoint(example1_system(), XBAR1), np.zeros(3),
+                    np.zeros(4))
     tol = pair.tol
     members = ngamma_tangent_generate(pair, count=25, seed=4)
     held = 0
@@ -296,7 +305,7 @@ def test_ngamma_fiber_translates_to_the_cone_level_fiber():
 
 def test_ngamma_graph_deriv_carries_srcq_note():
     sys = example1_system()
-    pair = BasePair(sys, XBAR1, np.zeros(3), np.zeros(4))
+    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
     sc = srcq_check(pair)
     cert = ngamma_graph_deriv_contains(pair, np.zeros(3), np.zeros(3),
                                        srcq=sc)

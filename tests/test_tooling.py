@@ -22,6 +22,33 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_unused_imports():
+    # a name imported and never read is dead code that hides what a module
+    # depends on; __init__.py imports only to re-export
+    pkg = pathlib.Path(conestab.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and \
+                    any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert found == []
+
+
 def _bench_module(name):
     """bench/<name>.py, loaded read-only without putting bench/ on the
     import path."""
@@ -63,6 +90,64 @@ def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     cert = solution_map_isolated_calm(problem, problem.lam_hint)
     assert cert.verdict == "holds"
     assert len(calls) == 1
+
+
+def test_each_point_is_verified_once(monkeypatch, planted, analyze):
+    # a feasibility decision is a membership test of g(x) in K; the base
+    # point data (g(x), J, T_K, N_K) and the critical cone of a graph
+    # point are built once however many checks read them
+    from collections import Counter
+
+    from conestab._sets import ProductSet
+    from conestab.cone_core import ConeDesc, PSD
+    from conestab.constraint_system import ConstraintSystem
+    from conestab.proj_deriv import GraphPoint, dnk_contains
+    from conestab.stability import example41_problem, \
+        solution_map_isolated_calm
+    from conestab.symmat import svec
+
+    calls = Counter()
+    tangents = []
+
+    def count(cls, name, key):
+        inner = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls[key] += 1
+            out = inner(self, *args, **kwargs)
+            if key == "T_K":
+                tangents.append(out)
+            return out
+        monkeypatch.setattr(cls, name, counted)
+
+    count(ConeDesc, "contains", "feasibility")
+    count(ConstraintSystem, "jacobian", "J")
+    count(ConeDesc, "tangent_set", "T_K")
+    count(ConeDesc, "critical_set", "critical")
+    polar = ProductSet.polar
+
+    def counted_polar(self):
+        calls["N_K"] += any(self is T for T in tangents)
+        return polar(self)
+    monkeypatch.setattr(ProductSet, "polar", counted_polar)
+
+    for srcq_holds in (True, False):
+        _, x, v, _, problem = planted(3, srcq_holds)
+        calls.clear()
+        rc, _ = analyze(problem, {"x": x, "v": v})
+        assert rc == 0
+        assert (calls["feasibility"], calls["J"], calls["N_K"]) == (1, 1, 1)
+        assert calls["T_K"] <= 1
+    problem = example41_problem()
+    calls.clear()
+    cert = solution_map_isolated_calm(problem, problem.lam_hint)
+    assert cert.verdict == "holds" and calls["feasibility"] == 1
+    K = ConeDesc([PSD(3)])
+    gp = GraphPoint.from_z(K, svec(np.diag([1.0, 0.0, -1.0])))
+    calls.clear()
+    for dy in np.eye(K.dim)[:4]:
+        dnk_contains(K, gp, dy, np.zeros(K.dim))
+    assert calls["critical"] == 1
 
 
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
@@ -216,8 +301,9 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
     for d, w in pairs:
         counted_decide(pair, d, w)
     problem = stability.example41_problem()
-    pair41 = constraint_system.BasePair(problem.sys, problem.xbar,
-                                        problem.vbar, problem.lam_hint)
+    pair41 = constraint_system.BasePair(
+        constraint_system.BasePoint(problem.sys, problem.xbar), problem.vbar,
+        problem.lam_hint)
     assert stability._net_witness_search(
         problem, pair41, constraint_system.srcq_check(pair41)).verdict == \
         "inconclusive"
@@ -267,7 +353,8 @@ def test_qualify_pinned_instances_find_the_planted_multiplier():
     # Gaussian systems on which the re-seeded search stalled and read the
     # stall as "not found"; the adjoint is injective on span N there
     from conestab.constraint_system import (
-        affine_system, multiplier_solve, strict_complementarity_check)
+        BasePoint, affine_system, multiplier_solve,
+        strict_complementarity_check)
 
     wl = _bench_module("workloads")
     for pin_seed, (shape, n) in wl.Qualify.PINNED:
@@ -275,7 +362,7 @@ def test_qualify_pinned_instances_find_the_planted_multiplier():
                                     n, conditioned=False)
         sys = affine_system(wl.make_cone(item["blocks"]), item["A"],
                             item["b"])
-        res = multiplier_solve(sys, item["x"], item["v"])
+        res = multiplier_solve(BasePoint(sys, item["x"]), item["v"])
         lam = item["lam"]
         assert res.found and len(res.members) == 1, pin_seed
         assert res.route == "span-N solve"
@@ -290,9 +377,10 @@ def _independent_strict_complementarity(sys, x, v):
     separate multiplier search of its own."""
     from conestab._sets import Certificate, DEFAULT_TOL as tol
     from conestab.constraint_system import (
-        SUBREG_ASSUMPTION, multiplier_solve, multiplier_verify)
+        SUBREG_ASSUMPTION, BasePoint, multiplier_solve, multiplier_verify)
 
-    res = multiplier_solve(sys, x, v)
+    point = BasePoint(sys, x)
+    res = multiplier_solve(point, v)
     gx = sys.g(x)
     method = f"relative-interior test over the members of the {res.route}"
     members = res.members
@@ -302,7 +390,7 @@ def _independent_strict_complementarity(sys, x, v):
     if len(members) > 1:
         candidates.append(np.mean(members, axis=0))
     for lam in candidates:
-        if multiplier_verify(sys, x, v, lam) and \
+        if multiplier_verify(point, v, lam) and \
                 sys.cone.ri_normal(gx, lam, tol):
             return Certificate("holds", 0.0, lam, method, tol,
                                assumptions=(SUBREG_ASSUMPTION,))
@@ -331,7 +419,7 @@ def test_analyze_certificates_match_independent_checks(case, srcq,
                                                        uniqueness, planted,
                                                        analyze):
     from conestab.constraint_system import (
-        BasePair, multiplier_solve, srcq_check)
+        BasePoint, BasePair, multiplier_solve, srcq_check)
 
     if case == "example3":
         sys, x, v, problem = _example3()
@@ -340,11 +428,12 @@ def test_analyze_certificates_match_independent_checks(case, srcq,
     rc, report = analyze(problem, {"x": x, "v": v})
     assert rc == 0
     got = {c.pop("name"): c for c in report["certificates"]}
-    mres = multiplier_solve(sys, x, v)
+    point = BasePoint(sys, x)
+    mres = multiplier_solve(point, v)
     assert (mres.srcq.verdict, mres.uniqueness.verdict) == (srcq, uniqueness)
     assert (len(mres.members) > 1) == (srcq == "fails")
     expected = {
-        "srcq": srcq_check(BasePair(sys, x, v, mres.lam)),
+        "srcq": srcq_check(BasePair(point, v, mres.lam)),
         "strict_complementarity": _independent_strict_complementarity(
             sys, x, v),
     }
@@ -360,14 +449,14 @@ def test_analyze_reports_the_raw_srcq_beside_distinct_members(monkeypatch,
     from conestab import constraint_system
     from conestab.cone_core import ConeDesc
     from conestab._sets import Certificate
-    from conestab.constraint_system import multiplier_solve
+    from conestab.constraint_system import BasePoint, multiplier_solve
 
     def srcq_holds(pair):
         return Certificate("holds", 0.0, None, "stub", pair.tol)
 
     monkeypatch.setattr(constraint_system, "srcq_check", srcq_holds)
     sys, x, v, problem = _example3()
-    mres = multiplier_solve(sys, x, v)
+    mres = multiplier_solve(BasePoint(sys, x), v)
     assert mres.srcq.verdict == "holds"
     assert (mres.uniqueness.verdict, mres.uniqueness.method) == \
         ("fails", "distinct verified members")
