@@ -162,7 +162,7 @@ def _repro_example3(lines, failures, tol):
 def _repro_example41(lines, failures, tol):
     problem = example41_problem()
     lam = problem.lam_hint
-    point = BasePoint(problem.sys, problem.xbar, tol)
+    point = problem.base_point(tol)
     s = srcq_check(BasePair(point, problem.vbar, lam))
     _check(lines, failures, "srcq", s.verdict, "holds")
     nd = nondegeneracy_check(point)

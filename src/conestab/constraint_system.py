@@ -284,11 +284,12 @@ class BasePair:
     """A verified base pair: lam a multiplier for (x, v) at the verified
     base point `point`, that is grad g(x) lam = v with lam in N_K(g(x)).
 
-    The constructor is the one place that verifies a base pair.  Every
-    second-order check at the pair reads g(x) (`gx`) and the Jacobian `J`
-    of its point, the Hessian of <lam, g> at x, built on first use, and
-    the critical cone of K at (g(x), lam) and its polar from the
-    cone-level graph point.
+    The constructor is the one place that verifies a base pair; the
+    multiplier test is its only decision, and the cone-level graph point
+    wraps the verified pair without a second one.  Every second-order
+    check at the pair reads g(x) (`gx`) and the Jacobian `J` of its
+    point, the Hessian of <lam, g> at x, built on first use, and the
+    critical cone of K at (g(x), lam) and its polar from the graph point.
     """
 
     def __init__(self, point: BasePoint, v, lam):
@@ -302,7 +303,7 @@ class BasePair:
 
     @cached_property
     def graph_point(self):
-        return GraphPoint(self.sys.cone, self.gx, self.lam, self.tol)
+        return GraphPoint.of_pair(self.sys.cone, self.gx, self.lam, self.tol)
 
     @property
     def critical(self):

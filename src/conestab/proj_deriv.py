@@ -26,10 +26,10 @@ class GraphPoint:
     """A pair (y, lam) on the graph of the normal-cone map of `cone`:
     y = Pi_K(y + lam), equivalently y in K, lam in N_K(y).
 
-    The constructor is the one place that checks a graph pair.  The
-    critical cone of K at (y, lam) (`critical`) and its polar, the
-    tangent cone to N_K(y) at lam (`critical_polar`), are built on first
-    use.
+    The constructor is the one place that checks a graph pair; `of_pair`
+    wraps a pair its caller has already verified.  The critical cone of
+    K at (y, lam) (`critical`) and its polar, the tangent cone to N_K(y)
+    at lam (`critical_polar`), are built on first use.
     """
 
     cone: ConeDesc
@@ -40,6 +40,8 @@ class GraphPoint:
     def __post_init__(self):
         self.y = np.asarray(self.y, float)
         self.lam = np.asarray(self.lam, float)
+        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.lam))):
+            raise ValueError("non-finite graph pair")
         z = self.y + self.lam
         res = float(np.linalg.norm(self.y - self.cone.project(z)))
         if res > self.tol.membership * (1.0 + float(np.linalg.norm(z))):
@@ -67,6 +69,15 @@ class GraphPoint:
         y = cone.project(z)
         return cls(cone, y, np.asarray(z, float) - y, tol)
 
+    @classmethod
+    def of_pair(cls, cone: ConeDesc, y, lam, tol: Tol):
+        """The graph point of a pair already verified by its caller's own
+        test (a `BasePair`'s multiplier test), without a second decision
+        at other thresholds."""
+        gp = cls.__new__(cls)
+        gp.cone, gp.y, gp.lam, gp.tol = cone, y, lam, tol
+        return gp
+
 
 def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
                    tol: Tol = DEFAULT_TOL) -> AmbientVec:
@@ -80,28 +91,23 @@ def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
     return K.dir_deriv(z, h, tol)
 
 
-def _require_cone(K, gp):
-    if K is not gp.cone:
-        raise ValueError("K is not the cone of the graph point")
-
-
-def _critical_precheck(K, gp, h):
-    _require_cone(K, gp)
+def _critical_precheck(gp, h):
     if not gp.critical.contains(h, gp.tol):
         raise ValueError("direction is outside the critical cone")
 
 
-def sigma_term(K: ConeDesc, gp: GraphPoint, h: AmbientVec) -> float:
-    """Curvature functional Upsilon(h) at the graph point; quadratic in h,
-    additive over blocks, nonnegative on the critical cone."""
-    _critical_precheck(K, gp, h)
-    return K.upsilon(gp.y, gp.lam, h, gp.tol)
+def sigma_term(gp: GraphPoint, h: AmbientVec) -> float:
+    """Curvature functional Upsilon(h) of gp.cone at the graph point;
+    quadratic in h, additive over blocks, nonnegative on the critical
+    cone."""
+    _critical_precheck(gp, h)
+    return gp.cone.upsilon(gp.y, gp.lam, h, gp.tol)
 
 
-def sigma_grad(K: ConeDesc, gp: GraphPoint, h: AmbientVec) -> AmbientVec:
+def sigma_grad(gp: GraphPoint, h: AmbientVec) -> AmbientVec:
     """Gradient of the quadratic form Upsilon at h; <grad, h> = 2 Upsilon(h)."""
-    _critical_precheck(K, gp, h)
-    return K.upsilon_grad(gp.y, gp.lam, h, gp.tol)
+    _critical_precheck(gp, h)
+    return gp.cone.upsilon_grad(gp.y, gp.lam, h, gp.tol)
 
 
 def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
@@ -118,7 +124,8 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     disagreement beyond tolerance is reported as inconclusive with the
     per-route residuals, since it indicates a numerical fault.
     """
-    _require_cone(K, gp)
+    if K is not gp.cone:
+        raise ValueError("K is not the cone of the graph point")
     tol = gp.tol
     dy = np.asarray(dy, float)
     dl = np.asarray(dl, float)

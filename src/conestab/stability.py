@@ -108,9 +108,9 @@ class GEProblem:
     `Fprime((pbar, xbar), (dp, dx))` is the directional derivative of F;
     `Fx` optionally carries the Jacobian of F in x at the base pair,
     which unlocks the exact polyhedral enumeration route.  The
-    constructor checks that the pair solves the inclusion: a `lam_hint`
-    that `multiplier_verify` accepts settles it, and otherwise a
-    multiplier search must find one.
+    constructor checks that the pair solves the inclusion at the
+    verified base point `point`: a `lam_hint` that `multiplier_verify`
+    accepts settles it, and otherwise a multiplier search must find one.
     """
 
     sys: ConstraintSystem
@@ -126,7 +126,7 @@ class GEProblem:
     def __post_init__(self):
         self.pbar = np.asarray(self.pbar, float)
         self.xbar = np.asarray(self.xbar, float)
-        point = BasePoint(self.sys, self.xbar, self.tol)
+        self.point = point = BasePoint(self.sys, self.xbar, self.tol)
         hint = self.lam_hint
         if hint is not None and np.shape(hint) == (self.sys.cone.dim,) and \
                 multiplier_verify(point, self.vbar, hint):
@@ -139,6 +139,13 @@ class GEProblem:
     @property
     def vbar(self):
         return -np.asarray(self.F(self.pbar, self.xbar), float)
+
+    def base_point(self, tol: Tol) -> BasePoint:
+        """The verified base point at xbar for tol: `point` when tol is
+        the problem's own."""
+        if tol == self.tol:
+            return self.point
+        return BasePoint(self.sys, self.xbar, tol)
 
 
 def example41_problem() -> GEProblem:
@@ -461,7 +468,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     (`fails`); finding none is `inconclusive`.
     """
     sys = problem.sys
-    pair = BasePair(BasePoint(sys, problem.xbar, tol), problem.vbar, lam)
+    pair = BasePair(problem.base_point(tol), problem.vbar, lam)
     srcq = srcq_check(pair)
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     if srcq.verdict != "holds":

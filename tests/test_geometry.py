@@ -24,6 +24,15 @@ def test_critical_cone_rejects_off_graph_pair():
         critical_cone(K, np.array([-1.0, 0.0]), np.zeros(2))
 
 
+def test_critical_cone_rejects_non_finite_pair():
+    K = ConeDesc([Orthant(2, "plus")])
+    for y, lam in (([np.nan, 0.0], [0.0, -1.0]), ([1.0, 0.0], [0.0, np.nan])):
+        with pytest.raises(ValueError):
+            critical_cone(K, np.array(y), np.array(lam))
+        with pytest.raises(ValueError):
+            tangent_of_normal(K, np.array(y), np.array(lam))
+
+
 @pytest.mark.parametrize("K", [
     ConeDesc([Orthant(4, "plus")]),
     ConeDesc([SOC(3, "plus")]),

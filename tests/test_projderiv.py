@@ -77,7 +77,7 @@ def test_sigma_term_frozen_psd_value():
     K = ConeDesc([PSD(2, "plus")])
     gp = GraphPoint(K, svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, -1.0])))
     h = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    ups = sigma_term(K, gp, h)
+    ups = sigma_term(gp, h)
     assert ups == pytest.approx(2.0, abs=1e-12)
     # the expansion oracle measures the same quantity with the opposite
     # sign: the support-function limit it computes equals -Upsilon
@@ -92,7 +92,7 @@ def test_sigma_term_frozen_soc_boundary_value():
     gp = GraphPoint(K, y, lam)
     h = np.array([0.16, 0.3, -0.1])
     h = h - (float(h @ lam) / float(lam @ lam)) * lam  # into the critical cone
-    ups = sigma_term(K, gp, h)
+    ups = sigma_term(gp, h)
     expected = (0.35 / 1.0) * (h[1] ** 2 + h[2] ** 2 - h[0] ** 2)
     assert ups == pytest.approx(expected, rel=1e-10)
     assert ups == pytest.approx(0.0315, abs=1e-12)
@@ -107,8 +107,8 @@ def test_sigma_polyhedral_blocks_vanish():
         gp = graph_sample(K, rng.standard_normal(K.dim) * 2)
         C = K.critical_set(gp.y, gp.lam)
         h = C.project(rng.standard_normal(K.dim))
-        assert sigma_term(K, gp, h) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(sigma_grad(K, gp, h), 0.0, atol=1e-12)
+        assert sigma_term(gp, h) == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(sigma_grad(gp, h), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("K", CONES.values(), ids=CONES.keys())
@@ -119,8 +119,8 @@ def test_sigma_grad_pairing_identity(K):
         gp = graph_sample(K, rng.standard_normal(K.dim) * 2)
         C = K.critical_set(gp.y, gp.lam)
         h = C.project(rng.standard_normal(K.dim))
-        ups = sigma_term(K, gp, h)
-        grad = sigma_grad(K, gp, h)
+        ups = sigma_term(gp, h)
+        grad = sigma_grad(gp, h)
         assert ups >= -1e-12
         assert float(grad @ h) == pytest.approx(2.0 * ups, abs=1e-9)
 
@@ -129,7 +129,7 @@ def test_sigma_term_rejects_noncritical_direction():
     K = ConeDesc([Orthant(2, "plus")])
     gp = GraphPoint(K, np.zeros(2), np.array([-1.0, -1.0]))
     with pytest.raises(ValueError):
-        sigma_term(K, gp, np.array([1.0, 0.0]))
+        sigma_term(gp, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("K", CONES.values(), ids=CONES.keys())

@@ -585,6 +585,30 @@ def test_branch_lp_matches_one_lp_per_objective():
     assert 0 < verdicts.count("fails") < len(verdicts)
 
 
+def test_pair_inside_the_activity_window_is_decided(analyze):
+    # y = 5e-10 counts as active (|y| <= tol.zero) and lam = -1 passes the
+    # multiplier test, though |<y, lam>| is above the cone-level
+    # complementarity bound tol.zero / 10: the verified pair is decided by
+    # its multiplier test alone, in analyze and on the polyhedral route
+    from conestab.jsonio import emit_cone
+
+    K = ConeDesc([Orthant(1, "plus")])
+    x, lam = np.array([5e-10]), np.array([-1.0])
+    rc, report = analyze({"cone": emit_cone(K),
+                          "mapping": {"affine": {"A": [[1.0]], "b": [0.0]}}},
+                         {"x": x, "v": lam})
+    assert rc == 0
+    verdicts = {c["name"]: c["verdict"] for c in report["certificates"]}
+    assert verdicts["srcq"] == "holds"
+    problem = GEProblem(affine_system(K, np.eye(1), np.zeros(1)),
+                        F=lambda p, x: 1.0 + x - p,
+                        Fprime=lambda base, dirn: dirn[1] - dirn[0],
+                        pbar=x, xbar=x, Fx=np.eye(1), lam_hint=lam)
+    cert = solution_map_isolated_calm(problem, lam)
+    assert cert.verdict == "holds"
+    assert "exact branch enumeration" in cert.method
+
+
 def test_branch_lp_failure_is_inconclusive(monkeypatch):
     import scipy.optimize
     from scipy.optimize import OptimizeResult

@@ -138,8 +138,9 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
         assert rc == 0
         assert (calls["feasibility"], calls["J"], calls["N_K"]) == (1, 1, 1)
         assert calls["T_K"] <= 1
-    problem = example41_problem()
+    # the problem's own verified point serves the isolated-calmness call
     calls.clear()
+    problem = example41_problem()
     cert = solution_map_isolated_calm(problem, problem.lam_hint)
     assert cert.verdict == "holds" and calls["feasibility"] == 1
     K = ConeDesc([PSD(3)])
