@@ -470,9 +470,6 @@ class ConeDesc(ProductSet):
         return ProductSet([b.critical_set(py, pl, tol)
                            for b, py, pl in self._parts(y, lam)])
 
-    def tangent_lineality(self, y, tol=DEFAULT_TOL):
-        return self.tangent_set(y, tol).lineality_basis()
-
     def ri_normal(self, y, lam, tol=DEFAULT_TOL):
         return all(b.ri_normal(py, pl, tol)
                    for b, py, pl in self._parts(y, lam))

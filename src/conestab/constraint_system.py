@@ -68,9 +68,6 @@ class ConstraintSystem:
                              f"{(self.cone.dim, self.dim_x)}")
         return J
 
-    def jac_apply(self, x, h):
-        return self.jacobian(x) @ np.asarray(h, float)
-
     def adjoint_apply(self, x, mu):
         return self.jacobian(x).T @ np.asarray(mu, float)
 

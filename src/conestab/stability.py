@@ -224,33 +224,33 @@ def _scalar_branches(C):
 
 def _enumerate_branches(options, cap=4096):
     import itertools
+    import math
 
-    total = 1
-    for o in options:
-        total *= len(o)
+    total = math.prod(len(o) for o in options)
     if total > cap:
         raise ValueError(f"branch count {total} exceeds cap {cap}")
     return itertools.product(*options)
 
 
 def _branch_lp_max(J, M, branch):
-    """Largest |d_j| over the branch face, by one LP.
+    """Largest |d_j| over the branch face, by at most one LP.
 
     The face is the set of (d, mu) in the box [-1,1]^{n+m} with
-    M d + J^T mu = 0 and the branch sign pattern on ((J d)_i, mu_i).  The
-    LP stacks 2n copies (d_k, mu_k) of these constraints, and copy
-    k = 2j or 2j + 1 maximizes +d_j or -d_j.  The objective is separable,
-    so each copy reaches the optimum of its own LP, and one HiGHS call
-    replaces 2n.  The blocks are sparse (`scipy.sparse.kron`), so memory
-    stays linear in the number of copies.
+    M d + J^T mu = 0 and the branch sign pattern on ((J d)_i, mu_i).  An
+    LP point meets each equality row to 1e-7 (HiGHS's default primal
+    feasibility tolerance), so when the rows E on the coordinates the
+    bounds leave free give 1e-7 sqrt(rows) / s_min(E) < WITNESS_CUT, the
+    face is {0}, of value 0, and no LP is solved.  Otherwise the LP
+    stacks 2n copies (d_k, mu_k) of these constraints, as sparse blocks,
+    and copy k = 2j or 2j + 1 maximizes +d_j or -d_j.  The objective is
+    separable, so each copy reaches the optimum of its own LP, and one
+    HiGHS call replaces 2n.
 
-    Returns (res, value, d): the `linprog` result, the largest copy value
-    and the d of the first copy that attains it.  When HiGHS does not
-    report success, value and d are None, and `_polyhedral_route` answers
-    `inconclusive` with the HiGHS status: a face left unsearched is no
-    evidence.  Data that is not polyhedral and affine never reaches this
-    LP; `solution_map_isolated_calm` decides it by the second-order form
-    and, when C is a subspace, by `_subspace_decision`.
+    Returns (res, value, d): the `linprog` result (None if no LP ran),
+    the largest copy value and the d of the first copy that attains it.
+    When HiGHS does not report success, value and d are None, and
+    `_polyhedral_route` answers `inconclusive` with the HiGHS status: a
+    face left unsearched is no evidence.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -272,9 +272,18 @@ def _branch_lp_max(J, M, branch):
             bounds.append((-1.0, 1.0))
         else:
             bounds.append((0.0, 1.0) if cb > 0 else (-1.0, 0.0))
-    eye = sparse.identity(copies, format="csr")
-    A_eq = sparse.kron(eye, np.vstack(A_eq), format="csr")
-    A_ub = sparse.kron(eye, np.array(A_ub), format="csr") if A_ub else None
+    A_eq = np.vstack(A_eq)
+    E = A_eq[:, [lo < hi for lo, hi in bounds]]
+    if len(E) >= E.shape[1] and 1e-7 * np.sqrt(len(E)) < \
+            WITNESS_CUT * np.linalg.svd(E, compute_uv=False)[-1]:
+        return None, 0.0, np.zeros(n)
+
+    def diag(A):  # `copies` copies of A down the diagonal
+        return sparse.bsr_array((np.broadcast_to(A, (copies,) + A.shape),
+                                 np.arange(copies), np.arange(copies + 1)),
+                                shape=(copies * len(A), copies * A.shape[1]))
+
+    A_ub = diag(np.array(A_ub)) if A_ub else None
     # copy k maximizes sign_k * d_{j_k}: (j, +) then (j, -) for each j
     sign = np.tile([1.0, -1.0], n)
     col = np.arange(copies) * nv + np.repeat(np.arange(n), 2)
@@ -282,7 +291,7 @@ def _branch_lp_max(J, M, branch):
     c[col] = -sign
     res = linprog(c, A_ub=A_ub,
                   b_ub=np.zeros(A_ub.shape[0]) if A_ub is not None else None,
-                  A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]),
+                  A_eq=diag(A_eq), b_eq=np.zeros(copies * len(A_eq)),
                   bounds=np.tile(bounds, (copies, 1)), method="highs")
     if not res.success:
         return res, None, None

@@ -618,12 +618,42 @@ def test_branch_lp_failure_is_inconclusive(monkeypatch):
                               message="numerical difficulties")
 
     monkeypatch.setattr(scipy.optimize, "linprog", failing)
-    for kind in ("nondegenerate", "degenerate"):
-        cert = kkt_isolated_calm(*lp_kkt_data(kind))
-        assert cert.verdict == "inconclusive"
-        assert "exact branch enumeration" in cert.method
-        assert cert.details["lp_status"] == 4
-        assert cert.details["lp_message"] == "numerical difficulties"
+    cert = kkt_isolated_calm(*lp_kkt_data("degenerate"))
+    assert cert.verdict == "inconclusive"
+    assert "exact branch enumeration" in cert.method
+    assert cert.details["lp_status"] == 4
+    assert cert.details["lp_message"] == "numerical difficulties"
+    # the nondegenerate instance's one face is pinned to 0 by its
+    # equality rows (M nonsingular, every mu_i fixed at 0): no LP is
+    # solved, so a failing solver leaves its verdict alone
+    assert kkt_isolated_calm(*lp_kkt_data("nondegenerate")).verdict == \
+        "holds"
+
+
+def test_branch_face_pinned_by_its_equalities_needs_no_lp(monkeypatch):
+    import scipy.optimize
+    from conestab._sets import SignPattern
+    from conestab.stability import _branch_lp_max
+
+    calls = []
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    J = np.eye(2)
+    branch = [(SignPattern.FREE, SignPattern.ZERO)] * 2
+    # M d = 0 with M nonsingular: the face is {0}, decided without an LP
+    res, val, d = _branch_lp_max(J, np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                 branch)
+    assert (res, val, calls) == (None, 0.0, [])
+    assert np.array_equal(d, np.zeros(2))
+    # a singular value under the LP's feasibility margin leaves the face
+    # to the LP, which sees every point of the box as feasible
+    res, val, d = _branch_lp_max(J, 1e-9 * np.eye(2), branch)
+    assert calls == [1] and res.success and val == pytest.approx(1.0)
+    # a singular M leaves a line of the face, and the LP finds its end
+    res, val, d = _branch_lp_max(J, np.diag([1.0, 0.0]), branch)
+    assert calls == [1, 1] and val == pytest.approx(1.0)
+    assert abs(d[1]) == pytest.approx(1.0) and abs(d[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

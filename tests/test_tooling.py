@@ -152,8 +152,9 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
 
 
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
-    # kkt_lp decides each of its two instances with one branch LP, and
-    # its pairs, like example41's, are settled by their verified
+    # kkt_lp decides its degenerate instance with one branch LP and its
+    # nondegenerate one with none (the equality rows pin its one face to
+    # 0), and its pairs, like example41's, are settled by their verified
     # multiplier hints alone
     import scipy.optimize
     from conestab import (_sets, cli, cone_geometry, constraint_system,
@@ -178,9 +179,9 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
         monkeypatch.setattr(module, "multiplier_solve", solve)
     assert cli.main(["repro", "kkt_lp"]) == 0
     capsys.readouterr()
-    assert calls == {"linprog": 2, "dykstra": 0, "multiplier_solve": 0}
+    assert calls == {"linprog": 1, "dykstra": 0, "multiplier_solve": 0}
     example41_problem()
-    assert calls == {"linprog": 2, "dykstra": 0, "multiplier_solve": 0}
+    assert calls == {"linprog": 1, "dykstra": 0, "multiplier_solve": 0}
 
 
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
