@@ -592,6 +592,8 @@ class Certificate:
                 return float(v)
             if isinstance(v, dict):
                 return {k: conv(x) for k, x in v.items()}
+            if isinstance(v, Certificate):
+                return v.to_json()
             if isinstance(v, (list, tuple)):
                 return [conv(x) for x in v]
             return v

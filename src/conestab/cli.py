@@ -63,9 +63,15 @@ def cmd_analyze(args):
     # raises on a non-finite or infeasible point (exit 2)
     point = BasePoint(sysm, x, tol)
     mres = multiplier_solve(point, v)
-    lines.append(f"multiplier: {'found' if mres.found else 'not found'} "
-                 f"residual={mres.residual:.3e} members={len(mres.members)} "
-                 f"route={mres.route}")
+    if mres.found:
+        state = f"found residual={mres.residual:.3e} " \
+            f"members={len(mres.members)}"
+    elif mres.farkas is None:
+        state = f"inconclusive (search stalled, residual={mres.residual:.3e})"
+    else:
+        state = f"not found (certified: residual >= " \
+            f"{mres.farkas.bound:.3e} at cycle {mres.farkas.cycle})"
+    lines.append(f"multiplier: {state} route={mres.route}")
     if mres.found:
         certs.append(_cert_entry("srcq", mres.srcq))
         lines.append(f"srcq: {mres.srcq.verdict}")

@@ -10,11 +10,13 @@ is assumed, never computed.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, AffineSet, Hyperplane, dykstra,
+    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, Hyperplane,
+    Intersection, Subspace, dykstra,
 )
 from .cone_core import ConeDesc
 from .cone_geometry import subspace_cone_trivial
@@ -240,6 +242,11 @@ class BasePoint:
     def normal(self):
         return self.tangent.polar()
 
+    @cached_property
+    def span_normal(self):
+        """Orthonormal basis of span N_K(g(x)) = (lin T_K(g(x)))^perp."""
+        return _null_basis(self.lineality.T, self.tol)
+
 
 def gamma_tangent_contains(point: BasePoint, h) -> bool:
     """Tangency of h to the feasible set at x, via g'(x)h in T_K(g(x)).
@@ -259,15 +266,15 @@ def _null_basis(M, tol):
 
 
 def _multiplier_residuals(point: BasePoint, v, lam):
-    """The multiplier test of lam for (x, v): (ra, rc, ok, scale) with
+    """The multiplier test of lam for (x, v): (ra, rc, ok) with
     ra = ||J^T lam - v||, rc = dist(lam, N_K(g(x))) and ok when both are
-    at most tol.membership * scale, scale = 1 + ||lam|| + ||v||.  Each
-    comparison must hold, so a NaN never passes."""
+    at most tol.membership (1 + ||lam|| + ||v||).  Each comparison must
+    hold, so a NaN never passes."""
     ra = float(np.linalg.norm(point.J.T @ lam - v))
     rc = point.normal.dist(lam)
-    scale = 1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v))
-    bound = point.tol.membership * scale
-    return ra, rc, ra <= bound and rc <= bound, scale
+    bound = point.tol.membership * (
+        1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v)))
+    return ra, rc, ra <= bound and rc <= bound
 
 
 def multiplier_verify(point: BasePoint, v, lam) -> bool:
@@ -318,38 +325,39 @@ class BasePair:
 @dataclass
 class MultiplierSolveResult:
     """Outcome of the multiplier search for v = grad g(x) lambda with
-    lambda in N_K(g(x)).
-
-    `route` names how the multiplier was sought: "span-N solve" (the
-    exact solve over span N_K(g(x))) or "re-seeded search" (Dykstra).
-    A search run with uniqueness that finds a multiplier also keeps its
-    verified base pair at `lam` (`pair`) and the raw strict Robinson
-    certificate at that pair (`srcq`); `uniqueness` is that certificate,
-    or "distinct verified members" when the search found more than one.
+    lambda in N_K(g(x)).  Unless `lam` is found (verified), `farkas` is
+    the search's certificate that none exists, or None when it stalled
+    and decided nothing.  With uniqueness, a found multiplier has its
+    verified base pair (`pair`) and strict Robinson certificate (`srcq`,
+    also the `uniqueness` verdict); `members` is `lam` and, when srcq
+    fails, a second verified multiplier if one was found.
     """
 
     lam: np.ndarray
     residual_affine: float
     residual_cone: float
     found: bool
+    route: str
+    farkas: Farkas | None
     members: list = field(default_factory=list)
-    uniqueness: Certificate | None = None
     srcq: Certificate | None = None
     pair: BasePair | None = None
-    route: str = "re-seeded search"
 
     @property
     def residual(self):
         return max(self.residual_affine, self.residual_cone)
 
+    @property
+    def uniqueness(self):
+        return self.srcq
 
-def _span_normal_solve(Jt, v, Lin, tol):
+
+def _span_normal_solve(Jt, v, B, tol):
     """The only possible multiplier when the adjoint Jt is injective on
-    span N = Lin^perp (rank cut as in `_null_basis`): B lstsq(Jt B, v)
-    for an orthonormal basis B of span N.  Any multiplier lam' lies in
-    span N and solves Jt lam' = v, so it equals this one.  None when Jt
-    B is not injective."""
-    B = _null_basis(Lin.T, tol)
+    span N, B an orthonormal basis of it (rank cut as in `_null_basis`):
+    B lstsq(Jt B, v).  Any multiplier lam' lies in span N and solves
+    Jt lam' = v, so it equals this one.  None when Jt B is not
+    injective."""
     if B.shape[1] == 0:
         return np.zeros(Jt.shape[1])
     if B.shape[1] > Jt.shape[0]:
@@ -362,73 +370,41 @@ def _span_normal_solve(Jt, v, Lin, tol):
 
 def multiplier_solve(point: BasePoint, v,
                      with_uniqueness=True) -> MultiplierSolveResult:
-    """Find lambda in N_K(g(x)) with grad g(x) lambda = v.
-
-    The exact route comes first: when the adjoint is injective on span
-    N_K(g(x)), one least-squares solve over that span gives the only
-    possible multiplier, and it is accepted when it verifies (route
-    "span-N solve", one member).  Otherwise, or when that candidate
-    fails verification, alternating projections run between the affine
-    fiber and the normal cone (route "re-seeded search"): the seed is
-    the least-squares solution of the affine system and, when
-    `with_uniqueness` asks for the uniqueness verdict, the deterministic
-    re-seeding schedule walks signed kernel directions of the adjoint to
-    probe non-uniqueness.  A stall of the search above
-    tolerance is read as v outside the image ("not found").  Raises
-    ValueError when v is not finite.
+    """Find lambda in N_K(g(x)) with grad g(x) lambda = v: the exact
+    solve over span N_K(g(x)) when it gives a verified multiplier (route
+    "span-N solve"), else one Dykstra run on the fiber and the normal
+    cone from the least-squares seed (route "Dykstra search").  With
+    `with_uniqueness`, a found multiplier gets its srcq certificate and,
+    when srcq fails, the first verified lam ± t w/||w|| (w its witness,
+    t = 1, 1/2, ..., 1/128) as a second member.  Raises ValueError when
+    v is not finite.
     """
     tol = point.tol
     v = np.asarray(v, float)
     if not np.all(np.isfinite(v)):
         raise ValueError("v not finite: it has a NaN or infinite entry")
-    lam = _span_normal_solve(point.J.T, v, point.lineality, tol)
-    ra, rc, ok, _ = _multiplier_residuals(point, v, lam) \
-        if lam is not None else (0.0, 0.0, False, 0.0)
-    if ok:
-        res = MultiplierSolveResult(lam, ra, rc, True, [lam],
-                                    route="span-N solve")
-    else:
-        res = _reseeded_search(point, v, with_uniqueness)
-    if res.found and with_uniqueness:
-        res.pair = BasePair(point, v, res.lam)
-        res.srcq = res.uniqueness = srcq_check(res.pair)
-        if len(res.members) > 1 and res.srcq.verdict == "holds":
-            # distinct verified members trump the subspace probe
-            res.uniqueness = Certificate(
-                "fails", 0.0, res.members[1] - res.members[0],
-                "distinct verified members", tol)
+    Jt = point.J.T
+    lam = _span_normal_solve(Jt, v, point.span_normal, tol)
+    route, farkas = "span-N solve", None
+    if lam is None or not multiplier_verify(point, v, lam):
+        lam, info = dykstra([AffineSet(Jt, v), point.normal],
+                            np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
+        route, farkas = "Dykstra search", info.farkas
+    res = MultiplierSolveResult(lam, *_multiplier_residuals(point, v, lam),
+                                route, farkas)
+    if not res.found:
+        return res
+    res.members.append(lam)
+    if with_uniqueness:
+        res.pair = BasePair(point, v, lam)
+        res.srcq = srcq_check(res.pair)
+        if res.srcq.verdict == "fails":
+            w = res.srcq.witness / float(np.linalg.norm(res.srcq.witness))
+            steps = (lam + s * 0.5 ** i * w for i in range(8)
+                     for s in (1.0, -1.0))
+            res.members.extend(islice(filter(
+                lambda lam2: multiplier_verify(point, v, lam2), steps), 1))
     return res
-
-
-def _reseeded_search(point, v, reseed):
-    """Dykstra on the fiber {J^T lam = v} and N_K(g(x)) from the
-    least-squares seed and, with `reseed`, from the seed moved each way
-    along each adjoint-kernel direction; the best iterate and the
-    distinct verified members."""
-    Jt, tol = point.J.T, point.tol
-    fiber = AffineSet(Jt, v)
-    seed0, *_ = np.linalg.lstsq(Jt, v, rcond=None)
-    ker = _null_basis(Jt, tol)
-    seeds = [seed0]
-    if reseed:
-        step = 1.0 + float(np.linalg.norm(seed0))
-        for j in range(ker.shape[1]):
-            seeds.append(seed0 + step * ker[:, j])
-            seeds.append(seed0 - step * ker[:, j])
-
-    members = []
-    best = None
-    for seed in seeds:
-        lam, info = dykstra([fiber, point.normal], seed, tol)
-        ra, rc, ok, scale = _multiplier_residuals(point, v, lam)
-        if best is None or max(ra, rc) < best[1]:
-            best = (lam, max(ra, rc), ra, rc, ok)
-        if ok and not any(np.linalg.norm(lam - m) <= 1e-6 * scale
-                          for m in members):
-            members.append(lam)
-
-    lam, _, ra, rc, ok = best
-    return MultiplierSolveResult(lam, ra, rc, ok, members)
 
 
 class NGammaImage:
@@ -441,7 +417,14 @@ class NGammaImage:
         self.dim = point.sys.dim_x
 
     def contains(self, v) -> bool:
-        return multiplier_solve(self.point, v, with_uniqueness=False).found
+        """True when a multiplier verifies, False when the search carries
+        a Farkas certificate that none exists; raises ValueError
+        ("undecided: ...") when the search stalled without one."""
+        res = multiplier_solve(self.point, v, with_uniqueness=False)
+        if res.found or res.farkas is not None:
+            return res.found
+        raise ValueError("undecided: the multiplier search stalled without "
+                         f"a certificate (residual {res.residual:.3e})")
 
 
 def srcq_check(pair: BasePair) -> Certificate:
@@ -494,43 +477,47 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
 
 def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
     """Existence of a relative-interior multiplier for the (x, v) of the
-    multiplier search `res` (run with uniqueness); the method string names
-    its route.
+    multiplier search `res` (run with uniqueness), in three steps.
 
-    Candidates are the search's members plus convex averages of distinct
-    members (averaging pushes toward the relative interior of the
-    multiplier segment).  Fails only when the multiplier is certified
-    unique and that unique member is not relative-interior; otherwise a
-    fruitless search is inconclusive.
+    1. The found multiplier lam is in ri N_K(g(x)): holds, witness lam.
+    2. Else, if srcq holds, lam is unique: fails, witness lam, with the
+       srcq certificate in the details.
+    3. Else by the alternative (Rockafellar, Convex Analysis, Thm 11.2):
+       the multipliers miss ri N_K(g(x)) exactly when some u has
+       <u, v> = 0 and Ju in T = T_K(g(x)) outside lin T, that is when
+       span(P J U_v) ∩ T ∩ (lin T)^perp != {0} for P the projector onto
+       (lin T)^perp and U_v a basis of v^perp.  One triviality decision
+       gives the verdict and details (the slice (h, R) pairs); a fails
+       has witness Ju, and u in the details.
     """
     if not res.found:
-        raise ValueError("v is not in the normal cone to the feasible set at x")
+        raise ValueError("undecided: the multiplier search stalled without "
+                         "a certificate" if res.farkas is None else "v is not "
+                         "in the normal cone to the feasible set at x")
     if res.pair is None:
         raise ValueError("strict complementarity needs a multiplier search "
                          "run with uniqueness")
     pair, tol = res.pair, res.pair.tol
-    method = f"relative-interior test over the members of the {res.route}"
-
-    candidates = list(res.members)
-    for i in range(len(res.members)):
-        for j in range(i + 1, len(res.members)):
-            candidates.append(0.5 * (res.members[i] + res.members[j]))
-    if len(res.members) > 1:
-        candidates.append(np.mean(res.members, axis=0))
-
-    for lam in candidates:
-        if multiplier_verify(pair.point, pair.v, lam) and \
-                pair.sys.cone.ri_normal(pair.gx, lam, tol):
-            return Certificate("holds", 0.0, lam, method, tol,
-                               assumptions=(SUBREG_ASSUMPTION,))
-    if res.uniqueness.verdict == "holds":
-        return Certificate("fails", 0.0, res.lam,
-                           method + " (unique member fails)", tol,
-                           assumptions=(SUBREG_ASSUMPTION,))
-    return Certificate("inconclusive", 0.0, None,
-                       method + " (no interior member found)", tol,
-                       assumptions=(SUBREG_ASSUMPTION,),
-                       details={"candidates": len(candidates)})
+    if pair.sys.cone.ri_normal(pair.gx, pair.lam, tol):
+        cert = Certificate("holds", 0.0, pair.lam, "relative-interior test "
+                           f"of the multiplier of the {res.route}", tol)
+    elif res.srcq.verdict == "holds":
+        cert = Certificate("fails", 0.0, pair.lam, "unique multiplier (srcq "
+                           "holds) outside ri N_K(g(x))", tol,
+                           details={"srcq": res.srcq})
+    else:
+        B = pair.point.span_normal
+        Uv = _null_basis(pair.v.reshape(1, -1), tol)
+        L = B @ (B.T @ (pair.J @ Uv))
+        cert = subspace_cone_trivial(
+            L, Intersection([pair.point.tangent, Subspace(B)], tol), tol)
+        cert.method = "alternative: span(P J U_v) ∩ T ∩ (lin T)^perp = " \
+            "{0}, by " + cert.method
+        if cert.verdict == "fails":
+            u = Uv @ np.linalg.lstsq(L, cert.witness, rcond=None)[0]
+            cert.witness, cert.details["u"] = pair.J @ u, u
+    cert.assumptions = (SUBREG_ASSUMPTION,)
+    return cert
 
 
 def critical_cone_gamma_contains(pair: BasePair, d) -> bool:

@@ -110,7 +110,8 @@ class GEProblem:
     which unlocks the exact polyhedral enumeration route.  The
     constructor checks that the pair solves the inclusion at the
     verified base point `point`: a `lam_hint` that `multiplier_verify`
-    accepts settles it, and otherwise a multiplier search must find one.
+    accepts settles it, and otherwise a multiplier search must find one;
+    a certified miss and a stall raise distinct ValueErrors.
     """
 
     sys: ConstraintSystem
@@ -132,9 +133,12 @@ class GEProblem:
                 multiplier_verify(point, self.vbar, hint):
             return
         res = multiplier_solve(point, self.vbar, with_uniqueness=False)
-        if not res.found:
+        if not res.found and res.farkas is not None:
             raise ValueError("reference pair does not solve the inclusion "
-                             f"(residual {res.residual:.3e})")
+                             f"(certified residual >= {res.farkas.bound:.3e})")
+        if not res.found:
+            raise ValueError("reference pair undecided: the multiplier search "
+                             f"stalled (residual {res.residual:.3e})")
 
     @property
     def vbar(self):

@@ -14,7 +14,7 @@ from conestab.constraint_system import (
     critical_cone_gamma_contains, ngamma_graph_deriv_contains, BasePair,
 )
 from conestab.jsonio import SchemaError, parse_cone, emit_cone, parse_problem
-from conestab.symmat import svec
+from conestab.symmat import smat, svec
 
 XBAR1 = np.array([-1.0, -1.0, 0.0])
 
@@ -117,14 +117,76 @@ def test_multiplier_solve_rejects_non_finite_v():
         NGammaImage(point).contains([0.0, np.inf, 0.0])
 
 
+def _nsd_dist(lam):
+    """dist(lam, NSD(2) x R_-), the normal cone at example1's apex."""
+    w = np.linalg.eigvalsh(smat(lam[:3]))
+    return float(np.hypot(np.linalg.norm(np.maximum(w, 0.0)),
+                          max(lam[3], 0.0)))
+
+
+def test_multiplier_misses_are_certified_or_undecided(monkeypatch, analyze):
+    # at example1, -v for v = J^T(-I, -1) has no multiplier, and the
+    # search says so by a Farkas certificate: y in the polar PSD x R_+
+    # of N, J h = y to rounding and a positive gain <h, -v>, so every lam
+    # is at least `bound` from the fiber or from N.  v = (0, 0, 1) ends
+    # in a stall at cycle 100 without a certificate, which is undecided
+    import conestab.constraint_system as cs
+
+    point = BasePoint(example1_system(), XBAR1)
+    J = point.J
+    v = np.array([-1.0, -1.0, -3.0])
+    res = multiplier_solve(point, -v, with_uniqueness=False)
+    assert not res.found
+    h, (y,), bound = res.farkas.h, res.farkas.y, res.farkas.bound
+    assert np.linalg.eigvalsh(smat(y[:3])).min() >= -1e-12 and y[3] >= 0.0
+    assert np.linalg.norm(J @ h - y) <= 1e-12 * (1 + np.linalg.norm(h))
+    gain = float(h @ -v)
+    assert gain > 0 and bound == pytest.approx(
+        gain / (np.linalg.norm(h) + np.linalg.norm(y)), rel=1e-12)
+    rng = np.random.default_rng(0)
+    for lam in 3.0 * rng.standard_normal((200, 4)):
+        assert max(np.linalg.norm(J.T @ lam + v), _nsd_dist(lam)) >= \
+            bound * (1 - 1e-12)
+    assert NGammaImage(point).contains(-v) is False
+
+    infos = []
+    dykstra = cs.dykstra
+
+    def spy(*args, **kwargs):
+        z, info = dykstra(*args, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(cs, "dykstra", spy)
+    stall = np.array([0.0, 0.0, 1.0])
+    res = multiplier_solve(point, stall, with_uniqueness=False)
+    assert not res.found and res.farkas is None
+    assert [(i.cycles, i.stalled, i.farkas) for i in infos] == \
+        [(100, True, None)]
+    with pytest.raises(ValueError, match="undecided"):
+        NGammaImage(point).contains(stall)
+    with pytest.raises(ValueError, match="undecided"):
+        strict_complementarity_check(multiplier_solve(point, stall))
+    for target, line in ((-v, "multiplier: not found (certified: residual "
+                              f">= {bound:.3e} at cycle 1)"),
+                         (stall, "multiplier: inconclusive (search stalled, "
+                                 "residual=")):
+        rc, report = analyze({"mapping": {"builtin": "example1"}},
+                             {"x": XBAR1, "v": target})
+        assert rc == 0
+        assert [c["name"] for c in report["certificates"]] == \
+            ["nondegeneracy"]
+        assert any(l.startswith(line) for l in report["lines"]), line
+
+
 @pytest.mark.parametrize("srcq_holds", [True, False])
 def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
                                                               srcq_holds):
     # the reference is one Dykstra run from the least-squares seed, made
     # here and not through multiplier_solve.  With a unique multiplier
     # (srcq holds) the exact span-N route must land on it and on the
-    # planted multiplier; on a segment the search's first member is that
-    # same run, and lam is one of its verified members
+    # planted multiplier; on a segment the search is that same run, and
+    # lam is its point and the first member
     from conestab import _sets
 
     for seed in range(20):
@@ -142,9 +204,9 @@ def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
             assert np.linalg.norm(res.lam - lam) <= \
                 1e-8 * (1.0 + np.linalg.norm(lam)), seed
         else:
-            assert res.route == "re-seeded search" and len(res.members) > 1
-            got = res.members[0]
-            assert any(m is res.lam for m in res.members)
+            assert res.route == "Dykstra search" and len(res.members) > 1
+            assert res.members[0] is res.lam
+            got = res.lam
         assert np.linalg.norm(got - ref) <= 1e-6 * scale, seed
 
 

@@ -151,11 +151,14 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
     assert calls["critical"] == 1
 
 
-def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
+def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
+                                                     planted, analyze):
     # kkt_lp decides its degenerate instance with one branch LP and its
     # nondegenerate one with none (the equality rows pin its one face to
     # 0), and its pairs, like example41's, are settled by their verified
-    # multiplier hints alone
+    # multiplier hints alone.  example1 makes one multiplier search;
+    # example3 one search and one srcq slice; a multiplier set that is a
+    # segment costs analyze one search
     import scipy.optimize
     from conestab import (_sets, cli, cone_geometry, constraint_system,
                           stability)
@@ -182,6 +185,19 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys):
     assert calls == {"linprog": 1, "dykstra": 0, "multiplier_solve": 0}
     example41_problem()
     assert calls == {"linprog": 1, "dykstra": 0, "multiplier_solve": 0}
+    for name, n in (("example1", 1), ("example3", 2)):
+        calls["dykstra"] = 0
+        assert cli.main(["repro", name]) == 0
+        capsys.readouterr()
+        assert calls["dykstra"] == n, name
+    calls["search"] = 0
+    monkeypatch.setattr(constraint_system, "dykstra",
+                        counting("search", _sets.dykstra))
+    for seed in (3, 5):
+        _, x, v, _, problem = planted(seed, srcq_holds=False)
+        assert analyze(problem, {"x": x, "v": v})[0] == 0
+        assert calls["search"] == 1, seed
+        calls["search"] = 0
 
 
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
@@ -243,16 +259,23 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
 def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted, analyze,
                                              capsys):
     # the adjoint kernel of the planted problems and of example41 is a
-    # line, so every triviality decision takes the two-projection route
+    # line, so every srcq decision takes the two-projection route; the
+    # strict-complementarity alternative, run when the searched
+    # multiplier of planted(3, False) is not relative-interior, decides
+    # against an intersection by its slices
     from conestab import cli, cone_geometry, constraint_system
+    from conestab._sets import Intersection
 
-    calls = {"decisions": 0, "dykstra": 0}
+    calls = {"dykstra": 0}
+    runs = []  # (alternative, Dykstra calls) per decision
     decide, dykstra = constraint_system.subspace_cone_trivial, \
         cone_geometry.dykstra
 
-    def counted_decide(*args, **kwargs):
-        calls["decisions"] += 1
-        return decide(*args, **kwargs)
+    def counted_decide(L, C, *args, **kwargs):
+        before = calls["dykstra"]
+        cert = decide(L, C, *args, **kwargs)
+        runs.append((isinstance(C, Intersection), calls["dykstra"] - before))
+        return cert
 
     def counted_dykstra(*args, **kwargs):
         calls["dykstra"] += 1
@@ -267,10 +290,12 @@ def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted, analyze,
         assert rc == 0
         assert report["certificates"][0]["verdict"] == \
             ("holds" if srcq_holds else "fails")
-    assert calls == {"decisions": 2, "dykstra": 0}
+    assert [alt for alt, _ in runs] == [False, False, True]
+    assert [n for alt, n in runs if not alt] == [0, 0]
+    del runs[:]
     assert cli.main(["repro", "example41"]) == 0
     capsys.readouterr()
-    assert calls["decisions"] > 2 and calls["dykstra"] == 0
+    assert len(runs) > 0 and set(runs) == {(False, 0)}
 
 
 def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
@@ -316,11 +341,14 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
     assert set(counts["passed"]) == {1} and set(counts["gated"]) == {0}
 
 
+RI_METHOD = "relative-interior test of the multiplier of the {route}"
+
+
 def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
                                                        analyze):
     # an adjoint injective on span N_K(g(x)) leaves one candidate, solved
-    # exactly; a kernel line inside that span keeps the 1 + 2 dim ker
-    # re-seeded searches and their distinct members
+    # exactly; a kernel line inside that span costs one Dykstra search,
+    # and the step along the srcq witness gives the second member
     from conestab import constraint_system
 
     calls = []
@@ -331,11 +359,11 @@ def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
         return dykstra(*args, **kwargs)
 
     monkeypatch.setattr(constraint_system, "dykstra", counted)
-    for seed, srcq_holds, n_calls, members, route in (
-            (3, True, 0, 1, "span-N solve"),
-            (7, True, 0, 1, "span-N solve"),
-            (3, False, 3, 2, "re-seeded search"),
-            (5, False, 3, 3, "re-seeded search")):
+    for seed, srcq_holds, n_calls, members, route, method in (
+            (3, True, 0, 1, "span-N solve", RI_METHOD),
+            (7, True, 0, 1, "span-N solve", RI_METHOD),
+            (3, False, 1, 2, "Dykstra search", "alternative: "),
+            (5, False, 1, 2, "Dykstra search", RI_METHOD)):
         del calls[:]
         _, x, v, _, problem = planted(seed, srcq_holds)
         rc, report = analyze(problem, {"x": x, "v": v})
@@ -346,14 +374,14 @@ def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
         assert line.endswith(f" members={members} route={route}"), line
         st = next(c for c in report["certificates"]
                   if c["name"] == "strict_complementarity")
-        assert st["method"].startswith(
-            f"relative-interior test over the members of the {route}")
+        assert st["method"].startswith(method.format(route=route))
         assert len(calls) == n_calls, (seed, srcq_holds)
 
 
 def test_qualify_pinned_instances_find_the_planted_multiplier():
-    # Gaussian systems on which the re-seeded search stalled and read the
-    # stall as "not found"; the adjoint is injective on span N there
+    # Gaussian systems on which the former re-seeded search stalled and
+    # read the stall as "not found"; the adjoint is injective on span N
+    # there
     from conestab.constraint_system import (
         BasePoint, affine_system, multiplier_solve,
         strict_complementarity_check)
@@ -374,36 +402,45 @@ def test_qualify_pinned_instances_find_the_planted_multiplier():
         assert strict_complementarity_check(res).verdict == "holds"
 
 
-def _independent_strict_complementarity(sys, x, v):
-    """Reference strict-complementarity certificate, computed from a
-    separate multiplier search of its own."""
-    from conestab._sets import Certificate, DEFAULT_TOL as tol
+def _old_strict_complementarity(sys, x, v):
+    """The verdict of the candidate check that strict complementarity
+    used to make, kept as a referee with its own search: Dykstra from the
+    least-squares seed and from that seed moved each way along each
+    adjoint-kernel direction.  Candidates are the distinct verified
+    members and their averages; "holds" when one is relative-interior,
+    "fails" when there is one member and srcq holds at it, else
+    "inconclusive"."""
+    from conestab import _sets
     from conestab.constraint_system import (
-        SUBREG_ASSUMPTION, BasePoint, multiplier_solve, multiplier_verify)
+        BasePoint, BasePair, multiplier_verify, srcq_check)
 
+    tol = _sets.DEFAULT_TOL
     point = BasePoint(sys, x)
-    res = multiplier_solve(point, v)
-    gx = sys.g(x)
-    method = f"relative-interior test over the members of the {res.route}"
-    members = res.members
-    candidates = list(members) + [0.5 * (members[i] + members[j])
-                                  for i in range(len(members))
-                                  for j in range(i + 1, len(members))]
+    Jt = point.J.T
+    seed0 = np.linalg.lstsq(Jt, v, rcond=None)[0]
+    _, s, vt = np.linalg.svd(Jt)
+    ker = vt[int(np.sum(s > tol.zero * s[0])):]
+    step = 1.0 + np.linalg.norm(seed0)
+    members = []
+    for seed in [seed0] + [seed0 + sign * step * k for k in ker
+                           for sign in (1.0, -1.0)]:
+        lam, _ = _sets.dykstra([_sets.AffineSet(Jt, v), point.normal], seed)
+        scale = 1.0 + np.linalg.norm(lam) + np.linalg.norm(v)
+        if multiplier_verify(point, v, lam) and not any(
+                np.linalg.norm(lam - m) <= 1e-6 * scale for m in members):
+            members.append(lam)
+    candidates = members + [0.5 * (members[i] + members[j])
+                            for i in range(len(members))
+                            for j in range(i + 1, len(members))]
     if len(members) > 1:
         candidates.append(np.mean(members, axis=0))
-    for lam in candidates:
-        if multiplier_verify(point, v, lam) and \
-                sys.cone.ri_normal(gx, lam, tol):
-            return Certificate("holds", 0.0, lam, method, tol,
-                               assumptions=(SUBREG_ASSUMPTION,))
-    if res.uniqueness.verdict == "holds":
-        return Certificate("fails", 0.0, res.lam,
-                           method + " (unique member fails)", tol,
-                           assumptions=(SUBREG_ASSUMPTION,))
-    return Certificate("inconclusive", 0.0, None,
-                       method + " (no interior member found)", tol,
-                       assumptions=(SUBREG_ASSUMPTION,),
-                       details={"candidates": len(candidates)})
+    if any(multiplier_verify(point, v, lam) and
+           sys.cone.ri_normal(point.gx, lam, tol) for lam in candidates):
+        return "holds"
+    if len(members) == 1 and \
+            srcq_check(BasePair(point, v, members[0])).verdict == "holds":
+        return "fails"
+    return "inconclusive"
 
 
 def _example3():
@@ -433,21 +470,21 @@ def test_analyze_certificates_match_independent_checks(case, srcq,
     point = BasePoint(sys, x)
     mres = multiplier_solve(point, v)
     assert (mres.srcq.verdict, mres.uniqueness.verdict) == (srcq, uniqueness)
+    assert mres.uniqueness is mres.srcq
     assert (len(mres.members) > 1) == (srcq == "fails")
-    expected = {
-        "srcq": srcq_check(BasePair(point, v, mres.lam)),
-        "strict_complementarity": _independent_strict_complementarity(
-            sys, x, v),
-    }
-    for name, cert in expected.items():
-        assert got[name] == json.loads(json.dumps(cert.to_json())), name
+    expected = srcq_check(BasePair(point, v, mres.lam))
+    assert got["srcq"] == json.loads(json.dumps(expected.to_json()))
+    assert got["strict_complementarity"]["verdict"] == \
+        _old_strict_complementarity(sys, x, v)
 
 
 def test_analyze_reports_the_raw_srcq_beside_distinct_members(monkeypatch,
                                                               analyze):
-    # with a subspace decision that says holds, example3's distinct
-    # verified members still make `uniqueness` fail; the srcq entry is
-    # the raw decision, and strict complementarity reads `uniqueness`
+    # `uniqueness` is the srcq certificate itself: with a subspace
+    # decision stubbed to say holds, example3 keeps one member, and its
+    # relative-interior multiplier still makes strict complementarity
+    # hold; with no relative-interior multiplier, the stub's unique
+    # multiplier makes it fail, carrying the stub
     from conestab import constraint_system
     from conestab.cone_core import ConeDesc
     from conestab._sets import Certificate
@@ -459,15 +496,16 @@ def test_analyze_reports_the_raw_srcq_beside_distinct_members(monkeypatch,
     monkeypatch.setattr(constraint_system, "srcq_check", srcq_holds)
     sys, x, v, problem = _example3()
     mres = multiplier_solve(BasePoint(sys, x), v)
-    assert mres.srcq.verdict == "holds"
-    assert (mres.uniqueness.verdict, mres.uniqueness.method) == \
-        ("fails", "distinct verified members")
+    assert mres.uniqueness is mres.srcq
+    assert mres.srcq.verdict == "holds" and len(mres.members) == 1
     rc, report = analyze(problem, {"x": x, "v": v})
     assert rc == 0
     got = {c["name"]: c for c in report["certificates"]}
     assert (got["srcq"]["verdict"], got["srcq"]["method"]) == ("holds", "stub")
-    # no relative-interior candidate and no certified unique member
+    assert got["strict_complementarity"]["verdict"] == "holds"
     monkeypatch.setattr(ConeDesc, "ri_normal", lambda *args: False)
     rc, report = analyze(problem, {"x": x, "v": v})
     got = {c["name"]: c for c in report["certificates"]}
-    assert got["strict_complementarity"]["verdict"] == "inconclusive"
+    st = got["strict_complementarity"]
+    assert st["verdict"] == "fails"
+    assert st["details"]["srcq"]["method"] == "stub"
