@@ -162,7 +162,7 @@ def _repro_example3(lines, failures, tol):
     st = strict_complementarity_check(mres)
     _check(lines, failures, "strict_complementarity", st.verdict, "holds")
     _check(lines, failures, "distinct members found", len(mres.members) > 1, True)
-    _check(lines, failures, "uniqueness", mres.uniqueness.verdict, "fails")
+    _check(lines, failures, "uniqueness", mres.srcq.verdict, "fails")
 
 
 def _repro_example41(lines, failures, tol):

@@ -329,8 +329,8 @@ class MultiplierSolveResult:
     the search's certificate that none exists, or None when it stalled
     and decided nothing.  With uniqueness, a found multiplier has its
     verified base pair (`pair`) and strict Robinson certificate (`srcq`,
-    also the `uniqueness` verdict); `members` is `lam` and, when srcq
-    fails, a second verified multiplier if one was found.
+    which decides uniqueness); `members` is `lam` and, when srcq fails,
+    a second verified multiplier if one was found.
     """
 
     lam: np.ndarray
@@ -346,10 +346,6 @@ class MultiplierSolveResult:
     @property
     def residual(self):
         return max(self.residual_affine, self.residual_cone)
-
-    @property
-    def uniqueness(self):
-        return self.srcq
 
 
 def _span_normal_solve(Jt, v, B, tol):
@@ -372,8 +368,9 @@ def multiplier_solve(point: BasePoint, v,
                      with_uniqueness=True) -> MultiplierSolveResult:
     """Find lambda in N_K(g(x)) with grad g(x) lambda = v: the exact
     solve over span N_K(g(x)) when it gives a verified multiplier (route
-    "span-N solve"), else one Dykstra run on the fiber and the normal
-    cone from the least-squares seed (route "Dykstra search").  With
+    "span-N solve"), else a Dykstra run on the fiber and the normal cone
+    from the least-squares seed (route "Dykstra search"), run once more
+    from its last iterate when it stalls without a certificate.  With
     `with_uniqueness`, a found multiplier gets its srcq certificate and,
     when srcq fails, the first verified lam ± t w/||w|| (w its witness,
     t = 1, 1/2, ..., 1/128) as a second member.  Raises ValueError when
@@ -387,8 +384,11 @@ def multiplier_solve(point: BasePoint, v,
     lam = _span_normal_solve(Jt, v, point.span_normal, tol)
     route, farkas = "span-N solve", None
     if lam is None or not multiplier_verify(point, v, lam):
-        lam, info = dykstra([AffineSet(Jt, v), point.normal],
-                            np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
+        sets = [AffineSet(Jt, v), point.normal]
+        lam, info = dykstra(sets, np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
+        if info.stalled and info.farkas is None:
+            # a plateau stalls too; a run with fresh increments ends it
+            lam, info = dykstra(sets, lam, tol)
         route, farkas = "Dykstra search", info.farkas
     res = MultiplierSolveResult(lam, *_multiplier_residuals(point, v, lam),
                                 route, farkas)

@@ -7,6 +7,7 @@ kernels."""
 import time
 
 import numpy as np
+import pytest
 
 from conestab import constraint_system
 from conestab.cone_core import ConeDesc, Orthant, PSD
@@ -181,24 +182,26 @@ def test_strict_complementarity_referee(planted):
                          ("step 3", "holds"), ("step 3", "fails")}, seen
 
 
-def _large_kernel_draw(seed):
+def _large_kernel_draw(seed, d=((1.1, 0.6), (0.8, 1.7)), last=0.0):
     """PSD(3) x -PSD(3) x R_- with dim_x 4 and Gaussian A, at rank-one
-    faces of the PSD blocks and 0 on R_-; the planted multiplier is
-    relative-interior on the PSD blocks and 0 on R_-, so it lies on a
-    proper face of N_K(y).  The adjoint kernel has dimension 9."""
+    faces of the PSD blocks and 0 on R_-; the planted multiplier has
+    eigenvalues `d` on the complements of those faces and `last` on R_-
+    (by default relative-interior on the PSD blocks and 0 on R_-, so it
+    lies on a proper face of N_K(y)).  The adjoint kernel has dimension
+    9.  Returns (sys, x, v, lam)."""
     rng = np.random.default_rng(seed)
     ys, lams = [], []
-    for s, d in ((1.0, [1.1, 0.6]), (-1.0, [0.8, 1.7])):
+    for s, e in zip((1.0, -1.0), d):
         U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         ys.append(s * svec(1.3 * np.outer(U[:, 0], U[:, 0])))
-        lams.append(-s * svec(U[:, 1:] @ np.diag(d) @ U[:, 1:].T))
+        lams.append(-s * svec(U[:, 1:] @ np.diag(e) @ U[:, 1:].T))
     y = np.concatenate(ys + [[0.0]])
-    lam = np.concatenate(lams + [[0.0]])
+    lam = np.concatenate(lams + [[last]])
     A = rng.standard_normal((13, 4))
     x = rng.standard_normal(4)
     sys = affine_system(ConeDesc([PSD(3), PSD(3, "minus"),
                                   Orthant(1, "minus")]), A, y - A @ x)
-    return sys, x, A.T @ lam
+    return sys, x, A.T @ lam, lam
 
 
 def test_large_adjoint_kernels_take_one_search(monkeypatch):
@@ -214,7 +217,7 @@ def test_large_adjoint_kernels_take_one_search(monkeypatch):
 
     monkeypatch.setattr(constraint_system, "dykstra", counted)
     for seed in range(6):
-        sys, x, v = _large_kernel_draw(seed)
+        sys, x, v, _ = _large_kernel_draw(seed)
         assert np.linalg.matrix_rank(sys.jacobian(x).T) == 4
         del calls[:]
         t0 = time.perf_counter()
@@ -224,3 +227,44 @@ def test_large_adjoint_kernels_take_one_search(monkeypatch):
         assert (res.srcq.verdict, cert.verdict) == ("fails", "holds"), seed
         assert res.route == "Dykstra search" and len(calls) <= 1, seed
         assert elapsed < 0.5, (seed, elapsed)
+
+
+def test_a_search_that_stalls_twice_is_undecided(monkeypatch, analyze):
+    # a multiplier exists (the planted one verifies), but Dykstra stalls
+    # without a certificate from the least-squares seed and again from
+    # its last iterate: the search decided nothing, and no caller may read
+    # it as "not found"
+    from conestab.constraint_system import NGammaImage
+    from conestab.jsonio import emit_cone
+    from conestab.stability import GEProblem
+
+    sys, x, v, lam = _large_kernel_draw(6, ((1.1, 0.0), (0.0, 1.7)), 0.9)
+    point = BasePoint(sys, x)
+    assert multiplier_verify(point, v, lam)
+    infos = []
+    dykstra = constraint_system.dykstra
+
+    def spy(*args, **kwargs):
+        z, info = dykstra(*args, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(constraint_system, "dykstra", spy)
+    res = multiplier_solve(point, v, with_uniqueness=False)
+    assert not res.found and res.farkas is None
+    assert [(i.stalled, i.farkas) for i in infos] == [(True, None)] * 2
+    with pytest.raises(ValueError, match="undecided"):
+        NGammaImage(point).contains(v)
+    with pytest.raises(ValueError, match="undecided"):
+        strict_complementarity_check(multiplier_solve(point, v))
+    with pytest.raises(ValueError, match="undecided"):
+        GEProblem(sys, F=lambda p, x: -v, Fprime=lambda base, dirn: 0 * v,
+                  pbar=np.zeros(1), xbar=x)
+    A = sys.jacobian(x)
+    problem = {"cone": emit_cone(sys.cone),
+               "mapping": {"affine": {"A": A, "b": sys.g(x) - A @ x}}}
+    rc, report = analyze(problem, {"x": x, "v": v})
+    assert rc == 0
+    assert [c["name"] for c in report["certificates"]] == ["nondegeneracy"]
+    assert any(l.startswith("multiplier: inconclusive (search stalled, "
+                            "residual=") for l in report["lines"])

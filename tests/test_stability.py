@@ -101,17 +101,12 @@ def test_ge_problem_accepts_a_verified_hint_without_a_search(monkeypatch):
         GEProblem(problem.sys, problem.F, problem.Fprime, problem.pbar,
                   problem.xbar, lam_hint=hint)
     assert len(calls) == 2
-    # a hint cannot rescue a pair that solves nothing: the search
-    # certifies that v = (1, 1, 3) has no multiplier, and stalls without
-    # a certificate on v = (1, 0, 0), which is undecided
-    for F, message in (([-1.0, -1.0, -3.0], "does not solve"),
-                       ([-1.0, 0.0, 0.0], "undecided")):
-        with pytest.raises(ValueError, match=message):
-            GEProblem(problem.sys, F=lambda p, x, F=F: np.array(F),
-                      Fprime=lambda base, dirn: np.zeros(3),
-                      pbar=np.zeros(3), xbar=XBAR1,
-                      lam_hint=problem.lam_hint)
-    assert len(calls) == 4
+    # a hint cannot rescue a pair that solves nothing
+    with pytest.raises(ValueError, match="does not solve"):
+        GEProblem(problem.sys, F=lambda p, x: np.array([-1.0, 0.0, 0.0]),
+                  Fprime=lambda base, dirn: np.zeros(3), pbar=np.zeros(3),
+                  xbar=XBAR1, lam_hint=problem.lam_hint)
+    assert len(calls) == 3
 
 
 def test_isolated_calm_fails_on_flat_free_problem():

@@ -105,8 +105,8 @@ def test_multiplier_example3_segment():
     res = multiplier_solve(point, vbar)
     assert res.found
     assert len(res.members) > 1
-    assert res.uniqueness.verdict == "fails"
-    assert res.uniqueness.witness is not None
+    assert res.srcq.verdict == "fails"
+    assert res.srcq.witness is not None
 
 
 def test_multiplier_solve_rejects_non_finite_v():
@@ -124,31 +124,34 @@ def _nsd_dist(lam):
                           max(lam[3], 0.0)))
 
 
-def test_multiplier_misses_are_certified_or_undecided(monkeypatch, analyze):
-    # at example1, -v for v = J^T(-I, -1) has no multiplier, and the
-    # search says so by a Farkas certificate: y in the polar PSD x R_+
-    # of N, J h = y to rounding and a positive gain <h, -v>, so every lam
-    # is at least `bound` from the fiber or from N.  v = (0, 0, 1) ends
-    # in a stall at cycle 100 without a certificate, which is undecided
-    import conestab.constraint_system as cs
-
-    point = BasePoint(example1_system(), XBAR1)
+def _farkas_recheck(point, target, farkas):
+    """Re-check a Farkas certificate from (h, y) as its docstring states:
+    y in the polar PSD x R_+ of N, J h = y to rounding and a positive gain
+    <h, target>, so every lam is at least `bound` from the fiber or from
+    N."""
     J = point.J
-    v = np.array([-1.0, -1.0, -3.0])
-    res = multiplier_solve(point, -v, with_uniqueness=False)
-    assert not res.found
-    h, (y,), bound = res.farkas.h, res.farkas.y, res.farkas.bound
+    h, (y,), bound = farkas.h, farkas.y, farkas.bound
     assert np.linalg.eigvalsh(smat(y[:3])).min() >= -1e-12 and y[3] >= 0.0
     assert np.linalg.norm(J @ h - y) <= 1e-12 * (1 + np.linalg.norm(h))
-    gain = float(h @ -v)
+    gain = float(h @ target)
     assert gain > 0 and bound == pytest.approx(
         gain / (np.linalg.norm(h) + np.linalg.norm(y)), rel=1e-12)
     rng = np.random.default_rng(0)
     for lam in 3.0 * rng.standard_normal((200, 4)):
-        assert max(np.linalg.norm(J.T @ lam + v), _nsd_dist(lam)) >= \
+        assert max(np.linalg.norm(J.T @ lam - target), _nsd_dist(lam)) >= \
             bound * (1 - 1e-12)
-    assert NGammaImage(point).contains(-v) is False
 
+
+def test_multiplier_misses_at_example1_are_certified(monkeypatch, analyze):
+    # at example1, (1, 1, 3) has no multiplier and the search certifies
+    # it at once.  (1, 0, 0) and (0, 0, 1) have none either, but the run
+    # from the least-squares seed stalls at cycle 100: its cone increment
+    # keeps a constant part outside range(J), so no Farkas test passes.
+    # The run from the stalled iterate has no such part and certifies at
+    # its first cycle
+    import conestab.constraint_system as cs
+
+    point = BasePoint(example1_system(), XBAR1)
     infos = []
     dykstra = cs.dykstra
 
@@ -158,24 +161,24 @@ def test_multiplier_misses_are_certified_or_undecided(monkeypatch, analyze):
         return z, info
 
     monkeypatch.setattr(cs, "dykstra", spy)
-    stall = np.array([0.0, 0.0, 1.0])
-    res = multiplier_solve(point, stall, with_uniqueness=False)
-    assert not res.found and res.farkas is None
-    assert [(i.cycles, i.stalled, i.farkas) for i in infos] == \
-        [(100, True, None)]
-    with pytest.raises(ValueError, match="undecided"):
-        NGammaImage(point).contains(stall)
-    with pytest.raises(ValueError, match="undecided"):
-        strict_complementarity_check(multiplier_solve(point, stall))
-    for target, line in ((-v, "multiplier: not found (certified: residual "
-                              f">= {bound:.3e} at cycle 1)"),
-                         (stall, "multiplier: inconclusive (search stalled, "
-                                 "residual=")):
+    for target, runs in (([1.0, 1.0, 3.0], [1]), ([1.0, 0.0, 0.0], [100, 1]),
+                         ([0.0, 0.0, 1.0], [100, 1])):
+        target = np.array(target)
+        del infos[:]
+        res = multiplier_solve(point, target, with_uniqueness=False)
+        assert not res.found and res.farkas is infos[-1].farkas
+        assert [i.cycles for i in infos] == runs, target
+        assert [i.farkas is None for i in infos] == [True] * (len(runs) - 1) \
+            + [False]
+        _farkas_recheck(point, target, res.farkas)
+        assert NGammaImage(point).contains(target) is False
         rc, report = analyze({"mapping": {"builtin": "example1"}},
                              {"x": XBAR1, "v": target})
         assert rc == 0
         assert [c["name"] for c in report["certificates"]] == \
             ["nondegeneracy"]
+        line = ("multiplier: not found (certified: residual "
+                f">= {res.farkas.bound:.3e} at cycle 1)")
         assert any(l.startswith(line) for l in report["lines"]), line
 
 
