@@ -17,7 +17,14 @@ also serve as derived sets: Zero, Free and the second-order cone itself
 are the tangent and critical cones of the pieces where those are {0},
 the whole space or the cone.  `ConeDesc` is the `ProductSet` of its
 blocks.
+
+The critical cone, Pi'_K and Upsilon read a block's data at z = y + lam
+from a `BlockPoint`, built on first use; a `ConePoint` holds one per
+block.  A caller that keeps it (a `GraphPoint`) decomposes each PSD
+block of z once and y at most once; the vector forms build it per call.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +39,8 @@ AmbientVec = np.ndarray
 
 __all__ = [
     "AmbientVec", "Tol", "Orthant", "SOC", "PSD", "Zero", "Free", "ConeDesc",
-    "project", "contains", "tangent_cone", "normal_cone", "ri_normal_contains",
+    "BlockPoint", "ConePoint", "project", "contains", "tangent_cone",
+    "normal_cone", "ri_normal_contains",
 ]
 
 
@@ -48,6 +56,22 @@ def _zscale(v):
     return max(1.0, float(np.linalg.norm(v)))
 
 
+class BlockPoint:
+    """A primitive's data at z = y + lam, in the plus orientation; y and
+    lam are None at a point that only serves Pi'_K(z; .)."""
+
+    def __init__(self, cone, z, tol):
+        self.cone, self.z, self.tol = cone, z, tol
+        self.y = self.lam = None
+
+    def project(self):
+        return self.cone._project(self.z)
+
+    @cached_property
+    def curved(self):
+        return self.cone._curved(self)
+
+
 class PrimitiveCone(ConvexSet):
     """A primitive cone K (sign plus) or its mirror -K (sign minus).
 
@@ -61,6 +85,7 @@ class PrimitiveCone(ConvexSet):
 
     is_polyhedral = False
     signed = True  # False for the subspaces Zero and Free, where -K = K
+    Point = BlockPoint  # the class of the block's data at a point
 
     def __init__(self, size, sign="plus"):
         self.size = self.dim = int(size)
@@ -91,37 +116,58 @@ class PrimitiveCone(ConvexSet):
     def project(self, z):
         return self._out(self._project(*self._in(z)))
 
+    def at(self, z, tol) -> BlockPoint:
+        """The block's data at z, in the plus orientation."""
+        return self.Point(self, *self._in(z), tol)
+
+    def _pair_at(self, y, lam, tol):
+        y, lam = np.asarray(y, float), np.asarray(lam, float)
+        p = self.at(y + lam, tol)
+        p.y, p.lam = self._in(y, lam)
+        return p
+
     # first-order geometry -------------------------------------------------
     def tangent_set(self, y, tol) -> ConvexSet:
         return self._out(self._tangent(*self._in(y), tol))
 
     def critical_set(self, y, lam, tol) -> ConvexSet:
-        return self._out(self._critical(*self._in(y, lam), tol))
+        return self.critical_at(self._pair_at(y, lam, tol))
+
+    def critical_at(self, p) -> ConvexSet:
+        return self._out(self._critical(p))
 
     def ri_normal(self, y, lam, tol) -> bool:
         return self._ri_normal(*self._in(y, lam), tol)
 
     # second-order geometry ------------------------------------------------
+    # the _at forms read a BlockPoint that their caller keeps
     def dir_deriv(self, z, h, tol):
-        return self._out(self._dir_deriv(*self._in(z, h), tol))
+        return self.dir_deriv_at(self.at(z, tol), h)
 
-    def _curved(self, y, lam, tol):
-        """Whether the sigma term Upsilon may be nonzero at (y, lam): it
-        is linear in lam, so only a curved block with lam != 0."""
+    def dir_deriv_at(self, p, h):
+        return self._out(self._dir_deriv(p, *self._in(h)))
+
+    def _curved(self, p):
+        """Whether the sigma term Upsilon may be nonzero at p: it is linear
+        in lam, so only a curved block with lam != 0."""
         return not self.is_polyhedral and \
-            float(np.linalg.norm(lam)) > tol.zero * _zscale(lam)
+            float(np.linalg.norm(p.lam)) > p.tol.zero * _zscale(p.lam)
 
     def upsilon(self, y, lam, h, tol) -> float:
-        y, lam, h = self._in(y, lam, h)
-        if not self._curved(y, lam, tol):
+        return self.upsilon_at(self._pair_at(y, lam, tol), h)
+
+    def upsilon_at(self, p, h) -> float:
+        if not p.curved:
             return 0.0
-        return self._upsilon(y, lam, h, tol)
+        return self._upsilon(p, *self._in(h))
 
     def upsilon_grad(self, y, lam, h, tol):
-        y, lam, h = self._in(y, lam, h)
-        if not self._curved(y, lam, tol):
+        return self.upsilon_grad_at(self._pair_at(y, lam, tol), h)
+
+    def upsilon_grad_at(self, p, h):
+        if not p.curved:
             return np.zeros(self.dim)
-        return self._out(self._upsilon_grad(y, lam, h, tol))
+        return self._out(self._upsilon_grad(p, *self._in(h)))
 
 
 class Orthant(PrimitiveCone):
@@ -137,9 +183,9 @@ class Orthant(PrimitiveCone):
         return SignPattern(np.where(self._active(y, tol), SignPattern.NONNEG,
                                     SignPattern.FREE))
 
-    def _critical(self, y, lam, tol):
-        lam_on = np.abs(lam) > tol.zero * _zscale(lam)
-        codes = np.where(self._active(y, tol),
+    def _critical(self, p):
+        lam_on = np.abs(p.lam) > p.tol.zero * _zscale(p.lam)
+        codes = np.where(self._active(p.y, p.tol),
                          np.where(lam_on, SignPattern.ZERO, SignPattern.NONNEG),
                          SignPattern.FREE)
         return SignPattern(codes)
@@ -148,8 +194,9 @@ class Orthant(PrimitiveCone):
         act = self._active(y, tol)
         return bool(np.all(np.abs(lam[act]) > tol.zero * _zscale(lam)))
 
-    def _dir_deriv(self, u, hu, tol):
-        sc = tol.zero * _zscale(u)
+    def _dir_deriv(self, p, hu):
+        u = p.z
+        sc = p.tol.zero * _zscale(u)
         return np.where(u > sc, hu, np.where(u < -sc, 0.0, np.maximum(hu, 0.0)))
 
 
@@ -168,16 +215,18 @@ class Zero(PrimitiveCone):
         # mirror's wrapping; as derived sets they sit in Dykstra's loop
         return np.zeros(self.dim)
 
+    _project = project
+
     def _tangent(self, y, tol):
         return Zero(self.dim)
 
-    def _critical(self, y, lam, tol):
+    def _critical(self, p):
         return Zero(self.dim)
 
     def _ri_normal(self, y, lam, tol):
         return True
 
-    def _dir_deriv(self, z, h, tol):
+    def _dir_deriv(self, p, h):
         return np.zeros(self.dim)
 
 
@@ -197,23 +246,39 @@ class Free(PrimitiveCone):
     def project(self, z):
         return np.asarray(z, float).copy()
 
+    _project = project
+
     def _tangent(self, y, tol):
         return Free(self.dim)
 
-    def _critical(self, y, lam, tol):
+    def _critical(self, p):
         return Free(self.dim)
 
     def _ri_normal(self, y, lam, tol):
         return float(np.linalg.norm(lam)) <= tol.membership * _zscale(lam)
 
-    def _dir_deriv(self, z, h, tol):
+    def _dir_deriv(self, p, h):
         return h.copy()
+
+
+class SOCPoint(BlockPoint):
+    """The cases (`SOC._classify`) of z, for Pi'_K, and of y."""
+
+    @cached_property
+    def case(self):
+        return SOC._classify(self.z, self.tol)
+
+    @cached_property
+    def ycase(self):
+        return SOC._classify(self.y, self.tol)
 
 
 class SOC(PrimitiveCone):
     """Second-order cone {(z0, zbar): ||zbar|| <= z0} (sign plus) or its
     negative (sign minus, the polar of the plus cone).  In dimension 1 it
     is the half-line, and the constructor returns Orthant(1, sign)."""
+
+    Point = SOCPoint
 
     def __new__(cls, dim, sign="plus"):
         if dim < 1:
@@ -275,8 +340,8 @@ class SOC(PrimitiveCone):
             return Halfspace(self._bd_normal(u))
         raise ValueError("point is not in the cone")
 
-    def _critical(self, u, lu, tol):
-        ycase = self._classify(u, tol)
+    def _critical(self, p):
+        u, lu, tol, ycase = p.y, p.lam, p.tol, p.ycase
         lam_zero = float(np.linalg.norm(lu)) <= tol.zero * _zscale(lu)
         if ycase == "int":
             return Free(self.dim)
@@ -311,8 +376,8 @@ class SOC(PrimitiveCone):
             return on_ray and t > tol.zero * sc
         raise ValueError("point is not in the cone")
 
-    def _dir_deriv(self, u, hu, tol):
-        case = self._classify(u, tol)
+    def _dir_deriv(self, p, hu):
+        u, case = p.z, p.case
         if case == "int":
             return hu.copy()
         if case == "polar_int":
@@ -335,26 +400,64 @@ class SOC(PrimitiveCone):
         out[1:] = 0.5 * (h0 * w + (1.0 + u0 / nb) * hb - (u0 / nb) * wh * w)
         return out
 
-    def _curved(self, u, lu, tol):
+    def _curved(self, p):
         # of the points with a nonzero multiplier, only the boundary ones
-        return super()._curved(u, lu, tol) and \
-            self._classify(u, tol) == "bd"
+        return super()._curved(p) and p.ycase == "bd"
 
-    def _upsilon(self, u, lu, hu, tol):
-        t = -lu[0]
-        return (t / u[0]) * (float(hu[1:] @ hu[1:]) - hu[0] ** 2)
+    def _upsilon(self, p, hu):
+        t = -p.lam[0]
+        return (t / p.y[0]) * (float(hu[1:] @ hu[1:]) - hu[0] ** 2)
 
-    def _upsilon_grad(self, u, lu, hu, tol):
-        t = -lu[0]
+    def _upsilon_grad(self, p, hu):
+        t, u0 = -p.lam[0], p.y[0]
         g = np.empty(self.dim)
-        g[0] = -2.0 * (t / u[0]) * hu[0]
-        g[1:] = 2.0 * (t / u[0]) * hu[1:]
+        g[0] = -2.0 * (t / u0) * hu[0]
+        g[1:] = 2.0 * (t / u0) * hu[1:]
         return g
+
+
+def _psd_part(w, U):
+    """The PSD projection of the matrix with eigenpairs (w, U)."""
+    return svec((U * np.maximum(w, 0.0)) @ U.T)
+
+
+class PSDPoint(BlockPoint):
+    """The spectral split of smat(z) (`eig`: w, U, alpha, beta, gamma),
+    the divided differences of Pi'_K(z; .) and (smat(lam), Y^+)."""
+
+    @cached_property
+    def eig(self):
+        return self.cone._eig_groups(smat(self.z), self.tol)
+
+    def project(self):
+        return _psd_part(*self.eig[:2])
+
+    @cached_property
+    def divdiff(self):
+        """(p_i - p_j) / (w_i - w_j), p = max(w, 0), with w = 0 on beta,
+        and [w_i > 0] where w_i = w_j."""
+        w, _, _, beta, _ = self.eig
+        wc = w.copy()
+        wc[beta] = 0.0
+        p = np.maximum(wc, 0.0)
+        denom = wc[:, None] - wc[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom != 0.0, (p[:, None] - p[None, :]) / denom,
+                            (wc > 0.0)[:, None] * 1.0)
+
+    @cached_property
+    def upsilon_mats(self):
+        w, U = np.linalg.eigh(smat(self.y))
+        sc = self.tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
+        winv = np.where(w > sc, 1.0 / np.where(w > sc, w, 1.0), 0.0)
+        return smat(self.lam), (U * winv) @ U.T
 
 
 class PSD(PrimitiveCone):
     """Cone of positive (sign plus) or negative (sign minus) semidefinite
     symmetric matrices of a given order, in vectorized form."""
+
+    Point = PSDPoint
 
     def __init__(self, order, sign="plus"):
         super().__init__(order, sign)
@@ -362,9 +465,7 @@ class PSD(PrimitiveCone):
         self.dim = svec_dim(self.order)
 
     def _project(self, z):
-        w, U = np.linalg.eigh(smat(z))
-        wp = np.maximum(w, 0.0)
-        return svec((U * wp) @ U.T)
+        return _psd_part(*np.linalg.eigh(smat(z)))
 
     def _eig_groups(self, A, tol):
         w, U = np.linalg.eigh(A)
@@ -381,9 +482,8 @@ class PSD(PrimitiveCone):
         codes = {(0, 0): "free", (0, 1): "free", (1, 1): "psd"}
         return PSDBlockSet(U, [pos, zero], codes)
 
-    def _critical(self, y, lam, tol):
-        Z = smat(y) + smat(lam)
-        w, U, alpha, beta, gamma = self._eig_groups(Z, tol)
+    def _critical(self, p):
+        _, U, alpha, beta, gamma = p.eig
         codes = {(0, 0): "free", (0, 1): "free", (0, 2): "free",
                  (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
         return PSDBlockSet(U, [alpha, beta, gamma], codes)
@@ -396,37 +496,22 @@ class PSD(PrimitiveCone):
 
         return rank(smat(y)) + rank(smat(lam)) == self.order
 
-    def _dir_deriv(self, z, h, tol):
-        A = smat(z)
-        H = smat(h)
-        w, U = np.linalg.eigh(A)
-        sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
-        wc = np.where(np.abs(w) <= sc, 0.0, w)
-        W = U.T @ H @ U
-        p = np.maximum(wc, 0.0)
-        denom = wc[:, None] - wc[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            C = np.where(denom != 0.0, (p[:, None] - p[None, :]) / denom,
-                         (wc > 0.0)[:, None] * 1.0)
-        out = C * W
-        beta = np.where(wc == 0.0)[0]
+    def _dir_deriv(self, p, h):
+        _, U, _, beta, _ = p.eig
+        W = U.T @ smat(h) @ U
+        out = p.divdiff * W
         if beta.size:
+            # on beta x beta, Pi' is the PSD projection of W's block
             out[np.ix_(beta, beta)] = _eig_clip(W[np.ix_(beta, beta)])
         return svec(U @ out @ U.T)
 
-    def _upsilon_mats(self, y, lam, tol):
-        w, U = np.linalg.eigh(smat(y))
-        sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
-        winv = np.where(w > sc, 1.0 / np.where(w > sc, w, 1.0), 0.0)
-        return smat(lam), (U * winv) @ U.T
-
-    def _upsilon(self, y, lam, h, tol):
-        L, Ypinv = self._upsilon_mats(y, lam, tol)
+    def _upsilon(self, p, h):
+        L, Ypinv = p.upsilon_mats
         H = smat(h)
         return -2.0 * float(np.trace(L @ H @ Ypinv @ H))
 
-    def _upsilon_grad(self, y, lam, h, tol):
-        L, Ypinv = self._upsilon_mats(y, lam, tol)
+    def _upsilon_grad(self, p, h):
+        L, Ypinv = p.upsilon_mats
         H = smat(h)
         G = -2.0 * (Ypinv @ H @ L + L @ H @ Ypinv)
         return svec(0.5 * (G + G.T))
@@ -466,28 +551,63 @@ class ConeDesc(ProductSet):
     def tangent_set(self, y, tol=DEFAULT_TOL):
         return ProductSet([b.tangent_set(p, tol) for b, p in self._parts(y)])
 
-    def critical_set(self, y, lam, tol=DEFAULT_TOL):
-        return ProductSet([b.critical_set(py, pl, tol)
-                           for b, py, pl in self._parts(y, lam)])
+    # The second-order methods read `at`, the ConePoint `self.at(...)` of
+    # their point, in place of their vectors when the caller keeps one.
+    def at(self, z, tol=DEFAULT_TOL, y=None, lam=None):
+        return ConePoint(self, z, tol, y, lam)
+
+    def _pair_at(self, y, lam, tol):
+        y, lam = np.asarray(y, float), np.asarray(lam, float)
+        return self.at(y + lam, tol, y, lam)
+
+    def critical_set(self, y, lam, tol=DEFAULT_TOL, at=None):
+        at = self._pair_at(y, lam, tol) if at is None else at
+        return ProductSet([b.critical_at(p)
+                           for b, p in zip(self.blocks, at.blocks)])
 
     def ri_normal(self, y, lam, tol=DEFAULT_TOL):
         return all(b.ri_normal(py, pl, tol)
                    for b, py, pl in self._parts(y, lam))
 
-    def dir_deriv(self, z, h, tol=DEFAULT_TOL):
-        return self.join([b.dir_deriv(pz, ph, tol)
-                          for b, pz, ph in self._parts(z, h)])
+    def dir_deriv(self, z, h, tol=DEFAULT_TOL, at=None):
+        at = self.at(z, tol) if at is None else at
+        return self.join([b.dir_deriv_at(p, ph) for b, p, ph
+                          in zip(self.blocks, at.blocks, self.split(h))])
 
-    def upsilon(self, y, lam, h, tol=DEFAULT_TOL):
-        return sum(b.upsilon(py, pl, ph, tol)
-                   for b, py, pl, ph in self._parts(y, lam, h))
+    def upsilon(self, y, lam, h, tol=DEFAULT_TOL, at=None):
+        at = self._pair_at(y, lam, tol) if at is None else at
+        return sum(b.upsilon_at(p, ph) for b, p, ph
+                   in zip(self.blocks, at.blocks, self.split(h)))
 
-    def upsilon_grad(self, y, lam, h, tol=DEFAULT_TOL):
-        return self.join([b.upsilon_grad(py, pl, ph, tol)
-                          for b, py, pl, ph in self._parts(y, lam, h)])
+    def upsilon_grad(self, y, lam, h, tol=DEFAULT_TOL, at=None):
+        at = self._pair_at(y, lam, tol) if at is None else at
+        return self.join([b.upsilon_grad_at(p, ph) for b, p, ph
+                          in zip(self.blocks, at.blocks, self.split(h))])
 
     def __repr__(self):
         return "ConeDesc(" + " x ".join(map(repr, self.blocks)) + ")"
+
+
+class ConePoint:
+    """A point z = y + lam of the space of a `ConeDesc`, with one
+    `BlockPoint` per block; y and lam may be omitted (see `BlockPoint`)."""
+
+    def __init__(self, cone, z, tol=DEFAULT_TOL, y=None, lam=None):
+        self.cone, self.z, self.tol = cone, np.asarray(z, float), tol
+        self.blocks = tuple(b.at(pz, tol) for b, pz
+                            in zip(cone.blocks, cone.split(self.z)))
+        if y is not None:
+            self.set_pair(y, lam)
+
+    def set_pair(self, y, lam):
+        """Give the blocks their parts of (y, lam), arrays that split z."""
+        for b, p, sl in zip(self.cone.blocks, self.blocks, self.cone.slices):
+            p.y, p.lam = b._in(y[sl], lam[sl])
+
+    def project(self):
+        """Pi_K(z), read from the blocks' data."""
+        return self.cone.join([b._out(p.project())
+                               for b, p in zip(self.cone.blocks, self.blocks)])
 
 
 # Module-level API ---------------------------------------------------------

@@ -573,7 +573,7 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
                        "critical-cone gate on g'(x)d")
 
     # xi in C° (∩ gd⊥ when gd is not 0) with J^T xi = w - Hd - J^T u / 2
-    u = sys.cone.upsilon_grad(gx, lam, gd, tol)
+    u = sys.cone.upsilon_grad(gx, lam, gd, tol, at=pair.graph_point.at)
     rhs = w - pair.hess @ d - 0.5 * (Jt @ u)
     cones = [pair.critical_polar]
     if float(np.linalg.norm(gd)) > tol.zero * (1 + np.linalg.norm(gx)):

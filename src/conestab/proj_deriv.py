@@ -8,6 +8,11 @@ value sigma of the multiplier over the second-order tangent set, and is
 nonnegative on the critical cone.  Closed forms: 0 on polyhedral blocks;
 -2 <Lam, H Y^+ H> on PSD blocks; (-lam0/y0)(||hbar||^2 - h0^2) at
 nonzero boundary points of the second-order cone.
+
+A `GraphPoint` keeps the cone's data at z = y + lam (`at`, a
+`cone_core.ConePoint`), so every call at the point reads one
+eigendecomposition of each PSD block of z and, for Upsilon, at most one
+of y; `proj_dir_deriv` on a bare z builds that data for its one call.
 """
 
 from dataclasses import dataclass, field
@@ -27,9 +32,12 @@ class GraphPoint:
     y = Pi_K(y + lam), equivalently y in K, lam in N_K(y).
 
     The constructor is the one place that checks a graph pair; `of_pair`
-    wraps a pair its caller has already verified.  The critical cone of
-    K at (y, lam) (`critical`) and its polar, the tangent cone to N_K(y)
-    at lam (`critical_polar`), are built on first use.
+    wraps a pair its caller has already verified.  The cone's data at
+    z = y + lam (`at`: for a PSD block the spectral split of smat(z) and
+    the pair (smat(lam), Y^+) of Upsilon), the critical cone of K at
+    (y, lam) (`critical`) and its polar, the tangent cone to N_K(y) at
+    lam (`critical_polar`), are built on first use; the constructor's
+    graph test reads Pi_K(z) from `at`.
     """
 
     cone: ConeDesc
@@ -40,11 +48,16 @@ class GraphPoint:
     def __post_init__(self):
         self.y = np.asarray(self.y, float)
         self.lam = np.asarray(self.lam, float)
+        self._check()
+
+    def _check(self, proj=None):
+        """The graph test of (y, lam), with proj = Pi_K(z) read from `at`
+        unless given, and complementarity."""
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.lam))):
             raise ValueError("non-finite graph pair")
-        z = self.y + self.lam
-        res = float(np.linalg.norm(self.y - self.cone.project(z)))
-        if res > self.tol.membership * (1.0 + float(np.linalg.norm(z))):
+        proj = self.at.project() if proj is None else proj
+        res = float(np.linalg.norm(self.y - proj))
+        if res > self.tol.membership * (1.0 + float(np.linalg.norm(self.z))):
             raise ValueError(f"(y, lambda) not on the graph (residual {res:.3e})")
         # complementarity threshold: a tenth of tol.zero (1e-10 by default)
         comp = abs(float(self.y @ self.lam))
@@ -53,21 +66,32 @@ class GraphPoint:
             raise ValueError(f"complementarity violated ({comp:.3e})")
 
     @cached_property
+    def z(self):
+        return self.y + self.lam
+
+    @cached_property
+    def at(self):
+        return self.cone.at(self.z, self.tol, self.y, self.lam)
+
+    @cached_property
     def critical(self):
-        return self.cone.critical_set(self.y, self.lam, self.tol)
+        return self.cone.critical_set(self.y, self.lam, self.tol, at=self.at)
 
     @cached_property
     def critical_polar(self):
         return self.critical.polar()
 
-    @property
-    def z(self):
-        return self.y + self.lam
-
     @classmethod
     def from_z(cls, cone: ConeDesc, z: AmbientVec, tol: Tol = DEFAULT_TOL):
-        y = cone.project(z)
-        return cls(cone, y, np.asarray(z, float) - y, tol)
+        """The graph point (Pi_K(z), z - Pi_K(z)) of z, whose data `at` is
+        that of z itself, so z is decomposed once."""
+        at = cone.at(z, tol)
+        y = at.project()
+        gp = cls.of_pair(cone, y, at.z - y, tol)
+        at.set_pair(gp.y, gp.lam)
+        gp.z, gp.at = at.z, at
+        gp._check(y)
+        return gp
 
     @classmethod
     def of_pair(cls, cone: ConeDesc, y, lam, tol: Tol):
@@ -80,15 +104,16 @@ class GraphPoint:
 
 
 def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
-                   tol: Tol = DEFAULT_TOL) -> AmbientVec:
-    """Directional derivative of the projection onto K at z in direction h."""
+                   tol: Tol = DEFAULT_TOL, at=None) -> AmbientVec:
+    """Directional derivative of the projection onto K at z in direction h;
+    `at` is K's data at z (`ConeDesc.at`) when the caller keeps it."""
     z = np.asarray(z, float)
     h = np.asarray(h, float)
     if z.size != K.dim or h.size != K.dim:
         raise ValueError("dimension mismatch")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(h))):
         raise ValueError("non-finite input")
-    return K.dir_deriv(z, h, tol)
+    return K.dir_deriv(z, h, tol, at=at)
 
 
 def _critical_precheck(gp, h):
@@ -101,13 +126,13 @@ def sigma_term(gp: GraphPoint, h: AmbientVec) -> float:
     quadratic in h, additive over blocks, nonnegative on the critical
     cone."""
     _critical_precheck(gp, h)
-    return gp.cone.upsilon(gp.y, gp.lam, h, gp.tol)
+    return gp.cone.upsilon(gp.y, gp.lam, h, gp.tol, at=gp.at)
 
 
 def sigma_grad(gp: GraphPoint, h: AmbientVec) -> AmbientVec:
     """Gradient of the quadratic form Upsilon at h; <grad, h> = 2 Upsilon(h)."""
     _critical_precheck(gp, h)
-    return gp.cone.upsilon_grad(gp.y, gp.lam, h, gp.tol)
+    return gp.cone.upsilon_grad(gp.y, gp.lam, h, gp.tol, at=gp.at)
 
 
 def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
@@ -132,15 +157,15 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     scale = 1.0 + float(np.linalg.norm(dy)) + float(np.linalg.norm(dl))
     thresh = tol.membership * scale
 
-    pd = proj_dir_deriv(K, gp.z, dy + dl, tol)
+    pd = proj_dir_deriv(K, gp.z, dy + dl, tol, at=gp.at)
     res_a = float(np.linalg.norm(dy - pd))
     holds_a = res_a <= thresh
 
     res1 = gp.critical.dist(dy)
     details = {"route_a_residual": res_a, "critical_dist": res1}
     if res1 <= thresh:
-        ups = K.upsilon(gp.y, gp.lam, dy, tol)
-        grad = K.upsilon_grad(gp.y, gp.lam, dy, tol)
+        ups = K.upsilon(gp.y, gp.lam, dy, tol, at=gp.at)
+        grad = K.upsilon_grad(gp.y, gp.lam, dy, tol, at=gp.at)
         res2 = gp.critical_polar.dist(dl - 0.5 * grad)
         pairing = float(dy @ dl) - ups
         res3 = abs(pairing) / (1.0 + float(np.linalg.norm(dy))

@@ -356,8 +356,9 @@ def _second_order_form(problem, pair):
                                       (zero_p, e)), float)
             for e in np.eye(n)])
         assumptions += (FX_ASSUMPTION,)
+    at = pair.graph_point.at
     UJ = np.column_stack([sys.cone.upsilon_grad(pair.gx, pair.lam, J[:, j],
-                                                tol) for j in range(n)])
+                                                tol, at=at) for j in range(n)])
     return -Fx - pair.hess - 0.5 * (J.T @ UJ), assumptions
 
 
@@ -696,6 +697,7 @@ def ngamma_tangent_generate(pair: BasePair, count=50, seed=0):
     """
     sys, gx, lam, J, C, tol = (pair.sys, pair.gx, pair.lam, pair.J,
                                pair.critical, pair.tol)
+    at = pair.graph_point.at
     rng = np.random.default_rng(seed)
 
     pairs = []
@@ -709,7 +711,7 @@ def ngamma_tangent_generate(pair: BasePair, count=50, seed=0):
         q = np.concatenate([
             _normal_to_critical_sample(b, gx[sl], lam[sl], gd[sl], rng, tol)
             for b, sl in zip(sys.cone.blocks, sys.cone.slices)])
-        mu = 0.5 * sys.cone.upsilon_grad(gx, lam, gd, tol) + q
+        mu = 0.5 * sys.cone.upsilon_grad(gx, lam, gd, tol, at=at) + q
         w = pair.hess @ d + J.T @ mu
         pairs.append((d, w))
     if len(pairs) < count:
