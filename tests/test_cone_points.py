@@ -336,9 +336,11 @@ def _cert(c):
 
 
 def test_graph_point_path_equals_the_per_call_formulas():
+    # each draw and its mirror, so every block is checked in both signs
     seen = set()
-    for K, _, z, rng in _draws():
-        for gp in _graph_points(K, z):
+    for K0, mirror, z0, rng in _draws():
+        for K, z, gp in [(K, z, gp) for K, z in ((K0, z0), (mirror, -z0))
+                         for gp in _graph_points(K, z)]:
             for dy, dl in _directions(K, gp, rng):
                 h = dy + dl
                 assert np.array_equal(K.dir_deriv(gp.z, h, at=gp.at),
