@@ -18,10 +18,12 @@ are the tangent and critical cones of the pieces where those are {0},
 the whole space or the cone.  `ConeDesc` is the `ProductSet` of its
 blocks.
 
-The critical cone, Pi'_K and Upsilon read a block's data at z = y + lam
-from a `BlockPoint`, built on first use; a `ConePoint` holds one per
-block.  A caller that keeps it (a `GraphPoint`) decomposes each PSD
-block of z once and y at most once; the vector forms build it per call.
+Each second-order operation takes a point z = y + lam: the critical
+cone C_K(y, lam) = T_K(y) ∩ lam⊥, Pi'_K(z; .) and Upsilon read a block's
+data from a `BlockPoint`, built on first use, and a `ConePoint` holds one
+per block, so a caller that keeps the point (a `GraphPoint`) decomposes
+each PSD block of z once and y at most once.  T_K(y) is the critical
+cone at (y, 0).
 """
 
 from functools import cached_property
@@ -53,19 +55,29 @@ def _parse_sign(sign):
 
 
 def _zscale(v):
-    return max(1.0, float(np.linalg.norm(v)))
+    return max(1.0, _norm(v))
 
 
 class BlockPoint:
-    """A primitive's data at z = y + lam, in the plus orientation; y and
-    lam are None at a point that only serves Pi'_K(z; .)."""
+    """A primitive's data at z = y + lam, in the plus orientation; without
+    a given (y, lam) it is the split y = Pi_K(z), lam = z - y."""
 
-    def __init__(self, cone, z, tol):
-        self.cone, self.z, self.tol = cone, z, tol
-        self.y = self.lam = None
+    def __init__(self, cone, tol, z, y=None, lam=None):
+        self.cone, self.tol, self.z = cone, tol, z
+        if y is not None:
+            self.y, self.lam = y, lam
 
-    def project(self):
+    @cached_property
+    def proj(self):
         return self.cone._project(self.z)
+
+    @cached_property
+    def y(self):
+        return self.proj
+
+    @cached_property
+    def lam(self):
+        return self.z - self.y
 
     @cached_property
     def curved(self):
@@ -116,58 +128,36 @@ class PrimitiveCone(ConvexSet):
     def project(self, z):
         return self._out(self._project(*self._in(z)))
 
-    def at(self, z, tol) -> BlockPoint:
-        """The block's data at z, in the plus orientation."""
-        return self.Point(self, *self._in(z), tol)
+    def point(self, z, tol, *pair) -> BlockPoint:
+        """The block's data at z = y + lam, with pair = (y, lam) or ()."""
+        return self.Point(self, tol, *self._in(z, *pair))
 
-    def _pair_at(self, y, lam, tol):
-        y, lam = np.asarray(y, float), np.asarray(lam, float)
-        p = self.at(y + lam, tol)
-        p.y, p.lam = self._in(y, lam)
-        return p
-
-    # first-order geometry -------------------------------------------------
+    # geometry at a point p = self.point(...) -------------------------------
     def tangent_set(self, y, tol) -> ConvexSet:
-        return self._out(self._tangent(*self._in(y), tol))
+        """T_K(y), the critical set at (y, 0)."""
+        return self.critical_set(self.point(y, tol, y, np.zeros(self.dim)))
 
-    def critical_set(self, y, lam, tol) -> ConvexSet:
-        return self.critical_at(self._pair_at(y, lam, tol))
-
-    def critical_at(self, p) -> ConvexSet:
+    def critical_set(self, p) -> ConvexSet:
         return self._out(self._critical(p))
 
     def ri_normal(self, y, lam, tol) -> bool:
         return self._ri_normal(*self._in(y, lam), tol)
 
-    # second-order geometry ------------------------------------------------
-    # the _at forms read a BlockPoint that their caller keeps
-    def dir_deriv(self, z, h, tol):
-        return self.dir_deriv_at(self.at(z, tol), h)
-
-    def dir_deriv_at(self, p, h):
+    def dir_deriv(self, p, h):
         return self._out(self._dir_deriv(p, *self._in(h)))
 
     def _curved(self, p):
         """Whether the sigma term Upsilon may be nonzero at p: it is linear
         in lam, so only a curved block with lam != 0."""
         return not self.is_polyhedral and \
-            float(np.linalg.norm(p.lam)) > p.tol.zero * _zscale(p.lam)
+            _norm(p.lam) > p.tol.zero * _zscale(p.lam)
 
-    def upsilon(self, y, lam, h, tol) -> float:
-        return self.upsilon_at(self._pair_at(y, lam, tol), h)
+    def upsilon(self, p, h) -> float:
+        return self._upsilon(p, *self._in(h)) if p.curved else 0.0
 
-    def upsilon_at(self, p, h) -> float:
-        if not p.curved:
-            return 0.0
-        return self._upsilon(p, *self._in(h))
-
-    def upsilon_grad(self, y, lam, h, tol):
-        return self.upsilon_grad_at(self._pair_at(y, lam, tol), h)
-
-    def upsilon_grad_at(self, p, h):
-        if not p.curved:
-            return np.zeros(self.dim)
-        return self._out(self._upsilon_grad(p, *self._in(h)))
+    def upsilon_grad(self, p, h):
+        return self._out(self._upsilon_grad(p, *self._in(h))) if p.curved \
+            else np.zeros(self.dim)
 
 
 class Orthant(PrimitiveCone):
@@ -178,10 +168,6 @@ class Orthant(PrimitiveCone):
 
     def _active(self, y, tol):
         return np.abs(y) <= tol.zero * _zscale(y)
-
-    def _tangent(self, y, tol):
-        return SignPattern(np.where(self._active(y, tol), SignPattern.NONNEG,
-                                    SignPattern.FREE))
 
     def _critical(self, p):
         lam_on = np.abs(p.lam) > p.tol.zero * _zscale(p.lam)
@@ -217,9 +203,6 @@ class Zero(PrimitiveCone):
 
     _project = project
 
-    def _tangent(self, y, tol):
-        return Zero(self.dim)
-
     def _critical(self, p):
         return Zero(self.dim)
 
@@ -247,9 +230,6 @@ class Free(PrimitiveCone):
         return np.asarray(z, float).copy()
 
     _project = project
-
-    def _tangent(self, y, tol):
-        return Free(self.dim)
 
     def _critical(self, p):
         return Free(self.dim)
@@ -308,9 +288,9 @@ class SOC(PrimitiveCone):
     @staticmethod
     def _classify(u, tol):
         u0, ub = u[0], u[1:]
-        nb = float(np.linalg.norm(ub))
+        nb = _norm(ub)
         sc = tol.zero * _zscale(u)
-        if float(np.linalg.norm(u)) <= sc:
+        if _norm(u) <= sc:
             return "apex"
         if u0 - nb > sc:
             return "int"
@@ -330,19 +310,9 @@ class SOC(PrimitiveCone):
         a[1:] = u[1:] / np.linalg.norm(u[1:])
         return a
 
-    def _tangent(self, u, tol):
-        case = self._classify(u, tol)
-        if case == "int":
-            return Free(self.dim)
-        if case == "apex":
-            return SOC(self.dim)
-        if case == "bd":
-            return Halfspace(self._bd_normal(u))
-        raise ValueError("point is not in the cone")
-
     def _critical(self, p):
         u, lu, tol, ycase = p.y, p.lam, p.tol, p.ycase
-        lam_zero = float(np.linalg.norm(lu)) <= tol.zero * _zscale(lu)
+        lam_zero = _norm(lu) <= tol.zero * _zscale(lu)
         if ycase == "int":
             return Free(self.dim)
         if ycase == "apex":
@@ -429,7 +399,8 @@ class PSDPoint(BlockPoint):
     def eig(self):
         return self.cone._eig_groups(smat(self.z), self.tol)
 
-    def project(self):
+    @cached_property
+    def proj(self):
         return _psd_part(*self.eig[:2])
 
     @cached_property
@@ -475,15 +446,10 @@ class PSD(PrimitiveCone):
         zero = np.where((w <= sc) & (w >= -sc))[0]
         return w, U, pos, zero, neg
 
-    def _tangent(self, y, tol):
-        w, U, pos, zero, neg = self._eig_groups(smat(y), tol)
-        if neg.size:
-            raise ValueError("point is not in the cone")
-        codes = {(0, 0): "free", (0, 1): "free", (1, 1): "psd"}
-        return PSDBlockSet(U, [pos, zero], codes)
-
     def _critical(self, p):
         _, U, alpha, beta, gamma = p.eig
+        if gamma.size and not p.lam.any():  # the tangent cone at y
+            raise ValueError("point is not in the cone")
         codes = {(0, 0): "free", (0, 1): "free", (0, 2): "free",
                  (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
         return PSDBlockSet(U, [alpha, beta, gamma], codes)
@@ -551,62 +517,59 @@ class ConeDesc(ProductSet):
     def tangent_set(self, y, tol=DEFAULT_TOL):
         return ProductSet([b.tangent_set(p, tol) for b, p in self._parts(y)])
 
-    # The second-order methods read `at`, the ConePoint `self.at(...)` of
-    # their point, in place of their vectors when the caller keeps one.
-    def at(self, z, tol=DEFAULT_TOL, y=None, lam=None):
-        return ConePoint(self, z, tol, y, lam)
-
-    def _pair_at(self, y, lam, tol):
-        y, lam = np.asarray(y, float), np.asarray(lam, float)
-        return self.at(y + lam, tol, y, lam)
-
-    def critical_set(self, y, lam, tol=DEFAULT_TOL, at=None):
-        at = self._pair_at(y, lam, tol) if at is None else at
-        return ProductSet([b.critical_at(p)
-                           for b, p in zip(self.blocks, at.blocks)])
-
     def ri_normal(self, y, lam, tol=DEFAULT_TOL):
         return all(b.ri_normal(py, pl, tol)
                    for b, py, pl in self._parts(y, lam))
 
-    def dir_deriv(self, z, h, tol=DEFAULT_TOL, at=None):
-        at = self.at(z, tol) if at is None else at
-        return self.join([b.dir_deriv_at(p, ph) for b, p, ph
-                          in zip(self.blocks, at.blocks, self.split(h))])
+    # The methods below take a `ConePoint` p of K.
+    def critical_set(self, p):
+        return ProductSet([b.critical_set(q)
+                           for b, q in zip(self.blocks, p.blocks)])
 
-    def upsilon(self, y, lam, h, tol=DEFAULT_TOL, at=None):
-        at = self._pair_at(y, lam, tol) if at is None else at
-        return sum(b.upsilon_at(p, ph) for b, p, ph
-                   in zip(self.blocks, at.blocks, self.split(h)))
+    def dir_deriv(self, p, h):
+        return self.join([b.dir_deriv(q, qh) for b, q, qh
+                          in zip(self.blocks, p.blocks, self.split(h))])
 
-    def upsilon_grad(self, y, lam, h, tol=DEFAULT_TOL, at=None):
-        at = self._pair_at(y, lam, tol) if at is None else at
-        return self.join([b.upsilon_grad_at(p, ph) for b, p, ph
-                          in zip(self.blocks, at.blocks, self.split(h))])
+    def upsilon(self, p, h):
+        return sum(b.upsilon(q, qh) for b, q, qh
+                   in zip(self.blocks, p.blocks, self.split(h)))
+
+    def upsilon_grad(self, p, h):
+        return self.join([b.upsilon_grad(q, qh) for b, q, qh
+                          in zip(self.blocks, p.blocks, self.split(h))])
 
     def __repr__(self):
         return "ConeDesc(" + " x ".join(map(repr, self.blocks)) + ")"
 
 
 class ConePoint:
-    """A point z = y + lam of the space of a `ConeDesc`, with one
-    `BlockPoint` per block; y and lam may be omitted (see `BlockPoint`)."""
+    """A point z = y + lam of the space of a `ConeDesc` with one
+    `BlockPoint` per block, built on first use; without a given (y, lam)
+    it is the split y = Pi_K(z), lam = z - y."""
 
     def __init__(self, cone, z, tol=DEFAULT_TOL, y=None, lam=None):
         self.cone, self.z, self.tol = cone, np.asarray(z, float), tol
-        self.blocks = tuple(b.at(pz, tol) for b, pz
-                            in zip(cone.blocks, cone.split(self.z)))
+        self._pair = () if y is None else (y, lam)
         if y is not None:
-            self.set_pair(y, lam)
+            self.y, self.lam = y, lam
 
-    def set_pair(self, y, lam):
-        """Give the blocks their parts of (y, lam), arrays that split z."""
-        for b, p, sl in zip(self.cone.blocks, self.blocks, self.cone.slices):
-            p.y, p.lam = b._in(y[sl], lam[sl])
+    @cached_property
+    def blocks(self):
+        K = self.cone
+        return tuple(b.point(z, self.tol, *(v[sl] for v in self._pair))
+                     for b, z, sl in zip(K.blocks, K.split(self.z), K.slices))
+
+    @cached_property
+    def y(self):
+        return self.project()
+
+    @cached_property
+    def lam(self):
+        return self.z - self.y
 
     def project(self):
         """Pi_K(z), read from the blocks' data."""
-        return self.cone.join([b._out(p.project())
+        return self.cone.join([b._out(p.proj)
                                for b, p in zip(self.cone.blocks, self.blocks)])
 
 

@@ -547,7 +547,7 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     holding, with no certificate, is inconclusive.  Raises ValueError
     when d or w is not finite.
     """
-    sys, gx, lam, tol = pair.sys, pair.gx, pair.lam, pair.tol
+    sys, gx, tol = pair.sys, pair.gx, pair.tol
     d = np.asarray(d, float)
     w = np.asarray(w, float)
     scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
@@ -573,7 +573,7 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
                        "critical-cone gate on g'(x)d")
 
     # xi in C° (∩ gd⊥ when gd is not 0) with J^T xi = w - Hd - J^T u / 2
-    u = sys.cone.upsilon_grad(gx, lam, gd, tol, at=pair.graph_point.at)
+    u = sys.cone.upsilon_grad(pair.graph_point, gd)
     rhs = w - pair.hess @ d - 0.5 * (Jt @ u)
     cones = [pair.critical_polar]
     if float(np.linalg.norm(gd)) > tol.zero * (1 + np.linalg.norm(gx)):

@@ -13,19 +13,12 @@ import numpy as np
 
 from ._sets import Tol, DEFAULT_TOL
 from .cone_core import ConeDesc, AmbientVec, project
-from .proj_deriv import GraphPoint
 
 DEFAULT_TGRID = (1e-2, 1e-3, 1e-4, 1e-5)
 
-__all__ = ["graph_sample", "fd_proj_deriv", "graph_tangent_residual",
+__all__ = ["fd_proj_deriv", "graph_tangent_residual",
            "sigma_expansion", "polyhedral_trivial_exact",
            "ngamma_graph_residual", "DEFAULT_TGRID"]
-
-
-def graph_sample(K: ConeDesc, z: AmbientVec) -> GraphPoint:
-    """Graph point of the normal-cone map obtained by splitting z through
-    the projection: (Pi_K(z), z - Pi_K(z))."""
-    return GraphPoint.from_z(K, z)
 
 
 def _richardson(pairs):
@@ -57,7 +50,7 @@ def fd_proj_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
     return _richardson(pairs)
 
 
-def graph_tangent_residual(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
+def graph_tangent_residual(K: ConeDesc, gp, dy: AmbientVec,
                            dl: AmbientVec, tgrid=DEFAULT_TGRID):
     """Finite-t residuals ||(y + t dy) - Pi_K(y + t dy + lam + t dl)|| / t.
 
@@ -73,7 +66,7 @@ def graph_tangent_residual(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     return out
 
 
-def sigma_expansion(K: ConeDesc, gp: GraphPoint, h: AmbientVec,
+def sigma_expansion(K: ConeDesc, gp, h: AmbientVec,
                     tgrid=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4)):
     """Support-function value sigma of the multiplier over the second-order
     tangent set, measured from the projection expansion

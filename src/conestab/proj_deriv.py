@@ -9,73 +9,56 @@ nonnegative on the critical cone.  Closed forms: 0 on polyhedral blocks;
 -2 <Lam, H Y^+ H> on PSD blocks; (-lam0/y0)(||hbar||^2 - h0^2) at
 nonzero boundary points of the second-order cone.
 
-A `GraphPoint` keeps the cone's data at z = y + lam (`at`, a
-`cone_core.ConePoint`), so every call at the point reads one
-eigendecomposition of each PSD block of z and, for Upsilon, at most one
-of y; `proj_dir_deriv` on a bare z builds that data for its one call.
+A `GraphPoint` is the point of the cone's second-order operations: it
+keeps the cone's data at z = y + lam, so every call at the point reads
+one eigendecomposition of each PSD block of z and, for Upsilon, at most
+one of y.  `proj_dir_deriv`, the validated entry point for a vector z,
+builds that data for its one call.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 import numpy as np
 
-from ._sets import Tol, DEFAULT_TOL, Certificate
-from .cone_core import ConeDesc, AmbientVec
+from ._sets import Tol, DEFAULT_TOL, Certificate, _ROUNDING, _norm
+from .cone_core import ConeDesc, ConePoint, AmbientVec
 
 __all__ = ["GraphPoint", "proj_dir_deriv", "sigma_term", "sigma_grad",
            "dnk_contains"]
 
 
-@dataclass
-class GraphPoint:
+class GraphPoint(ConePoint):
     """A pair (y, lam) on the graph of the normal-cone map of `cone`:
     y = Pi_K(y + lam), equivalently y in K, lam in N_K(y).
 
     The constructor is the one place that checks a graph pair; `of_pair`
-    wraps a pair its caller has already verified.  The cone's data at
-    z = y + lam (`at`: for a PSD block the spectral split of smat(z) and
-    the pair (smat(lam), Y^+) of Upsilon), the critical cone of K at
-    (y, lam) (`critical`) and its polar, the tangent cone to N_K(y) at
-    lam (`critical_polar`), are built on first use; the constructor's
-    graph test reads Pi_K(z) from `at`.
+    wraps a pair its caller has already verified and `from_z` splits z
+    through Pi_K.  The blocks' data (`ConePoint`), the critical cone of K
+    at (y, lam) (`critical`) and its polar, the tangent cone to N_K(y) at
+    lam (`critical_polar`), are built on first use.
     """
 
-    cone: ConeDesc
-    y: np.ndarray
-    lam: np.ndarray
-    tol: Tol = field(default_factory=Tol)
+    def __init__(self, cone: ConeDesc, y, lam, tol: Tol = DEFAULT_TOL):
+        y, lam = np.asarray(y, float), np.asarray(lam, float)
+        _require_finite("non-finite graph pair", y, lam)
+        super().__init__(cone, y + lam, tol, y, lam)
+        self._check(self.project())
 
-    def __post_init__(self):
-        self.y = np.asarray(self.y, float)
-        self.lam = np.asarray(self.lam, float)
-        self._check()
-
-    def _check(self, proj=None):
-        """The graph test of (y, lam), with proj = Pi_K(z) read from `at`
-        unless given, and complementarity."""
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.lam))):
-            raise ValueError("non-finite graph pair")
-        proj = self.at.project() if proj is None else proj
-        res = float(np.linalg.norm(self.y - proj))
-        if res > self.tol.membership * (1.0 + float(np.linalg.norm(self.z))):
+    def _check(self, proj):
+        """The graph test of (y, lam) against proj = Pi_K(z), and
+        complementarity."""
+        nz, ny, res = _norm(self.z), _norm(self.y), _norm(self.y - proj)
+        if res > self.tol.membership * (1.0 + nz):
             raise ValueError(f"(y, lambda) not on the graph (residual {res:.3e})")
-        # complementarity threshold: a tenth of tol.zero (1e-10 by default)
+        # a tenth of tol.zero (1e-10 by default), plus the rounding of
+        # lam = z - y, about eps ||z|| in each entry
         comp = abs(float(self.y @ self.lam))
-        if comp > self.tol.zero / 10 * (1.0 + float(np.linalg.norm(self.y))
-                                        * float(np.linalg.norm(self.lam))):
+        if comp > self.tol.zero / 10 * (1.0 + ny * _norm(self.lam)) \
+                + _ROUNDING * ny * nz:
             raise ValueError(f"complementarity violated ({comp:.3e})")
 
     @cached_property
-    def z(self):
-        return self.y + self.lam
-
-    @cached_property
-    def at(self):
-        return self.cone.at(self.z, self.tol, self.y, self.lam)
-
-    @cached_property
     def critical(self):
-        return self.cone.critical_set(self.y, self.lam, self.tol, at=self.at)
+        return self.cone.critical_set(self)
 
     @cached_property
     def critical_polar(self):
@@ -83,14 +66,12 @@ class GraphPoint:
 
     @classmethod
     def from_z(cls, cone: ConeDesc, z: AmbientVec, tol: Tol = DEFAULT_TOL):
-        """The graph point (Pi_K(z), z - Pi_K(z)) of z, whose data `at` is
-        that of z itself, so z is decomposed once."""
-        at = cone.at(z, tol)
-        y = at.project()
-        gp = cls.of_pair(cone, y, at.z - y, tol)
-        at.set_pair(gp.y, gp.lam)
-        gp.z, gp.at = at.z, at
-        gp._check(y)
+        """The graph point (Pi_K(z), z - Pi_K(z)) of z, whose blocks' data
+        is that of z itself, so z is decomposed once."""
+        gp = cls.__new__(cls)
+        ConePoint.__init__(gp, cone, z, tol)
+        _require_finite("non-finite graph pair", gp.y, gp.lam)
+        gp._check(gp.y)
         return gp
 
     @classmethod
@@ -99,21 +80,24 @@ class GraphPoint:
         test (a `BasePair`'s multiplier test), without a second decision
         at other thresholds."""
         gp = cls.__new__(cls)
-        gp.cone, gp.y, gp.lam, gp.tol = cone, y, lam, tol
+        ConePoint.__init__(gp, cone, y + lam, tol, y, lam)
         return gp
 
 
+def _require_finite(message, *vs):
+    if not all(np.all(np.isfinite(v)) for v in vs):
+        raise ValueError(message)
+
+
 def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
-                   tol: Tol = DEFAULT_TOL, at=None) -> AmbientVec:
-    """Directional derivative of the projection onto K at z in direction h;
-    `at` is K's data at z (`ConeDesc.at`) when the caller keeps it."""
+                   tol: Tol = DEFAULT_TOL) -> AmbientVec:
+    """Directional derivative of the projection onto K at z in direction h."""
     z = np.asarray(z, float)
     h = np.asarray(h, float)
     if z.size != K.dim or h.size != K.dim:
         raise ValueError("dimension mismatch")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(h))):
-        raise ValueError("non-finite input")
-    return K.dir_deriv(z, h, tol, at=at)
+    _require_finite("non-finite input", z, h)
+    return K.dir_deriv(ConePoint(K, z, tol), h)
 
 
 def _critical_precheck(gp, h):
@@ -126,13 +110,13 @@ def sigma_term(gp: GraphPoint, h: AmbientVec) -> float:
     quadratic in h, additive over blocks, nonnegative on the critical
     cone."""
     _critical_precheck(gp, h)
-    return gp.cone.upsilon(gp.y, gp.lam, h, gp.tol, at=gp.at)
+    return gp.cone.upsilon(gp, h)
 
 
 def sigma_grad(gp: GraphPoint, h: AmbientVec) -> AmbientVec:
     """Gradient of the quadratic form Upsilon at h; <grad, h> = 2 Upsilon(h)."""
     _critical_precheck(gp, h)
-    return gp.cone.upsilon_grad(gp.y, gp.lam, h, gp.tol, at=gp.at)
+    return gp.cone.upsilon_grad(gp, h)
 
 
 def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
@@ -154,18 +138,20 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     tol = gp.tol
     dy = np.asarray(dy, float)
     dl = np.asarray(dl, float)
+    h = dy + dl
+    _require_finite("non-finite input", h)
     scale = 1.0 + float(np.linalg.norm(dy)) + float(np.linalg.norm(dl))
     thresh = tol.membership * scale
 
-    pd = proj_dir_deriv(K, gp.z, dy + dl, tol, at=gp.at)
+    pd = K.dir_deriv(gp, h)
     res_a = float(np.linalg.norm(dy - pd))
     holds_a = res_a <= thresh
 
     res1 = gp.critical.dist(dy)
     details = {"route_a_residual": res_a, "critical_dist": res1}
     if res1 <= thresh:
-        ups = K.upsilon(gp.y, gp.lam, dy, tol, at=gp.at)
-        grad = K.upsilon_grad(gp.y, gp.lam, dy, tol, at=gp.at)
+        ups = K.upsilon(gp, dy)
+        grad = K.upsilon_grad(gp, dy)
         res2 = gp.critical_polar.dist(dl - 0.5 * grad)
         pairing = float(dy @ dl) - ups
         res3 = abs(pairing) / (1.0 + float(np.linalg.norm(dy))

@@ -344,7 +344,7 @@ def _second_order_form(problem, pair):
     assumptions A rests on.  F_x is `problem.Fx`, or is assembled from n
     `Fprime` columns when that is not given.  A is not symmetrized: its
     symmetric part decides definiteness, A itself the subspace case."""
-    sys, J, tol = pair.sys, pair.J, pair.tol
+    sys, J = pair.sys, pair.J
     n = sys.dim_x
     assumptions = (SUBREG_ASSUMPTION,)
     if problem.Fx is not None:
@@ -356,9 +356,8 @@ def _second_order_form(problem, pair):
                                       (zero_p, e)), float)
             for e in np.eye(n)])
         assumptions += (FX_ASSUMPTION,)
-    at = pair.graph_point.at
-    UJ = np.column_stack([sys.cone.upsilon_grad(pair.gx, pair.lam, J[:, j],
-                                                tol, at=at) for j in range(n)])
+    gp = pair.graph_point
+    UJ = np.column_stack([sys.cone.upsilon_grad(gp, c) for c in J.T])
     return -Fx - pair.hess - 0.5 * (J.T @ UJ), assumptions
 
 
@@ -697,7 +696,7 @@ def ngamma_tangent_generate(pair: BasePair, count=50, seed=0):
     """
     sys, gx, lam, J, C, tol = (pair.sys, pair.gx, pair.lam, pair.J,
                                pair.critical, pair.tol)
-    at = pair.graph_point.at
+    gp = pair.graph_point
     rng = np.random.default_rng(seed)
 
     pairs = []
@@ -711,7 +710,7 @@ def ngamma_tangent_generate(pair: BasePair, count=50, seed=0):
         q = np.concatenate([
             _normal_to_critical_sample(b, gx[sl], lam[sl], gd[sl], rng, tol)
             for b, sl in zip(sys.cone.blocks, sys.cone.slices)])
-        mu = 0.5 * sys.cone.upsilon_grad(gx, lam, gd, tol, at=at) + q
+        mu = 0.5 * sys.cone.upsilon_grad(gp, gd) + q
         w = pair.hess @ d + J.T @ mu
         pairs.append((d, w))
     if len(pairs) < count:

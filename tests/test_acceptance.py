@@ -179,7 +179,7 @@ def test_criterion_6_projection_derivative_oracle():
 
 
 def test_criterion_7_dnk_route_agreement():
-    from conestab.oracle import graph_sample
+    from conestab.proj_deriv import GraphPoint
     cones = {
         "orthant": ConeDesc([Orthant(4, "plus")]),
         "orthant_minus": ConeDesc([Orthant(3, "minus")]),
@@ -194,10 +194,10 @@ def test_criterion_7_dnk_route_agreement():
     disagreements = 0
     for K in cones.values():
         for i in range(100):
-            gp = graph_sample(K, rng.standard_normal(K.dim) * 2)
+            gp = GraphPoint.from_z(K, rng.standard_normal(K.dim) * 2)
             h = rng.standard_normal(K.dim)
             if i % 2 == 0:
-                dy = K.dir_deriv(gp.z, h)
+                dy = K.dir_deriv(gp, h)
                 dl = h - dy
             else:
                 dy, dl = h, rng.standard_normal(K.dim)
@@ -294,7 +294,7 @@ def _check_fails_certificate(pair, d, w, cert):
     assert "fiber_farkas" in det, "fails past the gate without a Farkas " \
         "certificate"
     gd = pair.J @ d
-    u = pair.sys.cone.upsilon_grad(pair.gx, pair.lam, gd, tol)
+    u = pair.sys.cone.upsilon_grad(pair.graph_point, gd)
     # the fiber: J^T xi = w - Hd - J^T u / 2, xi in C° (∩ gd⊥)
     rhs = w - pair.hess @ d - 0.5 * (pair.J.T @ u)
     farkas = det["fiber_farkas"]

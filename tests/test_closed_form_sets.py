@@ -70,7 +70,8 @@ def _derived_sets(kind, sign):
         assert K.tangent_set(y, tol).polar().contains(lam, tol)
         for name, S in (("tangent", K.tangent_set(y, tol)),
                         ("normal", K.tangent_set(y, tol).polar()),
-                        ("critical", K.critical_set(y, lam, tol))):
+                        ("critical",
+                         K.critical_set(K.point(y + lam, tol, y, lam)))):
             out.append((f"{name}[{i}]", S))
             out.append((f"{name}[{i}] polar", S.polar()))
     return out

@@ -1,10 +1,11 @@
-"""The cone's data at a graph point (`ConeDesc.at`, kept by `GraphPoint`).
+"""The cone's data at a graph point (the blocks a `GraphPoint` keeps).
 
 Counts: at a graph point, each PSD block of z is decomposed once and y at
 most once, however many directions are read.  Parity: the graph-point
 path gives exactly (==, no tolerance) the numbers of the per-call
 formulas written out below, which decompose on every call, and exactly
-the mirrored numbers on the mirrored cone.
+the mirrored numbers on the mirrored cone.  A fresh point per call
+(`proj_dir_deriv`, `GraphPoint.of_pair`) gives the same numbers.
 """
 
 import sys
@@ -19,7 +20,9 @@ from conestab.constraint_system import (
     BasePair, BasePoint, _null_basis, affine_system,
     ngamma_graph_deriv_contains,
 )
-from conestab.proj_deriv import GraphPoint, dnk_contains, sigma_grad, sigma_term
+from conestab.proj_deriv import (
+    GraphPoint, dnk_contains, proj_dir_deriv, sigma_grad, sigma_term,
+)
 from conestab.stability import _second_order_form
 from conestab.symmat import smat, svec
 
@@ -40,6 +43,11 @@ def _counting_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
+
+
+def _fresh(K, gp):
+    """A new point at gp's pair, with none of gp's data."""
+    return GraphPoint.of_pair(K, gp.y, gp.lam, gp.tol)
 
 
 def _split_counts(calls, Z, Y):
@@ -66,7 +74,7 @@ def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
     for i in range(50):
         h = rng.standard_normal(K.dim)
         if i % 3 == 0:
-            dy = K.dir_deriv(gp.z, h, at=gp.at)
+            dy = K.dir_deriv(gp, h)
             assert dnk_contains(K, gp, dy, h - dy).verdict == "holds"
         elif i % 3 == 1:
             assert sigma_term(gp, gp.critical.project(h)) > 0.0
@@ -78,11 +86,11 @@ def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
     # the clips of the beta blocks depend on the direction: at least one
     # per dnk_contains call, in Pi' and in the critical cone's projection
     assert clips >= 17
-    # the vector forms decompose on every call
+    # a fresh point decomposes on every call
     calls.clear()
     for _ in range(3):
-        K.dir_deriv(gp.z, h)
-        K.upsilon(gp.y, gp.lam, h)
+        proj_dir_deriv(K, gp.z, h)
+        K.upsilon(_fresh(K, gp), h)
     assert _split_counts(calls, smat(gp.z), smat(gp.y))[:2] == (3, 3)
 
 
@@ -108,8 +116,10 @@ def test_second_order_form_decomposes_y_once(monkeypatch):
     Y = smat(pair.gx)
     assert sum(np.array_equal(M, Y) for _, M in calls) == 1
     # the same matrix as from n per-call gradients
-    UJ = np.column_stack([pair.sys.cone.upsilon_grad(pair.gx, pair.lam, c)
-                          for c in pair.J.T])
+    K = pair.sys.cone
+    UJ = np.column_stack([
+        K.upsilon_grad(GraphPoint.of_pair(K, pair.gx, pair.lam, pair.tol), c)
+        for c in pair.J.T])
     assert np.array_equal(A, -pair.hess - 0.5 * (pair.J.T @ UJ))
     # the fiber solves past the critical-cone gate read the same
     # decomposition of y: d with J d in the critical cone, a subspace here
@@ -241,7 +251,7 @@ def ref_critical(K, gp, tol=DEFAULT_TOL):
             C = _ref_psd_critical(zb, tol)
             sets.append(C if s > 0 else C.negate())
         else:
-            sets.append(b.critical_set(s * yb, s * lb, tol))
+            sets.append(b.critical_set(b.point(s * zb, tol, s * yb, s * lb)))
     return ProductSet(sets)
 
 
@@ -343,16 +353,15 @@ def test_graph_point_path_equals_the_per_call_formulas():
                          for gp in _graph_points(K, z)]:
             for dy, dl in _directions(K, gp, rng):
                 h = dy + dl
-                assert np.array_equal(K.dir_deriv(gp.z, h, at=gp.at),
+                assert np.array_equal(K.dir_deriv(gp, h),
                                       ref_dir_deriv(K, gp.z, h))
-                assert np.array_equal(K.dir_deriv(gp.z, h),
+                assert np.array_equal(proj_dir_deriv(K, gp.z, h),
                                       ref_dir_deriv(K, gp.z, h))
                 ups, grad = ref_upsilon_and_grad(K, gp.y, gp.lam, dy)
-                assert K.upsilon(gp.y, gp.lam, dy, at=gp.at) == ups
-                assert K.upsilon(gp.y, gp.lam, dy) == ups
-                assert np.array_equal(
-                    K.upsilon_grad(gp.y, gp.lam, dy, at=gp.at), grad)
-                assert np.array_equal(K.upsilon_grad(gp.y, gp.lam, dy), grad)
+                assert K.upsilon(gp, dy) == ups
+                assert K.upsilon(_fresh(K, gp), dy) == ups
+                assert np.array_equal(K.upsilon_grad(gp, dy), grad)
+                assert np.array_equal(K.upsilon_grad(_fresh(K, gp), dy), grad)
                 hc = gp.critical.project(h)
                 ups, grad = ref_upsilon_and_grad(K, gp.y, gp.lam, hc)
                 assert sigma_term(gp, hc) == ups
@@ -374,12 +383,10 @@ def test_graph_point_path_is_mirror_invariant():
             assert np.array_equal(gm.lam, -gp.lam)
             for dy, dl in _directions(K, gp, rng):
                 h = dy + dl
-                assert np.array_equal(mirror.dir_deriv(gm.z, -h, at=gm.at),
-                                      -K.dir_deriv(gp.z, h, at=gp.at))
-                assert mirror.upsilon(gm.y, gm.lam, -dy, at=gm.at) == \
-                    K.upsilon(gp.y, gp.lam, dy, at=gp.at)
-                assert np.array_equal(
-                    mirror.upsilon_grad(gm.y, gm.lam, -dy, at=gm.at),
-                    -K.upsilon_grad(gp.y, gp.lam, dy, at=gp.at))
+                assert np.array_equal(mirror.dir_deriv(gm, -h),
+                                      -K.dir_deriv(gp, h))
+                assert mirror.upsilon(gm, -dy) == K.upsilon(gp, dy)
+                assert np.array_equal(mirror.upsilon_grad(gm, -dy),
+                                      -K.upsilon_grad(gp, dy))
                 assert _cert(dnk_contains(mirror, gm, -dy, -dl)) == \
                     _cert(dnk_contains(K, gp, dy, dl))

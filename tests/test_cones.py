@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conestab._sets import DEFAULT_TOL
+from conestab._sets import DEFAULT_TOL, Halfspace, PSDBlockSet, SignPattern
 from conestab.cone_core import (
-    ConeDesc, Orthant, SOC, PSD, Zero, Free,
+    ConeDesc, ConePoint, Orthant, SOC, PSD, Zero, Free,
     project, contains, tangent_cone, normal_cone, ri_normal_contains,
 )
 from conestab.jsonio import emit_cone, parse_cone
+from conestab.proj_deriv import proj_dir_deriv
 from conestab.symmat import smat, svec
 
 CONES = {
@@ -22,6 +23,13 @@ CONES = {
     "mixed": ConeDesc([PSD(2, "plus"), SOC(3, "minus"), Orthant(2, "plus"),
                        Zero(1), Free(1)]),
 }
+
+
+def _point(K, y, lam, tol=DEFAULT_TOL):
+    """The point z = y + lam of K, a ConeDesc or a primitive."""
+    if isinstance(K, ConeDesc):
+        return ConePoint(K, y + lam, tol, y, lam)
+    return K.point(y + lam, tol, y, lam)
 
 
 @pytest.mark.parametrize("K", CONES.values(), ids=CONES.keys())
@@ -72,7 +80,7 @@ def test_critical_cone_structure(K):
         z = rng.standard_normal(K.dim) * 2
         y = K.project(z)
         lam = z - y
-        C = K.critical_set(y, lam)
+        C = K.critical_set(_point(K, y, lam))
         T = K.tangent_set(y)
         for _ in range(10):
             h = C.project(rng.standard_normal(K.dim))
@@ -89,7 +97,7 @@ def test_dir_deriv_matches_tangent_projection_at_member(K):
     for _ in range(20):
         y = K.project(rng.standard_normal(K.dim) * 2)
         h = rng.standard_normal(K.dim)
-        d = K.dir_deriv(y, h)
+        d = proj_dir_deriv(K, y, h)
         T = K.tangent_set(y)
         assert np.allclose(d, T.project(h), atol=1e-7)
 
@@ -100,8 +108,8 @@ def test_dir_deriv_positively_homogeneous(K):
     for _ in range(20):
         z = rng.standard_normal(K.dim) * 2
         h = rng.standard_normal(K.dim)
-        d1 = K.dir_deriv(z, h)
-        d2 = K.dir_deriv(z, 2.5 * h)
+        d1 = proj_dir_deriv(K, z, h)
+        d2 = proj_dir_deriv(K, z, 2.5 * h)
         assert np.allclose(2.5 * d1, d2, atol=1e-9)
 
 
@@ -169,7 +177,7 @@ def test_critical_cone_psd_worked_case():
     K = ConeDesc([PSD(2, "plus")])
     y = svec(np.diag([1.0, 0.0]))
     lam = svec(np.diag([0.0, -1.0]))
-    C = K.critical_set(y, lam)
+    C = K.critical_set(_point(K, y, lam))
     assert C.contains(svec(np.array([[1.0, 2.0], [2.0, 0.0]])))
     assert not C.contains(svec(np.diag([0.0, 1.0])))
     assert not C.contains(svec(np.diag([0.0, -1.0])))
@@ -244,19 +252,20 @@ def test_minus_primitive_is_the_negated_plus_primitive(kind, size):
     plus, minus = kind(size, "plus"), kind(size, "minus")
     rng = np.random.default_rng(11)
     for y, lam in _pairs(minus, rng, 20):
-        C, Cp = minus.critical_set(y, lam, tol), plus.critical_set(-y, -lam, tol)
+        p, pp = _point(minus, y, lam, tol), _point(plus, -y, -lam, tol)
+        C, Cp = minus.critical_set(p), plus.critical_set(pp)
         T, Tp = minus.tangent_set(y, tol), plus.tangent_set(-y, tol)
         assert minus.ri_normal(y, lam, tol) == plus.ri_normal(-y, -lam, tol)
         for _ in range(5):
             w = rng.standard_normal(minus.dim)
             assert np.allclose(C.project(w), -Cp.project(-w), atol=1e-12)
             assert np.allclose(T.project(w), -Tp.project(-w), atol=1e-12)
-            assert np.allclose(minus.dir_deriv(y + lam, w, tol),
-                               -plus.dir_deriv(-y - lam, -w, tol), atol=1e-12)
-            assert minus.upsilon(y, lam, w, tol) == pytest.approx(
-                plus.upsilon(-y, -lam, -w, tol), abs=1e-12)
-            assert np.allclose(minus.upsilon_grad(y, lam, w, tol),
-                               -plus.upsilon_grad(-y, -lam, -w, tol),
+            assert np.allclose(minus.dir_deriv(p, w),
+                               -plus.dir_deriv(pp, -w), atol=1e-12)
+            assert minus.upsilon(p, w) == pytest.approx(
+                plus.upsilon(pp, -w), abs=1e-12)
+            assert np.allclose(minus.upsilon_grad(p, w),
+                               -plus.upsilon_grad(pp, -w),
                                atol=1e-12)
 
 
@@ -292,18 +301,18 @@ def test_upsilon_grad_is_a_symmetric_matrix_of_twice_upsilon(kind, sign):
         assert contains(ConeDesc([K]), y)
         assert K.tangent_set(y, tol).polar().contains(lam, tol)
         assert np.linalg.norm(lam) > 0.1
-        U = np.column_stack([K.upsilon_grad(y, lam, e, tol)
-                             for e in np.eye(K.dim)])
+        p = _point(K, y, lam, tol)
+        U = np.column_stack([K.upsilon_grad(p, e) for e in np.eye(K.dim)])
         # the curvature term lives on the face; at the apex it is 0
         assert (np.linalg.norm(U) > 0.1) == (np.linalg.norm(y) > 0)
         assert np.linalg.norm(U - U.T) <= 1e-12 * (1 + np.linalg.norm(U))
         for _ in range(5):
             h, k = rng.standard_normal(K.dim), rng.standard_normal(K.dim)
             a, b = rng.standard_normal(2)
-            assert np.allclose(K.upsilon_grad(y, lam, a * h + b * k, tol),
+            assert np.allclose(K.upsilon_grad(p, a * h + b * k),
                                U @ (a * h + b * k), atol=1e-12)
             assert float(h @ U @ h) == pytest.approx(
-                2.0 * K.upsilon(y, lam, h, tol), abs=1e-12)
+                2.0 * K.upsilon(p, h), abs=1e-12)
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -327,14 +336,106 @@ def test_psd_upsilon_skips_eigh_at_a_zero_multiplier(monkeypatch, sign):
         for _ in range(3):
             h = rng.standard_normal(K.dim)
             calls.clear()
-            assert K.upsilon(y, np.zeros(6), h, tol) == 0.0
-            assert np.array_equal(K.upsilon_grad(y, np.zeros(6), h, tol),
-                                  np.zeros(6))
+            assert K.upsilon(_point(K, y, np.zeros(6), tol), h) == 0.0
+            assert np.array_equal(
+                K.upsilon_grad(_point(K, y, np.zeros(6), tol), h), np.zeros(6))
             assert calls == []
             Y, L, H = (s * smat(v) for v in (y, lam, h))
             Yp = np.linalg.pinv(Y, hermitian=True)
             G = -2.0 * (Yp @ H @ L + L @ H @ Yp)
-            assert K.upsilon(y, lam, h, tol) == pytest.approx(
+            assert K.upsilon(_point(K, y, lam, tol), h) == pytest.approx(
                 -2.0 * np.trace(L @ H @ Yp @ H), abs=1e-12)
-            assert np.allclose(K.upsilon_grad(y, lam, h, tol),
+            assert np.allclose(K.upsilon_grad(_point(K, y, lam, tol), h),
                                s * svec(0.5 * (G + G.T)), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# T_K(y) is the critical set at (y, 0): the same sets, bit for bit, as the
+# tangent-cone formulas below, each written for the plus cone
+
+def _ref_tangent_plus(block, y, tol):
+    sc = tol.zero * max(1.0, float(np.linalg.norm(y)))
+    if isinstance(block, (Zero, Free)):
+        return type(block)(block.dim)
+    if isinstance(block, Orthant):
+        return SignPattern(np.where(np.abs(y) <= sc, SignPattern.NONNEG,
+                                    SignPattern.FREE))
+    if isinstance(block, SOC):
+        nb = float(np.linalg.norm(y[1:]))
+        if float(np.linalg.norm(y)) <= sc:
+            return SOC(block.dim)
+        if y[0] - nb > sc:
+            return Free(block.dim)
+        if abs(y[0] - nb) <= sc:
+            return Halfspace(np.concatenate([[-1.0], y[1:] / nb]))
+        raise ValueError("point is not in the cone")
+    w, U = np.linalg.eigh(smat(y))
+    sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
+    if np.any(w < -sc):
+        raise ValueError("point is not in the cone")
+    return PSDBlockSet(U, [np.where(w > sc)[0], np.where(np.abs(w) <= sc)[0]],
+                       {(0, 0): "free", (0, 1): "free", (1, 1): "psd"})
+
+
+def _ref_tangent(block, y, tol=DEFAULT_TOL):
+    if not block.signed or block.sign > 0:
+        return _ref_tangent_plus(block, y, tol)
+    return _ref_tangent_plus(block, -y, tol).negate()
+
+
+def _assert_same_set(S, R, rng):
+    assert type(S) is type(R)
+    assert np.array_equal(S.lineality_basis(), R.lineality_basis())
+    for _ in range(4):
+        w = 3.0 * rng.standard_normal(S.dim)
+        assert np.array_equal(S.project(w), R.project(w))
+        assert np.array_equal(S.polar().project(w), R.polar().project(w))
+
+
+def _tangent_points(block, rng):
+    """Members of the block: projections, faces and the apex."""
+    pts = [np.zeros(block.dim)]
+    for _ in range(6):
+        z = 2.0 * rng.standard_normal(block.dim)
+        pts += [block.project(z), block.project(block.project(z) - z)]
+    if isinstance(block, PSD):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        pts.append(block.sign * svec((Q * [1.5, 0.0, 0.0]) @ Q.T))
+    return pts
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("kind,size", [(Orthant, 4), (SOC, 4), (SOC, 1),
+                                       (PSD, 3), (Zero, 3), (Free, 3)])
+def test_tangent_set_is_the_tangent_formula(kind, size, sign):
+    block = kind(size) if kind in (Zero, Free) else kind(size, sign)
+    rng = np.random.default_rng(37)
+    for y in _tangent_points(block, rng):
+        assert contains(ConeDesc([block]), y)
+        _assert_same_set(block.tangent_set(y, DEFAULT_TOL),
+                         _ref_tangent(block, y), rng)
+    # on a product, blockwise
+    K = ConeDesc([PSD(2, sign), SOC(3, sign), Orthant(2, sign), Zero(1),
+                  Free(1)])
+    y = K.project(2.0 * rng.standard_normal(K.dim))
+    T = K.tangent_set(y)
+    for S, b, sl in zip(T.sets, K.blocks, K.slices):
+        _assert_same_set(S, _ref_tangent(b, y[sl]), rng)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tangent_set_rejects_members_off_the_zero_tolerance(sign):
+    # inside the cone to tol.membership, outside it to tol.zero: the
+    # tangent formulas raise, and so does the critical set at (y, 0)
+    psd = PSD(2, sign)
+    y_psd = sign * svec(np.diag([1.0, -5e-9]))
+    soc = SOC(3, sign)
+    y_soc = sign * np.array([1.0, 1.0 + 5e-9, 0.0])
+    for block, y in ((psd, y_psd), (soc, y_soc)):
+        assert contains(ConeDesc([block]), y)
+        with pytest.raises(ValueError, match="not in the cone"):
+            _ref_tangent(block, y)
+        with pytest.raises(ValueError, match="not in the cone"):
+            block.tangent_set(y, DEFAULT_TOL)
+        with pytest.raises(ValueError, match="not in the cone"):
+            ConeDesc([block]).tangent_set(y)

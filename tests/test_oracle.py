@@ -3,18 +3,20 @@ import pytest
 
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD
 from conestab.oracle import (
-    graph_sample, fd_proj_deriv, _richardson, _dd_cone,
+    fd_proj_deriv, _richardson, _dd_cone,
     polyhedral_trivial_exact, ngamma_graph_residual,
 )
 from conestab.constraint_system import example1_system
+from conestab.proj_deriv import GraphPoint, proj_dir_deriv
 from conestab.symmat import svec
 
 
 def test_graph_sample_invariants():
+    # GraphPoint.from_z splits z through the projection
     K = ConeDesc([SOC(3, "plus")])
     rng = np.random.default_rng(0)
     for _ in range(20):
-        gp = graph_sample(K, rng.standard_normal(3) * 2)
+        gp = GraphPoint.from_z(K, rng.standard_normal(3) * 2)
         assert K.contains(gp.y)
         assert abs(float(gp.y @ gp.lam)) <= 1e-10 * (1 + np.linalg.norm(gp.y)
                                                      * np.linalg.norm(gp.lam))
@@ -37,7 +39,7 @@ def test_fd_proj_deriv_error_estimate_is_honest():
         z = rng.standard_normal(3) * 2
         h = rng.standard_normal(3)
         approx, err = fd_proj_deriv(K, z, h)
-        exact = K.dir_deriv(z, h)
+        exact = proj_dir_deriv(K, z, h)
         assert float(np.linalg.norm(approx - exact)) <= max(100 * err, 1e-7)
 
 

@@ -7,7 +7,7 @@ from conestab.proj_deriv import (
     GraphPoint, proj_dir_deriv, sigma_term, sigma_grad, dnk_contains,
 )
 from conestab.oracle import (
-    graph_sample, fd_proj_deriv, graph_tangent_residual, sigma_expansion,
+    fd_proj_deriv, graph_tangent_residual, sigma_expansion,
 )
 from conestab.symmat import svec
 
@@ -48,6 +48,55 @@ def test_graph_point_complementarity_threshold_follows_tol():
     GraphPoint(K, y, lam(1e-9), Tol(zero=1e-7))
     with pytest.raises(ValueError, match="complementarity"):
         GraphPoint(K, y, lam(1.9e-10), Tol(zero=1e-10))
+
+
+def _near_boundary(block, rng):
+    """A point of the block's space at a relative distance 1e-16 to 1e-3
+    from the boundary of the cone or its polar, so that y or lam is tiny
+    beside z."""
+    delta = 10.0 ** rng.uniform(-16, -3)
+    if isinstance(block, SOC):
+        u = rng.standard_normal(block.dim - 1)
+        # on the boundary of the cone (z0 = 1) or of its polar (z0 = -1)
+        z = np.concatenate([[rng.choice([1.0, -1.0])], u / np.linalg.norm(u)])
+    elif isinstance(block, PSD):
+        Q, _ = np.linalg.qr(rng.standard_normal((block.order,) * 2))
+        ev = rng.standard_normal(block.order)
+        ev[rng.random(block.order) < 0.5] = 0.0
+        z = svec((Q * ev) @ Q.T)
+    else:
+        z = rng.standard_normal(block.dim)
+    return block.sign * z + delta * rng.standard_normal(block.dim)
+
+
+def test_from_z_accepts_its_own_split_at_every_scale():
+    # (Pi_K(z), z - Pi_K(z)) is on the graph by construction; the
+    # rounding of lam = z - y, about eps ||y|| ||z|| in <y, lam>, must not
+    # read as a complementarity violation at large ||z||
+    rng = np.random.default_rng(53)
+    cones = [ConeDesc([SOC(5)]), ConeDesc([SOC(4, "minus")]),
+             ConeDesc([PSD(4)]), ConeDesc([PSD(3, "minus")]),
+             ConeDesc([SOC(3, "minus"), PSD(3), Orthant(2), SOC(6)])]
+    for K in cones:
+        for scale in 10.0 ** np.arange(7):
+            for _ in range(40):
+                z = scale * np.concatenate([_near_boundary(b, rng)
+                                            for b in K.blocks])
+                gp = GraphPoint.from_z(K, z)
+                assert np.array_equal(gp.y, K.project(z))
+                assert np.array_equal(gp.lam, z - gp.y)
+
+
+def test_dnk_contains_rejects_nonfinite_input():
+    K = ConeDesc([PSD(2), SOC(3)])
+    gp = GraphPoint.from_z(K, np.arange(6.0) - 2.5)
+    ok = np.ones(6)
+    for bad in (np.nan, np.inf, -np.inf):
+        v = ok.copy()
+        v[2] = bad
+        for dy, dl in ((v, ok), (ok, v)):
+            with pytest.raises(ValueError, match="non-finite"):
+                dnk_contains(K, gp, dy, dl)
 
 
 def test_proj_dir_deriv_input_checks():
@@ -104,8 +153,8 @@ def test_sigma_polyhedral_blocks_vanish():
     K = ConeDesc([Orthant(3, "plus"), Zero(1), Free(1)])
     rng = np.random.default_rng(0)
     for _ in range(20):
-        gp = graph_sample(K, rng.standard_normal(K.dim) * 2)
-        C = K.critical_set(gp.y, gp.lam)
+        gp = GraphPoint.from_z(K, rng.standard_normal(K.dim) * 2)
+        C = K.critical_set(gp)
         h = C.project(rng.standard_normal(K.dim))
         assert sigma_term(gp, h) == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(sigma_grad(gp, h), 0.0, atol=1e-12)
@@ -116,8 +165,8 @@ def test_sigma_grad_pairing_identity(K):
     # Upsilon is quadratic, so <grad Upsilon(h), h> = 2 Upsilon(h)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        gp = graph_sample(K, rng.standard_normal(K.dim) * 2)
-        C = K.critical_set(gp.y, gp.lam)
+        gp = GraphPoint.from_z(K, rng.standard_normal(K.dim) * 2)
+        C = K.critical_set(gp)
         h = C.project(rng.standard_normal(K.dim))
         ups = sigma_term(gp, h)
         grad = sigma_grad(gp, h)
@@ -136,10 +185,10 @@ def test_sigma_term_rejects_noncritical_direction():
 def test_dnk_routes_agree_on_members_and_nonmembers(K):
     rng = np.random.default_rng(11)
     for i in range(40):
-        gp = graph_sample(K, rng.standard_normal(K.dim) * 2)
+        gp = GraphPoint.from_z(K, rng.standard_normal(K.dim) * 2)
         h = rng.standard_normal(K.dim)
         if i % 2 == 0:
-            dy = K.dir_deriv(gp.z, h)
+            dy = K.dir_deriv(gp, h)
             dl = h - dy
             cert = dnk_contains(K, gp, dy, dl)
             assert cert.verdict == "holds"
@@ -157,7 +206,7 @@ def test_dnk_worked_psd_example():
     K = ConeDesc([PSD(2, "plus")])
     gp = GraphPoint(K, svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, -1.0])))
     h = svec(np.array([[0.3, 1.0], [1.0, -0.5]]))
-    dy = K.dir_deriv(gp.z, h)
+    dy = K.dir_deriv(gp, h)
     dl = h - dy
     cert = dnk_contains(K, gp, dy, dl)
     assert cert.verdict == "holds"
@@ -172,9 +221,9 @@ def test_dnk_worked_psd_example():
 def test_graph_tangent_residual_consistency():
     K = ConeDesc([SOC(3, "plus")])
     rng = np.random.default_rng(2)
-    gp = graph_sample(K, rng.standard_normal(3) * 2)
+    gp = GraphPoint.from_z(K, rng.standard_normal(3) * 2)
     h = rng.standard_normal(3)
-    dy = K.dir_deriv(gp.z, h)
+    dy = K.dir_deriv(gp, h)
     dl = h - dy
     residuals = graph_tangent_residual(K, gp, dy, dl)
     assert residuals[-1] <= 1e-4

@@ -317,7 +317,7 @@ def _referee_form(problem, pair):
         for e in eye])
 
     def ups(h):
-        return sys.cone.upsilon(pair.gx, pair.lam, J @ h)
+        return sys.cone.upsilon(pair.graph_point, J @ h)
 
     JUJ = np.array([[ups(eye[i] + eye[j]) - ups(eye[i] - eye[j])
                      for j in range(n)] for i in range(n)]) / 2.0
@@ -764,7 +764,7 @@ def test_soc_normal_to_critical_sample_is_exact(sign):
     block = SOC(3, sign)
     rng = np.random.default_rng(5)
     for y, gd, nonzero in _soc_normal_cases(block.sign):
-        C = block.critical_set(y, np.zeros(3), DEFAULT_TOL)
+        C = block.critical_set(block.point(y, DEFAULT_TOL, y, np.zeros(3)))
         for _ in range(5):
             q = _normal_to_critical_sample(block, y, np.zeros(3), gd, rng,
                                            DEFAULT_TOL)

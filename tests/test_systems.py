@@ -357,7 +357,7 @@ def test_ngamma_fiber_translates_to_the_cone_level_fiber():
             continue
         held += 1
         gd = pair.J @ d
-        u = pair.sys.cone.upsilon_grad(pair.gx, pair.lam, gd, tol)
+        u = pair.sys.cone.upsilon_grad(pair.graph_point, gd)
         mu = cert.witness + 0.5 * u
         scale = (1.0 + np.linalg.norm(d) + np.linalg.norm(w)) * (
             1.0 + np.linalg.norm(mu))
