@@ -383,15 +383,16 @@ def multiplier_solve(point: BasePoint, v,
     Jt = point.J.T
     lam = _span_normal_solve(Jt, v, point.span_normal, tol)
     route, farkas = "span-N solve", None
-    if lam is None or not multiplier_verify(point, v, lam):
+    resid = None if lam is None else _multiplier_residuals(point, v, lam)
+    if resid is None or not resid[2]:
         sets = [AffineSet(Jt, v), point.normal]
         lam, info = dykstra(sets, np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
         if info.stalled and info.farkas is None:
             # a plateau stalls too; a run with fresh increments ends it
             lam, info = dykstra(sets, lam, tol)
         route, farkas = "Dykstra search", info.farkas
-    res = MultiplierSolveResult(lam, *_multiplier_residuals(point, v, lam),
-                                route, farkas)
+        resid = _multiplier_residuals(point, v, lam)
+    res = MultiplierSolveResult(lam, *resid, route, farkas)
     if not res.found:
         return res
     res.members.append(lam)

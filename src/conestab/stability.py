@@ -16,7 +16,8 @@ else is inconclusive.
 from dataclasses import dataclass, field
 import numpy as np
 
-from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace
+from ._sets import (Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace,
+                    _ROUNDING)
 from .cone_core import ConeDesc, Orthant, Zero, Free, project
 from .constraint_system import (
     ConstraintSystem, SUBREG_ASSUMPTION, BasePoint, BasePair, affine_system,
@@ -242,19 +243,23 @@ def _branch_lp_max(J, M, branch):
     The face is the set of (d, mu) in the box [-1,1]^{n+m} with
     M d + J^T mu = 0 and the branch sign pattern on ((J d)_i, mu_i).  An
     LP point meets each equality row to 1e-7 (HiGHS's default primal
-    feasibility tolerance), so when the rows E on the coordinates the
-    bounds leave free give 1e-7 sqrt(rows) / s_min(E) < WITNESS_CUT, the
-    face is {0}, of value 0, and no LP is solved.  Otherwise the LP
-    stacks 2n copies (d_k, mu_k) of these constraints, as sparse blocks,
-    and copy k = 2j or 2j + 1 maximizes +d_j or -d_j.  The objective is
-    separable, so each copy reaches the optimum of its own LP, and one
-    HiGHS call replaces 2n.
+    feasibility tolerance), so a singular value s of the rows E on the k
+    coordinates the bounds leave free (E padded to k rows) counts as
+    nonzero when 1e-7 sqrt(rows) < WITNESS_CUT s.  If all k do, the face
+    is {0}.  If the k - 1 largest do and the smallest is at rounding
+    level, the face is a segment of the line t v, v the null vector: each
+    bound and sign row is one condition on t, unless its coefficient
+    along v lies between rounding level and WITNESS_CUT, where the LP's
+    tolerance could decide it otherwise.  Neither face needs an LP.  The
+    LP stacks 2n copies (d_k, mu_k) of the face's constraints, as sparse
+    blocks, copy k = 2j or 2j + 1 maximizing +d_j or -d_j; the objective
+    is separable, so one HiGHS call replaces 2n.
 
     Returns (res, value, d): the `linprog` result (None if no LP ran),
-    the largest copy value and the d of the first copy that attains it.
-    When HiGHS does not report success, value and d are None, and
-    `_polyhedral_route` answers `inconclusive` with the HiGHS status: a
-    face left unsearched is no evidence.
+    the largest value and a d that attains it.  When HiGHS does not
+    report success, value and d are None, and `_polyhedral_route`
+    answers `inconclusive` with the HiGHS status: a face left unsearched
+    is no evidence.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -277,10 +282,30 @@ def _branch_lp_max(J, M, branch):
         else:
             bounds.append((0.0, 1.0) if cb > 0 else (-1.0, 0.0))
     A_eq = np.vstack(A_eq)
-    E = A_eq[:, [lo < hi for lo, hi in bounds]]
-    if len(E) >= E.shape[1] and 1e-7 * np.sqrt(len(E)) < \
-            WITNESS_CUT * np.linalg.svd(E, compute_uv=False)[-1]:
+    box = np.array(bounds)
+    free = box[:, 0] < box[:, 1]
+    E = A_eq[:, free]
+    k, root = E.shape[1], np.sqrt(len(E))
+    _, s, Vt = np.linalg.svd(np.vstack([E, np.zeros((k, k))]),
+                             full_matrices=False)
+    nonzero = 1e-7 * root < WITNESS_CUT * s
+    if nonzero.all():
         return None, 0.0, np.zeros(n)
+    if nonzero[:-1].all() and s[-1] <= _ROUNDING * s[0] * root:
+        # the line t x: row i of `rows` asks span_i[0] <= t c_i <= span_i[1]
+        x = np.zeros(nv)
+        x[free] = Vt[-1]
+        rows = np.vstack([np.eye(nv)[free]] + A_ub)
+        span = np.vstack([box[free], np.tile([-np.inf, 0.0], (len(A_ub), 1))])
+        c = rows @ x
+        live = np.abs(c) > _ROUNDING * np.linalg.norm(rows, axis=1)
+        if np.all(np.abs(c[live]) >= WITNESS_CUT):
+            ends = span[live] / c[live, None]
+            t_lo, t_hi = ends.min(axis=1).max(), ends.max(axis=1).min()
+            d = (t_hi if t_hi >= -t_lo else t_lo) * x
+            for b in box.T:  # a bound met to rounding is met, as at a vertex
+                d = np.where(np.abs(d - b) <= _ROUNDING, b, d)
+            return None, float(np.abs(d[:n]).max()), d[:n]
 
     def diag(A):  # `copies` copies of A down the diagonal
         return sparse.bsr_array((np.broadcast_to(A, (copies,) + A.shape),

@@ -561,9 +561,28 @@ def _referee_branch_max(problem, tags, cut):
     return best
 
 
-def test_branch_lp_matches_one_lp_per_objective():
+def _face_paths(monkeypatch):
+    """Record (LP solved, value) for each branch face the polyhedral
+    route decides.  A face decided with no LP and a nonzero value is a
+    line face: a face pinned to {0} has value 0."""
+    from conestab import stability
+
+    paths = []
+    inner = stability._branch_lp_max
+
+    def recorded(J, M, branch):
+        res, val, d = inner(J, M, branch)
+        paths.append((res is not None, val))
+        return res, val, d
+
+    monkeypatch.setattr(stability, "_branch_lp_max", recorded)
+    return paths
+
+
+def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
     from conestab.stability import _polyhedral_route, WITNESS_CUT
 
+    paths = _face_paths(monkeypatch)
     verdicts = []
     for seed in range(200):
         problem, lam, tags = _scalar_ge_draw(seed)
@@ -581,8 +600,38 @@ def test_branch_lp_matches_one_lp_per_objective():
             assert ngamma_graph_deriv_contains(
                 pair, d, -problem.Fx @ d).verdict == "holds"
         verdicts.append(cert.verdict)
-    # both verdicts occur among the draws
+    # both verdicts occur among the draws, and both ways of deciding a
+    # face: line faces in closed form and faces of dimension >= 2 by LP
     assert 0 < verdicts.count("fails") < len(verdicts)
+    assert sum(lp for lp, _ in paths) > 0
+    assert sum(not lp and val > 0 for lp, val in paths) > 0
+
+
+def test_line_faces_are_mirror_invariant(monkeypatch):
+    # K -> -K with (A, b) -> (-A, -b) and lam -> -lam maps each branch
+    # face onto a face with mu -> -mu, so each line face keeps its value
+    from conestab.stability import _polyhedral_route
+
+    paths = _face_paths(monkeypatch)
+    lines = 0
+    for seed in range(200):
+        problem, lam, _ = _scalar_ge_draw(seed)
+        del paths[:]
+        certs = []
+        for sys, sign in ((problem.sys, 1.0), (_mirror(problem.sys), -1.0)):
+            pair = BasePair(BasePoint(sys, problem.xbar), problem.vbar,
+                            sign * lam)
+            certs.append(_polyhedral_route(problem, pair))
+        half = len(paths) // 2
+        if not any(not lp and val > 0 for lp, val in paths[:half]):
+            continue
+        lines += 1
+        assert [lp for lp, _ in paths[:half]] == \
+            [lp for lp, _ in paths[half:]], seed
+        assert certs[1].verdict == certs[0].verdict, seed
+        assert certs[1].residual == pytest.approx(certs[0].residual,
+                                                  abs=1e-12), seed
+    assert lines > 0
 
 
 def test_pair_inside_the_activity_window_is_decided(analyze):
@@ -609,36 +658,53 @@ def test_pair_inside_the_activity_window_is_decided(analyze):
     assert "exact branch enumeration" in cert.method
 
 
-def test_branch_lp_failure_is_inconclusive(monkeypatch):
+def _counted_linprog(monkeypatch, inner=None):
     import scipy.optimize
+
+    calls = []
+    inner = inner or scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **k: calls.append(1) or inner(*a, **k))
+    return calls
+
+
+def test_branch_lp_failure_is_inconclusive(monkeypatch):
     from scipy.optimize import OptimizeResult
 
     def failing(*args, **kwargs):
         return OptimizeResult(success=False, status=4, x=None, fun=None,
                               message="numerical difficulties")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", failing)
-    cert = kkt_isolated_calm(*lp_kkt_data("degenerate"))
-    assert cert.verdict == "inconclusive"
+    calls = _counted_linprog(monkeypatch, failing)
+    # min z1 + z2 s.t. z >= 0 with the row z1 >= 0 stated three times:
+    # the two copies carry zero multipliers, so the face where both are
+    # free has dimension 2 and only an LP decides it
+    c = np.array([1.0, 1.0])
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    f = SmoothFn(lambda z: float(c @ z), lambda z: c,
+                 lambda z: np.zeros((2, 2)))
+    G = SmoothMap(lambda z: A @ z, lambda z: A,
+                  lambda z, lam: np.zeros((2, 2)))
+    cert = kkt_isolated_calm(f, G, ConeDesc([Orthant(4, "minus")]),
+                             np.zeros(2), np.array([-1.0, -1.0, 0.0, 0.0]))
+    assert cert.verdict == "inconclusive" and calls == [1]
     assert "exact branch enumeration" in cert.method
     assert cert.details["lp_status"] == 4
     assert cert.details["lp_message"] == "numerical difficulties"
-    # the nondegenerate instance's one face is pinned to 0 by its
-    # equality rows (M nonsingular, every mu_i fixed at 0): no LP is
-    # solved, so a failing solver leaves its verdict alone
+    # kkt_lp's faces are pinned to 0 (nondegenerate) or a ray
+    # (degenerate) by their equality rows: no LP is solved, so a failing
+    # solver leaves both verdicts alone
     assert kkt_isolated_calm(*lp_kkt_data("nondegenerate")).verdict == \
         "holds"
+    cert = kkt_isolated_calm(*lp_kkt_data("degenerate"))
+    assert (cert.verdict, cert.residual, calls) == ("fails", 1.0, [1])
 
 
 def test_branch_face_pinned_by_its_equalities_needs_no_lp(monkeypatch):
-    import scipy.optimize
     from conestab._sets import SignPattern
     from conestab.stability import _branch_lp_max
 
-    calls = []
-    real = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    calls = _counted_linprog(monkeypatch)
     J = np.eye(2)
     branch = [(SignPattern.FREE, SignPattern.ZERO)] * 2
     # M d = 0 with M nonsingular: the face is {0}, decided without an LP
@@ -650,10 +716,43 @@ def test_branch_face_pinned_by_its_equalities_needs_no_lp(monkeypatch):
     # to the LP, which sees every point of the box as feasible
     res, val, d = _branch_lp_max(J, 1e-9 * np.eye(2), branch)
     assert calls == [1] and res.success and val == pytest.approx(1.0)
-    # a singular M leaves a line of the face, and the LP finds its end
+    # a singular M leaves a line of the face, whose end needs no LP
     res, val, d = _branch_lp_max(J, np.diag([1.0, 0.0]), branch)
-    assert calls == [1, 1] and val == pytest.approx(1.0)
+    assert res is None and calls == [1] and val == pytest.approx(1.0)
     assert abs(d[1]) == pytest.approx(1.0) and abs(d[0]) < 1e-12
+
+
+def test_branch_line_faces_in_closed_form(monkeypatch):
+    from conestab._sets import SignPattern
+    from conestab.stability import _branch_lp_max
+
+    FREE, ZERO, NONNEG = (SignPattern.FREE, SignPattern.ZERO,
+                          SignPattern.NONNEG)
+    calls = _counted_linprog(monkeypatch)
+    # d = 0 pinned by (J d)_i = 0, and d + mu_1 + mu_2 = 0 leaves the
+    # line mu_1 = -mu_2 with d = 0 on it: value 0
+    res, val, d = _branch_lp_max(np.ones((2, 1)), np.eye(1),
+                                 [(ZERO, FREE)] * 2)
+    assert (res, val, calls) == (None, 0.0, [])
+    assert np.array_equal(d, np.zeros(1))
+    # a ray: d_1 = 0 from M d = 0, and the sign row d_2 >= 0 cuts the
+    # line d_1 = 0 to its half d_2 >= 0
+    J, M = np.eye(2), np.diag([1.0, 0.0])
+    res, val, d = _branch_lp_max(J, M, [(FREE, ZERO), (NONNEG, ZERO)])
+    assert (res, val, calls) == (None, 1.0, [])
+    assert np.array_equal(np.abs(d), [0.0, 1.0]) and d[1] == 1.0
+    # kkt_lp's degenerate face is the ray d_5 <= 0 of span(e3 - e5)
+    cert = kkt_isolated_calm(*lp_kkt_data("degenerate"))
+    assert (cert.verdict, cert.residual, calls) == ("fails", 1.0, [])
+    assert np.array_equal(np.abs(cert.witness),
+                          np.array([0.0, 0.0, 1.0, 0.0, 1.0]) / np.sqrt(2))
+    assert cert.witness[2] == -cert.witness[4] > 0
+    # the sign row (J d)_2 = d_1 + 1e-8 d_2 >= 0 has coefficient 1e-8
+    # along the line: HiGHS's 1e-7 feasibility tolerance could decide it
+    # otherwise, so the face goes to the LP
+    J = np.array([[1.0, 0.0], [1.0, 1e-8]])
+    res, val, d = _branch_lp_max(J, M, [(FREE, ZERO), (NONNEG, ZERO)])
+    assert calls == [1] and res.success and val == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +919,7 @@ def _mirror(sys):
     """The affine system g(x) = A x + b over K rewritten as -g over -K:
     every block sign flipped and (A, b) negated."""
     x0 = np.zeros(sys.dim_x)
-    cone = ConeDesc([type(b)(b.size, -b.sign) for b in sys.cone.blocks])
+    cone = ConeDesc([b.negate() for b in sys.cone.blocks])
     return affine_system(cone, -sys.jacobian(x0), -sys.g(x0))
 
 

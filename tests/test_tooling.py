@@ -153,10 +153,11 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
 
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
                                                      planted, analyze):
-    # kkt_lp decides its degenerate instance with one branch LP and its
-    # nondegenerate one with none (the equality rows pin its one face to
-    # 0), and its pairs, like example41's, are settled by their verified
-    # multiplier hints alone.  example1 makes one multiplier search;
+    # kkt_lp solves no branch LP: the equality rows pin the one face of
+    # its nondegenerate instance to 0 and leave the one face of its
+    # degenerate instance a line, cut to a ray by a sign row, and its
+    # pairs, like example41's, are settled by their verified multiplier
+    # hints alone.  example1 makes one multiplier search;
     # example3 one search and one srcq slice; a multiplier set that is a
     # segment costs analyze one search
     import scipy.optimize
@@ -182,9 +183,9 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
         monkeypatch.setattr(module, "multiplier_solve", solve)
     assert cli.main(["repro", "kkt_lp"]) == 0
     capsys.readouterr()
-    assert calls == {"linprog": 1, "dykstra": 0, "multiplier_solve": 0}
+    assert calls == {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
     example41_problem()
-    assert calls == {"linprog": 1, "dykstra": 0, "multiplier_solve": 0}
+    assert calls == {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
     for name, n in (("example1", 1), ("example3", 2)):
         calls["dykstra"] = 0
         assert cli.main(["repro", name]) == 0
