@@ -126,21 +126,24 @@ def _check(lines, failures, label, got, expected):
         failures.append(label)
 
 
+# (z, z in N_K(g(xbar))) for example1 at xbar = (-1, -1, 0), g(xbar) = 0
+EXAMPLE1_NORMAL_TABLE = [
+    (np.concatenate([svec(-np.eye(2)), [-1.0]]), True),
+    (np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]]), True),
+    (np.concatenate([svec(np.eye(2)), [-1.0]]), False),
+    (np.concatenate([svec(np.zeros((2, 2))), [1.0]]), False),
+    (np.concatenate([svec(np.array([[0.0, 1.0], [1.0, 0.0]])), [0.0]]), False),
+]
+
+
 def _repro_example1(lines, failures, tol):
     point = BasePoint(example1_system(), np.array([-1.0, -1.0, 0.0]), tol)
     st = strict_complementarity_check(multiplier_solve(point, np.zeros(3)))
     _check(lines, failures, "strict_complementarity(vbar=0)", st.verdict, "fails")
     N = point.normal
-    table = [
-        (np.concatenate([svec(-np.eye(2)), [-1.0]]), True),
-        (np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]]), True),
-        (np.concatenate([svec(np.eye(2)), [-1.0]]), False),
-        (np.concatenate([svec(np.zeros((2, 2))), [1.0]]), False),
-        (np.concatenate([svec(np.array([[0.0, 1.0], [1.0, 0.0]])), [0.0]]), False),
-    ]
-    got = [bool(N.contains(z, tol)) for z, _ in table]
+    got = [bool(N.contains(z, tol)) for z, _ in EXAMPLE1_NORMAL_TABLE]
     _check(lines, failures, "normal-cone membership table", got,
-           [e for _, e in table])
+           [e for _, e in EXAMPLE1_NORMAL_TABLE])
 
 
 def _repro_example2(lines, failures, tol):

@@ -42,7 +42,7 @@ AmbientVec = np.ndarray
 __all__ = [
     "AmbientVec", "Tol", "Orthant", "SOC", "PSD", "Zero", "Free", "ConeDesc",
     "BlockPoint", "ConePoint", "project", "contains", "tangent_cone",
-    "normal_cone", "ri_normal_contains",
+    "normal_cone",
 ]
 
 
@@ -140,9 +140,6 @@ class PrimitiveCone(ConvexSet):
     def critical_set(self, p) -> ConvexSet:
         return self._out(self._critical(p))
 
-    def ri_normal(self, y, lam, tol) -> bool:
-        return self._ri_normal(*self._in(y, lam), tol)
-
     def dir_deriv(self, p, h):
         return self._out(self._dir_deriv(p, *self._in(h)))
 
@@ -166,19 +163,13 @@ class Orthant(PrimitiveCone):
     def _project(self, z):
         return np.maximum(z, 0.0)
 
-    def _active(self, y, tol):
-        return np.abs(y) <= tol.zero * _zscale(y)
-
     def _critical(self, p):
+        active = np.abs(p.y) <= p.tol.zero * _zscale(p.y)
         lam_on = np.abs(p.lam) > p.tol.zero * _zscale(p.lam)
-        codes = np.where(self._active(p.y, p.tol),
+        codes = np.where(active,
                          np.where(lam_on, SignPattern.ZERO, SignPattern.NONNEG),
                          SignPattern.FREE)
         return SignPattern(codes)
-
-    def _ri_normal(self, y, lam, tol):
-        act = self._active(y, tol)
-        return bool(np.all(np.abs(lam[act]) > tol.zero * _zscale(lam)))
 
     def _dir_deriv(self, p, hu):
         u = p.z
@@ -206,9 +197,6 @@ class Zero(PrimitiveCone):
     def _critical(self, p):
         return Zero(self.dim)
 
-    def _ri_normal(self, y, lam, tol):
-        return True
-
     def _dir_deriv(self, p, h):
         return np.zeros(self.dim)
 
@@ -233,9 +221,6 @@ class Free(PrimitiveCone):
 
     def _critical(self, p):
         return Free(self.dim)
-
-    def _ri_normal(self, y, lam, tol):
-        return float(np.linalg.norm(lam)) <= tol.membership * _zscale(lam)
 
     def _dir_deriv(self, p, h):
         return h.copy()
@@ -329,21 +314,6 @@ class SOC(PrimitiveCone):
         if ycase == "bd":
             a = self._bd_normal(u)
             return Halfspace(a) if lam_zero else Hyperplane(a)
-        raise ValueError("point is not in the cone")
-
-    def _ri_normal(self, u, lu, tol):
-        case = self._classify(u, tol)
-        sc = _zscale(lu)
-        if case == "int":
-            return float(np.linalg.norm(lu)) <= tol.membership * sc
-        if case == "apex":
-            return -lu[0] - float(np.linalg.norm(lu[1:])) > tol.zero * sc
-        if case == "bd":
-            a = self._bd_normal(u)
-            ah = a / np.linalg.norm(a)
-            t = float(ah @ lu)
-            on_ray = float(np.linalg.norm(lu - t * ah)) <= tol.membership * sc
-            return on_ray and t > tol.zero * sc
         raise ValueError("point is not in the cone")
 
     def _dir_deriv(self, p, hu):
@@ -454,14 +424,6 @@ class PSD(PrimitiveCone):
                  (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
         return PSDBlockSet(U, [alpha, beta, gamma], codes)
 
-    def _ri_normal(self, y, lam, tol):
-        def rank(A):
-            w = np.linalg.eigvalsh(A)
-            sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
-            return int(np.sum(np.abs(w) > sc))
-
-        return rank(smat(y)) + rank(smat(lam)) == self.order
-
     def _dir_deriv(self, p, h):
         _, U, _, beta, _ = p.eig
         W = U.T @ smat(h) @ U
@@ -504,22 +466,16 @@ class ConeDesc(ProductSet):
         return np.concatenate([np.asarray(p, float).ravel() for p in parts]) \
             if parts else np.zeros(0)
 
-    def _parts(self, *vs):
-        """The blocks, each zipped with its part of every vector in vs."""
-        return zip(self.blocks, *map(self.split, vs))
-
     def project(self, z):
-        return self.join([b.project(p) for b, p in self._parts(z)])
+        return self.join([b.project(p)
+                          for b, p in zip(self.blocks, self.split(z))])
 
     def polar(self):
         return ConeDesc([b.polar() for b in self.blocks])
 
     def tangent_set(self, y, tol=DEFAULT_TOL):
-        return ProductSet([b.tangent_set(p, tol) for b, p in self._parts(y)])
-
-    def ri_normal(self, y, lam, tol=DEFAULT_TOL):
-        return all(b.ri_normal(py, pl, tol)
-                   for b, py, pl in self._parts(y, lam))
+        return ProductSet([b.tangent_set(p, tol)
+                           for b, p in zip(self.blocks, self.split(y))])
 
     # The methods below take a `ConePoint` p of K.
     def critical_set(self, p):
@@ -601,9 +557,3 @@ def normal_cone(K: ConeDesc, y: AmbientVec, tol: Tol = DEFAULT_TOL) -> ConvexSet
     _require_member(K, y, tol)
     return K.tangent_set(y, tol).polar()
 
-
-def ri_normal_contains(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
-                       tol: Tol = DEFAULT_TOL) -> bool:
-    if not normal_cone(K, y, tol).contains(lam, tol):
-        raise ValueError("multiplier is outside the normal cone")
-    return K.ri_normal(y, lam, tol)

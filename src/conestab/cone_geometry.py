@@ -22,11 +22,11 @@ from ._sets import (
     Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Hyperplane,
     Intersection, Subspace, dykstra,
 )
-from .cone_core import ConeDesc, AmbientVec
+from .cone_core import ConeDesc, AmbientVec, normal_cone
 from .proj_deriv import GraphPoint
 
 __all__ = [
-    "Certificate", "critical_cone", "tangent_of_normal",
+    "Certificate", "critical_cone", "tangent_of_normal", "ri_normal_contains",
     "normal_of_critical", "subspace_cone_trivial", "radial_probe",
 ]
 
@@ -42,6 +42,16 @@ def tangent_of_normal(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
     """Tangent cone to the normal cone N_K(y) at lam, realized as the
     polar of the critical cone."""
     return GraphPoint(K, y, lam, tol).critical_polar
+
+
+def ri_normal_contains(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
+                       tol: Tol = DEFAULT_TOL) -> bool:
+    """Whether lam is in ri N_K(y), that is whether the critical cone at
+    (y, lam) is a subspace; ValueError when lam is not in N_K(y)."""
+    y, lam = np.asarray(y, float), np.asarray(lam, float)
+    if not normal_cone(K, y, tol).contains(lam, tol):
+        raise ValueError("multiplier is outside the normal cone")
+    return GraphPoint.of_pair(K, y, lam, tol).critical_is_subspace
 
 
 def normal_of_critical(C: ConvexSet, d: AmbientVec,

@@ -449,7 +449,7 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
     """Surjectivity of g'(x) onto Y modulo the lineality space of
     T_K(g(x)): rank of the stacked matrix [J  Lin] equals dim Y."""
     J, Lin, tol = point.J, point.lineality, point.tol
-    stacked = np.hstack([J, Lin]) if Lin.size else J
+    stacked = np.hstack([J, Lin])
     s = np.linalg.svd(stacked, compute_uv=False)
     cut = tol.zero * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cut))
@@ -459,7 +459,7 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
     ker = _null_basis(J.T, tol)
     if ker.shape[1] == 0:
         kres = np.inf
-    elif Lin.size == 0 or Lin.shape[1] == 0:
+    elif Lin.shape[1] == 0:
         kres = 0.0
     else:
         q, _ = np.linalg.qr(Lin)
@@ -470,7 +470,7 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
     return Certificate(
         "holds" if holds else "fails",
         float(m - rank),
-        None if holds else _null_basis(stacked.T, tol)[:, :1].ravel() if rank < m else None,
+        None if holds else _null_basis(stacked.T, tol)[:, :1].ravel(),
         "rank of [Jacobian | tangent-lineality] against dim Y",
         tol, details={"rank": rank, "dim_y": m,
                       "kernel_projection_sigma_min": kres})
@@ -480,7 +480,8 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
     """Existence of a relative-interior multiplier for the (x, v) of the
     multiplier search `res` (run with uniqueness), in three steps.
 
-    1. The found multiplier lam is in ri N_K(g(x)): holds, witness lam.
+    1. The found multiplier lam is in ri N_K(g(x)), that is the critical
+       cone at (g(x), lam) is a subspace: holds, witness lam.
     2. Else, if srcq holds, lam is unique: fails, witness lam, with the
        srcq certificate in the details.
     3. Else by the alternative (Rockafellar, Convex Analysis, Thm 11.2):
@@ -499,7 +500,7 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
         raise ValueError("strict complementarity needs a multiplier search "
                          "run with uniqueness")
     pair, tol = res.pair, res.pair.tol
-    if pair.sys.cone.ri_normal(pair.gx, pair.lam, tol):
+    if pair.graph_point.critical_is_subspace:
         cert = Certificate("holds", 0.0, pair.lam, "relative-interior test "
                            f"of the multiplier of the {res.route}", tol)
     elif res.srcq.verdict == "holds":

@@ -78,7 +78,10 @@ def parse_cone(obj) -> ConeDesc:
             raise SchemaError(f"cone.product[{i}]: unknown kind {kind!r}")
         cls, key = _KINDS[kind]
         try:
-            size = int(spec[key])
+            size = spec[key]
+            if type(size) is not int or size < 1:  # a bool is not an int
+                raise ValueError(f"{key} must be an integer >= 1, got "
+                                 f"{size!r}")
             blocks.append(cls(size, spec.get("sign", "plus")) if cls.signed
                           else cls(size))
         except (KeyError, TypeError, ValueError) as exc:

@@ -33,8 +33,9 @@ class GraphPoint(ConePoint):
     The constructor is the one place that checks a graph pair; `of_pair`
     wraps a pair its caller has already verified and `from_z` splits z
     through Pi_K.  The blocks' data (`ConePoint`), the critical cone of K
-    at (y, lam) (`critical`) and its polar, the tangent cone to N_K(y) at
-    lam (`critical_polar`), are built on first use.
+    at (y, lam) (`critical`), its polar, the tangent cone to N_K(y) at
+    lam (`critical_polar`), and whether lam is in ri N_K(y)
+    (`critical_is_subspace`) are built on first use.
     """
 
     def __init__(self, cone: ConeDesc, y, lam, tol: Tol = DEFAULT_TOL):
@@ -63,6 +64,17 @@ class GraphPoint(ConePoint):
     @cached_property
     def critical_polar(self):
         return self.critical.polar()
+
+    @cached_property
+    def critical_is_subspace(self):
+        """Whether the critical cone C is a subspace, that is whether lam
+        is in ri N_K(y) = ri T_K(y)°: C is the face of T_K(y) that lam
+        exposes, and lam is in ri N_K(y) exactly when that face is
+        lin T_K(y) (Rockafellar, Convex Analysis, Sections 6 and 14).  C
+        is a subspace exactly when dim lin C + dim lin C° = dim K."""
+        k = self.critical.lineality_basis().shape[1]
+        k_polar = self.critical_polar.lineality_basis().shape[1]
+        return k + k_polar == self.cone.dim
 
     @classmethod
     def from_z(cls, cone: ConeDesc, z: AmbientVec, tol: Tol = DEFAULT_TOL):

@@ -177,11 +177,16 @@ def example41_problem() -> GEProblem:
 
 def _kronecker_unit(dim, count, seed):
     """Low-discrepancy points on the unit sphere: Kronecker lattice in the
-    cube pushed through the Gaussian quantile and normalized."""
+    cube, with the square roots of the first `dim` primes as its
+    frequencies, pushed through the Gaussian quantile and normalized."""
     from scipy.special import ndtri
 
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    alpha = np.sqrt(primes[:dim])
+    primes, k = [], 2
+    while len(primes) < dim:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    alpha = np.sqrt(primes)
     alpha -= np.floor(alpha)
     shift = 0.5 + 0.61803398875 * seed
     u = np.mod(shift + np.arange(1, count + 1)[:, None] * alpha, 1.0)
@@ -394,14 +399,6 @@ def _critical_span_basis(pair):
     return _null_basis(Lp.T @ pair.J, pair.tol)
 
 
-def _critical_is_subspace(pair):
-    """Whether the critical cone C is a subspace: dim lin C + dim lin C°
-    is the cone dimension exactly when lin C = span C."""
-    k = pair.critical.lineality_basis().shape[1]
-    k_polar = pair.critical_polar.lineality_basis().shape[1]
-    return k + k_polar == pair.sys.cone.dim
-
-
 def _subspace_decision(problem, pair, srcq, A, B, assumptions, checked):
     """The inclusion when C is a subspace.  Then N_C(J d) = C^perp, and the
     orthogonal complement of span B = {d : J d in C} is J^T C^perp, so
@@ -536,7 +533,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
                            "critical directions", tol,
                            assumptions=assumptions, checked=checked,
                            details=details)
-    if _critical_is_subspace(pair):
+    if pair.graph_point.critical_is_subspace:
         cert = _subspace_decision(problem, pair, srcq, A, B, assumptions,
                                   checked)
         if cert is not None:

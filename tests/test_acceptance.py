@@ -11,7 +11,10 @@ import pytest
 
 from conestab._sets import Tol, DEFAULT_TOL, SignPattern
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free, normal_cone
-from conestab.cone_geometry import radial_probe, subspace_cone_trivial
+from conestab.cli import EXAMPLE1_NORMAL_TABLE
+from conestab.cone_geometry import (
+    radial_probe, ri_normal_contains, subspace_cone_trivial,
+)
 from conestab.constraint_system import (
     affine_system, example1_system, example3_system, section32_system,
     BasePoint, multiplier_solve, multiplier_verify, srcq_check, nondegeneracy_check,
@@ -46,15 +49,8 @@ def test_criterion_1_example1_regression():
     # the normal cone at the apex is the negative-semidefinite matrices
     # times the nonpositive reals
     N = normal_cone(sys.cone, sys.g(XBAR1))
-    table = [
-        (np.concatenate([svec(-np.eye(2)), [-1.0]]), True),
-        (np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]]), True),
-        (np.concatenate([svec(np.eye(2)), [-1.0]]), False),
-        (np.concatenate([svec(np.zeros((2, 2))), [1.0]]), False),
-        (np.concatenate([svec(np.array([[0.0, 1.0], [1.0, 0.0]])), [0.0]]),
-         False),
-    ]
-    ok = ok and all(bool(N.contains(z)) == expect for z, expect in table)
+    ok = ok and all(bool(N.contains(z)) == expect
+                    for z, expect in EXAMPLE1_NORMAL_TABLE)
     elapsed = time.perf_counter() - t0
     _report(1, "example1: strict complementarity fails + normal-cone "
                f"membership table ({elapsed:.2f}s < 1s)", ok and elapsed < 1.0)
@@ -109,7 +105,7 @@ def test_criterion_3_example3_regression():
     # the split (0; diag(-1,0)) is itself a relative-interior multiplier
     lam_named = np.concatenate([np.zeros(3), vbar])
     ok = ok and multiplier_verify(point, vbar, lam_named)
-    ok = ok and sys.cone.ri_normal(sys.g(xbar), lam_named)
+    ok = ok and ri_normal_contains(sys.cone, sys.g(xbar), lam_named)
     ok = ok and len(mres.members) > 1
     ok = ok and all(multiplier_verify(point, vbar, m)
                     for m in mres.members[:2])

@@ -145,6 +145,17 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_analyze_negative_block_size_exits_2(tmp_path, capsys):
+    problem = _write(tmp_path / "p.json", {
+        "cone": {"product": [{"orthant": {"dim": -1}}]},
+        "mapping": {"affine": {"A": [[1.0]], "b": [0.0]}}})
+    point = _write(tmp_path / "pt.json", {"x": [0.0]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert "input error: cone.product[0].orthant: dim must be an integer " \
+        ">= 1, got -1" in err and "Traceback" not in err
+
+
 def test_gderiv_member_and_gate_reason(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     member = _write(tmp_path / "pair.json", {

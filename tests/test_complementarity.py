@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from conestab import constraint_system
-from conestab.cone_core import ConeDesc, Orthant, PSD
+from conestab._sets import DEFAULT_TOL
+from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from conestab.constraint_system import (
     BasePoint, affine_system, example1_system, example3_system,
     multiplier_solve, multiplier_verify, strict_complementarity_check)
+from conestab.proj_deriv import GraphPoint
 from conestab.symmat import smat, svec
+from test_cones import _pairs
 from test_stability import _permuted
 from test_tooling import _old_strict_complementarity
 
@@ -32,7 +35,8 @@ def _ri_normal_ref(cone, y, lam, cut=1e-7):
     N_K(y) = K° ∩ y^perp of K° has lam in its relative interior when
     lam is as far from 0 as the face allows (PSD: rank Y + rank Lambda
     = n; SOC: lam nonzero on a boundary ray, interior of -K at the apex,
-    0 at an interior y; orthant: lam_i < 0 where y_i = 0)."""
+    0 at an interior y; orthant: lam_i < 0 where y_i = 0; free: lam =
+    0)."""
     for b, sl in zip(cone.blocks, cone.slices):
         s = b.sign if b.signed else 1
         yb, lb = s * y[sl], s * lam[sl]
@@ -52,11 +56,33 @@ def _ri_normal_ref(cone, y, lam, cut=1e-7):
             ok = bool(np.all(lb[np.abs(yb) <= cut] < -scale))
         elif kind == "Zero":
             ok = True
+        elif kind == "Free":
+            ok = np.linalg.norm(lb) <= scale
         else:
             raise AssertionError(f"no reference for {kind}")
         if not ok:
             return False
     return True
+
+
+_PRIMITIVES = [Orthant(3), Orthant(3, "minus"), SOC(4), SOC(4, "minus"),
+               PSD(3), PSD(3, "minus"), Zero(3), Free(3)]
+
+
+@pytest.mark.parametrize("cone", [ConeDesc([b]) for b in _PRIMITIVES]
+                         + [ConeDesc(_PRIMITIVES)], ids=repr)
+def test_critical_is_subspace_is_ri_normal(cone):
+    # lam in ri N_K(y) exactly when the critical cone at (y, lam) is a
+    # subspace, on Moreau pairs and their faces with lam = 0 or y = 0
+    rng = np.random.default_rng(41)
+    seen = set()
+    for y, lam in _pairs(cone, rng, 30):
+        gp = GraphPoint.of_pair(cone, y, lam, DEFAULT_TOL)
+        assert gp.critical_is_subspace == _ri_normal_ref(cone, y, lam)
+        seen.add(gp.critical_is_subspace)
+    # a subspace's normal cone is itself a subspace
+    signed = any(b.signed for b in cone.blocks)
+    assert seen == ({True, False} if signed else {True})
 
 
 def _pointed_projector(point):

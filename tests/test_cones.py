@@ -4,10 +4,11 @@ import pytest
 from conestab._sets import DEFAULT_TOL, Halfspace, PSDBlockSet, SignPattern
 from conestab.cone_core import (
     ConeDesc, ConePoint, Orthant, SOC, PSD, Zero, Free,
-    project, contains, tangent_cone, normal_cone, ri_normal_contains,
+    project, contains, tangent_cone, normal_cone,
 )
+from conestab.cone_geometry import ri_normal_contains
 from conestab.jsonio import emit_cone, parse_cone
-from conestab.proj_deriv import proj_dir_deriv
+from conestab.proj_deriv import GraphPoint, proj_dir_deriv
 from conestab.symmat import smat, svec
 
 CONES = {
@@ -247,7 +248,8 @@ def _pairs(K, rng, count):
 @pytest.mark.parametrize("kind,size", [(Orthant, 3), (SOC, 4), (PSD, 3)])
 def test_minus_primitive_is_the_negated_plus_primitive(kind, size):
     # (-K).critical_set(y, lam) = -K.critical_set(-y, -lam), and the same
-    # mirror for the tangent cone, the projection derivative and Upsilon
+    # mirror for the tangent cone, the projection derivative, Upsilon and
+    # whether the critical cone is a subspace
     tol = DEFAULT_TOL
     plus, minus = kind(size, "plus"), kind(size, "minus")
     rng = np.random.default_rng(11)
@@ -255,7 +257,9 @@ def test_minus_primitive_is_the_negated_plus_primitive(kind, size):
         p, pp = _point(minus, y, lam, tol), _point(plus, -y, -lam, tol)
         C, Cp = minus.critical_set(p), plus.critical_set(pp)
         T, Tp = minus.tangent_set(y, tol), plus.tangent_set(-y, tol)
-        assert minus.ri_normal(y, lam, tol) == plus.ri_normal(-y, -lam, tol)
+        gp = GraphPoint.of_pair(ConeDesc([minus]), y, lam, tol)
+        gpp = GraphPoint.of_pair(ConeDesc([plus]), -y, -lam, tol)
+        assert gp.critical_is_subspace == gpp.critical_is_subspace
         for _ in range(5):
             w = rng.standard_normal(minus.dim)
             assert np.allclose(C.project(w), -Cp.project(-w), atol=1e-12)

@@ -14,7 +14,7 @@ from conestab.stability import (
     kkt_isolated_calm, regular_normal_lower_generate,
     ngamma_tangent_generate, example41_problem, lp_kkt_data,
     direction_net, _kronecker_unit, _normal_to_critical_sample,
-    _net_witness_search, FX_ASSUMPTION,
+    _net_witness_search, FX_ASSUMPTION, NET_K_DEFAULT,
 )
 from conestab.symmat import svec
 
@@ -767,6 +767,17 @@ def test_direction_net_shape_and_determinism():
                                  [0, -1, 0], [0, 0, 1], [0, 0, -1]])
     assert np.allclose(net, direction_net(3, k=4, seed=0))
     assert not np.allclose(net, direction_net(3, k=4, seed=1))
+
+
+@pytest.mark.parametrize("dim", [13, 20])
+def test_direction_net_past_twelve_dimensions(dim):
+    # one prime per dimension, so the net exists past the twelfth prime
+    net = direction_net(dim)
+    assert net.shape == (2 ** NET_K_DEFAULT * (dim + 1), dim)
+    assert np.allclose(np.linalg.norm(net, axis=1), 1.0, atol=1e-12)
+    axes = np.repeat(np.eye(dim), 2, axis=0) \
+        * np.tile([1.0, -1.0], dim)[:, None]
+    assert np.array_equal(net[:2 * dim], axes)
 
 
 def _kronecker_unit_loop(dim, count, seed):

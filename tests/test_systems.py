@@ -400,6 +400,14 @@ def test_parse_cone_rejects_bad_input():
         parse_cone({"product": [{"orthant": {}}]})
     with pytest.raises(SchemaError):
         parse_cone({})
+    # a block size is a JSON integer >= 1, not a float, a bool or a
+    # negative count
+    for spec in ({"orthant": {"dim": 1.9}}, {"orthant": {"dim": True}},
+                 {"orthant": {"dim": -1}}, {"soc": {"dim": 0}},
+                 {"psd": {"order": 2.0}}, {"zero": {"dim": "2"}}):
+        with pytest.raises(SchemaError, match=r"cone\.product\[0\]\.\w+: "
+                           r"\w+ must be an integer >= 1"):
+            parse_cone({"product": [spec]})
 
 
 def test_parse_problem_builtin_and_affine():

@@ -442,12 +442,13 @@ def _old_strict_complementarity(sys, x, v):
     used to make, kept as a referee with its own search: Dykstra from the
     least-squares seed and from that seed moved each way along each
     adjoint-kernel direction.  Candidates are the distinct verified
-    members and their averages; "holds" when one is relative-interior,
-    "fails" when there is one member and srcq holds at it, else
+    members and their averages; "holds" when one is relative-interior
+    by the block-wise test `_ri_normal_ref`, "fails" when there is one member and srcq holds at it, else
     "inconclusive"."""
     from conestab import _sets
     from conestab.constraint_system import (
         BasePoint, BasePair, multiplier_verify, srcq_check)
+    from test_complementarity import _ri_normal_ref
 
     tol = _sets.DEFAULT_TOL
     point = BasePoint(sys, x)
@@ -470,7 +471,7 @@ def _old_strict_complementarity(sys, x, v):
     if len(members) > 1:
         candidates.append(np.mean(members, axis=0))
     if any(multiplier_verify(point, v, lam) and
-           sys.cone.ri_normal(point.gx, lam, tol) for lam in candidates):
+           _ri_normal_ref(sys.cone, point.gx, lam) for lam in candidates):
         return "holds"
     if len(members) == 1 and \
             srcq_check(BasePair(point, v, members[0])).verdict == "holds":
@@ -520,7 +521,7 @@ def test_analyze_reports_the_raw_srcq_beside_distinct_members(monkeypatch,
     # relative-interior multiplier, the stub's unique multiplier makes it
     # fail, carrying the stub
     from conestab import constraint_system
-    from conestab.cone_core import ConeDesc
+    from conestab.proj_deriv import GraphPoint
     from conestab._sets import Certificate
     from conestab.constraint_system import BasePoint, multiplier_solve
 
@@ -536,7 +537,8 @@ def test_analyze_reports_the_raw_srcq_beside_distinct_members(monkeypatch,
     got = {c["name"]: c for c in report["certificates"]}
     assert (got["srcq"]["verdict"], got["srcq"]["method"]) == ("holds", "stub")
     assert got["strict_complementarity"]["verdict"] == "holds"
-    monkeypatch.setattr(ConeDesc, "ri_normal", lambda *args: False)
+    monkeypatch.setattr(GraphPoint, "critical_is_subspace",
+                        property(lambda self: False))
     rc, report = analyze(problem, {"x": x, "v": v})
     got = {c["name"]: c for c in report["certificates"]}
     st = got["strict_complementarity"]
