@@ -8,12 +8,14 @@ branch enumeration when the data is polyhedral and affine, a
 second-order form definite on the span of the critical directions,
 carried with its basis and eigenvalue range, or, when the critical cone
 is a subspace, a nonsingular compression of that form, carried with its
-basis and smallest singular value.  A direction search can refute the
-universally quantified implication but never prove it, so everything
-else is inconclusive.
+basis and smallest singular value.  A "fails" carries a witness: a face
+point, the null vector of that compression, or a direction of
+W = {d : J d in lin C} solving the inclusion; all else is inconclusive.
 """
 
 from dataclasses import dataclass, field
+import itertools
+import math
 import numpy as np
 
 from ._sets import (Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace,
@@ -25,15 +27,14 @@ from .constraint_system import (
     ngamma_graph_deriv_contains, _null_basis,
 )
 
-NET_K_DEFAULT = 6
 WITNESS_CUT = 1e-6
+BRANCH_CAP = 4096  # branches enumerated at most; past it, the form decides
 
 __all__ = [
     "GEProblem", "PhiPoint", "SmoothFn", "SmoothMap",
     "phi_residual", "phi_subregularity_probe", "solution_map_isolated_calm",
     "kkt_isolated_calm", "regular_normal_lower_generate",
     "ngamma_tangent_generate", "example41_problem", "lp_kkt_data",
-    "direction_net",
 ]
 
 
@@ -173,41 +174,6 @@ def example41_problem() -> GEProblem:
 
 
 # ---------------------------------------------------------------------------
-# deterministic direction net
-
-def _kronecker_unit(dim, count, seed):
-    """Low-discrepancy points on the unit sphere: Kronecker lattice in the
-    cube, with the square roots of the first `dim` primes as its
-    frequencies, pushed through the Gaussian quantile and normalized."""
-    from scipy.special import ndtri
-
-    primes, k = [], 2
-    while len(primes) < dim:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    alpha = np.sqrt(primes)
-    alpha -= np.floor(alpha)
-    shift = 0.5 + 0.61803398875 * seed
-    u = np.mod(shift + np.arange(1, count + 1)[:, None] * alpha, 1.0)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    # row norms as sqrt(r @ r), the arithmetic of 1-D np.linalg.norm
-    n = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0]
-    return g / np.where(n > 0, n, 1.0)
-
-
-def direction_net(dim, k=NET_K_DEFAULT, seed=0):
-    """Deterministic unit-direction net of size 2^k (dim+1); the first
-    2 dim entries are the signed coordinate axes."""
-    total = (2 ** k) * (dim + 1)
-    axes = np.zeros((2 * dim, dim))
-    j = np.arange(dim)
-    axes[2 * j, j], axes[2 * j + 1, j] = 1.0, -1.0
-    rest = _kronecker_unit(dim, max(total - 2 * dim, 0), seed)
-    return np.vstack([axes, rest])[:total]
-
-
-# ---------------------------------------------------------------------------
 # polyhedral branch enumeration
 
 def _scalar_branches(C):
@@ -230,16 +196,6 @@ def _scalar_branches(C):
         else:
             opts.append([(c, SignPattern.ZERO), (SignPattern.ZERO, -c)])
     return opts
-
-
-def _enumerate_branches(options, cap=4096):
-    import itertools
-    import math
-
-    total = math.prod(len(o) for o in options)
-    if total > cap:
-        raise ValueError(f"branch count {total} exceeds cap {cap}")
-    return itertools.product(*options)
 
 
 def _branch_lp_max(J, M, branch):
@@ -334,15 +290,16 @@ def _branch_lp_max(J, M, branch):
     return res, float(vals[k]), res.x[k * nv:k * nv + n]
 
 
-def _polyhedral_route(problem, pair):
+def _polyhedral_route(problem, pair, options):
+    """Exact enumeration of the branch faces `options`, one
+    `_branch_lp_max` each, until a face holds a d above WITNESS_CUT."""
     J, tol = pair.J, pair.tol
     M = problem.Fx + pair.hess
-    options = _scalar_branches(pair.critical)
 
     method = "exact branch enumeration over polyhedral graph-tangent faces"
     best = 0.0
     witness = None
-    for index, branch in enumerate(_enumerate_branches(options)):
+    for index, branch in enumerate(itertools.product(*options)):
         res, val, d = _branch_lp_max(J, M, branch)
         if val is None:
             # an unsolved face is a face not searched: no verdict
@@ -436,9 +393,8 @@ def _subspace_decision(problem, pair, srcq, A, B, assumptions, checked):
 def _lineality_directions(pair):
     """Plus and minus each column of an orthonormal basis of
     W = {d : J d in lin C}, the kernel of J first.  Every direction of W
-    passes the critical-cone gate, where a net over the whole sphere can
-    miss a thin critical set altogether; a coordinate that enters neither
-    g nor F lies in the kernel of J."""
+    passes the critical-cone gate, however thin C is; a coordinate that
+    enters neither g nor F lies in the kernel of J."""
     J, tol = pair.J, pair.tol
     ker = _null_basis(J, tol)
     Q = Subspace(pair.critical.lineality_basis()).Q
@@ -448,21 +404,17 @@ def _lineality_directions(pair):
     return np.stack([W, -W], axis=1).reshape(-1, J.shape[1])
 
 
-def _net_witness_search(problem, pair, srcq, net_k=NET_K_DEFAULT):
+def _lineality_witness_search(problem, pair, srcq):
     """Search for a nonzero solution d of the linearized inclusion
-    -F'((pbar, xbar); (0, d)) in DN_Gamma(xbar|vbar)(d): plus and minus
-    each basis direction of W = {d : J d in lin C} (kernel of J first),
-    then the deterministic direction net of size 2^net_k (n + 1).  A
-    direction that `ngamma_graph_deriv_contains` accepts is a `fails`
-    witness.  Finding none proves nothing, so the answer is then
-    `inconclusive`."""
+    -F'((pbar, xbar); (0, d)) in DN_Gamma(xbar|vbar)(d) over
+    `_lineality_directions`.  A direction that
+    `ngamma_graph_deriv_contains` accepts is a `fails` witness.  Finding
+    none proves nothing, so the answer is then `inconclusive`."""
     tol = pair.tol
-    lin = _lineality_directions(pair)
-    net = direction_net(pair.sys.dim_x, net_k)
-    details = {"net_size": len(net), "lineality_directions": len(lin)}
+    dirs = _lineality_directions(pair)
+    details = {"lineality_directions": len(dirs)}
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     base, zero_p = (problem.pbar, problem.xbar), np.zeros_like(problem.pbar)
-    dirs = np.vstack([lin, net])
     for i, d in enumerate(dirs):
         w = -np.asarray(problem.Fprime(base, (zero_p, d)), float)
         cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
@@ -475,14 +427,14 @@ def _net_witness_search(problem, pair, srcq, net_k=NET_K_DEFAULT):
                 checked=checked, details=details)
     details["directions"] = len(dirs)
     return Certificate("inconclusive", 0.0, None,
-                       "no witness found by the lineality and net search",
+                       "no witness found by the lineality search",
                        tol, assumptions=(SUBREG_ASSUMPTION,), checked=checked,
                        details=details)
 
 
 def solution_map_isolated_calm(problem: GEProblem, lam,
                                tol: Tol = DEFAULT_TOL,
-                               net_k=NET_K_DEFAULT) -> Certificate:
+                               net_k=None) -> Certificate:
     """Isolated calmness of the solution map at pbar for xbar, for the
     verified multiplier lam.
 
@@ -490,7 +442,9 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     -F'((pbar,xbar);(0,dx)) - Hess dx in the adjoint image of the
     cone-level graphical derivative at g'(xbar)dx must vanish.  Under the
     multiplier-uniqueness qualification, exact polyhedral enumeration is
-    used when the data allows it.  Otherwise such a d has A d = J^T xi
+    used when the data allows it and there are at most BRANCH_CAP
+    branches (past it, details `branches` and `branch_cap` record the
+    count and the cap).  Otherwise such a d has A d = J^T xi
     with A = -F_x - Hess - J^T U J / 2 and xi in N_C(J d), which is
     orthogonal to J d, so <d, A d> = 0; the answer is `holds` when
     S = sym(A) is definite on span B, B an orthonormal basis of
@@ -499,8 +453,12 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     sqrt(tol.membership) (1 + ||B^T S B||)).  When S is not definite
     there and C is a subspace, `_subspace_decision` decides by the
     singular values of B^T A B.  Otherwise, or when those are too close
-    to call, `_net_witness_search` looks for a nonzero solution
+    to call, `_lineality_witness_search` looks for a nonzero solution
     (`fails`); finding none is `inconclusive`.
+
+    `net_k` is accepted and ignored: the calm-net benchmark workload
+    (bench/workloads.py) still passes it, and a later change to the
+    benchmark removes it.
     """
     sys = problem.sys
     pair = BasePair(problem.base_point(tol), problem.vbar, lam)
@@ -512,10 +470,15 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
                            "qualification did not certify)", tol,
                            assumptions=(SUBREG_ASSUMPTION,), checked=checked)
 
+    details = {}
     if sys.cone.is_polyhedral and sys.is_affine and problem.Fx is not None:
-        cert = _polyhedral_route(problem, pair)
-        cert.checked = cert.checked + checked
-        return cert
+        options = _scalar_branches(pair.critical)
+        branches = math.prod(len(o) for o in options)
+        if branches <= BRANCH_CAP:
+            cert = _polyhedral_route(problem, pair, options)
+            cert.checked = cert.checked + checked
+            return cert
+        details = {"branches": branches, "branch_cap": BRANCH_CAP}
 
     A, assumptions = _second_order_form(problem, pair)
     S = 0.5 * (A + A.T)
@@ -525,8 +488,8 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     lo, hi = eig.min(initial=np.inf), eig.max(initial=-np.inf)
     threshold = float(np.sqrt(tol.membership)
                       * (1.0 + np.abs(eig).max(initial=0.0)))
-    details = {"basis": B, "lambda_min": float(lo), "lambda_max": float(hi),
-               "threshold": threshold}
+    details.update(basis=B, lambda_min=float(lo), lambda_max=float(hi),
+                   threshold=threshold)
     if lo > threshold or hi < -threshold:
         return Certificate("holds", max(float(lo), -float(hi)), None,
                            "second-order form definite on the span of the "
@@ -539,7 +502,7 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
         if cert is not None:
             cert.details.update(details)
             return cert
-    cert = _net_witness_search(problem, pair, srcq, net_k)
+    cert = _lineality_witness_search(problem, pair, srcq)
     cert.details.update(details)
     return cert
 
@@ -567,8 +530,7 @@ class SmoothMap:
 
 
 def kkt_isolated_calm(f: SmoothFn, G: SmoothMap, mult_cone: ConeDesc,
-                      zbar, lbar, tol: Tol = DEFAULT_TOL,
-                      net_k=NET_K_DEFAULT) -> Certificate:
+                      zbar, lbar, tol: Tol = DEFAULT_TOL) -> Certificate:
     """Isolated calmness of the canonically perturbed KKT solution map at
     the pair (zbar, lbar): primal variable z, multiplier lbar in the
     dual-side cone `mult_cone`, perturbations (a, b) entering the
@@ -612,7 +574,7 @@ def kkt_isolated_calm(f: SmoothFn, G: SmoothMap, mult_cone: ConeDesc,
     vbar = -F(pbar, xbar)
     problem = GEProblem(sys_ge, F, Fprime, pbar=pbar, xbar=xbar, Fx=Fx,
                         name="kkt_wrapper", lam_hint=vbar, tol=tol)
-    return solution_map_isolated_calm(problem, vbar, tol, net_k)
+    return solution_map_isolated_calm(problem, vbar, tol)
 
 
 def lp_kkt_data(kind="nondegenerate"):

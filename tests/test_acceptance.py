@@ -313,8 +313,8 @@ def _check_fails_certificate(pair, d, w, cert):
     return 1
 
 
-def test_ngamma_fails_only_at_gate_or_with_certificate(monkeypatch):
-    import conestab.stability as stability
+def test_ngamma_fails_only_at_gate_or_with_certificate():
+    from test_stability import _axes_then_gaussian, _inclusion_pairs
 
     pair, pairs = _criterion_9_pairs()
     certified = gated = 0
@@ -326,31 +326,24 @@ def test_ngamma_fails_only_at_gate_or_with_certificate(monkeypatch):
             gated += n == 0
     assert certified == 12 and gated == 13
 
-    seen = []
-    real = stability.ngamma_graph_deriv_contains
-
-    def spy(pair, d, w, srcq=None):
-        cert = real(pair, d, w, srcq=srcq)
-        seen.append((pair, d, w, cert))
-        return cert
-
-    monkeypatch.setattr(stability, "ngamma_graph_deriv_contains", spy)
     problem = example41_problem()
-    base41 = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
+    pair41 = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
                       problem.lam_hint)
-    search = stability._net_witness_search(problem, base41,
-                                           srcq_check(base41))
-    assert search.verdict == "inconclusive"
-    # the definiteness certificate decides before any net direction
-    assert solution_map_isolated_calm(problem, problem.lam_hint).verdict \
-        == "holds"
-    assert len(seen) == 256
-    for pair41, d, w, cert in seen:
+    srcq = srcq_check(pair41)
+    stalls = []
+    for i, (d, w) in enumerate(_inclusion_pairs(
+            problem, _axes_then_gaussian(3, 256))):
+        cert = ngamma_graph_deriv_contains(pair41, d, w, srcq=srcq)
         if cert.verdict == "fails":
             _check_fails_certificate(pair41, d, w, cert)
-    # the two gate-passing directions stall without a certificate, so the
-    # search finds no witness
-    assert sum(cert.verdict == "inconclusive" for *_, cert in seen) == 2
+        else:
+            stalls.append((i, cert.verdict))
+    # the definiteness certificate decides without a direction search
+    assert solution_map_isolated_calm(problem, problem.lam_hint).verdict \
+        == "holds"
+    # the two gate-passing directions, the axes e_1 and e_2, stall without
+    # a certificate, so no direction is a witness
+    assert stalls == [(0, "inconclusive"), (2, "inconclusive")]
 
 
 def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):

@@ -13,8 +13,7 @@ from conestab.stability import (
     phi_residual, phi_subregularity_probe, solution_map_isolated_calm,
     kkt_isolated_calm, regular_normal_lower_generate,
     ngamma_tangent_generate, example41_problem, lp_kkt_data,
-    direction_net, _kronecker_unit, _normal_to_critical_sample,
-    _net_witness_search, FX_ASSUMPTION, NET_K_DEFAULT,
+    _normal_to_critical_sample, _lineality_witness_search, FX_ASSUMPTION,
 )
 from conestab.symmat import svec
 
@@ -168,16 +167,34 @@ def _pair_and_srcq(problem, lam, tol=DEFAULT_TOL):
     return pair, srcq_check(pair)
 
 
+def _axes_then_gaussian(dim, count, seed=0):
+    """`count` unit directions in R^dim: the 2 dim signed coordinate axes,
+    then seeded Gaussian directions."""
+    axes = np.repeat(np.eye(dim), 2, axis=0) \
+        * np.tile([1.0, -1.0], dim)[:, None]
+    g = np.random.default_rng(seed).standard_normal((count - 2 * dim, dim))
+    return np.vstack([axes, g / np.linalg.norm(g, axis=1, keepdims=True)])
+
+
+def _inclusion_pairs(problem, dirs):
+    """(d, w) with w = -F'((pbar, xbar); (0, d)) for each direction d: d
+    solves the linearized inclusion when (d, w) is in the graphical
+    derivative of N_Gamma."""
+    base, zero_p = (problem.pbar, problem.xbar), np.zeros_like(problem.pbar)
+    return [(d, -np.asarray(problem.Fprime(base, (zero_p, d)), float))
+            for d in dirs]
+
+
 def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
     # a critical d with d = mu, mu in N_C(d) has |d|^2 = <d, mu> = 0, so
     # the solution map is isolated calm (S = I certifies it) and every
-    # gate-passing net direction has an empty fiber, certified from the
+    # gate-passing direction has an empty fiber, certified from the
     # first cycle's increments
     import conestab.constraint_system as cs
 
     problem = _apex_problem(SOC(3))
-    assert solution_map_isolated_calm(problem, np.zeros(3),
-                                      net_k=3).verdict == "holds"
+    assert solution_map_isolated_calm(problem, np.zeros(3)).verdict == \
+        "holds"
     pair, srcq = _pair_and_srcq(problem, np.zeros(3))
     infos = []
     real = cs.dykstra
@@ -188,13 +205,24 @@ def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
         return z, info
 
     monkeypatch.setattr(cs, "dykstra", counting)
-    search = _net_witness_search(problem, pair, srcq, net_k=3)
-    assert search.verdict == "inconclusive"
-    assert search.details["directions"] == search.details["net_size"]
+    for d, w in _inclusion_pairs(problem, _axes_then_gaussian(3, 32)):
+        assert ngamma_graph_deriv_contains(pair, d, w, srcq=srcq).verdict \
+            == "fails"
     assert infos
     for info in infos:
         assert info.converged or (info.farkas is not None
                                   and info.cycles <= 2)
+
+
+def test_soc_apex_search_tries_only_lineality_directions():
+    # C = SOC(3) has lin C = {0} and J = I has kernel {0}: the search has
+    # no direction to try
+    problem = _apex_problem(SOC(3))
+    search = _lineality_witness_search(
+        problem, *_pair_and_srcq(problem, np.zeros(3)))
+    assert search.verdict == "inconclusive"
+    assert search.method == "no witness found by the lineality search"
+    assert search.details == {"lineality_directions": 0, "directions": 0}
 
 
 def test_example41_holds_and_is_tolerance_stable():
@@ -206,9 +234,10 @@ def test_example41_holds_and_is_tolerance_stable():
         cert = solution_map_isolated_calm(problem, lam, tol)
         assert cert.verdict == "holds"
         assert cert.details["lambda_min"] > cert.details["threshold"]
-        # the net finds no solution of the inclusion at either tolerance
-        search = _net_witness_search(problem, *_pair_and_srcq(problem, lam,
-                                                               tol))
+        # the lineality search finds no solution of the inclusion at
+        # either tolerance
+        search = _lineality_witness_search(
+            problem, *_pair_and_srcq(problem, lam, tol))
         assert search.verdict == "inconclusive"
 
 
@@ -216,10 +245,62 @@ def test_example41_holds_under_denser_net():
     problem = example41_problem()
     cert = solution_map_isolated_calm(problem, problem.lam_hint, net_k=7)
     assert cert.verdict == "holds"
-    search = _net_witness_search(
-        problem, *_pair_and_srcq(problem, problem.lam_hint), net_k=7)
-    assert search.verdict == "inconclusive"
-    assert search.details["net_size"] == 2 ** 7 * 4
+
+
+def _idle_coordinate_problem():
+    # g(x) = x[:3] in SOC(3) at its apex, lam = 0 and
+    # F(p, x) = -p - (x_0, x_1, x_2, 0): x_3 enters neither g nor F, so
+    # e_3 solves the inclusion at p = 0
+    sys = affine_system(ConeDesc([SOC(3)]), np.eye(3, 4), np.zeros(3))
+    mask = np.array([1.0, 1.0, 1.0, 0.0])
+    return GEProblem(sys, F=lambda p, x: -np.asarray(p) - mask * x,
+                     Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                     - mask * np.asarray(dirn[1]),
+                     pbar=np.zeros(4), xbar=np.zeros(4))
+
+
+def test_idle_coordinate_fails_within_the_lineality_directions():
+    problem = _idle_coordinate_problem()
+    cert = solution_map_isolated_calm(problem, np.zeros(3))
+    assert cert.verdict == "fails"
+    assert cert.method == "witness search exhibited a nonzero solution " \
+        "of the inclusion"
+    assert 1 <= cert.details["directions"] <= \
+        cert.details["lineality_directions"]
+    assert np.allclose(np.abs(cert.witness), [0.0, 0.0, 0.0, 1.0])
+
+
+def test_net_k_keyword_is_ignored():
+    import json
+
+    ex41 = example41_problem()
+    for problem, lam in ((_idle_coordinate_problem(), np.zeros(3)),
+                         (ex41, ex41.lam_hint),
+                         (_apex_problem(SOC(3)), np.zeros(3))):
+        plain = solution_map_isolated_calm(problem, lam)
+        for net_k in (3, 7):
+            assert json.dumps(solution_map_isolated_calm(
+                problem, lam, net_k=net_k).to_json()) == \
+                json.dumps(plain.to_json())
+
+
+def test_polyhedral_problem_past_the_branch_cap_is_decided():
+    # R^13_+ at its apex with lam = 0 has 2^13 branches, past BRANCH_CAP:
+    # the second-order route decides, and S = I is definite
+    from conestab.stability import BRANCH_CAP
+
+    sys = affine_system(ConeDesc([Orthant(13, "plus")]), np.eye(13),
+                        np.zeros(13))
+    problem = GEProblem(sys, F=lambda p, x: -np.asarray(p) - np.asarray(x),
+                        Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                        - np.asarray(dirn[1]),
+                        pbar=np.zeros(13), xbar=np.zeros(13), Fx=-np.eye(13))
+    cert = solution_map_isolated_calm(problem, np.zeros(13))
+    assert cert.verdict == "holds"
+    assert "definite" in cert.method
+    assert cert.details["branches"] == 2 ** 13 > BRANCH_CAP
+    assert cert.details["branch_cap"] == BRANCH_CAP
+    assert cert.details["lambda_min"] == 1.0
 
 
 @pytest.mark.parametrize("a", [np.array([1.0, 1.0]),
@@ -580,7 +661,8 @@ def _face_paths(monkeypatch):
 
 
 def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
-    from conestab.stability import _polyhedral_route, WITNESS_CUT
+    from conestab.stability import (_polyhedral_route, _scalar_branches,
+                                    WITNESS_CUT)
 
     paths = _face_paths(monkeypatch)
     verdicts = []
@@ -588,7 +670,8 @@ def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
         problem, lam, tags = _scalar_ge_draw(seed)
         pair = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
                         lam)
-        cert = _polyhedral_route(problem, pair)
+        cert = _polyhedral_route(problem, pair,
+                                 _scalar_branches(pair.critical))
         best = _referee_branch_max(problem, tags, WITNESS_CUT)
         assert cert.verdict == ("fails" if best > WITNESS_CUT else "holds")
         assert cert.residual == pytest.approx(best, abs=1e-9), seed
@@ -610,7 +693,7 @@ def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
 def test_line_faces_are_mirror_invariant(monkeypatch):
     # K -> -K with (A, b) -> (-A, -b) and lam -> -lam maps each branch
     # face onto a face with mu -> -mu, so each line face keeps its value
-    from conestab.stability import _polyhedral_route
+    from conestab.stability import _polyhedral_route, _scalar_branches
 
     paths = _face_paths(monkeypatch)
     lines = 0
@@ -621,7 +704,8 @@ def test_line_faces_are_mirror_invariant(monkeypatch):
         for sys, sign in ((problem.sys, 1.0), (_mirror(problem.sys), -1.0)):
             pair = BasePair(BasePoint(sys, problem.xbar), problem.vbar,
                             sign * lam)
-            certs.append(_polyhedral_route(problem, pair))
+            certs.append(_polyhedral_route(problem, pair,
+                                           _scalar_branches(pair.critical)))
         half = len(paths) // 2
         if not any(not lp and val > 0 for lp, val in paths[:half]):
             continue
@@ -753,66 +837,6 @@ def test_branch_line_faces_in_closed_form(monkeypatch):
     J = np.array([[1.0, 0.0], [1.0, 1e-8]])
     res, val, d = _branch_lp_max(J, M, [(FREE, ZERO), (NONNEG, ZERO)])
     assert calls == [1] and res.success and val == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# direction net
-
-def test_direction_net_shape_and_determinism():
-    net = direction_net(3, k=4, seed=0)
-    assert net.shape == (2 ** 4 * 4, 3)
-    assert np.allclose(np.linalg.norm(net, axis=1), 1.0, atol=1e-12)
-    # first entries are the signed axes
-    assert np.allclose(net[:6], [[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                                 [0, -1, 0], [0, 0, 1], [0, 0, -1]])
-    assert np.allclose(net, direction_net(3, k=4, seed=0))
-    assert not np.allclose(net, direction_net(3, k=4, seed=1))
-
-
-@pytest.mark.parametrize("dim", [13, 20])
-def test_direction_net_past_twelve_dimensions(dim):
-    # one prime per dimension, so the net exists past the twelfth prime
-    net = direction_net(dim)
-    assert net.shape == (2 ** NET_K_DEFAULT * (dim + 1), dim)
-    assert np.allclose(np.linalg.norm(net, axis=1), 1.0, atol=1e-12)
-    axes = np.repeat(np.eye(dim), 2, axis=0) \
-        * np.tile([1.0, -1.0], dim)[:, None]
-    assert np.array_equal(net[:2 * dim], axes)
-
-
-def _kronecker_unit_loop(dim, count, seed):
-    # the row-by-row form of _kronecker_unit, kept as its reference
-    from scipy.special import ndtri
-
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    alpha = np.sqrt(primes[:dim])
-    alpha -= np.floor(alpha)
-    out = np.empty((count, dim))
-    shift = 0.5 + 0.61803398875 * seed
-    for i in range(count):
-        u = np.mod(shift + (i + 1) * alpha, 1.0)
-        u = np.clip(u, 1e-12, 1 - 1e-12)
-        g = ndtri(u)
-        n = np.linalg.norm(g)
-        out[i] = g / (n if n > 0 else 1.0)
-    return out
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("k", [3, 6])
-def test_kronecker_unit_matches_row_loop_bit_for_bit(k, seed):
-    for dim in range(1, 13):
-        count = 2 ** k * (dim + 1) - 2 * dim
-        ref = _kronecker_unit_loop(dim, count, seed)
-        assert np.array_equal(_kronecker_unit(dim, count, seed), ref)
-        axes = []
-        for j in range(dim):
-            for sgn in (1.0, -1.0):
-                e = np.zeros(dim)
-                e[j] = sgn
-                axes.append(e)
-        net = direction_net(dim, k, seed)
-        assert net.tobytes() == np.vstack([np.array(axes), ref]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +1013,7 @@ def test_mirror_invariance_mixed_affine_system(dim_x, expected):
 
 def test_mixed_system_holds_on_its_critical_subspace():
     # at dim_x 5 the form is indefinite on span B, but C is a subspace
-    # and B^T A B is nonsingular: both mirrors hold without a net
+    # and B^T A B is nonsingular: both mirrors hold without a search
     sys, x, v, lam = _mixed_planted(5)
     for s, sign in ((sys, 1.0), (_mirror(sys), -1.0)):
         problem = _shifted_problem(s, x, v, 1.0)

@@ -73,6 +73,16 @@ def test_bench_tracer_targets_resolve():
     assert missing == []
 
 
+def test_calm_net_workload_runs_and_judges_correctly():
+    # the calm-net benchmark's own calls, read from bench/: a change of
+    # signature or verdict that would break its runs fails here first
+    wl = _bench_module("workloads")
+    calm = wl.CalmNet()
+    pool = calm.build(3001)
+    for item, answer in zip(pool, calm.referee(pool)):
+        assert calm.judge(item, answer, calm.run(item)).wrong == []
+
+
 def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     from conestab import constraint_system
     from conestab.stability import example41_problem, \
@@ -203,7 +213,7 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
 
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
     # example41 and the SOC apex are certified by the definiteness check,
-    # before any direction of the net is tried
+    # before any direction is searched
     from conestab import cone_geometry, constraint_system, stability
     from conestab.cone_core import SOC
     from test_stability import _apex_problem
@@ -304,6 +314,7 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
     # rejection none
     from conestab import constraint_system, stability
     from test_acceptance import _criterion_9_pairs
+    from test_stability import _axes_then_gaussian, _inclusion_pairs
 
     dykstra_calls = []
     dykstra, decide = constraint_system.dykstra, \
@@ -332,9 +343,8 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
     pair41 = constraint_system.BasePair(
         constraint_system.BasePoint(problem.sys, problem.xbar), problem.vbar,
         problem.lam_hint)
-    assert stability._net_witness_search(
-        problem, pair41, constraint_system.srcq_check(pair41)).verdict == \
-        "inconclusive"
+    for d, w in _inclusion_pairs(problem, _axes_then_gaussian(3, 256)):
+        counted_decide(pair41, d, w)
     assert stability.solution_map_isolated_calm(
         problem, problem.lam_hint).verdict == "holds"
     assert len(counts["gated"]) + len(counts["passed"]) == 50 + 256
