@@ -10,6 +10,7 @@ The cones have their polar, mirror and lineality basis in closed form.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 from typing import NamedTuple
 
@@ -84,6 +85,10 @@ class ConvexSet:
     def lineality_basis(self) -> np.ndarray:
         """Columns spanning the largest subspace inside the set."""
         raise NotImplementedError
+
+    def lineality_dim(self) -> int:
+        """The dimension of that subspace."""
+        return self.lineality_basis().shape[1]
 
 
 class SignPattern(ConvexSet):
@@ -293,6 +298,9 @@ class ProductSet(ConvexSet):
                 cols.append(v)
         return np.array(cols).T if cols else np.zeros((self.dim, 0))
 
+    def lineality_dim(self):
+        return sum(s.lineality_dim() for s in self.sets)
+
 
 _PSD_POLAR = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
 _PSD_NEG = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
@@ -312,7 +320,8 @@ class PSDBlockSet(ConvexSet):
     `groups` partitions the matrix indices; `codes[(i, j)]` (i <= j group
     indices) constrains the (i, j) block of U^T H U: 'free', 'zero', or on
     diagonal blocks 'psd'/'nsd'.  The rotation is an isometry for the
-    trace inner product, so projection decouples blockwise.
+    trace inner product, so projection decouples blockwise.  `dist`
+    also reads z in the frame, as the matrix U^T smat(z) U.
     """
 
     def __init__(self, U, groups, codes):
@@ -350,6 +359,24 @@ class PSDBlockSet(ConvexSet):
                 out[block] = _eig_clip(B) if code == "psd" else -_eig_clip(-B)
         return svec(self.U @ out @ self.U.T)
 
+    @cached_property
+    def _dropped(self):
+        """The entries of the frame that no block (nor its mirror) keeps."""
+        mask = np.ones((self.n, self.n), bool)
+        for block, _, _ in self._ops:
+            mask[block] = mask[block[::-1]] = False
+        return mask
+
+    def dist(self, z):
+        W = z if np.ndim(z) == 2 else self.U.T @ smat(z) @ self.U
+        d2 = float(np.sum(W[self._dropped] ** 2))
+        for block, _, code in self._ops:
+            if code != "free":  # the eigenvalues its projection drops
+                B = W[block] if code == "psd" else -W[block]
+                w = np.minimum(np.linalg.eigvalsh(B), 0.0)
+                d2 += float(w @ w)
+        return math.sqrt(d2)
+
     def polar(self):
         codes = {k: _PSD_POLAR[v] for k, v in self.codes.items()}
         return PSDBlockSet(self.U, self.groups, codes)
@@ -375,6 +402,11 @@ class PSDBlockSet(ConvexSet):
                         E[p, q] = E[q, p] = 1.0 / np.sqrt(2.0)
                     cols.append(svec(self.U @ E @ self.U.T))
         return np.array(cols).T if cols else np.zeros((self.dim, 0))
+
+    def lineality_dim(self):
+        k = [g.size for g in self.groups]
+        return sum(k[i] * (k[i] + 1) // 2 if i == j else k[i] * k[j]
+                   for (i, j), code in self.codes.items() if code == "free")
 
 
 class Farkas(NamedTuple):

@@ -23,7 +23,8 @@ cone C_K(y, lam) = T_K(y) ∩ lam⊥, Pi'_K(z; .) and Upsilon read a block's
 data from a `BlockPoint`, built on first use, and a `ConePoint` holds one
 per block, so a caller that keeps the point (a `GraphPoint`) decomposes
 each PSD block of z once and y at most once.  T_K(y) is the critical
-cone at (y, 0).
+cone at (y, 0).  A block's `frame` gives h in the form its operations
+also read and answer in: h, or for PSD U^T smat(h) U in z's eigenframe.
 """
 
 from functools import cached_property
@@ -132,6 +133,10 @@ class PrimitiveCone(ConvexSet):
         """The block's data at z = y + lam, with pair = (y, lam) or ()."""
         return self.Point(self, tol, *self._in(z, *pair))
 
+    def frame(self, p, h):
+        """h in the coordinates of the second-order operations at p."""
+        return h
+
     # geometry at a point p = self.point(...) -------------------------------
     def tangent_set(self, y, tol) -> ConvexSet:
         """T_K(y), the critical set at (y, 0)."""
@@ -150,11 +155,12 @@ class PrimitiveCone(ConvexSet):
             _norm(p.lam) > p.tol.zero * _zscale(p.lam)
 
     def upsilon(self, p, h) -> float:
-        return self._upsilon(p, *self._in(h)) if p.curved else 0.0
+        """Upsilon(h) = <grad Upsilon(h), h> / 2, as Upsilon is quadratic."""
+        return 0.5 * float(np.vdot(self.upsilon_grad(p, h), h))
 
     def upsilon_grad(self, p, h):
         return self._out(self._upsilon_grad(p, *self._in(h))) if p.curved \
-            else np.zeros(self.dim)
+            else np.zeros_like(h, dtype=float)
 
 
 class Orthant(PrimitiveCone):
@@ -344,10 +350,6 @@ class SOC(PrimitiveCone):
         # of the points with a nonzero multiplier, only the boundary ones
         return super()._curved(p) and p.ycase == "bd"
 
-    def _upsilon(self, p, hu):
-        t = -p.lam[0]
-        return (t / p.y[0]) * (float(hu[1:] @ hu[1:]) - hu[0] ** 2)
-
     def _upsilon_grad(self, p, hu):
         t, u0 = -p.lam[0], p.y[0]
         g = np.empty(self.dim)
@@ -363,7 +365,7 @@ def _psd_part(w, U):
 
 class PSDPoint(BlockPoint):
     """The spectral split of smat(z) (`eig`: w, U, alpha, beta, gamma),
-    the divided differences of Pi'_K(z; .) and (smat(lam), Y^+)."""
+    the divided differences of Pi'_K(z; .) and U^T (smat(lam), Y^+) U."""
 
     @cached_property
     def eig(self):
@@ -388,10 +390,11 @@ class PSDPoint(BlockPoint):
 
     @cached_property
     def upsilon_mats(self):
-        w, U = np.linalg.eigh(smat(self.y))
+        w, V = np.linalg.eigh(smat(self.y))
         sc = self.tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
         winv = np.where(w > sc, 1.0 / np.where(w > sc, w, 1.0), 0.0)
-        return smat(self.lam), (U * winv) @ U.T
+        M = self.eig[1].T @ V
+        return self.cone.frame(self, self.lam), (M * winv) @ M.T
 
 
 class PSD(PrimitiveCone):
@@ -424,25 +427,24 @@ class PSD(PrimitiveCone):
                  (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
         return PSDBlockSet(U, [alpha, beta, gamma], codes)
 
+    def frame(self, p, h):
+        return p.eig[1].T @ smat(h) @ p.eig[1]
+
     def _dir_deriv(self, p, h):
         _, U, _, beta, _ = p.eig
-        W = U.T @ smat(h) @ U
+        W = h if h.ndim == 2 else self.frame(p, h)
         out = p.divdiff * W
         if beta.size:
             # on beta x beta, Pi' is the PSD projection of W's block
-            out[np.ix_(beta, beta)] = _eig_clip(W[np.ix_(beta, beta)])
-        return svec(U @ out @ U.T)
-
-    def _upsilon(self, p, h):
-        L, Ypinv = p.upsilon_mats
-        H = smat(h)
-        return -2.0 * float(np.trace(L @ H @ Ypinv @ H))
+            out[beta[:, None], beta] = _eig_clip(W[beta[:, None], beta])
+        return out if h.ndim == 2 else svec(U @ out @ U.T)
 
     def _upsilon_grad(self, p, h):
         L, Ypinv = p.upsilon_mats
-        H = smat(h)
-        G = -2.0 * (Ypinv @ H @ L + L @ H @ Ypinv)
-        return svec(0.5 * (G + G.T))
+        U = p.eig[1]
+        A = Ypinv @ (h if h.ndim == 2 else self.frame(p, h)) @ L
+        G = -2.0 * (A + A.T)
+        return G if h.ndim == 2 else svec(U @ G @ U.T)
 
 
 class ConeDesc(ProductSet):
@@ -487,8 +489,7 @@ class ConeDesc(ProductSet):
                           in zip(self.blocks, p.blocks, self.split(h))])
 
     def upsilon(self, p, h):
-        return sum(b.upsilon(q, qh) for b, q, qh
-                   in zip(self.blocks, p.blocks, self.split(h)))
+        return 0.5 * float(self.upsilon_grad(p, h) @ h)
 
     def upsilon_grad(self, p, h):
         return self.join([b.upsilon_grad(q, qh) for b, q, qh

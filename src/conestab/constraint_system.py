@@ -211,8 +211,9 @@ class BasePoint:
 
     The constructor makes the one feasibility decision of the package.
     Every check at x reads g(x) (`gx`) and the Jacobian `J` from the
-    point, and T_K(g(x)) (`tangent`), its lineality basis (`lineality`)
-    and N_K(g(x)) = T_K(g(x))° (`normal`), each built on first use.
+    point, and T_K(g(x)) (`tangent`), its lineality basis (`lineality`),
+    N_K(g(x)) = T_K(g(x))° (`normal`) and the kernel of J^T
+    (`adjoint_kernel`), each built on first use.
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
@@ -241,6 +242,10 @@ class BasePoint:
     @cached_property
     def normal(self):
         return self.tangent.polar()
+
+    @cached_property
+    def adjoint_kernel(self):
+        return _null_basis(self.J.T, self.tol)
 
     @cached_property
     def span_normal(self):
@@ -435,8 +440,8 @@ def srcq_check(pair: BasePair) -> Certificate:
     qualification, isolated calmness of the multiplier map at v for lam,
     and local single-valuedness of the multiplier selection; all three
     readings are reported."""
-    ker = _null_basis(pair.J.T, pair.tol)
-    cert = subspace_cone_trivial(ker, pair.critical_polar, pair.tol)
+    cert = subspace_cone_trivial(pair.point.adjoint_kernel,
+                                 pair.critical_polar, pair.tol)
     cert.checked = cert.checked + (
         "adjoint-kernel/tangent-of-normal trivial intersection",
         "multiplier-map isolated calmness at v for lam (equivalent)",
@@ -456,7 +461,7 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
     m = point.sys.cone.dim
 
     # kernel form: the adjoint kernel must project injectively onto Lin
-    ker = _null_basis(J.T, tol)
+    ker = point.adjoint_kernel
     if ker.shape[1] == 0:
         kres = np.inf
     elif Lin.shape[1] == 0:

@@ -72,9 +72,8 @@ class GraphPoint(ConePoint):
         exposes, and lam is in ri N_K(y) exactly when that face is
         lin T_K(y) (Rockafellar, Convex Analysis, Sections 6 and 14).  C
         is a subspace exactly when dim lin C + dim lin C° = dim K."""
-        k = self.critical.lineality_basis().shape[1]
-        k_polar = self.critical_polar.lineality_basis().shape[1]
-        return k + k_polar == self.cone.dim
+        return self.critical.lineality_dim() + \
+            self.critical_polar.lineality_dim() == self.cone.dim
 
     @classmethod
     def from_z(cls, cone: ConeDesc, z: AmbientVec, tol: Tol = DEFAULT_TOL):
@@ -150,24 +149,27 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     tol = gp.tol
     dy = np.asarray(dy, float)
     dl = np.asarray(dl, float)
-    h = dy + dl
-    _require_finite("non-finite input", h)
-    scale = 1.0 + float(np.linalg.norm(dy)) + float(np.linalg.norm(dl))
-    thresh = tol.membership * scale
+    _require_finite("non-finite input", dy + dl)
+    ny, nl = _norm(dy), _norm(dl)
+    thresh = tol.membership * (1.0 + ny + nl)
 
-    pd = K.dir_deriv(gp, h)
-    res_a = float(np.linalg.norm(dy - pd))
+    # the blocks' terms, with dy and dl rotated once into each frame
+    parts = [(b, q, b.frame(q, y), b.frame(q, l)) for b, q, y, l
+             in zip(K.blocks, gp.blocks, K.split(dy), K.split(dl))]
+    res_a = _norm([_norm(fy - b.dir_deriv(q, fy + fl))
+                   for b, q, fy, fl in parts])
     holds_a = res_a <= thresh
 
-    res1 = gp.critical.dist(dy)
+    res1 = _norm([C.dist(fy) for C, (_, _, fy, _)
+                  in zip(gp.critical.sets, parts)])
     details = {"route_a_residual": res_a, "critical_dist": res1}
     if res1 <= thresh:
-        ups = K.upsilon(gp, dy)
-        grad = K.upsilon_grad(gp, dy)
-        res2 = gp.critical_polar.dist(dl - 0.5 * grad)
-        pairing = float(dy @ dl) - ups
-        res3 = abs(pairing) / (1.0 + float(np.linalg.norm(dy))
-                               * float(np.linalg.norm(dl)))
+        # r = dl - grad Upsilon(dy)/2: sum <dy, r> = <dy, dl> - Upsilon(dy)
+        rs = [fl - 0.5 * b.upsilon_grad(q, fy) for b, q, fy, fl in parts]
+        res2 = _norm([Cp.dist(r) for Cp, r
+                      in zip(gp.critical_polar.sets, rs)])
+        pairing = sum(float(np.vdot(part[2], r)) for part, r in zip(parts, rs))
+        res3 = abs(pairing) / (1.0 + ny * nl)
         res_b = max(res1, res2, res3)
         details.update(polar_dist=res2, pairing_residual=res3)
     else:

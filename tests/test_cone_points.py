@@ -2,10 +2,13 @@
 
 Counts: at a graph point, each PSD block of z is decomposed once and y at
 most once, however many directions are read.  Parity: the graph-point
-path gives exactly (==, no tolerance) the numbers of the per-call
-formulas written out below, which decompose on every call, and exactly
-the mirrored numbers on the mirrored cone.  A fresh point per call
-(`proj_dir_deriv`, `GraphPoint.of_pair`) gives the same numbers.
+path gives the numbers of the per-call svec-space formulas written out
+below, which decompose on every call: Pi' exactly (==, no tolerance),
+and Upsilon, its gradient and `dnk_contains`'s residuals, which a PSD
+block reads in the eigenframe of z, to 1e-12 of their scale with the
+same verdicts.  The mirrored cone gives exactly the mirrored numbers.
+A fresh point per call (`proj_dir_deriv`, `GraphPoint.of_pair`) gives
+the same numbers.
 """
 
 import sys
@@ -86,12 +89,15 @@ def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
     # the clips of the beta blocks depend on the direction: at least one
     # per dnk_contains call, in Pi' and in the critical cone's projection
     assert clips >= 17
-    # a fresh point decomposes on every call
+    # a fresh point decomposes on every call; Upsilon reads its pair in
+    # the eigenframe of z, so a fresh point decomposes z for it too
     calls.clear()
     for _ in range(3):
         proj_dir_deriv(K, gp.z, h)
         K.upsilon(_fresh(K, gp), h)
-    assert _split_counts(calls, smat(gp.z), smat(gp.y))[:2] == (3, 3)
+    of_z, of_y, _, other = _split_counts(calls, smat(gp.z), smat(gp.y))
+    # the fresh point's z = y + lam may differ from gp.z in the last bit
+    assert (of_z + other, of_y) == (6, 3)
 
 
 def _curved_psd_pair(dim_x, rng):
@@ -255,17 +261,21 @@ def ref_critical(K, gp, tol=DEFAULT_TOL):
     return ProductSet(sets)
 
 
+def ref_dist(S, v):
+    return float(np.linalg.norm(v - S.project(v)))
+
+
 def ref_dnk(K, gp, dy, dl, tol=DEFAULT_TOL):
     """dnk_contains's verdict, residual and details, from the formulas."""
     scale = 1.0 + float(np.linalg.norm(dy)) + float(np.linalg.norm(dl))
     thresh = tol.membership * scale
     res_a = float(np.linalg.norm(dy - ref_dir_deriv(K, gp.z, dy + dl, tol)))
     C = ref_critical(K, gp, tol)
-    res1 = C.dist(dy)
+    res1 = ref_dist(C, dy)
     details = {"route_a_residual": res_a, "critical_dist": res1}
     if res1 <= thresh:
         ups, grad = ref_upsilon_and_grad(K, gp.y, gp.lam, dy, tol)
-        res2 = C.polar().dist(dl - 0.5 * grad)
+        res2 = ref_dist(C.polar(), dl - 0.5 * grad)
         res3 = abs(float(dy @ dl) - ups) / (
             1.0 + float(np.linalg.norm(dy)) * float(np.linalg.norm(dl)))
         res_b = max(res1, res2, res3)
@@ -345,6 +355,30 @@ def _cert(c):
     return c.verdict, c.residual, c.details
 
 
+def _near(a, b, scale):
+    """a and b agree to 1e-12 of scale in every entry."""
+    return np.shape(a) == np.shape(b) and \
+        float(np.max(np.abs(np.subtract(a, b)), initial=0.0)) <= 1e-12 * scale
+
+
+def _assert_dnk_matches(K, gp, dy, dl):
+    """dnk_contains against `ref_dnk`: the same verdict and detail keys,
+    and every number within 1e-12 (1 + ||dy|| + ||dl||)."""
+    (v, r, d), (rv, rr, rd) = _cert(dnk_contains(K, gp, dy, dl)), \
+        ref_dnk(K, gp, dy, dl)
+    scale = 1.0 + float(np.linalg.norm(dy)) + float(np.linalg.norm(dl))
+    assert (v, sorted(d)) == (rv, sorted(rd))
+    assert _near(r, rr, scale)
+    assert all(_near(d[k], rd[k], scale) for k in d), (d, rd)
+    return v
+
+
+def _assert_upsilon_matches(K, gp, h, ups, grad):
+    scale = (1.0 + float(np.linalg.norm(h))) ** 2
+    assert _near(K.upsilon(gp, h), ups, scale)
+    assert _near(K.upsilon_grad(gp, h), grad, scale)
+
+
 def test_graph_point_path_equals_the_per_call_formulas():
     # each draw and its mirror, so every block is checked in both signs
     seen = set()
@@ -358,17 +392,16 @@ def test_graph_point_path_equals_the_per_call_formulas():
                 assert np.array_equal(proj_dir_deriv(K, gp.z, h),
                                       ref_dir_deriv(K, gp.z, h))
                 ups, grad = ref_upsilon_and_grad(K, gp.y, gp.lam, dy)
-                assert K.upsilon(gp, dy) == ups
-                assert K.upsilon(_fresh(K, gp), dy) == ups
-                assert np.array_equal(K.upsilon_grad(gp, dy), grad)
-                assert np.array_equal(K.upsilon_grad(_fresh(K, gp), dy), grad)
+                _assert_upsilon_matches(K, gp, dy, ups, grad)
+                _assert_upsilon_matches(K, _fresh(K, gp), dy, ups, grad)
                 hc = gp.critical.project(h)
                 ups, grad = ref_upsilon_and_grad(K, gp.y, gp.lam, hc)
-                assert sigma_term(gp, hc) == ups
-                assert np.array_equal(sigma_grad(gp, hc), grad)
-                cert = _cert(dnk_contains(K, gp, dy, dl))
-                assert cert == ref_dnk(K, gp, dy, dl)
-                seen.add((cert[0], ups != 0.0))
+                assert sigma_term(gp, hc) == K.upsilon(gp, hc)
+                assert np.array_equal(sigma_grad(gp, hc),
+                                      K.upsilon_grad(gp, hc))
+                _assert_upsilon_matches(K, gp, hc, ups, grad)
+                verdict = _assert_dnk_matches(K, gp, dy, dl)
+                seen.add((verdict, ups != 0.0))
     # every verdict kind of the draws, with and without curvature
     assert {("holds", True), ("holds", False), ("fails", True),
             ("fails", False)} <= seen
@@ -390,3 +423,110 @@ def test_graph_point_path_is_mirror_invariant():
                                       -K.upsilon_grad(gp, dy))
                 assert _cert(dnk_contains(mirror, gm, -dy, -dl)) == \
                     _cert(dnk_contains(K, gp, dy, dl))
+
+
+# ---------------------------------------------------------------------------
+# the eigenframe kernels against the svec-space formulas, and metamorphic
+# relations of dnk_contains
+
+def _psd_kind_z(n, kind, rng):
+    """A point of PSD(n)'s space: y interior ('interior'), y = 0 with lam
+    interior to the polar ('polar'), a face with a zero part ('face'),
+    or z = 0 ('apex')."""
+    if kind == "apex":
+        return np.zeros(n * (n + 1) // 2)
+    if kind == "face":
+        k0 = int(rng.integers(1, n + 1))
+        kp = int(rng.integers(0, n - k0 + 1))
+    else:
+        k0, kp = 0, (n if kind == "interior" else 0)
+    ev = np.concatenate([rng.uniform(0.5, 2.0, kp), np.zeros(k0),
+                         -rng.uniform(0.5, 2.0, n - k0 - kp)])
+    Q = _rotation(rng, n)
+    return svec((Q * ev) @ Q.T)
+
+
+def _frame_draws():
+    """(K, z, rng): PSD orders 1-8 at each kind of point, and products
+    with second-order and orthant blocks, in both signs."""
+    rng = np.random.default_rng(53)
+    kinds = ("interior", "polar", "face", "apex")
+    for n in range(1, 9):
+        for kind in kinds:
+            for sign in (1, -1):
+                z = sign * _psd_kind_z(n, kind, rng)
+                yield ConeDesc([PSD(n, sign)]), z, rng
+    for kind in kinds:
+        for signs in ((1, 1, 1), (-1, 1, -1)):
+            K = ConeDesc([PSD(3, signs[0]), SOC(4, signs[1]),
+                          Orthant(3, signs[2])])
+            parts = [_psd_kind_z(3, kind, rng), _plus_z(SOC, 4, rng),
+                     _plus_z(Orthant, 3, rng)]
+            yield K, np.concatenate([s * v for s, v in zip(signs, parts)]), \
+                rng
+
+
+def _frame_directions(K, gp, rng):
+    """Members built from Pi', pairs perturbed in dy and dl (most fail
+    the critical-cone gate), and pairs perturbed in dl alone (which pass
+    it and fail route b)."""
+    for j in range(6):
+        h = rng.standard_normal(K.dim)
+        dy = ref_dir_deriv(K, gp.z, h)
+        dl = h - dy
+        e = 0.3 * rng.standard_normal(K.dim)
+        if j % 3 == 1:
+            dy, dl = dy + e, dl - 0.5 * e
+        elif j % 3 == 2:
+            dl = dl + e
+        yield dy, dl
+
+
+def _congruence(K, V, v):
+    """v with each PSD block X mapped to V^T X V (V of the block's order)."""
+    return K.join([svec(V[b.order].T @ smat(p) @ V[b.order])
+                   if isinstance(b, PSD) else p
+                   for b, p in zip(K.blocks, K.split(v))])
+
+
+def test_frame_kernels_match_the_svec_formulas():
+    seen = set()
+    for K, z, rng in _frame_draws():
+        for gp in _graph_points(K, z):
+            assert gp.critical.lineality_dim() == \
+                gp.critical.lineality_basis().shape[1]
+            for dy, dl in _frame_directions(K, gp, rng):
+                h = dy + dl
+                assert np.array_equal(K.dir_deriv(gp, h),
+                                      ref_dir_deriv(K, gp.z, h))
+                _assert_upsilon_matches(
+                    K, gp, dy, *ref_upsilon_and_grad(K, gp.y, gp.lam, dy))
+                for S in (gp.critical, gp.critical_polar):
+                    assert _near(S.dist(h), ref_dist(S, h),
+                                 1.0 + np.linalg.norm(h))
+                seen.add(_assert_dnk_matches(K, gp, dy, dl))
+    assert seen == {"holds", "fails"}
+
+
+def test_dnk_contains_is_invariant_under_mirror_and_congruence():
+    # K <-> -K at (-y, -lam) with (-dy, -dl) gives the same numbers
+    # exactly; X -> V^T X V on the PSD blocks of the point and of both
+    # operands is an isometry of the cone, so the verdict is the same and
+    # every residual agrees to rounding
+    for K, z, rng in _frame_draws():
+        mirror = ConeDesc([b.polar() for b in K.blocks])
+        V = {n: _rotation(rng, n) for n in range(1, 9)}
+        KV = ConeDesc([type(b)(b.size, b.sign) for b in K.blocks])
+        for gp, gm, gv in zip(_graph_points(K, z), _graph_points(mirror, -z),
+                              _graph_points(KV, _congruence(K, V, z))):
+            for dy, dl in _frame_directions(K, gp, rng):
+                cert = dnk_contains(K, gp, dy, dl)
+                assert _cert(dnk_contains(mirror, gm, -dy, -dl)) == \
+                    _cert(cert)
+                rot = dnk_contains(KV, gv, _congruence(K, V, dy),
+                                   _congruence(K, V, dl))
+                scale = 1.0 + np.linalg.norm(dy) + np.linalg.norm(dl)
+                assert rot.verdict == cert.verdict
+                assert sorted(rot.details) == sorted(cert.details)
+                assert all(_near(rot.details[k], cert.details[k], scale)
+                           for k in cert.details), (rot.details, cert.details)

@@ -316,9 +316,10 @@ _POLAR_REF = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
 _NEG_REF = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-def test_psd_block_set_matches_reference_exactly(n):
-    rng = np.random.default_rng(10 + n)
+def _psd_block_sets(n, seed):
+    """(U, groups, set, reference codes) for 40 random sets of order n
+    with their polars and mirrors, and a random generator."""
+    rng = np.random.default_rng(seed)
     for trial in range(40):
         U, _ = np.linalg.qr(rng.standard_normal((n, n)))
         # three groups, some of them empty
@@ -338,10 +339,31 @@ def test_psd_block_set_matches_reference_exactly(n):
             (S.negate(), {k: _NEG_REF[c] for k, c in codes.items()}),
         ]
         for T, ref_codes in variants:
-            for _ in range(3):
-                z = rng.standard_normal(S.dim) * 2
-                assert np.array_equal(
-                    T.project(z), _psd_block_project_ref(U, groups, ref_codes, z))
+            yield U, groups, T, ref_codes, rng
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_psd_block_set_matches_reference_exactly(n):
+    for U, groups, T, ref_codes, rng in _psd_block_sets(n, 10 + n):
+        for _ in range(3):
+            z = rng.standard_normal(T.dim) * 2
+            assert np.array_equal(
+                T.project(z), _psd_block_project_ref(U, groups, ref_codes, z))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_psd_block_set_dist_and_lineality_dim_match_the_reference(n):
+    # dist is read in the frame U, from the mass of the entries the codes
+    # set to zero and the eigenvalues each psd/nsd block drops; the
+    # reference is ||z - project(z)|| in svec space
+    for U, groups, T, ref_codes, rng in _psd_block_sets(n, 30 + n):
+        assert T.lineality_dim() == T.lineality_basis().shape[1]
+        for _ in range(3):
+            z = rng.standard_normal(T.dim) * 2
+            ref = np.linalg.norm(
+                z - _psd_block_project_ref(U, groups, ref_codes, z))
+            assert abs(T.dist(z) - ref) <= 1e-12 * (1.0 + np.linalg.norm(z))
+            assert T.dist(U.T @ smat(z) @ U) == T.dist(z)
 
 
 @pytest.mark.parametrize("groups", [[[0, 1], []], [[0], [1]]])

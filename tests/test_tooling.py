@@ -83,6 +83,17 @@ def test_calm_net_workload_runs_and_judges_correctly():
         assert calm.judge(item, answer, calm.run(item)).wrong == []
 
 
+def test_cone_ladder_workload_runs_and_judges_correctly():
+    # the same for the cone-ladder benchmark: dnk_contains along its PSD
+    # and second-order rungs against the finite-t referee
+    wl = _bench_module("workloads")
+    ladder = wl.ConeLadder()
+    pool = ladder.build(3001)
+    assert len(pool) == 432
+    for item, answer in zip(pool, ladder.referee(pool)):
+        assert ladder.judge(item, answer, ladder.run(item)).wrong == []
+
+
 def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     from conestab import constraint_system
     from conestab.stability import example41_problem, \
