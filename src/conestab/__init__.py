@@ -1,14 +1,13 @@
 """Numerically verified second-order variational analysis of conic
 constraint systems Gamma = g^{-1}(K)."""
 
-from ._sets import Tol, Certificate
 from .cone_core import (
-    AmbientVec, ConeDesc, Orthant, SOC, PSD, Zero, Free,
+    AmbientVec, ConeDesc, Tol, Orthant, SOC, PSD, Zero, Free,
     project, contains, tangent_cone, normal_cone,
 )
 from .cone_geometry import (
-    critical_cone, tangent_of_normal, ri_normal_contains, normal_of_critical,
-    subspace_cone_trivial, radial_probe,
+    Certificate, critical_cone, tangent_of_normal, ri_normal_contains,
+    subspace_cone_trivial,
 )
 from .proj_deriv import GraphPoint, proj_dir_deriv, sigma_term, sigma_grad, dnk_contains
 from .constraint_system import (

@@ -3,10 +3,15 @@
 Every derived cone used by the toolkit (tangent cones, normal cones,
 critical cones, their polars, intersections with subspaces or hyperplanes)
 is one of the classes below or a primitive cone of `cone_core` (the
-whole space, {0}, a second-order cone).  All sets are closed and convex;
-sets are cones unless `is_cone` says otherwise.  Projections are exact
-per class; intersections project through Dykstra's alternating scheme.
-The cones have their polar, mirror and lineality basis in closed form.
+whole space, {0}, a second-order cone).  The derived cones are codes in
+an orthonormal frame: `SignPattern` codes each coordinate, `UnitFrameSet`
+the coordinate along one unit vector u and the part in u⊥ (a halfspace,
+hyperplane, ray or line), and `PSDBlockSet` each block of a matrix in an
+eigenbasis.  So a polar or a mirror maps the codes, and the dimension of
+the lineality space counts them without building a basis.  All sets are
+closed and convex; sets are cones unless `is_cone` says otherwise.
+Projections are exact per class; intersections project through
+Dykstra's alternating scheme.
 """
 
 from dataclasses import dataclass, field
@@ -83,7 +88,8 @@ class ConvexSet:
         raise NotImplementedError
 
     def lineality_basis(self) -> np.ndarray:
-        """Columns spanning the largest subspace inside the set."""
+        """Orthonormal columns spanning the largest subspace inside the
+        set."""
         raise NotImplementedError
 
     def lineality_dim(self) -> int:
@@ -120,8 +126,10 @@ class SignPattern(ConvexSet):
         return SignPattern(self._NEG[self.codes + 1])
 
     def lineality_basis(self):
-        eye = np.eye(self.dim)
-        return eye[:, self.codes == self.FREE]
+        return np.eye(self.dim)[:, self.codes == self.FREE]
+
+    def lineality_dim(self):
+        return int(np.count_nonzero(self.codes == self.FREE))
 
     def halfspace_rows(self):
         """Inequality rows A (A z <= 0) and equality rows E (E z = 0)."""
@@ -140,90 +148,72 @@ class SignPattern(ConvexSet):
         return ineq, eq
 
 
-class _UnitVectorSet(ConvexSet):
-    """A cone given by one vector, stored as the unit vector `u`."""
-
-    def __init__(self, u):
-        u = np.asarray(u, float)
-        self.u = u / _norm(u)
-        self.dim = u.size
-
-    @classmethod
-    def _of_unit(cls, u):
-        """The set at u, already a unit vector: negating u or taking the
-        polar keeps it one, so it is not normalized again and the mirror
-        and the polar are exact."""
-        S = object.__new__(cls)
-        S.u, S.dim = u, u.size
-        return S
+_FREE, _NONNEG, _NONPOS, _ZERO = (SignPattern.FREE, SignPattern.NONNEG,
+                                  SignPattern.NONPOS, SignPattern.ZERO)
 
 
-class Halfspace(_UnitVectorSet):
-    """{z : <u, z> <= 0}."""
+class UnitFrameSet(ConvexSet):
+    """The cone of z whose coordinate t = <u, z> along the unit vector u
+    has the `SignPattern` code `along`, and whose part z - t u in u⊥ has
+    the code `across` (FREE or ZERO): a sign pattern in the frame
+    [u | basis of u⊥].  The polar and the mirror map each code and keep
+    u, so they are exact."""
+
+    def __init__(self, u, along, across):
+        self.u, self.dim = u, u.size
+        # Python ints: the code tables hold numpy ints
+        self.along, self.across = int(along), int(across)
+        # the interval of t that `along` allows
+        self._lo = 0.0 if self.along in (_NONNEG, _ZERO) else -math.inf
+        self._hi = 0.0 if self.along in (_NONPOS, _ZERO) else math.inf
 
     def project(self, z):
         z = np.asarray(z, float)
         t = float(self.u @ z)
-        return z - max(t, 0.0) * self.u
+        tc = min(max(t, self._lo), self._hi)
+        if self.across == _ZERO:
+            return tc * self.u
+        return z - (t - tc) * self.u
 
     def polar(self):
-        return Ray._of_unit(self.u)
+        P = SignPattern._POLAR
+        return UnitFrameSet(self.u, P[self.along + 1], P[self.across + 1])
 
     def negate(self):
-        return Halfspace._of_unit(-self.u)
+        N = SignPattern._NEG
+        return UnitFrameSet(self.u, N[self.along + 1], N[self.across + 1])
 
     def lineality_basis(self):
-        return _complement_basis(self.u)
+        # u⊥ from the SVD of the row u
+        B = np.linalg.svd(self.u.reshape(1, -1))[2][1:].T \
+            if self.across == _FREE else np.zeros((self.dim, 0))
+        return np.hstack([self.u.reshape(-1, 1), B]) if self.along == _FREE \
+            else B
+
+    def lineality_dim(self):
+        return (self.along == _FREE) + \
+            (self.dim - 1) * (self.across == _FREE)
 
 
-class Hyperplane(_UnitVectorSet):
-    """{z : <u, z> = 0}."""
-
-    def project(self, z):
-        z = np.asarray(z, float)
-        return z - float(self.u @ z) * self.u
-
-    def polar(self):
-        return LineSpan._of_unit(self.u)
-
-    def negate(self):
-        return self
-
-    def lineality_basis(self):
-        return _complement_basis(self.u)
+def _unit(a):
+    return np.asarray(a, float) / _norm(a)
 
 
-class Ray(_UnitVectorSet):
-    """{t u : t >= 0}."""
-
-    def project(self, z):
-        t = max(float(self.u @ np.asarray(z, float)), 0.0)
-        return t * self.u
-
-    def polar(self):
-        return Halfspace._of_unit(self.u)
-
-    def negate(self):
-        return Ray._of_unit(-self.u)
-
-    def lineality_basis(self):
-        return np.zeros((self.dim, 0))
+# the four cones of one vector a, each in the frame [a/||a|| | a⊥]
+def Halfspace(a):  # {z : <a, z> <= 0}
+    return UnitFrameSet(_unit(a), _NONPOS, _FREE)
 
 
-class LineSpan(_UnitVectorSet):
-    """span{u}."""
+def Hyperplane(a):  # {z : <a, z> = 0}
+    return UnitFrameSet(_unit(a), _ZERO, _FREE)
 
-    def project(self, z):
-        return float(self.u @ np.asarray(z, float)) * self.u
 
-    def polar(self):
-        return Hyperplane._of_unit(self.u)
+def Ray(a):  # {t a : t >= 0}
+    return UnitFrameSet(_unit(a), _NONNEG, _ZERO)
 
-    def negate(self):
-        return self
 
-    def lineality_basis(self):
-        return self.u.reshape(-1, 1)
+def LineSpan(a):  # span{a}
+    return UnitFrameSet(_unit(a), _FREE, _ZERO)
 
 
 class Subspace(ConvexSet):
@@ -595,12 +585,6 @@ class Intersection(ConvexSet):
         out = self.project(z)
         gap = max(s.dist(out) for s in self.sets)
         return _norm(np.asarray(z, float) - out) + gap
-
-
-def _complement_basis(a):
-    a = np.asarray(a, float).reshape(1, -1)
-    _, _, vt = np.linalg.svd(a)
-    return vt[1:].T
 
 
 @dataclass

@@ -122,6 +122,9 @@ class PrimitiveCone(ConvexSet):
     def lineality_basis(self):
         return np.zeros((self.dim, 0))
 
+    def lineality_dim(self):
+        return 0
+
     def __repr__(self):
         sign = "," + "+-"[self.sign < 0] if self.signed else ""
         return f"{type(self).__name__}({self.size}{sign})"
@@ -219,6 +222,9 @@ class Free(PrimitiveCone):
 
     def lineality_basis(self):
         return np.eye(self.dim)
+
+    def lineality_dim(self):
+        return self.dim
 
     def project(self, z):
         return np.asarray(z, float).copy()

@@ -1,9 +1,9 @@
 """Derived cone sets and the subspace-cone triviality decision.
 
-Critical cones, tangent cones to normal cones, and normal cones of
-critical cones are produced as closed-form convex-set oracles.  The
-triviality decision span(L) ∩ C = {0} behind every constraint-qualification
-certificate takes one of two routes, chosen from the rank of L:
+Critical cones and tangent cones to normal cones are produced as
+closed-form convex-set oracles.  The triviality decision
+span(L) ∩ C = {0} behind every constraint-qualification certificate
+takes one of two routes, chosen from the rank of L:
 
 - span(L) a line span{q} and C a cone with a closed-form projection: a
   cone meets a line only along ±q, so the two distances
@@ -19,15 +19,15 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Hyperplane,
-    Intersection, Subspace, dykstra,
+    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Intersection,
+    Subspace, dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec, normal_cone
 from .proj_deriv import GraphPoint
 
 __all__ = [
     "Certificate", "critical_cone", "tangent_of_normal", "ri_normal_contains",
-    "normal_of_critical", "subspace_cone_trivial", "radial_probe",
+    "subspace_cone_trivial",
 ]
 
 
@@ -52,18 +52,6 @@ def ri_normal_contains(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
     if not normal_cone(K, y, tol).contains(lam, tol):
         raise ValueError("multiplier is outside the normal cone")
     return GraphPoint.of_pair(K, y, lam, tol).critical_is_subspace
-
-
-def normal_of_critical(C: ConvexSet, d: AmbientVec,
-                       tol: Tol = DEFAULT_TOL) -> ConvexSet:
-    """Normal cone to C at d: the polar of C sliced by the hyperplane
-    orthogonal to d."""
-    if not C.contains(d, tol):
-        raise ValueError("direction is not in the cone")
-    Cp = C.polar()
-    if float(np.linalg.norm(d)) <= tol.zero:
-        return Cp
-    return Intersection([Cp, Hyperplane(d)], tol)
 
 
 def _line_cone_trivial(q, C, tol):
@@ -145,12 +133,3 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
                        method + " (a slice radius is at most sqrt(k))", tol,
                        details=details)
 
-
-def radial_probe(omega: object, vbar: AmbientVec, z: AmbientVec,
-                 tgrid, tol: Tol = DEFAULT_TOL) -> bool:
-    """One-sided finite probe of radial-cone membership: true iff
-    vbar + t z stays in omega for every t of the grid.  A true answer is
-    evidence, not proof; a false answer exhibits a leaving t."""
-    vbar = np.asarray(vbar, float)
-    z = np.asarray(z, float)
-    return all(omega.contains(vbar + float(t) * z, tol) for t in tgrid)

@@ -205,6 +205,14 @@ def quadratic_system(cone: ConeDesc, Q_list, A, b, name="quadratic") -> Constrai
 # ---------------------------------------------------------------------------
 # operations
 
+def _shaped(name, z, n, space):
+    """z as a float vector of shape (n,), never broadcast to it."""
+    z = np.asarray(z, float)
+    if z.shape != (n,):
+        raise ValueError(f"{name} has shape {z.shape}; {space} {n}")
+    return z
+
+
 class BasePoint:
     """A verified base point: x has shape (dim_x,), x and g(x) are finite
     and g(x) is in K.
@@ -217,10 +225,7 @@ class BasePoint:
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
-        x = np.asarray(x, float)
-        if x.shape != (sys.dim_x,):
-            raise ValueError(f"x has shape {x.shape}; the system has dim_x "
-                             f"{sys.dim_x}")
+        x = _shaped("x", x, sys.dim_x, "the system has dim_x")
         gx = sys.g(x) if np.all(np.isfinite(x)) else None
         if gx is None or not np.all(np.isfinite(gx)):
             raise ValueError("base point not finite: x or g(x) has a NaN or "
@@ -284,9 +289,11 @@ def _multiplier_residuals(point: BasePoint, v, lam):
 
 def multiplier_verify(point: BasePoint, v, lam) -> bool:
     """Whether lam is a multiplier for (x, v): grad g(x) lam = v with lam
-    in N_K(g(x)), to the tolerance of `_multiplier_residuals`."""
-    return _multiplier_residuals(point, np.asarray(v, float),
-                                 np.asarray(lam, float))[2]
+    in N_K(g(x)), to the tolerance of `_multiplier_residuals`.  Raises
+    ValueError when v or lam has the wrong shape."""
+    v = _shaped("v", v, point.sys.dim_x, "the system has dim_x")
+    lam = _shaped("lam", lam, point.sys.cone.dim, "the cone has dimension")
+    return _multiplier_residuals(point, v, lam)[2]
 
 
 class BasePair:
@@ -379,10 +386,10 @@ def multiplier_solve(point: BasePoint, v,
     `with_uniqueness`, a found multiplier gets its srcq certificate and,
     when srcq fails, the first verified lam ± t w/||w|| (w its witness,
     t = 1, 1/2, ..., 1/128) as a second member.  Raises ValueError when
-    v is not finite.
+    v has the wrong shape or is not finite.
     """
     tol = point.tol
-    v = np.asarray(v, float)
+    v = _shaped("v", v, point.sys.dim_x, "the system has dim_x")
     if not np.all(np.isfinite(v)):
         raise ValueError("v not finite: it has a NaN or infinite entry")
     Jt = point.J.T
@@ -467,8 +474,7 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
     elif Lin.shape[1] == 0:
         kres = 0.0
     else:
-        q, _ = np.linalg.qr(Lin)
-        sv = np.linalg.svd(q.T @ ker, compute_uv=False)
+        sv = np.linalg.svd(Lin.T @ ker, compute_uv=False)
         kres = float(sv[-1]) if sv.size == ker.shape[1] else 0.0
 
     holds = rank == m
@@ -552,11 +558,11 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     Farkas certificate of emptiness (detail `fiber_farkas`), whose bound
     is then the residual.  A fiber that stalls or converges without
     holding, with no certificate, is inconclusive.  Raises ValueError
-    when d or w is not finite.
+    when d or w has the wrong shape or is not finite.
     """
     sys, gx, tol = pair.sys, pair.gx, pair.tol
-    d = np.asarray(d, float)
-    w = np.asarray(w, float)
+    d = _shaped("d", d, sys.dim_x, "the system has dim_x")
+    w = _shaped("w", w, sys.dim_x, "the system has dim_x")
     scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
     if not math.isfinite(scale):
         bad = [n for n, z in (("d", d), ("w", w)) if not np.isfinite(z).all()]

@@ -12,9 +12,7 @@ import pytest
 from conestab._sets import Tol, DEFAULT_TOL, SignPattern
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free, normal_cone
 from conestab.cli import EXAMPLE1_NORMAL_TABLE
-from conestab.cone_geometry import (
-    radial_probe, ri_normal_contains, subspace_cone_trivial,
-)
+from conestab.cone_geometry import ri_normal_contains, subspace_cone_trivial
 from conestab.constraint_system import (
     affine_system, example1_system, example3_system, section32_system,
     BasePoint, multiplier_solve, multiplier_verify, srcq_check, nondegeneracy_check,
@@ -73,24 +71,9 @@ def test_criterion_2_example2_regression():
         <= 1e-6 * float(np.linalg.norm(w))
     from conestab.symmat import smat
     ok = ok and smat(w[:3])[1, 1] <= 1e-8 and w[3] <= 1e-8
-
-    # radial probe over the product set R x R_- x R_-
-    omega = SignPattern([SignPattern.FREE, -1, -1])
-    rng = np.random.default_rng(2)
-    tgrid = (1e-3, 1e-2, 1e-1)
-    for _ in range(10):
-        inside = np.array([rng.standard_normal(),
-                           -abs(rng.standard_normal()),
-                           -abs(rng.standard_normal())])
-        ok = ok and radial_probe(omega, np.zeros(3), inside, tgrid)
-        outside = np.array([rng.standard_normal(),
-                            abs(rng.standard_normal()) + 0.1,
-                            -abs(rng.standard_normal())])
-        ok = ok and not radial_probe(omega, np.zeros(3), outside, tgrid)
     elapsed = time.perf_counter() - t0
-    _report(2, "example2: srcq holds/fails with kernel witness + radial "
-               f"probe 10 in / 10 out ({elapsed:.2f}s < 2s)",
-            ok and elapsed < 2.0)
+    _report(2, "example2: srcq holds/fails with kernel witness "
+               f"({elapsed:.2f}s < 2s)", ok and elapsed < 2.0)
 
 
 def test_criterion_3_example3_regression():

@@ -126,6 +126,25 @@ def test_gderiv_non_finite_direction_exits_2(tmp_path, capsys, key, value):
     assert "verdict" not in out
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("v", [0], "v has shape (1,); the system has dim_x 3"),
+    ("lam", [0, 0], "lam has shape (2,); the cone has dimension 4"),
+    ("d", [1, 1], "d has shape (2,); the system has dim_x 3"),
+    ("w", [2.0], "w has shape (1,); the system has dim_x 3")])
+def test_gderiv_wrong_length_vector_exits_2(tmp_path, capsys, key, value,
+                                            message):
+    # w = [2.0] used to broadcast to (2, 2, 2) and print a verdict
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    fields = {"x": [-1, -1, 0], "v": [0, 0, 0], "lam": [0, 0, 0, 0],
+              "d": [1, 1, 0.5], "w": [2.0, 2.0, 2.0]}
+    fields[key] = value
+    pair = _write(tmp_path / "pair.json", fields)
+    assert main(["gderiv", "--problem", problem, "--pair", pair]) == 2
+    out, err = capsys.readouterr()
+    assert f"input error: {message}" in err
+    assert "verdict" not in out
+
+
 def test_missing_point_fields_exit_2(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     point = _write(tmp_path / "pt.json", {"v": [0, 0, 0]})

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conestab._sets import DEFAULT_TOL
-from conestab.cone_core import Orthant, SOC, PSD, Zero, Free
+from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
+from conestab.proj_deriv import GraphPoint
 from conestab.symmat import svec
 
 _Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
@@ -105,6 +106,9 @@ def test_lineality_basis_spans_the_lineality_space(kind, sign):
     for label, S in _derived_sets(kind, sign):
         B = S.lineality_basis()
         assert B.shape[0] == S.dim, label
+        # counted from the set's codes, and orthonormal columns
+        assert S.lineality_dim() == B.shape[1], label
+        assert np.linalg.norm(B.T @ B - np.eye(B.shape[1])) <= 1e-12, label
         for b in B.T:
             assert np.linalg.norm(b) > 0.5, label
             assert S.dist(b) <= 1e-12, label
@@ -124,3 +128,22 @@ def test_polar_of_the_polar_projects_as_the_set(kind, sign):
             z = rng.standard_normal(S.dim) * 2
             assert np.allclose(P.project(z), S.project(z), rtol=0.0,
                                atol=1e-12 * (1.0 + np.linalg.norm(z))), label
+
+
+@pytest.mark.parametrize("lam", [[0.0] * 5, [-1.0, 1.0, 0.0, 0.0, 0.0]],
+                         ids=["tangent", "hyperplane"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_critical_subspace_test_on_a_boundary_point_runs_no_svd(
+        monkeypatch, lam, sign):
+    # at a boundary point of SOC(5) the critical cone is a halfspace or a
+    # hyperplane, and its polar a ray or a line: each counts its lineality
+    # from its codes
+    K = ConeDesc([SOC(5, "plus" if sign > 0 else "minus")])
+    y = sign * np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    gp = GraphPoint(K, y, sign * np.array(lam))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert gp.critical_is_subspace == (lam[0] != 0.0)
+    assert calls == []

@@ -4,8 +4,7 @@ import pytest
 from conestab._sets import Tol, DEFAULT_TOL, SignPattern, Halfspace
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD
 from conestab.cone_geometry import (
-    critical_cone, tangent_of_normal, normal_of_critical,
-    subspace_cone_trivial, radial_probe,
+    critical_cone, tangent_of_normal, subspace_cone_trivial,
 )
 from conestab.symmat import smat, svec
 
@@ -50,30 +49,6 @@ def test_tangent_of_normal_is_polar_of_critical(K):
             g = T.project(rng.standard_normal(K.dim))
             assert float(h @ g) <= 1e-8 * (1 + np.linalg.norm(h) *
                                            np.linalg.norm(g))
-
-
-def test_normal_of_critical_orthant_case():
-    K = ConeDesc([Orthant(2, "plus")])
-    y = np.array([0.0, 1.0])
-    lam = np.zeros(2)
-    C = critical_cone(K, y, lam)  # R_+ x R
-    d = np.array([0.0, 1.0])
-    N = normal_of_critical(C, d)  # normals at an interior-of-face point
-    assert N.contains(np.array([-1.0, 0.0]))
-    assert not N.contains(np.array([1.0, 0.0]))
-    assert not N.contains(np.array([0.0, -1.0]))
-    with pytest.raises(ValueError):
-        normal_of_critical(C, np.array([-1.0, 0.0]))
-
-
-def test_normal_of_critical_at_origin_is_polar():
-    K = ConeDesc([Orthant(2, "plus")])
-    y = np.zeros(2)
-    lam = np.zeros(2)
-    C = critical_cone(K, y, lam)
-    N = normal_of_critical(C, np.zeros(2))
-    assert N.contains(np.array([-1.0, -1.0]))
-    assert not N.contains(np.array([1.0, 0.0]))
 
 
 def test_subspace_cone_trivial_known_cases():
@@ -133,15 +108,6 @@ def test_subspace_cone_trivial_psd_critical_cone():
     e12 = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
     cert = subspace_cone_trivial(e12.reshape(-1, 1), C)
     assert cert.verdict == "fails"
-
-
-def test_radial_probe():
-    C = SignPattern([1, 1])
-    vbar = np.array([1.0, 1.0])
-    tgrid = (1e-3, 1e-2, 1e-1)
-    assert radial_probe(C, vbar, np.array([0.0, -1.0]), tgrid)
-    assert not radial_probe(C, np.array([0.0, 1.0]), np.array([-1.0, 0.0]),
-                            tgrid)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,94 @@ def test_lineality_basis_members():
             assert S.dist(-B[:, j]) <= 1e-10
 
 
+# The unit-vector cones as four classes, each with its own projection,
+# polar, mirror and lineality basis: the formulas that `UnitFrameSet`
+# replaces, kept here to hold the codes in the frame [u | u⊥] to them.
+class _OldUnitSet:
+    def __init__(self, u, normalize=True):
+        self.u = u / np.linalg.norm(u) if normalize else u
+
+    def _complement(self):
+        return np.linalg.svd(self.u.reshape(1, -1))[2][1:].T
+
+
+class _OldHalfspace(_OldUnitSet):
+    def project(self, z):
+        return z - max(float(self.u @ z), 0.0) * self.u
+
+    def polar(self):
+        return _OldRay(self.u, False)
+
+    def negate(self):
+        return _OldHalfspace(-self.u, False)
+
+    def lineality_basis(self):
+        return self._complement()
+
+
+class _OldHyperplane(_OldUnitSet):
+    def project(self, z):
+        return z - float(self.u @ z) * self.u
+
+    def polar(self):
+        return _OldLineSpan(self.u, False)
+
+    def negate(self):
+        return self
+
+    def lineality_basis(self):
+        return self._complement()
+
+
+class _OldRay(_OldUnitSet):
+    def project(self, z):
+        return max(float(self.u @ z), 0.0) * self.u
+
+    def polar(self):
+        return _OldHalfspace(self.u, False)
+
+    def negate(self):
+        return _OldRay(-self.u, False)
+
+    def lineality_basis(self):
+        return np.zeros((self.u.size, 0))
+
+
+class _OldLineSpan(_OldUnitSet):
+    def project(self, z):
+        return float(self.u @ z) * self.u
+
+    def polar(self):
+        return _OldHyperplane(self.u, False)
+
+    def negate(self):
+        return self
+
+    def lineality_basis(self):
+        return self.u.reshape(-1, 1)
+
+
+@pytest.mark.parametrize("new,old", [
+    (Halfspace, _OldHalfspace), (Hyperplane, _OldHyperplane),
+    (Ray, _OldRay), (LineSpan, _OldLineSpan),
+], ids=["halfspace", "hyperplane", "ray", "linespan"])
+def test_unit_frame_codes_match_the_four_classes(new, old):
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for _ in range(20):
+            a = rng.standard_normal(n) * 3
+            S, R = new(a), old(a)
+            assert np.array_equal(S.lineality_basis(), R.lineality_basis())
+            assert S.lineality_dim() == R.lineality_basis().shape[1]
+            for _ in range(5):
+                z = rng.standard_normal(n) * 3
+                assert np.array_equal(S.project(z), R.project(z))
+                assert np.array_equal(S.polar().project(z),
+                                      R.polar().project(z))
+                assert np.array_equal(S.negate().project(z),
+                                      R.negate().project(z))
+
+
 def test_dykstra_converges_on_intersection():
     # quarter plane as two halfspaces
     sets = [Halfspace(np.array([-1.0, 0.0])), Halfspace(np.array([0.0, -1.0]))]

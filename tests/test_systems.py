@@ -329,6 +329,30 @@ def test_ngamma_graph_deriv_rejects_non_finite_input(d, w, name):
         ngamma_graph_deriv_contains(pair, d, w)
 
 
+def test_wrong_length_vectors_are_rejected_not_broadcast():
+    # a v, lam, d or w of shape (1,) used to broadcast against the
+    # system's vectors and be decided as a constant vector
+    point = BasePoint(example1_system(), XBAR1)
+    for call in (lambda: multiplier_verify(point, np.zeros(1), np.zeros(4)),
+                 lambda: BasePair(point, np.zeros(1), np.zeros(4)),
+                 lambda: multiplier_solve(point, np.zeros(1)),
+                 lambda: NGammaImage(point).contains(np.zeros(1))):
+        with pytest.raises(ValueError, match=r"v has shape \(1,\); the "
+                           "system has dim_x 3"):
+            call()
+    for call in (lambda: multiplier_verify(point, np.zeros(3), np.zeros(1)),
+                 lambda: BasePair(point, np.zeros(3), np.zeros(1))):
+        with pytest.raises(ValueError, match=r"lam has shape \(1,\); the "
+                           "cone has dimension 4"):
+            call()
+    pair = BasePair(point, np.zeros(3), np.zeros(4))
+    d = np.array([1.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match=r"w has shape \(1,\)"):
+        ngamma_graph_deriv_contains(pair, d, np.array([2.0]))
+    with pytest.raises(ValueError, match=r"d has shape \(2,\)"):
+        ngamma_graph_deriv_contains(pair, d[:2], np.zeros(3))
+
+
 def test_ngamma_graph_deriv_fails_on_wrong_dual_motion():
     sys = example1_system()
     # w pointing along +adjoint of an interior cone direction cannot be

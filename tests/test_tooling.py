@@ -49,6 +49,28 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_exported_names_resolve():
+    # every name a module lists in __all__ exists there, and the package
+    # re-exports only names its modules list, so a deleted helper cannot
+    # linger in an export list
+    pkg = pathlib.Path(conestab.__file__).parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.stem.startswith("__"):  # __main__ runs the command line
+            continue
+        mod = importlib.import_module(f"conestab.{path.stem}")
+        found += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", ())
+                  if not hasattr(mod, name)]
+    tree = ast.parse((pkg / "__init__.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            exported = importlib.import_module(f"conestab.{node.module}")
+            found += [f"__init__: {node.module}.{alias.name}"
+                      for alias in node.names
+                      if alias.name not in getattr(exported, "__all__", ())]
+    assert found == []
+
+
 def _bench_module(name):
     """bench/<name>.py, loaded read-only without putting bench/ on the
     import path."""
