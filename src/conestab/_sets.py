@@ -131,22 +131,6 @@ class SignPattern(ConvexSet):
     def lineality_dim(self):
         return int(np.count_nonzero(self.codes == self.FREE))
 
-    def halfspace_rows(self):
-        """Inequality rows A (A z <= 0) and equality rows E (E z = 0)."""
-        eye = np.eye(self.dim)
-        ineq = []
-        eq = []
-        for i, c in enumerate(self.codes):
-            if c == self.NONNEG:
-                ineq.append(-eye[i])
-            elif c == self.NONPOS:
-                ineq.append(eye[i])
-            elif c == self.ZERO:
-                eq.append(eye[i])
-        ineq = np.array(ineq) if ineq else np.zeros((0, self.dim))
-        eq = np.array(eq) if eq else np.zeros((0, self.dim))
-        return ineq, eq
-
 
 _FREE, _NONNEG, _NONPOS, _ZERO = (SignPattern.FREE, SignPattern.NONNEG,
                                   SignPattern.NONPOS, SignPattern.ZERO)

@@ -8,6 +8,7 @@ error.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys as _sys
@@ -170,13 +171,14 @@ def _repro_example3(lines, failures, tol):
 
 def _repro_example41(lines, failures, tol):
     problem = example41_problem()
+    if tol != problem.tol:  # verify the pair again at tol
+        problem = dataclasses.replace(problem, tol=tol)
     lam = problem.lam_hint
-    point = problem.base_point(tol)
-    s = srcq_check(BasePair(point, problem.vbar, lam))
+    s = srcq_check(BasePair(problem.point, problem.vbar, lam))
     _check(lines, failures, "srcq", s.verdict, "holds")
-    nd = nondegeneracy_check(point)
+    nd = nondegeneracy_check(problem.point)
     _check(lines, failures, "nondegeneracy", nd.verdict, "fails")
-    ic = solution_map_isolated_calm(problem, lam, tol)
+    ic = solution_map_isolated_calm(problem, lam)
     _check(lines, failures, "solution_map_isolated_calm", ic.verdict, "holds")
 
 

@@ -18,8 +18,7 @@ import itertools
 import math
 import numpy as np
 
-from ._sets import (Tol, DEFAULT_TOL, Certificate, SignPattern, Subspace,
-                    _ROUNDING)
+from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern, _ROUNDING
 from .cone_core import ConeDesc, Orthant, Zero, Free, project
 from .constraint_system import (
     ConstraintSystem, SUBREG_ASSUMPTION, BasePoint, BasePair, affine_system,
@@ -107,13 +106,15 @@ def phi_subregularity_probe(sys: ConstraintSystem, center: PhiPoint,
 class GEProblem:
     """0 in F(p, x) + N_Gamma(x) around the reference pair (pbar, xbar).
 
-    `Fprime((pbar, xbar), (dp, dx))` is the directional derivative of F;
-    `Fx` optionally carries the Jacobian of F in x at the base pair,
-    which unlocks the exact polyhedral enumeration route.  The
-    constructor checks that the pair solves the inclusion at the
+    `Fprime((pbar, xbar), (dp, dx))` is the directional derivative of F,
+    and the only way the certificates read F near the pair.  The
+    constructor checks at `tol` that the pair solves the inclusion at the
     verified base point `point`: a `lam_hint` that `multiplier_verify`
     accepts settles it, and otherwise a multiplier search must find one;
-    a certified miss and a stall raise distinct ValueErrors.
+    a certified miss and a stall raise distinct ValueErrors.  Every
+    certificate on the problem reads `tol` and `point`; for another
+    tolerance, `dataclasses.replace(problem, tol=t)` verifies the pair
+    again at t.
     """
 
     sys: ConstraintSystem
@@ -121,7 +122,6 @@ class GEProblem:
     Fprime: object
     pbar: np.ndarray
     xbar: np.ndarray
-    Fx: np.ndarray | None = None
     name: str = "custom"
     lam_hint: np.ndarray | None = None
     tol: Tol = field(default_factory=Tol)
@@ -146,13 +146,6 @@ class GEProblem:
     def vbar(self):
         return -np.asarray(self.F(self.pbar, self.xbar), float)
 
-    def base_point(self, tol: Tol) -> BasePoint:
-        """The verified base point at xbar for tol: `point` when tol is
-        the problem's own."""
-        if tol == self.tol:
-            return self.point
-        return BasePoint(self.sys, self.xbar, tol)
-
 
 def example41_problem() -> GEProblem:
     """Affine perturbation F(p, x) = -p - x over the 3-variable
@@ -169,7 +162,7 @@ def example41_problem() -> GEProblem:
         F=lambda p, x: -np.asarray(p, float) - np.asarray(x, float),
         Fprime=lambda base, dirn: -np.asarray(dirn[0], float)
         - np.asarray(dirn[1], float),
-        pbar=pbar, xbar=xbar, Fx=-np.eye(3), name="example41",
+        pbar=pbar, xbar=xbar, name="example41",
         lam_hint=np.concatenate([svec(np.zeros((2, 2))), [-1.0]]))
 
 
@@ -211,10 +204,14 @@ def _branch_lp_max(J, M, branch):
     level, the face is a segment of the line t v, v the null vector: each
     bound and sign row is one condition on t, unless its coefficient
     along v lies between rounding level and WITNESS_CUT, where the LP's
-    tolerance could decide it otherwise.  Neither face needs an LP.  The
-    LP stacks 2n copies (d_k, mu_k) of the face's constraints, as sparse
-    blocks, copy k = 2j or 2j + 1 maximizing +d_j or -d_j; the objective
-    is separable, so one HiGHS call replaces 2n.
+    tolerance could decide it otherwise.  Neither face needs an LP.  When
+    only the smallest is at rounding level but another is below the LP's
+    margin, the LP could read the face wider than that segment, yet the
+    segment lies in it: a segment that reaches past WITNESS_CUT is a
+    witness, with no LP either.  The LP stacks 2n copies (d_k, mu_k) of
+    the face's constraints, as sparse blocks, copy k = 2j or 2j + 1
+    maximizing +d_j or -d_j; the objective is separable, so one HiGHS
+    call replaces 2n.
 
     Returns (res, value, d): the `linprog` result (None if no LP ran),
     the largest value and a d that attains it.  When HiGHS does not
@@ -222,9 +219,6 @@ def _branch_lp_max(J, M, branch):
     answers `inconclusive` with the HiGHS status: a face left unsearched
     is no evidence.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
     m, n = J.shape
     nv, copies = n + m, 2 * n
     A_eq = [np.hstack([M, J.T])]
@@ -252,7 +246,8 @@ def _branch_lp_max(J, M, branch):
     nonzero = 1e-7 * root < WITNESS_CUT * s
     if nonzero.all():
         return None, 0.0, np.zeros(n)
-    if nonzero[:-1].all() and s[-1] <= _ROUNDING * s[0] * root:
+    flat = s <= _ROUNDING * s[0] * root
+    if flat[-1] and (nonzero[:-1].all() or not flat[-2]):
         # the line t x: row i of `rows` asks span_i[0] <= t c_i <= span_i[1]
         x = np.zeros(nv)
         x[free] = Vt[-1]
@@ -266,7 +261,12 @@ def _branch_lp_max(J, M, branch):
             d = (t_hi if t_hi >= -t_lo else t_lo) * x
             for b in box.T:  # a bound met to rounding is met, as at a vertex
                 d = np.where(np.abs(d - b) <= _ROUNDING, b, d)
-            return None, float(np.abs(d[:n]).max()), d[:n]
+            val = float(np.abs(d[:n]).max())
+            if nonzero[:-1].all() or val > WITNESS_CUT:
+                return None, val, d[:n]
+
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     def diag(A):  # `copies` copies of A down the diagonal
         return sparse.bsr_array((np.broadcast_to(A, (copies,) + A.shape),
@@ -290,11 +290,10 @@ def _branch_lp_max(J, M, branch):
     return res, float(vals[k]), res.x[k * nv:k * nv + n]
 
 
-def _polyhedral_route(problem, pair, options):
-    """Exact enumeration of the branch faces `options`, one
-    `_branch_lp_max` each, until a face holds a d above WITNESS_CUT."""
+def _polyhedral_route(pair, M, options, assumptions):
+    """Exact enumeration of the branch faces `options` of M d + J^T mu = 0,
+    one `_branch_lp_max` each, until a face holds a d above WITNESS_CUT."""
     J, tol = pair.J, pair.tol
-    M = problem.Fx + pair.hess
 
     method = "exact branch enumeration over polyhedral graph-tangent faces"
     best = 0.0
@@ -305,7 +304,7 @@ def _polyhedral_route(problem, pair, options):
             # an unsolved face is a face not searched: no verdict
             return Certificate(
                 "inconclusive", best, None, method, tol,
-                assumptions=(SUBREG_ASSUMPTION,),
+                assumptions=assumptions,
                 details={"branch": index, "lp_status": int(res.status),
                          "lp_message": str(res.message)})
         if val > best:
@@ -314,9 +313,9 @@ def _polyhedral_route(problem, pair, options):
             break
     if best > WITNESS_CUT:
         return Certificate("fails", best, witness / np.linalg.norm(witness),
-                           method, tol, assumptions=(SUBREG_ASSUMPTION,))
+                           method, tol, assumptions=assumptions)
     return Certificate("holds", best, None, method, tol,
-                       assumptions=(SUBREG_ASSUMPTION,))
+                       assumptions=assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +325,24 @@ FX_ASSUMPTION = "F is C¹ in x (Fprime linear in dx)"
 
 
 def _second_order_form(problem, pair):
-    """A = -F_x - Hess - J^T U J / 2, where U h = grad Upsilon(h) is the
-    curvature term of the cone-level graphical derivative, and the
-    assumptions A rests on.  F_x is `problem.Fx`, or is assembled from n
-    `Fprime` columns when that is not given.  A is not symmetrized: its
+    """A = -F_x - Hess - J^T U J / 2, where F_x is assembled from the n
+    `Fprime` columns (0, e_j) and U h = grad Upsilon(h) is the curvature
+    term of the cone-level graphical derivative, and the assumptions A
+    rests on.  U is 0 unless a block of the graph point is `curved`, so
+    on polyhedral blocks -A = F_x + Hess.  A is not symmetrized: its
     symmetric part decides definiteness, A itself the subspace case."""
     sys, J = pair.sys, pair.J
-    n = sys.dim_x
-    assumptions = (SUBREG_ASSUMPTION,)
-    if problem.Fx is not None:
-        Fx = np.asarray(problem.Fx, float)
-    else:
-        zero_p = np.zeros_like(problem.pbar)
-        Fx = np.column_stack([
-            np.asarray(problem.Fprime((problem.pbar, problem.xbar),
-                                      (zero_p, e)), float)
-            for e in np.eye(n)])
-        assumptions += (FX_ASSUMPTION,)
+    zero_p = np.zeros_like(problem.pbar)
+    Fx = np.column_stack([
+        np.asarray(problem.Fprime((problem.pbar, problem.xbar),
+                                  (zero_p, e)), float)
+        for e in np.eye(sys.dim_x)])
+    A = -Fx - pair.hess
     gp = pair.graph_point
-    UJ = np.column_stack([sys.cone.upsilon_grad(gp, c) for c in J.T])
-    return -Fx - pair.hess - 0.5 * (J.T @ UJ), assumptions
+    if any(p.curved for p in gp.blocks):  # otherwise U = 0
+        UJ = np.column_stack([sys.cone.upsilon_grad(gp, c) for c in J.T])
+        A = A - 0.5 * (J.T @ UJ)
+    return A, (SUBREG_ASSUMPTION, FX_ASSUMPTION)
 
 
 def _critical_span_basis(pair):
@@ -397,7 +394,7 @@ def _lineality_directions(pair):
     enters neither g nor F lies in the kernel of J."""
     J, tol = pair.J, pair.tol
     ker = _null_basis(J, tol)
-    Q = Subspace(pair.critical.lineality_basis()).Q
+    Q = pair.critical.lineality_basis()
     # J d in span Q, d orthogonal to the kernel already listed
     rest = _null_basis(np.vstack([J - Q @ (Q.T @ J), ker.T]), tol)
     W = np.hstack([ker, rest]).T
@@ -432,24 +429,23 @@ def _lineality_witness_search(problem, pair, srcq):
                        details=details)
 
 
-def solution_map_isolated_calm(problem: GEProblem, lam,
-                               tol: Tol = DEFAULT_TOL,
+def solution_map_isolated_calm(problem: GEProblem, lam, *,
                                net_k=None) -> Certificate:
     """Isolated calmness of the solution map at pbar for xbar, for the
-    verified multiplier lam.
+    verified multiplier lam, at the problem's base point and tolerance.
 
     The certified implication: any dx with
     -F'((pbar,xbar);(0,dx)) - Hess dx in the adjoint image of the
     cone-level graphical derivative at g'(xbar)dx must vanish.  Under the
-    multiplier-uniqueness qualification, exact polyhedral enumeration is
-    used when the data allows it and there are at most BRANCH_CAP
-    branches (past it, details `branches` and `branch_cap` record the
-    count and the cap).  Otherwise such a d has A d = J^T xi
-    with A = -F_x - Hess - J^T U J / 2 and xi in N_C(J d), which is
-    orthogonal to J d, so <d, A d> = 0; the answer is `holds` when
-    S = sym(A) is definite on span B, B an orthonormal basis of
-    {d : J d in span C} (details `basis`, `lambda_min`, `lambda_max` and
-    `threshold`, the eigenvalue range of B^T S B against
+    multiplier-uniqueness qualification, such a d has A d = J^T xi
+    with A = -F_x - Hess - J^T U J / 2 and xi in N_C(J d).  When K is
+    polyhedral and g affine, the branch faces of -A d + J^T mu = 0 are
+    enumerated exactly if there are at most BRANCH_CAP of them (past it,
+    details `branches` and `branch_cap` record the count and the cap).
+    Otherwise, as xi is orthogonal to J d, <d, A d> = 0; the answer is
+    `holds` when S = sym(A) is definite on span B, B an orthonormal
+    basis of {d : J d in span C} (details `basis`, `lambda_min`,
+    `lambda_max` and `threshold`, the eigenvalue range of B^T S B against
     sqrt(tol.membership) (1 + ||B^T S B||)).  When S is not definite
     there and C is a subspace, `_subspace_decision` decides by the
     singular values of B^T A B.  Otherwise, or when those are too close
@@ -460,8 +456,8 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
     (bench/workloads.py) still passes it, and a later change to the
     benchmark removes it.
     """
-    sys = problem.sys
-    pair = BasePair(problem.base_point(tol), problem.vbar, lam)
+    sys, tol = problem.sys, problem.tol
+    pair = BasePair(problem.point, problem.vbar, lam)
     srcq = srcq_check(pair)
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     if srcq.verdict != "holds":
@@ -470,17 +466,17 @@ def solution_map_isolated_calm(problem: GEProblem, lam,
                            "qualification did not certify)", tol,
                            assumptions=(SUBREG_ASSUMPTION,), checked=checked)
 
+    A, assumptions = _second_order_form(problem, pair)
     details = {}
-    if sys.cone.is_polyhedral and sys.is_affine and problem.Fx is not None:
+    if sys.cone.is_polyhedral and sys.is_affine:
         options = _scalar_branches(pair.critical)
         branches = math.prod(len(o) for o in options)
         if branches <= BRANCH_CAP:
-            cert = _polyhedral_route(problem, pair, options)
+            cert = _polyhedral_route(pair, -A, options, assumptions)
             cert.checked = cert.checked + checked
             return cert
         details = {"branches": branches, "branch_cap": BRANCH_CAP}
 
-    A, assumptions = _second_order_form(problem, pair)
     S = 0.5 * (A + A.T)
     B = _critical_span_basis(pair)
     eig = np.linalg.eigvalsh(B.T @ S @ B)
@@ -572,9 +568,9 @@ def kkt_isolated_calm(f: SmoothFn, G: SmoothMap, mult_cone: ConeDesc,
     pbar, xbar = np.zeros(nz + m), np.concatenate([zbar, lbar])
     # identity g: the generalized-equation multiplier equals vbar itself
     vbar = -F(pbar, xbar)
-    problem = GEProblem(sys_ge, F, Fprime, pbar=pbar, xbar=xbar, Fx=Fx,
+    problem = GEProblem(sys_ge, F, Fprime, pbar=pbar, xbar=xbar,
                         name="kkt_wrapper", lam_hint=vbar, tol=tol)
-    return solution_map_isolated_calm(problem, vbar, tol)
+    return solution_map_isolated_calm(problem, vbar)
 
 
 def lp_kkt_data(kind="nondegenerate"):

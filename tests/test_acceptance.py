@@ -4,6 +4,7 @@ Run with -s to see the lines as they are produced; each criterion is a
 separate test so a failure pinpoints the broken guarantee.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -110,8 +111,8 @@ def test_criterion_4_example41_regression():
     ok = ok and ic.verdict == "holds"
     halved = Tol(membership=DEFAULT_TOL.membership / 2,
                  zero=DEFAULT_TOL.zero / 2)
-    ok = ok and solution_map_isolated_calm(problem, lam,
-                                           halved).verdict == "holds"
+    ok = ok and solution_map_isolated_calm(
+        dataclasses.replace(problem, tol=halved), lam).verdict == "holds"
     elapsed = time.perf_counter() - t0
     _report(4, "example41: srcq holds, nondegeneracy fails, isolated "
                f"calmness holds and is tol-halving stable ({elapsed:.2f}s "
@@ -384,11 +385,21 @@ def _criterion_10_instances():
         yield codes, L
 
 
+def _halfspace_rows(codes):
+    """Inequality rows A (A z <= 0) and equality rows E (E z = 0) of the
+    sign pattern `codes`, each in coordinate order."""
+    codes = np.asarray(codes)
+    eye = np.eye(codes.size)
+    side = np.select([codes == SignPattern.NONNEG,
+                      codes == SignPattern.NONPOS], [-1.0, 1.0], 0.0)
+    return (side[:, None] * eye)[side != 0], eye[codes == SignPattern.ZERO]
+
+
 def test_criterion_10_polyhedral_triviality_referee():
     mismatches = count = 0
     for codes, L in _criterion_10_instances():
         C = SignPattern(codes)
-        ineq, eq = C.halfspace_rows()
+        ineq, eq = _halfspace_rows(codes)
         exact = polyhedral_trivial_exact(ineq, L, equalities=eq)
         cert = subspace_cone_trivial(L, C)
         got = {"holds": True, "fails": False}.get(cert.verdict)

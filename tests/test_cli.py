@@ -256,6 +256,28 @@ def test_module_entry_point():
     assert "MISMATCH" not in proc.stdout
 
 
+def test_repro_scenarios_load_no_lp_solver():
+    # every branch face of the six scenarios is decided in closed form,
+    # so scipy's LP solver and sparse matrices are never imported
+    import os, subprocess, sys
+    import conestab
+    src = os.path.dirname(os.path.dirname(conestab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import contextlib, io, sys\n"
+            "from conestab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['repro', n]) for n in ('example1', "
+            "'example2', 'example3', 'example41', 'kkt_lp', 'section32')]\n"
+            "print(codes, sorted(m for m in ('scipy.optimize', "
+            "'scipy.sparse') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
 def _shape_mismatch(tmp_path):
     # a 1 x 2 matrix A for an orthant of dimension 2
     problem = _write(tmp_path / "p.json", {

@@ -116,7 +116,8 @@ def _curved_psd_pair(dim_x, rng):
 def test_second_order_form_decomposes_y_once(monkeypatch):
     rng = np.random.default_rng(43)
     pair = _curved_psd_pair(5, rng)
-    problem = SimpleNamespace(Fx=np.zeros((5, 5)))
+    problem = SimpleNamespace(pbar=np.zeros(1), xbar=pair.x,
+                              Fprime=lambda base, dirn: np.zeros(5))
     calls = _counting_eigh(monkeypatch)
     A, _ = _second_order_form(problem, pair)
     Y = smat(pair.gx)

@@ -62,17 +62,6 @@ def test_polar_moreau(S):
         assert abs(float(p @ q)) <= 1e-10 * (1 + np.linalg.norm(z)) ** 2
 
 
-def test_sign_pattern_halfspace_rows():
-    S = SignPattern([0, 1, -1, 2])
-    ineq, eq = S.halfspace_rows()
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        z = rng.standard_normal(4)
-        member = S.dist(z) <= 1e-12
-        rows_say = np.all(ineq @ z <= 1e-12) and np.all(np.abs(eq @ z) <= 1e-12)
-        assert member == rows_say
-
-
 def test_negate():
     S = SignPattern([0, 1, -1, 2])
     N = S.negate()

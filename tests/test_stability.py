@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -114,8 +116,7 @@ def test_isolated_calm_fails_on_flat_free_problem():
     sys = affine_system(ConeDesc([Free(2)]), np.eye(2), np.zeros(2))
     problem = GEProblem(sys, F=lambda p, x: np.zeros(2),
                         Fprime=lambda base, dirn: np.zeros(2),
-                        pbar=np.zeros(2), xbar=np.zeros(2),
-                        Fx=np.zeros((2, 2)))
+                        pbar=np.zeros(2), xbar=np.zeros(2))
     cert = solution_map_isolated_calm(problem, np.zeros(2))
     assert cert.verdict == "fails"
     assert cert.witness is not None
@@ -129,7 +130,7 @@ def test_isolated_calm_holds_scalar_inequality():
     problem = GEProblem(sys, F=lambda p, x: np.asarray(x) - np.asarray(p),
                         Fprime=lambda base, dirn: np.asarray(dirn[1], float)
                         - np.asarray(dirn[0], float),
-                        pbar=np.zeros(1), xbar=np.zeros(1), Fx=np.eye(1))
+                        pbar=np.zeros(1), xbar=np.zeros(1))
     cert = solution_map_isolated_calm(problem, np.zeros(1))
     assert cert.verdict == "holds"
     assert "branch enumeration" in cert.method
@@ -152,8 +153,7 @@ def test_isolated_calm_inconclusive_without_qualification():
 
 
 def _apex_problem(block):
-    # g(x) = x in a 3-dimensional cone at its apex, lam = 0, F = -p - x and
-    # no Fx
+    # g(x) = x in a 3-dimensional cone at its apex, lam = 0, F = -p - x
     sys = affine_system(ConeDesc([block]), np.eye(3), np.zeros(3))
     return GEProblem(sys, F=lambda p, x: -np.asarray(p) - np.asarray(x),
                      Fprime=lambda base, dirn: -np.asarray(dirn[0])
@@ -231,7 +231,8 @@ def test_example41_holds_and_is_tolerance_stable():
     tighter = Tol(membership=DEFAULT_TOL.membership / 2,
                   zero=DEFAULT_TOL.zero / 2)
     for tol in (DEFAULT_TOL, tighter):
-        cert = solution_map_isolated_calm(problem, lam, tol)
+        cert = solution_map_isolated_calm(
+            dataclasses.replace(problem, tol=tol), lam)
         assert cert.verdict == "holds"
         assert cert.details["lambda_min"] > cert.details["threshold"]
         # the lineality search finds no solution of the inclusion at
@@ -239,6 +240,23 @@ def test_example41_holds_and_is_tolerance_stable():
         search = _lineality_witness_search(
             problem, *_pair_and_srcq(problem, lam, tol))
         assert search.verdict == "inconclusive"
+
+
+def test_isolated_calm_reads_the_problem_tolerance(monkeypatch):
+    # the certificate is made at the problem's own tolerance and base
+    # point: no second BasePoint, and no tolerance argument
+    import conestab.constraint_system as cs
+
+    p = dataclasses.replace(example41_problem(), tol=Tol(1e-6, 1e-7))
+    built = []
+    init = cs.BasePoint.__init__
+    monkeypatch.setattr(cs.BasePoint, "__init__",
+                        lambda self, *a, **k: built.append(1)
+                        or init(self, *a, **k))
+    cert = solution_map_isolated_calm(p, p.lam_hint)
+    assert (cert.verdict, cert.tol, built) == ("holds", p.tol, [])
+    with pytest.raises(TypeError):
+        solution_map_isolated_calm(p, p.lam_hint, p.tol)
 
 
 def test_example41_holds_under_denser_net():
@@ -294,7 +312,7 @@ def test_polyhedral_problem_past_the_branch_cap_is_decided():
     problem = GEProblem(sys, F=lambda p, x: -np.asarray(p) - np.asarray(x),
                         Fprime=lambda base, dirn: -np.asarray(dirn[0])
                         - np.asarray(dirn[1]),
-                        pbar=np.zeros(13), xbar=np.zeros(13), Fx=-np.eye(13))
+                        pbar=np.zeros(13), xbar=np.zeros(13))
     cert = solution_map_isolated_calm(problem, np.zeros(13))
     assert cert.verdict == "holds"
     assert "definite" in cert.method
@@ -304,16 +322,21 @@ def test_polyhedral_problem_past_the_branch_cap_is_decided():
 
 
 @pytest.mark.parametrize("a", [np.array([1.0, 1.0]),
-                               np.random.default_rng(5).standard_normal(2)])
-def test_isolated_calm_fails_on_thin_set_without_fx(a):
-    # Gamma = {a.x = 0}, F = -p and no Fx: every point of Gamma solves the
-    # inclusion at p = 0, so the solution map is not isolated calm
+                               np.random.default_rng(5).standard_normal(2),
+                               np.array([0.06, -0.08])])
+def test_isolated_calm_fails_on_thin_set_without_fx(a, monkeypatch):
+    # Gamma = {a.x = 0} and F = -p, so F_x = 0: every point of Gamma
+    # solves the inclusion at p = 0, so the solution map is not isolated
+    # calm, which the exact branch enumeration shows.  The face's null
+    # space is the line a^perp, whatever the size of a, so no LP runs
     sys = affine_system(ConeDesc([Zero(1)]), a.reshape(1, 2), np.zeros(1))
     problem = GEProblem(sys, F=lambda p, x: -np.asarray(p, float),
                         Fprime=lambda base, dirn: -np.asarray(dirn[0], float),
                         pbar=np.zeros(2), xbar=np.zeros(2))
+    calls = _counted_linprog(monkeypatch)
     cert = solution_map_isolated_calm(problem, np.zeros(1))
-    assert cert.verdict == "fails"
+    assert (cert.verdict, cert.residual, calls) == ("fails", 1.0, [])
+    assert "exact branch enumeration" in cert.method
     d = cert.witness
     assert np.linalg.norm(d) == pytest.approx(1.0)
     assert abs(float(a @ d)) <= 1e-12
@@ -430,7 +453,7 @@ def _shifted_problem(sys, x, v, alpha):
                      * np.asarray(xx),
                      Fprime=lambda base, dirn: -np.asarray(dirn[0])
                      - alpha * np.asarray(dirn[1]),
-                     pbar=v - alpha * x, xbar=x, Fx=-alpha * np.eye(sys.dim_x))
+                     pbar=v - alpha * x, xbar=x)
 
 
 def _certified_holds():
@@ -545,7 +568,7 @@ def _scalar_ge_draw(seed):
     xbar = 0 and a planted multiplier: some active Orthant coordinates
     carry a zero multiplier, and F_x is Gaussian, positive definite,
     rank-deficient or zero.  Returns (problem, lam, per-coordinate
-    (kind, active, strict) tags)."""
+    (kind, active, strict) tags, F_x)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     blocks, y, lam, tags = [], [], [], []
@@ -587,15 +610,15 @@ def _scalar_ge_draw(seed):
         sys, F=lambda p, x: Fx @ np.asarray(x) - np.asarray(p),
         Fprime=lambda base, dirn: Fx @ np.asarray(dirn[1])
         - np.asarray(dirn[0]),
-        pbar=v, xbar=np.zeros(n), Fx=Fx, lam_hint=lam)
-    return problem, lam, tags
+        pbar=v, xbar=np.zeros(n), lam_hint=lam)
+    return problem, lam, tags, Fx
 
 
-def _referee_branch_max(problem, tags, cut):
+def _referee_branch_max(problem, M, tags, cut):
     """The largest |d_j| by one dense `linprog` per (branch, j, sign),
     branches in coordinate order with the free-side option first, and the
     enumeration stopped after the first branch whose best exceeds `cut`.
-    The face of a branch: (d, mu) in the box, F_x d + J^T mu = 0, and per
+    The face of a branch: (d, mu) in the box, M d + J^T mu = 0, and per
     coordinate either (J d)_i free with mu_i = 0, or (J d)_i = 0 with mu_i
     free, or at a degenerate Orthant coordinate of sign s the choice
     s (J d)_i >= 0, mu_i = 0 or (J d)_i = 0, s mu_i <= 0."""
@@ -616,7 +639,7 @@ def _referee_branch_max(problem, tags, cut):
                             ("zero", (-1.0, 0.0) if s > 0 else (0.0, 1.0))])
     best = 0.0
     for branch in itertools.product(*options):
-        eq = [np.hstack([problem.Fx, J.T])]
+        eq = [np.hstack([M, J.T])]
         ub = []
         bounds = [(-1.0, 1.0)] * n
         for i, (a, bnd) in enumerate(branch):
@@ -642,6 +665,50 @@ def _referee_branch_max(problem, tags, cut):
     return best
 
 
+def _orthant_apex_draw(seed, idle):
+    """R^3_+ at its apex under a seeded affine g(x) = A (x - xbar), with
+    F(p, x) = M x - p for a symmetric Gaussian M, pbar = M xbar and
+    lam = 0.  With `idle`, a fourth coordinate enters neither g nor F.
+    Returns (problem, M)."""
+    rng = np.random.default_rng(seed)
+    n = 4 if idle else 3
+    A, M = np.zeros((3, n)), np.zeros((n, n))
+    A[:, :3] = rng.standard_normal((3, 3))
+    G = rng.standard_normal((3, 3))
+    M[:3, :3] = G + G.T
+    xbar = rng.standard_normal(n)
+    sys = affine_system(ConeDesc([Orthant(3, "plus")]), A, -A @ xbar)
+    problem = GEProblem(sys, F=lambda p, x: M @ np.asarray(x) - p,
+                        Fprime=lambda base, dirn: M @ np.asarray(dirn[1])
+                        - np.asarray(dirn[0]),
+                        pbar=M @ xbar, xbar=xbar)
+    return problem, M
+
+
+@pytest.mark.parametrize("seed,idle", [(s, False) for s in range(12)]
+                         + [(s, True) for s in range(12, 16)])
+def test_orthant_apex_is_decided_exactly_from_fprime(seed, idle):
+    # F_x is known only through Fprime; the branch enumeration still
+    # runs, and the referee, built from the draw's own M, agrees.  An
+    # idle coordinate solves the inclusion, so those draws fail with a
+    # witness the graphical derivative accepts
+    from conestab.stability import WITNESS_CUT
+
+    problem, M = _orthant_apex_draw(seed, idle)
+    cert = solution_map_isolated_calm(problem, np.zeros(3))
+    assert "exact branch enumeration" in cert.method
+    assert cert.verdict == ("fails" if idle else "holds")
+    best = _referee_branch_max(problem, M, [(1.0, True, False)] * 3,
+                               WITNESS_CUT)
+    assert cert.residual == pytest.approx(best, abs=1e-9)
+    if idle:
+        d = cert.witness
+        assert np.linalg.norm(d) == pytest.approx(1.0)
+        pair = BasePair(problem.point, problem.vbar, np.zeros(3))
+        assert ngamma_graph_deriv_contains(pair, d, -M @ d).verdict == \
+            "holds"
+
+
 def _face_paths(monkeypatch):
     """Record (LP solved, value) for each branch face the polyhedral
     route decides.  A face decided with no LP and a nonzero value is a
@@ -660,19 +727,28 @@ def _face_paths(monkeypatch):
     return paths
 
 
-def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
+def _branch_route(problem, pair):
+    """The branch enumeration of `solution_map_isolated_calm` on the
+    pair, its -A assembled from Fprime, with no qualification gate."""
     from conestab.stability import (_polyhedral_route, _scalar_branches,
-                                    WITNESS_CUT)
+                                    _second_order_form)
+
+    A, assumptions = _second_order_form(problem, pair)
+    return _polyhedral_route(pair, -A, _scalar_branches(pair.critical),
+                             assumptions)
+
+
+def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
+    from conestab.stability import WITNESS_CUT
 
     paths = _face_paths(monkeypatch)
     verdicts = []
     for seed in range(200):
-        problem, lam, tags = _scalar_ge_draw(seed)
+        problem, lam, tags, Fx = _scalar_ge_draw(seed)
         pair = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
                         lam)
-        cert = _polyhedral_route(problem, pair,
-                                 _scalar_branches(pair.critical))
-        best = _referee_branch_max(problem, tags, WITNESS_CUT)
+        cert = _branch_route(problem, pair)
+        best = _referee_branch_max(problem, Fx, tags, WITNESS_CUT)
         assert cert.verdict == ("fails" if best > WITNESS_CUT else "holds")
         assert cert.residual == pytest.approx(best, abs=1e-9), seed
         if cert.verdict == "fails":
@@ -681,7 +757,7 @@ def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
             d = cert.witness
             assert np.linalg.norm(d) == pytest.approx(1.0)
             assert ngamma_graph_deriv_contains(
-                pair, d, -problem.Fx @ d).verdict == "holds"
+                pair, d, -Fx @ d).verdict == "holds"
         verdicts.append(cert.verdict)
     # both verdicts occur among the draws, and both ways of deciding a
     # face: line faces in closed form and faces of dimension >= 2 by LP
@@ -693,19 +769,16 @@ def test_branch_lp_matches_one_lp_per_objective(monkeypatch):
 def test_line_faces_are_mirror_invariant(monkeypatch):
     # K -> -K with (A, b) -> (-A, -b) and lam -> -lam maps each branch
     # face onto a face with mu -> -mu, so each line face keeps its value
-    from conestab.stability import _polyhedral_route, _scalar_branches
-
     paths = _face_paths(monkeypatch)
     lines = 0
     for seed in range(200):
-        problem, lam, _ = _scalar_ge_draw(seed)
+        problem, lam, _, _ = _scalar_ge_draw(seed)
         del paths[:]
         certs = []
         for sys, sign in ((problem.sys, 1.0), (_mirror(problem.sys), -1.0)):
             pair = BasePair(BasePoint(sys, problem.xbar), problem.vbar,
                             sign * lam)
-            certs.append(_polyhedral_route(problem, pair,
-                                           _scalar_branches(pair.critical)))
+            certs.append(_branch_route(problem, pair))
         half = len(paths) // 2
         if not any(not lp and val > 0 for lp, val in paths[:half]):
             continue
@@ -736,7 +809,7 @@ def test_pair_inside_the_activity_window_is_decided(analyze):
     problem = GEProblem(affine_system(K, np.eye(1), np.zeros(1)),
                         F=lambda p, x: 1.0 + x - p,
                         Fprime=lambda base, dirn: dirn[1] - dirn[0],
-                        pbar=x, xbar=x, Fx=np.eye(1), lam_hint=lam)
+                        pbar=x, xbar=x, lam_hint=lam)
     cert = solution_map_isolated_calm(problem, lam)
     assert cert.verdict == "holds"
     assert "exact branch enumeration" in cert.method
@@ -939,8 +1012,8 @@ def test_soc1_problem_takes_the_exact_route_like_orthant1(F, Fx, expected):
         sys = affine_system(ConeDesc([first, Orthant(1, "plus")]),
                             np.eye(2), np.zeros(2))
         problem = GEProblem(sys, F=F,
-                            Fprime=lambda base, dirn: F(dirn[0], dirn[1]),
-                            pbar=np.zeros(2), xbar=np.zeros(2), Fx=Fx)
+                            Fprime=lambda base, dirn: Fx @ dirn[1] - dirn[0],
+                            pbar=np.zeros(2), xbar=np.zeros(2))
         certs.append(solution_map_isolated_calm(problem, np.zeros(2)))
     for cert in certs:
         assert "exact branch enumeration" in cert.method
