@@ -1,17 +1,18 @@
 """Closed convex sets with projection, membership, and polarity.
 
 Every derived cone used by the toolkit (tangent cones, normal cones,
-critical cones, their polars, intersections with subspaces or hyperplanes)
-is one of the classes below or a primitive cone of `cone_core` (the
-whole space, {0}, a second-order cone).  The derived cones are codes in
-an orthonormal frame: `SignPattern` codes each coordinate, `UnitFrameSet`
-the coordinate along one unit vector u and the part in u⊥ (a halfspace,
+critical cones, their polars, their pointed parts) is one of the classes
+below or a primitive cone of `cone_core` (the whole space, {0}, a
+second-order cone).  The derived cones are codes in an orthonormal
+frame: `SignPattern` codes each coordinate, `UnitFrameSet` the
+coordinate along one unit vector u and the part in u⊥ (a halfspace,
 hyperplane, ray or line), and `PSDBlockSet` each block of a matrix in an
-eigenbasis.  So a polar or a mirror maps the codes, and the dimension of
-the lineality space counts them without building a basis.  All sets are
-closed and convex; sets are cones unless `is_cone` says otherwise.
-Projections are exact per class; intersections project through
-Dykstra's alternating scheme.
+eigenbasis.  So a polar, a mirror or the pointed part C ∩ (lin C)^⊥
+maps the codes, and the dimension of the lineality space counts them
+without building a basis.  All sets are closed and convex; sets are
+cones unless `is_cone` says otherwise.  Every projection is closed form,
+so Moreau's decomposition holds to rounding; only `dykstra` iterates,
+over an intersection of sets.
 """
 
 from dataclasses import dataclass, field
@@ -60,15 +61,10 @@ def _norm(z):
 
 
 class ConvexSet:
-    """Base class: closed convex set with projection-backed membership.
-
-    `exact` says the projection is computed in closed form, so Moreau's
-    decomposition holds to rounding; an iterated projection is not exact.
-    """
+    """Base class: closed convex set with projection-backed membership."""
 
     dim: int
     is_cone = True
-    exact = True
 
     def project(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -87,6 +83,11 @@ class ConvexSet:
         """The mirror {-z : z in the set}."""
         raise NotImplementedError
 
+    def pointed(self) -> "ConvexSet":
+        """The cone's part C ∩ (lin C)^⊥ orthogonal to its lineality
+        space: the free codes set to zero."""
+        raise NotImplementedError
+
     def lineality_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the largest subspace inside the
         set."""
@@ -101,9 +102,10 @@ class SignPattern(ConvexSet):
     """Coordinatewise constraints: 0 free, +1 nonneg, -1 nonpos, 2 zero."""
 
     FREE, NONNEG, NONPOS, ZERO = 0, 1, -1, 2
-    # the polar and the negated code of each code c, at index c + 1
+    # the polar, negated and pointed code of each code c, at index c + 1
     _POLAR = np.array([NONNEG, ZERO, NONPOS, FREE])
     _NEG = np.array([NONNEG, FREE, NONPOS, ZERO])
+    _POINTED = np.array([NONPOS, ZERO, NONNEG, ZERO])
 
     def __init__(self, codes):
         self.codes = np.asarray(codes, dtype=int)
@@ -125,6 +127,9 @@ class SignPattern(ConvexSet):
     def negate(self):
         return SignPattern(self._NEG[self.codes + 1])
 
+    def pointed(self):
+        return SignPattern(self._POINTED[self.codes + 1])
+
     def lineality_basis(self):
         return np.eye(self.dim)[:, self.codes == self.FREE]
 
@@ -140,8 +145,8 @@ class UnitFrameSet(ConvexSet):
     """The cone of z whose coordinate t = <u, z> along the unit vector u
     has the `SignPattern` code `along`, and whose part z - t u in u⊥ has
     the code `across` (FREE or ZERO): a sign pattern in the frame
-    [u | basis of u⊥].  The polar and the mirror map each code and keep
-    u, so they are exact."""
+    [u | basis of u⊥].  The polar, the mirror and the pointed part map
+    each code and keep u, so they are exact."""
 
     def __init__(self, u, along, across):
         self.u, self.dim = u, u.size
@@ -159,13 +164,18 @@ class UnitFrameSet(ConvexSet):
             return tc * self.u
         return z - (t - tc) * self.u
 
+    def _recoded(self, table):
+        return UnitFrameSet(self.u, table[self.along + 1],
+                            table[self.across + 1])
+
     def polar(self):
-        P = SignPattern._POLAR
-        return UnitFrameSet(self.u, P[self.along + 1], P[self.across + 1])
+        return self._recoded(SignPattern._POLAR)
 
     def negate(self):
-        N = SignPattern._NEG
-        return UnitFrameSet(self.u, N[self.along + 1], N[self.across + 1])
+        return self._recoded(SignPattern._NEG)
+
+    def pointed(self):
+        return self._recoded(SignPattern._POINTED)
 
     def lineality_basis(self):
         # u⊥ from the SVD of the row u
@@ -251,16 +261,15 @@ class ProductSet(ConvexSet):
             off += s.dim
         self.is_cone = all(s.is_cone for s in self.sets)
 
-    @property
-    def exact(self):
-        return all(s.exact for s in self.sets)
-
     def project(self, z):
         z = np.asarray(z, float)
         return np.concatenate([s.project(z[sl]) for s, sl in zip(self.sets, self.slices)])
 
     def polar(self):
         return ProductSet([s.polar() for s in self.sets])
+
+    def pointed(self):
+        return ProductSet([s.pointed() for s in self.sets])
 
     def lineality_basis(self):
         cols = []
@@ -278,6 +287,7 @@ class ProductSet(ConvexSet):
 
 _PSD_POLAR = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
 _PSD_NEG = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
+_PSD_POINTED = {"free": "zero", "zero": "zero", "psd": "psd", "nsd": "nsd"}
 
 
 def _eig_clip(B):
@@ -351,13 +361,18 @@ class PSDBlockSet(ConvexSet):
                 d2 += float(w @ w)
         return math.sqrt(d2)
 
+    def _recoded(self, table):
+        return PSDBlockSet(self.U, self.groups,
+                           {k: table[v] for k, v in self.codes.items()})
+
     def polar(self):
-        codes = {k: _PSD_POLAR[v] for k, v in self.codes.items()}
-        return PSDBlockSet(self.U, self.groups, codes)
+        return self._recoded(_PSD_POLAR)
 
     def negate(self):
-        codes = {k: _PSD_NEG[v] for k, v in self.codes.items()}
-        return PSDBlockSet(self.U, self.groups, codes)
+        return self._recoded(_PSD_NEG)
+
+    def pointed(self):
+        return self._recoded(_PSD_POINTED)
 
     def lineality_basis(self):
         cols = []
@@ -407,13 +422,11 @@ _ROUNDING = 256 * np.finfo(float).eps
 
 def _farkas_cones(sets):
     """The cones K_i when sets[0] is an AffineSet and every other set is
-    a cone with an exact projection; None otherwise."""
-    if not isinstance(sets[0], AffineSet):
-        return None
+    a cone; None otherwise."""
     cones = sets[1:]
-    if not all(K.is_cone and K.exact for K in cones):
-        return None
-    return cones
+    if isinstance(sets[0], AffineSet) and all(K.is_cone for K in cones):
+        return cones
+    return None
 
 
 def _farkas_test(affine, ys):
@@ -454,25 +467,21 @@ def _farkas(affine, cones, incs, cycle):
     return Farkas(h, ys, gain / (_norm(h) + ynorm), cycle)
 
 
-def _gordan(affine, cones, z):
-    """(h, R): every x in {M x = b} ∩ C, C = K_1 ∩ ... ∩ K_k, has norm
-    at least R.  y_i = a - Pi_{K_i}(a), a = Pi_A(z), lies in K_i°
-    (Moreau), so sum y_i lies in C°; h = pinv(M)^T sum y_i, u = M^T h.
-    Such an x has <h, b> = <u, x> <= dist(u, C°) ||x||, and
-    dist(u, C°) is ||Pi_C(u)|| for one cone (Moreau), at most
-    ||u - sum y_i|| otherwise.  The rounding allowance of `_farkas_test`
-    is taken off the gain and added to the distance; R is 0 unless the
-    gain is positive.
+def _gordan(affine, cone, z):
+    """(h, R): every x in {M x = b} ∩ C, for the cone C, has norm at
+    least R.  y = a - Pi_C(a), a = Pi_A(z), lies in C° (Moreau);
+    h = pinv(M)^T y, u = M^T h.  Such an x has
+    <h, b> = <u, x> <= dist(u, C°) ||x||, and dist(u, C°) = ||Pi_C(u)||
+    (Moreau).  The rounding allowance of `_farkas_test` is taken off the
+    gain and added to the distance; R is 0 unless the gain is positive.
     """
     a = affine.project(z)
-    ys = [a - K.project(a) for K in cones]
-    total = sum(ys[1:], ys[0])
-    h = affine.pinv.T @ total
-    u = affine.M.T @ h
+    y = a - cone.project(a)
+    h = affine.pinv.T @ y
     gain = float(h @ affine.b) - \
         _ROUNDING * float(np.abs(h) @ np.abs(affine.b))
-    dist = _norm(cones[0].project(u) if len(cones) == 1 else u - total) + \
-        _ROUNDING * (_norm(affine.M) * _norm(h) + sum(_norm(y) for y in ys))
+    dist = _norm(cone.project(affine.M.T @ h)) + \
+        _ROUNDING * (_norm(affine.M) * _norm(h) + _norm(y))
     return h, (gain / dist if gain > 0.0 and dist > 0.0 else 0.0)
 
 
@@ -491,16 +500,16 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
 
     Returns the final iterate plus convergence diagnostics after at most
     `tol.max_iter` cycles.  When `sets[0]` is an AffineSet and the others
-    are cones with closed-form projections, the increments are tested for
-    a Farkas certificate of emptiness after cycles 1, 2, 4, 8, ...; a
-    certified call returns at once with `farkas` set and `stalled` true.
-    Otherwise a run without residual progress is reported as stalled; a
-    stall is not a proof that the intersection is empty, only the end of
-    the search.
+    are cones, the increments are tested for a Farkas certificate of
+    emptiness after cycles 1, 2, 4, 8, ...; a certified call returns at
+    once with `farkas` set and `stalled` true.  Otherwise a run without
+    residual progress is reported as stalled; a stall is not a proof that
+    the intersection is empty, only the end of the search.
 
-    With a `radius`, each checkpoint reads `_gordan` from the iterate
-    instead and returns, stalled, once R > `radius`; every other exit
-    reads it too, so `gordan` is always set.
+    A `radius` needs `sets` = [A, C] for one cone C: each checkpoint
+    reads `_gordan` from the iterate instead and returns, stalled, once
+    R > `radius`; every other exit reads it too, so `gordan` is always
+    set.
     """
 
     cones = _farkas_cones(sets)
@@ -527,7 +536,7 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
         if cones is not None and cycle == next_check:
             next_check *= 2
             cert = None if read else _farkas(sets[0], cones, incs[1:], cycle)
-            gordan = _gordan(sets[0], cones, z) if read else None
+            gordan = _gordan(sets[0], *cones, z) if read else None
             if cert is not None or (read and gordan[1] > radius):
                 res = max(S.dist(z) for S in sets)
                 return z, DykstraInfo(res, cycle, False, True, cert, gordan)
@@ -543,32 +552,8 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
     stalled = stalls >= 3
     res = max(S.dist(z) for S in sets)
     converged = not stalled and res <= tol.membership * (1.0 + _norm(z))
-    gordan = _gordan(sets[0], cones, z) if read else None
+    gordan = _gordan(sets[0], *cones, z) if read else None
     return z, DykstraInfo(res, cycle, converged, stalled, gordan=gordan)
-
-
-class Intersection(ConvexSet):
-    """Intersection of convex sets; projection via Dykstra."""
-
-    exact = False
-
-    def __init__(self, sets, tol: Tol = DEFAULT_TOL):
-        self.sets = list(sets)
-        self.dim = self.sets[0].dim
-        self.tol = tol
-        self.is_cone = all(s.is_cone for s in self.sets)
-
-    def project(self, z):
-        out, _ = dykstra(self.sets, z, self.tol)
-        return out
-
-    def contains(self, z, tol: Tol = DEFAULT_TOL):
-        return all(s.contains(z, tol) for s in self.sets)
-
-    def dist(self, z):
-        out = self.project(z)
-        gap = max(s.dist(out) for s in self.sets)
-        return _norm(np.asarray(z, float) - out) + gap
 
 
 @dataclass

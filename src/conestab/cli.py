@@ -52,7 +52,7 @@ def _cert_entry(name, cert):
 
 
 def cmd_analyze(args):
-    sysm, points = parse_problem(load_json(args.problem))
+    sysm = parse_problem(load_json(args.problem))
     pt = load_json(args.point)
     x = _vector(pt, "x", "point")
     v = _vector(pt, "v", "point", default=np.zeros(sysm.dim_x))
@@ -89,7 +89,7 @@ def cmd_analyze(args):
 
 
 def cmd_gderiv(args):
-    sysm, _ = parse_problem(load_json(args.problem))
+    sysm = parse_problem(load_json(args.problem))
     pr = load_json(args.pair)
     tol = _make_tol(args.tol)
     x, v, lam, d, w = (_vector(pr, key, "pair")

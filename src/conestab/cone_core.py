@@ -93,7 +93,7 @@ class PrimitiveCone(ConvexSet):
     of -K to K and the result back.  A negation is exact, so the mirror
     adds no rounding.  The orthant, second-order and PSD cones are
     self-dual, so the polar of K is -K; a primitive is pointed unless it
-    is Free.
+    is Free, so `pointed()` is the cone itself, and {0} for Free.
     """
 
     is_polyhedral = False
@@ -118,6 +118,9 @@ class PrimitiveCone(ConvexSet):
 
     def negate(self):
         return self.polar() if self.signed else self
+
+    def pointed(self):
+        return self
 
     def lineality_basis(self):
         return np.zeros((self.dim, 0))
@@ -219,6 +222,8 @@ class Free(PrimitiveCone):
 
     def polar(self):
         return Zero(self.dim)
+
+    pointed = polar
 
     def lineality_basis(self):
         return np.eye(self.dim)

@@ -3,15 +3,15 @@
 Critical cones and tangent cones to normal cones are produced as
 closed-form convex-set oracles.  The triviality decision
 span(L) ∩ C = {0} behind every constraint-qualification certificate
-takes one of two routes, chosen from the rank of L:
+takes a cone C, whose projection is closed form, and one of two routes,
+chosen from the rank of L:
 
-- span(L) a line span{q} and C a cone with a closed-form projection: a
-  cone meets a line only along ±q, so the two distances
-  d± = ||±q - Π_C(±q)|| decide it exactly, and a reader re-checks
-  the verdict with two projections.
-- otherwise, for C such a cone or an intersection of them, each slice
-  {z in span(L) : <q_j, z> = ±1} yields a witness or a Gordan vector h
-  bounding the norm of its points in C, re-checked from h by a reader.
+- span(L) a line span{q}: a cone meets a line only along ±q, so the two
+  distances d± = ||±q - Π_C(±q)|| decide it exactly, and a reader
+  re-checks the verdict with two projections.
+- otherwise each slice {z in span(L) : <q_j, z> = ±1} yields a witness
+  or a Gordan vector h bounding the norm of its points in C, re-checked
+  from h by a reader with one projection.
 """
 
 import math
@@ -19,8 +19,7 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Intersection,
-    Subspace, dykstra,
+    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Subspace, dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec, normal_cone
 from .proj_deriv import GraphPoint
@@ -78,20 +77,18 @@ def _line_cone_trivial(q, C, tol):
 
 def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
                           tol: Tol = DEFAULT_TOL) -> Certificate:
-    """Decide whether span(L) ∩ C = {0}.
+    """Decide whether span(L) ∩ C = {0} for a cone C (any other C is
+    `inconclusive`).
 
-    A line span(L) (rank 1 by the singular values of L) against a cone C
-    with a closed-form projection is decided by `_line_cone_trivial`.
-
-    Otherwise C must be such a cone or an `Intersection` of them (any
-    other C is `inconclusive`), and span(L) is cut into slices.  With Q
+    A line span(L) (rank 1 by the singular values of L) is decided by
+    `_line_cone_trivial`.  Otherwise span(L) is cut into slices.  With Q
     an orthonormal basis of span(L) (k columns), a nonzero z in
     span(L) ∩ C rescales to max_j |<q_j, z>| = 1, so it lies in a slice
     A_j± = {z in span(L) : <q_j, z> = ±1} with norm at most sqrt(k).
-    Dykstra on [A_j±, parts of C] converges, and its point of A_j± is
-    the witness of `fails`, or reads (h, R) by `_sets._gordan`: every
-    point of A_j± ∩ C has norm at least R.  `holds` needs R > sqrt(k) on
-    all 2k slices, and carries each (j, sign, h, R).
+    Dykstra on [A_j±, C] converges, and its point of A_j± is the witness
+    of `fails`, or reads (h, R) by `_sets._gordan`: every point of
+    A_j± ∩ C has norm at least R.  `holds` needs R > sqrt(k) on all 2k
+    slices, and carries each (j, sign, h, R).
     """
     L = np.asarray(L, float)
     if L.ndim == 1:
@@ -100,12 +97,10 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
     n, k = Q.shape
     if k == 0:
         return Certificate("holds", 0.0, None, "span(L) is {0}", tol)
-    if k == 1 and C.is_cone and C.exact:
+    if not C.is_cone:
+        return Certificate("inconclusive", 0.0, None, "C is not a cone", tol)
+    if k == 1:
         return _line_cone_trivial(Q[:, 0], C, tol)
-    parts = C.sets if isinstance(C, Intersection) else [C]
-    if not all(K.is_cone and K.exact for K in parts):
-        return Certificate("inconclusive", 0.0, None, "C has no parts that "
-                           "are cones with closed-form projections", tol)
     method = "radius-certified slices <q_j, z> = ±1 of span(L) against C"
     bound = math.sqrt(k)
     # the rows of each slice's M, q_j and the columns of W, are orthonormal
@@ -115,11 +110,9 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
         for sign in (1.0, -1.0):
             A = AffineSet(np.vstack([Q[:, j], W.T]),
                           np.concatenate([[sign], np.zeros(n - k)]))
-            z, info = dykstra([A] + parts, sign * Q[:, j], tol,
-                              radius=bound)
+            z, info = dykstra([A, C], sign * Q[:, j], tol, radius=bound)
             w = A.project(z)
-            if info.converged and \
-                    max(K.dist(w) for K in parts) <= tol.membership:
+            if info.converged and C.dist(w) <= tol.membership:
                 return Certificate("fails", 1.0, w, method, tol, details={
                     "basis": Q, "j": j, "sign": sign, "cycles": info.cycles})
             h, R = info.gordan

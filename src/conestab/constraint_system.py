@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, Hyperplane,
-    Intersection, Subspace, dykstra,
+    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, Hyperplane, dykstra,
 )
 from .cone_core import ConeDesc
 from .cone_geometry import subspace_cone_trivial
@@ -499,9 +498,11 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
        the multipliers miss ri N_K(g(x)) exactly when some u has
        <u, v> = 0 and Ju in T = T_K(g(x)) outside lin T, that is when
        span(P J U_v) ∩ T ∩ (lin T)^perp != {0} for P the projector onto
-       (lin T)^perp and U_v a basis of v^perp.  One triviality decision
-       gives the verdict and details (the slice (h, R) pairs); a fails
-       has witness Ju, and u in the details.
+       (lin T)^perp and U_v a basis of v^perp; T ∩ (lin T)^perp is
+       `T.pointed()`, read from T's codes.  One triviality decision gives
+       the verdict and details (the two distances of a line, or the
+       slice (h, R) pairs); a fails has witness Ju, and u in the
+       details.
     """
     if not res.found:
         raise ValueError("undecided: the multiplier search stalled without "
@@ -522,8 +523,7 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
         B = pair.point.span_normal
         Uv = _null_basis(pair.v.reshape(1, -1), tol)
         L = B @ (B.T @ (pair.J @ Uv))
-        cert = subspace_cone_trivial(
-            L, Intersection([pair.point.tangent, Subspace(B)], tol), tol)
+        cert = subspace_cone_trivial(L, pair.point.tangent.pointed(), tol)
         cert.method = "alternative: span(P J U_v) ∩ T ∩ (lin T)^perp = " \
             "{0}, by " + cert.method
         if cert.verdict == "fails":

@@ -6,8 +6,7 @@ Cone: {"product": [{"psd": {"order": 2, "sign": "plus"}},
                    {"zero": {"dim": 2}}, {"free": {"dim": 2}}]}
 Problem: {"cone": ..., "mapping": {"builtin": "example1"}
                         | {"affine": {"A": [[...]], "b": [...]}}
-                        | {"quadratic": {"Q_list": [...], "A": ..., "b": ...}},
-          "points": {"name": [...], ...}}
+                        | {"quadratic": {"Q_list": [...], "A": ..., "b": ...}}}
 Matrices are dense row-major lists.
 """
 
@@ -36,30 +35,43 @@ def load_json(path):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _field(obj, key, where):
+def _field(obj, key, where, kind=object):
+    """Field `key` of `obj`, which must be there and a `kind` (the Python
+    type of a JSON object, list or string)."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing field {key!r}")
+    if not isinstance(obj[key], kind):
+        raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got "
+                          f"{type(obj[key]).__name__}")
     return obj[key]
+
+
+_NESTED = {1: "a flat list of numbers", 2: "a matrix", 3: "a list of matrices"}
+
+
+def _array(obj, key, where, ndim):
+    """Field `key` of `obj` as a float array; SchemaError unless it is
+    `_NESTED[ndim]`, rectangular and finite."""
+    value = _field(obj, key, where)
+    try:
+        arr = np.asarray(value, float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}.{key}: {exc}") from exc
+    if arr.ndim != ndim:
+        raise SchemaError(f"{where}.{key}: expected {_NESTED[ndim]}, got "
+                          f"shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{where}.{key}: not finite (a NaN or infinite "
+                          "entry)")
+    return arr
 
 
 def _vector(obj, key, where, default=None):
     """Field `key` of `obj` as a float vector; `default` when the field is
-    absent and a default is given.  SchemaError unless the field is a
-    1-D list of finite numbers."""
+    absent and a default is given."""
     if default is not None and isinstance(obj, dict) and key not in obj:
         return default
-    value = _field(obj, key, where)
-    try:
-        vec = np.asarray(value, float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}.{key}: {exc}") from exc
-    if vec.ndim != 1:
-        raise SchemaError(f"{where}.{key}: expected a flat list of numbers, "
-                          f"got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise SchemaError(f"{where}.{key}: not finite (a NaN or infinite "
-                          "entry)")
-    return vec
+    return _array(obj, key, where, 1)
 
 
 # block kind -> (class, size key); Zero and Free carry no sign
@@ -70,7 +82,7 @@ _KIND_OF = {cls: (kind, key) for kind, (cls, key) in _KINDS.items()}
 
 def parse_cone(obj) -> ConeDesc:
     blocks = []
-    for i, entry in enumerate(_field(obj, "product", "cone")):
+    for i, entry in enumerate(_field(obj, "product", "cone", list)):
         if not isinstance(entry, dict) or len(entry) != 1:
             raise SchemaError(f"cone.product[{i}]: expected one-key object")
         kind, spec = next(iter(entry.items()))
@@ -113,30 +125,21 @@ _BUILTINS = {
 
 
 def parse_problem(obj):
-    """Returns (ConstraintSystem, named point dict)."""
-    mapping = _field(obj, "mapping", "problem")
+    """Returns the ConstraintSystem of a problem object."""
+    mapping = _field(obj, "mapping", "problem", dict)
     if "builtin" in mapping:
-        name = mapping["builtin"]
+        name = _field(mapping, "builtin", "mapping", str)
         if name not in _BUILTINS:
             raise SchemaError(f"mapping.builtin: unknown builtin {name!r}")
-        sys = _BUILTINS[name]()
-    else:
-        cone = parse_cone(_field(obj, "cone", "problem"))
-        if "affine" in mapping:
-            spec = mapping["affine"]
-            sys = affine_system(cone,
-                                np.asarray(_field(spec, "A", "mapping.affine"), float),
-                                np.asarray(_field(spec, "b", "mapping.affine"), float))
-        elif "quadratic" in mapping:
-            spec = mapping["quadratic"]
-            sys = quadratic_system(
-                cone,
-                [np.asarray(Q, float)
-                 for Q in _field(spec, "Q_list", "mapping.quadratic")],
-                np.asarray(_field(spec, "A", "mapping.quadratic"), float),
-                np.asarray(_field(spec, "b", "mapping.quadratic"), float))
-        else:
-            raise SchemaError("mapping: expected builtin | affine | quadratic")
-    points = {k: np.asarray(v, float)
-              for k, v in obj.get("points", {}).items()}
-    return sys, points
+        return _BUILTINS[name]()
+    cone = parse_cone(_field(obj, "cone", "problem"))
+    if "affine" in mapping:
+        spec, where = mapping["affine"], "mapping.affine"
+        return affine_system(cone, _array(spec, "A", where, 2),
+                             _vector(spec, "b", where))
+    if "quadratic" in mapping:
+        spec, where = mapping["quadratic"], "mapping.quadratic"
+        return quadratic_system(cone, _array(spec, "Q_list", where, 3),
+                                _array(spec, "A", where, 2),
+                                _vector(spec, "b", where))
+    raise SchemaError("mapping: expected builtin | affine | quadratic")

@@ -175,6 +175,41 @@ def test_analyze_negative_block_size_exits_2(tmp_path, capsys):
         ">= 1, got -1" in err and "Traceback" not in err
 
 
+_ONE = {"cone": {"product": [{"orthant": {"dim": 1}}]},
+        "mapping": {"affine": {"A": [[1.0]], "b": [0.0]}}}
+
+
+@pytest.mark.parametrize("problem, message", [
+    ({"mapping": 5}, "problem.mapping: expected dict, got int"),
+    ({"mapping": {"builtin": ["example1"]}},
+     "mapping.builtin: expected str, got list"),
+    ({**_ONE, "mapping": {"affine": {"A": {"a": 1}, "b": [0.0]}}},
+     "mapping.affine.A: "),
+    ({**_ONE, "mapping": {"affine": {"A": [1.0], "b": [0.0]}}},
+     "mapping.affine.A: expected a matrix, got shape (1,)"),
+    ({**_ONE, "mapping": {"quadratic": {"Q_list": [[1.0]], "A": [[1.0]],
+                                        "b": [0.0]}}},
+     "mapping.quadratic.Q_list: expected a list of matrices"),
+    ({**_ONE, "cone": {"product": 7}}, "cone.product: expected list, got int"),
+], ids=["mapping", "builtin", "A-object", "A-flat", "Q_list", "product"])
+def test_analyze_mistyped_problem_field_exits_2(tmp_path, capsys, problem,
+                                                message):
+    problem = _write(tmp_path / "p.json", problem)
+    point = _write(tmp_path / "pt.json", {"x": [0.0]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {message}" in err and "Traceback" not in err
+
+
+def test_analyze_ignores_points_in_the_problem_file(tmp_path, capsys):
+    # points are not part of the problem schema: analyze reads x and v
+    # from the point file alone
+    problem = _write(tmp_path / "p.json", {**_ONE, "points": {"p": {"a": 1}}})
+    point = _write(tmp_path / "pt.json", {"x": [1.0]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 0
+    assert "feasibility: ok" in capsys.readouterr().out
+
+
 def test_gderiv_member_and_gate_reason(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     member = _write(tmp_path / "pair.json", {

@@ -105,14 +105,28 @@ def _rederive(sys, x, v, cert):
         assert multiplier_verify(point, v, lam)
         assert _ri_normal_ref(sys.cone, point.gx, lam)
     elif cert.verdict == "holds":
-        # no u with <u, v> = 0 and Ju in T outside lin T: every slice of
-        # span(P J U_v) has its radius R re-read from h above sqrt(k)
+        # no u with <u, v> = 0 and Ju in T outside lin T, that is
+        # span(P J U_v) ∩ C = {0} for C = T ∩ (lin T)^perp, whose
+        # projection is Pi_C(u) = Pi_T(P u)
         P = _pointed_projector(point)
+        Uv = np.linalg.svd(v.reshape(1, -1))[2][int(np.any(v != 0)):].T
+        L = P @ sys.jacobian(x) @ Uv
+        if "dist_plus" in cert.details:
+            # a line span{q}: both of ±q are far from C
+            assert np.linalg.matrix_rank(L, 1e-9 * np.linalg.norm(L)) == 1
+            q = np.linalg.svd(L)[0][:, 0]
+            dists = sorted(float(np.linalg.norm(t * q - T.project(P @ (t * q))))
+                           for t in (1.0, -1.0))
+            assert dists == pytest.approx(sorted(
+                cert.details[k] for k in ("dist_plus", "dist_minus")),
+                rel=0.0, abs=1e-12)
+            assert dists[0] >= np.sqrt(TOL)
+            return cert.verdict
+        # every slice of span(P J U_v) has its radius R re-read from h
+        # above sqrt(k)
         Q, W = cert.details["basis"], cert.details["complement"]
         n, k = Q.shape
         assert np.allclose(Q.T @ Q, np.eye(k), atol=1e-12)
-        Uv = np.linalg.svd(v.reshape(1, -1))[2][int(np.any(v != 0)):].T
-        L = P @ sys.jacobian(x) @ Uv
         assert np.linalg.norm(L - Q @ (Q.T @ L)) <= 1e-9 * (
             1 + np.linalg.norm(L))
         assert np.linalg.matrix_rank(L, 1e-9 * np.linalg.norm(L)) == k
@@ -122,8 +136,7 @@ def _rederive(sys, x, v, cert):
             M = np.vstack([Q[:, s["j"]], W.T])
             b = np.concatenate([[s["sign"]], np.zeros(n - k)])
             u = M.T @ s["h"]
-            # dist(u, C°) = ||Pi_C(u)||, and Pi_C(u) = Pi_T(P u) for
-            # C = T ∩ (lin T)^perp
+            # dist(u, C°) = ||Pi_C(u)||
             reread = float(s["h"] @ b) / np.linalg.norm(T.project(P @ u))
             assert reread >= s["radius"] * (1 - 1e-9) and reread > np.sqrt(k)
     elif "u" in cert.details:
@@ -162,7 +175,8 @@ def _verdict(sys, x, v):
 def _cases(planted):
     """(label, sys, x, v): planted problems with the planted
     relative-interior multiplier and with one and two blocks of it
-    zeroed, srcq holding and failing, plus example1 and example3.  When
+    zeroed, srcq holding and failing, plus example1, example3 and one
+    large adjoint kernel.  When
     srcq fails, the adjoint kernel is a line of block-wise multiples of
     the planted multiplier, so it restores one zeroed block and two
     exactly when their multiples have one sign."""
@@ -180,6 +194,11 @@ def _cases(planted):
     yield "example1 vhat", sys1, XBAR1, np.array([-1.0, 0.0, -1.0])
     yield ("example3", example3_system(), svec(np.diag([0.0, 1.0])),
            svec(np.diag([-1.0, 0.0])))
+    # a nine-dimensional adjoint kernel whose searched multiplier is not
+    # relative-interior: span(P J U_v) has rank 3, so the alternative
+    # holds by its slices
+    sys, x, v, _ = _large_kernel_draw(2)
+    yield "large kernel 2", sys, x, v
 
 
 def test_strict_complementarity_referee(planted):
@@ -194,7 +213,10 @@ def test_strict_complementarity_referee(planted):
             assert cert.verdict == old, label
         kind = ("step 1" if cert.verdict == "holds" and cert.witness is not
                 None else "step 2" if "srcq" in cert.details else "step 3")
-        seen[kind, cert.verdict] = seen.get((kind, cert.verdict), 0) + 1
+        route = "line" if "dist_plus" in cert.details else \
+            "slices" if kind == "step 3" else None
+        seen[kind, cert.verdict, route] = \
+            seen.get((kind, cert.verdict, route), 0) + 1
         # the same problem in mirrored or permuted coordinates, and with
         # v scaled, gets the same verdict
         assert _verdict(_mirror(sys), x, v) == cert.verdict, label
@@ -203,9 +225,13 @@ def test_strict_complementarity_referee(planted):
         order = list(range(len(sys.cone.blocks)))[::-1]
         assert _verdict(_permuted(sys, order)[0], x, v) == cert.verdict, \
             label
-    # each step and each verdict of the alternative is exercised
-    assert set(seen) == {("step 1", "holds"), ("step 2", "fails"),
-                         ("step 3", "holds"), ("step 3", "fails")}, seen
+    # each step, and each verdict of the alternative by each route of
+    # the triviality decision, is exercised
+    assert set(seen) == {("step 1", "holds", None), ("step 2", "fails", None),
+                         ("step 3", "holds", "line"),
+                         ("step 3", "holds", "slices"),
+                         ("step 3", "fails", "line"),
+                         ("step 3", "fails", "slices")}, seen
 
 
 def _large_kernel_draw(seed, d=((1.1, 0.6), (0.8, 1.7)), last=0.0):

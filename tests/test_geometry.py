@@ -181,32 +181,16 @@ def test_rank_one_basis_with_two_columns_takes_the_line_route():
         assert cert.verdict == subspace_cone_trivial(L[:, :1], C).verdict
 
 
-def test_intersection_cone_takes_the_slices(monkeypatch):
-    from conestab import cone_geometry
-    from conestab._sets import Hyperplane, Intersection
+def test_a_set_that_is_not_a_cone_is_inconclusive():
+    # both routes rest on C being a cone: a line meets it along ±q, and a
+    # nonzero point of span(L) ∩ C rescales into a slice
+    from conestab._sets import AffineSet
 
-    # SOC(3) cut by z1 = 0 is the planar cone |z2| <= z0; its projection
-    # is iterated, so even a line goes through the slices, with Dykstra
-    # on the two exact parts
-    C = Intersection([ConeDesc([SOC(3, "plus")]),
-                      Hyperplane(np.array([0.0, 1.0, 0.0]))])
-    assert not C.exact
-    calls = []
-    dykstra = cone_geometry.dykstra
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dykstra(*args, **kwargs)
-
-    monkeypatch.setattr(cone_geometry, "dykstra", counted)
-    for column, verdict in (([1.0, 0.0, 1.0], "fails"),
-                            ([0.0, 0.0, 1.0], "holds"),
-                            ([1.0, 1.0, 0.0], "holds")):
-        calls.clear()
-        cert = subspace_cone_trivial(np.array(column).reshape(-1, 1), C)
-        assert cert.method.startswith(SLICES)
-        assert cert.verdict == verdict
-        assert calls
+    C = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
+    for L in (np.array([[1.0], [0.0]]), np.eye(2)):
+        cert = subspace_cone_trivial(L, C)
+        assert (cert.verdict, cert.method) == \
+            ("inconclusive", "C is not a cone")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from conestab._sets import (
     Tol, DEFAULT_TOL, SignPattern, Halfspace, Hyperplane, Ray, LineSpan,
-    Subspace, AffineSet, ProductSet, Intersection, PSDBlockSet, dykstra,
+    Subspace, AffineSet, ProductSet, PSDBlockSet, dykstra,
     _eig_clip, _norm,
 )
 from conestab.cone_core import SOC, Zero, Free
@@ -275,7 +275,7 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
         cones = [cones[0], Hyperplane(rng.standard_normal(m))]
     member = cones[0].project(rng.standard_normal(m) * 2)
     if case % 2:
-        member = Intersection(cones).project(member)
+        member = dykstra(cones, member)[0]
     sets = [AffineSet(M, M @ member)] + cones
     z0 = rng.standard_normal(m)
     z, info = dykstra(sets, z0)
@@ -299,28 +299,21 @@ def test_dykstra_rejects_a_nan_certificate():
 
 
 def test_dykstra_certificate_needs_exact_cone_projections():
-    # an Intersection projects by Dykstra itself, so Moreau's identity
-    # holds only approximately and no certificate is read from it
+    # every set projects in closed form, so Moreau's identity holds to
+    # rounding; a certificate is read only when an affine set comes first
+    # and every other set is a cone
     from conestab._sets import _farkas_cones
 
     A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
-    quarter = Intersection([Halfspace(np.array([-1.0, 0.0])),
-                            Halfspace(np.array([0.0, -1.0]))])
-    assert not quarter.exact
-    assert not ProductSet([SignPattern([1]), quarter]).exact
-    assert _farkas_cones([A, quarter]) is None
+    quarter = SignPattern([1, 1])
+    shifted = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
+    assert _farkas_cones([A, quarter]) == [quarter]
     assert _farkas_cones([quarter, A]) is None
-    assert _farkas_cones([A, SignPattern([1, 1])]) is not None
-    _, info = dykstra([A, quarter], np.array([-0.5, -0.5]))
+    assert _farkas_cones([A, quarter, shifted]) is None
+    assert _farkas_cones([A, ProductSet([SignPattern([1]), shifted])]) \
+        is None
+    _, info = dykstra([A, quarter, shifted], np.array([-0.5, -0.5]))
     assert info.farkas is None
-
-
-def test_intersection_contains_and_dist():
-    I = Intersection([Halfspace(np.array([-1.0, 0.0])),
-                      Hyperplane(np.array([0.0, 1.0]))])
-    assert I.contains(np.array([2.0, 0.0]))
-    assert not I.contains(np.array([-1.0, 0.0]))
-    assert I.dist(np.array([3.0, 1.0])) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_tol_halved():
@@ -452,3 +445,60 @@ def test_psd_block_set_rejects_bad_codes(groups):
     with pytest.raises(ValueError, match="off-diagonal"):
         PSDBlockSet(np.eye(2), groups,
                     {(0, 0): "free", (0, 1): "psd", (1, 1): "free"})
+
+
+def _coded_sets():
+    """(label, set) for the coded sets of every class: random sign
+    patterns, every `UnitFrameSet` code pair, random `PSDBlockSet`s up
+    to order 6 with their polars and mirrors, the primitives, and
+    products of them."""
+    from conestab._sets import UnitFrameSet
+    from conestab.cone_core import ConeDesc, Orthant
+
+    rng = np.random.default_rng(51)
+    signs = [(f"sign pattern {i}", SignPattern(rng.integers(-1, 3, size=6)))
+             for i in range(8)]
+    u = rng.standard_normal(4)
+    u /= np.linalg.norm(u)
+    codes = (SignPattern.FREE, SignPattern.NONNEG, SignPattern.NONPOS,
+             SignPattern.ZERO)
+    frames = [(f"unit frame {a}, {c}", UnitFrameSet(u, a, c))
+              for a in codes for c in (SignPattern.FREE, SignPattern.ZERO)]
+    blocks = [(f"psd blocks {n}.{i}", T) for n in (1, 2, 3, 4, 6)
+              for i, (_, _, T, _, _) in zip(range(15),
+                                            _psd_block_sets(n, 60 + n))]
+    prims = [SOC(4), Orthant(3), Zero(3), Free(3)]
+    parts = [signs[0][1], frames[1][1], blocks[-1][1]]
+    return signs + frames + blocks + [(repr(K), K) for K in prims] + [
+        ("product", ProductSet(parts)), ("cone description", ConeDesc(prims))]
+
+
+def _mirror(S):
+    # a product has no negate(); its mirror is the product of the mirrors
+    if isinstance(S, ProductSet):
+        return ProductSet([_mirror(s) for s in S.sets])
+    return S.negate()
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plus", "minus"])
+def test_pointed_part_is_the_set_cut_by_the_lineality_complement(mirrored):
+    # pointed() maps the codes; a reference runs Dykstra on S and the
+    # subspace (lin S)^perp, whose projections are both closed form
+    rng = np.random.default_rng(52)
+    for label, S in _coded_sets():
+        if mirrored:
+            S = _mirror(S)
+        P = S.pointed()
+        assert P.dim == S.dim and P.lineality_dim() == 0, label
+        B = S.lineality_basis()
+        perp = Subspace(np.linalg.svd(B)[0][:, B.shape[1]:] if B.size
+                        else np.eye(S.dim))
+        for _ in range(6):
+            z = rng.standard_normal(S.dim) * 2
+            ref = dykstra([S, perp], z)[0]
+            assert np.linalg.norm(P.project(z) - ref) <= \
+                1e-8 * (1.0 + np.linalg.norm(z)), label
+            # the pointed part of the mirror is the mirror of the part
+            assert np.allclose(_mirror(S).pointed().project(z),
+                               _mirror(P).project(z), rtol=0.0,
+                               atol=1e-12 * (1.0 + np.linalg.norm(z))), label

@@ -555,6 +555,17 @@ def test_kkt_rejects_non_kkt_pair():
         kkt_isolated_calm(f, G, mc, zbar, np.array([1.0, 1.0]))
 
 
+def test_kkt_input_checks_name_the_failing_condition():
+    # lbar = (-1, 0): grad f + A^T lbar = (0, 1) is not 0
+    f, G, mc, zbar, lbar = lp_kkt_data("nondegenerate")
+    with pytest.raises(ValueError, match="stationarity fails"):
+        kkt_isolated_calm(f, G, mc, zbar, np.array([-1.0, 0.0]))
+    # zbar = (0.5, 0) keeps stationarity, but G(zbar) = (0.5, 0) is not
+    # in the normal cone {0} at the interior multiplier lbar = (-1, -1)
+    with pytest.raises(ValueError, match="complementarity fails"):
+        kkt_isolated_calm(f, G, mc, np.array([0.5, 0.0]), lbar)
+
+
 def test_lp_kkt_data_unknown_kind():
     with pytest.raises(ValueError):
         lp_kkt_data("typo")

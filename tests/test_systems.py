@@ -435,11 +435,10 @@ def test_parse_cone_rejects_bad_input():
 
 
 def test_parse_problem_builtin_and_affine():
-    sys, pts = parse_problem({"mapping": {"builtin": "example1"},
-                              "points": {"base": [-1, -1, 0]}})
+    sys = parse_problem({"mapping": {"builtin": "example1"}})
     assert sys.name == "example1"
-    assert np.allclose(pts["base"], XBAR1)
-    sys2, _ = parse_problem({
+    assert sys.cone.contains(sys.g(XBAR1))
+    sys2 = parse_problem({
         "cone": {"product": [{"orthant": {"dim": 2, "sign": "plus"}}]},
         "mapping": {"affine": {"A": [[1, 0], [0, 1]], "b": [0, 0]}}})
     assert np.allclose(sys2.g(np.array([1.0, 2.0])), [1.0, 2.0])
