@@ -47,9 +47,6 @@ class Tol:
                 not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError("max_iter must be an integer")
 
-    def halved(self) -> "Tol":
-        return Tol(self.membership / 2, self.zero / 2, self.max_iter)
-
 
 DEFAULT_TOL = Tol()
 
@@ -267,6 +264,9 @@ class ProductSet(ConvexSet):
 
     def polar(self):
         return ProductSet([s.polar() for s in self.sets])
+
+    def negate(self):
+        return ProductSet([s.negate() for s in self.sets])
 
     def pointed(self):
         return ProductSet([s.pointed() for s in self.sets])

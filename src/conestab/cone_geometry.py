@@ -1,10 +1,12 @@
-"""Derived cone sets and the subspace-cone triviality decision.
+"""The relative-interior test of a multiplier and the subspace-cone
+triviality decision.
 
-Critical cones and tangent cones to normal cones are produced as
-closed-form convex-set oracles.  The triviality decision
-span(L) ∩ C = {0} behind every constraint-qualification certificate
-takes a cone C, whose projection is closed form, and one of two routes,
-chosen from the rank of L:
+Critical cones and their polars, the tangent cones to normal cones, are
+closed-form convex sets read from a `GraphPoint` (`critical`,
+`critical_polar`).  The triviality decision span(L) ∩ C = {0} behind
+every constraint-qualification certificate takes a cone C, whose
+projection is closed form, and one of two routes, chosen from the rank
+of L:
 
 - span(L) a line span{q}: a cone meets a line only along ±q, so the two
   distances d± = ||±q - Π_C(±q)|| decide it exactly, and a reader
@@ -24,23 +26,7 @@ from ._sets import (
 from .cone_core import ConeDesc, AmbientVec, normal_cone
 from .proj_deriv import GraphPoint
 
-__all__ = [
-    "Certificate", "critical_cone", "tangent_of_normal", "ri_normal_contains",
-    "subspace_cone_trivial",
-]
-
-
-def critical_cone(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
-                  tol: Tol = DEFAULT_TOL) -> ConvexSet:
-    """Tangent directions at y orthogonal to the multiplier lam."""
-    return GraphPoint(K, y, lam, tol).critical
-
-
-def tangent_of_normal(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
-                      tol: Tol = DEFAULT_TOL) -> ConvexSet:
-    """Tangent cone to the normal cone N_K(y) at lam, realized as the
-    polar of the critical cone."""
-    return GraphPoint(K, y, lam, tol).critical_polar
+__all__ = ["Certificate", "ri_normal_contains", "subspace_cone_trivial"]
 
 
 def ri_normal_contains(K: ConeDesc, y: AmbientVec, lam: AmbientVec,

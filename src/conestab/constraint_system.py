@@ -24,13 +24,12 @@ from .proj_deriv import GraphPoint, dnk_contains
 SUBREG_ASSUMPTION = "metric subregularity of x -> g(x) - K at the base point"
 
 __all__ = [
-    "ConstraintSystem", "BasePoint", "MultiplierSolveResult", "NGammaImage",
+    "ConstraintSystem", "BasePoint", "MultiplierSolveResult",
     "example1_system", "example3_system", "section32_system",
     "affine_system", "quadratic_system",
-    "gamma_tangent_contains", "multiplier_solve", "multiplier_verify",
-    "BasePair",
+    "multiplier_solve", "multiplier_verify", "BasePair",
     "srcq_check", "nondegeneracy_check", "strict_complementarity_check",
-    "critical_cone_gamma_contains", "ngamma_graph_deriv_contains",
+    "ngamma_graph_deriv_contains",
 ]
 
 
@@ -257,12 +256,6 @@ class BasePoint:
         return _null_basis(self.lineality.T, self.tol)
 
 
-def gamma_tangent_contains(point: BasePoint, h) -> bool:
-    """Tangency of h to the feasible set at x, via g'(x)h in T_K(g(x)).
-    Exact under the subregularity assumption on g(.) - K."""
-    return point.tangent.contains(point.J @ np.asarray(h, float), point.tol)
-
-
 def _null_basis(M, tol):
     """Orthonormal basis of {z : M z = 0}, rank cut at tol.zero * sigma_max."""
     M = np.asarray(M, float)
@@ -419,26 +412,6 @@ def multiplier_solve(point: BasePoint, v,
     return res
 
 
-class NGammaImage:
-    """Membership oracle for the normal cone to the feasible set at x,
-    realized as the adjoint image of N_K(g(x)).  Exact under the
-    subregularity assumption."""
-
-    def __init__(self, point: BasePoint):
-        self.point = point
-        self.dim = point.sys.dim_x
-
-    def contains(self, v) -> bool:
-        """True when a multiplier verifies, False when the search carries
-        a Farkas certificate that none exists; raises ValueError
-        ("undecided: ...") when the search stalled without one."""
-        res = multiplier_solve(self.point, v, with_uniqueness=False)
-        if res.found or res.farkas is not None:
-            return res.found
-        raise ValueError("undecided: the multiplier search stalled without "
-                         f"a certificate (residual {res.residual:.3e})")
-
-
 def srcq_check(pair: BasePair) -> Certificate:
     """Strict Robinson qualification at x w.r.t. the multiplier lam:
     Ker(adjoint) meets the tangent cone to N_K(g(x)) at lam (the polar of
@@ -531,12 +504,6 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
             cert.witness, cert.details["u"] = pair.J @ u, u
     cert.assumptions = (SUBREG_ASSUMPTION,)
     return cert
-
-
-def critical_cone_gamma_contains(pair: BasePair, d) -> bool:
-    """Membership of d in the critical cone of the feasible set at (x, v),
-    decided through g'(x)d against the cone-level critical cone."""
-    return pair.critical.contains(pair.J @ np.asarray(d, float), pair.tol)
 
 
 def ngamma_graph_deriv_contains(pair: BasePair, d, w,

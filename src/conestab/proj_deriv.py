@@ -1,19 +1,22 @@
-"""Directional derivatives of the cone projection, sigma terms, and the
-graphical-derivative membership test for the normal-cone map.
+"""Directional derivatives of the cone projection, the graph points of
+the normal-cone map, and the graphical-derivative membership test for it.
 
 Sign convention, fixed against the finite-difference expansion oracle
-before anything downstream was written: sigma_term returns the curvature
-functional Upsilon(h), which is the NEGATIVE of the support-function
-value sigma of the multiplier over the second-order tangent set, and is
-nonnegative on the critical cone.  Closed forms: 0 on polyhedral blocks;
--2 <Lam, H Y^+ H> on PSD blocks; (-lam0/y0)(||hbar||^2 - h0^2) at
-nonzero boundary points of the second-order cone.
+before anything downstream was written: the cone's `upsilon(gp, h)` at a
+graph point is the curvature functional Upsilon(h), the NEGATIVE of the
+support-function value sigma of the multiplier over the second-order
+tangent set, and is nonnegative on the critical cone; `upsilon_grad` is
+its gradient, with <grad, h> = 2 Upsilon(h).  Closed forms: 0 on
+polyhedral blocks; -2 <Lam, H Y^+ H> on PSD blocks;
+(-lam0/y0)(||hbar||^2 - h0^2) at nonzero boundary points of the
+second-order cone.
 
 A `GraphPoint` is the point of the cone's second-order operations: it
 keeps the cone's data at z = y + lam, so every call at the point reads
 one eigendecomposition of each PSD block of z and, for Upsilon, at most
-one of y.  `proj_dir_deriv`, the validated entry point for a vector z,
-builds that data for its one call.
+one of y, and it holds the critical cone and its polar.
+`proj_dir_deriv`, the validated entry point for a vector z, builds that
+data for its one call.
 """
 
 from functools import cached_property
@@ -22,8 +25,7 @@ import numpy as np
 from ._sets import Tol, DEFAULT_TOL, Certificate, _ROUNDING, _norm
 from .cone_core import ConeDesc, ConePoint, AmbientVec
 
-__all__ = ["GraphPoint", "proj_dir_deriv", "sigma_term", "sigma_grad",
-           "dnk_contains"]
+__all__ = ["GraphPoint", "proj_dir_deriv", "dnk_contains"]
 
 
 class GraphPoint(ConePoint):
@@ -109,25 +111,6 @@ def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
         raise ValueError("dimension mismatch")
     _require_finite("non-finite input", z, h)
     return K.dir_deriv(ConePoint(K, z, tol), h)
-
-
-def _critical_precheck(gp, h):
-    if not gp.critical.contains(h, gp.tol):
-        raise ValueError("direction is outside the critical cone")
-
-
-def sigma_term(gp: GraphPoint, h: AmbientVec) -> float:
-    """Curvature functional Upsilon(h) of gp.cone at the graph point;
-    quadratic in h, additive over blocks, nonnegative on the critical
-    cone."""
-    _critical_precheck(gp, h)
-    return gp.cone.upsilon(gp, h)
-
-
-def sigma_grad(gp: GraphPoint, h: AmbientVec) -> AmbientVec:
-    """Gradient of the quadratic form Upsilon at h; <grad, h> = 2 Upsilon(h)."""
-    _critical_precheck(gp, h)
-    return gp.cone.upsilon_grad(gp, h)
 
 
 def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,

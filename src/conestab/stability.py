@@ -1,7 +1,6 @@
 """Solution-map stability: isolated calmness of S(p) = {x : 0 in
-F(p,x) + N_Gamma(x)}, the KKT specialization, the stationarity-system
-residual with subregularity probes, and lower generators for the regular
-coderivative of the feasible-set normal-cone map.
+F(p,x) + N_Gamma(x)}, the KKT specialization, and the
+stationarity-system residual with subregularity probes.
 
 A "holds" verdict is only issued under one of three licenses: exact
 branch enumeration when the data is polyhedral and affine, a
@@ -32,8 +31,7 @@ BRANCH_CAP = 4096  # branches enumerated at most; past it, the form decides
 __all__ = [
     "GEProblem", "PhiPoint", "SmoothFn", "SmoothMap",
     "phi_residual", "phi_subregularity_probe", "solution_map_isolated_calm",
-    "kkt_isolated_calm", "regular_normal_lower_generate",
-    "ngamma_tangent_generate", "example41_problem", "lp_kkt_data",
+    "kkt_isolated_calm", "example41_problem", "lp_kkt_data",
 ]
 
 
@@ -593,149 +591,3 @@ def lp_kkt_data(kind="nondegenerate"):
     G = SmoothMap(lambda z: A @ z, lambda z: A,
                   lambda z, lam: np.zeros((nz, nz)))
     return f, G, ConeDesc([Orthant(m, "minus")]), np.zeros(nz), lbar
-
-
-# ---------------------------------------------------------------------------
-# exact graph-tangent sampling
-
-def _normal_to_critical_sample(block, y, lam, gd, rng, tol):
-    """An exact member of the normal cone to the block-level critical cone
-    at gd, for a zero multiplier or a polyhedral block.  PSD and SOC blocks
-    are read in the plus cone through block.sign, as the mirror of the
-    cone is: N_{-C}(gd) = -N_C(-gd)."""
-    from .cone_core import PSD, SOC
-    from .symmat import svec, smat
-
-    scale = 1.0 + float(np.linalg.norm(gd))
-    if isinstance(block, Free):
-        return np.zeros(block.dim)
-    if isinstance(block, Zero):
-        return rng.standard_normal(block.dim)
-    if isinstance(block, Orthant):
-        s = block.sign
-        yscale = 1.0 + float(np.linalg.norm(y))
-        q = np.zeros(block.dim)
-        for i in range(block.dim):
-            if abs(y[i]) > tol.zero * yscale:
-                continue
-            if s * lam[i] < -tol.zero:
-                # critical cone coordinate is {0}: normal is the full line
-                q[i] = rng.standard_normal()
-            elif abs(gd[i]) <= tol.zero * scale:
-                q[i] = -s * abs(rng.standard_normal())
-        return q
-    if isinstance(block, PSD):
-        if float(np.linalg.norm(lam)) > tol.zero * (1 + np.linalg.norm(y)):
-            raise ValueError("exact sampling needs a zero block multiplier")
-        # critical cone = tangent cone at y; normal at gd is supported on
-        # the joint kernel of y and gd, on the opposite side of the cone
-        G = block.sign * (smat(y) + smat(gd))
-        w, U = np.linalg.eigh(G)
-        U0 = U[:, np.abs(w) <= tol.zero * (1 + np.abs(w).max())]
-        if U0.shape[1] == 0:
-            return np.zeros(block.dim)
-        A = rng.standard_normal((U0.shape[1], U0.shape[1]))
-        return -block.sign * svec(U0 @ (A @ A.T) @ U0.T)
-    if isinstance(block, SOC):
-        if float(np.linalg.norm(lam)) > tol.zero * (1 + np.linalg.norm(y)):
-            raise ValueError("exact sampling needs a zero block multiplier")
-        # critical cone = tangent cone at y, read in the plus cone
-        u, gu = block.sign * y, block.sign * gd
-        ycase = SOC._classify(u, tol)
-        if ycase == "int":
-            return np.zeros(block.dim)
-        if ycase == "apex":
-            # C = K: N_K(gu) is -K at 0, {0} inside, a ray on the boundary
-            gcase = SOC._classify(gu, tol)
-            if gcase == "int":
-                return np.zeros(block.dim)
-            if gcase == "apex":
-                r = rng.standard_normal(block.dim)
-                r[0] = -abs(r[0]) - float(np.linalg.norm(r[1:]))
-                return block.sign * r
-            ray = np.concatenate([[-gu[0]], gu[1:]])
-        else:
-            # C = {h : a.h <= 0}: N_C(gu) is the ray of a when a.gu = 0
-            ray = SOC._bd_normal(u)
-            if float(ray @ gu) < -tol.zero * scale:
-                return np.zeros(block.dim)
-        return block.sign * abs(rng.standard_normal()) * ray
-    raise ValueError("unsupported block type for exact sampling")
-
-
-def ngamma_tangent_generate(pair: BasePair, count=50, seed=0):
-    """Exact members (d, w) of the graph tangent of the feasible-set
-    normal-cone map at the base pair (x, v): d is rejection-sampled with
-    g'(x)d in the cone-level critical cone, and w = Hess d + grad g(x)
-    (grad-Upsilon/2 + q) with q an exact member of the normal cone to the
-    critical cone at g'(x)d, built blockwise.
-
-    Restricted to zero multipliers on curved blocks; there the generated
-    curves stay on the graph exactly for affine g, which is what makes
-    these samples usable as referee ground truth.
-    """
-    sys, gx, lam, J, C, tol = (pair.sys, pair.gx, pair.lam, pair.J,
-                               pair.critical, pair.tol)
-    gp = pair.graph_point
-    rng = np.random.default_rng(seed)
-
-    pairs = []
-    attempts = 0
-    while len(pairs) < count and attempts < 500 * count:
-        attempts += 1
-        d = rng.standard_normal(sys.dim_x)
-        gd = J @ d
-        if C.dist(gd) > 1e-10 * (1 + np.linalg.norm(gd)):
-            continue
-        q = np.concatenate([
-            _normal_to_critical_sample(b, gx[sl], lam[sl], gd[sl], rng, tol)
-            for b, sl in zip(sys.cone.blocks, sys.cone.slices)])
-        mu = 0.5 * sys.cone.upsilon_grad(gp, gd) + q
-        w = pair.hess @ d + J.T @ mu
-        pairs.append((d, w))
-    if len(pairs) < count:
-        raise RuntimeError("rejection sampling starved; critical cone too thin")
-    return pairs
-
-
-# ---------------------------------------------------------------------------
-# regular-coderivative lower generators
-
-def regular_normal_lower_generate(pair: BasePair, count=20, seed=0):
-    """Samples of pairs (xi, eta) in the regular normal cone to the graph
-    of the feasible-set normal-cone map at the base pair (x, v).
-
-    Construction: mu is drawn from the polar of the cone-level critical
-    cone, eta is drawn so that g'(x)eta lands exactly in the critical
-    cone (rejection sampling) when the multiplier is zero or the cone is
-    polyhedral, and in Ker(g'(x)) otherwise; then
-    xi = -Hess(x, lam) eta + grad g(x) mu.  Every returned pair satisfies
-    the anti-alignment inequality against graph tangents.
-    """
-    sys, gx, lam, J, C, tol = (pair.sys, pair.gx, pair.lam, pair.J,
-                               pair.critical, pair.tol)
-    Cp = pair.critical_polar
-    rng = np.random.default_rng(seed)
-    lam_zero = float(np.linalg.norm(lam)) <= tol.zero * (1 + np.linalg.norm(gx))
-    free_eta = lam_zero or sys.cone.is_polyhedral
-    ker = None if free_eta else _null_basis(J, tol)
-
-    pairs = []
-    attempts = 0
-    while len(pairs) < count and attempts < 200 * count:
-        attempts += 1
-        mu = Cp.project(rng.standard_normal(sys.cone.dim))
-        if free_eta:
-            eta = rng.standard_normal(sys.dim_x)
-            if C.dist(J @ eta) > 1e-10 * (1 + np.linalg.norm(J @ eta)):
-                continue
-        else:
-            if ker.shape[1] == 0:
-                eta = np.zeros(sys.dim_x)
-            else:
-                eta = ker @ rng.standard_normal(ker.shape[1])
-        xi = -(pair.hess @ eta) + J.T @ mu
-        pairs.append((xi, eta))
-    if len(pairs) < count:
-        raise RuntimeError("rejection sampling starved; cone slice too thin")
-    return pairs

@@ -26,9 +26,11 @@ from conestab.proj_deriv import proj_dir_deriv, dnk_contains
 from conestab.stability import (
     PhiPoint, phi_residual, phi_subregularity_probe,
     solution_map_isolated_calm, example41_problem,
-    ngamma_tangent_generate, regular_normal_lower_generate,
 )
 from conestab.symmat import svec
+from graph_samplers import (
+    ngamma_tangent_generate, regular_normal_lower_generate,
+)
 
 XBAR1 = np.array([-1.0, -1.0, 0.0])
 
@@ -221,7 +223,8 @@ def _criterion_9_pairs():
     members, 13 gate violations and 12 members pushed off by a spike."""
     sys = example1_system()
     pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
-    members = ngamma_tangent_generate(pair, count=25, seed=4)
+    members = ngamma_tangent_generate(sys, XBAR1, np.zeros(4), count=25,
+                                      seed=4)
     rng = np.random.default_rng(21)
     spike = sys.adjoint_apply(XBAR1, np.concatenate([svec(np.eye(2)), [1.0]]))
     pairs = list(members)
@@ -417,9 +420,12 @@ def test_criterion_11_anti_alignment():
 
     def run(sys, x, v, lam):
         nonlocal worst
+        # the lower generators are built from the package's critical
+        # cone, the tangents from the samplers' own block geometry
         pair = BasePair(BasePoint(sys, x), v, lam)
-        tangents = ngamma_tangent_generate(pair, count=50, seed=4)
-        lowers = regular_normal_lower_generate(pair, count=20, seed=0)
+        tangents = ngamma_tangent_generate(sys, x, lam, count=50, seed=4)
+        lowers = regular_normal_lower_generate(sys, x, lam, pair.critical,
+                                               count=20, seed=0)
         for xi, eta in lowers:
             for d, w in tangents:
                 pairing = float(xi @ d) + float(eta @ w)

@@ -23,9 +23,7 @@ from conestab.constraint_system import (
     BasePair, BasePoint, _null_basis, affine_system,
     ngamma_graph_deriv_contains,
 )
-from conestab.proj_deriv import (
-    GraphPoint, dnk_contains, proj_dir_deriv, sigma_grad, sigma_term,
-)
+from conestab.proj_deriv import GraphPoint, dnk_contains, proj_dir_deriv
 from conestab.stability import _second_order_form
 from conestab.symmat import smat, svec
 
@@ -65,7 +63,7 @@ def _split_counts(calls, Z, Y):
 def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
     # PSD(4) at z = Q diag(2, 1, 0, -1.5) Q^T: y of rank 2, lam != 0 of
     # rank 1 and a zero eigenvalue, so Upsilon is curved and beta is not
-    # empty; 50 calls of dnk_contains, sigma_term and sigma_grad
+    # empty; 50 calls of dnk_contains, upsilon and upsilon_grad
     rng = np.random.default_rng(41)
     K = ConeDesc([PSD(4)])
     Q = _rotation(rng, 4)
@@ -80,10 +78,10 @@ def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
             dy = K.dir_deriv(gp, h)
             assert dnk_contains(K, gp, dy, h - dy).verdict == "holds"
         elif i % 3 == 1:
-            assert sigma_term(gp, gp.critical.project(h)) > 0.0
+            assert K.upsilon(gp, gp.critical.project(h)) > 0.0
         else:
             hc = gp.critical.project(h)
-            assert float(sigma_grad(gp, hc) @ hc) > 0.0
+            assert float(K.upsilon_grad(gp, hc) @ hc) > 0.0
     of_z, of_y, clips, other = _split_counts(calls, smat(gp.z), smat(gp.y))
     assert (of_z, of_y, other) == (1, 1, 0)
     # the clips of the beta blocks depend on the direction: at least one
@@ -397,9 +395,6 @@ def test_graph_point_path_equals_the_per_call_formulas():
                 _assert_upsilon_matches(K, _fresh(K, gp), dy, ups, grad)
                 hc = gp.critical.project(h)
                 ups, grad = ref_upsilon_and_grad(K, gp.y, gp.lam, hc)
-                assert sigma_term(gp, hc) == K.upsilon(gp, hc)
-                assert np.array_equal(sigma_grad(gp, hc),
-                                      K.upsilon_grad(gp, hc))
                 _assert_upsilon_matches(K, gp, hc, ups, grad)
                 verdict = _assert_dnk_matches(K, gp, dy, dl)
                 seen.add((verdict, ups != 0.0))

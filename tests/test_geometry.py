@@ -3,9 +3,8 @@ import pytest
 
 from conestab._sets import Tol, DEFAULT_TOL, SignPattern, Halfspace
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD
-from conestab.cone_geometry import (
-    critical_cone, tangent_of_normal, subspace_cone_trivial,
-)
+from conestab.cone_geometry import subspace_cone_trivial
+from conestab.proj_deriv import GraphPoint
 from conestab.symmat import smat, svec
 
 
@@ -18,18 +17,16 @@ def _graph_pair(K, rng):
 def test_critical_cone_rejects_off_graph_pair():
     K = ConeDesc([Orthant(2, "plus")])
     with pytest.raises(ValueError):
-        critical_cone(K, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        GraphPoint(K, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     with pytest.raises(ValueError):
-        critical_cone(K, np.array([-1.0, 0.0]), np.zeros(2))
+        GraphPoint(K, np.array([-1.0, 0.0]), np.zeros(2))
 
 
 def test_critical_cone_rejects_non_finite_pair():
     K = ConeDesc([Orthant(2, "plus")])
     for y, lam in (([np.nan, 0.0], [0.0, -1.0]), ([1.0, 0.0], [0.0, np.nan])):
         with pytest.raises(ValueError):
-            critical_cone(K, np.array(y), np.array(lam))
-        with pytest.raises(ValueError):
-            tangent_of_normal(K, np.array(y), np.array(lam))
+            GraphPoint(K, np.array(y), np.array(lam))
 
 
 @pytest.mark.parametrize("K", [
@@ -42,8 +39,8 @@ def test_tangent_of_normal_is_polar_of_critical(K):
     rng = np.random.default_rng(0)
     for _ in range(10):
         y, lam = _graph_pair(K, rng)
-        C = critical_cone(K, y, lam)
-        T = tangent_of_normal(K, y, lam)
+        gp = GraphPoint(K, y, lam)
+        C, T = gp.critical, gp.critical_polar
         for _ in range(10):
             h = C.project(rng.standard_normal(K.dim))
             g = T.project(rng.standard_normal(K.dim))
@@ -102,7 +99,7 @@ def test_subspace_cone_trivial_psd_critical_cone():
     K = ConeDesc([PSD(2, "plus")])
     y = svec(np.diag([1.0, 0.0]))
     lam = svec(np.diag([0.0, -1.0]))
-    C = critical_cone(K, y, lam)
+    C = GraphPoint(K, y, lam).critical
     cert = subspace_cone_trivial(svec(np.diag([0.0, 1.0])).reshape(-1, 1), C)
     assert cert.verdict == "holds"
     e12 = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -143,7 +140,7 @@ def test_line_meeting_psd_critical_cone_only_at_origin_holds():
     # {H : H[1:, 1:] psd}; diag(0, 1, -1) is indefinite there, and so is
     # its negative
     K = ConeDesc([PSD(3, "plus")])
-    C = critical_cone(K, svec(np.diag([1.0, 0.0, 0.0])), np.zeros(6))
+    C = GraphPoint(K, svec(np.diag([1.0, 0.0, 0.0])), np.zeros(6)).critical
     L = svec(np.diag([0.0, 1.0, -1.0])).reshape(-1, 1)
     cert = subspace_cone_trivial(L, C)
     assert cert.verdict == "holds" and cert.method.startswith(LINE)

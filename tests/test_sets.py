@@ -317,10 +317,12 @@ def test_dykstra_certificate_needs_exact_cone_projections():
 
 
 def test_tol_halved():
+    # the fields are positional in the order (membership, zero, max_iter)
     t = Tol()
-    th = t.halved()
+    th = Tol(t.membership / 2, t.zero / 2, t.max_iter)
     assert th.membership == t.membership / 2
     assert th.zero == t.zero / 2
+    assert th.max_iter == t.max_iter
 
 
 @pytest.mark.parametrize("field", ["membership", "zero", "max_iter"])
@@ -474,7 +476,7 @@ def _coded_sets():
 
 
 def _mirror(S):
-    # a product has no negate(); its mirror is the product of the mirrors
+    # the test's own mirror of a product: the product of the mirrors
     if isinstance(S, ProductSet):
         return ProductSet([_mirror(s) for s in S.sets])
     return S.negate()
@@ -502,3 +504,46 @@ def test_pointed_part_is_the_set_cut_by_the_lineality_complement(mirrored):
             assert np.allclose(_mirror(S).pointed().project(z),
                                _mirror(P).project(z), rtol=0.0,
                                atol=1e-12 * (1.0 + np.linalg.norm(z))), label
+
+
+def _mixed_cone_sets():
+    """(label, set) for the tangent, normal and critical sets of two
+    mixed cone descriptions at their apex and at the projections of
+    seeded points, some with zero coordinates, so that every block is
+    at its apex, on its boundary or inside."""
+    from conestab.cone_core import (
+        ConeDesc, Orthant, PSD, normal_cone, tangent_cone,
+    )
+    from conestab.proj_deriv import GraphPoint
+
+    rng = np.random.default_rng(53)
+    out = []
+    for K in (ConeDesc([SOC(3), Orthant(2)]),
+              ConeDesc([PSD(3, "minus"), SOC(4), Orthant(3, "minus"),
+                        Zero(1), Free(2)])):
+        zs = [np.zeros(K.dim)]
+        for i in range(6):
+            z = rng.standard_normal(K.dim) * 2
+            z[rng.random(K.dim) < 0.3 * (i % 3)] = 0.0
+            zs.append(z)
+        for i, z in enumerate(zs):
+            gp = GraphPoint.from_z(K, z)
+            out += [(f"{K!r} tangent {i}", tangent_cone(K, gp.y)),
+                    (f"{K!r} normal {i}", normal_cone(K, gp.y)),
+                    (f"{K!r} critical {i}", gp.critical)]
+    return out
+
+
+def test_product_negate_is_the_mirror():
+    # S.negate() projects as z -> -Pi_S(-z), blockwise, for the coded
+    # products and the derived sets of mixed cone descriptions
+    rng = np.random.default_rng(54)
+    sets = [(label, S) for label, S in _coded_sets()
+            if isinstance(S, ProductSet)] + _mixed_cone_sets()
+    for label, S in sets:
+        N = S.negate()
+        assert N.dim == S.dim, label
+        for _ in range(8):
+            z = rng.standard_normal(S.dim) * 2
+            assert np.array_equal(N.project(z), -S.project(-z)), label
+            assert np.array_equal(N.project(z), _mirror(S).project(z)), label

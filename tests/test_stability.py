@@ -13,11 +13,14 @@ from conestab.constraint_system import (
 from conestab.stability import (
     GEProblem, PhiPoint, SmoothFn, SmoothMap,
     phi_residual, phi_subregularity_probe, solution_map_isolated_calm,
-    kkt_isolated_calm, regular_normal_lower_generate,
-    ngamma_tangent_generate, example41_problem, lp_kkt_data,
-    _normal_to_critical_sample, _lineality_witness_search, FX_ASSUMPTION,
+    kkt_isolated_calm, example41_problem, lp_kkt_data,
+    _lineality_witness_search, FX_ASSUMPTION,
 )
 from conestab.symmat import svec
+from graph_samplers import (
+    ngamma_tangent_generate, normal_to_critical_sample,
+    regular_normal_lower_generate,
+)
 
 XBAR1 = np.array([-1.0, -1.0, 0.0])
 
@@ -490,7 +493,8 @@ def test_every_definiteness_holds_reverifies():
         if exact_samples:
             # exact graph-tangent directions have g'(x)d in C, so they lie
             # in span B
-            for d, _ in ngamma_tangent_generate(pair, count=20, seed=3):
+            for d, _ in ngamma_tangent_generate(problem.sys, problem.xbar,
+                                                lam, count=20, seed=3):
                 assert np.linalg.norm(d - B @ (B.T @ d)) <= \
                     1e-9 * np.linalg.norm(d)
 
@@ -929,7 +933,7 @@ def test_branch_line_faces_in_closed_form(monkeypatch):
 def test_ngamma_tangent_generate_members_certify():
     sys = example1_system()
     pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
-    pairs = ngamma_tangent_generate(pair, count=10, seed=4)
+    pairs = ngamma_tangent_generate(sys, XBAR1, np.zeros(4), count=10, seed=4)
     for d, w in pairs:
         cert = ngamma_graph_deriv_contains(pair, d, w)
         assert cert.verdict == "holds"
@@ -940,8 +944,10 @@ def test_regular_normal_lower_anti_alignment():
     # graph tangent (d, w): <xi, d> + <eta, w> <= 0
     sys = example1_system()
     pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
-    tangents = ngamma_tangent_generate(pair, count=25, seed=4)
-    lowers = regular_normal_lower_generate(pair, count=15, seed=0)
+    tangents = ngamma_tangent_generate(sys, XBAR1, np.zeros(4), count=25,
+                                       seed=4)
+    lowers = regular_normal_lower_generate(sys, XBAR1, np.zeros(4),
+                                           pair.critical, count=15, seed=0)
     worst = -np.inf
     for xi, eta in lowers:
         for d, w in tangents:
@@ -953,12 +959,18 @@ def test_regular_normal_lower_anti_alignment():
 
 
 def test_samplers_reject_unverified_multiplier():
-    point = BasePoint(example1_system(), XBAR1)
-    with pytest.raises(ValueError):
-        ngamma_tangent_generate(BasePair(point, np.ones(3), np.zeros(4)))
-    with pytest.raises(ValueError):
-        regular_normal_lower_generate(BasePair(point, np.ones(3),
-                                               np.zeros(4)))
+    # the samplers' base pairs are verified by BasePair's constructor:
+    # lam = 0 is no multiplier for v = (1, 1, 1)
+    sys = example1_system()
+    point = BasePoint(sys, XBAR1)
+    with pytest.raises(ValueError, match="not a verified multiplier"):
+        BasePair(point, np.ones(3), np.zeros(4))
+    # a verified multiplier nonzero on the PSD block is out of the exact
+    # tangent sampler's reach
+    lam = np.concatenate([svec(-np.eye(2)), [-1.0]])
+    BasePair(point, sys.adjoint_apply(XBAR1, lam), lam)
+    with pytest.raises(ValueError, match="zero block multiplier"):
+        ngamma_tangent_generate(sys, XBAR1, lam)
 
 
 def _soc_normal_cases(s):
@@ -984,8 +996,7 @@ def test_soc_normal_to_critical_sample_is_exact(sign):
     for y, gd, nonzero in _soc_normal_cases(block.sign):
         C = block.critical_set(block.point(y, DEFAULT_TOL, y, np.zeros(3)))
         for _ in range(5):
-            q = _normal_to_critical_sample(block, y, np.zeros(3), gd, rng,
-                                           DEFAULT_TOL)
+            q = normal_to_critical_sample(block, y, np.zeros(3), gd, rng)
             assert C.polar().dist(q) <= 1e-12 * (1 + np.linalg.norm(q))
             assert abs(q @ gd) <= 1e-12 * (1 + np.linalg.norm(q))
             assert (np.linalg.norm(q) > 0) == nonzero
@@ -1004,7 +1015,7 @@ def test_soc_tangent_samples_certify(sign, A, x):
     s = 1.0 if sign == "plus" else -1.0
     sys = affine_system(ConeDesc([SOC(3, sign)]), s * A, np.zeros(3))
     pair = BasePair(BasePoint(sys, x), np.zeros(A.shape[1]), np.zeros(3))
-    for d, w in ngamma_tangent_generate(pair, count=8, seed=2):
+    for d, w in ngamma_tangent_generate(sys, x, np.zeros(3), count=8, seed=2):
         assert ngamma_graph_deriv_contains(pair, d, w).verdict == "holds"
 
 

@@ -6,12 +6,12 @@ import pytest
 from conestab._sets import Tol, DEFAULT_TOL
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from conestab.constraint_system import (
-    ConstraintSystem, BasePoint, NGammaImage,
+    ConstraintSystem, BasePoint,
     example1_system, example3_system, section32_system,
     affine_system, quadratic_system,
-    gamma_tangent_contains, multiplier_solve, multiplier_verify,
+    multiplier_solve, multiplier_verify,
     srcq_check, nondegeneracy_check, strict_complementarity_check,
-    critical_cone_gamma_contains, ngamma_graph_deriv_contains, BasePair,
+    ngamma_graph_deriv_contains, BasePair,
 )
 from conestab.jsonio import SchemaError, parse_cone, emit_cone, parse_problem
 from conestab.symmat import smat, svec
@@ -60,16 +60,20 @@ def test_system_input_checks_raise_value_error():
 
 
 def test_gamma_tangent_contains():
+    # h is tangent to the feasible set when g'(x)h is in T_K(g(x))
     sys = example1_system()
     point = BasePoint(sys, XBAR1)
-    assert gamma_tangent_contains(point, np.zeros(3))
-    assert gamma_tangent_contains(point, np.array([1.0, 1.0, 0.0]))
-    assert not gamma_tangent_contains(point, np.array([0.0, 0.0, -1.0]))
+
+    def tangent(h):
+        return point.tangent.contains(point.J @ np.array(h), point.tol)
+
+    assert tangent([0.0, 0.0, 0.0])
+    assert tangent([1.0, 1.0, 0.0])
+    assert not tangent([0.0, 0.0, -1.0])
     # the slack coordinate pulls the matrix part with it
-    assert gamma_tangent_contains(point, np.array([0.0, 0.0, 1.0]))
+    assert tangent([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        gamma_tangent_contains(BasePoint(sys, np.array([0.0, 0.0, -1.0])),
-                               np.zeros(3))
+        BasePoint(sys, np.array([0.0, 0.0, -1.0]))
 
 
 def test_multiplier_zero_target():
@@ -81,13 +85,16 @@ def test_multiplier_zero_target():
 
 
 def test_multiplier_image_membership():
+    # v is in the adjoint image of N_K(g(x)) when a multiplier verifies,
+    # and out of it when the search carries a Farkas certificate
     sys = example1_system()
-    img = NGammaImage(BasePoint(sys, XBAR1))
+    point = BasePoint(sys, XBAR1)
     lam = np.concatenate([svec(-np.eye(2)), [-1.0]])
     v = sys.adjoint_apply(XBAR1, lam)
     assert np.allclose(v, [-1.0, -1.0, -3.0])
-    assert img.contains(v)
-    assert not img.contains(-v)
+    assert multiplier_solve(point, v, with_uniqueness=False).found
+    res = multiplier_solve(point, -v, with_uniqueness=False)
+    assert not res.found and res.farkas is not None
 
 
 def test_multiplier_example3_segment():
@@ -114,7 +121,7 @@ def test_multiplier_solve_rejects_non_finite_v():
     with pytest.raises(ValueError, match="v not finite"):
         multiplier_solve(point, [np.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match="v not finite"):
-        NGammaImage(point).contains([0.0, np.inf, 0.0])
+        multiplier_solve(point, [0.0, np.inf, 0.0], with_uniqueness=False)
 
 
 def _nsd_dist(lam):
@@ -171,7 +178,6 @@ def test_multiplier_misses_at_example1_are_certified(monkeypatch, analyze):
         assert [i.farkas is None for i in infos] == [True] * (len(runs) - 1) \
             + [False]
         _farkas_recheck(point, target, res.farkas)
-        assert NGammaImage(point).contains(target) is False
         rc, report = analyze({"mapping": {"builtin": "example1"}},
                              {"x": XBAR1, "v": target})
         assert rc == 0
@@ -280,9 +286,13 @@ def test_critical_cone_gamma_contains():
     sys = example1_system()
     lam0 = np.zeros(4)
     pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), lam0)
-    assert critical_cone_gamma_contains(pair, np.zeros(3))
-    assert critical_cone_gamma_contains(pair, np.array([1.0, 1.0, 0.0]))
-    assert not critical_cone_gamma_contains(pair, np.array([0.0, 0.0, -1.0]))
+
+    def critical(d):
+        return pair.critical.contains(pair.J @ np.array(d), pair.tol)
+
+    assert critical([0.0, 0.0, 0.0])
+    assert critical([1.0, 1.0, 0.0])
+    assert not critical([0.0, 0.0, -1.0])
 
 
 def test_ngamma_graph_deriv_trivial_pair_holds():
@@ -335,8 +345,7 @@ def test_wrong_length_vectors_are_rejected_not_broadcast():
     point = BasePoint(example1_system(), XBAR1)
     for call in (lambda: multiplier_verify(point, np.zeros(1), np.zeros(4)),
                  lambda: BasePair(point, np.zeros(1), np.zeros(4)),
-                 lambda: multiplier_solve(point, np.zeros(1)),
-                 lambda: NGammaImage(point).contains(np.zeros(1))):
+                 lambda: multiplier_solve(point, np.zeros(1))):
         with pytest.raises(ValueError, match=r"v has shape \(1,\); the "
                            "system has dim_x 3"):
             call()
@@ -368,12 +377,13 @@ def test_ngamma_graph_deriv_fails_on_wrong_dual_motion():
 def test_ngamma_fiber_translates_to_the_cone_level_fiber():
     # mu = xi + u/2 solves the cone-level fiber J^T mu = w - Hd,
     # mu in u/2 + (C° ∩ gd⊥), for the fiber solution xi of each member
-    from conestab.stability import ngamma_tangent_generate
+    from graph_samplers import ngamma_tangent_generate
 
-    pair = BasePair(BasePoint(example1_system(), XBAR1), np.zeros(3),
-                    np.zeros(4))
+    sys = example1_system()
+    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
     tol = pair.tol
-    members = ngamma_tangent_generate(pair, count=25, seed=4)
+    members = ngamma_tangent_generate(sys, XBAR1, np.zeros(4), count=25,
+                                      seed=4)
     held = 0
     for d, w in members:
         cert = ngamma_graph_deriv_contains(pair, d, w)

@@ -71,6 +71,41 @@ def test_exported_names_resolve():
     assert found == []
 
 
+def test_graph_samplers_share_no_code_with_what_they_referee():
+    # graph_samplers.py is the ground truth for ngamma_graph_deriv_contains
+    # and the critical cone it reads, so it takes from the package only
+    # symmat and the cone classes, and reads none of the package's
+    # critical-cone, tangent-set or curvature code
+    path = pathlib.Path(__file__).with_name("graph_samplers.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {"conestab.symmat"} | {f"conestab.cone_core.{name}" for name
+                                     in ("Orthant", "SOC", "PSD", "Zero",
+                                         "Free")}
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}"
+                         if node.module != "conestab.symmat" else node.module
+                         for alias in node.names]
+    from_package = [name for name in imported
+                    if name.split(".")[0] == "conestab"]
+    assert from_package and set(from_package) <= allowed, from_package
+    forbidden = {"critical", "critical_polar", "critical_set", "tangent_set",
+                 "upsilon_grad", "graph_point", "_classify", "_bd_normal",
+                 "_null_basis"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert names & forbidden == set()
+
+
 def _bench_module(name):
     """bench/<name>.py, loaded read-only without putting bench/ on the
     import path."""
