@@ -58,7 +58,9 @@ def _norm(z):
 
 
 class ConvexSet:
-    """Base class: closed convex set with projection-backed membership."""
+    """Base class: closed convex set with distance-backed membership.
+    Every coded and primitive set measures its distance in closed form;
+    only `Subspace` and `AffineSet` read it from the projection."""
 
     dim: int
     is_cone = True
@@ -70,7 +72,9 @@ class ConvexSet:
         return _norm(np.asarray(z, float) - self.project(z))
 
     def contains(self, z: np.ndarray, tol: Tol = DEFAULT_TOL) -> bool:
-        return self.dist(z) <= tol.membership * (1.0 + _norm(z))
+        # a closed-form distance can read 0 at an infinite entry
+        nz = _norm(z)
+        return math.isfinite(nz) and self.dist(z) <= tol.membership * (1.0 + nz)
 
     def polar(self) -> "ConvexSet":
         """The polar cone {w : <w, z> <= 0 for every z in the set}."""
@@ -110,6 +114,8 @@ class SignPattern(ConvexSet):
         self._nonneg = self.codes == self.NONNEG
         self._nonpos = self.codes == self.NONPOS
         self._zero = self.codes == self.ZERO
+        # +1 (-1) where a positive (negative) entry is allowed, 0 elsewhere
+        self._sign = self._nonneg.astype(float) - self._nonpos
 
     def project(self, z):
         out = np.asarray(z, float).copy()
@@ -117,6 +123,11 @@ class SignPattern(ConvexSet):
         out[self._nonpos] = np.minimum(out[self._nonpos], 0.0)
         out[self._zero] = 0.0
         return out
+
+    def dist(self, z):
+        # the norm of the violated entries
+        z = np.asarray(z, float)
+        return _norm(np.where(self._zero, z, np.minimum(self._sign * z, 0.0)))
 
     def polar(self):
         return SignPattern(self._POLAR[self.codes + 1])
@@ -160,6 +171,16 @@ class UnitFrameSet(ConvexSet):
         if self.across == _ZERO:
             return tc * self.u
         return z - (t - tc) * self.u
+
+    def dist(self, z):
+        z = np.asarray(z, float)
+        t = float(self.u @ z)
+        gap = t - min(max(t, self._lo), self._hi)
+        if self.across == _ZERO:
+            # the norm of z - t u itself: sqrt(||z||^2 - t^2) would lose
+            # about 1.5e-8 ||z|| to cancellation
+            return math.hypot(gap, _norm(z - t * self.u))
+        return abs(gap)
 
     def _recoded(self, table):
         return UnitFrameSet(self.u, table[self.along + 1],
@@ -261,6 +282,10 @@ class ProductSet(ConvexSet):
     def project(self, z):
         z = np.asarray(z, float)
         return np.concatenate([s.project(z[sl]) for s, sl in zip(self.sets, self.slices)])
+
+    def dist(self, z):
+        z = np.asarray(z, float)
+        return math.hypot(*(s.dist(z[sl]) for s, sl in zip(self.sets, self.slices)))
 
     def polar(self):
         return ProductSet([s.polar() for s in self.sets])

@@ -39,7 +39,8 @@ def _make_tol(value):
 
 def _emit(report, fmt):
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # one compact line: without indent, json uses its C encoder
+        print(json.dumps(report, sort_keys=True))
     else:
         for line in report["lines"]:
             print(line)

@@ -28,6 +28,7 @@ also read and answer in: h, or for PSD U^T smat(h) U in z's eigenframe.
 """
 
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -135,6 +136,9 @@ class PrimitiveCone(ConvexSet):
     def project(self, z):
         return self._out(self._project(*self._in(z)))
 
+    def dist(self, z):
+        return self._dist(*self._in(z))
+
     def point(self, z, tol, *pair) -> BlockPoint:
         """The block's data at z = y + lam, with pair = (y, lam) or ()."""
         return self.Point(self, tol, *self._in(z, *pair))
@@ -175,6 +179,9 @@ class Orthant(PrimitiveCone):
     def _project(self, z):
         return np.maximum(z, 0.0)
 
+    def _dist(self, z):
+        return _norm(np.minimum(z, 0.0))
+
     def _critical(self, p):
         active = np.abs(p.y) <= p.tol.zero * _zscale(p.y)
         lam_on = np.abs(p.lam) > p.tol.zero * _zscale(p.lam)
@@ -206,6 +213,9 @@ class Zero(PrimitiveCone):
 
     _project = project
 
+    def _dist(self, z):
+        return _norm(z)
+
     def _critical(self, p):
         return Zero(self.dim)
 
@@ -235,6 +245,9 @@ class Free(PrimitiveCone):
         return np.asarray(z, float).copy()
 
     _project = project
+
+    def _dist(self, z):
+        return 0.0
 
     def _critical(self, p):
         return Free(self.dim)
@@ -288,6 +301,15 @@ class SOC(PrimitiveCone):
         return out
 
     @staticmethod
+    def _dist(u):
+        u0, nb = float(u[0]), _norm(u[1:])
+        if nb <= u0:
+            return 0.0
+        if nb <= -u0:
+            return _norm(u)
+        return (nb - u0) / math.sqrt(2.0)
+
+    @staticmethod
     def _classify(u, tol):
         u0, ub = u[0], u[1:]
         nb = _norm(ub)
@@ -309,7 +331,7 @@ class SOC(PrimitiveCone):
         """Outward normal direction (-1, ubar/||ubar||) at a boundary point."""
         a = np.empty_like(u)
         a[0] = -1.0
-        a[1:] = u[1:] / np.linalg.norm(u[1:])
+        a[1:] = u[1:] / _norm(u[1:])
         return a
 
     def _critical(self, p):
@@ -348,7 +370,7 @@ class SOC(PrimitiveCone):
             refl[0] = -refl[0]
             return Ray(refl).project(hu)
         u0, ub = u[0], u[1:]
-        nb = float(np.linalg.norm(ub))
+        nb = _norm(ub)
         w = ub / nb
         h0, hb = hu[0], hu[1:]
         wh = float(w @ hb)
@@ -421,6 +443,9 @@ class PSD(PrimitiveCone):
 
     def _project(self, z):
         return _psd_part(*np.linalg.eigh(smat(z)))
+
+    def _dist(self, z):
+        return _norm(np.minimum(np.linalg.eigvalsh(smat(z)), 0.0))
 
     def _eig_groups(self, A, tol):
         w, U = np.linalg.eigh(A)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._sets import (
     Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, Hyperplane, dykstra,
+    _norm,
 )
 from .cone_core import ConeDesc
 from .cone_geometry import subspace_cone_trivial
@@ -272,10 +273,9 @@ def _multiplier_residuals(point: BasePoint, v, lam):
     ra = ||J^T lam - v||, rc = dist(lam, N_K(g(x))) and ok when both are
     at most tol.membership (1 + ||lam|| + ||v||).  Each comparison must
     hold, so a NaN never passes."""
-    ra = float(np.linalg.norm(point.J.T @ lam - v))
+    ra = _norm(point.J.T @ lam - v)
     rc = point.normal.dist(lam)
-    bound = point.tol.membership * (
-        1.0 + float(np.linalg.norm(lam)) + float(np.linalg.norm(v)))
+    bound = point.tol.membership * (1.0 + _norm(lam) + _norm(v))
     return ra, rc, ra <= bound and rc <= bound
 
 
@@ -294,20 +294,33 @@ class BasePair:
 
     The constructor is the one place that verifies a base pair; the
     multiplier test is its only decision, and the cone-level graph point
-    wraps the verified pair without a second one.  Every second-order
+    wraps the verified pair without a second one.  `of_verified` wraps a
+    multiplier that its caller has just passed through the same test
+    (`multiplier_solve`'s), without running it again.  Every second-order
     check at the pair reads g(x) (`gx`) and the Jacobian `J` of its
     point, the Hessian of <lam, g> at x, built on first use, and the
     critical cone of K at (g(x), lam) and its polar from the graph point.
     """
 
     def __init__(self, point: BasePoint, v, lam):
+        self._wrap(point, v, lam)
+        if not multiplier_verify(point, self.v, self.lam):
+            raise ValueError("lam is not a verified multiplier for (x, v)")
+
+    def _wrap(self, point, v, lam):
         self.point = point
         self.sys, self.x, self.gx, self.J, self.tol = (
             point.sys, point.x, point.gx, point.J, point.tol)
         self.v = np.asarray(v, float)
         self.lam = np.asarray(lam, float)
-        if not multiplier_verify(point, self.v, self.lam):
-            raise ValueError("lam is not a verified multiplier for (x, v)")
+
+    @classmethod
+    def of_verified(cls, point: BasePoint, v, lam):
+        """The pair of a multiplier that `_multiplier_residuals` has just
+        accepted for (x, v) at `point`."""
+        pair = cls.__new__(cls)
+        pair._wrap(point, v, lam)
+        return pair
 
     @cached_property
     def graph_point(self):
@@ -401,10 +414,10 @@ def multiplier_solve(point: BasePoint, v,
         return res
     res.members.append(lam)
     if with_uniqueness:
-        res.pair = BasePair(point, v, lam)
+        res.pair = BasePair.of_verified(point, v, lam)
         res.srcq = srcq_check(res.pair)
         if res.srcq.verdict == "fails":
-            w = res.srcq.witness / float(np.linalg.norm(res.srcq.witness))
+            w = res.srcq.witness / _norm(res.srcq.witness)
             steps = (lam + s * 0.5 ** i * w for i in range(8)
                      for s in (1.0, -1.0))
             res.members.extend(islice(filter(
@@ -530,7 +543,7 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     sys, gx, tol = pair.sys, pair.gx, pair.tol
     d = _shaped("d", d, sys.dim_x, "the system has dim_x")
     w = _shaped("w", w, sys.dim_x, "the system has dim_x")
-    scale = 1.0 + float(np.linalg.norm(d)) + float(np.linalg.norm(w))
+    scale = 1.0 + _norm(d) + _norm(w)
     if not math.isfinite(scale):
         bad = [n for n, z in (("d", d), ("w", w)) if not np.isfinite(z).all()]
         raise ValueError(f"{' and '.join(bad)} not finite: NaN or infinite "
@@ -556,13 +569,12 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     u = sys.cone.upsilon_grad(pair.graph_point, gd)
     rhs = w - pair.hess @ d - 0.5 * (Jt @ u)
     cones = [pair.critical_polar]
-    if float(np.linalg.norm(gd)) > tol.zero * (1 + np.linalg.norm(gx)):
+    if _norm(gd) > tol.zero * (1 + _norm(gx)):
         cones.append(Hyperplane(gd))
     xi, info = dykstra([AffineSet(Jt, rhs)] + cones,
                        np.linalg.lstsq(Jt, rhs, rcond=None)[0], tol)
-    res = max(float(np.linalg.norm(Jt @ xi - rhs)),
-              max(S.dist(xi) for S in cones))
-    holds = res <= tol.membership * (1.0 + float(np.linalg.norm(xi))) * scale
+    res = max(_norm(Jt @ xi - rhs), max(S.dist(xi) for S in cones))
+    holds = res <= tol.membership * (1.0 + _norm(xi)) * scale
     details["fiber_residual"] = res
     details["fiber_holds"] = bool(holds)
     if info.farkas is not None:

@@ -19,6 +19,84 @@ def test_repro_scenarios_pass(name, capsys):
     assert "CHECKED: multiplier-uniqueness" in out
 
 
+# each scenario's text report after its first three lines (the scenario
+# name and the ASSUMED and CHECKED lines), byte for byte
+REPRO_TEXT = {
+    "example1": [
+        "strict_complementarity(vbar=0): fails (expected fails) ok",
+        "normal-cone membership table: [True, True, False, False, False] "
+        "(expected [True, True, False, False, False]) ok"],
+    "example2": [
+        "srcq(vbar): holds (expected holds) ok",
+        "srcq(vhat): fails (expected fails) ok",
+        "srcq(vhat) witness nonzero: True (expected True) ok"],
+    "example3": [
+        "strict_complementarity: holds (expected holds) ok",
+        "distinct members found: True (expected True) ok",
+        "uniqueness: fails (expected fails) ok"],
+    "example41": [
+        "srcq: holds (expected holds) ok",
+        "nondegeneracy: fails (expected fails) ok",
+        "solution_map_isolated_calm: holds (expected holds) ok"],
+    "kkt_lp": [
+        "kkt nondegenerate: holds (expected holds) ok",
+        "kkt degenerate: fails (expected fails) ok"],
+    "section32": [
+        "k=10: ratio=7.071068e-02 expected=7.071068e-02",
+        "k=100: ratio=7.071068e-03 expected=7.071068e-03",
+        "k=1000: ratio=7.071068e-04 expected=7.071068e-04",
+        "ratio table matches 1/(sqrt(2) k): True (expected True) ok"],
+}
+
+
+def _emitted(monkeypatch):
+    """The list that each report handed to the CLI's printer joins."""
+    from conestab import cli
+
+    reports, emit = [], cli._emit
+
+    def recorded(report, fmt):
+        reports.append(report)
+        emit(report, fmt)
+    monkeypatch.setattr(cli, "_emit", recorded)
+    return reports
+
+
+def _one_json_line(out, report):
+    # one compact line with sorted keys that parses to the report
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == report
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(REPRO_TEXT))
+def test_repro_text_is_pinned_and_json_is_one_line(name, capsys,
+                                                   monkeypatch):
+    from conestab.cli import ASSUMED, CHECKED
+
+    reports = _emitted(monkeypatch)
+    assert main(["repro", name]) == 0
+    assert capsys.readouterr().out == "\n".join(
+        [f"scenario: {name}", ASSUMED, CHECKED] + REPRO_TEXT[name]) + "\n"
+    assert main(["repro", name, "--report", "json"]) == 0
+    _one_json_line(capsys.readouterr().out, reports[-1])
+
+
+def test_analyze_json_is_one_line(planted, tmp_path, capsys, monkeypatch):
+    reports = _emitted(monkeypatch)
+    _, x, v, _, problem = planted(3, srcq_holds=False)
+
+    def write(name, obj):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj, default=lambda a: a.tolist()))
+        return str(path)
+
+    assert main(["analyze", "--problem", write("problem", problem),
+                 "--point", write("point", {"x": x, "v": v}),
+                 "--report", "json"]) == 0
+    _one_json_line(capsys.readouterr().out, reports[-1])
+
+
 def test_repro_unknown_scenario(capsys):
     assert main(["repro", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

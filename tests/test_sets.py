@@ -547,3 +547,85 @@ def test_product_negate_is_the_mirror():
             z = rng.standard_normal(S.dim) * 2
             assert np.array_equal(N.project(z), -S.project(-z)), label
             assert np.array_equal(N.project(z), _mirror(S).project(z)), label
+
+
+def _dist_parity_sets():
+    """(label, set) for every set class: the coded sets, the derived sets
+    of mixed cone descriptions, the four one-vector cones, both signs of
+    every primitive, a subspace and an affine set."""
+    from conestab.cone_core import ConeDesc, Orthant, PSD
+
+    a = np.array([1.0, -2.0, 0.5, 0.0])
+    prims = [K(n, s) for K, n in ((Orthant, 3), (SOC, 2), (SOC, 4), (PSD, 1),
+                                  (PSD, 3)) for s in ("plus", "minus")]
+    return _coded_sets() + _mixed_cone_sets() + [
+        (f.__name__, f(a)) for f in (Halfspace, Hyperplane, Ray,
+                                     LineSpan)] + [
+        (repr(K), K) for K in prims + [Zero(3), Free(3)]] + [
+        ("all sign codes", SignPattern([0, 1, -1, 2, 0, 1, -1, 2])),
+        ("mixed cone", ConeDesc(prims[::3] + [Zero(1), Free(2)])),
+        ("subspace", Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
+        ("affine", AffineSet(np.array([[1.0, 1.0, 0.0]]), np.array([2.0])))]
+
+
+def _near_boundary(S, rng):
+    """A seeded point z, its projection p and the points p ± t n, n the
+    unit normal (z - p)/||z - p||, at t = 1e-9 to 1e-3 from p."""
+    for scale in (1.0, 10.0):
+        z = rng.standard_normal(S.dim) * scale
+        p = S.project(z)
+        yield z
+        yield p
+        if _norm(z - p) > 0.0:
+            n = (z - p) / _norm(z - p)
+            for t in (1e-9, 1e-7, 1e-5, 1e-3):
+                yield p + t * n
+                yield p - t * n
+
+
+def _soc_points():
+    # apex, boundary, interior, polar boundary and polar interior points of
+    # SOC(4), each also moved off by 1e-9 to 1e-3 along the axis
+    r = np.array([0.6, 0.0, -0.8])
+    base = [np.zeros(4), np.r_[1.0, r], np.r_[2.0, 0.5 * r], np.r_[-1.0, r],
+            np.r_[-2.0, 0.5 * r]]
+    return [b + t * e for b in base for t in (0.0, 1e-9, 1e-7, 1e-5, 1e-3)
+            for e in (np.eye(4)[0], -np.eye(4)[0], np.r_[0.0, r])]
+
+
+def _rank_deficient_psd_points(rng):
+    # order-4 matrices with two zero eigenvalues and the others at
+    # +-1e-9 to +-1e-3 or of order one
+    for t in (1e-9, 1e-7, 1e-5, 1e-3, 1.0):
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        for w in ([0.0, 0.0, t, 1.0], [0.0, 0.0, -t, 1.0],
+                  [0.0, 0.0, -t, -1.0], [0.0, -t, t, 0.0]):
+            yield svec((U * np.array(w)) @ U.T)
+
+
+def test_closed_form_dist_matches_the_projection():
+    # dist(z) is ||z - project(z)|| to rounding, so contains, which reads
+    # it, answers as the projection would
+    from conestab._sets import _ROUNDING
+    from conestab.cone_core import PSD
+
+    rng = np.random.default_rng(55)
+    cases = [(label, S, list(_near_boundary(S, rng)))
+             for label, S in _dist_parity_sets()]
+    cases += [(repr(K), K, [s * z for z in _soc_points() for s in (1, -1)])
+              for K in (SOC(4), SOC(4, "minus"))]
+    cases += [(repr(K), K, list(_rank_deficient_psd_points(rng)))
+              for K in (PSD(4), PSD(4, "minus"))]
+    decided = set()
+    for label, S, points in cases:
+        for z in points:
+            ref = _norm(z - S.project(z))
+            assert abs(S.dist(z) - ref) <= _ROUNDING * (1.0 + _norm(z)), label
+            member = ref <= DEFAULT_TOL.membership * (1.0 + _norm(z))
+            assert S.contains(z) is member, label
+            decided.add(member)
+        # a closed-form distance may read 0 at an infinite entry; the
+        # projection's residual there is NaN, and no set contains it
+        for bad in (np.inf, -np.inf, np.nan):
+            assert S.contains(np.full(S.dim, bad)) is False, label
+    assert decided == {True, False}

@@ -229,6 +229,64 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
     assert calls["critical"] == 1
 
 
+def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
+                                             analyze):
+    # multiplier_solve wraps the multiplier that its residual test has
+    # just accepted into the pair without testing it again;
+    # multiplier_verify runs only on the steps along a failing srcq
+    # witness, and the last step it tries is the second member
+    from conestab import constraint_system
+
+    calls = {"residuals": 0, "verify": []}
+    residuals = constraint_system._multiplier_residuals
+    verify = constraint_system.multiplier_verify
+
+    def counted_residuals(*args):
+        calls["residuals"] += 1
+        return residuals(*args)
+
+    def counted_verify(*args):
+        calls["verify"].append(verify(*args))
+        return calls["verify"][-1]
+
+    monkeypatch.setattr(constraint_system, "_multiplier_residuals",
+                        counted_residuals)
+    monkeypatch.setattr(constraint_system, "multiplier_verify",
+                        counted_verify)
+    for srcq_holds, route in ((True, "span-N solve"),
+                              (False, "Dykstra search")):
+        calls.update(residuals=0, verify=[])
+        _, x, v, _, problem = planted(3, srcq_holds)
+        rc, report = analyze(problem, {"x": x, "v": v})
+        assert rc == 0
+        line = next(l for l in report["lines"] if l.startswith("multiplier:"))
+        assert line.endswith(f"route={route}"), line
+        steps = calls["verify"]
+        assert calls["residuals"] == 1 + len(steps)
+        assert steps == ([] if srcq_holds else [False] * (len(steps) - 1)
+                         + [True])
+
+
+def test_every_coded_set_has_a_closed_form_dist():
+    # only Subspace and AffineSet read their distance from a projection;
+    # a primitive's dist is its plus cone's _dist, mirrored once
+    from conestab._sets import ConvexSet
+    from conestab.cone_core import PrimitiveCone
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = {c for c in subclasses(ConvexSet)
+               if c.__module__.startswith("conestab.")}
+    assert {c.__name__ for c in classes if c.dist is ConvexSet.dist} == \
+        {"Subspace", "AffineSet"}
+    primitives = {c for c in classes if issubclass(c, PrimitiveCone)} - \
+        {PrimitiveCone}
+    assert primitives and all(hasattr(c, "_dist") for c in primitives)
+
+
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
                                                      planted, analyze):
     # kkt_lp solves no branch LP: the equality rows pin the one face of
