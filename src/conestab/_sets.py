@@ -12,7 +12,7 @@ maps the codes, and the dimension of the lineality space counts them
 without building a basis.  All sets are closed and convex; sets are
 cones unless `is_cone` says otherwise.  Every projection is closed form,
 so Moreau's decomposition holds to rounding; only `dykstra` iterates,
-over an intersection of sets.
+over an affine set and a cone.
 """
 
 from dataclasses import dataclass, field
@@ -431,7 +431,8 @@ class Farkas(NamedTuple):
     Any z in the intersection would give <h, b> = <h, M z> = sum <y_i, z>
     <= 0.  For every z, max(||M z - b||, dist(z, K_i)) is at least
     `bound` = gain / (||h|| + sum ||y_i||).  `cycle` is the Dykstra cycle
-    whose increments gave the certificate.
+    whose increments gave the certificate, or 0 for one built in closed
+    form.
     """
 
     h: np.ndarray
@@ -445,19 +446,12 @@ class Farkas(NamedTuple):
 _ROUNDING = 256 * np.finfo(float).eps
 
 
-def _farkas_cones(sets):
-    """The cones K_i when sets[0] is an AffineSet and every other set is
-    a cone; None otherwise."""
-    cones = sets[1:]
-    if isinstance(sets[0], AffineSet) and all(K.is_cone for K in cones):
-        return cones
-    return None
-
-
-def _farkas_test(affine, ys):
-    """(h, gain, sum ||y_i||) when h = pinv(M)^T sum y_i has a positive
-    gain and M^T h = sum y_i holds to rounding; None otherwise.  Each
-    test accepts only when its comparison holds, so a NaN fails it."""
+def _farkas_test(affine, ys, cycle):
+    """The certificate Farkas(h, ys, ., cycle) when h = pinv(M)^T sum y_i
+    has a positive gain and M^T h = sum y_i holds to rounding; None
+    otherwise.  Each test accepts only when its comparison holds, so a
+    NaN fails it.  It does not check that y_i lies in the polar of
+    K_i."""
     total = sum(ys[1:], ys[0])
     h = affine.pinv.T @ total
     gain = float(h @ affine.b)
@@ -469,27 +463,22 @@ def _farkas_test(affine, ys):
         return None
     if not gain > _ROUNDING * float(np.abs(h) @ np.abs(affine.b)):
         return None
-    return h, gain, ynorm
-
-
-def _farkas(affine, cones, incs, cycle):
-    """A Farkas certificate read from Dykstra's increments, or None.
-
-    The increment of a cone lies in its polar up to rounding, so a test
-    that fails on the increments spares the projections.  Otherwise
-    y_i = inc_i - K_i.project(inc_i) is the exact projection of inc_i
-    onto the polar (Moreau), and the test is made again on the y_i;
-    h = pinv(M)^T sum y_i solves M^T h = sum y_i whenever that system is
-    solvable.
-    """
-    if _farkas_test(affine, incs) is None:
-        return None
-    ys = [inc - K.project(inc) for K, inc in zip(cones, incs)]
-    passed = _farkas_test(affine, ys)
-    if passed is None:
-        return None
-    h, gain, ynorm = passed
     return Farkas(h, ys, gain / (_norm(h) + ynorm), cycle)
+
+
+def _farkas(affine, cone, inc, cycle):
+    """A Farkas certificate read from the cone's Dykstra increment, or
+    None.
+
+    The increment lies in the polar of the cone up to rounding, so a
+    test that fails on it spares the projection.  Otherwise
+    y = inc - cone.project(inc) is the exact projection of inc onto the
+    polar (Moreau), and the test is made again on y; h = pinv(M)^T y
+    solves M^T h = y whenever that system is solvable.
+    """
+    if _farkas_test(affine, [inc], cycle) is None:
+        return None
+    return _farkas_test(affine, [inc - cone.project(inc)], cycle)
 
 
 def _gordan(affine, cone, z):
@@ -520,25 +509,27 @@ class DykstraInfo:
     gordan: tuple | None = None  # (h, R) of `_gordan`
 
 
-def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
-    """Dykstra's alternating projections onto the intersection of `sets`.
+def dykstra(affine, cone, z0, tol: Tol = DEFAULT_TOL, radius=None):
+    """Dykstra's alternating projections onto {M z = b} ∩ C, for an
+    `AffineSet` and a cone C, both projected in closed form.
 
     Returns the final iterate plus convergence diagnostics after at most
-    `tol.max_iter` cycles.  When `sets[0]` is an AffineSet and the others
-    are cones, the increments are tested for a Farkas certificate of
-    emptiness after cycles 1, 2, 4, 8, ...; a certified call returns at
-    once with `farkas` set and `stalled` true.  Otherwise a run without
-    residual progress is reported as stalled; a stall is not a proof that
-    the intersection is empty, only the end of the search.
+    `tol.max_iter` cycles.  The cone's increment is tested for a Farkas
+    certificate of emptiness after cycles 1, 2, 4, 8, ...; a certified
+    call returns at once with `farkas` set and `stalled` true.
+    Otherwise a run without residual progress is reported as stalled; a
+    stall is not a proof that the intersection is empty, only the end of
+    the search.
 
-    A `radius` needs `sets` = [A, C] for one cone C: each checkpoint
-    reads `_gordan` from the iterate instead and returns, stalled, once
-    R > `radius`; every other exit reads it too, so `gordan` is always
-    set.
+    With a `radius`, each checkpoint reads `_gordan` from the iterate
+    instead and returns, stalled, once R > `radius`; every other exit
+    reads it too, so `gordan` is always set.  Raises ValueError unless
+    `affine` is an AffineSet and `cone` a cone.
     """
-
-    cones = _farkas_cones(sets)
-    read = radius is not None and cones is not None
+    if not (isinstance(affine, AffineSet) and cone.is_cone):
+        raise ValueError("dykstra takes an AffineSet and a cone")
+    sets = (affine, cone)
+    read = radius is not None
     next_check = 1
     z = np.asarray(z0, float).copy()
     incs = [np.zeros_like(z) for _ in sets]
@@ -558,10 +549,10 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
             break
         # a call that stops moving ends within a few moves of every set,
         # so no certificate with a bound above that distance exists
-        if cones is not None and cycle == next_check:
+        if cycle == next_check:
             next_check *= 2
-            cert = None if read else _farkas(sets[0], cones, incs[1:], cycle)
-            gordan = _gordan(sets[0], *cones, z) if read else None
+            cert = None if read else _farkas(affine, cone, incs[1], cycle)
+            gordan = _gordan(affine, cone, z) if read else None
             if cert is not None or (read and gordan[1] > radius):
                 res = max(S.dist(z) for S in sets)
                 return z, DykstraInfo(res, cycle, False, True, cert, gordan)
@@ -577,7 +568,7 @@ def dykstra(sets, z0, tol: Tol = DEFAULT_TOL, radius=None):
     stalled = stalls >= 3
     res = max(S.dist(z) for S in sets)
     converged = not stalled and res <= tol.membership * (1.0 + _norm(z))
-    gordan = _gordan(sets[0], *cones, z) if read else None
+    gordan = _gordan(affine, cone, z) if read else None
     return z, DykstraInfo(res, cycle, converged, stalled, gordan=gordan)
 
 

@@ -22,9 +22,13 @@ Each second-order operation takes a point z = y + lam: the critical
 cone C_K(y, lam) = T_K(y) ∩ lam⊥, Pi'_K(z; .) and Upsilon read a block's
 data from a `BlockPoint`, built on first use, and a `ConePoint` holds one
 per block, so a caller that keeps the point (a `GraphPoint`) decomposes
-each PSD block of z once and y at most once.  T_K(y) is the critical
-cone at (y, 0).  A block's `frame` gives h in the form its operations
-also read and answer in: h, or for PSD U^T smat(h) U in z's eigenframe.
+each PSD block of z once and y at most once.  A block decides its case
+once, in its critical cone, classifying y and lam but never z; Pi'_K is
+the projection onto that cone, except on a curved second-order block
+(Pi_K is smooth there) and on PSD blocks (divided differences in z's
+eigenframe).  T_K(y) is the critical cone at (y, 0).  A block's `frame`
+gives h in the form its operations also read and answer in: h, or for
+PSD U^T smat(h) U in z's eigenframe.
 """
 
 from functools import cached_property
@@ -84,6 +88,11 @@ class BlockPoint:
     @cached_property
     def curved(self):
         return self.cone._curved(self)
+
+    @cached_property
+    def critical(self):
+        """C_K(y, lam), the plus orientation's critical set."""
+        return self.cone._critical(self)
 
 
 class PrimitiveCone(ConvexSet):
@@ -153,10 +162,16 @@ class PrimitiveCone(ConvexSet):
         return self.critical_set(self.point(y, tol, y, np.zeros(self.dim)))
 
     def critical_set(self, p) -> ConvexSet:
-        return self._out(self._critical(p))
+        return self._out(p.critical)
 
     def dir_deriv(self, p, h):
         return self._out(self._dir_deriv(p, *self._in(h)))
+
+    def _dir_deriv(self, p, h):
+        # Pi'_K(z; h) = Pi_C(h) for C = C_K(y, lam) wherever Pi_K is
+        # piecewise linear near z: at every point of a polyhedral K, and
+        # of a second-order cone unless it is curved there
+        return p.critical.project(h)
 
     def _curved(self, p):
         """Whether the sigma term Upsilon may be nonzero at p: it is linear
@@ -190,11 +205,6 @@ class Orthant(PrimitiveCone):
                          SignPattern.FREE)
         return SignPattern(codes)
 
-    def _dir_deriv(self, p, hu):
-        u = p.z
-        sc = p.tol.zero * _zscale(u)
-        return np.where(u > sc, hu, np.where(u < -sc, 0.0, np.maximum(hu, 0.0)))
-
 
 class Zero(PrimitiveCone):
     is_polyhedral = True
@@ -218,9 +228,6 @@ class Zero(PrimitiveCone):
 
     def _critical(self, p):
         return Zero(self.dim)
-
-    def _dir_deriv(self, p, h):
-        return np.zeros(self.dim)
 
 
 class Free(PrimitiveCone):
@@ -252,16 +259,9 @@ class Free(PrimitiveCone):
     def _critical(self, p):
         return Free(self.dim)
 
-    def _dir_deriv(self, p, h):
-        return h.copy()
-
 
 class SOCPoint(BlockPoint):
-    """The cases (`SOC._classify`) of z, for Pi'_K, and of y."""
-
-    @cached_property
-    def case(self):
-        return SOC._classify(self.z, self.tol)
+    """The case (`SOC._classify`) of y."""
 
     @cached_property
     def ycase(self):
@@ -326,14 +326,6 @@ class SOC(PrimitiveCone):
             return "polar_bd"
         return "outside"
 
-    @staticmethod
-    def _bd_normal(u):
-        """Outward normal direction (-1, ubar/||ubar||) at a boundary point."""
-        a = np.empty_like(u)
-        a[0] = -1.0
-        a[1:] = u[1:] / _norm(u[1:])
-        return a
-
     def _critical(self, p):
         u, lu, tol, ycase = p.y, p.lam, p.tol, p.ycase
         lam_zero = _norm(lu) <= tol.zero * _zscale(lu)
@@ -351,25 +343,16 @@ class SOC(PrimitiveCone):
                 return Ray(refl)
             raise ValueError("multiplier outside the normal cone")
         if ycase == "bd":
-            a = self._bd_normal(u)
+            # the outward normal direction (-1, ubar/||ubar||)
+            a = np.concatenate([[-1.0], u[1:] / _norm(u[1:])])
             return Halfspace(a) if lam_zero else Hyperplane(a)
         raise ValueError("point is not in the cone")
 
     def _dir_deriv(self, p, hu):
-        u, case = p.z, p.case
-        if case == "int":
-            return hu.copy()
-        if case == "polar_int":
-            return np.zeros(self.dim)
-        if case == "apex":
-            return self._project(hu)
-        if case == "bd":
-            return Halfspace(self._bd_normal(u)).project(hu)
-        if case == "polar_bd":
-            refl = u.copy()
-            refl[0] = -refl[0]
-            return Ray(refl).project(hu)
-        u0, ub = u[0], u[1:]
+        if not p.curved:
+            return super()._dir_deriv(p, hu)
+        # z outside K and -K°, where Pi_K is smooth
+        u0, ub = p.z[0], p.z[1:]
         nb = _norm(ub)
         w = ub / nb
         h0, hb = hu[0], hu[1:]

@@ -96,7 +96,7 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
         for sign in (1.0, -1.0):
             A = AffineSet(np.vstack([Q[:, j], W.T]),
                           np.concatenate([[sign], np.zeros(n - k)]))
-            z, info = dykstra([A, C], sign * Q[:, j], tol, radius=bound)
+            z, info = dykstra(A, C, sign * Q[:, j], tol, radius=bound)
             w = A.project(z)
             if info.converged and C.dist(w) <= tol.membership:
                 return Certificate("fails", 1.0, w, method, tol, details={

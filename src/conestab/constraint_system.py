@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, Hyperplane, dykstra,
+    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, dykstra, _farkas_test,
     _norm,
 )
 from .cone_core import ConeDesc
@@ -402,11 +402,11 @@ def multiplier_solve(point: BasePoint, v,
     route, farkas = "span-N solve", None
     resid = None if lam is None else _multiplier_residuals(point, v, lam)
     if resid is None or not resid[2]:
-        sets = [AffineSet(Jt, v), point.normal]
-        lam, info = dykstra(sets, np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
+        sets = AffineSet(Jt, v), point.normal
+        lam, info = dykstra(*sets, np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
         if info.stalled and info.farkas is None:
             # a plateau stalls too; a run with fresh increments ends it
-            lam, info = dykstra(sets, lam, tol)
+            lam, info = dykstra(*sets, lam, tol)
         route, farkas = "Dykstra search", info.farkas
         resid = _multiplier_residuals(point, v, lam)
     res = MultiplierSolveResult(lam, *resid, route, farkas)
@@ -444,32 +444,21 @@ def srcq_check(pair: BasePair) -> Certificate:
 
 def nondegeneracy_check(point: BasePoint) -> Certificate:
     """Surjectivity of g'(x) onto Y modulo the lineality space of
-    T_K(g(x)): rank of the stacked matrix [J  Lin] equals dim Y."""
+    T_K(g(x)): rank of the stacked matrix [J  Lin] equals dim Y.  Both
+    the rank and the `fails` witness, the unit left singular vector just
+    past the rank (orthogonal to the columns of J and Lin), come from
+    one SVD."""
     J, Lin, tol = point.J, point.lineality, point.tol
-    stacked = np.hstack([J, Lin])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    cut = tol.zero * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cut))
+    u, s, _ = np.linalg.svd(np.hstack([J, Lin]))
+    rank = int(np.sum(s > tol.zero * s.max(initial=0.0)))
     m = point.sys.cone.dim
-
-    # kernel form: the adjoint kernel must project injectively onto Lin
-    ker = point.adjoint_kernel
-    if ker.shape[1] == 0:
-        kres = np.inf
-    elif Lin.shape[1] == 0:
-        kres = 0.0
-    else:
-        sv = np.linalg.svd(Lin.T @ ker, compute_uv=False)
-        kres = float(sv[-1]) if sv.size == ker.shape[1] else 0.0
-
     holds = rank == m
     return Certificate(
         "holds" if holds else "fails",
         float(m - rank),
-        None if holds else _null_basis(stacked.T, tol)[:, :1].ravel(),
+        None if holds else u[:, rank],
         "rank of [Jacobian | tangent-lineality] against dim Y",
-        tol, details={"rank": rank, "dim_y": m,
-                      "kernel_projection_sigma_min": kres})
+        tol, details={"rank": rank, "dim_y": m})
 
 
 def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
@@ -529,14 +518,17 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     cone-level derivative is u/2 + N_C(gd) with u = grad Upsilon(gd) and
     C the critical cone, so N_C(gd) = C° ∩ gd⊥.  Its fiber over w,
     {mu : J^T mu = w - Hess d, mu in u/2 + N_C(gd)}, is the translate by
-    u/2 of {xi in N_C(gd) : J^T xi = w - Hess d - J^T u/2}, so one
-    Dykstra solve of the latter decides both.  When the fiber holds,
-    (gd, xi + u/2) is checked against the cone-level graphical
-    derivative through the projection derivative (`dnk_contains`,
-    detail `inner_verdict`); the verdict holds only when both hold.  It
-    fails only at the critical-cone gate or when the fiber carries a
-    Farkas certificate of emptiness (detail `fiber_farkas`), whose bound
-    is then the residual.  A fiber that stalls or converges without
+    u/2 of {xi in C° ∩ gd⊥ : J^T xi = r}, r = w - Hess d - J^T u/2.  On
+    its affine rows <gd, xi> = <d, J^T xi> = <d, r> is a constant, so one
+    Dykstra solve on those rows and C° decides both, and the fiber's
+    residual adds |<gd, xi>| / ||gd||.  When the fiber holds, (gd,
+    xi + u/2) is checked against the cone-level graphical derivative
+    through the projection derivative (`dnk_contains`, detail
+    `inner_verdict`); the verdict holds only when both hold.  It fails
+    only at the critical-cone gate or when the fiber carries a Farkas
+    certificate of emptiness (detail `fiber_farkas`), whose bound is then
+    the residual: Dykstra's, or else the pairing's, y = [0, s gd] with
+    s = sign <d, r> (cycle 0).  A fiber that stalls or converges without
     holding, with no certificate, is inconclusive.  Raises ValueError
     when d or w has the wrong shape or is not finite.
     """
@@ -568,17 +560,24 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
     # xi in C° (∩ gd⊥ when gd is not 0) with J^T xi = w - Hd - J^T u / 2
     u = sys.cone.upsilon_grad(pair.graph_point, gd)
     rhs = w - pair.hess @ d - 0.5 * (Jt @ u)
-    cones = [pair.critical_polar]
-    if _norm(gd) > tol.zero * (1 + _norm(gx)):
-        cones.append(Hyperplane(gd))
-    xi, info = dykstra([AffineSet(Jt, rhs)] + cones,
-                       np.linalg.lstsq(Jt, rhs, rcond=None)[0], tol)
-    res = max(_norm(Jt @ xi - rhs), max(S.dist(xi) for S in cones))
+    fiber, polar = AffineSet(Jt, rhs), pair.critical_polar
+    xi, info = dykstra(fiber, polar, np.linalg.lstsq(Jt, rhs, rcond=None)[0],
+                       tol)
+    res = max(_norm(Jt @ xi - rhs), polar.dist(xi))
+    ngd = _norm(gd)
+    on_gd = ngd > tol.zero * (1 + _norm(gx))
+    if on_gd:
+        res = max(res, abs(float(gd @ xi)) / ngd)
     holds = res <= tol.membership * (1.0 + _norm(xi)) * scale
+    farkas = info.farkas
+    if not holds and farkas is None and on_gd:
+        # 0 is in C, the polar of C°, and s gd spans the polar of gd⊥
+        farkas = _farkas_test(fiber, [np.zeros_like(gd),
+                                      np.sign(float(d @ rhs)) * gd], 0)
     details["fiber_residual"] = res
     details["fiber_holds"] = bool(holds)
-    if info.farkas is not None:
-        details["fiber_farkas"] = info.farkas._asdict()
+    if farkas is not None:
+        details["fiber_farkas"] = farkas._asdict()
 
     method = ("normal-of-critical fiber solve + cone-level graphical "
               "derivative check")
@@ -589,8 +588,8 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
             return verdict("holds", res, xi, method)
         return verdict("inconclusive", res, None,
                        method + " (cone-level check disagrees)")
-    if info.farkas is not None:
-        return verdict("fails", info.farkas.bound, np.concatenate([d, w]),
+    if farkas is not None:
+        return verdict("fails", farkas.bound, np.concatenate([d, w]),
                        method + " (Farkas certificate of an empty fiber)")
     return verdict("inconclusive", res, None,
                    method + " (no Farkas certificate)")

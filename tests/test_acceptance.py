@@ -317,20 +317,20 @@ def test_ngamma_fails_only_at_gate_or_with_certificate():
     pair41 = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
                       problem.lam_hint)
     srcq = srcq_check(pair41)
-    stalls = []
+    certified = []
     for i, (d, w) in enumerate(_inclusion_pairs(
             problem, _axes_then_gaussian(3, 256))):
         cert = ngamma_graph_deriv_contains(pair41, d, w, srcq=srcq)
-        if cert.verdict == "fails":
-            _check_fails_certificate(pair41, d, w, cert)
-        else:
-            stalls.append((i, cert.verdict))
+        assert cert.verdict == "fails", i
+        if _check_fails_certificate(pair41, d, w, cert):
+            certified.append((i, cert.details["fiber_farkas"]["cycle"]))
     # the definiteness certificate decides without a direction search
     assert solution_map_isolated_calm(problem, problem.lam_hint).verdict \
         == "holds"
-    # the two gate-passing directions, the axes e_1 and e_2, stall without
-    # a certificate, so no direction is a witness
-    assert stalls == [(0, "inconclusive"), (2, "inconclusive")]
+    # the two gate-passing directions, the axes e_1 and e_2, have
+    # <d, r> != 0 on their fibers: the pairing certifies both (cycle 0),
+    # so no direction is a witness
+    assert certified == [(0, 0), (2, 0)]
 
 
 def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
@@ -345,7 +345,9 @@ def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
 
     pair, pairs = _criterion_9_pairs()
     before = [ngamma_graph_deriv_contains(pair, d, w) for d, w in pairs]
+    # withhold both certificates: Dykstra's and the pairing's
     monkeypatch.setattr(cs, "dykstra", uncertified)
+    monkeypatch.setattr(cs, "_farkas_test", lambda *args: None)
     spiked = 0
     for (d, w), old in zip(pairs, before):
         cert = ngamma_graph_deriv_contains(pair, d, w)

@@ -3,8 +3,9 @@
 Counts: at a graph point, each PSD block of z is decomposed once and y at
 most once, however many directions are read.  Parity: the graph-point
 path gives the numbers of the per-call svec-space formulas written out
-below, which decompose on every call: Pi' exactly (==, no tolerance),
-and Upsilon, its gradient and `dnk_contains`'s residuals, which a PSD
+below, which decompose on every call: Pi' exactly (==, no tolerance)
+or, where a second-order block reads a ray from lam and the formula
+from z, to a few ulps, and Upsilon, its gradient and `dnk_contains`'s residuals, which a PSD
 block reads in the eigenframe of z, to 1e-12 of their scale with the
 same verdicts.  The mirrored cone gives exactly the mirrored numbers.
 A fresh point per call (`proj_dir_deriv`, `GraphPoint.of_pair`) gives
@@ -24,7 +25,9 @@ from conestab.constraint_system import (
     ngamma_graph_deriv_contains,
 )
 from conestab.proj_deriv import GraphPoint, dnk_contains, proj_dir_deriv
-from conestab.stability import _second_order_form
+from conestab.stability import (
+    GEProblem, _second_order_form, solution_map_isolated_calm,
+)
 from conestab.symmat import smat, svec
 
 
@@ -112,6 +115,8 @@ def _curved_psd_pair(dim_x, rng):
 
 
 def test_second_order_form_decomposes_y_once(monkeypatch):
+    from test_acceptance import _check_fails_certificate
+
     rng = np.random.default_rng(43)
     pair = _curved_psd_pair(5, rng)
     problem = SimpleNamespace(pbar=np.zeros(1), xbar=pair.x,
@@ -132,11 +137,22 @@ def test_second_order_form_decomposes_y_once(monkeypatch):
                     pair.tol)
     assert B.shape[1] == 4
     calls.clear()
+    certs = []
     for _ in range(4):
         d = B @ rng.standard_normal(4)
-        cert = ngamma_graph_deriv_contains(pair, d, rng.standard_normal(5))
-        assert "fiber_residual" in cert.details
+        w = rng.standard_normal(5)
+        certs.append((d, w, ngamma_graph_deriv_contains(pair, d, w)))
     assert not any(np.array_equal(M, Y) for _, M in calls)
+    # each fiber has <d, r> != 0, so the pairing certifies it empty
+    for d, w, cert in certs:
+        assert cert.verdict == "fails"
+        assert _check_fails_certificate(pair, d, w, cert) == 1
+    problem = GEProblem(pair.sys, F=lambda p, x: -pair.v,
+                        Fprime=lambda base, dirn: np.zeros(5),
+                        pbar=np.zeros(1), xbar=pair.x, lam_hint=pair.lam)
+    cert = solution_map_isolated_calm(problem, pair.lam)
+    assert (cert.verdict, cert.method) == (
+        "fails", "inclusion on the critical subspace decided by B^T A B")
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +509,12 @@ def test_frame_kernels_match_the_svec_formulas():
                 gp.critical.lineality_basis().shape[1]
             for dy, dl in _frame_directions(K, gp, rng):
                 h = dy + dl
-                assert np.array_equal(K.dir_deriv(gp, h),
-                                      ref_dir_deriv(K, gp.z, h))
+                # a second-order block on the polar's boundary projects
+                # onto the ray of its multiplier lam = z - Pi_K(z), which
+                # the formula reads from z: a few ulps of ||h|| apart
+                assert np.max(np.abs(K.dir_deriv(gp, h) - ref_dir_deriv(
+                    K, gp.z, h))) <= 4 * np.finfo(float).eps * \
+                    np.linalg.norm(h)
                 _assert_upsilon_matches(
                     K, gp, dy, *ref_upsilon_and_grad(K, gp.y, gp.lam, dy))
                 for S in (gp.critical, gp.critical_polar):

@@ -118,6 +118,69 @@ def test_dir_deriv_matches_finite_differences(K):
     assert worst <= 1e-6
 
 
+def _case_points(rng):
+    """(label, block, z, near): every primitive in both signs at the apex,
+    on faces and boundary rays, in the interior, in the polar's interior
+    and on the polar's boundary; each point also moved by half of
+    tol.zero in three random directions (near), so it sits within
+    tol.zero of its case boundary, on either side."""
+    delta = 0.5 * DEFAULT_TOL.zero
+    orth = {"apex": [0, 0, 0], "face": [1.5, 0, 0], "edge": [1, 0, -1],
+            "interior": [1, 2, .5], "polar interior": [-1, -2, -.5],
+            "polar face": [0, -1, -2]}
+    soc = {"apex": [0, 0, 0], "interior": [2, .5, .5],
+           "boundary ray": [1, .6, .8], "polar interior": [-2, .5, .5],
+           "polar boundary ray": [-1, .6, .8]}
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    psd = {label: svec((Q * np.array(ev, float)) @ Q.T) for label, ev in
+           dict(orth, ray=[1.5, 0, 0], face=[1, 2, 0]).items()}
+    for kind, table in ((Orthant, orth), (SOC, soc), (PSD, psd),
+                        (Zero, orth), (Free, orth)):
+        signed = kind in (Orthant, SOC, PSD)
+        for sign in (1, -1) if signed else (1,):
+            block = kind(3, sign) if signed else kind(3)
+            for label, z in table.items():
+                z = sign * np.asarray(z, float)
+                yield label, block, z, False
+                for _ in range(3):
+                    e = rng.standard_normal(z.size)
+                    yield label, block, z + delta * e / np.linalg.norm(e), \
+                        True
+
+
+def test_dir_deriv_projects_onto_the_critical_cone():
+    # where a block is not curved, Pi'_K(z; h) is the projection of h onto
+    # the critical cone C_K(y, lam), and the finite differences of Pi_K
+    # agree.  A point moved delta off a case boundary biases those by up
+    # to about 11 delta / 1e-4 per entry, from the Richardson step over
+    # t = 1e-4 and 1e-5
+    rng = np.random.default_rng(71)
+    eps = np.finfo(float).eps
+    checked = set()
+    for label, block, z, near in _case_points(rng):
+        K = ConeDesc([block])
+        gp = GraphPoint.from_z(K, z)
+        (q,) = gp.blocks
+        if q.curved:
+            continue
+        checked.add((repr(block), label))
+        slack = 1e-6 + (20 * 0.5 * DEFAULT_TOL.zero / 1e-4 if near else 0.0)
+        for _ in range(5):
+            h = rng.standard_normal(K.dim)
+            exact = block.dir_deriv(q, h)
+            onto_c = block.critical_set(q).project(h)
+            if isinstance(block, PSD):  # divided differences, to rounding
+                assert np.max(np.abs(exact - onto_c)) <= \
+                    16 * eps * (1 + np.linalg.norm(h)), (block, label)
+            else:
+                assert np.array_equal(exact, onto_c), (block, label)
+            assert np.linalg.norm(fd_proj_deriv(K, z, h)[0] - exact) <= \
+                slack, (block, label, near)
+    # a PSD block is curved wherever lam != 0 (on its edge, polar face
+    # and polar interior); every other case is read
+    assert len(checked) == 2 * (6 + 5 + 4) + 6 + 6
+
+
 def test_sigma_term_frozen_psd_value():
     # y = diag(1,0), lam = diag(0,-1), h = offdiag(1): the curvature
     # functional evaluates to exactly 2

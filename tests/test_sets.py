@@ -168,23 +168,6 @@ def test_unit_frame_codes_match_the_four_classes(new, old):
                                       R.negate().project(z))
 
 
-def test_dykstra_converges_on_intersection():
-    # quarter plane as two halfspaces
-    sets = [Halfspace(np.array([-1.0, 0.0])), Halfspace(np.array([0.0, -1.0]))]
-    z, info = dykstra(sets, np.array([-1.0, -2.0]), DEFAULT_TOL)
-    assert info.converged
-    assert np.allclose(z, [0.0, 0.0], atol=1e-8)
-
-
-def test_dykstra_stalls_on_empty_intersection():
-    sets = [AffineSet(np.array([[1.0, 0.0]]), np.array([1.0])),
-            AffineSet(np.array([[1.0, 0.0]]), np.array([-1.0]))]
-    z, info = dykstra(sets, np.array([0.0, 0.0]), DEFAULT_TOL)
-    assert not info.converged
-    assert info.residual > 0.1
-    assert info.farkas is None  # two affine sets: no cone part to certify
-
-
 def _dykstra_reference(sets, z0, tol=DEFAULT_TOL):
     # Dykstra without the emptiness certificate, copied from the loop it
     # replaced: the certificate only reads the increments, so the iterates
@@ -225,7 +208,7 @@ def test_dykstra_certifies_empty_fiber_at_cycle_1():
     # the orthant increment is y = (-1/2, -1/2), h = pinv^T y = -1/2 and
     # the gain <h, b> = 1/2
     A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
-    z, info = dykstra([A, SignPattern([1, 1])], np.array([-0.5, -0.5]))
+    z, info = dykstra(A, SignPattern([1, 1]), np.array([-0.5, -0.5]))
     cert = info.farkas
     assert cert is not None
     assert info.stalled and not info.converged
@@ -259,26 +242,23 @@ def test_dykstra_feasible_fiber_matches_reference_loop(case, monkeypatch):
     tried = []
     real = _sets._farkas
 
-    def spy(affine, cones, incs, cycle):
+    def spy(affine, cone, inc, cycle):
         tried.append(cycle)
-        return real(affine, cones, incs, cycle)
+        return real(affine, cone, inc, cycle)
 
     monkeypatch.setattr(_sets, "_farkas", spy)
     rng = np.random.default_rng(40 + case)
     n, m = 3, 5
     M = rng.standard_normal((n, m))
-    cones = [ProductSet([SOC(3), SignPattern([1, -1])])]
+    cone = ProductSet([SOC(3), SignPattern([1, -1])])
     if case % 2:
-        # one unused draw: the hyperplane after it keeps these fibers
-        # running past cycle 8
+        # one unused draw, then a fourth affine row
         rng.standard_normal(m)
-        cones = [cones[0], Hyperplane(rng.standard_normal(m))]
-    member = cones[0].project(rng.standard_normal(m) * 2)
-    if case % 2:
-        member = dykstra(cones, member)[0]
-    sets = [AffineSet(M, M @ member)] + cones
+        M = np.vstack([M, rng.standard_normal(m)])
+    member = cone.project(rng.standard_normal(m) * 2)
+    sets = [AffineSet(M, M @ member), cone]
     z0 = rng.standard_normal(m)
-    z, info = dykstra(sets, z0)
+    z, info = dykstra(*sets, z0)
     z_ref, ref = _dykstra_reference(sets, z0)
     assert info.farkas is None
     assert info.cycles > 8  # the certificate was tried several times
@@ -293,27 +273,24 @@ def test_dykstra_rejects_a_nan_certificate():
     for b in (np.nan, np.inf):
         A = AffineSet(np.array([[1.0, 1.0]]), np.array([b]))
         with np.errstate(invalid="ignore"):
-            _, info = dykstra([A, SignPattern([1, 1])], np.zeros(2),
+            _, info = dykstra(A, SignPattern([1, 1]), np.zeros(2),
                               Tol(max_iter=4))
         assert info.farkas is None
 
 
 def test_dykstra_certificate_needs_exact_cone_projections():
     # every set projects in closed form, so Moreau's identity holds to
-    # rounding; a certificate is read only when an affine set comes first
-    # and every other set is a cone
-    from conestab._sets import _farkas_cones
-
+    # rounding; the certificate reads the cone's increment, so the first
+    # set must be affine and the second a cone
     A = AffineSet(np.array([[1.0, 1.0]]), np.array([-1.0]))
     quarter = SignPattern([1, 1])
     shifted = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
-    assert _farkas_cones([A, quarter]) == [quarter]
-    assert _farkas_cones([quarter, A]) is None
-    assert _farkas_cones([A, quarter, shifted]) is None
-    assert _farkas_cones([A, ProductSet([SignPattern([1]), shifted])]) \
-        is None
-    _, info = dykstra([A, quarter, shifted], np.array([-0.5, -0.5]))
-    assert info.farkas is None
+    z0 = np.array([-0.5, -0.5])
+    for first, second in ((quarter, A), (quarter, quarter), (A, shifted),
+                          (A, ProductSet([SignPattern([1]), shifted]))):
+        with pytest.raises(ValueError, match="an AffineSet and a cone"):
+            dykstra(first, second, z0)
+    assert dykstra(A, quarter, z0)[1].farkas is not None
 
 
 def test_tol_halved():
@@ -484,8 +461,9 @@ def _mirror(S):
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plus", "minus"])
 def test_pointed_part_is_the_set_cut_by_the_lineality_complement(mirrored):
-    # pointed() maps the codes; a reference runs Dykstra on S and the
-    # subspace (lin S)^perp, whose projections are both closed form
+    # pointed() maps the codes; a reference runs Dykstra on the subspace
+    # (lin S)^perp = {z : B^T z = 0} and S, whose projections are both
+    # closed form
     rng = np.random.default_rng(52)
     for label, S in _coded_sets():
         if mirrored:
@@ -493,11 +471,10 @@ def test_pointed_part_is_the_set_cut_by_the_lineality_complement(mirrored):
         P = S.pointed()
         assert P.dim == S.dim and P.lineality_dim() == 0, label
         B = S.lineality_basis()
-        perp = Subspace(np.linalg.svd(B)[0][:, B.shape[1]:] if B.size
-                        else np.eye(S.dim))
+        perp = AffineSet(B.T, np.zeros(B.shape[1]))
         for _ in range(6):
             z = rng.standard_normal(S.dim) * 2
-            ref = dykstra([S, perp], z)[0]
+            ref = dykstra(perp, S, z)[0]
             assert np.linalg.norm(P.project(z) - ref) <= \
                 1e-8 * (1.0 + np.linalg.norm(z)), label
             # the pointed part of the mirror is the mirror of the part

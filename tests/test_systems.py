@@ -202,7 +202,7 @@ def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
         sys, x, v, lam, _ = planted(100 + seed, srcq_holds)
         Jt = sys.jacobian(x).T
         N = sys.cone.tangent_set(sys.g(x), DEFAULT_TOL).polar()
-        ref, _ = _sets.dykstra([_sets.AffineSet(Jt, v), N],
+        ref, _ = _sets.dykstra(_sets.AffineSet(Jt, v), N,
                                np.linalg.lstsq(Jt, v, rcond=None)[0])
         scale = 1.0 + np.linalg.norm(ref) + np.linalg.norm(v)
         res = multiplier_solve(BasePoint(sys, x), v)
@@ -262,6 +262,37 @@ def test_nondegeneracy_cases():
     cert = nondegeneracy_check(BasePoint(thin, np.zeros(1)))
     assert cert.verdict == "fails"
     assert cert.details["rank"] < cert.details["dim_y"]
+
+
+def test_nondegeneracy_witness_is_orthogonal_to_jacobian_and_lineality():
+    # a `fails` witness w is a unit vector with J^T w = 0 and Lin^T w = 0
+    # to rounding: the range of [J | Lin] misses it
+    rng = np.random.default_rng(61)
+    points = [BasePoint(example1_system(), XBAR1),
+              BasePoint(affine_system(ConeDesc([Zero(3)]), np.ones((3, 1)),
+                                      np.zeros(3)), np.zeros(1))]
+    K = ConeDesc([Orthant(3), Free(2), SOC(3)])
+    for i in range(20):
+        # J of rank 2; T_K(y) has a lineality space of dimension at most
+        # 1 + 2 + 2 (one positive entry, the free block, an SOC boundary
+        # point), so the rank of [J | Lin] is below dim Y = 8
+        A = rng.standard_normal((K.dim, 2)) @ rng.standard_normal((2, 4))
+        x = rng.standard_normal(4)
+        y = np.zeros(K.dim)
+        y[i % 3] = abs(rng.standard_normal())
+        y[3:5] = rng.standard_normal(2)
+        if i % 2:
+            u = rng.standard_normal(2)
+            y[5:] = np.concatenate([[1.0], u / np.linalg.norm(u)])
+        points.append(BasePoint(affine_system(K, A, y - A @ x), x))
+    for point in points:
+        cert = nondegeneracy_check(point)
+        assert cert.verdict == "fails"
+        w = cert.witness
+        eps = 64 * np.finfo(float).eps
+        assert abs(np.linalg.norm(w) - 1.0) <= eps
+        assert np.linalg.norm(point.J.T @ w) <= eps * np.linalg.norm(point.J)
+        assert np.linalg.norm(point.lineality.T @ w) <= eps
 
 
 def test_strict_complementarity_cases():

@@ -267,6 +267,44 @@ def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
                          + [True])
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_dnk_contains_classifies_y_and_lam_but_never_z(monkeypatch, sign):
+    # a second-order block decides its case once, in its critical cone:
+    # y always, lam only at the apex (where lam = z in value, but not the
+    # same array), and z never, however many directions are read
+    from conestab.cone_core import ConeDesc, SOC
+    from conestab.proj_deriv import GraphPoint, dnk_contains
+
+    seen = []
+    classify = SOC._classify
+
+    def spy(u, tol):
+        seen.append(u)
+        return classify(u, tol)
+
+    monkeypatch.setattr(SOC, "_classify", staticmethod(spy))
+    rng = np.random.default_rng(67)
+    points = {"interior": ([2.0, 0.5, 0.5], False),
+              "boundary": ([1.0, 0.6, 0.8], False),
+              "curved": ([0.5, 1.2, 1.6], False),
+              "apex": ([0.0, 0.0, 0.0], False),
+              "polar interior": ([-2.0, 0.5, 0.5], True),
+              "polar boundary": ([-1.0, 0.6, 0.8], True)}
+    for label, (z, at_apex) in points.items():
+        K = ConeDesc([SOC(3, sign)])
+        gp = GraphPoint.from_z(K, sign * np.array(z))
+        del seen[:]
+        for _ in range(3):
+            h = rng.standard_normal(3)
+            dy = K.dir_deriv(gp, h)
+            assert dnk_contains(K, gp, dy, h - dy).verdict == "holds", label
+        (q,) = gp.blocks
+        expected = [q.y, q.lam] if at_apex else [q.y]
+        assert len(seen) == len(expected), label
+        assert all(any(a is b for a in seen) for b in expected), label
+        assert not any(a is q.z for a in seen), label
+
+
 def test_every_coded_set_has_a_closed_form_dist():
     # only Subspace and AffineSet read their distance from a projection;
     # a primitive's dist is its plus cone's _dist, mirrored once
@@ -596,7 +634,7 @@ def _old_strict_complementarity(sys, x, v):
     members = []
     for seed in [seed0] + [seed0 + sign * step * k for k in ker
                            for sign in (1.0, -1.0)]:
-        lam, _ = _sets.dykstra([_sets.AffineSet(Jt, v), point.normal], seed)
+        lam, _ = _sets.dykstra(_sets.AffineSet(Jt, v), point.normal, seed)
         scale = 1.0 + np.linalg.norm(lam) + np.linalg.norm(v)
         if multiplier_verify(point, v, lam) and not any(
                 np.linalg.norm(lam - m) <= 1e-6 * scale for m in members):
