@@ -7,8 +7,9 @@ second-order cone).  The derived cones are codes in an orthonormal
 frame: `SignPattern` codes each coordinate, `UnitFrameSet` the
 coordinate along one unit vector u and the part in u⊥ (a halfspace,
 hyperplane, ray or line), and `PSDBlockSet` each block of a matrix in an
-eigenbasis.  So a polar, a mirror or the pointed part C ∩ (lin C)^⊥
-maps the codes, and the dimension of the lineality space counts them
+eigenbasis, all in `SignPattern`'s integer codes.  So a polar, a mirror
+or the pointed part C ∩ (lin C)^⊥ maps the codes through one table of
+`SignPattern`, and the dimension of the lineality space counts them
 without building a basis.  All sets are closed and convex; sets are
 cones unless `is_cone` says otherwise.  Every projection is closed form,
 so Moreau's decomposition holds to rounding; only `dykstra` iterates,
@@ -76,18 +77,22 @@ class ConvexSet:
         nz = _norm(z)
         return math.isfinite(nz) and self.dist(z) <= tol.membership * (1.0 + nz)
 
+    def _recoded(self, table) -> "ConvexSet":
+        """The cone with each of its codes c replaced by table[c + 1]."""
+        raise NotImplementedError
+
     def polar(self) -> "ConvexSet":
         """The polar cone {w : <w, z> <= 0 for every z in the set}."""
-        raise NotImplementedError
+        return self._recoded(SignPattern._POLAR)
 
     def negate(self) -> "ConvexSet":
         """The mirror {-z : z in the set}."""
-        raise NotImplementedError
+        return self._recoded(SignPattern._NEG)
 
     def pointed(self) -> "ConvexSet":
         """The cone's part C ∩ (lin C)^⊥ orthogonal to its lineality
         space: the free codes set to zero."""
-        raise NotImplementedError
+        return self._recoded(SignPattern._POINTED)
 
     def lineality_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the largest subspace inside the
@@ -129,14 +134,8 @@ class SignPattern(ConvexSet):
         z = np.asarray(z, float)
         return _norm(np.where(self._zero, z, np.minimum(self._sign * z, 0.0)))
 
-    def polar(self):
-        return SignPattern(self._POLAR[self.codes + 1])
-
-    def negate(self):
-        return SignPattern(self._NEG[self.codes + 1])
-
-    def pointed(self):
-        return SignPattern(self._POINTED[self.codes + 1])
+    def _recoded(self, table):
+        return SignPattern(table[self.codes + 1])
 
     def lineality_basis(self):
         return np.eye(self.dim)[:, self.codes == self.FREE]
@@ -185,15 +184,6 @@ class UnitFrameSet(ConvexSet):
     def _recoded(self, table):
         return UnitFrameSet(self.u, table[self.along + 1],
                             table[self.across + 1])
-
-    def polar(self):
-        return self._recoded(SignPattern._POLAR)
-
-    def negate(self):
-        return self._recoded(SignPattern._NEG)
-
-    def pointed(self):
-        return self._recoded(SignPattern._POINTED)
 
     def lineality_basis(self):
         # u⊥ from the SVD of the row u
@@ -287,14 +277,9 @@ class ProductSet(ConvexSet):
         z = np.asarray(z, float)
         return math.hypot(*(s.dist(z[sl]) for s, sl in zip(self.sets, self.slices)))
 
-    def polar(self):
-        return ProductSet([s.polar() for s in self.sets])
-
-    def negate(self):
-        return ProductSet([s.negate() for s in self.sets])
-
-    def pointed(self):
-        return ProductSet([s.pointed() for s in self.sets])
+    def _recoded(self, table):
+        # blockwise, into the same class: a ConeDesc stays one
+        return type(self)([s._recoded(table) for s in self.sets])
 
     def lineality_basis(self):
         cols = []
@@ -310,11 +295,6 @@ class ProductSet(ConvexSet):
         return sum(s.lineality_dim() for s in self.sets)
 
 
-_PSD_POLAR = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
-_PSD_NEG = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
-_PSD_POINTED = {"free": "zero", "zero": "zero", "psd": "psd", "nsd": "nsd"}
-
-
 def _eig_clip(B):
     """Projection of the symmetric part of B onto the PSD matrices; the
     NSD projection is its mirror, -_eig_clip(-B)."""
@@ -327,8 +307,9 @@ class PSDBlockSet(ConvexSet):
     """Cone of symmetric matrices given blockwise in a fixed eigenbasis.
 
     `groups` partitions the matrix indices; `codes[(i, j)]` (i <= j group
-    indices) constrains the (i, j) block of U^T H U: 'free', 'zero', or on
-    diagonal blocks 'psd'/'nsd'.  The rotation is an isometry for the
+    indices) constrains the (i, j) block of U^T H U with a `SignPattern`
+    code: FREE, ZERO, or on diagonal blocks NONNEG (positive semidefinite)
+    or NONPOS (negative semidefinite).  The rotation is an isometry for the
     trace inner product, so projection decouples blockwise.  `dist`
     also reads z in the frame, as the matrix U^T smat(z) U.
     """
@@ -340,19 +321,19 @@ class PSDBlockSet(ConvexSet):
         self.codes = dict(codes)
         self.dim = svec_dim(self.n)
         # block operations that write something: (block index, index of
-        # the mirrored block or None, code); empty and 'zero' blocks
+        # the mirrored block or None, code); empty and ZERO blocks
         # leave their zeros in place.  (g[:, None], h) indexes the same
         # block as np.ix_(g, h), at a tenth of the cost.
         self._ops = []
         for (i, j), code in self.codes.items():
-            if code not in _PSD_POLAR:
+            if code not in (_FREE, _NONNEG, _NONPOS, _ZERO):
                 raise ValueError(f"unknown block code {code!r}")
-            if code in ("psd", "nsd") and i != j:
+            if code in (_NONNEG, _NONPOS) and i != j:
                 raise ValueError(f"code {code!r} on off-diagonal block {(i, j)}")
             gi, gj = self.groups[i], self.groups[j]
-            if gi.size == 0 or gj.size == 0 or code == "zero":
+            if gi.size == 0 or gj.size == 0 or code == _ZERO:
                 continue
-            mirror = (gj[:, None], gi) if code == "free" and i != j else None
+            mirror = (gj[:, None], gi) if code == _FREE and i != j else None
             self._ops.append(((gi[:, None], gj), mirror, code))
 
     def project(self, zvec):
@@ -360,12 +341,12 @@ class PSDBlockSet(ConvexSet):
         out = np.zeros_like(W)
         for block, mirror, code in self._ops:
             B = W[block]
-            if code == "free":
+            if code == _FREE:
                 out[block] = B
                 if mirror is not None:
                     out[mirror] = B.T
             else:
-                out[block] = _eig_clip(B) if code == "psd" else -_eig_clip(-B)
+                out[block] = _eig_clip(B) if code == _NONNEG else -_eig_clip(-B)
         return svec(self.U @ out @ self.U.T)
 
     @cached_property
@@ -380,29 +361,20 @@ class PSDBlockSet(ConvexSet):
         W = z if np.ndim(z) == 2 else self.U.T @ smat(z) @ self.U
         d2 = float(np.sum(W[self._dropped] ** 2))
         for block, _, code in self._ops:
-            if code != "free":  # the eigenvalues its projection drops
-                B = W[block] if code == "psd" else -W[block]
+            if code != _FREE:  # the eigenvalues its projection drops
+                B = W[block] if code == _NONNEG else -W[block]
                 w = np.minimum(np.linalg.eigvalsh(B), 0.0)
                 d2 += float(w @ w)
         return math.sqrt(d2)
 
     def _recoded(self, table):
-        return PSDBlockSet(self.U, self.groups,
-                           {k: table[v] for k, v in self.codes.items()})
-
-    def polar(self):
-        return self._recoded(_PSD_POLAR)
-
-    def negate(self):
-        return self._recoded(_PSD_NEG)
-
-    def pointed(self):
-        return self._recoded(_PSD_POINTED)
+        codes = {k: int(table[v + 1]) for k, v in self.codes.items()}
+        return PSDBlockSet(self.U, self.groups, codes)
 
     def lineality_basis(self):
         cols = []
         for (i, j), code in self.codes.items():
-            if code != "free":
+            if code != _FREE:
                 continue
             gi, gj = self.groups[i], self.groups[j]
             for p in gi:
@@ -420,7 +392,7 @@ class PSDBlockSet(ConvexSet):
     def lineality_dim(self):
         k = [g.size for g in self.groups]
         return sum(k[i] * (k[i] + 1) // 2 if i == j else k[i] * k[j]
-                   for (i, j), code in self.codes.items() if code == "free")
+                   for (i, j), code in self.codes.items() if code == _FREE)
 
 
 class Farkas(NamedTuple):

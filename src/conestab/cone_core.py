@@ -38,7 +38,7 @@ import numpy as np
 
 from ._sets import (
     Tol, DEFAULT_TOL, ConvexSet, SignPattern, Halfspace, Hyperplane, Ray,
-    ProductSet, PSDBlockSet, _eig_clip, _norm,
+    ProductSet, PSDBlockSet, _eig_clip, _norm, _FREE, _NONNEG, _ZERO,
 )
 from .symmat import svec, smat, svec_dim
 
@@ -101,9 +101,10 @@ class PrimitiveCone(ConvexSet):
     `size` is the dimension, or the matrix order for PSD.  Subclasses
     write the underscored methods for K; the public methods map the data
     of -K to K and the result back.  A negation is exact, so the mirror
-    adds no rounding.  The orthant, second-order and PSD cones are
-    self-dual, so the polar of K is -K; a primitive is pointed unless it
-    is Free, so `pointed()` is the cone itself, and {0} for Free.
+    adds no rounding.  A primitive's code is its sign, ZERO for Zero and
+    FREE for Free, and the code tables give its polar, mirror and pointed
+    part: the orthant, second-order and PSD cones are self-dual, so the
+    polar of K is -K.
     """
 
     is_polyhedral = False
@@ -123,14 +124,17 @@ class PrimitiveCone(ConvexSet):
             return r
         return r.negate() if isinstance(r, ConvexSet) else -r
 
-    def polar(self):
-        return type(self)(self.size, -self.sign)
+    @property
+    def code(self):
+        """The sign; Zero and Free hold ZERO and FREE as class attributes."""
+        return self.sign
 
-    def negate(self):
-        return self.polar() if self.signed else self
-
-    def pointed(self):
-        return self
+    def _recoded(self, table):
+        code = int(table[self.code + 1])
+        if code == self.code:
+            return self
+        sub = {_ZERO: Zero, _FREE: Free}.get(code)
+        return sub(self.dim) if sub else type(self)(self.size, code)
 
     def lineality_basis(self):
         return np.zeros((self.dim, 0))
@@ -206,19 +210,26 @@ class Orthant(PrimitiveCone):
         return SignPattern(codes)
 
 
-class Zero(PrimitiveCone):
+class _SubspaceCone(PrimitiveCone):
+    """Zero or Free: a subspace, its own mirror and critical cone, whose
+    coordinates all carry the class's `code`.  Each projects without the
+    mirror's wrapping; as derived sets they sit in Dykstra's loop."""
+
     is_polyhedral = True
     signed = False
 
     def __init__(self, dim):
         super().__init__(dim)
+        self.codes = np.full(self.dim, self.code)
 
-    def polar(self):
-        return Free(self.dim)
+    def _critical(self, p):
+        return self
+
+
+class Zero(_SubspaceCone):
+    code = _ZERO
 
     def project(self, z):
-        # Zero and Free are their own mirrors, so they project without the
-        # mirror's wrapping; as derived sets they sit in Dykstra's loop
         return np.zeros(self.dim)
 
     _project = project
@@ -226,21 +237,9 @@ class Zero(PrimitiveCone):
     def _dist(self, z):
         return _norm(z)
 
-    def _critical(self, p):
-        return Zero(self.dim)
 
-
-class Free(PrimitiveCone):
-    is_polyhedral = True
-    signed = False
-
-    def __init__(self, dim):
-        super().__init__(dim)
-
-    def polar(self):
-        return Zero(self.dim)
-
-    pointed = polar
+class Free(_SubspaceCone):
+    code = _FREE
 
     def lineality_basis(self):
         return np.eye(self.dim)
@@ -255,9 +254,6 @@ class Free(PrimitiveCone):
 
     def _dist(self, z):
         return 0.0
-
-    def _critical(self, p):
-        return Free(self.dim)
 
 
 class SOCPoint(BlockPoint):
@@ -442,8 +438,8 @@ class PSD(PrimitiveCone):
         _, U, alpha, beta, gamma = p.eig
         if gamma.size and not p.lam.any():  # the tangent cone at y
             raise ValueError("point is not in the cone")
-        codes = {(0, 0): "free", (0, 1): "free", (0, 2): "free",
-                 (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
+        codes = {(0, 0): _FREE, (0, 1): _FREE, (0, 2): _FREE,
+                 (1, 1): _NONNEG, (1, 2): _ZERO, (2, 2): _ZERO}
         return PSDBlockSet(U, [alpha, beta, gamma], codes)
 
     def frame(self, p, h):
@@ -490,9 +486,6 @@ class ConeDesc(ProductSet):
     def project(self, z):
         return self.join([b.project(p)
                           for b, p in zip(self.blocks, self.split(z))])
-
-    def polar(self):
-        return ConeDesc([b.polar() for b in self.blocks])
 
     def tangent_set(self, y, tol=DEFAULT_TOL):
         return ProductSet([b.tangent_set(p, tol)

@@ -11,7 +11,6 @@ truth for the closed forms.
 
 import numpy as np
 
-from ._sets import Tol, DEFAULT_TOL
 from .cone_core import ConeDesc, AmbientVec, project
 
 DEFAULT_TGRID = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -151,8 +150,7 @@ def polyhedral_trivial_exact(halfspaces: np.ndarray, L: np.ndarray,
     return not rays and not lin
 
 
-def ngamma_graph_residual(sys, x, v, d, w, tgrid=(1e-2, 1e-3, 1e-4),
-                          tol: Tol = DEFAULT_TOL):
+def ngamma_graph_residual(sys, x, v, d, w, tgrid=(1e-2, 1e-3, 1e-4)):
     """Finite-t residuals of (x + t d, v + t w) against the graph of the
     normal-cone map of Gamma, via least-squares restoration of a
     multiplier in the stationarity-system residual.  The residual is an

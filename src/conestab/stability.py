@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ._sets import Tol, DEFAULT_TOL, Certificate, SignPattern, _ROUNDING
-from .cone_core import ConeDesc, Orthant, Zero, Free, project
+from .cone_core import ConeDesc, Orthant, Free, project
 from .constraint_system import (
     ConstraintSystem, SUBREG_ASSUMPTION, BasePoint, BasePair, affine_system,
     multiplier_solve, multiplier_verify, srcq_check,
@@ -174,10 +174,7 @@ def _scalar_branches(C):
     constraining ((g'(x)d)_i, mu_i): a sign code c offers (c, ZERO) and
     (ZERO, -c), -c being its polar; FREE gives (FREE, ZERO) and ZERO
     gives (ZERO, FREE)."""
-    fixed = {Zero: SignPattern.ZERO, Free: SignPattern.FREE}
-    codes = np.concatenate([S.codes if isinstance(S, SignPattern)
-                            else np.full(S.dim, fixed[type(S)])
-                            for S in C.sets])
+    codes = np.concatenate([S.codes for S in C.sets])
     opts = []
     for c in codes:
         if c == SignPattern.FREE:

@@ -18,7 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conestab._sets import DEFAULT_TOL, Halfspace, PSDBlockSet, ProductSet, Ray
+from conestab._sets import (
+    DEFAULT_TOL, Halfspace, PSDBlockSet, ProductSet, Ray, SignPattern,
+)
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD
 from conestab.constraint_system import (
     BasePair, BasePoint, _null_basis, affine_system,
@@ -241,8 +243,8 @@ def _ref_psd_critical(z, tol):
     sc = tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
     groups = [np.where(w > sc)[0], np.where(np.abs(w) <= sc)[0],
               np.where(w < -sc)[0]]
-    codes = {(0, 0): "free", (0, 1): "free", (0, 2): "free",
-             (1, 1): "psd", (1, 2): "zero", (2, 2): "zero"}
+    F, P, Z = SignPattern.FREE, SignPattern.NONNEG, SignPattern.ZERO
+    codes = {(0, 0): F, (0, 1): F, (0, 2): F, (1, 1): P, (1, 2): Z, (2, 2): Z}
     return PSDBlockSet(U, groups, codes)
 
 

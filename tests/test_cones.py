@@ -378,7 +378,8 @@ def _ref_tangent_plus(block, y, tol):
     if np.any(w < -sc):
         raise ValueError("point is not in the cone")
     return PSDBlockSet(U, [np.where(w > sc)[0], np.where(np.abs(w) <= sc)[0]],
-                       {(0, 0): "free", (0, 1): "free", (1, 1): "psd"})
+                       {(0, 0): SignPattern.FREE, (0, 1): SignPattern.FREE,
+                        (1, 1): SignPattern.NONNEG})
 
 
 def _ref_tangent(block, y, tol=DEFAULT_TOL):

@@ -338,6 +338,14 @@ def test_norm_matches_numpy_exactly():
     assert _norm([3, 4]) == 5.0
 
 
+# The block codes, and their polar and mirror tables, written out here
+# apart from SignPattern's: free, positive semidefinite, negative
+# semidefinite, zero.
+_F, _P, _N, _Z = 0, 1, -1, 2
+_POLAR_REF = {_F: _Z, _Z: _F, _P: _N, _N: _P}
+_NEG_REF = {_F: _F, _Z: _Z, _P: _N, _N: _P}
+
+
 # Per-call form of PSDBlockSet.project that rebuilds each block index on
 # every call; the precompiled block operations must reproduce it exactly.
 def _psd_block_project_ref(U, groups, codes, zvec):
@@ -345,24 +353,20 @@ def _psd_block_project_ref(U, groups, codes, zvec):
     out = np.zeros_like(W)
     for (i, j), code in codes.items():
         gi, gj = groups[i], groups[j]
-        if gi.size == 0 or gj.size == 0 or code == "zero":
+        if gi.size == 0 or gj.size == 0 or code == _Z:
             continue
         B = W[np.ix_(gi, gj)]
-        if code == "free":
+        if code == _F:
             out[np.ix_(gi, gj)] = B
             if i != j:
                 out[np.ix_(gj, gi)] = B.T
-        elif code == "psd":
+        elif code == _P:
             out[np.ix_(gi, gj)] = _eig_clip(B)
-        elif code == "nsd":
+        elif code == _N:
             out[np.ix_(gi, gj)] = -_eig_clip(-B)
         else:
             raise ValueError(f"unknown block code {code!r}")
     return svec(U @ out @ U.T)
-
-
-_POLAR_REF = {"free": "zero", "zero": "free", "psd": "nsd", "nsd": "psd"}
-_NEG_REF = {"free": "free", "zero": "zero", "psd": "nsd", "nsd": "psd"}
 
 
 def _psd_block_sets(n, seed):
@@ -379,7 +383,7 @@ def _psd_block_sets(n, seed):
         codes = {}
         for i in range(3):
             for j in range(i, 3):
-                pool = ("free", "zero", "psd", "nsd") if i == j else ("free", "zero")
+                pool = (_F, _Z, _P, _N) if i == j else (_F, _Z)
                 codes[(i, j)] = pool[rng.integers(len(pool))]
         S = PSDBlockSet(U, groups, codes)
         variants = [
@@ -417,13 +421,16 @@ def test_psd_block_set_dist_and_lineality_dim_match_the_reference(n):
 
 @pytest.mark.parametrize("groups", [[[0, 1], []], [[0], [1]]])
 def test_psd_block_set_rejects_bad_codes(groups):
-    with pytest.raises(ValueError, match="unknown block code"):
-        PSDBlockSet(np.eye(2), groups,
-                    {(0, 0): "psd", (0, 1): "free", (1, 1): "sdp"})
+    # the codes are SignPattern's integers; a name such as "psd" is not one
+    for bad in ("psd", "free", "zero", 3, -2):
+        with pytest.raises(ValueError, match="unknown block code"):
+            PSDBlockSet(np.eye(2), groups,
+                        {(0, 0): _P, (0, 1): _F, (1, 1): bad})
     # a semidefinite constraint applies to diagonal blocks only
-    with pytest.raises(ValueError, match="off-diagonal"):
-        PSDBlockSet(np.eye(2), groups,
-                    {(0, 0): "free", (0, 1): "psd", (1, 1): "free"})
+    for sd in (_P, _N):
+        with pytest.raises(ValueError, match="off-diagonal"):
+            PSDBlockSet(np.eye(2), groups,
+                        {(0, 0): _F, (0, 1): sd, (1, 1): _F})
 
 
 def _coded_sets():
@@ -524,6 +531,50 @@ def test_product_negate_is_the_mirror():
             z = rng.standard_normal(S.dim) * 2
             assert np.array_equal(N.project(z), -S.project(-z)), label
             assert np.array_equal(N.project(z), _mirror(S).project(z)), label
+
+
+def _recoding_cases():
+    """(label, set) for every coded class, a product of them, a cone
+    description, and every primitive in both signs, Zero and Free
+    included."""
+    from conestab._sets import UnitFrameSet
+    from conestab.cone_core import ConeDesc, Orthant, PSD
+
+    rng = np.random.default_rng(55)
+    u = rng.standard_normal(4)
+    u /= np.linalg.norm(u)
+    prims = [K(n, s) for K, n in ((Orthant, 3), (SOC, 4), (PSD, 3))
+             for s in ("plus", "minus")] + [Zero(3), Free(3)]
+    blocks = [T for _, (_, _, T, _, _) in zip(range(6), _psd_block_sets(3, 56))]
+    cases = [("sign pattern", SignPattern([0, 1, -1, 2, 1, 0]))]
+    cases += [(f"unit frame {a}, {c}", UnitFrameSet(u, a, c))
+              for a in (_F, _P, _N, _Z) for c in (_F, _Z)]
+    cases += [(f"psd blocks {i}", T) for i, T in enumerate(blocks)]
+    cases += [(repr(K), K) for K in prims]
+    cases += [("product", ProductSet([cases[0][1], cases[2][1], blocks[0]])),
+              ("cone description", ConeDesc(prims))]
+    return cases
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=label)
+                               for label, S in _recoding_cases()])
+def test_code_maps_are_involutions_and_pointed_is_idempotent(S):
+    # polar and negate are involutions on the codes and pointed is
+    # idempotent, so the twice-mapped set projects bit for bit as the
+    # original (or as the pointed part)
+    from conestab.cone_core import ConeDesc
+
+    rng = np.random.default_rng(57)
+    P = S.pointed()
+    twice = [(S.polar().polar(), S), (S.negate().negate(), S),
+             (P.pointed(), P)]
+    for _ in range(8):
+        z = rng.standard_normal(S.dim) * 2
+        for T, R in twice:
+            assert np.array_equal(T.project(z), R.project(z))
+    if isinstance(S, ConeDesc):
+        assert all(type(M) is ConeDesc
+                   for M in (S.polar(), S.negate(), S.pointed()))
 
 
 def _dist_parity_sets():

@@ -307,9 +307,11 @@ def test_dnk_contains_classifies_y_and_lam_but_never_z(monkeypatch, sign):
 
 def test_every_coded_set_has_a_closed_form_dist():
     # only Subspace and AffineSet read their distance from a projection;
-    # a primitive's dist is its plus cone's _dist, mirrored once
+    # a primitive's dist is its plus cone's _dist, mirrored once.  The
+    # abstract bases PrimitiveCone and _SubspaceCone (of Zero and Free)
+    # write none.
     from conestab._sets import ConvexSet
-    from conestab.cone_core import PrimitiveCone
+    from conestab.cone_core import PrimitiveCone, _SubspaceCone
 
     def subclasses(cls):
         for sub in cls.__subclasses__():
@@ -321,8 +323,29 @@ def test_every_coded_set_has_a_closed_form_dist():
     assert {c.__name__ for c in classes if c.dist is ConvexSet.dist} == \
         {"Subspace", "AffineSet"}
     primitives = {c for c in classes if issubclass(c, PrimitiveCone)} - \
-        {PrimitiveCone}
+        {PrimitiveCone, _SubspaceCone}
     assert primitives and all(hasattr(c, "_dist") for c in primitives)
+
+
+def test_only_the_base_class_writes_polar_negate_and_pointed():
+    # every cone maps its codes through SignPattern's three tables in
+    # `_recoded`; the polar, the mirror and the pointed part are written
+    # once, on ConvexSet
+    src = pathlib.Path(conestab.__file__).parent
+    writers = set()
+    for name in ("_sets.py", "cone_core.py"):
+        for cls in ast.walk(ast.parse((src / name).read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                # a method, or an alias such as `pointed = polar`
+                names = [node.name] if isinstance(node, ast.FunctionDef) \
+                    else [t.id for t in getattr(node, "targets", [])
+                          if isinstance(t, ast.Name)]
+                writers |= {(cls.name, n) for n in names
+                            if n in ("polar", "negate", "pointed")}
+    assert writers == {("ConvexSet", n)
+                       for n in ("polar", "negate", "pointed")}
 
 
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
