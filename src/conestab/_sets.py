@@ -7,11 +7,11 @@ second-order cone).  The derived cones are codes in an orthonormal
 frame: `SignPattern` codes each coordinate, `UnitFrameSet` the
 coordinate along one unit vector u and the part in u⊥ (a halfspace,
 hyperplane, ray or line), and `PSDBlockSet` each block of a matrix in an
-eigenbasis, all in `SignPattern`'s integer codes.  So a polar, a mirror
-or the pointed part C ∩ (lin C)^⊥ maps the codes through one table of
-`SignPattern`, and the dimension of the lineality space counts them
-without building a basis.  All sets are closed and convex; sets are
-cones unless `is_cone` says otherwise.  Every projection is closed form,
+eigenbasis, all in `SignPattern`'s integer codes.  So a polar, a mirror,
+the pointed part C ∩ (lin C)^⊥ or the span C - C maps the codes through
+one table of `SignPattern`, and the dimension of the lineality space
+counts them without building a basis.  All sets are closed and convex;
+sets are cones unless `is_cone` says otherwise.  Every projection is closed form,
 so Moreau's decomposition holds to rounding; only `dykstra` iterates,
 over an affine set and a cone.
 """
@@ -108,10 +108,11 @@ class SignPattern(ConvexSet):
     """Coordinatewise constraints: 0 free, +1 nonneg, -1 nonpos, 2 zero."""
 
     FREE, NONNEG, NONPOS, ZERO = 0, 1, -1, 2
-    # the polar, negated and pointed code of each code c, at index c + 1
+    # the polar, negated, pointed and spanned code of each code c at c + 1
     _POLAR = np.array([NONNEG, ZERO, NONPOS, FREE])
     _NEG = np.array([NONNEG, FREE, NONPOS, ZERO])
     _POINTED = np.array([NONPOS, ZERO, NONNEG, ZERO])
+    _SPAN = np.array([FREE, FREE, FREE, ZERO])
 
     def __init__(self, codes):
         self.codes = np.asarray(codes, dtype=int)

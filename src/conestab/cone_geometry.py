@@ -35,7 +35,7 @@ def ri_normal_contains(K: ConeDesc, y: AmbientVec, lam: AmbientVec,
     (y, lam) is a subspace; ValueError when lam is not in N_K(y)."""
     y, lam = np.asarray(y, float), np.asarray(lam, float)
     if not normal_cone(K, y, tol).contains(lam, tol):
-        raise ValueError("multiplier is outside the normal cone")
+        raise ValueError("multiplier outside the normal cone")
     return GraphPoint.of_pair(K, y, lam, tol).critical_is_subspace
 
 

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, dykstra, _farkas_test,
-    _norm,
+    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, SignPattern, dykstra,
+    _farkas_test, _norm,
 )
 from .cone_core import ConeDesc
 from .cone_geometry import subspace_cone_trivial
@@ -218,9 +218,9 @@ class BasePoint:
 
     The constructor makes the one feasibility decision of the package.
     Every check at x reads g(x) (`gx`) and the Jacobian `J` from the
-    point, and T_K(g(x)) (`tangent`), its lineality basis (`lineality`),
-    N_K(g(x)) = T_K(g(x))° (`normal`) and the kernel of J^T
-    (`adjoint_kernel`), each built on first use.
+    point, and T_K(g(x)) (`tangent`), N_K(g(x)) = T_K(g(x))° (`normal`),
+    a basis of span N_K(g(x)) (`span_normal`) and the one rank decision
+    for J^T on it (`adjoint_on_span`), each built on first use.
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
@@ -240,21 +240,22 @@ class BasePoint:
         return self.sys.cone.tangent_set(self.gx, self.tol)
 
     @cached_property
-    def lineality(self):
-        return self.tangent.lineality_basis()
-
-    @cached_property
     def normal(self):
         return self.tangent.polar()
 
     @cached_property
-    def adjoint_kernel(self):
-        return _null_basis(self.J.T, self.tol)
+    def span_normal(self):
+        """Orthonormal basis of span N_K(g(x)), read from N's codes."""
+        return self.normal._recoded(SignPattern._SPAN).lineality_basis()
 
     @cached_property
-    def span_normal(self):
-        """Orthonormal basis of span N_K(g(x)) = (lin T_K(g(x)))^perp."""
-        return _null_basis(self.lineality.T, self.tol)
+    def adjoint_on_span(self):
+        """(u, s, vt, r): the full SVD of J^T B, B = `span_normal`, and
+        its rank r = #{s > tol.zero ||J||}; the scale is J's, since the
+        largest s may itself be rounding.  B vt[r:]^T spans
+        ker J^T ∩ span N."""
+        u, s, vt = np.linalg.svd(self.J.T @ self.span_normal)
+        return u, s, vt, int(np.sum(s > self.tol.zero * _norm(self.J)))
 
 
 def _null_basis(M, tol):
@@ -365,20 +366,14 @@ class MultiplierSolveResult:
         return max(self.residual_affine, self.residual_cone)
 
 
-def _span_normal_solve(Jt, v, B, tol):
-    """The only possible multiplier when the adjoint Jt is injective on
-    span N, B an orthonormal basis of it (rank cut as in `_null_basis`):
-    B lstsq(Jt B, v).  Any multiplier lam' lies in span N and solves
-    Jt lam' = v, so it equals this one.  None when Jt B is not
-    injective."""
-    if B.shape[1] == 0:
-        return np.zeros(Jt.shape[1])
-    if B.shape[1] > Jt.shape[0]:
+def _span_normal_solve(point, v):
+    """The only possible multiplier when J^T B is injective, B the basis
+    of span N: B lstsq(J^T B, v), as any multiplier lies in span N and
+    solves J^T lam = v.  None when J^T B is not injective."""
+    u, s, vt, r = point.adjoint_on_span
+    if r < vt.shape[0]:
         return None
-    u, s, vt = np.linalg.svd(Jt @ B, full_matrices=False)
-    if not s[-1] > tol.zero * s[0]:
-        return None
-    return B @ (vt.T @ ((u.T @ v) / s))
+    return point.span_normal @ (vt.T @ ((u[:, :r].T @ v) / s))
 
 
 def multiplier_solve(point: BasePoint, v,
@@ -398,7 +393,7 @@ def multiplier_solve(point: BasePoint, v,
     if not np.all(np.isfinite(v)):
         raise ValueError("v not finite: it has a NaN or infinite entry")
     Jt = point.J.T
-    lam = _span_normal_solve(Jt, v, point.span_normal, tol)
+    lam = _span_normal_solve(point, v)
     route, farkas = "span-N solve", None
     resid = None if lam is None else _multiplier_residuals(point, v, lam)
     if resid is None or not resid[2]:
@@ -428,12 +423,19 @@ def multiplier_solve(point: BasePoint, v,
 def srcq_check(pair: BasePair) -> Certificate:
     """Strict Robinson qualification at x w.r.t. the multiplier lam:
     Ker(adjoint) meets the tangent cone to N_K(g(x)) at lam (the polar of
-    the critical cone) only at 0.  Holds is simultaneously: the
-    qualification, isolated calmness of the multiplier map at v for lam,
-    and local single-valuedness of the multiplier selection; all three
-    readings are reported."""
-    cert = subspace_cone_trivial(pair.point.adjoint_kernel,
+    the critical cone) only at 0.  That cone lies in span N, so only
+    ker J^T ∩ span N is read, with its rank decision in the details.
+    Holds is simultaneously: the qualification, isolated calmness of the
+    multiplier map at v for lam, and local single-valuedness of the
+    multiplier selection; all three readings are reported."""
+    point = pair.point
+    _, s, vt, r = point.adjoint_on_span
+    cert = subspace_cone_trivial(point.span_normal @ vt[r:].T,
                                  pair.critical_polar, pair.tol)
+    cert.details.update(
+        adjoint_rank=r, span_normal_dim=vt.shape[0],
+        sigma_min_kept=float(s[r - 1]) if r else None,
+        rank_cut=pair.tol.zero * _norm(point.J))
     cert.checked = cert.checked + (
         "adjoint-kernel/tangent-of-normal trivial intersection",
         "multiplier-map isolated calmness at v for lam (equivalent)",
@@ -443,22 +445,17 @@ def srcq_check(pair: BasePair) -> Certificate:
 
 
 def nondegeneracy_check(point: BasePoint) -> Certificate:
-    """Surjectivity of g'(x) onto Y modulo the lineality space of
-    T_K(g(x)): rank of the stacked matrix [J  Lin] equals dim Y.  Both
-    the rank and the `fails` witness, the unit left singular vector just
-    past the rank (orthogonal to the columns of J and Lin), come from
-    one SVD."""
-    J, Lin, tol = point.J, point.lineality, point.tol
-    u, s, _ = np.linalg.svd(np.hstack([J, Lin]))
-    rank = int(np.sum(s > tol.zero * s.max(initial=0.0)))
-    m = point.sys.cone.dim
-    holds = rank == m
+    """Surjectivity of g'(x) onto Y modulo the lineality space Lin of
+    T_K(g(x)), that is J^T injective on span N = Lin^perp: [J  Lin] has
+    rank dim Y - dim span N + r, r the rank of `adjoint_on_span`.  The
+    `fails` witness is the unit vector B vt[r] of span N."""
+    _, _, vt, r = point.adjoint_on_span
+    m, k = point.sys.cone.dim, vt.shape[0]
     return Certificate(
-        "holds" if holds else "fails",
-        float(m - rank),
-        None if holds else u[:, rank],
+        "holds" if r == k else "fails", float(k - r),
+        None if r == k else point.span_normal @ vt[r],
         "rank of [Jacobian | tangent-lineality] against dim Y",
-        tol, details={"rank": rank, "dim_y": m})
+        point.tol, details={"rank": m - k + r, "dim_y": m})
 
 
 def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:

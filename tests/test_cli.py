@@ -155,6 +155,26 @@ def test_analyze_text_and_json(tmp_path, capsys):
     assert {"srcq", "strict_complementarity", "nondegeneracy"} <= names
 
 
+def test_checked_line_only_above_a_srcq_certificate(tmp_path, capsys):
+    # analyze prints the CHECKED line when a multiplier is found and its
+    # srcq certificate follows; gderiv never runs srcq and never prints it
+    from conestab.cli import CHECKED
+
+    problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
+    for v, found in (([0, 0, 0], True), ([1, 1, 3], False)):
+        point = _write(tmp_path / "pt.json", {"x": [-1, -1, 0], "v": v})
+        assert main(["analyze", "--problem", problem, "--point", point]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (CHECKED in lines) == found == ("srcq: holds" in lines)
+        assert lines[3] == CHECKED if found else \
+            lines[3].startswith("multiplier: not found")
+    pair = _write(tmp_path / "pair.json", {
+        "x": [-1, -1, 0], "v": [0, 0, 0], "lam": [0, 0, 0, 0],
+        "d": [0, 0, 0], "w": [0, 0, 0]})
+    assert main(["gderiv", "--problem", problem, "--pair", pair]) == 0
+    assert "CHECKED" not in capsys.readouterr().out
+
+
 def test_analyze_infeasible_point_exits_2(tmp_path, capsys):
     problem = _write(tmp_path / "p.json", {"mapping": {"builtin": "example1"}})
     point = _write(tmp_path / "pt.json", {"x": [0, 0, -1]})

@@ -87,7 +87,7 @@ def test_critical_is_subspace_is_ri_normal(cone):
 
 def _pointed_projector(point):
     """The projector P onto (lin T)^perp, T = T_K(g(x))."""
-    Lin = point.lineality
+    Lin = point.tangent.lineality_basis()
     if Lin.shape[1] == 0:
         return np.eye(point.gx.size)
     q = np.linalg.svd(Lin, full_matrices=False)[0]

@@ -29,6 +29,23 @@ def test_critical_cone_rejects_non_finite_pair():
             GraphPoint(K, np.array(y), np.array(lam))
 
 
+def test_a_multiplier_outside_the_normal_cone_has_one_message():
+    # the relative-interior test and the SOC critical cone at the apex
+    # reject such a multiplier with the same text, clearly outside and
+    # between the membership and classification thresholds
+    from conestab.cone_geometry import ri_normal_contains
+
+    K = ConeDesc([SOC(3)])
+    for lam in ([-1.0, 1.1, 0.0], [-1.0, 1.0 + 5e-9, 0.0]):
+        lam = np.array(lam)
+        for call in (lambda: ri_normal_contains(K, np.zeros(3), lam),
+                     lambda: GraphPoint.of_pair(K, np.zeros(3), lam,
+                                                DEFAULT_TOL).critical):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "multiplier outside the normal cone"
+
+
 @pytest.mark.parametrize("K", [
     ConeDesc([Orthant(4, "plus")]),
     ConeDesc([SOC(3, "plus")]),
@@ -322,6 +339,8 @@ def test_slices_hold_on_the_pinned_qualify_kernels():
     from conestab.constraint_system import BasePoint, BasePair, \
         affine_system, srcq_check
 
+    # (srcq itself decides span(L) = {0} by rank, so the slices run on
+    # the whole kernel of A^T)
     wl = _bench_module("workloads")
     for pin_seed in (19, 61):
         shape, n = dict(wl.Qualify.PINNED)[pin_seed]
@@ -331,8 +350,9 @@ def test_slices_hold_on_the_pinned_qualify_kernels():
         assert np.linalg.svd(A.T @ N, compute_uv=False).min() > 1e-6
         system = affine_system(_cone_of(item["blocks"]), A, item["b"])
         pair = BasePair(BasePoint(system, item["x"]), item["v"], item["lam"])
-        cert = srcq_check(pair)
+        assert srcq_check(pair).verdict == "holds", pin_seed
         ker = np.linalg.svd(A.T)[2][n:].T
+        cert = subspace_cone_trivial(ker, pair.critical_polar)
         P = N @ np.linalg.pinv(N)
         assert cert.verdict == "holds", pin_seed
         assert _recheck_slices(cert, ker, lambda z: P @ z) == "holds"
@@ -349,8 +369,9 @@ def test_slices_fail_on_example3_and_a_nine_dimensional_kernel():
     pair = BasePair(BasePoint(example3_system(), svec(np.diag([0.0, 1.0]))),
                     svec(np.diag([-1.0, 0.0])),
                     np.concatenate([-0.5 * e11, -0.5 * e11]))
-    cert = srcq_check(pair)
+    assert srcq_check(pair).verdict == "fails"
     ker = np.vstack([np.eye(3), -np.eye(3)])
+    cert = subspace_cone_trivial(ker, pair.critical_polar)
     line = np.outer(e11, e11)
     assert _recheck_slices(cert, ker, lambda z: np.concatenate(
         [z[:3], line @ z[3:]])) == "fails"
@@ -378,8 +399,12 @@ def test_slices_fail_on_example3_and_a_nine_dimensional_kernel():
     x = rng.standard_normal(4)
     system = affine_system(
         ConeDesc([PSD(3), PSD(3, "minus"), SOC(1, "minus")]), A, y - A @ x)
-    cert = srcq_check(BasePair(BasePoint(system, x), A.T @ lam, lam))
+    pair = BasePair(BasePoint(system, x), A.T @ lam, lam)
+    srcq = srcq_check(pair)
+    assert srcq.verdict == "fails"
+    assert np.linalg.norm(A.T @ srcq.witness) <= 1e-9
     ker = np.linalg.svd(A.T)[2][4:].T
+    cert = subspace_cone_trivial(ker, pair.critical_polar)
     P = N @ np.linalg.pinv(N)
     assert _recheck_slices(cert, ker, lambda z: P @ z) == "fails"
     assert np.linalg.norm(A.T @ cert.witness) <= 1e-9

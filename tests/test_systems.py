@@ -292,7 +292,94 @@ def test_nondegeneracy_witness_is_orthogonal_to_jacobian_and_lineality():
         eps = 64 * np.finfo(float).eps
         assert abs(np.linalg.norm(w) - 1.0) <= eps
         assert np.linalg.norm(point.J.T @ w) <= eps * np.linalg.norm(point.J)
-        assert np.linalg.norm(point.lineality.T @ w) <= eps
+        assert np.linalg.norm(point.tangent.lineality_basis().T @ w) <= eps
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_nondegeneracy_route_and_srcq_read_one_rank(eps):
+    # K = R_+ x R, g(x) = (eps x, x) at x = 0 and lam = (-1, 0): J^T is
+    # the number eps on span N = R x {0}, injective against the cut
+    # tol.zero ||J|| for eps = 1e-3 and 1e-6 only.  Nondegeneracy, the
+    # span-N route of the multiplier search and a srcq that holds on
+    # span(L) = {0} are the same decision
+    point = BasePoint(affine_system(ConeDesc([Orthant(1), Free(1)]),
+                                    [[eps], [1.0]], [0.0, 0.0]), [0.0])
+    v, lam = np.array([-eps]), np.array([-1.0, 0.0])
+    injective = eps >= 1e-6
+    nd = nondegeneracy_check(point)
+    res = multiplier_solve(point, v)
+    assert (nd.verdict == "holds") == injective
+    assert res.found and (res.route == "span-N solve") == injective
+    for srcq in (res.srcq, srcq_check(BasePair(point, v, lam))):
+        on_zero = srcq.verdict == "holds" and srcq.method == "span(L) is {0}"
+        assert on_zero == injective
+        assert srcq.verdict == ("holds" if injective else "fails")
+        assert srcq.details["adjoint_rank"] == int(injective)
+        assert srcq.details["span_normal_dim"] == 1
+    if not injective:
+        # the witnesses span the same line e_1 of span N, on which J^T
+        # is at most the cut
+        for w in (nd.witness, res.srcq.witness):
+            assert abs(w[0]) == 1.0 and w[1] == 0.0
+
+
+def _span_suite_points(rng):
+    """(K, y, lam): every primitive in both signs at its apex, at a
+    projected Gaussian point (mostly on a proper face) and in the
+    interior, lam the Moreau partner or 0; and two mixed products."""
+    prims = [Orthant(3), Orthant(3, "minus"), SOC(4), SOC(4, "minus"),
+             PSD(3), PSD(3, "minus"), Zero(3), Free(3)]
+    interior = {Orthant: lambda k: np.ones(3), SOC: lambda k: np.eye(4)[0],
+                PSD: lambda k: svec(np.eye(3))}
+    for b in prims:
+        K = ConeDesc([b])
+        for _ in range(3):
+            z = 2.0 * rng.standard_normal(K.dim)
+            y, lam = K.project(z), K.polar().project(z)
+            yield K, y, lam
+            yield K, np.zeros(K.dim), lam
+            yield K, y, np.zeros(K.dim)
+        if b.signed:
+            yield K, b.sign * interior[type(b)](b), np.zeros(K.dim)
+    for blocks in ([PSD(2), SOC(3, "minus"), Orthant(2)],
+                   [PSD(3, "minus"), Zero(1), Free(2), SOC(3)]):
+        K = ConeDesc(blocks)
+        for _ in range(6):
+            z = 2.0 * rng.standard_normal(K.dim)
+            yield K, K.project(z), K.polar().project(z)
+
+
+def test_span_normal_and_srcq_witnesses_on_every_primitive():
+    # span N_K(y) read from the codes is orthonormal and is the SVD
+    # complement of lin T_K(y); J^T maps every srcq `fails` witness to
+    # rounding, on full-rank, thin and rank-deficient Jacobians
+    rng = np.random.default_rng(32)
+    eps = np.finfo(float).eps
+    verdicts = set()
+    for K, y, lam in _span_suite_points(rng):
+        m = K.dim
+        for n in (2, m + 1):
+            A = rng.standard_normal((m, n))
+            if n > 2:
+                A = A[:, :2] @ rng.standard_normal((2, n))
+            x = rng.standard_normal(n)
+            point = BasePoint(affine_system(K, A, y - A @ x), x)
+            B = point.span_normal
+            assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-13)
+            Lin = point.tangent.lineality_basis()
+            if Lin.shape[1]:
+                u, s, _ = np.linalg.svd(Lin)
+                comp = u[:, int(np.sum(s > 1e-12 * s[0])):]
+            else:
+                comp = np.eye(m)
+            assert np.allclose(B @ B.T, comp @ comp.T, atol=1e-12)
+            srcq = srcq_check(BasePair(point, A.T @ lam, lam))
+            verdicts.add(srcq.verdict)
+            if srcq.verdict == "fails":
+                w = srcq.witness
+                assert np.linalg.norm(A.T @ w) <= \
+                    64 * eps * np.linalg.norm(A) * np.linalg.norm(w)
+    assert verdicts == {"holds", "fails"}
 
 
 def test_strict_complementarity_cases():

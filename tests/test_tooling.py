@@ -355,8 +355,9 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
     # degenerate instance a line, cut to a ray by a sign row, and its
     # pairs, like example41's, are settled by their verified multiplier
     # hints alone.  example1 makes one multiplier search;
-    # example3 one search and one srcq slice; a multiplier set that is a
-    # segment costs analyze one search
+    # example3 one search, and its srcq reads the line
+    # ker J^T ∩ span N_K(g(x)) without a slice; a multiplier set that is
+    # a segment costs analyze one search
     import scipy.optimize
     from conestab import (_sets, cli, cone_geometry, constraint_system,
                           stability)
@@ -383,7 +384,7 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
     assert calls == {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
     example41_problem()
     assert calls == {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
-    for name, n in (("example1", 1), ("example3", 2)):
+    for name, n in (("example1", 1), ("example3", 1)):
         calls["dykstra"] = 0
         assert cli.main(["repro", name]) == 0
         capsys.readouterr()
@@ -396,6 +397,57 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
         assert analyze(problem, {"x": x, "v": v})[0] == 0
         assert calls["search"] == 1, seed
         calls["search"] = 0
+
+
+def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
+                                                       analyze):
+    # the multiplier route, srcq and nondegeneracy read one SVD of J^T B,
+    # B the basis of span N_K(g(x)); none is taken of J^T alone or of
+    # [J | Lin].  At example1's apex span N is the whole space, so there
+    # J^T B is J^T itself and [J | Lin] is J
+    from conestab.cone_core import ConeDesc, PSD, SOC
+    from conestab.constraint_system import BasePoint, affine_system, \
+        example1_system
+    from conestab.jsonio import emit_cone
+    from conestab.symmat import svec
+
+    rng = np.random.default_rng(14)
+    K = ConeDesc([PSD(2), SOC(3)])
+    y = np.concatenate([svec(np.diag([1.3, 0.0])), [1.0, 0.6, 0.8]])
+    lam = np.concatenate([svec(np.diag([0.0, -0.7])), [-1.0, 0.6, 0.8]])
+    A = rng.standard_normal((6, 4))
+    x = rng.standard_normal(4)
+    face = {"cone": emit_cone(K), "mapping": {"affine": {
+        "A": A, "b": y - A @ x}}}
+    cases = [(example1_system(), {"mapping": {"builtin": "example1"}},
+              np.array([-1.0, -1.0, 0.0]), np.zeros(3), "Dykstra search"),
+             (affine_system(K, A, y - A @ x), face, x, A.T @ lam,
+              "span-N solve")]
+    svd, args = np.linalg.svd, []
+
+    def spy(a, *rest, **kwargs):
+        args.append(np.array(a, float))
+        return svd(a, *rest, **kwargs)
+
+    for system, problem, x, v, route in cases:
+        point = BasePoint(system, x)
+        J, B = point.J, point.span_normal
+        JLin = np.hstack([J, point.tangent.lineality_basis()])
+        del args[:]
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rc, report = analyze(problem, {"x": x, "v": v})
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert rc == 0
+        assert any(l.startswith("multiplier: found") and
+                   l.endswith(f"route={route}") for l in report["lines"])
+
+        def taken(M):
+            return sum(a.shape == M.shape and np.allclose(a, M, atol=1e-14)
+                       for a in args)
+        assert taken(J.T @ B) == 1
+        if not np.array_equal(B, np.eye(J.shape[0])):
+            assert taken(J.T) == 0
+        assert taken(JLin) == 0
 
 
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
