@@ -61,7 +61,7 @@ def _norm(z):
 class ConvexSet:
     """Base class: closed convex set with distance-backed membership.
     Every coded and primitive set measures its distance in closed form;
-    only `Subspace` and `AffineSet` read it from the projection."""
+    only `AffineSet` reads it from the projection."""
 
     dim: int
     is_cone = True
@@ -219,30 +219,6 @@ def LineSpan(a):  # span{a}
     return UnitFrameSet(_unit(a), _FREE, _ZERO)
 
 
-class Subspace(ConvexSet):
-    """Column span of a basis matrix."""
-
-    def __init__(self, basis):
-        basis = np.asarray(basis, float)
-        if basis.ndim != 2:
-            raise ValueError("basis must be a (dim, k) matrix")
-        self.dim = basis.shape[0]
-        if basis.size == 0:
-            self.Q = np.zeros((self.dim, 0))
-        else:
-            # rank from the singular values, which stay reliable for wide
-            # and rank-deficient bases
-            u, s, _ = np.linalg.svd(basis, full_matrices=False)
-            self.Q = u[:, s > 1e-12 * max(1.0, s[0])]
-
-    def project(self, z):
-        z = np.asarray(z, float)
-        return self.Q @ (self.Q.T @ z)
-
-    def lineality_basis(self):
-        return self.Q
-
-
 class AffineSet(ConvexSet):
     """{z : M z = b}; projection through a precomputed pseudo-inverse."""
 
@@ -270,13 +246,19 @@ class ProductSet(ConvexSet):
             off += s.dim
         self.is_cone = all(s.is_cone for s in self.sets)
 
-    def project(self, z):
+    def split(self, z):
         z = np.asarray(z, float)
-        return np.concatenate([s.project(z[sl]) for s, sl in zip(self.sets, self.slices)])
+        if z.size != self.dim:
+            raise ValueError(f"dimension mismatch: {z.size} != {self.dim}")
+        return [z[sl] for sl in self.slices]
+
+    def project(self, z):
+        return np.concatenate([s.project(p)
+                               for s, p in zip(self.sets, self.split(z))])
 
     def dist(self, z):
-        z = np.asarray(z, float)
-        return math.hypot(*(s.dist(z[sl]) for s, sl in zip(self.sets, self.slices)))
+        return math.hypot(*(s.dist(p)
+                            for s, p in zip(self.sets, self.split(z))))
 
     def _recoded(self, table):
         # blockwise, into the same class: a ConeDesc stays one

@@ -473,12 +473,6 @@ class ConeDesc(ProductSet):
     def is_polyhedral(self):
         return all(b.is_polyhedral for b in self.blocks)
 
-    def split(self, z):
-        z = np.asarray(z, float)
-        if z.size != self.dim:
-            raise ValueError(f"dimension mismatch: {z.size} != {self.dim}")
-        return [z[sl] for sl in self.slices]
-
     def join(self, parts):
         return np.concatenate([np.asarray(p, float).ravel() for p in parts]) \
             if parts else np.zeros(0)

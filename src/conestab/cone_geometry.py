@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, Subspace, dykstra,
+    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, dykstra,
 )
 from .cone_core import ConeDesc, AmbientVec, normal_cone
 from .proj_deriv import GraphPoint
@@ -79,7 +79,12 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
     L = np.asarray(L, float)
     if L.ndim == 1:
         L = L.reshape(-1, 1)
-    Q = Subspace(L).Q
+    Q = np.zeros((len(L), 0))
+    if L.size:
+        # rank from the singular values, which stay reliable for wide and
+        # rank-deficient L
+        u, s, _ = np.linalg.svd(L, full_matrices=False)
+        Q = u[:, s > 1e-12 * max(1.0, s[0])]
     n, k = Q.shape
     if k == 0:
         return Certificate("holds", 0.0, None, "span(L) is {0}", tol)

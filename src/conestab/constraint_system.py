@@ -505,8 +505,7 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
     return cert
 
 
-def ngamma_graph_deriv_contains(pair: BasePair, d, w,
-                                srcq: Certificate | None = None) -> Certificate:
+def ngamma_graph_deriv_contains(pair: BasePair, d, w) -> Certificate:
     """Membership of (d, w) in the graphical derivative of the normal-cone
     map of the feasible set at the base pair (x, v), for its verified
     multiplier lam.
@@ -539,14 +538,10 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w,
                          "entries" if bad else "the norm of (d, w) overflows")
     Jt = pair.J.T
     gd = pair.J @ d
-    checked = ()
-    if srcq is not None:
-        checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
 
     def verdict(name, residual, witness, method):
         return Certificate(name, residual, witness, method, tol,
-                           assumptions=(SUBREG_ASSUMPTION,),
-                           checked=checked, details=details)
+                           assumptions=(SUBREG_ASSUMPTION,), details=details)
 
     gate = pair.critical.dist(gd)
     details = {"critical_gate": gate}

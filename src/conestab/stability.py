@@ -13,6 +13,7 @@ W = {d : J d in lin C} solving the inclusion; all else is inconclusive.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import itertools
 import math
 import numpy as np
@@ -105,7 +106,8 @@ class GEProblem:
     """0 in F(p, x) + N_Gamma(x) around the reference pair (pbar, xbar).
 
     `Fprime((pbar, xbar), (dp, dx))` is the directional derivative of F,
-    and the only way the certificates read F near the pair.  The
+    and the only way the certificates read F near the pair.  Each
+    problem reads F once, for `vbar`, and `Fprime` n times, for `Fx`.  The
     constructor checks at `tol` that the pair solves the inclusion at the
     verified base point `point`: a `lam_hint` that `multiplier_verify`
     accepts settles it, and otherwise a multiplier search must find one;
@@ -140,9 +142,19 @@ class GEProblem:
             raise ValueError("reference pair undecided: the multiplier search "
                              f"stalled (residual {res.residual:.3e})")
 
-    @property
+    @cached_property
     def vbar(self):
+        """-F(pbar, xbar), read once."""
         return -np.asarray(self.F(self.pbar, self.xbar), float)
+
+    @cached_property
+    def Fx(self):
+        """F_x at the pair, its n `Fprime` columns at (0, e_j), read on
+        first use."""
+        base, zero_p = (self.pbar, self.xbar), np.zeros_like(self.pbar)
+        return np.column_stack([
+            np.asarray(self.Fprime(base, (zero_p, e)), float)
+            for e in np.eye(self.sys.dim_x)])
 
 
 def example41_problem() -> GEProblem:
@@ -285,7 +297,7 @@ def _branch_lp_max(J, M, branch):
     return res, float(vals[k]), res.x[k * nv:k * nv + n]
 
 
-def _polyhedral_route(pair, M, options, assumptions):
+def _polyhedral_route(pair, M, options):
     """Exact enumeration of the branch faces `options` of M d + J^T mu = 0,
     one `_branch_lp_max` each, until a face holds a d above WITNESS_CUT."""
     J, tol = pair.J, pair.tol
@@ -299,7 +311,6 @@ def _polyhedral_route(pair, M, options, assumptions):
             # an unsolved face is a face not searched: no verdict
             return Certificate(
                 "inconclusive", best, None, method, tol,
-                assumptions=assumptions,
                 details={"branch": index, "lp_status": int(res.status),
                          "lp_message": str(res.message)})
         if val > best:
@@ -308,9 +319,8 @@ def _polyhedral_route(pair, M, options, assumptions):
             break
     if best > WITNESS_CUT:
         return Certificate("fails", best, witness / np.linalg.norm(witness),
-                           method, tol, assumptions=assumptions)
-    return Certificate("holds", best, None, method, tol,
-                       assumptions=assumptions)
+                           method, tol)
+    return Certificate("holds", best, None, method, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +330,24 @@ FX_ASSUMPTION = "F is C¹ in x (Fprime linear in dx)"
 
 
 def _second_order_form(problem, pair):
-    """A = -F_x - Hess - J^T U J / 2, where F_x is assembled from the n
-    `Fprime` columns (0, e_j) and U h = grad Upsilon(h) is the curvature
-    term of the cone-level graphical derivative, and the assumptions A
-    rests on.  U is 0 unless a block of the graph point is `curved`, so
-    on polyhedral blocks -A = F_x + Hess.  A is not symmetrized: its
-    symmetric part decides definiteness, A itself the subspace case."""
+    """A = -F_x - Hess - J^T U J / 2, U h = grad Upsilon(h) the curvature
+    term of the cone-level graphical derivative.  U is 0 unless a block
+    of the graph point is `curved`, so on polyhedral blocks
+    -A = F_x + Hess.  A is not symmetrized: its symmetric part decides
+    definiteness, A itself the subspace case."""
     sys, J = pair.sys, pair.J
-    zero_p = np.zeros_like(problem.pbar)
-    Fx = np.column_stack([
-        np.asarray(problem.Fprime((problem.pbar, problem.xbar),
-                                  (zero_p, e)), float)
-        for e in np.eye(sys.dim_x)])
-    A = -Fx - pair.hess
+    A = -problem.Fx - pair.hess
     gp = pair.graph_point
     if any(p.curved for p in gp.blocks):  # otherwise U = 0
         UJ = np.column_stack([sys.cone.upsilon_grad(gp, c) for c in J.T])
         A = A - 0.5 * (J.T @ UJ)
-    return A, (SUBREG_ASSUMPTION, FX_ASSUMPTION)
+    return A
+
+
+def _solves(problem, pair, d):
+    """`ngamma_graph_deriv_contains` at (d, -F_x d): whether d solves the
+    linearized inclusion."""
+    return ngamma_graph_deriv_contains(pair, d, -(problem.Fx @ d))
 
 
 def _critical_span_basis(pair):
@@ -348,14 +358,14 @@ def _critical_span_basis(pair):
     return _null_basis(Lp.T @ pair.J, pair.tol)
 
 
-def _subspace_decision(problem, pair, srcq, A, B, assumptions, checked):
+def _subspace_decision(problem, pair, A, B):
     """The inclusion when C is a subspace.  Then N_C(J d) = C^perp, and the
     orthogonal complement of span B = {d : J d in C} is J^T C^perp, so
     d = B c solves A d in J^T C^perp exactly when B^T A B c = 0.  The
     answer is `holds` when sigma_min(B^T A B) exceeds
     sqrt(tol.membership) (1 + sigma_max), and `fails` when sigma_min is
-    below tol.membership (1 + sigma_max) and `ngamma_graph_deriv_contains`
-    accepts the witness B v_min.  Anything between is None: no decision."""
+    below tol.membership (1 + sigma_max) and `_solves` accepts the
+    witness B v_min.  Anything between is None: no decision."""
     tol = pair.tol
     _, sv, vt = np.linalg.svd(B.T @ A @ B)
     s_min, s_max = float(sv[-1]), float(sv[0])
@@ -365,21 +375,15 @@ def _subspace_decision(problem, pair, srcq, A, B, assumptions, checked):
     method = "inclusion on the critical subspace decided by B^T A B"
     if s_min > threshold:
         return Certificate("holds", s_min, None, method, tol,
-                           assumptions=assumptions, checked=checked,
                            details=details)
     if s_min > tol.membership * (1.0 + s_max):
         return None
     d = B @ vt[-1]
-    zero_p = np.zeros_like(problem.pbar)
-    w = -np.asarray(problem.Fprime((problem.pbar, problem.xbar),
-                                   (zero_p, d)), float)
-    cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
+    cert = _solves(problem, pair, d)
     if cert.verdict != "holds":
         return None
     details["membership_residual"] = cert.residual
-    return Certificate("fails", s_min, d, method, tol,
-                       assumptions=assumptions, checked=checked,
-                       details=details)
+    return Certificate("fails", s_min, d, method, tol, details=details)
 
 
 def _lineality_directions(pair):
@@ -396,32 +400,26 @@ def _lineality_directions(pair):
     return np.stack([W, -W], axis=1).reshape(-1, J.shape[1])
 
 
-def _lineality_witness_search(problem, pair, srcq):
+def _lineality_witness_search(problem, pair):
     """Search for a nonzero solution d of the linearized inclusion
-    -F'((pbar, xbar); (0, d)) in DN_Gamma(xbar|vbar)(d) over
-    `_lineality_directions`.  A direction that
-    `ngamma_graph_deriv_contains` accepts is a `fails` witness.  Finding
-    none proves nothing, so the answer is then `inconclusive`."""
+    -F_x d in DN_Gamma(xbar|vbar)(d) over `_lineality_directions`.  A
+    direction that `_solves` accepts is a `fails` witness.  Finding none
+    proves nothing, so the answer is then `inconclusive`."""
     tol = pair.tol
     dirs = _lineality_directions(pair)
     details = {"lineality_directions": len(dirs)}
-    checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
-    base, zero_p = (problem.pbar, problem.xbar), np.zeros_like(problem.pbar)
     for i, d in enumerate(dirs):
-        w = -np.asarray(problem.Fprime(base, (zero_p, d)), float)
-        cert = ngamma_graph_deriv_contains(pair, d, w, srcq=srcq)
+        cert = _solves(problem, pair, d)
         if cert.verdict == "holds":
             details["directions"] = i + 1
             return Certificate(
                 "fails", cert.residual, d,
                 "witness search exhibited a nonzero solution of the "
-                "inclusion", tol, assumptions=(SUBREG_ASSUMPTION,),
-                checked=checked, details=details)
+                "inclusion", tol, details=details)
     details["directions"] = len(dirs)
     return Certificate("inconclusive", 0.0, None,
                        "no witness found by the lineality search",
-                       tol, assumptions=(SUBREG_ASSUMPTION,), checked=checked,
-                       details=details)
+                       tol, details=details)
 
 
 def solution_map_isolated_calm(problem: GEProblem, lam, *,
@@ -447,29 +445,42 @@ def solution_map_isolated_calm(problem: GEProblem, lam, *,
     to call, `_lineality_witness_search` looks for a nonzero solution
     (`fails`); finding none is `inconclusive`.
 
+    Every route reads A from `problem.Fx`, so its certificate lists
+    SUBREG_ASSUMPTION and FX_ASSUMPTION.  Without the qualification the
+    answer is `inconclusive` on SUBREG_ASSUMPTION alone, with no witness
+    and the qualification's certificate at details `srcq`.
+
     `net_k` is accepted and ignored: the calm-net benchmark workload
     (bench/workloads.py) still passes it, and a later change to the
     benchmark removes it.
     """
-    sys, tol = problem.sys, problem.tol
+    tol = problem.tol
     pair = BasePair(problem.point, problem.vbar, lam)
     srcq = srcq_check(pair)
     checked = (f"multiplier-uniqueness qualification: {srcq.verdict}",)
     if srcq.verdict != "holds":
-        return Certificate("inconclusive", srcq.residual, srcq.witness,
+        return Certificate("inconclusive", srcq.residual, None,
                            "preconditions unmet (multiplier-uniqueness "
                            "qualification did not certify)", tol,
-                           assumptions=(SUBREG_ASSUMPTION,), checked=checked)
+                           assumptions=(SUBREG_ASSUMPTION,), checked=checked,
+                           details={"srcq": srcq})
+    cert = _calm_routes(problem, pair)
+    cert.assumptions = (SUBREG_ASSUMPTION, FX_ASSUMPTION)
+    cert.checked = checked
+    return cert
 
-    A, assumptions = _second_order_form(problem, pair)
+
+def _calm_routes(problem, pair):
+    """The first route of `solution_map_isolated_calm` that decides, with
+    no assumptions or checks attached."""
+    sys, tol = problem.sys, problem.tol
+    A = _second_order_form(problem, pair)
     details = {}
     if sys.cone.is_polyhedral and sys.is_affine:
         options = _scalar_branches(pair.critical)
         branches = math.prod(len(o) for o in options)
         if branches <= BRANCH_CAP:
-            cert = _polyhedral_route(pair, -A, options, assumptions)
-            cert.checked = cert.checked + checked
-            return cert
+            return _polyhedral_route(pair, -A, options)
         details = {"branches": branches, "branch_cap": BRANCH_CAP}
 
     S = 0.5 * (A + A.T)
@@ -484,16 +495,12 @@ def solution_map_isolated_calm(problem: GEProblem, lam, *,
     if lo > threshold or hi < -threshold:
         return Certificate("holds", max(float(lo), -float(hi)), None,
                            "second-order form definite on the span of the "
-                           "critical directions", tol,
-                           assumptions=assumptions, checked=checked,
-                           details=details)
+                           "critical directions", tol, details=details)
+    cert = None
     if pair.graph_point.critical_is_subspace:
-        cert = _subspace_decision(problem, pair, srcq, A, B, assumptions,
-                                  checked)
-        if cert is not None:
-            cert.details.update(details)
-            return cert
-    cert = _lineality_witness_search(problem, pair, srcq)
+        cert = _subspace_decision(problem, pair, A, B)
+    if cert is None:
+        cert = _lineality_witness_search(problem, pair)
     cert.details.update(details)
     return cert
 

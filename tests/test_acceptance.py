@@ -316,11 +316,10 @@ def test_ngamma_fails_only_at_gate_or_with_certificate():
     problem = example41_problem()
     pair41 = BasePair(BasePoint(problem.sys, problem.xbar), problem.vbar,
                       problem.lam_hint)
-    srcq = srcq_check(pair41)
     certified = []
     for i, (d, w) in enumerate(_inclusion_pairs(
             problem, _axes_then_gaussian(3, 256))):
-        cert = ngamma_graph_deriv_contains(pair41, d, w, srcq=srcq)
+        cert = ngamma_graph_deriv_contains(pair41, d, w)
         assert cert.verdict == "fails", i
         if _check_fails_certificate(pair41, d, w, cert):
             certified.append((i, cert.details["fiber_farkas"]["cycle"]))

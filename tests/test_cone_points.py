@@ -121,10 +121,9 @@ def test_second_order_form_decomposes_y_once(monkeypatch):
 
     rng = np.random.default_rng(43)
     pair = _curved_psd_pair(5, rng)
-    problem = SimpleNamespace(pbar=np.zeros(1), xbar=pair.x,
-                              Fprime=lambda base, dirn: np.zeros(5))
+    problem = SimpleNamespace(Fx=np.zeros((5, 5)))
     calls = _counting_eigh(monkeypatch)
-    A, _ = _second_order_form(problem, pair)
+    A = _second_order_form(problem, pair)
     Y = smat(pair.gx)
     assert sum(np.array_equal(M, Y) for _, M in calls) == 1
     # the same matrix as from n per-call gradients

@@ -26,6 +26,21 @@ CONES = {
 }
 
 
+@pytest.mark.parametrize("K,z", [
+    (ConeDesc([Orthant(2)]), [1.0, 1.0, -5.0]),
+    (ConeDesc([Orthant(2)]), [1.0]),
+    (ConeDesc([PSD(2), Orthant(1)]), np.zeros(3)),
+    (ConeDesc([PSD(2), Orthant(1)]), np.zeros(5)),
+])
+def test_a_vector_of_the_wrong_length_is_a_dimension_mismatch(K, z):
+    # contains, dist and project read z through ProductSet.split, which
+    # checks its size before slicing it into blocks
+    for call in (lambda: contains(K, z), lambda: K.dist(z),
+                 lambda: project(K, z)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+
+
 def _point(K, y, lam, tol=DEFAULT_TOL):
     """The point z = y + lam of K, a ConeDesc or a primitive."""
     if isinstance(K, ConeDesc):

@@ -3,10 +3,11 @@ import pytest
 
 from conestab._sets import (
     Tol, DEFAULT_TOL, SignPattern, Halfspace, Hyperplane, Ray, LineSpan,
-    Subspace, AffineSet, ProductSet, PSDBlockSet, dykstra,
+    AffineSet, ProductSet, PSDBlockSet, dykstra,
     _eig_clip, _norm,
 )
 from conestab.cone_core import SOC, Zero, Free
+from conestab.cone_geometry import subspace_cone_trivial
 from conestab.symmat import svec, smat
 
 
@@ -30,7 +31,6 @@ def _check_projection_optimality(S, rng, n_points=30, n_dirs=10):
     Hyperplane(np.array([1.0, 1.0])),
     Ray(np.array([1.0, 2.0])),
     LineSpan(np.array([0.0, 1.0, 1.0])),
-    Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
     AffineSet(np.array([[1.0, 1.0, 0.0]]), np.array([2.0])),
     Zero(3),
     Free(3),
@@ -320,11 +320,12 @@ def test_tol_rejects_a_non_integer_cycle_cap(value):
 def test_subspace_keeps_the_rank_of_a_wide_basis():
     # rank 3 with a repeated column: every spanned direction is kept
     L = np.eye(4)[:, [0, 0, 1, 2]]
-    S = Subspace(L)
-    assert S.Q.shape == (4, 3)
+    cert = subspace_cone_trivial(L, Zero(4))
+    Q = cert.details["basis"]
+    assert (cert.verdict, Q.shape) == ("holds", (4, 3))
     for j in range(3):
-        assert np.allclose(S.project(np.eye(4)[:, j]), np.eye(4)[:, j])
-    assert np.allclose(S.project(np.eye(4)[:, 3]), 0.0)
+        assert np.allclose(Q @ (Q.T @ np.eye(4)[:, j]), np.eye(4)[:, j])
+    assert np.allclose(Q.T @ np.eye(4)[:, 3], 0.0)
 
 
 def test_norm_matches_numpy_exactly():
@@ -592,7 +593,6 @@ def _dist_parity_sets():
         (repr(K), K) for K in prims + [Zero(3), Free(3)]] + [
         ("all sign codes", SignPattern([0, 1, -1, 2, 0, 1, -1, 2])),
         ("mixed cone", ConeDesc(prims[::3] + [Zero(1), Free(2)])),
-        ("subspace", Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))),
         ("affine", AffineSet(np.array([[1.0, 1.0, 0.0]]), np.array([2.0])))]
 
 

@@ -9,6 +9,7 @@ from conestab.constraint_system import (
     affine_system, example1_system, section32_system,
     ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
     nondegeneracy_check, strict_complementarity_check, BasePoint, BasePair,
+    SUBREG_ASSUMPTION,
 )
 from conestab.stability import (
     GEProblem, PhiPoint, SmoothFn, SmoothMap,
@@ -139,9 +140,9 @@ def test_isolated_calm_holds_scalar_inequality():
     assert "branch enumeration" in cert.method
 
 
-def test_isolated_calm_inconclusive_without_qualification():
-    # at the segment-multiplier instance the uniqueness qualification
-    # fails, so no isolated-calmness verdict is issued
+def _example3_problem():
+    # the segment-multiplier instance, where the uniqueness
+    # qualification fails
     from conestab.constraint_system import example3_system
     sys = example3_system()
     xbar = svec(np.diag([0.0, 1.0]))
@@ -150,9 +151,20 @@ def test_isolated_calm_inconclusive_without_qualification():
     problem = GEProblem(sys, F=lambda p, x: -vbar,
                         Fprime=lambda base, dirn: np.zeros(3),
                         pbar=np.zeros(3), xbar=xbar)
+    return problem, lam
+
+
+def test_isolated_calm_inconclusive_without_qualification():
+    # no isolated-calmness verdict is issued, and srcq's witness, a
+    # vector of multipliers, is not one about the variables
+    problem, lam = _example3_problem()
     cert = solution_map_isolated_calm(problem, lam)
     assert cert.verdict == "inconclusive"
     assert "preconditions" in cert.method
+    assert cert.witness is None
+    srcq = srcq_check(BasePair(problem.point, problem.vbar, lam))
+    assert srcq.verdict != "holds"
+    assert cert.details["srcq"].to_json() == srcq.to_json()
 
 
 def _apex_problem(block):
@@ -164,10 +176,9 @@ def _apex_problem(block):
                      pbar=np.zeros(3), xbar=np.zeros(3))
 
 
-def _pair_and_srcq(problem, lam, tol=DEFAULT_TOL):
-    pair = BasePair(BasePoint(problem.sys, problem.xbar, tol), problem.vbar,
+def _pair(problem, lam, tol=DEFAULT_TOL):
+    return BasePair(BasePoint(problem.sys, problem.xbar, tol), problem.vbar,
                     lam)
-    return pair, srcq_check(pair)
 
 
 def _axes_then_gaussian(dim, count, seed=0):
@@ -198,7 +209,7 @@ def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
     problem = _apex_problem(SOC(3))
     assert solution_map_isolated_calm(problem, np.zeros(3)).verdict == \
         "holds"
-    pair, srcq = _pair_and_srcq(problem, np.zeros(3))
+    pair = _pair(problem, np.zeros(3))
     infos = []
     real = cs.dykstra
 
@@ -209,8 +220,7 @@ def test_isolated_calm_soc_apex_fibers_end_by_cycle_2(monkeypatch):
 
     monkeypatch.setattr(cs, "dykstra", counting)
     for d, w in _inclusion_pairs(problem, _axes_then_gaussian(3, 32)):
-        assert ngamma_graph_deriv_contains(pair, d, w, srcq=srcq).verdict \
-            == "fails"
+        assert ngamma_graph_deriv_contains(pair, d, w).verdict == "fails"
     assert infos
     for info in infos:
         assert info.converged or (info.farkas is not None
@@ -221,8 +231,7 @@ def test_soc_apex_search_tries_only_lineality_directions():
     # C = SOC(3) has lin C = {0} and J = I has kernel {0}: the search has
     # no direction to try
     problem = _apex_problem(SOC(3))
-    search = _lineality_witness_search(
-        problem, *_pair_and_srcq(problem, np.zeros(3)))
+    search = _lineality_witness_search(problem, _pair(problem, np.zeros(3)))
     assert search.verdict == "inconclusive"
     assert search.method == "no witness found by the lineality search"
     assert search.details == {"lineality_directions": 0, "directions": 0}
@@ -240,8 +249,7 @@ def test_example41_holds_and_is_tolerance_stable():
         assert cert.details["lambda_min"] > cert.details["threshold"]
         # the lineality search finds no solution of the inclusion at
         # either tolerance
-        search = _lineality_witness_search(
-            problem, *_pair_and_srcq(problem, lam, tol))
+        search = _lineality_witness_search(problem, _pair(problem, lam, tol))
         assert search.verdict == "inconclusive"
 
 
@@ -289,6 +297,88 @@ def test_idle_coordinate_fails_within_the_lineality_directions():
     assert 1 <= cert.details["directions"] <= \
         cert.details["lineality_directions"]
     assert np.allclose(np.abs(cert.witness), [0.0, 0.0, 0.0, 1.0])
+
+
+def _skew_apex_problem():
+    # g(x) = x in SOC(3) at its apex, lam = 0 and F(p, x) = -p + R x, R
+    # skew: sym(A) = 0 is definite nowhere, C = SOC(3) is no subspace and
+    # W = {0} gives the lineality search nothing to try
+    R = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    sys = affine_system(ConeDesc([SOC(3)]), np.eye(3), np.zeros(3))
+    return GEProblem(sys, F=lambda p, x: -np.asarray(p) + R @ x,
+                     Fprime=lambda base, dirn: -np.asarray(dirn[0])
+                     + R @ np.asarray(dirn[1]),
+                     pbar=np.zeros(3), xbar=np.zeros(3))
+
+
+def _route_case(route):
+    """(problem, lam, verdict, a phrase of the method) sending
+    `solution_map_isolated_calm` down `route`."""
+    if route == "branches":
+        sys = affine_system(ConeDesc([Orthant(1, "minus")]), np.eye(1),
+                            np.zeros(1))
+        problem = GEProblem(sys, F=lambda p, x: np.asarray(x) - p,
+                            Fprime=lambda base, dirn: dirn[1] - dirn[0],
+                            pbar=np.zeros(1), xbar=np.zeros(1))
+        return problem, np.zeros(1), "holds", "branch enumeration"
+    if route == "definite":
+        problem = example41_problem()
+        return problem, problem.lam_hint, "holds", "definite"
+    if route.startswith("subspace"):
+        alpha = 0.5 if route == "subspace-holds" else 1.0
+        problem, lam = _soc_face_problem(alpha, 1.0)
+        return (problem, lam, "holds" if alpha == 0.5 else "fails",
+                "critical subspace")
+    if route == "search-fails":
+        return (_idle_coordinate_problem(), np.zeros(3), "fails",
+                "witness search")
+    if route == "search-inconclusive":
+        return (_skew_apex_problem(), np.zeros(3), "inconclusive",
+                "lineality search")
+    problem, lam = _example3_problem()
+    return problem, lam, "inconclusive", "preconditions unmet"
+
+
+ROUTES = ["branches", "definite", "subspace-holds", "subspace-fails",
+          "search-fails", "search-inconclusive", "precondition"]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_lists_its_assumptions_and_check(route):
+    # the qualification line is written once, at the top level; each
+    # route after the qualification reads F_x
+    problem, lam, verdict, phrase = _route_case(route)
+    cert = solution_map_isolated_calm(problem, lam)
+    assert cert.verdict == verdict and phrase in cert.method
+    if route == "precondition":
+        assert cert.assumptions == (SUBREG_ASSUMPTION,)
+        assert cert.checked == (
+            "multiplier-uniqueness qualification: fails",)
+    else:
+        assert cert.assumptions == (SUBREG_ASSUMPTION, FX_ASSUMPTION)
+        assert cert.checked == (
+            "multiplier-uniqueness qualification: holds",)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_isolated_calm_reads_f_once_and_fprime_dim_x_times(route):
+    # over two calls on one problem: F once, for vbar, and Fprime once
+    # per column of F_x, on every route that reads F_x
+    problem, lam, _, _ = _route_case(route)
+    calls = {"F": 0, "Fprime": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    problem = dataclasses.replace(problem, F=counted("F", problem.F),
+                                  Fprime=counted("Fprime", problem.Fprime))
+    for _ in range(2):
+        solution_map_isolated_calm(problem, lam)
+    n = 0 if route == "precondition" else problem.sys.dim_x
+    assert calls == {"F": 1, "Fprime": n}
 
 
 def test_net_k_keyword_is_ignored():
@@ -748,9 +838,8 @@ def _branch_route(problem, pair):
     from conestab.stability import (_polyhedral_route, _scalar_branches,
                                     _second_order_form)
 
-    A, assumptions = _second_order_form(problem, pair)
-    return _polyhedral_route(pair, -A, _scalar_branches(pair.critical),
-                             assumptions)
+    A = _second_order_form(problem, pair)
+    return _polyhedral_route(pair, -A, _scalar_branches(pair.critical))
 
 
 def test_branch_lp_matches_one_lp_per_objective(monkeypatch):

@@ -520,15 +520,6 @@ def test_ngamma_fiber_translates_to_the_cone_level_fiber():
     assert held == 25
 
 
-def test_ngamma_graph_deriv_carries_srcq_note():
-    sys = example1_system()
-    pair = BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4))
-    sc = srcq_check(pair)
-    cert = ngamma_graph_deriv_contains(pair, np.zeros(3), np.zeros(3),
-                                       srcq=sc)
-    assert any("holds" in line for line in cert.checked)
-
-
 # ---------------------------------------------------------------------------
 # JSON schemas
 

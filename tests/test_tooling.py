@@ -306,7 +306,7 @@ def test_dnk_contains_classifies_y_and_lam_but_never_z(monkeypatch, sign):
 
 
 def test_every_coded_set_has_a_closed_form_dist():
-    # only Subspace and AffineSet read their distance from a projection;
+    # only AffineSet reads its distance from a projection;
     # a primitive's dist is its plus cone's _dist, mirrored once.  The
     # abstract bases PrimitiveCone and _SubspaceCone (of Zero and Free)
     # write none.
@@ -321,7 +321,7 @@ def test_every_coded_set_has_a_closed_form_dist():
     classes = {c for c in subclasses(ConvexSet)
                if c.__module__.startswith("conestab.")}
     assert {c.__name__ for c in classes if c.dist is ConvexSet.dist} == \
-        {"Subspace", "AffineSet"}
+        {"AffineSet"}
     primitives = {c for c in classes if issubclass(c, PrimitiveCone)} - \
         {PrimitiveCone, _SubspaceCone}
     assert primitives and all(hasattr(c, "_dist") for c in primitives)
