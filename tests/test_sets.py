@@ -31,6 +31,8 @@ def _check_projection_optimality(S, rng, n_points=30, n_dirs=10):
     Hyperplane(np.array([1.0, 1.0])),
     Ray(np.array([1.0, 2.0])),
     LineSpan(np.array([0.0, 1.0, 1.0])),
+    # the column span of [[1, 0], [0, 1], [1, 1]], written by its normal
+    AffineSet(np.array([[1.0, 1.0, -1.0]]), np.array([0.0])),
     AffineSet(np.array([[1.0, 1.0, 0.0]]), np.array([2.0])),
     Zero(3),
     Free(3),
