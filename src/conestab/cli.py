@@ -17,10 +17,12 @@ import numpy as np
 from ._sets import Tol
 from .constraint_system import (
     BasePoint, BasePair, example1_system, example3_system, section32_system,
+    EXAMPLE1_XBAR, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT, EXAMPLE3_XBAR,
+    EXAMPLE3_VBAR, SECTION32_CENTER, SECTION32_KS,
     multiplier_solve, srcq_check, nondegeneracy_check,
     strict_complementarity_check, ngamma_graph_deriv_contains,
 )
-from .jsonio import SchemaError, load_json, parse_problem, _vector
+from .jsonio import load_json, parse_problem, _vector
 from .stability import (
     PhiPoint, phi_subregularity_probe, solution_map_isolated_calm,
     kkt_isolated_calm, example41_problem, lp_kkt_data,
@@ -121,15 +123,7 @@ def cmd_gderiv(args):
 # ---------------------------------------------------------------------------
 # pinned reproduction scenarios
 
-def _check(lines, failures, label, got, expected):
-    ok = got == expected
-    lines.append(f"{label}: {got} (expected {expected}) "
-                 f"{'ok' if ok else 'MISMATCH'}")
-    if not ok:
-        failures.append(label)
-
-
-# (z, z in N_K(g(xbar))) for example1 at xbar = (-1, -1, 0), g(xbar) = 0
+# (z, z in N_K(g(xbar))) for example1 at EXAMPLE1_XBAR, g(xbar) = 0
 EXAMPLE1_NORMAL_TABLE = [
     (np.concatenate([svec(-np.eye(2)), [-1.0]]), True),
     (np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]]), True),
@@ -139,91 +133,97 @@ EXAMPLE1_NORMAL_TABLE = [
 ]
 
 
-def _repro_example1(lines, failures, tol):
-    point = BasePoint(example1_system(), np.array([-1.0, -1.0, 0.0]), tol)
+def _example1(tol):
+    point = BasePoint(example1_system(), EXAMPLE1_XBAR, tol)
     st = strict_complementarity_check(multiplier_solve(point, np.zeros(3)))
-    _check(lines, failures, "strict_complementarity(vbar=0)", st.verdict, "fails")
-    N = point.normal
-    got = [bool(N.contains(z, tol)) for z, _ in EXAMPLE1_NORMAL_TABLE]
-    _check(lines, failures, "normal-cone membership table", got,
-           [e for _, e in EXAMPLE1_NORMAL_TABLE])
+    table = EXAMPLE1_NORMAL_TABLE
+    return [("strict_complementarity(vbar=0)", st.verdict, "fails"),
+            ("normal-cone membership table",
+             [bool(point.normal.contains(z, tol)) for z, _ in table],
+             [e for _, e in table])], [], {"point": point}
 
 
-def _repro_example2(lines, failures, tol):
-    point = BasePoint(example1_system(), np.array([-1.0, -1.0, 0.0]), tol)
+def _example2(tol):
+    point = BasePoint(example1_system(), EXAMPLE1_XBAR, tol)
     s1 = srcq_check(BasePair(point, np.zeros(3), np.zeros(4)))
-    _check(lines, failures, "srcq(vbar)", s1.verdict, "holds")
-    lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
-    v_hat = np.array([-1.0, 0.0, -1.0])
-    s2 = srcq_check(BasePair(point, v_hat, lam_hat))
-    _check(lines, failures, "srcq(vhat)", s2.verdict, "fails")
-    _check(lines, failures, "srcq(vhat) witness nonzero",
-           s2.witness is not None and float(np.linalg.norm(s2.witness)) > 1e-6,
-           True)
+    s2 = srcq_check(BasePair(point, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT))
+    w = s2.witness
+    return [("srcq(vbar)", s1.verdict, "holds"),
+            ("srcq(vhat)", s2.verdict, "fails"),
+            ("srcq(vhat) witness nonzero",
+             w is not None and float(np.linalg.norm(w)) > 1e-6, True)], [], \
+        {"point": point, "srcq_vhat": s2}
 
 
-def _repro_example3(lines, failures, tol):
-    point = BasePoint(example3_system(), svec(np.diag([0.0, 1.0])), tol)
-    mres = multiplier_solve(point, svec(np.diag([-1.0, 0.0])))
+def _example3(tol):
+    point = BasePoint(example3_system(), EXAMPLE3_XBAR, tol)
+    mres = multiplier_solve(point, EXAMPLE3_VBAR)
     st = strict_complementarity_check(mres)
-    _check(lines, failures, "strict_complementarity", st.verdict, "holds")
-    _check(lines, failures, "distinct members found", len(mres.members) > 1, True)
-    _check(lines, failures, "uniqueness", mres.srcq.verdict, "fails")
+    return [("strict_complementarity", st.verdict, "holds"),
+            ("distinct members found", len(mres.members) > 1, True),
+            ("uniqueness", mres.srcq.verdict, "fails")], [], \
+        {"point": point, "multipliers": mres, "strict": st}
 
 
-def _repro_example41(lines, failures, tol):
+def _example41(tol):
     problem = example41_problem()
     if tol != problem.tol:  # verify the pair again at tol
         problem = dataclasses.replace(problem, tol=tol)
-    lam = problem.lam_hint
-    s = srcq_check(BasePair(problem.point, problem.vbar, lam))
-    _check(lines, failures, "srcq", s.verdict, "holds")
+    s = srcq_check(BasePair(problem.point, problem.vbar, problem.lam_hint))
     nd = nondegeneracy_check(problem.point)
-    _check(lines, failures, "nondegeneracy", nd.verdict, "fails")
-    ic = solution_map_isolated_calm(problem, lam)
-    _check(lines, failures, "solution_map_isolated_calm", ic.verdict, "holds")
+    ic = solution_map_isolated_calm(problem, problem.lam_hint)
+    return [("srcq", s.verdict, "holds"),
+            ("nondegeneracy", nd.verdict, "fails"),
+            ("solution_map_isolated_calm", ic.verdict, "holds")], [], \
+        {"problem": problem}
 
 
-def _repro_kkt_lp(lines, failures, tol):
-    cert = kkt_isolated_calm(*lp_kkt_data("nondegenerate"), tol=tol)
-    _check(lines, failures, "kkt nondegenerate", cert.verdict, "holds")
-    cert = kkt_isolated_calm(*lp_kkt_data("degenerate"), tol=tol)
-    _check(lines, failures, "kkt degenerate", cert.verdict, "fails")
+def _kkt_lp(tol):
+    nondeg = kkt_isolated_calm(*lp_kkt_data("nondegenerate"), tol=tol)
+    deg = kkt_isolated_calm(*lp_kkt_data("degenerate"), tol=tol)
+    return [("kkt nondegenerate", nondeg.verdict, "holds"),
+            ("kkt degenerate", deg.verdict, "fails")], [], {}
 
 
-def _repro_section32(lines, failures, tol):
+def _section32(tol):
     sysm = section32_system()
-    center = PhiPoint.at(sysm, [0.0], [0.5], [0.0])
-    ks = [10, 100, 1000]
-    seq = [([1.0 / k], [0.5], [1.0 / k]) for k in ks]
-    ratios = phi_subregularity_probe(sysm, center, seq, tol=tol)
-    ok = True
-    for k, r in zip(ks, ratios):
-        expect = 1.0 / (np.sqrt(2.0) * k)
-        lines.append(f"k={k}: ratio={r:.6e} expected={expect:.6e}")
-        ok = ok and abs(r - expect) <= 1e-12
-    _check(lines, failures, "ratio table matches 1/(sqrt(2) k)", ok, True)
+    seq = [([1.0 / k], SECTION32_CENTER[1], [1.0 / k]) for k in SECTION32_KS]
+    # the zero set is {x = v = 0}: the distance is ||(x, v)||
+    ratios = phi_subregularity_probe(
+        sysm, PhiPoint.at(sysm, *SECTION32_CENTER), seq,
+        lambda x, lam, v: float(np.linalg.norm(np.concatenate([x, v]))),
+        tol=tol)
+    expect = [1.0 / (np.sqrt(2.0) * k) for k in SECTION32_KS]
+    ok = all(abs(r - e) <= 1e-12 for r, e in zip(ratios, expect))
+    return [("ratio table matches 1/(sqrt(2) k)", ok, True)], [
+        f"k={k}: ratio={r:.6e} expected={e:.6e}"
+        for k, r, e in zip(SECTION32_KS, ratios, expect)], \
+        {"system": sysm, "sequence": seq}
 
 
-_REPRO = {
-    "example1": _repro_example1,
-    "example2": _repro_example2,
-    "example3": _repro_example3,
-    "example41": _repro_example41,
-    "kkt_lp": _repro_kkt_lp,
-    "section32": _repro_section32,
+# name -> function of a Tol returning (checks, lines, objects): the (label,
+# got, expected) checks, the lines printed before them, the objects read
+SCENARIOS = {
+    "example1": _example1,
+    "example2": _example2,
+    "example3": _example3,
+    "example41": _example41,
+    "kkt_lp": _kkt_lp,
+    "section32": _section32,
 }
 
 
 def cmd_repro(args):
-    if args.name not in _REPRO:
+    if args.name not in SCENARIOS:
         print(f"unknown scenario {args.name!r}; choose from "
-              f"{sorted(_REPRO)}", file=_sys.stderr)
+              f"{sorted(SCENARIOS)}", file=_sys.stderr)
         return 2
-    tol = _make_tol(args.tol)
-    lines = [f"scenario: {args.name}", ASSUMED, CHECKED]
-    failures = []
-    _REPRO[args.name](lines, failures, tol)
+    checks, lines, _ = SCENARIOS[args.name](_make_tol(args.tol))
+    failures = [label for label, got, want in checks if got != want]
+    lines = [f"scenario: {args.name}", ASSUMED, CHECKED] + lines + [
+        f"{label}: {got} (expected {want}) "
+        f"{'ok' if got == want else 'MISMATCH'}"
+        for label, got, want in checks]
     report = {"command": "repro", "name": args.name, "lines": lines,
               "failures": failures}
     _emit(report, args.report)
@@ -264,9 +264,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=_sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from ._sets import (
 from .cone_core import ConeDesc
 from .cone_geometry import subspace_cone_trivial
 from .proj_deriv import GraphPoint, dnk_contains
+from .symmat import svec
 
 SUBREG_ASSUMPTION = "metric subregularity of x -> g(x) - K at the base point"
 
@@ -112,12 +113,23 @@ class ConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# builtin systems
+# builtin systems and the paper's base data on them
+
+# example1's base point, at the cone apex, and Example 2's pair there;
+# example3's reference data; section32's zero (x, lam, v), approached
+# along ([1/k], lam, [1/k]) for k in SECTION32_KS
+EXAMPLE1_XBAR = np.array([-1.0, -1.0, 0.0])
+EXAMPLE2_VHAT = np.array([-1.0, 0.0, -1.0])
+EXAMPLE2_LAMHAT = np.array([*svec(np.diag([-1.0, 0.0])), 0.0])
+EXAMPLE3_XBAR = svec(np.diag([0.0, 1.0]))
+EXAMPLE3_VBAR = svec(np.diag([-1.0, 0.0]))
+SECTION32_CENTER = ((0.0,), (0.5,), (0.0,))
+SECTION32_KS = (10, 100, 1000)
+
 
 def example1_system() -> ConstraintSystem:
     """x in R^2, t in R; g(x,t) = (Diag(x) + t ones(2,2) + I; t) with
-    K = PSD(2) x R_+; base point (-1, -1, 0) sits at the cone apex."""
-    from .symmat import svec
+    K = PSD(2) x R_+; base point EXAMPLE1_XBAR sits at the cone apex."""
     from .cone_core import PSD, Orthant
 
     E = np.ones((2, 2))
@@ -140,9 +152,8 @@ def example1_system() -> ConstraintSystem:
 
 def example3_system() -> ConstraintSystem:
     """X in S^2 (svec coords); g(X) = (X + C; X) with C = diag(0, -1) and
-    K = {0} x PSD(2); the multiplier set at the reference data is a
-    nontrivial segment."""
-    from .symmat import svec
+    K = {0} x PSD(2); the multiplier set at the reference data
+    (EXAMPLE3_XBAR, EXAMPLE3_VBAR) is a nontrivial segment."""
     from .cone_core import PSD, Zero
 
     c = svec(np.diag([0.0, -1.0]))
@@ -184,6 +195,11 @@ def quadratic_system(cone: ConeDesc, Q_list, A, b, name="quadratic") -> Constrai
     """Componentwise g_i(x) = x^T Q_i x / 2 + A_i x + b_i."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
+    n = A.shape[1]
+    for i, Q in enumerate(Q_list):
+        if np.shape(Q) != (n, n):
+            raise ValueError(f"Q_list[{i}] has shape {np.shape(Q)}; "
+                             f"expected ({n}, {n}), A has {n} columns")
     Qs = [0.5 * (np.asarray(Q, float) + np.asarray(Q, float).T) for Q in Q_list]
     if not (A.shape[0] == cone.dim and len(Qs) == cone.dim):
         raise ValueError(f"A has shape {A.shape} and there are {len(Qs)} "

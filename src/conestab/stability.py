@@ -72,23 +72,17 @@ class PhiPoint:
 
 
 def phi_subregularity_probe(sys: ConstraintSystem, center: PhiPoint,
-                            sequence, dist_fn=None,
-                            tol: Tol = DEFAULT_TOL):
+                            sequence, dist_fn, tol: Tol = DEFAULT_TOL):
     """Ratios ||Phi(x,lam,v)|| / dist((x,lam,v), Phi^{-1}(0,0)) along a
     sequence approaching the center.  Decay to 0 is evidence AGAINST
     metric subregularity of the residual map at the center; the ratios
     are reported, never turned into a verdict.
 
-    `dist_fn` maps (x, lam, v) to the distance to the zero set; for the
-    scalar builtin the closed form is ||(x, v)||.
+    `dist_fn` maps (x, lam, v) to the distance to the zero set, such as
+    the closed form ||(x, v)|| of the section32 builtin.
     """
     if center.residual_norm > tol.membership * (1 + np.linalg.norm(center.x)):
         raise ValueError("center is not a zero of the residual map")
-    if dist_fn is None:
-        if sys.name != "section32_scalar":
-            raise ValueError("a distance callback is required for this system")
-        dist_fn = lambda x, lam, v: float(np.linalg.norm(
-            np.concatenate([np.atleast_1d(x), np.atleast_1d(v)])))
     out = []
     for (x, lam, v) in sequence:
         pt = PhiPoint.at(sys, x, lam, v)
@@ -161,18 +155,16 @@ def example41_problem() -> GEProblem:
     """Affine perturbation F(p, x) = -p - x over the 3-variable
     semidefinite system; the base point is degenerate yet the solution
     map is isolated calm there."""
-    from .constraint_system import example1_system
+    from .constraint_system import EXAMPLE1_XBAR, example1_system
     from .symmat import svec
 
-    sys = example1_system()
-    xbar = np.array([-1.0, -1.0, 0.0])
     pbar = np.array([1.0, 1.0, -1.0])
     return GEProblem(
-        sys,
+        example1_system(),
         F=lambda p, x: -np.asarray(p, float) - np.asarray(x, float),
         Fprime=lambda base, dirn: -np.asarray(dirn[0], float)
         - np.asarray(dirn[1], float),
-        pbar=pbar, xbar=xbar, name="example41",
+        pbar=pbar, xbar=EXAMPLE1_XBAR, name="example41",
         lam_hint=np.concatenate([svec(np.zeros((2, 2))), [-1.0]]))
 
 

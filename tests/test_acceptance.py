@@ -4,35 +4,31 @@ Run with -s to see the lines as they are produced; each criterion is a
 separate test so a failure pinpoints the broken guarantee.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from conestab._sets import Tol, DEFAULT_TOL, SignPattern
-from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free, normal_cone
-from conestab.cli import EXAMPLE1_NORMAL_TABLE
+from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
+from conestab.cli import SCENARIOS
 from conestab.cone_geometry import ri_normal_contains, subspace_cone_trivial
 from conestab.constraint_system import (
-    affine_system, example1_system, example3_system, section32_system,
-    BasePoint, multiplier_solve, multiplier_verify, srcq_check, nondegeneracy_check,
-    strict_complementarity_check, ngamma_graph_deriv_contains, BasePair,
+    EXAMPLE1_XBAR as XBAR1, EXAMPLE3_VBAR, SECTION32_KS, affine_system,
+    example1_system, BasePoint, multiplier_verify, ngamma_graph_deriv_contains,
+    BasePair,
 )
 from conestab.oracle import (
     fd_proj_deriv, ngamma_graph_residual, polyhedral_trivial_exact,
 )
 from conestab.proj_deriv import proj_dir_deriv, dnk_contains
 from conestab.stability import (
-    PhiPoint, phi_residual, phi_subregularity_probe,
-    solution_map_isolated_calm, example41_problem,
+    phi_residual, solution_map_isolated_calm, example41_problem,
 )
-from conestab.symmat import svec
+from conestab.symmat import smat, svec
 from graph_samplers import (
     ngamma_tangent_generate, regular_normal_lower_generate,
 )
-
-XBAR1 = np.array([-1.0, -1.0, 0.0])
 
 
 def _report(num, desc, ok):
@@ -40,18 +36,18 @@ def _report(num, desc, ok):
     assert ok, f"criterion {num} failed: {desc}"
 
 
-def test_criterion_1_example1_regression():
-    t0 = time.perf_counter()
-    sys = example1_system()
-    st = strict_complementarity_check(multiplier_solve(BasePoint(sys, XBAR1),
-                                                       np.zeros(3)))
-    ok = st.verdict == "fails"
+def _scenario(name, tol=DEFAULT_TOL):
+    """`repro`'s entry for the scenario at `tol`: whether each of its
+    checks passed, and the objects they read."""
+    checks, _, found = SCENARIOS[name](tol)
+    return all(got == want for _, got, want in checks), found
 
-    # the normal cone at the apex is the negative-semidefinite matrices
-    # times the nonpositive reals
-    N = normal_cone(sys.cone, sys.g(XBAR1))
-    ok = ok and all(bool(N.contains(z)) == expect
-                    for z, expect in EXAMPLE1_NORMAL_TABLE)
+
+def test_criterion_1_example1_regression():
+    # strict complementarity fails; the normal cone at the apex is the
+    # negative-semidefinite matrices times the nonpositive reals
+    t0 = time.perf_counter()
+    ok, _ = _scenario("example1")
     elapsed = time.perf_counter() - t0
     _report(1, "example1: strict complementarity fails + normal-cone "
                f"membership table ({elapsed:.2f}s < 1s)", ok and elapsed < 1.0)
@@ -59,20 +55,13 @@ def test_criterion_1_example1_regression():
 
 def test_criterion_2_example2_regression():
     t0 = time.perf_counter()
-    sys = example1_system()
-    s1 = srcq_check(BasePair(BasePoint(sys, XBAR1), np.zeros(3), np.zeros(4)))
-    lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
-    v_hat = np.array([-1.0, 0.0, -1.0])
-    s2 = srcq_check(BasePair(BasePoint(sys, XBAR1), v_hat, lam_hat))
-    ok = s1.verdict == "holds" and s2.verdict == "fails"
-    w = s2.witness
-    ok = ok and w is not None and float(np.linalg.norm(w)) > 1e-6
-    # witness lives in the adjoint kernel and in the tangent cone to the
-    # normal-cone map at lam_hat: matrix part with nonpositive (2,2)
+    ok, found = _scenario("example2")
+    # the witness lives in the adjoint kernel and in the tangent cone to
+    # the normal-cone map at lam_hat: matrix part with nonpositive (2,2)
     # entry, nonpositive slack part
-    ok = ok and float(np.linalg.norm(sys.jacobian(XBAR1).T @ w)) \
+    w = found["srcq_vhat"].witness
+    ok = ok and float(np.linalg.norm(found["point"].J.T @ w)) \
         <= 1e-6 * float(np.linalg.norm(w))
-    from conestab.symmat import smat
     ok = ok and smat(w[:3])[1, 1] <= 1e-8 and w[3] <= 1e-8
     elapsed = time.perf_counter() - t0
     _report(2, "example2: srcq holds/fails with kernel witness "
@@ -81,21 +70,16 @@ def test_criterion_2_example2_regression():
 
 def test_criterion_3_example3_regression():
     t0 = time.perf_counter()
-    sys = example3_system()
-    xbar = svec(np.diag([0.0, 1.0]))
-    vbar = svec(np.diag([-1.0, 0.0]))
-    point = BasePoint(sys, xbar)
-    mres = multiplier_solve(point, vbar)
-    st = strict_complementarity_check(mres)
-    ok = st.verdict == "holds" and st.witness is not None
+    ok, found = _scenario("example3")
+    point, members = found["point"], found["multipliers"].members
+    ok = ok and found["strict"].witness is not None
     # the split (0; diag(-1,0)) is itself a relative-interior multiplier
-    lam_named = np.concatenate([np.zeros(3), vbar])
-    ok = ok and multiplier_verify(point, vbar, lam_named)
-    ok = ok and ri_normal_contains(sys.cone, sys.g(xbar), lam_named)
-    ok = ok and len(mres.members) > 1
-    ok = ok and all(multiplier_verify(point, vbar, m)
-                    for m in mres.members[:2])
-    ok = ok and float(np.linalg.norm(mres.members[0] - mres.members[1])) > 1e-4
+    lam_named = np.concatenate([np.zeros(3), EXAMPLE3_VBAR])
+    ok = ok and multiplier_verify(point, EXAMPLE3_VBAR, lam_named)
+    ok = ok and ri_normal_contains(point.sys.cone, point.gx, lam_named)
+    ok = ok and all(multiplier_verify(point, EXAMPLE3_VBAR, m)
+                    for m in members[:2])
+    ok = ok and float(np.linalg.norm(members[0] - members[1])) > 1e-4
     elapsed = time.perf_counter() - t0
     _report(3, "example3: strict complementarity holds, named split is "
                f"relative-interior, two distinct members ({elapsed:.2f}s < 2s)",
@@ -104,17 +88,9 @@ def test_criterion_3_example3_regression():
 
 def test_criterion_4_example41_regression():
     t0 = time.perf_counter()
-    problem = example41_problem()
-    lam = problem.lam_hint
-    point = BasePoint(problem.sys, problem.xbar)
-    ok = srcq_check(BasePair(point, problem.vbar, lam)).verdict == "holds"
-    ok = ok and nondegeneracy_check(point).verdict == "fails"
-    ic = solution_map_isolated_calm(problem, lam)
-    ok = ok and ic.verdict == "holds"
     halved = Tol(membership=DEFAULT_TOL.membership / 2,
                  zero=DEFAULT_TOL.zero / 2)
-    ok = ok and solution_map_isolated_calm(
-        dataclasses.replace(problem, tol=halved), lam).verdict == "holds"
+    ok = _scenario("example41")[0] and _scenario("example41", halved)[0]
     elapsed = time.perf_counter() - t0
     _report(4, "example41: srcq holds, nondegeneracy fails, isolated "
                f"calmness holds and is tol-halving stable ({elapsed:.2f}s "
@@ -122,18 +98,10 @@ def test_criterion_4_example41_regression():
 
 
 def test_criterion_5_scalar_residual_regression():
-    sys = section32_system()
-    ok = True
-    for k in (10, 100, 1000):
-        r1, r2 = phi_residual(sys, [1.0 / k], [0.5], [1.0 / k])
+    ok, found = _scenario("section32")
+    for (x, lam, v), k in zip(found["sequence"], SECTION32_KS):
+        r1, r2 = phi_residual(found["system"], x, lam, v)
         ok = ok and r1[0] == 0.0 and r2[0] == (1.0 / k) ** 2
-    center = PhiPoint.at(sys, [0.0], [0.5], [0.0])
-    ks = [10, 100, 1000]
-    ratios = phi_subregularity_probe(
-        sys, center, [([1.0 / k], [0.5], [1.0 / k]) for k in ks])
-    for k, r in zip(ks, ratios):
-        ok = ok and abs(r - 1.0 / (np.sqrt(2.0) * k)) <= 1e-12
-    ok = ok and abs(ratios[-1] - 7.07e-4) <= 1e-6
     _report(5, "scalar system: residual rows exact, subregularity ratios "
                "equal 1/(sqrt(2) k) within 1e-12", ok)
 

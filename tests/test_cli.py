@@ -9,18 +9,9 @@ from conestab.cli import main
 from conestab.symmat import smat, svec
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "example3",
-                                  "example41", "kkt_lp", "section32"])
-def test_repro_scenarios_pass(name, capsys):
-    assert main(["repro", name]) == 0
-    out = capsys.readouterr().out
-    assert "MISMATCH" not in out
-    assert "ASSUMED: metric subregularity" in out
-    assert "CHECKED: multiplier-uniqueness" in out
-
-
 # each scenario's text report after its first three lines (the scenario
-# name and the ASSUMED and CHECKED lines), byte for byte
+# name and the ASSUMED and CHECKED lines), byte for byte, at the default
+# tolerance and at the tolerances of _REPRO_TOLS
 REPRO_TEXT = {
     "example1": [
         "strict_complementarity(vbar=0): fails (expected fails) ok",
@@ -69,16 +60,23 @@ def _one_json_line(out, report):
     assert out == json.dumps(report, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(REPRO_TEXT))
-def test_repro_text_is_pinned_and_json_is_one_line(name, capsys,
+# the halved default and a coarser tolerance
+_REPRO_TOLS = ("5e-9", "1e-6")
+
+
+@pytest.mark.parametrize("name, tol", [
+    pytest.param(name, tol, id=name if tol is None else f"{name}-tol{tol}")
+    for name in sorted(REPRO_TEXT) for tol in (None, *_REPRO_TOLS)])
+def test_repro_text_is_pinned_and_json_is_one_line(name, tol, capsys,
                                                    monkeypatch):
     from conestab.cli import ASSUMED, CHECKED
 
     reports = _emitted(monkeypatch)
-    assert main(["repro", name]) == 0
+    argv = ["repro", name] + ([] if tol is None else ["--tol", tol])
+    assert main(argv) == 0
     assert capsys.readouterr().out == "\n".join(
         [f"scenario: {name}", ASSUMED, CHECKED] + REPRO_TEXT[name]) + "\n"
-    assert main(["repro", name, "--report", "json"]) == 0
+    assert main(argv + ["--report", "json"]) == 0
     _one_json_line(capsys.readouterr().out, reports[-1])
 
 
@@ -100,6 +98,22 @@ def test_analyze_json_is_one_line(planted, tmp_path, capsys, monkeypatch):
 def test_repro_unknown_scenario(capsys):
     assert main(["repro", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_repro_mismatch_exits_1(capsys, monkeypatch):
+    # a check whose value differs from the expected one prints MISMATCH,
+    # is listed in the failures and sets exit code 1
+    from conestab import cli
+
+    monkeypatch.setitem(cli.SCENARIOS, "example1", lambda tol: (
+        [("agrees", "holds", "holds"), ("differs", "fails", "holds")],
+        ["free line"], {}))
+    assert main(["repro", "example1", "--report", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == ["differs"]
+    assert report["lines"][3:] == [
+        "free line", "agrees: holds (expected holds) ok",
+        "differs: fails (expected holds) MISMATCH"]
 
 
 def _write(path, obj):
@@ -277,6 +291,15 @@ _ONE = {"cone": {"product": [{"orthant": {"dim": 1}}]},
         "mapping": {"affine": {"A": [[1.0]], "b": [0.0]}}}
 
 
+def _quadratic2(rows, cols):
+    # R^2_+ with A = I_2 and two zero Q matrices of shape rows x cols
+    q = [[0.0] * cols] * rows
+    return {"cone": {"product": [{"orthant": {"dim": 2}}]},
+            "mapping": {"quadratic": {"Q_list": [q, q],
+                                      "A": [[1.0, 0.0], [0.0, 1.0]],
+                                      "b": [0.0, 0.0]}}}
+
+
 @pytest.mark.parametrize("problem, message", [
     ({"mapping": 5}, "problem.mapping: expected dict, got int"),
     ({"mapping": {"builtin": ["example1"]}},
@@ -289,7 +312,10 @@ _ONE = {"cone": {"product": [{"orthant": {"dim": 1}}]},
                                         "b": [0.0]}}},
      "mapping.quadratic.Q_list: expected a list of matrices"),
     ({**_ONE, "cone": {"product": 7}}, "cone.product: expected list, got int"),
-], ids=["mapping", "builtin", "A-object", "A-flat", "Q_list", "product"])
+    (_quadratic2(2, 3), "Q_list[0] has shape (2, 3); expected (2, 2)"),
+    (_quadratic2(3, 3), "Q_list[0] has shape (3, 3); expected (2, 2)"),
+], ids=["mapping", "builtin", "A-object", "A-flat", "Q_list", "product",
+        "Q-wide", "Q-large"])
 def test_analyze_mistyped_problem_field_exits_2(tmp_path, capsys, problem,
                                                 message):
     problem = _write(tmp_path / "p.json", problem)
@@ -469,8 +495,8 @@ def test_analyze_verdicts_invariant_under_scaling_v(planted, analyze):
 
 
 # ---------------------------------------------------------------------------
-# srcq metamorphic referee: the planted problems in rotated PSD coordinates
-# or with their blocks permuted get the same srcq verdict
+# metamorphic referee: the planted problems in rotated PSD coordinates,
+# with their blocks permuted or mirrored get the same verdicts
 
 # the planted cone is PSD(2) x SOC(3) x R^2: rows 0-2, 3-5 and 6-7
 _PLANTED_ROWS = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 8)]
@@ -493,41 +519,67 @@ def _srcq_verdict(problem, x, v, lam):
     return srcq_check(BasePair(BasePoint(sys, x), v, lam)).verdict
 
 
+def _assert_variants_keep_verdicts(planted, analyze, seed, srcq_holds,
+                                   variants):
+    """analyze's three verdicts on planted(seed, srcq_holds), which each
+    variant (cone, A, b, lam) of it keeps; srcq is also read at the
+    planted multiplier without the search.  Returns the verdicts."""
+    _, x, v, lam, problem = planted(seed, srcq_holds)
+    rc, report = analyze(problem, {"x": x, "v": v})
+    assert rc == 0
+    base = _verdicts(report)
+    assert set(base) == {"srcq", "strict_complementarity", "nondegeneracy"}
+    assert base["srcq"] == ("holds" if srcq_holds else "fails")
+    assert _srcq_verdict(problem, x, v, lam) == base["srcq"]
+    affine = problem["mapping"]["affine"]
+    A, b = np.array(affine["A"]), np.array(affine["b"])
+    for cone, A2, b2, lam2 in variants(problem["cone"], A, b, lam):
+        moved = {"cone": cone, "mapping": {"affine": {"A": A2, "b": b2}}}
+        rc, report = analyze(moved, {"x": x, "v": v})
+        assert rc == 0
+        assert _verdicts(report) == base, (seed, srcq_holds)
+        assert _srcq_verdict(moved, x, v, lam2) == base["srcq"]
+    return base["srcq"], base["nondegeneracy"]
+
+
 def test_srcq_invariant_under_psd_rotation_and_block_permutation(planted,
                                                                  analyze):
     rng = np.random.default_rng(0)
-    seen = set()
-    for seed in range(4):
-        for srcq_holds in (True, False):
-            _, x, v, lam, problem = planted(seed, srcq_holds)
-            rc, report = analyze(problem, {"x": x, "v": v})
-            assert rc == 0
-            base = _verdicts(report)["srcq"]
-            assert base == ("holds" if srcq_holds else "fails")
-            assert _srcq_verdict(problem, x, v, lam) == base
-            affine = problem["mapping"]["affine"]
-            A, b = np.array(affine["A"]), np.array(affine["b"])
-            variants = []
-            # X -> U^T X U on the PSD block; v = A^T lam is unchanged
-            U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-            T = np.eye(8)
-            T[:3, :3] = _psd_rotation(U)
-            assert np.allclose(T.T @ T, np.eye(8), atol=1e-14)
-            variants.append((problem["cone"], T @ A, T @ b, T @ lam))
-            for order in ([2, 0, 1], [1, 2, 0]):
-                rows = np.concatenate([_PLANTED_ROWS[i] for i in order])
-                cone = {"product": [problem["cone"]["product"][i]
-                                    for i in order]}
-                variants.append((cone, A[rows], b[rows], lam[rows]))
-            for cone, A2, b2, lam2 in variants:
-                moved = {"cone": cone, "mapping": {"affine": {"A": A2,
-                                                              "b": b2}}}
-                rc, report = analyze(moved, {"x": x, "v": v})
-                assert rc == 0
-                assert _verdicts(report)["srcq"] == base, (seed, srcq_holds)
-                assert _srcq_verdict(moved, x, v, lam2) == base
-            seen.add(base)
-    assert seen == {"holds", "fails"}
+
+    def variants(cone, A, b, lam):
+        # X -> U^T X U on the PSD block; v = A^T lam is unchanged
+        U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        T = np.eye(8)
+        T[:3, :3] = _psd_rotation(U)
+        assert np.allclose(T.T @ T, np.eye(8), atol=1e-14)
+        yield cone, T @ A, T @ b, T @ lam
+        for order in ([2, 0, 1], [1, 2, 0]):
+            rows = np.concatenate([_PLANTED_ROWS[i] for i in order])
+            yield ({"product": [cone["product"][i] for i in order]},
+                   A[rows], b[rows], lam[rows])
+
+    seen = {_assert_variants_keep_verdicts(planted, analyze, seed, srcq_holds,
+                                           variants)
+            for seed in range(4) for srcq_holds in (True, False)}
+    # the draws reach both srcq verdicts and both nondegeneracy verdicts
+    assert seen == {("holds", "holds"), ("fails", "fails")}
+
+
+def test_verdicts_invariant_under_the_mirror(planted, analyze):
+    # K -> -K, every block's sign flipped, with g -> -g and lam -> -lam:
+    # v = A^T lam is unchanged
+    flip = {"plus": "minus", "minus": "plus"}
+
+    def mirror(cone, A, b, lam):
+        yield ({"product": [{kind: {**spec, "sign": flip[spec["sign"]]}
+                             for kind, spec in block.items()}
+                            for block in cone["product"]]},
+               -A, -b, -lam)
+
+    seen = {_assert_variants_keep_verdicts(planted, analyze, seed, srcq_holds,
+                                           mirror)
+            for seed in range(40) for srcq_holds in (True, False)}
+    assert seen == {("holds", "holds"), ("fails", "fails")}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conestab import constraint_system
 from conestab._sets import DEFAULT_TOL
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from conestab.constraint_system import (
+    EXAMPLE1_XBAR as XBAR1, EXAMPLE2_VHAT, EXAMPLE3_XBAR, EXAMPLE3_VBAR,
     BasePoint, affine_system, example1_system, example3_system,
     multiplier_solve, multiplier_verify, strict_complementarity_check)
 from conestab.proj_deriv import GraphPoint
@@ -22,7 +23,6 @@ from test_stability import _permuted
 from test_tooling import _old_strict_complementarity
 
 TOL = 1e-8
-XBAR1 = np.array([-1.0, -1.0, 0.0])
 
 
 def _rank(M, cut=1e-7):
@@ -191,9 +191,8 @@ def _cases(planted):
                        "zeroed", sys, x, sys.jacobian(x).T @ zeroed)
     sys1 = example1_system()
     yield "example1 v=0", sys1, XBAR1, np.zeros(3)
-    yield "example1 vhat", sys1, XBAR1, np.array([-1.0, 0.0, -1.0])
-    yield ("example3", example3_system(), svec(np.diag([0.0, 1.0])),
-           svec(np.diag([-1.0, 0.0])))
+    yield "example1 vhat", sys1, XBAR1, EXAMPLE2_VHAT
+    yield "example3", example3_system(), EXAMPLE3_XBAR, EXAMPLE3_VBAR
     # a nine-dimensional adjoint kernel whose searched multiplier is not
     # relative-interior: span(P J U_v) has rank 3, so the alternative
     # holds by its slices

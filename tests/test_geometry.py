@@ -361,14 +361,14 @@ def test_slices_hold_on_the_pinned_qualify_kernels():
 
 def test_slices_fail_on_example3_and_a_nine_dimensional_kernel():
     from conestab.constraint_system import BasePoint, BasePair, \
-        affine_system, example3_system, srcq_check
+        EXAMPLE3_XBAR, EXAMPLE3_VBAR, affine_system, example3_system, \
+        srcq_check
 
     # example3: ker J^T = {(a, -a)}, and with lam = (-E11/2, -E11/2) the
     # polar of the critical cone is R^3 x span(E11)
     e11 = svec(np.diag([1.0, 0.0]))
-    pair = BasePair(BasePoint(example3_system(), svec(np.diag([0.0, 1.0]))),
-                    svec(np.diag([-1.0, 0.0])),
-                    np.concatenate([-0.5 * e11, -0.5 * e11]))
+    pair = BasePair(BasePoint(example3_system(), EXAMPLE3_XBAR),
+                    EXAMPLE3_VBAR, np.concatenate([-0.5 * e11, -0.5 * e11]))
     assert srcq_check(pair).verdict == "fails"
     ker = np.vstack([np.eye(3), -np.eye(3)])
     cert = subspace_cone_trivial(ker, pair.critical_polar)

@@ -6,6 +6,8 @@ import pytest
 from conestab._sets import Tol, DEFAULT_TOL
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free, Zero
 from conestab.constraint_system import (
+    EXAMPLE1_XBAR as XBAR1, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT, EXAMPLE3_XBAR,
+    EXAMPLE3_VBAR, SECTION32_CENTER, SECTION32_KS,
     affine_system, example1_system, section32_system,
     ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
     nondegeneracy_check, strict_complementarity_check, BasePoint, BasePair,
@@ -23,15 +25,13 @@ from graph_samplers import (
     regular_normal_lower_generate,
 )
 
-XBAR1 = np.array([-1.0, -1.0, 0.0])
-
 
 # ---------------------------------------------------------------------------
 # residual map and subregularity probe
 
 def test_phi_residual_scalar_closed_form():
     sys = section32_system()
-    for k in (10, 100, 1000):
+    for k in SECTION32_KS:
         r1, r2 = phi_residual(sys, [1.0 / k], [0.5], [1.0 / k])
         assert r1[0] == pytest.approx(0.0, abs=1e-18)
         assert r2[0] == pytest.approx(1.0 / k ** 2, rel=1e-14)
@@ -39,19 +39,23 @@ def test_phi_residual_scalar_closed_form():
 
 def test_phi_point_at_center():
     sys = section32_system()
-    center = PhiPoint.at(sys, [0.0], [0.5], [0.0])
+    center = PhiPoint.at(sys, *SECTION32_CENTER)
     assert center.residual_norm == 0.0
     off = PhiPoint.at(sys, [0.1], [0.5], [0.0])
     assert off.residual_norm > 0.0
 
 
+def _scalar_dist(x, lam, v):
+    """The distance to section32's zero set {x = v = 0}."""
+    return float(np.hypot(x[0], v[0]))
+
+
 def test_probe_ratios_match_closed_form():
     sys = section32_system()
-    center = PhiPoint.at(sys, [0.0], [0.5], [0.0])
-    ks = [10, 100, 1000]
-    seq = [([1.0 / k], [0.5], [1.0 / k]) for k in ks]
-    ratios = phi_subregularity_probe(sys, center, seq)
-    for k, r in zip(ks, ratios):
+    center = PhiPoint.at(sys, *SECTION32_CENTER)
+    seq = [([1.0 / k], [0.5], [1.0 / k]) for k in SECTION32_KS]
+    ratios = phi_subregularity_probe(sys, center, seq, _scalar_dist)
+    for k, r in zip(SECTION32_KS, ratios):
         assert r == pytest.approx(1.0 / (np.sqrt(2.0) * k), abs=1e-12)
     # the decay rate is Theta(1/k): tenfold refinement divides by ten
     assert ratios[1] / ratios[0] == pytest.approx(0.1, abs=0.05)
@@ -60,9 +64,9 @@ def test_probe_ratios_match_closed_form():
 
 def test_probe_constant_sequence_reports_zero():
     sys = section32_system()
-    center = PhiPoint.at(sys, [0.0], [0.5], [0.0])
+    center = PhiPoint.at(sys, *SECTION32_CENTER)
     ratios = phi_subregularity_probe(
-        sys, center, [([0.0], [0.5], [0.0])] * 3)
+        sys, center, [SECTION32_CENTER] * 3, _scalar_dist)
     assert ratios == [0.0, 0.0, 0.0]
 
 
@@ -70,11 +74,7 @@ def test_probe_input_checks():
     sys = section32_system()
     off = PhiPoint.at(sys, [0.1], [0.5], [0.0])
     with pytest.raises(ValueError):
-        phi_subregularity_probe(sys, off, [])
-    other = example1_system()
-    center = PhiPoint.at(other, XBAR1, np.zeros(4), np.zeros(3))
-    with pytest.raises(ValueError):
-        phi_subregularity_probe(other, center, [])  # needs a dist callback
+        phi_subregularity_probe(sys, off, [], _scalar_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +145,10 @@ def _example3_problem():
     # qualification fails
     from conestab.constraint_system import example3_system
     sys = example3_system()
-    xbar = svec(np.diag([0.0, 1.0]))
-    vbar = svec(np.diag([-1.0, 0.0]))
-    lam = np.concatenate([vbar, np.zeros(3)])
-    problem = GEProblem(sys, F=lambda p, x: -vbar,
+    lam = np.concatenate([EXAMPLE3_VBAR, np.zeros(3)])
+    problem = GEProblem(sys, F=lambda p, x: -EXAMPLE3_VBAR,
                         Fprime=lambda base, dirn: np.zeros(3),
-                        pbar=np.zeros(3), xbar=xbar)
+                        pbar=np.zeros(3), xbar=EXAMPLE3_XBAR)
     return problem, lam
 
 
@@ -1173,10 +1171,8 @@ def _calm_verdicts(sys, x, v, lam):
 
 def test_mirror_invariance_example1():
     sys = example1_system()
-    lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
-    v_hat = np.array([-1.0, 0.0, -1.0])
     zero = _assert_mirror_invariant(sys, XBAR1, np.zeros(3), np.zeros(4))
-    hat = _assert_mirror_invariant(sys, XBAR1, v_hat, lam_hat)
+    hat = _assert_mirror_invariant(sys, XBAR1, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT)
     # srcq(0), srcq(vhat), nondegeneracy, strict complementarity at 0
     assert (zero[0], hat[0], zero[1], zero[2]) == \
         ("holds", "fails", "fails", "fails")

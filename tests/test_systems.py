@@ -6,7 +6,8 @@ import pytest
 from conestab._sets import Tol, DEFAULT_TOL
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from conestab.constraint_system import (
-    ConstraintSystem, BasePoint,
+    EXAMPLE1_XBAR as XBAR1, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT, EXAMPLE3_XBAR,
+    EXAMPLE3_VBAR, ConstraintSystem, BasePoint,
     example1_system, example3_system, section32_system,
     affine_system, quadratic_system,
     multiplier_solve, multiplier_verify,
@@ -15,8 +16,6 @@ from conestab.constraint_system import (
 )
 from conestab.jsonio import SchemaError, parse_cone, emit_cone, parse_problem
 from conestab.symmat import smat, svec
-
-XBAR1 = np.array([-1.0, -1.0, 0.0])
 
 
 def test_self_check_builtins():
@@ -102,8 +101,7 @@ def test_multiplier_example3_segment():
     # points verify and the search reports non-uniqueness with distinct
     # members
     sys = example3_system()
-    xbar = svec(np.diag([0.0, 1.0]))
-    vbar = svec(np.diag([-1.0, 0.0]))
+    xbar, vbar = EXAMPLE3_XBAR, EXAMPLE3_VBAR
     lam_a = np.concatenate([vbar, np.zeros(3)])
     lam_b = np.concatenate([np.zeros(3), vbar])
     point = BasePoint(sys, xbar)
@@ -225,9 +223,7 @@ def test_srcq_example1_both_verdicts():
     holds = srcq_check(BasePair(point, np.zeros(3), np.zeros(4)))
     assert holds.verdict == "holds"
     assert len(holds.checked) >= 3
-    lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
-    v_hat = np.array([-1.0, 0.0, -1.0])
-    fails = srcq_check(BasePair(point, v_hat, lam_hat))
+    fails = srcq_check(BasePair(point, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT))
     assert fails.verdict == "fails"
     w = fails.witness
     assert w is not None and np.linalg.norm(w) > 1e-6
@@ -237,10 +233,8 @@ def test_srcq_example1_both_verdicts():
 
 def test_srcq_homogeneous_in_target():
     point = BasePoint(example1_system(), XBAR1)
-    lam_hat = np.concatenate([svec(np.diag([-1.0, 0.0])), [0.0]])
-    v_hat = np.array([-1.0, 0.0, -1.0])
-    assert srcq_check(BasePair(point, 2 * v_hat,
-                               2 * lam_hat)).verdict == "fails"
+    assert srcq_check(BasePair(point, 2 * EXAMPLE2_VHAT,
+                               2 * EXAMPLE2_LAMHAT)).verdict == "fails"
     assert srcq_check(BasePair(point, np.zeros(3),
                                np.zeros(4))).verdict == "holds"
 
@@ -384,8 +378,7 @@ def test_span_normal_and_srcq_witnesses_on_every_primitive():
 
 def test_strict_complementarity_cases():
     sys3 = example3_system()
-    xbar = svec(np.diag([0.0, 1.0]))
-    vbar = svec(np.diag([-1.0, 0.0]))
+    xbar, vbar = EXAMPLE3_XBAR, EXAMPLE3_VBAR
     assert strict_complementarity_check(
         multiplier_solve(BasePoint(sys3, xbar), vbar)).verdict == "holds"
     sys1 = example1_system()

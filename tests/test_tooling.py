@@ -151,6 +151,17 @@ def test_cone_ladder_workload_runs_and_judges_correctly():
         assert ladder.judge(item, answer, ladder.run(item)).wrong == []
 
 
+def test_paper_repro_workload_runs_and_judges_correctly():
+    # the same for the paper-repro benchmark: each pinned scenario through
+    # the command line, so a renamed or missing scenario fails here first
+    wl = _bench_module("workloads")
+    repro = wl.PaperRepro()
+    pool = repro.build(3001)
+    assert len(pool) == 240
+    for item, answer in zip(pool, repro.referee(pool)):
+        assert repro.judge(item, answer, repro.run(item)).wrong == []
+
+
 def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
     from conestab import constraint_system
     from conestab.stability import example41_problem, \
@@ -406,8 +417,8 @@ def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
     # [J | Lin].  At example1's apex span N is the whole space, so there
     # J^T B is J^T itself and [J | Lin] is J
     from conestab.cone_core import ConeDesc, PSD, SOC
-    from conestab.constraint_system import BasePoint, affine_system, \
-        example1_system
+    from conestab.constraint_system import EXAMPLE1_XBAR, BasePoint, \
+        affine_system, example1_system
     from conestab.jsonio import emit_cone
     from conestab.symmat import svec
 
@@ -420,7 +431,7 @@ def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
     face = {"cone": emit_cone(K), "mapping": {"affine": {
         "A": A, "b": y - A @ x}}}
     cases = [(example1_system(), {"mapping": {"builtin": "example1"}},
-              np.array([-1.0, -1.0, 0.0]), np.zeros(3), "Dykstra search"),
+              EXAMPLE1_XBAR, np.zeros(3), "Dykstra search"),
              (affine_system(K, A, y - A @ x), face, x, A.T @ lam,
               "span-N solve")]
     svd, args = np.linalg.svd, []
@@ -729,11 +740,11 @@ def _old_strict_complementarity(sys, x, v):
 
 
 def _example3():
-    from conestab.constraint_system import example3_system
-    from conestab.symmat import svec
+    from conestab.constraint_system import EXAMPLE3_XBAR, EXAMPLE3_VBAR, \
+        example3_system
 
-    return (example3_system(), svec(np.diag([0.0, 1.0])),
-            svec(np.diag([-1.0, 0.0])), {"mapping": {"builtin": "example3"}})
+    return (example3_system(), EXAMPLE3_XBAR, EXAMPLE3_VBAR,
+            {"mapping": {"builtin": "example3"}})
 
 
 @pytest.mark.parametrize("case,srcq,uniqueness", [
