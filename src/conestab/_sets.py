@@ -58,6 +58,68 @@ def _norm(z):
     return math.sqrt(z @ z)
 
 
+# a residual within this many units in the last place of its terms is
+# rounding, not a defect
+_ROUNDING = 256 * np.finfo(float).eps
+
+
+def _ray_interval(alpha, beta):
+    """{t : alpha + t beta >= 0 in every entry} as (lo, hi), empty when
+    lo > hi; an entry with beta = 0 bounds nothing when alpha >= 0."""
+    alpha, beta = np.atleast_1d(alpha), np.atleast_1d(beta)
+    if np.any(alpha[beta == 0] < 0):
+        return math.inf, -math.inf
+    up, down = beta > 0, beta < 0
+    return (float(np.max(-alpha[up] / beta[up], initial=-math.inf)),
+            float(np.min(-alpha[down] / beta[down], initial=math.inf)))
+
+
+def _soc_interval(a, k):
+    """{t : a + t k in SOC} as (lo, hi), empty when lo > hi, for the
+    cone {z : z_0 >= ||zbar||} of a's dimension (1 is the half-line).
+
+    The cone is {z_0 >= 0, q >= 0}, q = z_0^2 - ||zbar||^2, and along
+    the line z_0 is linear and q quadratic in t (Alizadeh & Goldfarb,
+    Math. Program. 95, 2003), so the ends are among their roots and the
+    vertex of q.  Each piece between those points is tested at an inner
+    point, inside the cone by more than rounding; with none, a point
+    that meets it to rounding is the one-point set (so a line tangent
+    to the cone, whose chord the rounding of q can stretch to about
+    sqrt(eps), gives one point)."""
+    a0, k0, ab, kb = a[0], k[0], a[1:], k[1:]
+    A, B, C = k0 * k0 - kb @ kb, 2.0 * (a0 * k0 - ab @ kb), a0 * a0 - ab @ ab
+    pts = [-a0 / k0] if k0 else []
+    if A:
+        pts.append(-B / (2.0 * A))
+        disc = B * B - 4.0 * A * C
+        if disc > 0.0:  # the two roots without cancellation
+            s = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+            pts += [s / A, C / s]
+    elif B:
+        pts.append(-C / B)
+
+    def gap(t):
+        z = a + t * k
+        return _norm(z[1:]) - z[0]
+
+    def slack(t):  # the rounding of gap(t)
+        return _ROUNDING * (_norm(a) + abs(t) * _norm(k))
+
+    if not pts:  # k = 0: the line stays at a
+        return (-math.inf, math.inf) if gap(0.0) <= slack(0.0) else \
+            (math.inf, -math.inf)
+    pts.sort()
+    ends = [-math.inf, *pts, math.inf]
+    inner = [pts[0] - 1.0 - abs(pts[0]),
+             *((p + q) / 2.0 for p, q in zip(pts, pts[1:])),
+             pts[-1] + 1.0 + abs(pts[-1])]
+    inside = [i for i, t in enumerate(inner) if gap(t) < -slack(t)]
+    if inside:
+        return ends[inside[0]], ends[inside[-1] + 1]
+    t = min(pts, key=gap)
+    return (t, t) if gap(t) <= slack(t) else (math.inf, -math.inf)
+
+
 class ConvexSet:
     """Base class: closed convex set with distance-backed membership.
     Every coded and primitive set measures its distance in closed form;
@@ -103,6 +165,12 @@ class ConvexSet:
         """The dimension of that subspace."""
         return self.lineality_basis().shape[1]
 
+    def line_interval(self, a, k):
+        """{t : a + t k in the set} as (lo, hi), empty when lo > hi, for a
+        and k in the span of the cone (its equations hold on the whole
+        line); None where no closed form is written."""
+        return None
+
 
 class SignPattern(ConvexSet):
     """Coordinatewise constraints: 0 free, +1 nonneg, -1 nonpos, 2 zero."""
@@ -143,6 +211,9 @@ class SignPattern(ConvexSet):
 
     def lineality_dim(self):
         return int(np.count_nonzero(self.codes == self.FREE))
+
+    def line_interval(self, a, k):
+        return _ray_interval(self._sign * a, self._sign * k)
 
 
 _FREE, _NONNEG, _NONPOS, _ZERO = (SignPattern.FREE, SignPattern.NONNEG,
@@ -196,6 +267,10 @@ class UnitFrameSet(ConvexSet):
     def lineality_dim(self):
         return (self.along == _FREE) + \
             (self.dim - 1) * (self.across == _FREE)
+
+    def line_interval(self, a, k):
+        sign = {_NONNEG: 1.0, _NONPOS: -1.0}.get(self.along, 0.0)
+        return _ray_interval(sign * float(self.u @ a), sign * float(self.u @ k))
 
 
 def _unit(a):
@@ -277,6 +352,15 @@ class ProductSet(ConvexSet):
     def lineality_dim(self):
         return sum(s.lineality_dim() for s in self.sets)
 
+    def line_interval(self, a, k):
+        lo, hi = -math.inf, math.inf
+        for s, sl in zip(self.sets, self.slices):
+            piece = s.line_interval(a[sl], k[sl])
+            if piece is None:
+                return None
+            lo, hi = max(lo, piece[0]), min(hi, piece[1])
+        return lo, hi
+
 
 def _eig_clip(B):
     """Projection of the symmetric part of B onto the PSD matrices; the
@@ -284,6 +368,16 @@ def _eig_clip(B):
     B = 0.5 * (B + B.T)
     w, U = np.linalg.eigh(B)
     return (U * np.maximum(w, 0.0)) @ U.T
+
+
+def _psd_as_soc(M):
+    """The vector of SOC(1) or SOC(3) that is in the cone exactly when the
+    symmetric M of order 1 or 2 is positive semidefinite: M itself, or
+    ((p + s)/sqrt 2, (p - s)/sqrt 2, sqrt 2 r) for M = [[p, r], [r, s]]."""
+    if M.shape[0] == 1:
+        return M.ravel()
+    (p, r), (_, s) = M
+    return np.array([p + s, p - s, 2.0 * r]) / math.sqrt(2.0)
 
 
 class PSDBlockSet(ConvexSet):
@@ -372,6 +466,22 @@ class PSDBlockSet(ConvexSet):
                     cols.append(svec(self.U @ E @ self.U.T))
         return np.array(cols).T if cols else np.zeros((self.dim, 0))
 
+    def line_interval(self, a, k):
+        """Each semidefinite block of order 1 or 2 read as SOC(1) or
+        SOC(3) (`_psd_as_soc`); None with a block of order 3 or more."""
+        frames = [self.U.T @ smat(z) @ self.U for z in (a, k)]
+        lo, hi = -math.inf, math.inf
+        for (i, _), code in self.codes.items():
+            g = self.groups[i]
+            if code in (_FREE, _ZERO) or g.size == 0:
+                continue
+            if g.size > 2:
+                return None
+            piece = _soc_interval(*(code * _psd_as_soc(W[g[:, None], g])
+                                    for W in frames))
+            lo, hi = max(lo, piece[0]), min(hi, piece[1])
+        return lo, hi
+
     def lineality_dim(self):
         k = [g.size for g in self.groups]
         return sum(k[i] * (k[i] + 1) // 2 if i == j else k[i] * k[j]
@@ -394,11 +504,6 @@ class Farkas(NamedTuple):
     y: list
     bound: float
     cycle: int
-
-
-# a residual within this many units in the last place of its terms is
-# rounding, not a defect
-_ROUNDING = 256 * np.finfo(float).eps
 
 
 def _farkas_test(affine, ys, cycle):

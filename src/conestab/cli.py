@@ -54,6 +54,27 @@ def _cert_entry(name, cert):
     return d
 
 
+def _multiplier_entry(mres):
+    """The multiplier search as a report entry: lam (the last iterate when
+    none is found), the route and the residuals; on the fiber interval
+    route the line lam_p + t k, the interval (null for an infinite end)
+    and t; without a multiplier, the Farkas bound, cycle and h."""
+    entry = {"lam": mres.lam.tolist(), "route": mres.route,
+             "found": bool(mres.found), "residual": float(mres.residual),
+             "residual_affine": float(mres.residual_affine),
+             "residual_cone": float(mres.residual_cone)}
+    if mres.fiber is not None:
+        entry.update(lam_p=mres.fiber["lam_p"].tolist(),
+                     k=mres.fiber["k"].tolist(), t=float(mres.fiber["t"]),
+                     interval=[float(e) if np.isfinite(e) else None
+                               for e in mres.fiber["interval"]])
+    if mres.farkas is not None:
+        entry["farkas"] = {"bound": float(mres.farkas.bound),
+                           "cycle": int(mres.farkas.cycle),
+                           "h": mres.farkas.h.tolist()}
+    return entry
+
+
 def cmd_analyze(args):
     sysm = parse_problem(load_json(args.problem))
     pt = load_json(args.point)
@@ -87,7 +108,8 @@ def cmd_analyze(args):
     certs.append(_cert_entry("nondegeneracy", nd))
     lines.append(f"nondegeneracy: {nd.verdict}")
 
-    report = {"command": "analyze", "lines": lines, "certificates": certs}
+    report = {"command": "analyze", "lines": lines, "certificates": certs,
+              "multiplier": _multiplier_entry(mres)}
     _emit(report, args.report)
     return 0
 

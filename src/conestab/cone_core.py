@@ -38,7 +38,8 @@ import numpy as np
 
 from ._sets import (
     Tol, DEFAULT_TOL, ConvexSet, SignPattern, Halfspace, Hyperplane, Ray,
-    ProductSet, PSDBlockSet, _eig_clip, _norm, _FREE, _NONNEG, _ZERO,
+    ProductSet, PSDBlockSet, _eig_clip, _norm, _ray_interval, _soc_interval,
+    _FREE, _NONNEG, _ZERO,
 )
 from .symmat import svec, smat, svec_dim
 
@@ -149,6 +150,12 @@ class PrimitiveCone(ConvexSet):
     def project(self, z):
         return self._out(self._project(*self._in(z)))
 
+    def line_interval(self, a, k):
+        return self._line_interval(*self._in(a, k))
+
+    def _line_interval(self, a, k):
+        return None
+
     def dist(self, z):
         return self._dist(*self._in(z))
 
@@ -201,6 +208,8 @@ class Orthant(PrimitiveCone):
     def _dist(self, z):
         return _norm(np.minimum(z, 0.0))
 
+    _line_interval = staticmethod(_ray_interval)
+
     def _critical(self, p):
         active = np.abs(p.y) <= p.tol.zero * _zscale(p.y)
         lam_on = np.abs(p.lam) > p.tol.zero * _zscale(p.lam)
@@ -224,6 +233,9 @@ class _SubspaceCone(PrimitiveCone):
 
     def _critical(self, p):
         return self
+
+    def _line_interval(self, a, k):
+        return -math.inf, math.inf
 
 
 class Zero(_SubspaceCone):
@@ -277,6 +289,8 @@ class SOC(PrimitiveCone):
         if dim == 1:
             return Orthant(1, sign)
         return super().__new__(cls)
+
+    _line_interval = staticmethod(_soc_interval)
 
     def __getnewargs__(self):
         # pickle and copy call __new__ with these

@@ -85,6 +85,12 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
         # rank-deficient L
         u, s, _ = np.linalg.svd(L, full_matrices=False)
         Q = u[:, s > 1e-12 * max(1.0, s[0])]
+    return _span_cone_trivial(Q, C, tol)
+
+
+def _span_cone_trivial(Q, C, tol):
+    """The decision of `subspace_cone_trivial` for span(Q), Q with
+    orthonormal columns."""
     n, k = Q.shape
     if k == 0:
         return Certificate("holds", 0.0, None, "span(L) is {0}", tol)

@@ -16,10 +16,10 @@ import numpy as np
 
 from ._sets import (
     Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, SignPattern, dykstra,
-    _farkas_test, _norm,
+    _farkas_test, _norm, _ROUNDING,
 )
 from .cone_core import ConeDesc
-from .cone_geometry import subspace_cone_trivial
+from .cone_geometry import subspace_cone_trivial, _span_cone_trivial
 from .proj_deriv import GraphPoint, dnk_contains
 from .symmat import svec
 
@@ -235,8 +235,9 @@ class BasePoint:
     The constructor makes the one feasibility decision of the package.
     Every check at x reads g(x) (`gx`) and the Jacobian `J` from the
     point, and T_K(g(x)) (`tangent`), N_K(g(x)) = T_K(g(x))° (`normal`),
-    a basis of span N_K(g(x)) (`span_normal`) and the one rank decision
-    for J^T on it (`adjoint_on_span`), each built on first use.
+    a basis of span N_K(g(x)) (`span_normal`), the one rank decision
+    for J^T on it (`adjoint_on_span`) and the kernel it leaves
+    (`adjoint_kernel`), each built on first use.
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
@@ -272,6 +273,13 @@ class BasePoint:
         ker J^T ∩ span N."""
         u, s, vt = np.linalg.svd(self.J.T @ self.span_normal)
         return u, s, vt, int(np.sum(s > self.tol.zero * _norm(self.J)))
+
+    @cached_property
+    def adjoint_kernel(self):
+        """B vt[r:]^T, an orthonormal basis of ker J^T ∩ span N, from
+        `adjoint_on_span`."""
+        _, _, vt, r = self.adjoint_on_span
+        return self.span_normal @ vt[r:].T
 
 
 def _null_basis(M, tol):
@@ -359,12 +367,18 @@ class BasePair:
 @dataclass
 class MultiplierSolveResult:
     """Outcome of the multiplier search for v = grad g(x) lambda with
-    lambda in N_K(g(x)).  Unless `lam` is found (verified), `farkas` is
-    the search's certificate that none exists, or None when it stalled
-    and decided nothing.  With uniqueness, a found multiplier has its
-    verified base pair (`pair`) and strict Robinson certificate (`srcq`,
-    which decides uniqueness); `members` is `lam` and, when srcq fails,
-    a second verified multiplier if one was found.
+    lambda in N_K(g(x)).  `route` names the route that gave `lam`:
+    "span-N solve", "fiber interval" or "Dykstra search".  Unless `lam`
+    is found (verified), `farkas` is the Dykstra search's certificate
+    that none exists, or None when it stalled and decided nothing.  On
+    the fiber interval route, `fiber` holds the line lam_p + t k (`lam_p`,
+    `k`), the interval of t whose points are multipliers (`interval`, an
+    end infinite on a ray), the `t` of `lam` and the `t2` of the point
+    tried as a second member.  With uniqueness, a
+    found multiplier has its verified base pair (`pair`) and strict
+    Robinson certificate (`srcq`, which decides uniqueness); `members` is
+    `lam` and, when srcq fails, a second verified multiplier if one was
+    found.
     """
 
     lam: np.ndarray
@@ -376,51 +390,109 @@ class MultiplierSolveResult:
     members: list = field(default_factory=list)
     srcq: Certificate | None = None
     pair: BasePair | None = None
+    fiber: dict | None = None
 
     @property
     def residual(self):
         return max(self.residual_affine, self.residual_cone)
 
 
-def _span_normal_solve(point, v):
-    """The only possible multiplier when J^T B is injective, B the basis
-    of span N: B lstsq(J^T B, v), as any multiplier lies in span N and
-    solves J^T lam = v.  None when J^T B is not injective."""
+def _span_normal_point(point, v):
+    """B lstsq(J^T B, v), B the basis of span N: the least-squares point
+    of span N.  Every multiplier lies in span N and solves J^T lam = v,
+    so it is in this point plus span(`adjoint_kernel`)."""
     u, s, vt, r = point.adjoint_on_span
-    if r < vt.shape[0]:
+    return point.span_normal @ (vt[:r].T @ ((u[:, :r].T @ v) / s[:r]))
+
+
+def _interval_points(lo, hi):
+    """(t, t2): the t of the multiplier chosen from the interval [lo, hi],
+    its midpoint when bounded, one unit plus the size of the end away from
+    a single end, 0 on the whole line; and t2 halfway from t to an end."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        t = 0.5 * (lo + hi)
+    elif math.isfinite(lo):
+        t = lo + 1.0 + abs(lo)
+    elif math.isfinite(hi):
+        t = hi - 1.0 - abs(hi)
+    else:
+        return 0.0, 1.0
+    return t, 0.5 * (t + (lo if math.isfinite(lo) else hi))
+
+
+def _fiber_solve(point, lam_p, k):
+    """The fiber interval route on the line lam_p + t k of multiplier
+    candidates, k a unit vector: the interval of t is the intersection of
+    one closed-form interval per block of N_K(g(x)) (`line_interval`).
+    Its chosen point is in ri N_K(g(x)) whenever some multiplier is
+    (Rockafellar, Convex Analysis, Thm 6.5).  Ends that cross by rounding
+    stand for a one-point interval.  None when a block has no closed form
+    or the interval is empty."""
+    interval = point.normal.line_interval(lam_p, k)
+    if interval is None:
         return None
-    return point.span_normal @ (vt.T @ ((u[:, :r].T @ v) / s))
+    lo, hi = interval
+    if lo > hi:
+        if not lo - hi <= _ROUNDING * (_norm(lam_p) + abs(lo) + abs(hi)) \
+                < math.inf:
+            return None
+        lo = hi = 0.5 * (lo + hi)
+    t, t2 = _interval_points(lo, hi)
+    return {"lam_p": lam_p, "k": k, "interval": (lo, hi), "t": t, "t2": t2}
+
+
+def _dykstra_search(point, v):
+    """The Dykstra route: one run between the fiber {J^T lam = v} and
+    N_K(g(x)) from the least-squares seed, and one more from its last
+    iterate when it stalls without a certificate; (lam, info)."""
+    Jt = point.J.T
+    sets = AffineSet(Jt, v), point.normal
+    lam, info = dykstra(*sets, np.linalg.lstsq(Jt, v, rcond=None)[0],
+                        point.tol)
+    if info.stalled and info.farkas is None:
+        # a plateau stalls too; a run with fresh increments ends it
+        lam, info = dykstra(*sets, lam, point.tol)
+    return lam, info
 
 
 def multiplier_solve(point: BasePoint, v,
                      with_uniqueness=True) -> MultiplierSolveResult:
-    """Find lambda in N_K(g(x)) with grad g(x) lambda = v: the exact
-    solve over span N_K(g(x)) when it gives a verified multiplier (route
-    "span-N solve"), else a Dykstra run on the fiber and the normal cone
-    from the least-squares seed (route "Dykstra search"), run once more
-    from its last iterate when it stalls without a certificate.  With
-    `with_uniqueness`, a found multiplier gets its srcq certificate and,
-    when srcq fails, the first verified lam ± t w/||w|| (w its witness,
-    t = 1, 1/2, ..., 1/128) as a second member.  Raises ValueError when
-    v has the wrong shape or is not finite.
+    """Find lambda in N_K(g(x)) with grad g(x) lambda = v.  Every
+    multiplier is on lam_p + ker J^T ∩ span N, lam_p the least-squares
+    point of span N.  When J^T is injective on span N, lam_p is the only
+    candidate (route "span-N solve").  When ker J^T ∩ span N is a line
+    lam_p + t k, the multipliers are the t of one interval, written in
+    closed form block by block, and its chosen point is the candidate
+    (route "fiber interval", see `_fiber_solve`).  A candidate is
+    accepted when `_multiplier_residuals` accepts it.  Otherwise, or on a
+    wider kernel or a block without a closed form, a Dykstra run on the
+    fiber and the normal cone from the least-squares seed decides (route
+    "Dykstra search"), run once more from its last iterate when it
+    stalls without a certificate; "not found" needs its Farkas
+    certificate.  With `with_uniqueness`, a found multiplier gets its
+    srcq certificate and, when srcq fails, a second member: on the fiber
+    interval route the point halfway from lam to an end of the interval,
+    else the first verified lam ± t w/||w|| (w its witness, t = 1, 1/2,
+    ..., 1/128).  Raises ValueError when v has the wrong shape or is not
+    finite.
     """
-    tol = point.tol
     v = _shaped("v", v, point.sys.dim_x, "the system has dim_x")
     if not np.all(np.isfinite(v)):
         raise ValueError("v not finite: it has a NaN or infinite entry")
-    Jt = point.J.T
-    lam = _span_normal_solve(point, v)
-    route, farkas = "span-N solve", None
+    lam_p, K = _span_normal_point(point, v), point.adjoint_kernel
+    lam, route, farkas, fiber = None, "span-N solve", None, None
+    if K.shape[1] == 0:
+        lam = lam_p
+    elif K.shape[1] == 1:
+        fiber = _fiber_solve(point, lam_p, K[:, 0])
+        if fiber is not None:
+            lam, route = lam_p + fiber["t"] * fiber["k"], "fiber interval"
     resid = None if lam is None else _multiplier_residuals(point, v, lam)
     if resid is None or not resid[2]:
-        sets = AffineSet(Jt, v), point.normal
-        lam, info = dykstra(*sets, np.linalg.lstsq(Jt, v, rcond=None)[0], tol)
-        if info.stalled and info.farkas is None:
-            # a plateau stalls too; a run with fresh increments ends it
-            lam, info = dykstra(*sets, lam, tol)
-        route, farkas = "Dykstra search", info.farkas
+        lam, info = _dykstra_search(point, v)
+        route, farkas, fiber = "Dykstra search", info.farkas, None
         resid = _multiplier_residuals(point, v, lam)
-    res = MultiplierSolveResult(lam, *resid, route, farkas)
+    res = MultiplierSolveResult(lam, *resid, route, farkas, fiber=fiber)
     if not res.found:
         return res
     res.members.append(lam)
@@ -428,9 +500,13 @@ def multiplier_solve(point: BasePoint, v,
         res.pair = BasePair.of_verified(point, v, lam)
         res.srcq = srcq_check(res.pair)
         if res.srcq.verdict == "fails":
-            w = res.srcq.witness / _norm(res.srcq.witness)
-            steps = (lam + s * 0.5 ** i * w for i in range(8)
-                     for s in (1.0, -1.0))
+            if fiber is not None:
+                steps = [lam_p + fiber["t2"] * fiber["k"]] \
+                    if fiber["t2"] != fiber["t"] else []
+            else:
+                w = res.srcq.witness / _norm(res.srcq.witness)
+                steps = (lam + s * 0.5 ** i * w for i in range(8)
+                         for s in (1.0, -1.0))
             res.members.extend(islice(filter(
                 lambda lam2: multiplier_verify(point, v, lam2), steps), 1))
     return res
@@ -446,8 +522,9 @@ def srcq_check(pair: BasePair) -> Certificate:
     multiplier selection; all three readings are reported."""
     point = pair.point
     _, s, vt, r = point.adjoint_on_span
-    cert = subspace_cone_trivial(point.span_normal @ vt[r:].T,
-                                 pair.critical_polar, pair.tol)
+    # the kernel basis is orthonormal: no second factorization
+    cert = _span_cone_trivial(point.adjoint_kernel, pair.critical_polar,
+                              pair.tol)
     cert.details.update(
         adjoint_rank=r, span_normal_dim=vt.shape[0],
         sigma_min_kept=float(s[r - 1]) if r else None,
@@ -464,12 +541,13 @@ def nondegeneracy_check(point: BasePoint) -> Certificate:
     """Surjectivity of g'(x) onto Y modulo the lineality space Lin of
     T_K(g(x)), that is J^T injective on span N = Lin^perp: [J  Lin] has
     rank dim Y - dim span N + r, r the rank of `adjoint_on_span`.  The
-    `fails` witness is the unit vector B vt[r] of span N."""
+    `fails` witness is the unit vector B vt[r] of span N, the first
+    column of `adjoint_kernel`."""
     _, _, vt, r = point.adjoint_on_span
     m, k = point.sys.cone.dim, vt.shape[0]
     return Certificate(
         "holds" if r == k else "fails", float(k - r),
-        None if r == k else point.span_normal @ vt[r],
+        None if r == k else point.adjoint_kernel[:, 0],
         "rank of [Jacobian | tangent-lineality] against dim Y",
         point.tol, details={"rank": m - k + r, "dim_y": m})
 

@@ -1,5 +1,6 @@
 """Shared fixtures: a seeded mixed-cone affine system with a planted
-multiplier, and `conestab analyze --report json` run in-process."""
+multiplier, a system whose multiplier search takes the Dykstra route,
+and `conestab analyze --report json` run in-process."""
 
 import json
 
@@ -52,6 +53,33 @@ def planted():
         problem = {"cone": emit_cone(cone),
                    "mapping": {"affine": {"A": A.tolist(), "b": b.tolist()}}}
         return affine_system(cone, A, b), x, A.T @ lam, lam, problem
+    return make
+
+
+@pytest.fixture
+def wide_fiber():
+    """Factory (ri) -> (sys, x, v, lam, problem object) like `planted`'s.
+
+    R^2_+ x R^2_+ at its apex 0 with dim_x = 2, so ker J^T ∩ span N is a
+    plane: the multiplier search takes the Dykstra route, whose
+    multiplier is not relative-interior and at which srcq fails, and
+    span(P J U_v) is a line.  With `ri` the planted multiplier is
+    relative-interior; without it every multiplier has lam_1 = 0, and
+    the strict-complementarity alternative fails with u = e_1."""
+    def make(ri):
+        if ri:
+            A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                          [0.0, -1.0]]) / np.sqrt(2.0)
+            lam = np.array([-1.0, -2.0, -1.0, -1.0])
+        else:
+            A = np.array([[1.0, 0.3], [0.0, 1.0], [0.0, -0.5], [0.0, 0.8]])
+            lam = np.array([0.0, -1.0, -1.0, -1.0])
+        cone = ConeDesc([Orthant(2), Orthant(2)])
+        x = np.array([0.4, -0.7])
+        problem = {"cone": emit_cone(cone),
+                   "mapping": {"affine": {"A": A.tolist(),
+                                          "b": (-A @ x).tolist()}}}
+        return affine_system(cone, A, -A @ x), x, A.T @ lam, lam, problem
     return make
 
 

@@ -95,6 +95,73 @@ def test_analyze_json_is_one_line(planted, tmp_path, capsys, monkeypatch):
     _one_json_line(capsys.readouterr().out, reports[-1])
 
 
+def _in_normal_cone(cone, y, lam, tol=1e-8):
+    """lam in N_K(y) = {lam in K° : <lam, y> = 0}, the polar of each
+    block of K read from its type and sign: the orthant, second-order and
+    PSD cones are self-dual, so the polar of the sign-s cone is the
+    sign -s cone."""
+    scale = 1.0 + np.linalg.norm(lam) + np.linalg.norm(y)
+    if abs(float(lam @ y)) > tol * scale:
+        return False
+    for block, sl in zip(cone.blocks, cone.slices):
+        z = -block.sign * lam[sl]
+        kind = type(block).__name__
+        if kind == "PSD":
+            worst = np.linalg.eigvalsh(smat(z)).min()
+        elif kind == "SOC":
+            worst = z[0] - np.linalg.norm(z[1:])
+        else:
+            worst = z.min()
+        if worst < -tol * scale:
+            return False
+    return True
+
+
+def test_analyze_json_multiplier_entry_rechecks(planted, analyze):
+    # the report's multiplier entry alone re-verifies its multiplier:
+    # J lam = v and lam in N_K(g(x)); on the fiber interval route lam is
+    # lam_p + t k with t in the interval, and without a multiplier the
+    # entry carries the bound and cycle of the Farkas certificate
+    from conestab.constraint_system import EXAMPLE1_XBAR
+
+    for srcq_holds, route in ((True, "span-N solve"),
+                              (False, "fiber interval")):
+        sys, x, v, _, problem = planted(3, srcq_holds)
+        rc, report = analyze(problem, {"x": x, "v": v})
+        assert rc == 0
+        entry = report["multiplier"]
+        assert entry["route"] == route and entry["found"]
+        lam = np.array(entry["lam"])
+        J = np.array(problem["mapping"]["affine"]["A"])
+        b = np.array(problem["mapping"]["affine"]["b"])
+        assert np.linalg.norm(J.T @ lam - v) <= 1e-8 * (
+            1 + np.linalg.norm(lam) + np.linalg.norm(v))
+        assert entry["residual"] <= 1e-8 * (
+            1 + np.linalg.norm(lam) + np.linalg.norm(v))
+        assert _in_normal_cone(sys.cone, J @ x + b, lam)
+        if route == "fiber interval":
+            lam_p, k = np.array(entry["lam_p"]), np.array(entry["k"])
+            lo, hi = (end if end is not None else side * np.inf
+                      for end, side in zip(entry["interval"], (-1, 1)))
+            assert lo < entry["t"] < hi
+            assert np.allclose(lam_p + entry["t"] * k, lam, atol=1e-12)
+            assert abs(np.linalg.norm(k) - 1.0) <= 1e-12
+            assert np.linalg.norm(J.T @ k) <= 1e-10
+        else:
+            assert "lam_p" not in entry and "farkas" not in entry
+    rc, report = analyze({"mapping": {"builtin": "example1"}},
+                         {"x": EXAMPLE1_XBAR, "v": [1.0, 1.0, 3.0]})
+    assert rc == 0
+    entry = report["multiplier"]
+    assert not entry["found"] and entry["route"] == "Dykstra search"
+    farkas = entry["farkas"]
+    line = next(l for l in report["lines"] if l.startswith("multiplier:"))
+    assert line.startswith("multiplier: not found (certified: residual >= "
+                           f"{farkas['bound']:.3e} at cycle "
+                           f"{farkas['cycle']})")
+    assert farkas["bound"] > 0 and len(farkas["h"]) == 3
+
+
 def test_repro_unknown_scenario(capsys):
     assert main(["repro", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

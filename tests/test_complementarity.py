@@ -172,11 +172,11 @@ def _verdict(sys, x, v):
         multiplier_solve(BasePoint(sys, x), v)).verdict
 
 
-def _cases(planted):
+def _cases(planted, wide_fiber):
     """(label, sys, x, v): planted problems with the planted
     relative-interior multiplier and with one and two blocks of it
-    zeroed, srcq holding and failing, plus example1, example3 and one
-    large adjoint kernel.  When
+    zeroed, srcq holding and failing, plus example1, example3, the two
+    wide fibers and one large adjoint kernel.  When
     srcq fails, the adjoint kernel is a line of block-wise multiples of
     the planted multiplier, so it restores one zeroed block and two
     exactly when their multiples have one sign."""
@@ -193,6 +193,10 @@ def _cases(planted):
     yield "example1 v=0", sys1, XBAR1, np.zeros(3)
     yield "example1 vhat", sys1, XBAR1, EXAMPLE2_VHAT
     yield "example3", example3_system(), EXAMPLE3_XBAR, EXAMPLE3_VBAR
+    # planes of multipliers: the alternative runs on a line span(P J U_v)
+    for ri in (True, False):
+        sys, x, v, _, _ = wide_fiber(ri)
+        yield f"wide fiber (ri={ri})", sys, x, v
     # a nine-dimensional adjoint kernel whose searched multiplier is not
     # relative-interior: span(P J U_v) has rank 3, so the alternative
     # holds by its slices
@@ -200,9 +204,9 @@ def _cases(planted):
     yield "large kernel 2", sys, x, v
 
 
-def test_strict_complementarity_referee(planted):
+def test_strict_complementarity_referee(planted, wide_fiber):
     seen = {}
-    for label, sys, x, v in _cases(planted):
+    for label, sys, x, v in _cases(planted, wide_fiber):
         res = multiplier_solve(BasePoint(sys, x), v)
         cert = strict_complementarity_check(res)
         assert cert.verdict in ("holds", "fails"), label

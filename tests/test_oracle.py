@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conestab.cone_core import ConeDesc, Orthant, SOC, PSD
+from conestab.cone_core import ConeDesc, SOC, PSD
 from conestab.oracle import (
     fd_proj_deriv, _richardson, _dd_cone,
     polyhedral_trivial_exact, ngamma_graph_residual,
 )
 from conestab.constraint_system import example1_system
 from conestab.proj_deriv import GraphPoint, proj_dir_deriv
-from conestab.symmat import svec
 
 
 def test_graph_sample_invariants():

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from conestab._sets import Tol, DEFAULT_TOL
+from conestab._sets import DEFAULT_TOL
 from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Zero, Free
 from conestab.constraint_system import (
     EXAMPLE1_XBAR as XBAR1, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT, EXAMPLE3_XBAR,
@@ -192,8 +190,10 @@ def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
     # the reference is one Dykstra run from the least-squares seed, made
     # here and not through multiplier_solve.  With a unique multiplier
     # (srcq holds) the exact span-N route must land on it and on the
-    # planted multiplier; on a segment the search is that same run, and
-    # lam is its point and the first member
+    # planted multiplier; on a segment the fiber interval route holds
+    # the reference point on its line lam_p + t k with t in its
+    # interval, and lam is the interval's chosen point and the first
+    # member
     from conestab import _sets
 
     for seed in range(20):
@@ -211,9 +211,13 @@ def test_multiplier_solve_matches_a_direct_dykstra_reference(planted,
             assert np.linalg.norm(res.lam - lam) <= \
                 1e-8 * (1.0 + np.linalg.norm(lam)), seed
         else:
-            assert res.route == "Dykstra search" and len(res.members) > 1
+            assert res.route == "fiber interval" and len(res.members) > 1
             assert res.members[0] is res.lam
-            got = res.lam
+            lam_p, k, (lo, hi) = (res.fiber[key] for key in
+                                  ("lam_p", "k", "interval"))
+            t = float(k @ (ref - lam_p))
+            assert lo - 1e-6 * scale <= t <= hi + 1e-6 * scale, seed
+            got = lam_p + t * k
         assert np.linalg.norm(got - ref) <= 1e-6 * scale, seed
 
 

@@ -24,10 +24,12 @@ def test_package_has_no_assert_statements():
 
 def test_package_has_no_unused_imports():
     # a name imported and never read is dead code that hides what a module
-    # depends on; __init__.py imports only to re-export
+    # depends on; __init__.py imports only to re-export.  The test modules
+    # are held to the same rule
     pkg = pathlib.Path(conestab.__file__).parent
     found = []
-    for path in sorted(pkg.glob("*.py")):
+    for path in sorted(pkg.glob("*.py")) + \
+            sorted(pathlib.Path(__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -241,11 +243,12 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
 
 
 def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
-                                             analyze):
+                                             wide_fiber, analyze):
     # multiplier_solve wraps the multiplier that its residual test has
     # just accepted into the pair without testing it again;
-    # multiplier_verify runs only on the steps along a failing srcq
-    # witness, and the last step it tries is the second member
+    # multiplier_verify runs only on a second member when srcq fails: on
+    # the one point of the fiber interval it tries, or on the steps along
+    # the srcq witness, the last of which is the second member
     from conestab import constraint_system
 
     calls = {"residuals": 0, "verify": []}
@@ -264,18 +267,19 @@ def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
                         counted_residuals)
     monkeypatch.setattr(constraint_system, "multiplier_verify",
                         counted_verify)
-    for srcq_holds, route in ((True, "span-N solve"),
-                              (False, "Dykstra search")):
+    for (_, x, v, _, problem), route in (
+            (planted(3, True), "span-N solve"),
+            (planted(3, False), "fiber interval"),
+            (wide_fiber(True), "Dykstra search")):
         calls.update(residuals=0, verify=[])
-        _, x, v, _, problem = planted(3, srcq_holds)
         rc, report = analyze(problem, {"x": x, "v": v})
         assert rc == 0
         line = next(l for l in report["lines"] if l.startswith("multiplier:"))
         assert line.endswith(f"route={route}"), line
         steps = calls["verify"]
         assert calls["residuals"] == 1 + len(steps)
-        assert steps == ([] if srcq_holds else [False] * (len(steps) - 1)
-                         + [True])
+        assert steps == {"span-N solve": [], "fiber interval": [True]}.get(
+            route, [False] * (len(steps) - 1) + [True])
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
@@ -360,15 +364,16 @@ def test_only_the_base_class_writes_polar_negate_and_pointed():
 
 
 def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
-                                                     planted, analyze):
+                                                     planted, wide_fiber,
+                                                     analyze):
     # kkt_lp solves no branch LP: the equality rows pin the one face of
     # its nondegenerate instance to 0 and leave the one face of its
     # degenerate instance a line, cut to a ray by a sign row, and its
     # pairs, like example41's, are settled by their verified multiplier
-    # hints alone.  example1 makes one multiplier search;
-    # example3 one search, and its srcq reads the line
-    # ker J^T ∩ span N_K(g(x)) without a slice; a multiplier set that is
-    # a segment costs analyze one search
+    # hints alone.  example1 and example3 read their multipliers from
+    # the interval of the line ker J^T ∩ span N_K(g(x)), and srcq reads
+    # that line without a slice; a multiplier set that is a segment
+    # costs analyze no search, and one that is a polygon one search
     import scipy.optimize
     from conestab import (_sets, cli, cone_geometry, constraint_system,
                           stability)
@@ -395,7 +400,7 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
     assert calls == {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
     example41_problem()
     assert calls == {"linprog": 0, "dykstra": 0, "multiplier_solve": 0}
-    for name, n in (("example1", 1), ("example3", 1)):
+    for name, n in (("example1", 0), ("example3", 0)):
         calls["dykstra"] = 0
         assert cli.main(["repro", name]) == 0
         capsys.readouterr()
@@ -403,19 +408,21 @@ def test_paper_repro_lp_and_dykstra_counts_are_fixed(monkeypatch, capsys,
     calls["search"] = 0
     monkeypatch.setattr(constraint_system, "dykstra",
                         counting("search", _sets.dykstra))
-    for seed in (3, 5):
-        _, x, v, _, problem = planted(seed, srcq_holds=False)
+    for (_, x, v, _, problem), n in ((planted(3, False), 0),
+                                     (planted(5, False), 0),
+                                     (wide_fiber(True), 1)):
         assert analyze(problem, {"x": x, "v": v})[0] == 0
-        assert calls["search"] == 1, seed
+        assert calls["search"] == n
         calls["search"] = 0
 
 
 def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
                                                        analyze):
     # the multiplier route, srcq and nondegeneracy read one SVD of J^T B,
-    # B the basis of span N_K(g(x)); none is taken of J^T alone or of
-    # [J | Lin].  At example1's apex span N is the whole space, so there
-    # J^T B is J^T itself and [J | Lin] is J
+    # B the basis of span N_K(g(x)); none is taken of J^T alone, of
+    # [J | Lin] or of srcq's orthonormal basis B vt[r:]^T of
+    # ker J^T ∩ span N.  At example1's apex span N is the whole space,
+    # so there J^T B is J^T itself and [J | Lin] is J
     from conestab.cone_core import ConeDesc, PSD, SOC
     from conestab.constraint_system import EXAMPLE1_XBAR, BasePoint, \
         affine_system, example1_system
@@ -431,7 +438,7 @@ def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
     face = {"cone": emit_cone(K), "mapping": {"affine": {
         "A": A, "b": y - A @ x}}}
     cases = [(example1_system(), {"mapping": {"builtin": "example1"}},
-              EXAMPLE1_XBAR, np.zeros(3), "Dykstra search"),
+              EXAMPLE1_XBAR, np.zeros(3), "fiber interval"),
              (affine_system(K, A, y - A @ x), face, x, A.T @ lam,
               "span-N solve")]
     svd, args = np.linalg.svd, []
@@ -444,6 +451,7 @@ def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
         point = BasePoint(system, x)
         J, B = point.J, point.span_normal
         JLin = np.hstack([J, point.tangent.lineality_basis()])
+        kernel = point.adjoint_kernel
         del args[:]
         monkeypatch.setattr(np.linalg, "svd", spy)
         rc, report = analyze(problem, {"x": x, "v": v})
@@ -459,6 +467,7 @@ def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
         if not np.array_equal(B, np.eye(J.shape[0])):
             assert taken(J.T) == 0
         assert taken(JLin) == 0
+        assert taken(kernel) == 0
 
 
 def test_isolated_calm_certificate_runs_no_fiber_solve(monkeypatch):
@@ -495,7 +504,10 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
                                                analyze):
     from conestab import cli, constraint_system
 
-    calls = {"multiplier_solve": 0, "subspace_cone_trivial": 0}
+    # srcq's decision is the only one: its basis is orthonormal, so it
+    # enters after the factorization of subspace_cone_trivial
+    calls = {"multiplier_solve": 0, "subspace_cone_trivial": 0,
+             "_span_cone_trivial": 0}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -507,43 +519,48 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
 
     for module, name in ((cli, "multiplier_solve"),
                          (constraint_system, "multiplier_solve"),
-                         (constraint_system, "subspace_cone_trivial")):
+                         (constraint_system, "subspace_cone_trivial"),
+                         (constraint_system, "_span_cone_trivial")):
         monkeypatch.setattr(module, name, counting(module, name))
     _, x, v, _, problem = planted(3, srcq_holds=True)
     rc, report = analyze(problem, {"x": x, "v": v})
     assert rc == 0
     assert [c["name"] for c in report["certificates"]] == \
         ["srcq", "strict_complementarity", "nondegeneracy"]
-    assert calls == {"multiplier_solve": 1, "subspace_cone_trivial": 1}
+    assert calls == {"multiplier_solve": 1, "subspace_cone_trivial": 0,
+                     "_span_cone_trivial": 1}
 
 
-def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted, analyze,
-                                             capsys):
+def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted,
+                                             wide_fiber, analyze, capsys):
     # the adjoint kernel of the planted problems and of example41 is a
     # line, so every srcq decision takes the two-projection route; so
     # does the strict-complementarity alternative, the third decision,
-    # run when the searched multiplier of planted(3, False) is not
+    # run when the searched multiplier of a wide fiber is not
     # relative-interior: span(P J U_v) is a line, and T ∩ (lin T)^perp
     # is read from T's codes
     from conestab import cli, cone_geometry, constraint_system
 
     calls = {"dykstra": 0}
-    runs = []  # (alternative, Dykstra calls) per decision
-    decide, dykstra = constraint_system.subspace_cone_trivial, \
-        cone_geometry.dykstra
+    runs = []  # (decision, Dykstra calls) per decision
+    dykstra = cone_geometry.dykstra
 
-    def counted_decide(L, C, *args, **kwargs):
-        before = calls["dykstra"]
-        cert = decide(L, C, *args, **kwargs)
-        runs.append((len(runs) == 2, calls["dykstra"] - before))
-        return cert
+    def counting(name):
+        decide = getattr(constraint_system, name)
+
+        def counted_decide(L, C, *args, **kwargs):
+            before = calls["dykstra"]
+            cert = decide(L, C, *args, **kwargs)
+            runs.append((name, calls["dykstra"] - before))
+            return cert
+        return counted_decide
 
     def counted_dykstra(*args, **kwargs):
         calls["dykstra"] += 1
         return dykstra(*args, **kwargs)
 
-    monkeypatch.setattr(constraint_system, "subspace_cone_trivial",
-                        counted_decide)
+    for name in ("_span_cone_trivial", "subspace_cone_trivial"):
+        monkeypatch.setattr(constraint_system, name, counting(name))
     monkeypatch.setattr(cone_geometry, "dykstra", counted_dykstra)
     for srcq_holds in (True, False):
         _, x, v, _, problem = planted(3, srcq_holds)
@@ -551,12 +568,15 @@ def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted, analyze,
         assert rc == 0
         assert report["certificates"][0]["verdict"] == \
             ("holds" if srcq_holds else "fails")
+    assert runs == [("_span_cone_trivial", 0)] * 2
+    _, x, v, _, problem = wide_fiber(True)
+    rc, report = analyze(problem, {"x": x, "v": v})
     assert report["certificates"][1]["method"].startswith("alternative")
-    assert runs == [(False, 0), (False, 0), (True, 0)]
+    assert runs[-1] == ("subspace_cone_trivial", 0)
     del runs[:]
     assert cli.main(["repro", "example41"]) == 0
     capsys.readouterr()
-    assert runs == [(False, 0)] * 2
+    assert runs == [("_span_cone_trivial", 0)] * 2
 
 
 def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
@@ -606,10 +626,12 @@ RI_METHOD = "relative-interior test of the multiplier of the {route}"
 
 
 def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
-                                                       analyze):
+                                                       wide_fiber, analyze):
     # an adjoint injective on span N_K(g(x)) leaves one candidate, solved
-    # exactly; a kernel line inside that span costs one Dykstra search,
-    # and the step along the srcq witness gives the second member
+    # exactly; a kernel line inside that span is solved by its interval,
+    # whose chosen point is relative-interior and whose point halfway to
+    # an end is the second member; a kernel plane costs one Dykstra
+    # search, and the step along the srcq witness gives the second member
     from conestab import constraint_system
 
     calls = []
@@ -620,13 +642,13 @@ def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
         return dykstra(*args, **kwargs)
 
     monkeypatch.setattr(constraint_system, "dykstra", counted)
-    for seed, srcq_holds, n_calls, members, route, method in (
-            (3, True, 0, 1, "span-N solve", RI_METHOD),
-            (7, True, 0, 1, "span-N solve", RI_METHOD),
-            (3, False, 1, 2, "Dykstra search", "alternative: "),
-            (5, False, 1, 2, "Dykstra search", RI_METHOD)):
+    for (_, x, v, _, problem), n_calls, members, route, method in (
+            (planted(3, True), 0, 1, "span-N solve", RI_METHOD),
+            (planted(7, True), 0, 1, "span-N solve", RI_METHOD),
+            (planted(3, False), 0, 2, "fiber interval", RI_METHOD),
+            (planted(5, False), 0, 2, "fiber interval", RI_METHOD),
+            (wide_fiber(True), 1, 2, "Dykstra search", "alternative: ")):
         del calls[:]
-        _, x, v, _, problem = planted(seed, srcq_holds)
         rc, report = analyze(problem, {"x": x, "v": v})
         assert rc == 0
         line = next(l for l in report["lines"]
@@ -636,7 +658,7 @@ def test_unique_multipliers_are_solved_without_dykstra(monkeypatch, planted,
         st = next(c for c in report["certificates"]
                   if c["name"] == "strict_complementarity")
         assert st["method"].startswith(method.format(route=route))
-        assert len(calls) == n_calls, (seed, srcq_holds)
+        assert len(calls) == n_calls, route
 
 
 def test_qualify_pinned_instances_find_the_planted_multiplier():
@@ -665,13 +687,15 @@ def test_qualify_pinned_instances_find_the_planted_multiplier():
 
 def test_qualify_plateau_is_searched_again(monkeypatch, tmp_path):
     # a conditioned qualify request (seed 5006) over R^4_+ x {0} at its
-    # apex: Dykstra from the least-squares seed holds its residual at
-    # 0.0136 past cycle 100 while the increments cancel, so the stall
-    # detector ends the run; the run from that iterate converges.  The
-    # verdicts are the referee's
+    # apex: the Dykstra route, called on the request's fiber and normal
+    # cone, holds its residual at 0.0136 past cycle 100 from the
+    # least-squares seed while the increments cancel, so the stall
+    # detector ends the run; the run from that iterate converges to a
+    # multiplier.  multiplier_solve itself reads the request's kernel
+    # line in closed form.  The verdicts are the referee's
     from conestab import constraint_system
     from conestab.constraint_system import (
-        BasePoint, affine_system, multiplier_solve,
+        BasePoint, affine_system, multiplier_solve, multiplier_verify,
         strict_complementarity_check)
 
     infos = []
@@ -688,11 +712,14 @@ def test_qualify_plateau_is_searched_again(monkeypatch, tmp_path):
     item = qualify.build(5006)[338]
     assert item["blocks"] == [("orthant", 4, 1), ("zero", 1, 1)]
     sys = affine_system(wl.make_cone(item["blocks"]), item["A"], item["b"])
-    res = multiplier_solve(BasePoint(sys, item["x"]), item["v"])
-    assert res.found and res.route == "Dykstra search"
+    point = BasePoint(sys, item["x"])
+    lam, info = constraint_system._dykstra_search(point, item["v"])
     assert [(i.cycles, i.stalled, i.farkas) for i in infos[:1]] == \
         [(100, True, None)]
-    assert len(infos) == 2 and infos[1].converged
+    assert len(infos) == 2 and infos[1].converged and info is infos[1]
+    assert multiplier_verify(point, item["v"], lam)
+    res = multiplier_solve(point, item["v"])
+    assert res.found and res.route == "fiber interval" and len(infos) == 2
     assert res.srcq.verdict == qualify.referee([item])[0]["srcq"]
     assert strict_complementarity_check(res).verdict == "holds"
 
