@@ -364,7 +364,11 @@ class ProductSet(ConvexSet):
 
 def _eig_clip(B):
     """Projection of the symmetric part of B onto the PSD matrices; the
-    NSD projection is its mirror, -_eig_clip(-B)."""
+    NSD projection is its mirror, -_eig_clip(-B).  A block of order 1 is
+    read in closed form, max(b, 0): LAPACK's eigenpair of [[b]] is
+    (b, 1), so this is its result bit for bit."""
+    if B.shape[0] == 1:
+        return np.maximum(B, 0.0)
     B = 0.5 * (B + B.T)
     w, U = np.linalg.eigh(B)
     return (U * np.maximum(w, 0.0)) @ U.T
@@ -435,13 +439,21 @@ class PSDBlockSet(ConvexSet):
         return mask
 
     def dist(self, z):
+        """The Frobenius mass the projection drops.  A semidefinite block
+        of order 1 is read in closed form, min(b, 0)^2 for its entry b:
+        LAPACK's eigenvalue of [[b]] is b, so the sum is the same bit for
+        bit."""
         W = z if np.ndim(z) == 2 else self.U.T @ smat(z) @ self.U
         d2 = float(np.sum(W[self._dropped] ** 2))
         for block, _, code in self._ops:
             if code != _FREE:  # the eigenvalues its projection drops
                 B = W[block] if code == _NONNEG else -W[block]
-                w = np.minimum(np.linalg.eigvalsh(B), 0.0)
-                d2 += float(w @ w)
+                if B.shape[0] == 1:
+                    w = min(float(B[0, 0]), 0.0)
+                    d2 += w * w
+                else:
+                    w = np.minimum(np.linalg.eigvalsh(B), 0.0)
+                    d2 += float(w @ w)
         return math.sqrt(d2)
 
     def _recoded(self, table):

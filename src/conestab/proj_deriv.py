@@ -20,6 +20,8 @@ data for its one call.
 """
 
 from functools import cached_property
+import math
+
 import numpy as np
 
 from ._sets import Tol, DEFAULT_TOL, Certificate, _ROUNDING, _norm
@@ -102,13 +104,19 @@ def _require_finite(message, *vs):
         raise ValueError(message)
 
 
+def _require_shape(K, *vs):
+    for v in vs:
+        if v.shape != (K.dim,):
+            raise ValueError(f"dimension mismatch: shape {v.shape}, "
+                             f"expected ({K.dim},)")
+
+
 def proj_dir_deriv(K: ConeDesc, z: AmbientVec, h: AmbientVec,
                    tol: Tol = DEFAULT_TOL) -> AmbientVec:
     """Directional derivative of the projection onto K at z in direction h."""
     z = np.asarray(z, float)
     h = np.asarray(h, float)
-    if z.size != K.dim or h.size != K.dim:
-        raise ValueError("dimension mismatch")
+    _require_shape(K, z, h)
     _require_finite("non-finite input", z, h)
     return K.dir_deriv(ConePoint(K, z, tol), h)
 
@@ -132,25 +140,27 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     tol = gp.tol
     dy = np.asarray(dy, float)
     dl = np.asarray(dl, float)
-    _require_finite("non-finite input", dy + dl)
+    _require_shape(K, dy, dl)
     ny, nl = _norm(dy), _norm(dl)
+    if not math.isfinite(ny + nl):  # a non-finite entry, or an overflow
+        _require_finite("non-finite input", dy, dl)
     thresh = tol.membership * (1.0 + ny + nl)
 
     # the blocks' terms, with dy and dl rotated once into each frame
-    parts = [(b, q, b.frame(q, y), b.frame(q, l)) for b, q, y, l
-             in zip(K.blocks, gp.blocks, K.split(dy), K.split(dl))]
-    res_a = _norm([_norm(fy - b.dir_deriv(q, fy + fl))
-                   for b, q, fy, fl in parts])
+    parts = [(b, q, b.frame(q, dy[sl]), b.frame(q, dl[sl])) for b, q, sl
+             in zip(K.blocks, gp.blocks, K.slices)]
+    res_a = math.hypot(*(_norm(fy - b.dir_deriv(q, fy + fl))
+                         for b, q, fy, fl in parts))
     holds_a = res_a <= thresh
 
-    res1 = _norm([C.dist(fy) for C, (_, _, fy, _)
-                  in zip(gp.critical.sets, parts)])
+    res1 = math.hypot(*(C.dist(fy) for C, (_, _, fy, _)
+                        in zip(gp.critical.sets, parts)))
     details = {"route_a_residual": res_a, "critical_dist": res1}
     if res1 <= thresh:
         # r = dl - grad Upsilon(dy)/2: sum <dy, r> = <dy, dl> - Upsilon(dy)
         rs = [fl - 0.5 * b.upsilon_grad(q, fy) for b, q, fy, fl in parts]
-        res2 = _norm([Cp.dist(r) for Cp, r
-                      in zip(gp.critical_polar.sets, rs)])
+        res2 = math.hypot(*(Cp.dist(r) for Cp, r
+                            in zip(gp.critical_polar.sets, rs)))
         pairing = sum(float(np.vdot(part[2], r)) for part, r in zip(parts, rs))
         res3 = abs(pairing) / (1.0 + ny * nl)
         res_b = max(res1, res2, res3)

@@ -66,41 +66,50 @@ def _split_counts(calls, Z, Y):
 
 @pytest.mark.parametrize("build", ["constructor", "from_z"])
 def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
-    # PSD(4) at z = Q diag(2, 1, 0, -1.5) Q^T: y of rank 2, lam != 0 of
-    # rank 1 and a zero eigenvalue, so Upsilon is curved and beta is not
-    # empty; 50 calls of dnk_contains, upsilon and upsilon_grad
+    # PSD(4) at z = Q diag(2, 1, 0, -1.5) Q^T (y of rank 2) and at
+    # z = Q diag(2, 0, 0, -1.5) Q^T (y of rank 1): lam != 0 of rank 1 and
+    # a beta block of order 1 or 2, so Upsilon is curved; 50 calls of
+    # dnk_contains, upsilon and upsilon_grad at each point
     rng = np.random.default_rng(41)
     K = ConeDesc([PSD(4)])
-    Q = _rotation(rng, 4)
-    z = svec((Q * np.array([2.0, 1.0, 0.0, -1.5])) @ Q.T)
-    y = K.project(z)
     calls = _counting_eigh(monkeypatch)
-    gp = GraphPoint(K, y, z - y) if build == "constructor" \
-        else GraphPoint.from_z(K, z)
-    for i in range(50):
-        h = rng.standard_normal(K.dim)
-        if i % 3 == 0:
-            dy = K.dir_deriv(gp, h)
-            assert dnk_contains(K, gp, dy, h - dy).verdict == "holds"
-        elif i % 3 == 1:
-            assert K.upsilon(gp, gp.critical.project(h)) > 0.0
+    for ev, beta in (([2.0, 1.0, 0.0, -1.5], 1), ([2.0, 0.0, 0.0, -1.5], 2)):
+        Q = _rotation(rng, 4)
+        z = svec((Q * np.array(ev)) @ Q.T)
+        y = K.project(z)
+        calls.clear()
+        gp = GraphPoint(K, y, z - y) if build == "constructor" \
+            else GraphPoint.from_z(K, z)
+        for i in range(50):
+            h = rng.standard_normal(K.dim)
+            if i % 3 == 0:
+                dy = K.dir_deriv(gp, h)
+                assert dnk_contains(K, gp, dy, h - dy).verdict == "holds"
+            elif i % 3 == 1:
+                assert K.upsilon(gp, gp.critical.project(h)) > 0.0
+            else:
+                hc = gp.critical.project(h)
+                assert float(K.upsilon_grad(gp, hc) @ hc) > 0.0
+        of_z, of_y, clips, other = _split_counts(calls, smat(gp.z),
+                                                 smat(gp.y))
+        assert (of_z, of_y, other) == (1, 1, 0)
+        if beta == 1:
+            # a beta block of order 1 is clipped in closed form
+            assert clips == 0
         else:
-            hc = gp.critical.project(h)
-            assert float(K.upsilon_grad(gp, hc) @ hc) > 0.0
-    of_z, of_y, clips, other = _split_counts(calls, smat(gp.z), smat(gp.y))
-    assert (of_z, of_y, other) == (1, 1, 0)
-    # the clips of the beta blocks depend on the direction: at least one
-    # per dnk_contains call, in Pi' and in the critical cone's projection
-    assert clips >= 17
-    # a fresh point decomposes on every call; Upsilon reads its pair in
-    # the eigenframe of z, so a fresh point decomposes z for it too
-    calls.clear()
-    for _ in range(3):
-        proj_dir_deriv(K, gp.z, h)
-        K.upsilon(_fresh(K, gp), h)
-    of_z, of_y, _, other = _split_counts(calls, smat(gp.z), smat(gp.y))
-    # the fresh point's z = y + lam may differ from gp.z in the last bit
-    assert (of_z + other, of_y) == (6, 3)
+            # the clips of the beta blocks depend on the direction: at
+            # least one per dnk_contains call, in Pi' and in the critical
+            # cone's projection
+            assert clips >= 17
+        # a fresh point decomposes on every call; Upsilon reads its pair
+        # in the eigenframe of z, so a fresh point decomposes z for it too
+        calls.clear()
+        for _ in range(3):
+            proj_dir_deriv(K, gp.z, h)
+            K.upsilon(_fresh(K, gp), h)
+        of_z, of_y, _, other = _split_counts(calls, smat(gp.z), smat(gp.y))
+        # the fresh point's z = y + lam may differ from gp.z in the last bit
+        assert (of_z + other, of_y) == (6, 3)
 
 
 def _curved_psd_pair(dim_x, rng):

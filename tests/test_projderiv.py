@@ -97,12 +97,30 @@ def test_dnk_contains_rejects_nonfinite_input():
                 dnk_contains(K, gp, dy, dl)
 
 
+def test_dnk_contains_rejects_wrong_shapes():
+    # a wrong length, or the right length in a 2-D array, is named
+    # before numpy broadcasts it
+    K = ConeDesc([PSD(2), SOC(3)])
+    gp = GraphPoint.from_z(K, np.arange(6.0) - 2.5)
+    ok = np.ones(6)
+    for bad in (np.ones(5), np.ones(7), np.ones((6, 1)), np.ones((1, 6)),
+                np.ones((2, 3)), np.float64(1.0)):
+        for dy, dl in ((bad, ok), (ok, bad)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                dnk_contains(K, gp, dy, dl)
+
+
 def test_proj_dir_deriv_input_checks():
     K = ConeDesc([Orthant(2, "plus")])
     with pytest.raises(ValueError):
         proj_dir_deriv(K, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         proj_dir_deriv(K, np.array([np.inf, 0.0]), np.zeros(2))
+    K = ConeDesc([PSD(2), SOC(3)])
+    for bad in (np.ones(5), np.ones(7), np.ones((6, 1)), np.ones((2, 3))):
+        for z, h in ((bad, np.ones(6)), (np.ones(6), bad)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                proj_dir_deriv(K, z, h)
 
 
 @pytest.mark.parametrize("K", CONES.values(), ids=CONES.keys())

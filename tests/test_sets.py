@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conestab._sets import (
     Tol, DEFAULT_TOL, SignPattern, Halfspace, Hyperplane, Ray, LineSpan,
@@ -420,6 +423,33 @@ def test_psd_block_set_dist_and_lineality_dim_match_the_reference(n):
                 z - _psd_block_project_ref(U, groups, ref_codes, z))
             assert abs(T.dist(z) - ref) <= 1e-12 * (1.0 + np.linalg.norm(z))
             assert T.dist(U.T @ smat(z) @ U) == T.dist(z)
+
+
+def _eigh_clip_ref(B):
+    """The PSD clip through LAPACK at every order."""
+    B = 0.5 * (B + B.T)
+    w, U = np.linalg.eigh(B)
+    return (U * np.maximum(w, 0.0)) @ U.T
+
+
+# Up to 1e300 in magnitude: past half the largest double, the
+# symmetrization B + B^T of the LAPACK path overflows, which the closed
+# form does not.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+       | st.floats(min_value=-1e300, max_value=1e300))
+def test_order_one_blocks_match_lapack_bit_for_bit(b):
+    # the clip of a 1x1 block and the distance to a 1x1 psd or nsd block
+    # are read in closed form, and give LAPACK's numbers to the bit
+    B = np.array([[b]])
+    assert _eig_clip(B).tobytes() == _eigh_clip_ref(B).tobytes()
+    assert (-_eig_clip(-B)).tobytes() == (-_eigh_clip_ref(-B)).tobytes()
+    for code, sign in ((_P, 1.0), (_N, -1.0)):
+        w = np.minimum(np.linalg.eigvalsh(sign * B), 0.0)
+        ref = math.sqrt(0.0 + float(w @ w))
+        S = PSDBlockSet(np.eye(1), [[0]], {(0, 0): code})
+        assert S.dist(B).hex() == ref.hex()
+        assert S.dist(np.array([b])).hex() == ref.hex()
 
 
 @pytest.mark.parametrize("groups", [[[0, 1], []], [[0], [1]]])

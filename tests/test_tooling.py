@@ -320,6 +320,69 @@ def test_dnk_contains_classifies_y_and_lam_but_never_z(monkeypatch, sign):
         assert not any(a is q.z for a in seen), label
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_dnk_contains_calls_lapack_only_on_beta_blocks_of_order_two(
+        monkeypatch, sign):
+    # once a graph point holds its data, a dnk_contains call reaches
+    # LAPACK only on a PSD block whose beta block (the zero eigenvalues of
+    # z) has order 2 or more: one eigh for the clip in Pi' and one
+    # eigvalsh for each of the distances to the critical cone and its
+    # polar.  Orthant and second-order blocks make none, nor do PSD
+    # blocks with a beta block of order 0 or 1.
+    from conestab.cone_core import ConeDesc, Orthant, PSD, SOC
+    from conestab.proj_deriv import GraphPoint, dnk_contains
+    from conestab.symmat import svec
+
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(np.linalg, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(71)
+
+    def psd(ev):
+        Q, _ = np.linalg.qr(rng.standard_normal((len(ev), len(ev))))
+        return PSD(len(ev), sign), svec((Q * np.array(ev)) @ Q.T)
+
+    blocks = {
+        "orthant": (Orthant(4, sign), np.array([1.0, 0.0, -2.0, 0.0])),
+        "soc boundary": (SOC(3, sign), np.array([1.0, 0.6, 0.8])),
+        "soc curved": (SOC(3, sign), np.array([0.5, 1.2, 1.6])),
+        "soc apex": (SOC(3, sign), np.zeros(3)),
+        "psd beta 0": psd([2.0, 1.0, -1.5]),
+        "psd beta 1": psd([2.0, 0.0, -1.5]),
+        "psd(1) beta 1": psd([0.0]),
+        "psd beta 2": psd([2.0, 0.0, 0.0, -1.5]),
+        "psd beta 3": psd([0.0, 0.0, 0.0]),
+    }
+    cases = [[label] for label in blocks] + \
+        [["psd beta 2", "psd beta 1", "soc curved", "psd beta 3"]]
+    for labels in cases:
+        K = ConeDesc([blocks[label][0] for label in labels])
+        z = np.concatenate([sign * blocks[label][1] for label in labels])
+        gp = GraphPoint.from_z(K, z)
+        lapack = sum(label.startswith("psd beta") and label[-1] >= "2"
+                     for label in labels)
+        for i in range(6):
+            h = rng.standard_normal(K.dim)
+            dy = K.dir_deriv(gp, h)
+            dl = h - dy
+            if i % 2:
+                dy = dy + 0.3 * rng.standard_normal(K.dim)
+            calls.update(eigh=0, eigvalsh=0)
+            cert = dnk_contains(K, gp, dy, dl)
+            if i == 0:  # the first call builds the point's data
+                continue
+            if cert.verdict == "holds":
+                assert calls == {"eigh": lapack, "eigvalsh": 2 * lapack}, \
+                    labels
+            assert calls["eigh"] <= lapack, labels
+            assert calls["eigvalsh"] <= 2 * lapack, labels
+
+
 def test_every_coded_set_has_a_closed_form_dist():
     # only AffineSet reads its distance from a projection;
     # a primitive's dist is its plus cone's _dist, mirrored once.  The
