@@ -518,22 +518,21 @@ class Farkas(NamedTuple):
     cycle: int
 
 
-def _farkas_test(affine, ys, cycle):
-    """The certificate Farkas(h, ys, ., cycle) when h = pinv(M)^T sum y_i
-    has a positive gain and M^T h = sum y_i holds to rounding; None
+def _farkas_test(M, b, h, ys, cycle):
+    """The certificate Farkas(h, ys, ., cycle) for {M z = b} when h has a
+    positive gain <h, b> and M^T h = sum y_i holds to rounding; None
     otherwise.  Each test accepts only when its comparison holds, so a
     NaN fails it.  It does not check that y_i lies in the polar of
     K_i."""
     total = sum(ys[1:], ys[0])
-    h = affine.pinv.T @ total
-    gain = float(h @ affine.b)
+    gain = float(h @ b)
     if not gain > 0.0:
         return None
     ynorm = sum(_norm(y) for y in ys)
-    defect = _norm(affine.M.T @ h - total)
-    if not defect <= _ROUNDING * (_norm(affine.M) * _norm(h) + ynorm):
+    defect = _norm(M.T @ h - total)
+    if not defect <= _ROUNDING * (_norm(M) * _norm(h) + ynorm):
         return None
-    if not gain > _ROUNDING * float(np.abs(h) @ np.abs(affine.b)):
+    if not gain > _ROUNDING * float(np.abs(h) @ np.abs(b)):
         return None
     return Farkas(h, ys, gain / (_norm(h) + ynorm), cycle)
 
@@ -548,9 +547,11 @@ def _farkas(affine, cone, inc, cycle):
     polar (Moreau), and the test is made again on y; h = pinv(M)^T y
     solves M^T h = y whenever that system is solvable.
     """
-    if _farkas_test(affine, [inc], cycle) is None:
+    M, b, pinv = affine.M, affine.b, affine.pinv
+    if _farkas_test(M, b, pinv.T @ inc, [inc], cycle) is None:
         return None
-    return _farkas_test(affine, [inc - cone.project(inc)], cycle)
+    y = inc - cone.project(inc)
+    return _farkas_test(M, b, pinv.T @ y, [y], cycle)
 
 
 def _gordan(affine, cone, z):

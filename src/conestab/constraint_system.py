@@ -228,6 +228,88 @@ def _shaped(name, z, n, space):
     return z
 
 
+def _span_svd(A, B, tol):
+    """(u, s, vt, r): the full SVD of A B, B orthonormal columns, and its
+    rank r = #{s > tol.zero ||A||}; the scale is A's, since the largest s
+    may itself be rounding.  B vt[r:]^T spans ker A ∩ span B."""
+    u, s, vt = np.linalg.svd(A @ B)
+    return u, s, vt, int(np.sum(s > tol.zero * _norm(A)))
+
+
+def _fiber_residuals(A, b, cone, xi, bound):
+    """(||A xi - b||, dist(xi, cone), ok), ok when both are at most a
+    finite bound: a NaN never passes, nor does an xi whose norm, and so
+    the bound, overflows."""
+    ra, rc = _norm(A @ xi - b), cone.dist(xi)
+    return ra, rc, ra <= bound and rc <= bound < math.inf
+
+
+def _line_fiber(cone, xi_p, k, tol):
+    """The fiber on the line xi_p + t k, k a unit vector of span cone, as
+    `MultiplierSolveResult.fiber` (xi_p in `lam_p`): t in the intersection
+    of one closed-form interval per block (`line_interval`).  Its t is the
+    midpoint, one unit plus the size of a single end away from it, or 0
+    on the whole line, a point in the cone's relative interior whenever
+    the line meets it (Rockafellar, Convex Analysis, Thm 6.5); t2 is
+    halfway from t to an end.  Ends that cross by rounding stand for one
+    point; an end -alpha/beta past ||xi_p|| / tol.zero has a beta the
+    rank rule cannot tell from 0, so its block is constant on the line.
+    None without a closed form or a point."""
+    interval, far = cone.line_interval(xi_p, k), _norm(xi_p) / tol.zero
+    if interval is None or interval[0] > far or interval[1] < -far:
+        return None
+    lo, hi = (e if abs(e) <= far else math.copysign(math.inf, e)
+              for e in interval)
+    if lo > hi:
+        if not lo - hi <= _ROUNDING * (_norm(xi_p) + abs(lo) + abs(hi)) \
+                < math.inf:
+            return None
+        lo = hi = 0.5 * (lo + hi)
+    has_lo, has_hi = math.isfinite(lo), math.isfinite(hi)
+    t = 0.5 * (lo + hi) if has_lo and has_hi else lo + 1.0 + abs(lo) \
+        if has_lo else hi - 1.0 - abs(hi) if has_hi else 0.0
+    t2 = 0.5 * (t + (lo if has_lo else hi)) if has_lo or has_hi else 1.0
+    return {"lam_p": xi_p, "k": k, "interval": (lo, hi), "t": t, "t2": t2}
+
+
+def _fiber_solve(A, b, cone, B, svd, bound, tol):
+    """A point of {xi in cone : A xi = b}, B an orthonormal basis of span
+    cone and svd = `_span_svd(A, B, tol)`: (xi, `_fiber_residuals` of xi
+    against bound(xi), route, fiber, farkas).  Every such xi is xi_p +
+    (ker A ∩ span B), xi_p the least-squares point of span B.  When
+    rho = b - A xi_p exceeds bound(xi_p), A^T rho ⊥ span B lies in the
+    polar of the cone and <rho, b> = ||rho||^2 > 0: h = rho, with A^T rho
+    projected onto that polar, is a Farkas certificate (cycle 0, route
+    "span solve").  Else the kernel's dimension picks the candidate: xi_p
+    at 0 ("span solve"), the point of `_line_fiber` at 1 ("fiber
+    interval").  Without one that passes, Dykstra decides from xi_p, once
+    more after a stall without a certificate ("Dykstra search")."""
+    u, s, vt, r = svd
+    xi_p = B @ (vt[:r].T @ ((u[:, :r].T @ b) / s[:r]))
+    rho = u[:, r:] @ (u[:, r:].T @ b)  # b - A xi_p, ⊥ range(A B) to rounding
+    if r < b.size and _norm(rho) > bound(xi_p):
+        y = A.T @ rho
+        farkas = _farkas_test(A, b, rho, [y - cone.project(y)], 0)
+        if farkas is not None:
+            return xi_p, _fiber_residuals(A, b, cone, xi_p, bound(xi_p)), \
+                "span solve", None, farkas
+    fiber = _line_fiber(cone, xi_p, B @ vt[r], tol) \
+        if r == vt.shape[0] - 1 else None
+    if r == vt.shape[0] or fiber is not None:
+        xi = xi_p if fiber is None else xi_p + fiber["t"] * fiber["k"]
+        resid = _fiber_residuals(A, b, cone, xi, bound(xi))
+        if resid[2]:
+            return xi, resid, "fiber interval" if fiber else "span solve", \
+                fiber, None
+    sets = AffineSet(A, b), cone
+    xi, info = dykstra(*sets, xi_p, tol)
+    if info.stalled and info.farkas is None:
+        # a plateau stalls too; a run with fresh increments ends it
+        xi, info = dykstra(*sets, xi, tol)
+    return xi, _fiber_residuals(A, b, cone, xi, bound(xi)), \
+        "Dykstra search", None, info.farkas
+
+
 class BasePoint:
     """A verified base point: x has shape (dim_x,), x and g(x) are finite
     and g(x) is in K.
@@ -267,12 +349,8 @@ class BasePoint:
 
     @cached_property
     def adjoint_on_span(self):
-        """(u, s, vt, r): the full SVD of J^T B, B = `span_normal`, and
-        its rank r = #{s > tol.zero ||J||}; the scale is J's, since the
-        largest s may itself be rounding.  B vt[r:]^T spans
-        ker J^T ∩ span N."""
-        u, s, vt = np.linalg.svd(self.J.T @ self.span_normal)
-        return u, s, vt, int(np.sum(s > self.tol.zero * _norm(self.J)))
+        """`_span_svd` of J^T on B = `span_normal`, for ker J^T ∩ span N."""
+        return _span_svd(self.J.T, self.span_normal, self.tol)
 
     @cached_property
     def adjoint_kernel(self):
@@ -293,24 +371,27 @@ def _null_basis(M, tol):
     return vt[rank:].T
 
 
-def _multiplier_residuals(point: BasePoint, v, lam):
-    """The multiplier test of lam for (x, v): (ra, rc, ok) with
-    ra = ||J^T lam - v||, rc = dist(lam, N_K(g(x))) and ok when both are
-    at most tol.membership (1 + ||lam|| + ||v||).  Each comparison must
-    hold, so a NaN never passes."""
-    ra = _norm(point.J.T @ lam - v)
-    rc = point.normal.dist(lam)
-    bound = point.tol.membership * (1.0 + _norm(lam) + _norm(v))
-    return ra, rc, ra <= bound and rc <= bound
+def _finite_scale(**named):
+    """1 + the sum of the norms of the named vectors; ValueError when an
+    entry is not finite or the sum overflows, as a bound would pass all."""
+    scale = sum(map(_norm, named.values()), 1.0)
+    if not math.isfinite(scale):
+        bad = [n for n, z in named.items() if not np.isfinite(z).all()]
+        raise ValueError(f"{' and '.join(bad)} not finite: NaN or infinite "
+                         "entries" if bad else
+                         f"the norm of {' or '.join(named)} overflows")
+    return scale
 
 
 def multiplier_verify(point: BasePoint, v, lam) -> bool:
     """Whether lam is a multiplier for (x, v): grad g(x) lam = v with lam
-    in N_K(g(x)), to the tolerance of `_multiplier_residuals`.  Raises
-    ValueError when v or lam has the wrong shape."""
+    in N_K(g(x)), both residuals at most tol.membership (1 + ||v|| +
+    ||lam||).  Raises ValueError on a wrong shape, a non-finite entry or
+    norms that overflow."""
     v = _shaped("v", v, point.sys.dim_x, "the system has dim_x")
     lam = _shaped("lam", lam, point.sys.cone.dim, "the cone has dimension")
-    return _multiplier_residuals(point, v, lam)[2]
+    bound = point.tol.membership * _finite_scale(v=v, lam=lam)
+    return _fiber_residuals(point.J.T, v, point.normal, lam, bound)[2]
 
 
 class BasePair:
@@ -341,7 +422,7 @@ class BasePair:
 
     @classmethod
     def of_verified(cls, point: BasePoint, v, lam):
-        """The pair of a multiplier that `_multiplier_residuals` has just
+        """The pair of a multiplier that `multiplier_solve` has just
         accepted for (x, v) at `point`."""
         pair = cls.__new__(cls)
         pair._wrap(point, v, lam)
@@ -360,6 +441,12 @@ class BasePair:
         return self.graph_point.critical_polar
 
     @cached_property
+    def span_critical_polar(self):
+        """Orthonormal basis of span C°, read from the codes of C°."""
+        return self.critical_polar._recoded(
+            SignPattern._SPAN).lineality_basis()
+
+    @cached_property
     def hess(self):
         return self.sys.hess_lambda(self.x, self.lam)
 
@@ -369,16 +456,15 @@ class MultiplierSolveResult:
     """Outcome of the multiplier search for v = grad g(x) lambda with
     lambda in N_K(g(x)).  `route` names the route that gave `lam`:
     "span-N solve", "fiber interval" or "Dykstra search".  Unless `lam`
-    is found (verified), `farkas` is the Dykstra search's certificate
-    that none exists, or None when it stalled and decided nothing.  On
-    the fiber interval route, `fiber` holds the line lam_p + t k (`lam_p`,
+    is found (verified), `farkas` is the certificate that none exists, or
+    None when the Dykstra search stalled and decided nothing.  On the
+    fiber interval route, `fiber` holds the line lam_p + t k (`lam_p`,
     `k`), the interval of t whose points are multipliers (`interval`, an
     end infinite on a ray), the `t` of `lam` and the `t2` of the point
-    tried as a second member.  With uniqueness, a
-    found multiplier has its verified base pair (`pair`) and strict
-    Robinson certificate (`srcq`, which decides uniqueness); `members` is
-    `lam` and, when srcq fails, a second verified multiplier if one was
-    found.
+    tried as a second member.  With uniqueness, a found multiplier has
+    its verified base pair (`pair`) and strict Robinson certificate
+    (`srcq`, which decides uniqueness); `members` is `lam` and, when srcq
+    fails, a second verified multiplier if one was found.
     """
 
     lam: np.ndarray
@@ -397,101 +483,23 @@ class MultiplierSolveResult:
         return max(self.residual_affine, self.residual_cone)
 
 
-def _span_normal_point(point, v):
-    """B lstsq(J^T B, v), B the basis of span N: the least-squares point
-    of span N.  Every multiplier lies in span N and solves J^T lam = v,
-    so it is in this point plus span(`adjoint_kernel`)."""
-    u, s, vt, r = point.adjoint_on_span
-    return point.span_normal @ (vt[:r].T @ ((u[:, :r].T @ v) / s[:r]))
-
-
-def _interval_points(lo, hi):
-    """(t, t2): the t of the multiplier chosen from the interval [lo, hi],
-    its midpoint when bounded, one unit plus the size of the end away from
-    a single end, 0 on the whole line; and t2 halfway from t to an end."""
-    if math.isfinite(lo) and math.isfinite(hi):
-        t = 0.5 * (lo + hi)
-    elif math.isfinite(lo):
-        t = lo + 1.0 + abs(lo)
-    elif math.isfinite(hi):
-        t = hi - 1.0 - abs(hi)
-    else:
-        return 0.0, 1.0
-    return t, 0.5 * (t + (lo if math.isfinite(lo) else hi))
-
-
-def _fiber_solve(point, lam_p, k):
-    """The fiber interval route on the line lam_p + t k of multiplier
-    candidates, k a unit vector: the interval of t is the intersection of
-    one closed-form interval per block of N_K(g(x)) (`line_interval`).
-    Its chosen point is in ri N_K(g(x)) whenever some multiplier is
-    (Rockafellar, Convex Analysis, Thm 6.5).  Ends that cross by rounding
-    stand for a one-point interval.  None when a block has no closed form
-    or the interval is empty."""
-    interval = point.normal.line_interval(lam_p, k)
-    if interval is None:
-        return None
-    lo, hi = interval
-    if lo > hi:
-        if not lo - hi <= _ROUNDING * (_norm(lam_p) + abs(lo) + abs(hi)) \
-                < math.inf:
-            return None
-        lo = hi = 0.5 * (lo + hi)
-    t, t2 = _interval_points(lo, hi)
-    return {"lam_p": lam_p, "k": k, "interval": (lo, hi), "t": t, "t2": t2}
-
-
-def _dykstra_search(point, v):
-    """The Dykstra route: one run between the fiber {J^T lam = v} and
-    N_K(g(x)) from the least-squares seed, and one more from its last
-    iterate when it stalls without a certificate; (lam, info)."""
-    Jt = point.J.T
-    sets = AffineSet(Jt, v), point.normal
-    lam, info = dykstra(*sets, np.linalg.lstsq(Jt, v, rcond=None)[0],
-                        point.tol)
-    if info.stalled and info.farkas is None:
-        # a plateau stalls too; a run with fresh increments ends it
-        lam, info = dykstra(*sets, lam, point.tol)
-    return lam, info
-
-
 def multiplier_solve(point: BasePoint, v,
                      with_uniqueness=True) -> MultiplierSolveResult:
-    """Find lambda in N_K(g(x)) with grad g(x) lambda = v.  Every
-    multiplier is on lam_p + ker J^T ∩ span N, lam_p the least-squares
-    point of span N.  When J^T is injective on span N, lam_p is the only
-    candidate (route "span-N solve").  When ker J^T ∩ span N is a line
-    lam_p + t k, the multipliers are the t of one interval, written in
-    closed form block by block, and its chosen point is the candidate
-    (route "fiber interval", see `_fiber_solve`).  A candidate is
-    accepted when `_multiplier_residuals` accepts it.  Otherwise, or on a
-    wider kernel or a block without a closed form, a Dykstra run on the
-    fiber and the normal cone from the least-squares seed decides (route
-    "Dykstra search"), run once more from its last iterate when it
-    stalls without a certificate; "not found" needs its Farkas
-    certificate.  With `with_uniqueness`, a found multiplier gets its
+    """Find lambda in N = N_K(g(x)) with grad g(x) lambda = v: the fiber
+    solve on `span_normal` and `adjoint_on_span`, its "span solve" named
+    "span-N solve".  With `with_uniqueness`, a found multiplier gets its
     srcq certificate and, when srcq fails, a second member: on the fiber
     interval route the point halfway from lam to an end of the interval,
     else the first verified lam ± t w/||w|| (w its witness, t = 1, 1/2,
-    ..., 1/128).  Raises ValueError when v has the wrong shape or is not
-    finite.
+    ..., 1/128).  Raises ValueError when v has the wrong shape or a
+    non-finite entry, or its norm overflows.
     """
     v = _shaped("v", v, point.sys.dim_x, "the system has dim_x")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v not finite: it has a NaN or infinite entry")
-    lam_p, K = _span_normal_point(point, v), point.adjoint_kernel
-    lam, route, farkas, fiber = None, "span-N solve", None, None
-    if K.shape[1] == 0:
-        lam = lam_p
-    elif K.shape[1] == 1:
-        fiber = _fiber_solve(point, lam_p, K[:, 0])
-        if fiber is not None:
-            lam, route = lam_p + fiber["t"] * fiber["k"], "fiber interval"
-    resid = None if lam is None else _multiplier_residuals(point, v, lam)
-    if resid is None or not resid[2]:
-        lam, info = _dykstra_search(point, v)
-        route, farkas, fiber = "Dykstra search", info.farkas, None
-        resid = _multiplier_residuals(point, v, lam)
+    scale, tol = _finite_scale(v=v), point.tol
+    lam, resid, route, fiber, farkas = _fiber_solve(
+        point.J.T, v, point.normal, point.span_normal, point.adjoint_on_span,
+        lambda lam: tol.membership * (scale + _norm(lam)), tol)
+    route = "span-N solve" if route == "span solve" else route
     res = MultiplierSolveResult(lam, *resid, route, farkas, fiber=fiber)
     if not res.found:
         return res
@@ -501,7 +509,7 @@ def multiplier_solve(point: BasePoint, v,
         res.srcq = srcq_check(res.pair)
         if res.srcq.verdict == "fails":
             if fiber is not None:
-                steps = [lam_p + fiber["t2"] * fiber["k"]] \
+                steps = [fiber["lam_p"] + fiber["t2"] * fiber["k"]] \
                     if fiber["t2"] != fiber["t"] else []
             else:
                 w = res.srcq.witness / _norm(res.srcq.witness)
@@ -606,31 +614,24 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w) -> Certificate:
 
     That set is Hess d + J^T DN_K(g(x)|lam)(gd), gd = g'(x)d, where the
     cone-level derivative is u/2 + N_C(gd) with u = grad Upsilon(gd) and
-    C the critical cone, so N_C(gd) = C° ∩ gd⊥.  Its fiber over w,
-    {mu : J^T mu = w - Hess d, mu in u/2 + N_C(gd)}, is the translate by
-    u/2 of {xi in C° ∩ gd⊥ : J^T xi = r}, r = w - Hess d - J^T u/2.  On
-    its affine rows <gd, xi> = <d, J^T xi> = <d, r> is a constant, so one
-    Dykstra solve on those rows and C° decides both, and the fiber's
-    residual adds |<gd, xi>| / ||gd||.  When the fiber holds, (gd,
-    xi + u/2) is checked against the cone-level graphical derivative
-    through the projection derivative (`dnk_contains`, detail
-    `inner_verdict`); the verdict holds only when both hold.  It fails
-    only at the critical-cone gate or when the fiber carries a Farkas
-    certificate of emptiness (detail `fiber_farkas`), whose bound is then
-    the residual: Dykstra's, or else the pairing's, y = [0, s gd] with
-    s = sign <d, r> (cycle 0).  A fiber that stalls or converges without
-    holding, with no certificate, is inconclusive.  Raises ValueError
-    when d or w has the wrong shape or is not finite.
+    C the critical cone, so N_C(gd) = C° ∩ gd⊥.  Its fiber over w is the
+    translate by u/2 of {xi in C° ∩ gd⊥ : J^T xi = r}, r = w - Hess d -
+    J^T u/2: the fiber solve (detail `fiber_route`) of A xi = b in C°,
+    A = J^T and b = r, with the row gd^T/||gd|| and the entry 0 appended
+    when gd is not 0 (so <d, r> != 0 puts b off range(A)).  It holds to
+    tol.membership (1 + ||xi||) (1 + ||d|| + ||w||) (detail
+    `fiber_residual`); then (gd, xi + u/2) is checked against the
+    cone-level derivative (`dnk_contains`, detail `inner_verdict`), and
+    the verdict holds when both hold.  It fails only at the critical-cone
+    gate or with the fiber's Farkas certificate (detail `fiber_farkas`, h
+    in the rows of A), whose bound is then the residual; else it is
+    inconclusive.  Raises ValueError when d or w has the wrong shape or a
+    non-finite entry, or their norms overflow.
     """
-    sys, gx, tol = pair.sys, pair.gx, pair.tol
+    sys, tol = pair.sys, pair.tol
     d = _shaped("d", d, sys.dim_x, "the system has dim_x")
     w = _shaped("w", w, sys.dim_x, "the system has dim_x")
-    scale = 1.0 + _norm(d) + _norm(w)
-    if not math.isfinite(scale):
-        bad = [n for n, z in (("d", d), ("w", w)) if not np.isfinite(z).all()]
-        raise ValueError(f"{' and '.join(bad)} not finite: NaN or infinite "
-                         "entries" if bad else "the norm of (d, w) overflows")
-    Jt = pair.J.T
+    scale = _finite_scale(d=d, w=w)
     gd = pair.J @ d
 
     def verdict(name, residual, witness, method):
@@ -645,23 +646,17 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w) -> Certificate:
 
     # xi in C° (∩ gd⊥ when gd is not 0) with J^T xi = w - Hd - J^T u / 2
     u = sys.cone.upsilon_grad(pair.graph_point, gd)
-    rhs = w - pair.hess @ d - 0.5 * (Jt @ u)
-    fiber, polar = AffineSet(Jt, rhs), pair.critical_polar
-    xi, info = dykstra(fiber, polar, np.linalg.lstsq(Jt, rhs, rcond=None)[0],
-                       tol)
-    res = max(_norm(Jt @ xi - rhs), polar.dist(xi))
+    A, b = pair.J.T, w - pair.hess @ d - 0.5 * (pair.J.T @ u)
     ngd = _norm(gd)
-    on_gd = ngd > tol.zero * (1 + _norm(gx))
-    if on_gd:
-        res = max(res, abs(float(gd @ xi)) / ngd)
-    holds = res <= tol.membership * (1.0 + _norm(xi)) * scale
-    farkas = info.farkas
-    if not holds and farkas is None and on_gd:
-        # 0 is in C, the polar of C°, and s gd spans the polar of gd⊥
-        farkas = _farkas_test(fiber, [np.zeros_like(gd),
-                                      np.sign(float(d @ rhs)) * gd], 0)
-    details["fiber_residual"] = res
-    details["fiber_holds"] = bool(holds)
+    if ngd > tol.zero * (1 + _norm(pair.gx)):
+        A, b = np.vstack([A, gd / ngd]), np.append(b, 0.0)
+    B = pair.span_critical_polar
+    xi, (ra, rc, holds), route, _, farkas = _fiber_solve(
+        A, b, pair.critical_polar, B, _span_svd(A, B, tol),
+        lambda xi: tol.membership * (1.0 + _norm(xi)) * scale, tol)
+    res = max(ra, rc)
+    details.update(fiber_route=route, fiber_residual=res,
+                   fiber_holds=bool(holds))
     if farkas is not None:
         details["fiber_farkas"] = farkas._asdict()
 

@@ -144,6 +144,7 @@ def dnk_contains(K: ConeDesc, gp: GraphPoint, dy: AmbientVec,
     ny, nl = _norm(dy), _norm(dl)
     if not math.isfinite(ny + nl):  # a non-finite entry, or an overflow
         _require_finite("non-finite input", dy, dl)
+        raise ValueError("the norm of dy or dl overflows")
     thresh = tol.membership * (1.0 + ny + nl)
 
     # the blocks' terms, with dy and dl rotated once into each frame

@@ -246,24 +246,23 @@ def _check_fails_certificate(pair, d, w, cert):
         "certificate"
     gd = pair.J @ d
     u = pair.sys.cone.upsilon_grad(pair.graph_point, gd)
-    # the fiber: J^T xi = w - Hd - J^T u / 2, xi in C° (∩ gd⊥)
-    rhs = w - pair.hess @ d - 0.5 * (pair.J.T @ u)
+    # the fiber: A xi = b, xi in C°, with A = J^T and b = w - Hd - J^T u / 2;
+    # an h with one entry more certifies the system with the row
+    # gd^T / ||gd|| and the entry 0 appended (xi in gd⊥)
+    A, b = pair.J.T, w - pair.hess @ d - 0.5 * (pair.J.T @ u)
     farkas = det["fiber_farkas"]
-    h, ys, bound = farkas["h"], farkas["y"], farkas["bound"]
-    total = np.sum(ys, axis=0)
-    assert np.linalg.norm(pair.J @ h - total) <= 1e-12 * (
-        1.0 + np.linalg.norm(pair.J) * np.linalg.norm(h))
-    gain = float(h @ rhs)
+    h, ys, bound = np.asarray(farkas["h"]), farkas["y"], farkas["bound"]
+    if h.size == b.size + 1:
+        A, b = np.vstack([A, gd / np.linalg.norm(gd)]), np.append(b, 0.0)
+    assert len(ys) == 1
+    assert np.linalg.norm(A.T @ h - ys[0]) <= 1e-12 * (
+        1.0 + np.linalg.norm(A) * np.linalg.norm(h))
+    gain = float(h @ b)
     assert gain > 0.0
     assert bound == pytest.approx(
-        gain / (np.linalg.norm(h) + sum(np.linalg.norm(y) for y in ys)),
-        rel=1e-12)
-    # y_0 in the polar of C° (which is C); y_1 in the polar of gd⊥
+        gain / (np.linalg.norm(h) + np.linalg.norm(ys[0])), rel=1e-12)
+    # y in the polar of C°, which is C
     assert pair.critical.dist(ys[0]) <= 1e-12 * (1 + np.linalg.norm(ys[0]))
-    if len(ys) == 2:
-        a = gd / np.linalg.norm(gd)
-        assert np.linalg.norm(ys[1] - (ys[1] @ a) * a) <= 1e-12 * (
-            1 + np.linalg.norm(ys[1]))
     assert cert.residual == bound
     return 1
 
@@ -295,12 +294,21 @@ def test_ngamma_fails_only_at_gate_or_with_certificate():
     assert solution_map_isolated_calm(problem, problem.lam_hint).verdict \
         == "holds"
     # the two gate-passing directions, the axes e_1 and e_2, have
-    # <d, r> != 0 on their fibers: the pairing certifies both (cycle 0),
+    # <d, r> != 0 on their fibers, which puts the right-hand side off the
+    # fiber's span: the closed-form certificate decides both (cycle 0),
     # so no direction is a witness
     assert certified == [(0, 0), (2, 0)]
 
 
 def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
+    # d = 0 and w = J^T xi for xi in int K: a fiber point xi' in C° = K°
+    # would give 0 >= <xi', p> = <xi, p> > 0 for the interior point
+    # p = J (1, 1, 1) of K, so the fiber is empty.  Its right-hand side
+    # is on the span and its kernel line has an empty interval, so the
+    # Dykstra fallback decides, by its certificate.  With every Dykstra
+    # certificate withheld, each of these runs stalls twice and is
+    # inconclusive; the criterion-9 pairs, decided at the gate or in
+    # closed form, keep their verdicts
     import dataclasses
     import conestab.constraint_system as cs
 
@@ -311,21 +319,26 @@ def test_ngamma_uncertified_stall_is_inconclusive(monkeypatch):
         return z, dataclasses.replace(info, farkas=None)
 
     pair, pairs = _criterion_9_pairs()
+    rng = np.random.default_rng(303)
+    for _ in range(12):
+        G = rng.standard_normal((2, 2))
+        xi = np.concatenate([svec(G @ G.T + 0.1 * np.eye(2)),
+                             [0.1 + abs(rng.standard_normal())]])
+        pairs.append((np.zeros(3), pair.J.T @ xi))
     before = [ngamma_graph_deriv_contains(pair, d, w) for d, w in pairs]
-    # withhold both certificates: Dykstra's and the pairing's
     monkeypatch.setattr(cs, "dykstra", uncertified)
-    monkeypatch.setattr(cs, "_farkas_test", lambda *args: None)
-    spiked = 0
+    stalled = 0
     for (d, w), old in zip(pairs, before):
         cert = ngamma_graph_deriv_contains(pair, d, w)
-        if "fiber_farkas" in old.details:
-            spiked += 1
+        if old.details.get("fiber_route") == "Dykstra search":
+            stalled += 1
+            assert old.verdict == "fails" and "fiber_farkas" in old.details
             assert cert.verdict == "inconclusive"
             assert cert.method.endswith("(no Farkas certificate)")
             assert cert.residual == cert.details["fiber_residual"]
         else:
             assert cert.verdict == old.verdict
-    assert spiked == 12
+    assert stalled == 12
 
 
 def _criterion_10_instances():

@@ -291,6 +291,26 @@ def test_analyze_nan_multiplier_target_exits_2(tmp_path, capsys):
     assert "input error: point.v: not finite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_analyze_overflowing_multiplier_target_exits_2(tmp_path, capsys):
+    # v = (1e200, 1e200) on K = R^2_+ at x = 0: the norm of v overflows,
+    # and no multiplier test can be read on it
+    problem = _write(tmp_path / "p.json", {
+        "cone": {"product": [{"orthant": {"dim": 2, "sign": "plus"}}]},
+        "mapping": {"affine": {"A": [[1, 0], [0, 1]], "b": [0, 0]}}})
+    point = _write(tmp_path / "pt.json", {"x": [0, 0], "v": [1e200, 1e200]})
+    assert main(["analyze", "--problem", problem, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert "input error: the norm of v overflows" in err
+    assert "Traceback" not in err
+    pair = _write(tmp_path / "pair.json", {
+        "x": [0, 0], "v": [1e200, 1e200], "lam": [1e200, 1e200],
+        "d": [0, 0], "w": [0, 0]})
+    assert main(["gderiv", "--problem", problem, "--pair", pair]) == 2
+    err = capsys.readouterr().err
+    assert "input error: the norm of v or lam overflows" in err
+
+
 @pytest.mark.parametrize("key, value", [("d", [0, 0, float("nan")]),
                                         ("w", [0, 0, float("inf")])])
 def test_gderiv_non_finite_direction_exits_2(tmp_path, capsys, key, value):

@@ -97,6 +97,22 @@ def test_dnk_contains_rejects_nonfinite_input():
                 dnk_contains(K, gp, dy, dl)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dnk_contains_rejects_an_overflowing_norm():
+    # finite entries whose norm overflows: the threshold would read inf and
+    # pass any pair, so the check raises instead
+    K = ConeDesc([PSD(2), SOC(3)])
+    gp = GraphPoint.from_z(K, np.arange(6.0) - 2.5)
+    ok = np.ones(6)
+    for big in (1e200, -1e200):
+        v = ok.copy()
+        v[2] = big
+        for dy, dl in ((v, ok), (ok, v)):
+            with pytest.raises(ValueError, match="the norm of dy or dl "
+                               "overflows"):
+                dnk_contains(K, gp, dy, dl)
+
+
 def test_dnk_contains_rejects_wrong_shapes():
     # a wrong length, or the right length in a 2-D array, is named
     # before numpy broadcasts it

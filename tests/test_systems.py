@@ -120,6 +120,28 @@ def test_multiplier_solve_rejects_non_finite_v():
         multiplier_solve(point, [0.0, np.inf, 0.0], with_uniqueness=False)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_multiplier_tests_reject_an_overflowing_norm():
+    # K = R^2_+, g(x) = x at x = 0: N_K(0) = R^2_-.  A bound on
+    # 1 + ||lam|| + ||v|| that overflows reads inf and would pass any lam,
+    # among them lam = v = (1e200, 1e200), which is not in N_K(0)
+    point = BasePoint(affine_system(ConeDesc([Orthant(2)]), np.eye(2),
+                                    np.zeros(2)), np.zeros(2))
+    big = np.array([1e200, 1e200])
+    with pytest.raises(ValueError, match="the norm of v overflows"):
+        multiplier_solve(point, big)
+    for v, lam in ((big, big), (np.zeros(2), big), (big, -np.ones(2))):
+        with pytest.raises(ValueError, match="the norm of v or lam overflows"):
+            multiplier_verify(point, v, lam)
+        with pytest.raises(ValueError, match="the norm of v or lam overflows"):
+            BasePair(point, v, lam)
+    with pytest.raises(ValueError, match="lam not finite"):
+        multiplier_verify(point, np.zeros(2), [np.inf, -1.0])
+    # a norm that does not overflow is tested as before
+    assert multiplier_verify(point, [-1e150, 0.0], [-1e150, 0.0])
+    assert not multiplier_verify(point, [1e150, 0.0], [1e150, 0.0])
+
+
 def _nsd_dist(lam):
     """dist(lam, NSD(2) x R_-), the normal cone at example1's apex."""
     w = np.linalg.eigvalsh(smat(lam[:3]))

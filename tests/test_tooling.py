@@ -132,14 +132,23 @@ def test_bench_tracer_targets_resolve():
     assert missing == []
 
 
-def test_calm_net_workload_runs_and_judges_correctly():
+def test_calm_net_workload_runs_and_judges_correctly(monkeypatch):
     # the calm-net benchmark's own calls, read from bench/: a change of
-    # signature or verdict that would break its runs fails here first
+    # signature or verdict that would break its runs fails here first.
+    # Every gate-passing fiber of its pool is decided in closed form, so
+    # no run calls Dykstra
+    from conestab import cone_geometry, constraint_system
+
+    calls = []
+    for module in (constraint_system, cone_geometry):
+        monkeypatch.setattr(module, "dykstra",
+                            lambda *args, **kwargs: calls.append(args))
     wl = _bench_module("workloads")
     calm = wl.CalmNet()
     pool = calm.build(3001)
     for item, answer in zip(pool, calm.referee(pool)):
         assert calm.judge(item, answer, calm.run(item)).wrong == []
+    assert calls == []
 
 
 def test_cone_ladder_workload_runs_and_judges_correctly():
@@ -252,7 +261,7 @@ def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
     from conestab import constraint_system
 
     calls = {"residuals": 0, "verify": []}
-    residuals = constraint_system._multiplier_residuals
+    residuals = constraint_system._fiber_residuals
     verify = constraint_system.multiplier_verify
 
     def counted_residuals(*args):
@@ -263,7 +272,7 @@ def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
         calls["verify"].append(verify(*args))
         return calls["verify"][-1]
 
-    monkeypatch.setattr(constraint_system, "_multiplier_residuals",
+    monkeypatch.setattr(constraint_system, "_fiber_residuals",
                         counted_residuals)
     monkeypatch.setattr(constraint_system, "multiplier_verify",
                         counted_verify)
@@ -641,28 +650,54 @@ def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted,
     assert runs == [("_span_cone_trivial", 0)] * 2
 
 
+def _graph_fiber_dim(pair, d):
+    """The dimension of ker A ∩ span C° for the fiber of (d, .) at the
+    pair, A = J^T with the row gd^T appended when gd is not 0, and
+    span C° = (lin C)^⊥ built from the critical cone's own lineality."""
+    from conestab.constraint_system import _null_basis
+
+    gd = pair.J @ d
+    A = pair.J.T
+    if np.linalg.norm(gd) > pair.tol.zero * (1 + np.linalg.norm(pair.gx)):
+        A = np.vstack([A, gd / np.linalg.norm(gd)])
+    B = _null_basis(pair.critical.lineality_basis().T, pair.tol)
+    return B.shape[1] - np.linalg.matrix_rank(A @ B, tol=1e-9 * (
+        1 + np.linalg.norm(A)))
+
+
 def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
-    # a gate-passing direction costs exactly one Dykstra call, a gate
-    # rejection none
+    # a gate rejection runs no Dykstra, and neither does a gate-passing
+    # direction whose fiber kernel over span C° has dimension 0 or 1, or
+    # whose right-hand side is off the fiber's span; a kernel of
+    # dimension 2 or more takes the one fallback, one Dykstra run, or
+    # two after a stall without a certificate
     from conestab import constraint_system, stability
+    from conestab.cone_core import ConeDesc, SOC
+    from graph_samplers import ngamma_tangent_generate
     from test_acceptance import _criterion_9_pairs
     from test_stability import _axes_then_gaussian, _inclusion_pairs
 
     dykstra_calls = []
     dykstra, decide = constraint_system.dykstra, \
         constraint_system.ngamma_graph_deriv_contains
-    counts = {"gated": [], "passed": []}
+    counts = {"gated": [], "closed form": [], "fallback": []}
 
     def counted_dykstra(*args, **kwargs):
         dykstra_calls.append(1)
         return dykstra(*args, **kwargs)
 
-    def counted_decide(*args, **kwargs):
+    def counted_decide(pair, d, w):
         before = len(dykstra_calls)
-        cert = decide(*args, **kwargs)
-        key = "gated" if cert.method == "critical-cone gate on g'(x)d" \
-            else "passed"
-        counts[key].append(len(dykstra_calls) - before)
+        cert = decide(pair, d, w)
+        calls = len(dykstra_calls) - before
+        if cert.method == "critical-cone gate on g'(x)d":
+            counts["gated"].append(calls)
+        elif _graph_fiber_dim(pair, d) >= 2:
+            assert cert.details["fiber_route"] == "Dykstra search"
+            counts["fallback"].append(calls)
+        else:
+            assert cert.details["fiber_route"] != "Dykstra search"
+            counts["closed form"].append(calls)
         return cert
 
     monkeypatch.setattr(constraint_system, "dykstra", counted_dykstra)
@@ -679,9 +714,23 @@ def test_graph_derivative_solves_one_fiber_per_direction(monkeypatch):
         counted_decide(pair41, d, w)
     assert stability.solution_map_isolated_calm(
         problem, problem.lam_hint).verdict == "holds"
-    assert len(counts["gated"]) + len(counts["passed"]) == 50 + 256
-    assert len(counts["passed"]) == 37 + 2
-    assert set(counts["passed"]) == {1} and set(counts["gated"]) == {0}
+    # g(x) = s (x, x, 0) at the apex of SOC(3, sign), gd on a boundary
+    # ray: tangent samples whose kernel is a plane
+    A, x = np.array([[1.0], [1.0], [0.0]]), np.zeros(1)
+    for s, sign in ((1.0, "plus"), (-1.0, "minus")):
+        sys = constraint_system.affine_system(ConeDesc([SOC(3, sign)]),
+                                              s * A, np.zeros(3))
+        pair = constraint_system.BasePair(
+            constraint_system.BasePoint(sys, x), np.zeros(1), np.zeros(3))
+        for d, w in ngamma_tangent_generate(sys, x, np.zeros(3), count=8,
+                                            seed=2):
+            assert counted_decide(pair, d, w).verdict == "holds"
+    assert len(counts["gated"]) + len(counts["closed form"]) + \
+        len(counts["fallback"]) == 50 + 256 + 16
+    assert len(counts["closed form"]) == 37 + 2
+    assert len(counts["fallback"]) == 16
+    assert set(counts["gated"]) == set(counts["closed form"]) == {0}
+    assert set(counts["fallback"]) <= {1, 2}
 
 
 RI_METHOD = "relative-interior test of the multiplier of the {route}"
@@ -749,12 +798,13 @@ def test_qualify_pinned_instances_find_the_planted_multiplier():
 
 def test_qualify_plateau_is_searched_again(monkeypatch, tmp_path):
     # a conditioned qualify request (seed 5006) over R^4_+ x {0} at its
-    # apex: the Dykstra route, called on the request's fiber and normal
-    # cone, holds its residual at 0.0136 past cycle 100 from the
-    # least-squares seed while the increments cancel, so the stall
-    # detector ends the run; the run from that iterate converges to a
-    # multiplier.  multiplier_solve itself reads the request's kernel
-    # line in closed form.  The verdicts are the referee's
+    # apex: the fiber solve's Dykstra fallback, on the request's fiber
+    # and normal cone with the interval withheld, holds its residual at
+    # 0.0136 past cycle 100 from the least-squares point while the
+    # increments cancel, so the stall detector ends the run; the run from
+    # that iterate converges to a multiplier.  multiplier_solve itself
+    # reads the request's kernel line in closed form.  The verdicts are
+    # the referee's
     from conestab import constraint_system
     from conestab.constraint_system import (
         BasePoint, affine_system, multiplier_solve, multiplier_verify,
@@ -774,13 +824,20 @@ def test_qualify_plateau_is_searched_again(monkeypatch, tmp_path):
     item = qualify.build(5006)[338]
     assert item["blocks"] == [("orthant", 4, 1), ("zero", 1, 1)]
     sys = affine_system(wl.make_cone(item["blocks"]), item["A"], item["b"])
-    point = BasePoint(sys, item["x"])
-    lam, info = constraint_system._dykstra_search(point, item["v"])
+    point, v = BasePoint(sys, item["x"]), item["v"]
+    with monkeypatch.context() as patch:
+        # a block without a closed form sends the line to the fallback
+        patch.setattr(point.normal, "line_interval", lambda a, k: None)
+        lam, (_, _, ok), route, _, _ = constraint_system._fiber_solve(
+            point.J.T, v, point.normal, point.span_normal,
+            point.adjoint_on_span, lambda lam: point.tol.membership * (
+                1.0 + np.linalg.norm(lam) + np.linalg.norm(v)), point.tol)
     assert [(i.cycles, i.stalled, i.farkas) for i in infos[:1]] == \
         [(100, True, None)]
-    assert len(infos) == 2 and infos[1].converged and info is infos[1]
-    assert multiplier_verify(point, item["v"], lam)
-    res = multiplier_solve(point, item["v"])
+    assert len(infos) == 2 and infos[1].converged
+    assert ok and route == "Dykstra search"
+    assert multiplier_verify(point, v, lam)
+    res = multiplier_solve(point, v)
     assert res.found and res.route == "fiber interval" and len(infos) == 2
     assert res.srcq.verdict == qualify.referee([item])[0]["srcq"]
     assert strict_complementarity_check(res).verdict == "holds"
