@@ -285,9 +285,10 @@ def _fiber_solve(A, b, cone, B, svd, bound, tol):
     interval").  Without one that passes, Dykstra decides from xi_p, once
     more after a stall without a certificate ("Dykstra search")."""
     u, s, vt, r = svd
-    xi_p = B @ (vt[:r].T @ ((u[:, :r].T @ b) / s[:r]))
-    rho = u[:, r:] @ (u[:, r:].T @ b)  # b - A xi_p, ⊥ range(A B) to rounding
-    if r < b.size and _norm(rho) > bound(xi_p):
+    c = u.T @ b
+    xi_p = B @ (vt[:r].T @ (c[:r] / s[:r]))
+    if r < b.size and _norm(c[r:]) > bound(xi_p):
+        rho = u[:, r:] @ c[r:]  # b - A xi_p, ⊥ range(A B) to rounding
         y = A.T @ rho
         farkas = _farkas_test(A, b, rho, [y - cone.project(y)], 0)
         if farkas is not None:
