@@ -31,7 +31,8 @@ class Tol:
     """Tolerance bundle shared by every decision procedure.
 
     membership: absolute/relative threshold for set membership residuals.
-    zero: threshold classifying a numeric value (eigenvalue, activity) as 0.
+    zero: threshold classifying a numeric value (eigenvalue, activity) as
+        0; every rank counts the singular values s > zero ||A|| (`_span_svd`).
     max_iter: cap on feasibility (Dykstra) cycles, an integer.
     """
 
@@ -56,6 +57,15 @@ def _norm(z):
     # what np.linalg.norm computes for real input, without its dispatch
     z = np.asarray(z, dtype=float).ravel()
     return math.sqrt(z @ z)
+
+
+def _span_svd(A, B=None, tol=DEFAULT_TOL):
+    """(u, s, vt, r): the full SVD of A B, B orthonormal columns (of A
+    without B), and its rank r = #{s > tol.zero ||A||}, scaled by A as
+    the largest s may itself be rounding.  u[:, :r] spans the range,
+    u[:, r:] its complement and B vt[r:]^T the kernel in span B."""
+    u, s, vt = np.linalg.svd(A if B is None else A @ B)
+    return u, s, vt, int(np.count_nonzero(s > tol.zero * _norm(A)))
 
 
 # a residual within this many units in the last place of its terms is
@@ -165,6 +175,10 @@ class ConvexSet:
         """The dimension of that subspace."""
         return self.lineality_basis().shape[1]
 
+    def span_basis(self) -> np.ndarray:
+        """Orthonormal columns spanning C - C, read from the codes."""
+        return self._recoded(SignPattern._SPAN).lineality_basis()
+
     def line_interval(self, a, k):
         """{t : a + t k in the set} as (lo, hi), empty when lo > hi, for a
         and k in the span of the cone (its equations hold on the whole
@@ -259,7 +273,7 @@ class UnitFrameSet(ConvexSet):
 
     def lineality_basis(self):
         # u⊥ from the SVD of the row u
-        B = np.linalg.svd(self.u.reshape(1, -1))[2][1:].T \
+        B = _span_svd(self.u.reshape(1, -1))[2][1:].T \
             if self.across == _FREE else np.zeros((self.dim, 0))
         return np.hstack([self.u.reshape(-1, 1), B]) if self.along == _FREE \
             else B

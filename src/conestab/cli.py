@@ -14,7 +14,7 @@ import json
 import sys as _sys
 import numpy as np
 
-from ._sets import Tol
+from ._sets import Tol, _ROUNDING
 from .constraint_system import (
     BasePoint, BasePair, example1_system, example3_system, section32_system,
     EXAMPLE1_XBAR, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT, EXAMPLE3_XBAR,
@@ -216,7 +216,7 @@ def _section32(tol):
         lambda x, lam, v: float(np.linalg.norm(np.concatenate([x, v]))),
         tol=tol)
     expect = [1.0 / (np.sqrt(2.0) * k) for k in SECTION32_KS]
-    ok = all(abs(r - e) <= 1e-12 for r, e in zip(ratios, expect))
+    ok = all(abs(r - e) <= _ROUNDING * e for r, e in zip(ratios, expect))
     return [("ratio table matches 1/(sqrt(2) k)", ok, True)], [
         f"k={k}: ratio={r:.6e} expected={e:.6e}"
         for k, r, e in zip(SECTION32_KS, ratios, expect)], \

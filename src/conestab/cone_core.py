@@ -22,7 +22,7 @@ Each second-order operation takes a point z = y + lam: the critical
 cone C_K(y, lam) = T_K(y) ∩ lam⊥, Pi'_K(z; .) and Upsilon read a block's
 data from a `BlockPoint`, built on first use, and a `ConePoint` holds one
 per block, so a caller that keeps the point (a `GraphPoint`) decomposes
-each PSD block of z once and y at most once.  A block decides its case
+each PSD block of z once, and never y.  A block decides its case
 once, in its critical cone, classifying y and lam but never z; Pi'_K is
 the projection onto that cone, except on a curved second-order block
 (Pi_K is smooth there) and on PSD blocks (divided differences in z's
@@ -391,7 +391,7 @@ def _psd_part(w, U):
 
 class PSDPoint(BlockPoint):
     """The spectral split of smat(z) (`eig`: w, U, alpha, beta, gamma),
-    the divided differences of Pi'_K(z; .) and U^T (smat(lam), Y^+) U."""
+    the divided differences of Pi'_K(z; .) and `upsilon_mats`."""
 
     @cached_property
     def eig(self):
@@ -416,11 +416,12 @@ class PSDPoint(BlockPoint):
 
     @cached_property
     def upsilon_mats(self):
-        w, V = np.linalg.eigh(smat(self.y))
-        sc = self.tol.zero * max(1.0, float(np.abs(w).max(initial=0.0)))
-        winv = np.where(w > sc, 1.0 / np.where(w > sc, w, 1.0), 0.0)
-        M = self.eig[1].T @ V
-        return self.cone.frame(self, self.lam), (M * winv) @ M.T
+        """(U^T smat(lam) U, d): y = Pi_K(z) = U diag(max(w, 0)) U^T, so
+        U^T Y^+ U is diag(d), d = 1/w on alpha and 0 elsewhere."""
+        w, _, alpha, _, _ = self.eig
+        winv = np.zeros_like(w)
+        winv[alpha] = 1.0 / w[alpha]
+        return self.cone.frame(self, self.lam), winv
 
 
 class PSD(PrimitiveCone):
@@ -469,9 +470,9 @@ class PSD(PrimitiveCone):
         return out if h.ndim == 2 else svec(U @ out @ U.T)
 
     def _upsilon_grad(self, p, h):
-        L, Ypinv = p.upsilon_mats
+        L, winv = p.upsilon_mats
         U = p.eig[1]
-        A = Ypinv @ (h if h.ndim == 2 else self.frame(p, h)) @ L
+        A = winv[:, None] * (h if h.ndim == 2 else self.frame(p, h)) @ L
         G = -2.0 * (A + A.T)
         return G if h.ndim == 2 else svec(U @ G @ U.T)
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, dykstra,
+    Tol, DEFAULT_TOL, AffineSet, Certificate, ConvexSet, dykstra, _span_svd,
 )
 from .cone_core import ConeDesc, AmbientVec, normal_cone
 from .proj_deriv import GraphPoint
@@ -66,26 +66,20 @@ def subspace_cone_trivial(L: np.ndarray, C: ConvexSet,
     """Decide whether span(L) ∩ C = {0} for a cone C (any other C is
     `inconclusive`).
 
-    A line span(L) (rank 1 by the singular values of L) is decided by
-    `_line_cone_trivial`.  Otherwise span(L) is cut into slices.  With Q
-    an orthonormal basis of span(L) (k columns), a nonzero z in
-    span(L) ∩ C rescales to max_j |<q_j, z>| = 1, so it lies in a slice
-    A_j± = {z in span(L) : <q_j, z> = ±1} with norm at most sqrt(k).
-    Dykstra on [A_j±, C] converges, and its point of A_j± is the witness
-    of `fails`, or reads (h, R) by `_sets._gordan`: every point of
-    A_j± ∩ C has norm at least R.  `holds` needs R > sqrt(k) on all 2k
-    slices, and carries each (j, sign, h, R).
+    Q = u[:, :k] of `_span_svd` is an orthonormal basis of span(L), k
+    its rank by the package's one rank rule.  A line span(L) (k = 1) is
+    decided by `_line_cone_trivial`.  Otherwise span(L) is cut into
+    slices: a nonzero z in span(L) ∩ C rescales to max_j |<q_j, z>| = 1,
+    so it lies in a slice A_j± = {z in span(L) : <q_j, z> = ±1} with
+    norm at most sqrt(k).  Dykstra on [A_j±, C] converges, and its point
+    of A_j± is the witness of `fails`, or reads (h, R) by
+    `_sets._gordan`: every point of A_j± ∩ C has norm at least R.
+    `holds` needs R > sqrt(k) on all 2k slices, and carries each (j,
+    sign, h, R).
     """
     L = np.asarray(L, float)
-    if L.ndim == 1:
-        L = L.reshape(-1, 1)
-    Q = np.zeros((len(L), 0))
-    if L.size:
-        # rank from the singular values, which stay reliable for wide and
-        # rank-deficient L
-        u, s, _ = np.linalg.svd(L, full_matrices=False)
-        Q = u[:, s > 1e-12 * max(1.0, s[0])]
-    return _span_cone_trivial(Q, C, tol)
+    u, _, _, k = _span_svd(L.reshape(-1, 1) if L.ndim == 1 else L, tol=tol)
+    return _span_cone_trivial(u[:, :k], C, tol)
 
 
 def _span_cone_trivial(Q, C, tol):
@@ -101,7 +95,7 @@ def _span_cone_trivial(Q, C, tol):
     method = "radius-certified slices <q_j, z> = ±1 of span(L) against C"
     bound = math.sqrt(k)
     # the rows of each slice's M, q_j and the columns of W, are orthonormal
-    W = np.linalg.svd(Q)[0][:, k:]
+    W = _span_svd(Q)[0][:, k:]
     slices = []
     for j in range(k):
         for sign in (1.0, -1.0):

@@ -15,11 +15,11 @@ import math
 import numpy as np
 
 from ._sets import (
-    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, SignPattern, dykstra,
-    _farkas_test, _norm, _ROUNDING,
+    Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, dykstra, _farkas_test,
+    _norm, _span_svd, _ROUNDING,
 )
 from .cone_core import ConeDesc
-from .cone_geometry import subspace_cone_trivial, _span_cone_trivial
+from .cone_geometry import _span_cone_trivial
 from .proj_deriv import GraphPoint, dnk_contains
 from .symmat import svec
 
@@ -228,14 +228,6 @@ def _shaped(name, z, n, space):
     return z
 
 
-def _span_svd(A, B, tol):
-    """(u, s, vt, r): the full SVD of A B, B orthonormal columns, and its
-    rank r = #{s > tol.zero ||A||}; the scale is A's, since the largest s
-    may itself be rounding.  B vt[r:]^T spans ker A ∩ span B."""
-    u, s, vt = np.linalg.svd(A @ B)
-    return u, s, vt, int(np.sum(s > tol.zero * _norm(A)))
-
-
 def _fiber_residuals(A, b, cone, xi, bound):
     """(||A xi - b||, dist(xi, cone), ok), ok when both are at most a
     finite bound: a NaN never passes, nor does an xi whose norm, and so
@@ -346,7 +338,7 @@ class BasePoint:
     @cached_property
     def span_normal(self):
         """Orthonormal basis of span N_K(g(x)), read from N's codes."""
-        return self.normal._recoded(SignPattern._SPAN).lineality_basis()
+        return self.normal.span_basis()
 
     @cached_property
     def adjoint_on_span(self):
@@ -362,14 +354,11 @@ class BasePoint:
 
 
 def _null_basis(M, tol):
-    """Orthonormal basis of {z : M z = 0}, rank cut at tol.zero * sigma_max."""
-    M = np.asarray(M, float)
-    if M.size == 0:
+    """Orthonormal basis of {z : M z = 0}, by the rank rule of `_span_svd`."""
+    if not M.size:  # the whole space, without numpy's SVD of nothing
         return np.eye(M.shape[1])
-    u, s, vt = np.linalg.svd(M)
-    cut = tol.zero * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cut))
-    return vt[rank:].T
+    _, _, vt, r = _span_svd(M, tol=tol)
+    return vt[r:].T
 
 
 def _finite_scale(**named):
@@ -444,8 +433,7 @@ class BasePair:
     @cached_property
     def span_critical_polar(self):
         """Orthonormal basis of span C°, read from the codes of C°."""
-        return self.critical_polar._recoded(
-            SignPattern._SPAN).lineality_basis()
+        return self.critical_polar.span_basis()
 
     @cached_property
     def hess(self):
@@ -574,10 +562,11 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
        <u, v> = 0 and Ju in T = T_K(g(x)) outside lin T, that is when
        span(P J U_v) ∩ T ∩ (lin T)^perp != {0} for P the projector onto
        (lin T)^perp and U_v a basis of v^perp; T ∩ (lin T)^perp is
-       `T.pointed()`, read from T's codes.  One triviality decision gives
-       the verdict and details (the two distances of a line, or the
-       slice (h, R) pairs); a fails has witness Ju, and u in the
-       details.
+       `T.pointed()`, read from T's codes.  One SVD of L = P J U_v gives
+       an orthonormal basis of span L (`_span_svd`) and maps a point of
+       it back to u; one triviality decision gives the verdict and
+       details (the two distances of a line, or the slice (h, R)
+       pairs); a fails has witness Ju, and u in the details.
     """
     if not res.found:
         raise ValueError("undecided: the multiplier search stalled without "
@@ -597,12 +586,13 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
     else:
         B = pair.point.span_normal
         Uv = _null_basis(pair.v.reshape(1, -1), tol)
-        L = B @ (B.T @ (pair.J @ Uv))
-        cert = subspace_cone_trivial(L, pair.point.tangent.pointed(), tol)
+        q, s, vt, r = _span_svd(B @ (B.T @ (pair.J @ Uv)), tol=tol)
+        cert = _span_cone_trivial(q[:, :r], pair.point.tangent.pointed(),
+                                  tol)
         cert.method = "alternative: span(P J U_v) ∩ T ∩ (lin T)^perp = " \
             "{0}, by " + cert.method
         if cert.verdict == "fails":
-            u = Uv @ np.linalg.lstsq(L, cert.witness, rcond=None)[0]
+            u = Uv @ (vt[:r].T @ ((q[:, :r].T @ cert.witness) / s[:r]))
             cert.witness, cert.details["u"] = pair.J @ u, u
     cert.assumptions = (SUBREG_ASSUMPTION,)
     return cert

@@ -13,8 +13,8 @@ second-order cone.
 
 A `GraphPoint` is the point of the cone's second-order operations: it
 keeps the cone's data at z = y + lam, so every call at the point reads
-one eigendecomposition of each PSD block of z and, for Upsilon, at most
-one of y, and it holds the critical cone and its polar.
+one eigendecomposition of each PSD block of z, Upsilon included, and it
+holds the critical cone and its polar.
 `proj_dir_deriv`, the validated entry point for a vector z, builds that
 data for its one call.
 """

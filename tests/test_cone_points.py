@@ -1,7 +1,7 @@
 """The cone's data at a graph point (the blocks a `GraphPoint` keeps).
 
-Counts: at a graph point, each PSD block of z is decomposed once and y at
-most once, however many directions are read.  Parity: the graph-point
+Counts: at a graph point, each PSD block of z is decomposed once and y
+never, however many directions are read.  Parity: the graph-point
 path gives the numbers of the per-call svec-space formulas written out
 below, which decompose on every call: Pi' exactly (==, no tolerance)
 or, where a second-order block reads a ray from lam and the formula
@@ -65,7 +65,7 @@ def _split_counts(calls, Z, Y):
 
 
 @pytest.mark.parametrize("build", ["constructor", "from_z"])
-def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
+def test_graph_point_decomposes_z_once_and_never_y(monkeypatch, build):
     # PSD(4) at z = Q diag(2, 1, 0, -1.5) Q^T (y of rank 2) and at
     # z = Q diag(2, 0, 0, -1.5) Q^T (y of rank 1): lam != 0 of rank 1 and
     # a beta block of order 1 or 2, so Upsilon is curved; 50 calls of
@@ -92,7 +92,7 @@ def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
                 assert float(K.upsilon_grad(gp, hc) @ hc) > 0.0
         of_z, of_y, clips, other = _split_counts(calls, smat(gp.z),
                                                  smat(gp.y))
-        assert (of_z, of_y, other) == (1, 1, 0)
+        assert (of_z, of_y, other) == (1, 0, 0)
         if beta == 1:
             # a beta block of order 1 is clipped in closed form
             assert clips == 0
@@ -102,14 +102,15 @@ def test_graph_point_decomposes_z_once_and_y_at_most_once(monkeypatch, build):
             # cone's projection
             assert clips >= 17
         # a fresh point decomposes on every call; Upsilon reads its pair
-        # in the eigenframe of z, so a fresh point decomposes z for it too
+        # and Y^+ in the eigenframe of z, so a fresh point decomposes z
+        # for it, and y never
         calls.clear()
         for _ in range(3):
             proj_dir_deriv(K, gp.z, h)
             K.upsilon(_fresh(K, gp), h)
         of_z, of_y, _, other = _split_counts(calls, smat(gp.z), smat(gp.y))
         # the fresh point's z = y + lam may differ from gp.z in the last bit
-        assert (of_z + other, of_y) == (6, 3)
+        assert (of_z + other, of_y) == (6, 0)
 
 
 def _curved_psd_pair(dim_x, rng):
@@ -125,7 +126,7 @@ def _curved_psd_pair(dim_x, rng):
     return BasePair(BasePoint(sysm, x, DEFAULT_TOL), A.T @ lam, lam)
 
 
-def test_second_order_form_decomposes_y_once(monkeypatch):
+def test_second_order_form_never_decomposes_y(monkeypatch):
     from test_acceptance import _check_fails_certificate
 
     rng = np.random.default_rng(43)
@@ -134,15 +135,15 @@ def test_second_order_form_decomposes_y_once(monkeypatch):
     calls = _counting_eigh(monkeypatch)
     A = _second_order_form(problem, pair)
     Y = smat(pair.gx)
-    assert sum(np.array_equal(M, Y) for _, M in calls) == 1
+    assert not any(np.array_equal(M, Y) for _, M in calls)
     # the same matrix as from n per-call gradients
     K = pair.sys.cone
     UJ = np.column_stack([
         K.upsilon_grad(GraphPoint.of_pair(K, pair.gx, pair.lam, pair.tol), c)
         for c in pair.J.T])
     assert np.array_equal(A, -pair.hess - 0.5 * (pair.J.T @ UJ))
-    # the fiber solves past the critical-cone gate read the same
-    # decomposition of y: d with J d in the critical cone, a subspace here
+    # nor do the fiber solves past the critical-cone gate: d with J d in
+    # the critical cone, a subspace here
     B = _null_basis(pair.critical_polar.lineality_basis().T @ pair.J,
                     pair.tol)
     assert B.shape[1] == 4

@@ -193,6 +193,16 @@ def test_rank_one_basis_with_two_columns_takes_the_line_route():
         assert cert.method.startswith(LINE)
         assert cert.verdict == verdict
         assert cert.verdict == subspace_cone_trivial(L[:, :1], C).verdict
+    # a second singular value of about 7e-11 counts toward the rank,
+    # s > tol.zero ||L|| with ||L|| = 2, only when tol.zero < 3.5e-11
+    e = np.array([0.0, 0.8, -0.6])
+    L = np.column_stack([q, q + 1e-10 * e])
+    assert np.linalg.svd(L, compute_uv=False)[1] == pytest.approx(7.1e-11,
+                                                                  rel=0.01)
+    for tol, route in ((DEFAULT_TOL, LINE),
+                       (Tol(membership=1e-6, zero=1e-7), LINE),
+                       (Tol(membership=1e-11, zero=1e-12), SLICES)):
+        assert subspace_cone_trivial(L, C, tol).method.startswith(route)
 
 
 def test_a_set_that_is_not_a_cone_is_inconclusive():

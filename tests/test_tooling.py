@@ -51,6 +51,37 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_one_function_decides_rank():
+    # every kernel, range and rank of the package comes from
+    # `_sets._span_svd` and its one rank rule; the others factor for
+    # something else: AffineSet's projector (read by Dykstra), the branch
+    # LP's margin (HiGHS's tolerance) and the critical-subspace form's
+    # sigma_min thresholds.  The oracle, a referee, keeps its own rule
+    factor = {"svd", "pinv", "lstsq", "matrix_rank"}
+    pkg = pathlib.Path(conestab.__file__).parent
+    found = set()
+
+    def scan(node, path, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                scan(child, path, f"{name}.{child.name}" if name
+                     else child.name)
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and \
+                    isinstance(f, ast.Attribute) and f.attr in factor and \
+                    ast.unparse(f.value) == "np.linalg":
+                found.add(f"{path.stem}.{name}")
+            scan(child, path, name)
+
+    for path in sorted(pkg.glob("*.py")):
+        if path.name != "oracle.py":
+            scan(ast.parse(path.read_text()), path, "")
+    assert found == {"_sets._span_svd", "_sets.AffineSet.__init__",
+                     "stability._branch_lp_max",
+                     "stability._subspace_decision"}
+
+
 def test_exported_names_resolve():
     # every name a module lists in __all__ exists there, and the package
     # re-exports only names its modules list, so a deleted helper cannot
@@ -576,9 +607,8 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
     from conestab import cli, constraint_system
 
     # srcq's decision is the only one: its basis is orthonormal, so it
-    # enters after the factorization of subspace_cone_trivial
-    calls = {"multiplier_solve": 0, "subspace_cone_trivial": 0,
-             "_span_cone_trivial": 0}
+    # enters the triviality decision past its factorization
+    calls = {"multiplier_solve": 0, "_span_cone_trivial": 0}
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -590,7 +620,6 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
 
     for module, name in ((cli, "multiplier_solve"),
                          (constraint_system, "multiplier_solve"),
-                         (constraint_system, "subspace_cone_trivial"),
                          (constraint_system, "_span_cone_trivial")):
         monkeypatch.setattr(module, name, counting(module, name))
     _, x, v, _, problem = planted(3, srcq_holds=True)
@@ -598,8 +627,7 @@ def test_analyze_decides_the_qualification_once(monkeypatch, planted,
     assert rc == 0
     assert [c["name"] for c in report["certificates"]] == \
         ["srcq", "strict_complementarity", "nondegeneracy"]
-    assert calls == {"multiplier_solve": 1, "subspace_cone_trivial": 0,
-                     "_span_cone_trivial": 1}
+    assert calls == {"multiplier_solve": 1, "_span_cone_trivial": 1}
 
 
 def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted,
@@ -609,29 +637,28 @@ def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted,
     # does the strict-complementarity alternative, the third decision,
     # run when the searched multiplier of a wide fiber is not
     # relative-interior: span(P J U_v) is a line, and T ∩ (lin T)^perp
-    # is read from T's codes
+    # is read from T's codes.  Both enter the decision past its
+    # factorization
     from conestab import cli, cone_geometry, constraint_system
 
     calls = {"dykstra": 0}
-    runs = []  # (decision, Dykstra calls) per decision
+    runs = []  # Dykstra calls per decision
     dykstra = cone_geometry.dykstra
 
-    def counting(name):
-        decide = getattr(constraint_system, name)
+    decide = constraint_system._span_cone_trivial
 
-        def counted_decide(L, C, *args, **kwargs):
-            before = calls["dykstra"]
-            cert = decide(L, C, *args, **kwargs)
-            runs.append((name, calls["dykstra"] - before))
-            return cert
-        return counted_decide
+    def counted_decide(Q, C, *args, **kwargs):
+        before = calls["dykstra"]
+        cert = decide(Q, C, *args, **kwargs)
+        runs.append(calls["dykstra"] - before)
+        return cert
 
     def counted_dykstra(*args, **kwargs):
         calls["dykstra"] += 1
         return dykstra(*args, **kwargs)
 
-    for name in ("_span_cone_trivial", "subspace_cone_trivial"):
-        monkeypatch.setattr(constraint_system, name, counting(name))
+    monkeypatch.setattr(constraint_system, "_span_cone_trivial",
+                        counted_decide)
     monkeypatch.setattr(cone_geometry, "dykstra", counted_dykstra)
     for srcq_holds in (True, False):
         _, x, v, _, problem = planted(3, srcq_holds)
@@ -639,15 +666,17 @@ def test_line_kernel_decisions_run_no_dykstra(monkeypatch, planted,
         assert rc == 0
         assert report["certificates"][0]["verdict"] == \
             ("holds" if srcq_holds else "fails")
-    assert runs == [("_span_cone_trivial", 0)] * 2
+    assert runs == [0] * 2
     _, x, v, _, problem = wide_fiber(True)
     rc, report = analyze(problem, {"x": x, "v": v})
     assert report["certificates"][1]["method"].startswith("alternative")
-    assert runs[-1] == ("subspace_cone_trivial", 0)
+    # srcq's decision (its kernel here is not a line), then the
+    # alternative's
+    assert len(runs) == 4 and runs[-1] == 0
     del runs[:]
     assert cli.main(["repro", "example41"]) == 0
     capsys.readouterr()
-    assert runs == [("_span_cone_trivial", 0)] * 2
+    assert runs == [0] * 2
 
 
 def _graph_fiber_dim(pair, d):
