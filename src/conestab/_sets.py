@@ -458,7 +458,8 @@ class PSDBlockSet(ConvexSet):
         LAPACK's eigenvalue of [[b]] is b, so the sum is the same bit for
         bit."""
         W = z if np.ndim(z) == 2 else self.U.T @ smat(z) @ self.U
-        d2 = float(np.sum(W[self._dropped] ** 2))
+        drop = W[self._dropped]
+        d2 = float(drop @ drop)
         for block, _, code in self._ops:
             if code != _FREE:  # the eigenvalues its projection drops
                 B = W[block] if code == _NONNEG else -W[block]

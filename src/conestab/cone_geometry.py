@@ -46,11 +46,13 @@ def _line_cone_trivial(q, C, tol):
     C ∩ span{q} is a closed convex cone on a line: {0}, a ray along q or
     -q, or the whole line.  It is nontrivial exactly when dist(q, C) or
     dist(-q, C) is 0, and since dist(t z, C) = t dist(z, C) for t > 0,
-    every unit z in span{q} is at distance at least min d± from C.
+    every unit z in span{q} is at distance at least min d± from C.  The
+    details carry q (`line`) with d± (`dist_plus`, `dist_minus`), so a
+    reader re-checks both with two projections.
     """
     method = "closed-form distances of ±q to C (span(L) is the line of q)"
     dists = (C.dist(q), C.dist(-q))
-    details = {"dist_plus": dists[0], "dist_minus": dists[1]}
+    details = {"line": q, "dist_plus": dists[0], "dist_minus": dists[1]}
     best = min(dists)
     point = q if dists[0] == best else -q
     if best <= tol.membership:

@@ -309,10 +309,13 @@ class BasePoint:
 
     The constructor makes the one feasibility decision of the package.
     Every check at x reads g(x) (`gx`) and the Jacobian `J` from the
-    point, and T_K(g(x)) (`tangent`), N_K(g(x)) = T_K(g(x))° (`normal`),
-    a basis of span N_K(g(x)) (`span_normal`), the one rank decision
-    for J^T on it (`adjoint_on_span`) and the kernel it leaves
-    (`adjoint_kernel`), each built on first use.
+    point, and each of these, built on first use: the graph point
+    (g(x), 0) of the normal-cone map (`graph_point`), whose critical cone
+    is T_K(g(x)) (`tangent`) and whose polar is N_K(g(x)) (`normal`); a
+    basis of span N_K(g(x)) (`span_normal`), the one rank decision for
+    J^T on it (`adjoint_on_span`) and the kernel it leaves
+    (`adjoint_kernel`).  A `BasePair` with lam = 0 reads `graph_point`,
+    so T, N and the blocks' data are built once per point.
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
@@ -328,12 +331,18 @@ class BasePoint:
         self.J = sys.jacobian(x)
 
     @cached_property
+    def graph_point(self):
+        """The graph point (g(x), 0): its critical cone is T_K(g(x))."""
+        return GraphPoint.of_pair(self.sys.cone, self.gx,
+                                  np.zeros(self.gx.size), self.tol)
+
+    @cached_property
     def tangent(self):
-        return self.sys.cone.tangent_set(self.gx, self.tol)
+        return self.graph_point.critical
 
     @cached_property
     def normal(self):
-        return self.tangent.polar()
+        return self.graph_point.critical_polar
 
     @cached_property
     def span_normal(self):
@@ -396,6 +405,8 @@ class BasePair:
     check at the pair reads g(x) (`gx`) and the Jacobian `J` of its
     point, the Hessian of <lam, g> at x, built on first use, and the
     critical cone of K at (g(x), lam) and its polar from the graph point.
+    At lam = 0 that graph point is the point's own (g(x), 0), so the
+    critical cone is `point.tangent` and its polar `point.normal`.
     """
 
     def __init__(self, point: BasePoint, v, lam):
@@ -420,6 +431,8 @@ class BasePair:
 
     @cached_property
     def graph_point(self):
+        if not self.lam.any():
+            return self.point.graph_point
         return GraphPoint.of_pair(self.sys.cone, self.gx, self.lam, self.tol)
 
     @property

@@ -92,7 +92,8 @@ class GraphPoint(ConePoint):
     @classmethod
     def of_pair(cls, cone: ConeDesc, y, lam, tol: Tol):
         """The graph point of a pair already verified by its caller's own
-        test (a `BasePair`'s multiplier test), without a second decision
+        test (a `BasePair`'s multiplier test, or at lam = 0 a
+        `BasePoint`'s feasibility decision), without a second decision
         at other thresholds."""
         gp = cls.__new__(cls)
         ConePoint.__init__(gp, cone, y + lam, tol, y, lam)

@@ -1,6 +1,7 @@
 """Shared fixtures: a seeded mixed-cone affine system with a planted
 multiplier, a system whose multiplier search takes the Dykstra route,
-and `conestab analyze --report json` run in-process."""
+a generalized equation whose multiplier is 0, and `conestab analyze
+--report json` run in-process."""
 
 import json
 
@@ -11,6 +12,7 @@ from conestab.cli import main
 from conestab.cone_core import ConeDesc, PSD, SOC, Orthant
 from conestab.constraint_system import affine_system
 from conestab.jsonio import emit_cone
+from conestab.stability import GEProblem
 from conestab.symmat import svec
 
 
@@ -99,3 +101,28 @@ def analyze(tmp_path, capsys):
         out = capsys.readouterr().out
         return rc, json.loads(out) if rc == 0 else None
     return run
+
+
+@pytest.fixture
+def calm_problem():
+    """Factory (cone, y, extra, rng) -> GEProblem 0 in F(p, x) + N_Gamma(x).
+
+    g(x) = A x + b with g(x) = y at a Gaussian x, A = [Q | 0] for an
+    orthogonal Q drawn from rng and `extra` zero columns; F = -p - x on
+    the first dim K coordinates of x and 0 on the extra ones, and
+    pbar = -x, so vbar = 0 and lam = 0 is the multiplier.  The solution
+    map is isolated calm exactly when `extra` is 0: an extra coordinate
+    enters neither g nor F."""
+    def make(cone, y, extra, rng):
+        m = cone.dim
+        A = np.zeros((m, m + extra))
+        A[:, :m] = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        x = np.concatenate([rng.standard_normal(m), np.zeros(extra)])
+        mask = np.concatenate([np.ones(m), np.zeros(extra)])
+        return GEProblem(
+            affine_system(cone, A, y - A @ x),
+            F=lambda p, xx: mask * (-np.asarray(p) - np.asarray(xx)),
+            Fprime=lambda base, d: mask * (-np.asarray(d[0])
+                                           - np.asarray(d[1])),
+            pbar=-mask * x, xbar=x)
+    return make

@@ -162,6 +162,65 @@ def test_analyze_json_multiplier_entry_rechecks(planted, analyze):
     assert farkas["bound"] > 0 and len(farkas["h"]) == 3
 
 
+def test_analyze_json_srcq_line_rechecks(planted, analyze):
+    # on the line route the srcq entry carries the unit vector q of the
+    # line ker J^T ∩ span N_K(g(x)) beside d± = dist(±q, C°), C the
+    # critical cone at (g(x), lam) for the report's multiplier lam: a
+    # reader re-derives all three from the problem file and the report
+    from conestab._sets import Tol
+    from conestab.cone_core import ConeDesc, PSD
+    from conestab.jsonio import emit_cone, parse_cone
+    from conestab.proj_deriv import GraphPoint
+
+    # PSD(2) at its apex with ker J^T the indefinite line of diag(1, -1):
+    # the multiplier is 0, so C° is N_K(0) = -PSD(2), which ±q both miss;
+    # the planted srcq-fails problems put the kernel line inside C°
+    q0 = svec(np.diag([1.0, -1.0])) / np.sqrt(2.0)
+    A = np.linalg.svd(q0.reshape(1, -1))[2][1:].T
+    x = np.array([0.3, -0.2])
+    cases = [({"cone": emit_cone(ConeDesc([PSD(2)])),
+               "mapping": {"affine": {"A": A.tolist(),
+                                      "b": (-A @ x).tolist()}}},
+              x, np.zeros(2))]
+    for seed in range(3):
+        _, x, v, _, problem = planted(seed, srcq_holds=False)
+        cases.append((problem, x, v))
+    verdicts, reports = [], []
+    for problem, x, v in cases:
+        rc, report = analyze(problem, {"x": x, "v": v})
+        assert rc == 0
+        srcq = next(c for c in report["certificates"] if c["name"] == "srcq")
+        assert srcq["method"].startswith("closed-form distances of ±q")
+        det, tol = srcq["details"], Tol(**srcq["tol"])
+        q, lam = np.array(det["line"]), np.array(report["multiplier"]["lam"])
+        J = np.array(problem["mapping"]["affine"]["A"])
+        y = J @ x + np.array(problem["mapping"]["affine"]["b"])
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+        assert np.linalg.norm(J.T @ q) <= \
+            64 * np.finfo(float).eps * np.linalg.norm(J)
+        polar = GraphPoint(parse_cone(problem["cone"]), y, lam,
+                           tol).critical_polar
+        dists = det["dist_plus"], det["dist_minus"]
+        assert (polar.dist(q), polar.dist(-q)) == pytest.approx(
+            dists, rel=0.0, abs=1e-15)
+        verdicts.append(srcq["verdict"])
+        reports.append((report, det))
+        if srcq["verdict"] == "fails":
+            assert min(dists) <= tol.membership
+            w = np.array(srcq["witness"])
+            assert np.array_equal(w, q) or np.array_equal(w, -q)
+    # at the apex, dist(±q, -PSD(2)) is the norm of the positive
+    # eigenvalues of ±smat(q), which are ±1/sqrt(2)
+    report, det = reports[0]
+    assert report["multiplier"]["lam"] == [0.0] * 3
+    for t, key in ((1.0, "dist_plus"), (-1.0, "dist_minus")):
+        ev = np.linalg.eigvalsh(smat(t * np.array(det["line"])))
+        assert det[key] == pytest.approx(
+            np.linalg.norm(np.maximum(ev, 0.0)), abs=1e-15)
+        assert det[key] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+    assert verdicts == ["holds"] + ["fails"] * 3
+
+
 def test_repro_unknown_scenario(capsys):
     assert main(["repro", "nope"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

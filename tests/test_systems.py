@@ -402,6 +402,92 @@ def test_span_normal_and_srcq_witnesses_on_every_primitive():
     assert verdicts == {"holds", "fails"}
 
 
+def _lam_zero_suite(rng):
+    """(K, y): every primitive in both signs at its apex and at a
+    projected Gaussian point (mostly on a proper face), and one product
+    of every kind of block at a projected point."""
+    prims = [Orthant(3), Orthant(3, "minus"), SOC(3), SOC(3, "minus"),
+             PSD(2), PSD(2, "minus"), Zero(2), Free(2)]
+    for b in prims:
+        K = ConeDesc([b])
+        yield K, np.zeros(K.dim)
+        yield K, K.project(2.0 * rng.standard_normal(K.dim))
+    K = ConeDesc([PSD(2), SOC(3, "minus"), Orthant(2), Zero(1), Free(1)])
+    yield K, K.project(2.0 * rng.standard_normal(K.dim))
+
+
+def _lam_zero_certificates(K, y, seed, calm_problem):
+    """The lam = 0 certificates at g(x) = y for g(x) = A x + b, with A of
+    rank dim K and one more column, drawn from `seed`: srcq there and
+    for the one column a of A, whose ker a^T meets span N_K(y) in
+    dim K - 1 or fewer dimensions; three graph-derivative checks (d in
+    ker A, a d with A d in T_K(y), a random pair); and isolated calmness
+    for F = -p - x, which holds, and for F blind to one extra coordinate
+    outside g, which fails.  Returns the certificates and the lam = 0
+    pairs."""
+    from conestab.stability import solution_map_isolated_calm
+
+    rng = np.random.default_rng(seed)
+    m = K.dim
+    A = rng.standard_normal((m, m + 1))
+    x = rng.standard_normal(m + 1)
+    point = BasePoint(affine_system(K, A, y - A @ x), x)
+    pair = BasePair(point, np.zeros(m + 1), np.zeros(m))
+    a = A[:, :1]
+    column = BasePair(BasePoint(affine_system(K, a, y - a @ x[:1]), x[:1]),
+                      np.zeros(1), np.zeros(m))
+    kernel = np.linalg.svd(A)[2][-1]
+    d_tan = np.linalg.pinv(A) @ point.tangent.project(rng.standard_normal(m))
+    xi = point.normal.project(rng.standard_normal(m))
+    certs = [srcq_check(pair), srcq_check(column)] + [
+        ngamma_graph_deriv_contains(pair, d, w) for d, w in (
+            (kernel, A.T @ xi), (d_tan, np.zeros(m + 1)),
+            (rng.standard_normal(m + 1), rng.standard_normal(m + 1)))]
+    for extra in (0, 1):
+        certs.append(solution_map_isolated_calm(
+            calm_problem(K, y, extra, rng), np.zeros(m)))
+    return certs, (pair, column)
+
+
+def test_lam_zero_pairs_read_the_base_points_graph_point(monkeypatch,
+                                                         calm_problem):
+    # at lam = 0 the critical cone at (g(x), lam) is T_K(g(x)) and its
+    # polar N_K(g(x)): the pair reads the graph point (g(x), 0) its base
+    # point holds, and every certificate at the pair is the one a graph
+    # point built for the pair alone gives, verdict, residual and witness
+    from functools import cached_property
+
+    from conestab.proj_deriv import GraphPoint
+
+    rng = np.random.default_rng(39)
+    cases = [(K, y, seed) for seed, (K, y) in enumerate(_lam_zero_suite(rng))]
+    shared = []
+    for K, y, seed in cases:
+        certs, pairs = _lam_zero_certificates(K, y, seed, calm_problem)
+        for pair in pairs:
+            point = pair.point
+            assert pair.graph_point is point.graph_point
+            assert pair.critical is point.tangent
+            assert pair.critical_polar is point.normal
+        shared.append(certs)
+
+    def own(pair):
+        return GraphPoint.of_pair(pair.sys.cone, pair.gx, pair.lam, pair.tol)
+    own = cached_property(own)
+    own.__set_name__(BasePair, "graph_point")
+    monkeypatch.setattr(BasePair, "graph_point", own)
+    verdicts = set()
+    for (K, y, seed), certs in zip(cases, shared):
+        fresh, pairs = _lam_zero_certificates(K, y, seed, calm_problem)
+        assert all(p.graph_point is not p.point.graph_point for p in pairs)
+        for a, b in zip(certs, fresh):
+            assert (a.verdict, a.residual) == (b.verdict, b.residual), K
+            assert (a.witness is None and b.witness is None) or \
+                np.array_equal(a.witness, b.witness), K
+            verdicts.add(a.verdict)
+    assert {"holds", "fails"} <= verdicts
+
+
 def test_strict_complementarity_cases():
     sys3 = example3_system()
     xbar, vbar = EXAMPLE3_XBAR, EXAMPLE3_VBAR

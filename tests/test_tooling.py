@@ -226,35 +226,51 @@ def test_isolated_calm_verifies_the_multiplier_once(monkeypatch):
 def test_each_point_is_verified_once(monkeypatch, planted, analyze):
     # a feasibility decision is a membership test of g(x) in K; the base
     # point data (g(x), J, T_K, N_K) and the critical cone of a graph
-    # point are built once however many checks read them
+    # point are built once however many checks read them.  T_K is the
+    # critical set of the base point's graph point (g(x), 0), and N_K
+    # the polar of that set
     from collections import Counter
+    from functools import cached_property
 
     from conestab._sets import ProductSet
     from conestab.cone_core import ConeDesc, PSD
-    from conestab.constraint_system import ConstraintSystem
+    from conestab.constraint_system import BasePoint, ConstraintSystem
     from conestab.proj_deriv import GraphPoint, dnk_contains
     from conestab.stability import example41_problem, \
         solution_map_isolated_calm
     from conestab.symmat import svec
 
     calls = Counter()
-    tangents = []
+    base_points, tangents = [], []
 
     def count(cls, name, key):
         inner = getattr(cls, name)
 
         def counted(self, *args, **kwargs):
             calls[key] += 1
-            out = inner(self, *args, **kwargs)
-            if key == "T_K":
-                tangents.append(out)
-            return out
+            return inner(self, *args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
 
     count(ConeDesc, "contains", "feasibility")
     count(ConstraintSystem, "jacobian", "J")
-    count(ConeDesc, "tangent_set", "T_K")
-    count(ConeDesc, "critical_set", "critical")
+    critical_set = ConeDesc.critical_set
+
+    def counted_critical(self, p):
+        out = critical_set(self, p)
+        calls["critical"] += 1
+        if any(p is gp for gp in base_points):
+            calls["T_K"] += 1
+            tangents.append(out)
+        return out
+    monkeypatch.setattr(ConeDesc, "critical_set", counted_critical)
+    graph_point = BasePoint.graph_point.func
+
+    def recorded(self):
+        base_points.append(graph_point(self))
+        return base_points[-1]
+    recorded = cached_property(recorded)
+    recorded.__set_name__(BasePoint, "graph_point")
+    monkeypatch.setattr(BasePoint, "graph_point", recorded)
     polar = ProductSet.polar
 
     def counted_polar(self):
@@ -268,7 +284,7 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
         rc, _ = analyze(problem, {"x": x, "v": v})
         assert rc == 0
         assert (calls["feasibility"], calls["J"], calls["N_K"]) == (1, 1, 1)
-        assert calls["T_K"] <= 1
+        assert calls["T_K"] == 1
     # the problem's own verified point serves the isolated-calmness call
     calls.clear()
     problem = example41_problem()
@@ -280,6 +296,56 @@ def test_each_point_is_verified_once(monkeypatch, planted, analyze):
     for dy in np.eye(K.dim)[:4]:
         dnk_contains(K, gp, dy, np.zeros(K.dim))
     assert calls["critical"] == 1
+
+
+def test_lam_zero_isolated_calm_builds_no_cone_data(monkeypatch,
+                                                    calm_problem):
+    # once a GE problem is built its base point holds the graph point
+    # (g(x), 0), with T_K, N_K and the blocks' eigendecompositions: a
+    # lam = 0 isolated-calmness call reads them and builds none again,
+    # on the definite route and on the lineality witness search, whose
+    # graph-derivative checks reach dnk_contains and the curvature term.
+    # (A PSD block with a zero eigenvalue of order 2 or more would call
+    # eigh in Pi', as `dnk_contains` does at any graph point, so the
+    # fails cases keep their PSD blocks on a rank-one face.)
+    from collections import Counter
+
+    from conestab._sets import ProductSet
+    from conestab.cone_core import ConeDesc, Orthant, PSD, SOC
+    from conestab.stability import solution_map_isolated_calm
+    from conestab.symmat import svec
+
+    rng = np.random.default_rng(5)
+    u = np.array([0.6, 0.8])
+    cases = [
+        ([PSD(2), SOC(3, "minus")], [np.zeros(3), np.zeros(3)], 0, "holds"),
+        ([PSD(2, "minus"), Orthant(2)], [-svec(np.outer(u, u)), np.zeros(2)],
+         1, "fails"),
+        ([SOC(3), PSD(2)], [np.array([1.0, 0.6, 0.8]), svec(np.outer(u, u))],
+         1, "fails"),
+    ]
+    calls = Counter()
+
+    def count(owner, name, key):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    problems = [(calm_problem(ConeDesc(blocks), np.concatenate(ys), extra,
+                              rng), verdict)
+                for blocks, ys, extra, verdict in cases]
+    count(ConeDesc, "critical_set", "critical")
+    count(ProductSet, "polar", "polar")
+    count(np.linalg, "eigh", "eigh")
+    for problem, verdict in problems:
+        calls.clear()
+        lam = np.zeros(problem.sys.cone.dim)
+        cert = solution_map_isolated_calm(problem, lam)
+        assert cert.verdict == verdict
+        assert calls == Counter(), (verdict, calls)
 
 
 def test_each_found_multiplier_is_tested_once(monkeypatch, planted,
