@@ -59,6 +59,13 @@ def _norm(z):
     return math.sqrt(z @ z)
 
 
+def _frozen(a):
+    """a, marked read-only: a cache that hands it out, as a witness, a
+    detail or a basis, cannot be changed through it."""
+    a.setflags(write=False)
+    return a
+
+
 def _span_svd(A, B=None, tol=DEFAULT_TOL):
     """(u, s, vt, r): the full SVD of A B, B orthonormal columns (of A
     without B), and its rank r = #{s > tol.zero ||A||}, scaled by A as

@@ -533,9 +533,12 @@ class ConePoint:
 
     @cached_property
     def blocks(self):
-        K = self.cone
-        return tuple(b.point(z, self.tol, *(v[sl] for v in self._pair))
-                     for b, z, sl in zip(K.blocks, K.split(self.z), K.slices))
+        K, tol, zs = self.cone, self.tol, self.cone.split(self.z)
+        if not self._pair:
+            return tuple(b.point(z, tol) for b, z in zip(K.blocks, zs))
+        y, lam = self._pair
+        return tuple(b.point(z, tol, y[sl], lam[sl])
+                     for b, z, sl in zip(K.blocks, zs, K.slices))
 
     @cached_property
     def y(self):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._sets import (
     Tol, DEFAULT_TOL, Certificate, AffineSet, Farkas, dykstra, _farkas_test,
-    _norm, _span_svd, _ROUNDING,
+    _norm, _span_svd, _frozen, _ROUNDING,
 )
 from .cone_core import ConeDesc
 from .cone_geometry import _span_cone_trivial
@@ -26,7 +26,7 @@ from .symmat import svec
 SUBREG_ASSUMPTION = "metric subregularity of x -> g(x) - K at the base point"
 
 __all__ = [
-    "ConstraintSystem", "BasePoint", "MultiplierSolveResult",
+    "ConstraintSystem", "BasePoint", "CriticalData", "MultiplierSolveResult",
     "example1_system", "example3_system", "section32_system",
     "affine_system", "quadratic_system",
     "multiplier_solve", "multiplier_verify", "BasePair",
@@ -274,8 +274,11 @@ def _fiber_solve(A, b, cone, B, svd, bound, tol):
     projected onto that polar, is a Farkas certificate (cycle 0, route
     "span solve").  Else the kernel's dimension picks the candidate: xi_p
     at 0 ("span solve"), the point of `_line_fiber` at 1 ("fiber
-    interval").  Without one that passes, Dykstra decides from xi_p, once
-    more after a stall without a certificate ("Dykstra search")."""
+    interval").  At 0, xi_p is the one point of span B that A maps to b,
+    so when it fails, y = xi_p - Pi(xi_p) and h = pinv((A B)^T) B^T y
+    give a Farkas certificate in closed form ("span solve", cycle 0).
+    Without one, Dykstra decides from xi_p, once more after a stall
+    without a certificate ("Dykstra search")."""
     u, s, vt, r = svd
     c = u.T @ b
     xi_p = B @ (vt[:r].T @ (c[:r] / s[:r]))
@@ -294,6 +297,16 @@ def _fiber_solve(A, b, cone, B, svd, bound, tol):
         if resid[2]:
             return xi, resid, "fiber interval" if fiber else "span solve", \
                 fiber, None
+    if r == vt.shape[0]:
+        # y = xi_p - Pi(xi_p) is in the polar (Moreau) and h solves
+        # (A B)^T h = B^T y, so A^T h is in y + (span B)^perp, inside the
+        # polar too, and <h, A xi_p> = <y, xi_p> = ||y||^2
+        y = xi_p - cone.project(xi_p)
+        h = u[:, :r] @ ((vt @ (B.T @ y)) / s[:r])
+        t = A.T @ h
+        farkas = _farkas_test(A, b, h, [t - cone.project(t)], 0)
+        if farkas is not None:
+            return xi_p, resid, "span solve", None, farkas
     sets = AffineSet(A, b), cone
     xi, info = dykstra(*sets, xi_p, tol)
     if info.stalled and info.farkas is None:
@@ -303,19 +316,79 @@ def _fiber_solve(A, b, cone, B, svd, bound, tol):
         "Dykstra search", None, info.farkas
 
 
+class CriticalData:
+    """A graph point (g(x), lam) of the normal-cone map of K read through
+    the Jacobian J at x: the data of the critical cone C at (g(x), lam)
+    that reads neither v nor a direction d, each built on first use and
+    shared by every call that reads it.
+
+    - `span_critical_polar`: an orthonormal basis B of span C°, read
+      from the codes of C° (no SVD);
+    - `adjoint_on_span`: `_span_svd` of J^T on B, the one rank decision
+      for J^T on span C°;
+    - `adjoint_kernel`: B vt[r:]^T, an orthonormal basis of
+      ker J^T ∩ span C°, from `adjoint_on_span`;
+    - `critical_span_basis`: an orthonormal basis of {d : J d in span C}.
+      span C = (lin C°)^perp, so it spans the kernel of Lp^T J for a
+      basis Lp of lin C°;
+    - `lineality_directions`: plus and minus each column of an
+      orthonormal basis of W = {d : J d in lin C}, the kernel of J
+      first.  Every direction of W passes the critical-cone gate,
+      however thin C is; a coordinate that enters neither g nor F lies
+      in the kernel of J.
+
+    Every array is read-only, so a certificate that hands one out cannot
+    change the next.
+    """
+
+    def __init__(self, graph_point, J, tol):
+        self.graph_point, self.J, self.tol = graph_point, J, tol
+
+    @cached_property
+    def span_critical_polar(self):
+        return _frozen(self.graph_point.critical_polar.span_basis())
+
+    @cached_property
+    def adjoint_on_span(self):
+        u, s, vt, r = _span_svd(self.J.T, self.span_critical_polar, self.tol)
+        return _frozen(u), _frozen(s), _frozen(vt), r
+
+    @cached_property
+    def adjoint_kernel(self):
+        _, _, vt, r = self.adjoint_on_span
+        return _frozen(self.span_critical_polar @ vt[r:].T)
+
+    @cached_property
+    def critical_span_basis(self):
+        Lp = self.graph_point.critical_polar.lineality_basis()
+        return _frozen(_null_basis(Lp.T @ self.J, self.tol))
+
+    @cached_property
+    def lineality_directions(self):
+        J, tol = self.J, self.tol
+        ker = _null_basis(J, tol)
+        Q = self.graph_point.critical.lineality_basis()
+        # J d in span Q, d orthogonal to the kernel already listed
+        rest = _null_basis(np.vstack([J - Q @ (Q.T @ J), ker.T]), tol)
+        W = np.hstack([ker, rest]).T
+        return _frozen(np.stack([W, -W], axis=1).reshape(-1, J.shape[1]))
+
+
 class BasePoint:
     """A verified base point: x has shape (dim_x,), x and g(x) are finite
     and g(x) is in K.
 
     The constructor makes the one feasibility decision of the package.
     Every check at x reads g(x) (`gx`) and the Jacobian `J` from the
-    point, and each of these, built on first use: the graph point
-    (g(x), 0) of the normal-cone map (`graph_point`), whose critical cone
-    is T_K(g(x)) (`tangent`) and whose polar is N_K(g(x)) (`normal`); a
-    basis of span N_K(g(x)) (`span_normal`), the one rank decision for
-    J^T on it (`adjoint_on_span`) and the kernel it leaves
-    (`adjoint_kernel`).  A `BasePair` with lam = 0 reads `graph_point`,
-    so T, N and the blocks' data are built once per point.
+    point, read-only copies like `x`, and each of these, built on first
+    use: the graph point (g(x), 0) of the normal-cone map
+    (`graph_point`), whose critical cone is T_K(g(x)) (`tangent`) and
+    whose polar is N_K(g(x)) (`normal`), and its `CriticalData`
+    (`critical_data`).  There span C° is span N_K(g(x)) (`span_normal`),
+    with the one rank decision for J^T on it (`adjoint_on_span`) and the
+    kernel it leaves (`adjoint_kernel`).  A `BasePair` with lam = 0
+    reads `critical_data`, so T, N, the blocks' data and the J-level
+    bases are built once per point.
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
@@ -327,14 +400,19 @@ class BasePoint:
         if not sys.cone.contains(gx, tol):
             raise ValueError("base point infeasible: "
                              f"dist(g(x), K) = {sys.cone.dist(gx):.3e}")
-        self.sys, self.x, self.gx, self.tol = sys, x, gx, tol
-        self.J = sys.jacobian(x)
+        self.sys, self.tol = sys, tol
+        self.x, self.gx = _frozen(np.array(x)), _frozen(np.array(gx))
+        self.J = _frozen(np.array(sys.jacobian(x)))
 
     @cached_property
     def graph_point(self):
         """The graph point (g(x), 0): its critical cone is T_K(g(x))."""
         return GraphPoint.of_pair(self.sys.cone, self.gx,
-                                  np.zeros(self.gx.size), self.tol)
+                                  _frozen(np.zeros(self.gx.size)), self.tol)
+
+    @cached_property
+    def critical_data(self):
+        return CriticalData(self.graph_point, self.J, self.tol)
 
     @cached_property
     def tangent(self):
@@ -344,22 +422,17 @@ class BasePoint:
     def normal(self):
         return self.graph_point.critical_polar
 
-    @cached_property
+    @property
     def span_normal(self):
-        """Orthonormal basis of span N_K(g(x)), read from N's codes."""
-        return self.normal.span_basis()
+        return self.critical_data.span_critical_polar
 
-    @cached_property
+    @property
     def adjoint_on_span(self):
-        """`_span_svd` of J^T on B = `span_normal`, for ker J^T ∩ span N."""
-        return _span_svd(self.J.T, self.span_normal, self.tol)
+        return self.critical_data.adjoint_on_span
 
-    @cached_property
+    @property
     def adjoint_kernel(self):
-        """B vt[r:]^T, an orthonormal basis of ker J^T ∩ span N, from
-        `adjoint_on_span`."""
-        _, _, vt, r = self.adjoint_on_span
-        return self.span_normal @ vt[r:].T
+        return self.critical_data.adjoint_kernel
 
 
 def _null_basis(M, tol):
@@ -403,10 +476,12 @@ class BasePair:
     multiplier that its caller has just passed through the same test
     (`multiplier_solve`'s), without running it again.  Every second-order
     check at the pair reads g(x) (`gx`) and the Jacobian `J` of its
-    point, the Hessian of <lam, g> at x, built on first use, and the
-    critical cone of K at (g(x), lam) and its polar from the graph point.
-    At lam = 0 that graph point is the point's own (g(x), 0), so the
-    critical cone is `point.tangent` and its polar `point.normal`.
+    point, read-only copies of v and lam, the Hessian of <lam, g> at x,
+    built on first use, and the `CriticalData` of the graph point
+    (g(x), lam) (`critical_data`), with the critical cone of K there and
+    its polar.  At lam = 0 the pair reads its point's `critical_data`,
+    so the critical cone is `point.tangent`, its polar `point.normal` and
+    every J-level basis the point's; otherwise it builds its own.
     """
 
     def __init__(self, point: BasePoint, v, lam):
@@ -418,8 +493,8 @@ class BasePair:
         self.point = point
         self.sys, self.x, self.gx, self.J, self.tol = (
             point.sys, point.x, point.gx, point.J, point.tol)
-        self.v = np.asarray(v, float)
-        self.lam = np.asarray(lam, float)
+        self.v = _frozen(np.array(v, float))
+        self.lam = _frozen(np.array(lam, float))
 
     @classmethod
     def of_verified(cls, point: BasePoint, v, lam):
@@ -430,10 +505,15 @@ class BasePair:
         return pair
 
     @cached_property
-    def graph_point(self):
+    def critical_data(self):
         if not self.lam.any():
-            return self.point.graph_point
-        return GraphPoint.of_pair(self.sys.cone, self.gx, self.lam, self.tol)
+            return self.point.critical_data
+        return CriticalData(GraphPoint.of_pair(
+            self.sys.cone, self.gx, self.lam, self.tol), self.J, self.tol)
+
+    @property
+    def graph_point(self):
+        return self.critical_data.graph_point
 
     @property
     def critical(self):
@@ -442,11 +522,6 @@ class BasePair:
     @property
     def critical_polar(self):
         return self.graph_point.critical_polar
-
-    @cached_property
-    def span_critical_polar(self):
-        """Orthonormal basis of span C°, read from the codes of C°."""
-        return self.critical_polar.span_basis()
 
     @cached_property
     def hess(self):
@@ -651,12 +726,14 @@ def ngamma_graph_deriv_contains(pair: BasePair, d, w) -> Certificate:
     # xi in C° (∩ gd⊥ when gd is not 0) with J^T xi = w - Hd - J^T u / 2
     u = sys.cone.upsilon_grad(pair.graph_point, gd)
     A, b = pair.J.T, w - pair.hess @ d - 0.5 * (pair.J.T @ u)
-    ngd = _norm(gd)
+    ngd, B = _norm(gd), pair.critical_data.span_critical_polar
     if ngd > tol.zero * (1 + _norm(pair.gx)):
         A, b = np.vstack([A, gd / ngd]), np.append(b, 0.0)
-    B = pair.span_critical_polar
+        svd = _span_svd(A, B, tol)
+    else:  # A is J^T: the pair's own rank decision on span C°
+        svd = pair.critical_data.adjoint_on_span
     xi, (ra, rc, holds), route, _, farkas = _fiber_solve(
-        A, b, pair.critical_polar, B, _span_svd(A, B, tol),
+        A, b, pair.critical_polar, B, svd,
         lambda xi: tol.membership * (1.0 + _norm(xi)) * scale, tol)
     res = max(ra, rc)
     details.update(fiber_route=route, fiber_residual=res,

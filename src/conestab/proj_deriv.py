@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._sets import Tol, DEFAULT_TOL, Certificate, _ROUNDING, _norm
+from ._sets import Tol, DEFAULT_TOL, Certificate, _ROUNDING, _frozen, _norm
 from .cone_core import ConeDesc, ConePoint, AmbientVec
 
 __all__ = ["GraphPoint", "proj_dir_deriv", "dnk_contains"]
@@ -94,9 +94,10 @@ class GraphPoint(ConePoint):
         """The graph point of a pair already verified by its caller's own
         test (a `BasePair`'s multiplier test, or at lam = 0 a
         `BasePoint`'s feasibility decision), without a second decision
-        at other thresholds."""
+        at other thresholds.  Its z = y + lam is read-only, as are the y
+        and lam a `BasePoint` or `BasePair` passes."""
         gp = cls.__new__(cls)
-        ConePoint.__init__(gp, cone, y + lam, tol, y, lam)
+        ConePoint.__init__(gp, cone, _frozen(y + lam), tol, y, lam)
         return gp
 
 

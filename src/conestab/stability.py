@@ -23,7 +23,7 @@ from .cone_core import ConeDesc, Orthant, Free, project
 from .constraint_system import (
     ConstraintSystem, SUBREG_ASSUMPTION, BasePoint, BasePair, affine_system,
     multiplier_solve, multiplier_verify, srcq_check,
-    ngamma_graph_deriv_contains, _null_basis,
+    ngamma_graph_deriv_contains,
 )
 
 WITNESS_CUT = 1e-6
@@ -342,14 +342,6 @@ def _solves(problem, pair, d):
     return ngamma_graph_deriv_contains(pair, d, -(problem.Fx @ d))
 
 
-def _critical_span_basis(pair):
-    """Orthonormal basis B of {d : J d in span C}, C the critical cone:
-    span C = (lin C°)^perp, so B spans the kernel of Lp^T J for a basis
-    Lp of lin C°."""
-    Lp = pair.critical_polar.lineality_basis()
-    return _null_basis(Lp.T @ pair.J, pair.tol)
-
-
 def _subspace_decision(problem, pair, A, B):
     """The inclusion when C is a subspace.  Then N_C(J d) = C^perp, and the
     orthogonal complement of span B = {d : J d in C} is J^T C^perp, so
@@ -378,27 +370,15 @@ def _subspace_decision(problem, pair, A, B):
     return Certificate("fails", s_min, d, method, tol, details=details)
 
 
-def _lineality_directions(pair):
-    """Plus and minus each column of an orthonormal basis of
-    W = {d : J d in lin C}, the kernel of J first.  Every direction of W
-    passes the critical-cone gate, however thin C is; a coordinate that
-    enters neither g nor F lies in the kernel of J."""
-    J, tol = pair.J, pair.tol
-    ker = _null_basis(J, tol)
-    Q = pair.critical.lineality_basis()
-    # J d in span Q, d orthogonal to the kernel already listed
-    rest = _null_basis(np.vstack([J - Q @ (Q.T @ J), ker.T]), tol)
-    W = np.hstack([ker, rest]).T
-    return np.stack([W, -W], axis=1).reshape(-1, J.shape[1])
-
-
 def _lineality_witness_search(problem, pair):
     """Search for a nonzero solution d of the linearized inclusion
-    -F_x d in DN_Gamma(xbar|vbar)(d) over `_lineality_directions`.  A
-    direction that `_solves` accepts is a `fails` witness.  Finding none
-    proves nothing, so the answer is then `inconclusive`."""
+    -F_x d in DN_Gamma(xbar|vbar)(d) over the pair's
+    `CriticalData.lineality_directions`, read-only and shared by every
+    search at the pair's graph point.  A direction that `_solves` accepts
+    is a `fails` witness.  Finding none proves nothing, so the answer is
+    then `inconclusive`."""
     tol = pair.tol
-    dirs = _lineality_directions(pair)
+    dirs = pair.critical_data.lineality_directions
     details = {"lineality_directions": len(dirs)}
     for i, d in enumerate(dirs):
         cert = _solves(problem, pair, d)
@@ -428,8 +408,9 @@ def solution_map_isolated_calm(problem: GEProblem, lam, *,
     enumerated exactly if there are at most BRANCH_CAP of them (past it,
     details `branches` and `branch_cap` record the count and the cap).
     Otherwise, as xi is orthogonal to J d, <d, A d> = 0; the answer is
-    `holds` when S = sym(A) is definite on span B, B an orthonormal
-    basis of {d : J d in span C} (details `basis`, `lambda_min`,
+    `holds` when S = sym(A) is definite on span B, B the pair's
+    read-only orthonormal basis of {d : J d in span C}
+    (`CriticalData.critical_span_basis`; details `basis`, `lambda_min`,
     `lambda_max` and `threshold`, the eigenvalue range of B^T S B against
     sqrt(tol.membership) (1 + ||B^T S B||)).  When S is not definite
     there and C is a subspace, `_subspace_decision` decides by the
@@ -476,7 +457,7 @@ def _calm_routes(problem, pair):
         details = {"branches": branches, "branch_cap": BRANCH_CAP}
 
     S = 0.5 * (A + A.T)
-    B = _critical_span_basis(pair)
+    B = pair.critical_data.critical_span_basis
     eig = np.linalg.eigvalsh(B.T @ S @ B)
     # an empty B (only d = 0 has J d in span C) is definite either way
     lo, hi = eig.min(initial=np.inf), eig.max(initial=-np.inf)

@@ -1,13 +1,15 @@
 """Shared fixtures: a seeded mixed-cone affine system with a planted
 multiplier, a system whose multiplier search takes the Dykstra route,
-a generalized equation whose multiplier is 0, and `conestab analyze
---report json` run in-process."""
+a generalized equation whose multiplier is 0, `conestab analyze
+--report json` run in-process, and an exact comparison of two
+certificates."""
 
 import json
 
 import numpy as np
 import pytest
 
+from conestab._sets import Certificate
 from conestab.cli import main
 from conestab.cone_core import ConeDesc, PSD, SOC, Orthant
 from conestab.constraint_system import affine_system
@@ -126,3 +128,26 @@ def calm_problem():
                                            - np.asarray(d[1])),
             pbar=-mask * x, xbar=x)
     return make
+
+
+@pytest.fixture
+def same_certificate():
+    """(a, b) -> whether two certificates agree exactly: verdict,
+    residual, witness, method and details, arrays bit for bit and nested
+    dicts, lists, tuples and certificates likewise."""
+    def same(a, b):
+        if isinstance(a, Certificate) or isinstance(b, Certificate):
+            return type(a) is type(b) and all(
+                same(getattr(a, f), getattr(b, f)) for f in
+                ("verdict", "residual", "witness", "method", "details"))
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return type(a) is type(b) and a.dtype == b.dtype and \
+                np.array_equal(a, b)
+        if isinstance(a, dict):
+            return isinstance(b, dict) and a.keys() == b.keys() and \
+                all(same(a[k], b[k]) for k in a)
+        if isinstance(a, (list, tuple)):
+            return type(a) is type(b) and len(a) == len(b) and \
+                all(map(same, a, b))
+        return a == b
+    return same

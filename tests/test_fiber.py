@@ -428,12 +428,13 @@ def _fiber_system(pair, d, w):
 
 def test_graph_derivative_fibers_agree_with_a_dykstra_reference():
     # a member holds on the span solve or the fiber interval, off the span
-    # the closed-form certificate decides, and an empty interval or point
-    # goes to the Dykstra fallback, whose verdict is the reference's: a
-    # certificate, or inconclusive where the reference stalls too
+    # and on an empty point the closed-form certificates decide, and an
+    # empty interval goes to the Dykstra fallback, whose verdict is the
+    # reference's: a certificate, or inconclusive where the reference
+    # stalls too
     routes = {"member": ("span solve", "fiber interval"),
               "off span": ("span solve", "span solve"),
-              "empty": ("Dykstra search", "Dykstra search")}
+              "empty": ("span solve", "Dykstra search")}
     seen = set()
     for sign in (1, -1):
         rng = np.random.default_rng(3507 + sign)
@@ -468,11 +469,17 @@ def test_graph_derivative_fibers_agree_with_a_dykstra_reference():
                 elif "fiber_farkas" in det:
                     assert cert.verdict == "fails", where
                     farkas = det["fiber_farkas"]
-                    assert (farkas["cycle"] == 0) == (kind == "off span")
+                    closed = kind == "off span" or dim == 0
+                    assert (farkas["cycle"] == 0) == closed, where
                     assert cert.residual == farkas["bound"]
                     _recheck_farkas(A, b, pair.critical, farkas["h"],
                                     farkas["y"], farkas["bound"])
+                    # A^T h itself, not only its part y, is in C = (C°)°
+                    ATh = A.T @ farkas["h"]
+                    assert pair.critical.dist(ATh) <= 1e-12 * (
+                        1.0 + np.linalg.norm(ATh)), where
                 else:
+                    assert dim == 1, where
                     assert kind == "empty" and info.farkas is None, where
                     assert cert.verdict == "inconclusive", where
                     continue

@@ -8,7 +8,7 @@ from conestab.cone_core import ConeDesc, Orthant, SOC, PSD, Free, Zero
 from conestab.constraint_system import (
     EXAMPLE1_XBAR as XBAR1, EXAMPLE2_VHAT, EXAMPLE2_LAMHAT, EXAMPLE3_XBAR,
     EXAMPLE3_VBAR, SECTION32_CENTER, SECTION32_KS,
-    affine_system, example1_system, section32_system,
+    affine_system, example1_system, quadratic_system, section32_system,
     ngamma_graph_deriv_contains, srcq_check, multiplier_solve,
     nondegeneracy_check, strict_complementarity_check, BasePoint, BasePair,
     SUBREG_ASSUMPTION,
@@ -278,6 +278,90 @@ def test_example41_holds_under_denser_net():
     problem = example41_problem()
     cert = solution_map_isolated_calm(problem, problem.lam_hint, net_k=7)
     assert cert.verdict == "holds"
+
+
+def _lam_zero_route_problem(K, y, route, seed):
+    """A GE problem with multiplier 0 at g(xbar) = y that sends
+    `solution_map_isolated_calm` down `route`.  g(x) = A x + b with A =
+    [Q | 0], Q orthogonal, written as a quadratic system with zero
+    Hessians so that a polyhedral K skips the branch enumeration, and
+    F(p, x) = -p + M x with pbar = M xbar.  "definite": M = -I, so
+    sym(A) = I.  "subspace": y is in int K, so C = T_K(y) is a subspace,
+    and M is skew, so sym(A) = 0.  "witness": M = -I on dim K coordinates
+    and one more coordinate outside g and F, which the lineality search
+    finds in ker J."""
+    rng = np.random.default_rng(seed)
+    m = K.dim
+    n = m + (route == "witness")
+    A = np.zeros((m, n))
+    A[:, :m] = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    x = np.concatenate([rng.standard_normal(m), np.zeros(n - m)])
+    M = np.zeros((n, n))
+    R = rng.standard_normal((m, m))
+    M[:m, :m] = R - R.T if route == "subspace" else -np.eye(m)
+    sys = quadratic_system(K, [np.zeros((n, n))] * m, A, y - A @ x)
+    return GEProblem(sys, F=lambda p, xx: -np.asarray(p) + M @ xx,
+                     Fprime=lambda base, d: -np.asarray(d[0]) + M @ d[1],
+                     pbar=M @ x, xbar=x)
+
+
+def _lam_zero_route_cases():
+    """(K, y, route): every primitive in both signs and one product, at
+    the apex for the definite and witness routes and at an interior
+    point for the subspace route (Zero and Free: the apex only)."""
+    blocks = [(Orthant(2, s), s * np.ones(2)) for s in (1, -1)] + \
+        [(SOC(3, s), s * np.array([2.0, 0.6, 0.8])) for s in (1, -1)] + \
+        [(PSD(2, s), s * svec(np.diag([1.0, 2.0]))) for s in (1, -1)]
+    for b, inner in blocks:
+        K = ConeDesc([b])
+        for route in ("definite", "subspace", "witness"):
+            yield K, inner if route == "subspace" else np.zeros(K.dim), route
+    for b in (Zero(2), Free(2)):
+        for route in ("definite", "subspace", "witness"):
+            yield ConeDesc([b]), np.zeros(2), route
+    K = ConeDesc([PSD(2), SOC(3, "minus"), Orthant(2), Zero(1), Free(1)])
+    inner = np.concatenate([svec(np.eye(2)), [-2.0, 0.6, 0.8], [1.0, 3.0],
+                            [0.0], [0.5]])
+    for route in ("definite", "subspace", "witness"):
+        yield K, inner if route == "subspace" else np.zeros(K.dim), route
+
+
+def test_lam_zero_certificates_are_the_same_cold_and_warm(same_certificate):
+    # a lam = 0 pair reads its point's J-level bases: a second call on a
+    # problem, which finds them built, gives the certificate of the first
+    # and of a freshly built problem, verdict, residual, witness, method
+    # and details alike
+    methods = set()
+    for seed, (K, y, route) in enumerate(_lam_zero_route_cases()):
+        def build():
+            return _lam_zero_route_problem(K, y, route, seed)
+
+        def calm(problem):
+            return solution_map_isolated_calm(problem,
+                                              np.zeros(problem.sys.cone.dim))
+
+        def ngamma(problem):
+            rng = np.random.default_rng(seed)
+            n, m = problem.sys.dim_x, problem.sys.cone.dim
+            pair = BasePair(problem.point, problem.vbar, np.zeros(m))
+            dirs = [(d, -(problem.Fx @ d)) for d in
+                    (np.eye(n)[-1], rng.standard_normal(n))]
+            dirs.append((rng.standard_normal(n), rng.standard_normal(n)))
+            return [ngamma_graph_deriv_contains(pair, d, w) for d, w in dirs]
+
+        for run in (calm, ngamma):
+            problem = build()
+            cold = run(problem)
+            for again in (run(problem), run(build())):
+                assert same_certificate(cold, again), (K, y, route, run)
+        cert = calm(problem)
+        methods.add(cert.method)
+        if not isinstance(K.blocks[0], (Zero, Free)):
+            assert {"definite": "definite", "subspace": "critical subspace",
+                    "witness": "witness search"}[route] in cert.method, \
+                (K, route, cert.method)
+    assert {m.split(" ")[0] for m in methods} == {
+        "second-order", "inclusion", "witness"}, methods
 
 
 def _idle_coordinate_problem():

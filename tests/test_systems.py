@@ -452,11 +452,13 @@ def _lam_zero_certificates(K, y, seed, calm_problem):
 def test_lam_zero_pairs_read_the_base_points_graph_point(monkeypatch,
                                                          calm_problem):
     # at lam = 0 the critical cone at (g(x), lam) is T_K(g(x)) and its
-    # polar N_K(g(x)): the pair reads the graph point (g(x), 0) its base
-    # point holds, and every certificate at the pair is the one a graph
-    # point built for the pair alone gives, verdict, residual and witness
+    # polar N_K(g(x)): the pair reads the graph point (g(x), 0) and the
+    # J-level bases its base point holds, and every certificate at the
+    # pair is the one a graph point and bases built for the pair alone
+    # give, verdict, residual and witness
     from functools import cached_property
 
+    from conestab.constraint_system import CriticalData
     from conestab.proj_deriv import GraphPoint
 
     rng = np.random.default_rng(39)
@@ -466,26 +468,95 @@ def test_lam_zero_pairs_read_the_base_points_graph_point(monkeypatch,
         certs, pairs = _lam_zero_certificates(K, y, seed, calm_problem)
         for pair in pairs:
             point = pair.point
+            assert pair.critical_data is point.critical_data
             assert pair.graph_point is point.graph_point
             assert pair.critical is point.tangent
             assert pair.critical_polar is point.normal
         shared.append(certs)
 
     def own(pair):
-        return GraphPoint.of_pair(pair.sys.cone, pair.gx, pair.lam, pair.tol)
+        return CriticalData(GraphPoint.of_pair(
+            pair.sys.cone, pair.gx, pair.lam, pair.tol), pair.J, pair.tol)
     own = cached_property(own)
-    own.__set_name__(BasePair, "graph_point")
-    monkeypatch.setattr(BasePair, "graph_point", own)
+    own.__set_name__(BasePair, "critical_data")
+    monkeypatch.setattr(BasePair, "critical_data", own)
     verdicts = set()
     for (K, y, seed), certs in zip(cases, shared):
         fresh, pairs = _lam_zero_certificates(K, y, seed, calm_problem)
-        assert all(p.graph_point is not p.point.graph_point for p in pairs)
+        assert all(p.critical_data is not p.point.critical_data and
+                   p.graph_point is not p.point.graph_point for p in pairs)
         for a, b in zip(certs, fresh):
             assert (a.verdict, a.residual) == (b.verdict, b.residual), K
             assert (a.witness is None and b.witness is None) or \
                 np.array_equal(a.witness, b.witness), K
             verdicts.add(a.verdict)
     assert {"holds", "fails"} <= verdicts
+
+
+def _scribble(value):
+    """Write zeros into every array of a certificate's witness and
+    details, nested dicts, lists, tuples and certificates included; an
+    array that is read-only refuses the write.  Returns the number of
+    arrays refused."""
+    from conestab._sets import Certificate
+
+    if isinstance(value, np.ndarray):
+        try:
+            value[...] = 0
+        except ValueError:
+            return 1
+        return 0
+    if isinstance(value, Certificate):
+        return _scribble(value.witness) + _scribble(value.details)
+    if isinstance(value, dict):
+        return sum(map(_scribble, value.values()))
+    if isinstance(value, (list, tuple)):
+        return sum(map(_scribble, value))
+    return 0
+
+
+def test_cached_arrays_do_not_leak_into_certificates(calm_problem,
+                                                     same_certificate):
+    # a certificate's witness and details may be views of the bases a
+    # point caches (the nondegeneracy witness is a column of the adjoint
+    # kernel, a line srcq decides is that column, the definite route's
+    # basis and the witness search's directions are the pair's); those
+    # are read-only, so writing into one certificate cannot change the
+    # next
+    from conestab.stability import solution_map_isolated_calm
+
+    point = BasePoint(example1_system(), XBAR1)
+    nd = nondegeneracy_check(point)
+    assert nd.verdict == "fails"
+    with pytest.raises(ValueError, match="read-only"):
+        nd.witness *= 0
+    zero = np.zeros(point.sys.cone.dim)
+    assert srcq_check(BasePair(point, np.zeros(3), zero)).verdict == "holds"
+
+    rng = np.random.default_rng(40)
+    u = np.array([0.6, 0.8])
+    K = ConeDesc([PSD(2, "minus"), Orthant(2)])
+    y = np.concatenate([-svec(np.outer(u, u)), np.zeros(2)])
+    holds, fails = (calm_problem(K, y, extra, rng) for extra in (0, 1))
+    line = affine_system(ConeDesc([Orthant(2)]), np.ones((2, 1)),
+                         np.zeros(2))
+    calls = [
+        lambda: nondegeneracy_check(point),
+        lambda: srcq_check(BasePair(point, np.zeros(3), zero)),
+        lambda: srcq_check(BasePair(BasePoint(line, [0.0]), [-2.0],
+                                    -np.array([1.0, 1.0]))),
+        lambda: solution_map_isolated_calm(holds, np.zeros(K.dim)),
+        lambda: solution_map_isolated_calm(fails, np.zeros(K.dim)),
+        lambda: ngamma_graph_deriv_contains(
+            BasePair(fails.point, fails.vbar, np.zeros(K.dim)),
+            np.eye(K.dim + 1)[-1], np.zeros(K.dim + 1)),
+    ]
+    refused = 0
+    for call in calls:
+        cold = call()
+        refused += _scribble(call())
+        assert same_certificate(cold, call()), cold.method
+    assert refused >= 4
 
 
 def test_strict_complementarity_cases():

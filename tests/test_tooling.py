@@ -307,10 +307,14 @@ def test_lam_zero_isolated_calm_builds_no_cone_data(monkeypatch,
     # graph-derivative checks reach dnk_contains and the curvature term.
     # (A PSD block with a zero eigenvalue of order 2 or more would call
     # eigh in Pi', as `dnk_contains` does at any graph point, so the
-    # fails cases keep their PSD blocks on a rank-one face.)
+    # fails cases keep their PSD blocks on a rank-one face.)  The first
+    # call builds the point's J-level bases: span C° and the SVD of J^T
+    # on it, {d : J d in span C} and the lineality directions.  A second
+    # call reads them and factors nothing: its witness d is in ker J, so
+    # its graph-derivative fiber appends no row to J^T.
     from collections import Counter
 
-    from conestab._sets import ProductSet
+    from conestab._sets import ConvexSet, ProductSet
     from conestab.cone_core import ConeDesc, Orthant, PSD, SOC
     from conestab.stability import solution_map_isolated_calm
     from conestab.symmat import svec
@@ -340,6 +344,19 @@ def test_lam_zero_isolated_calm_builds_no_cone_data(monkeypatch,
     count(ConeDesc, "critical_set", "critical")
     count(ProductSet, "polar", "polar")
     count(np.linalg, "eigh", "eigh")
+    for problem, verdict in problems:
+        calls.clear()
+        lam = np.zeros(problem.sys.cone.dim)
+        cert = solution_map_isolated_calm(problem, lam)
+        assert cert.verdict == verdict
+        assert calls == Counter(), (verdict, calls)
+    count(np.linalg, "svd", "svd")
+    count(ConvexSet, "span_basis", "span_basis")
+    sets = [ConvexSet]
+    for cls in sets:
+        sets += cls.__subclasses__()
+        if "lineality_basis" in vars(cls):
+            count(cls, "lineality_basis", "lineality_basis")
     for problem, verdict in problems:
         calls.clear()
         lam = np.zeros(problem.sys.cone.dim)
