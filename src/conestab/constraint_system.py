@@ -268,24 +268,29 @@ def _fiber_solve(A, b, cone, B, svd, bound, tol):
     """A point of {xi in cone : A xi = b}, B an orthonormal basis of span
     cone and svd = `_span_svd(A, B, tol)`: (xi, `_fiber_residuals` of xi
     against bound(xi), route, fiber, farkas).  Every such xi is xi_p +
-    (ker A ∩ span B), xi_p the least-squares point of span B.  When
-    rho = b - A xi_p exceeds bound(xi_p), A^T rho ⊥ span B lies in the
-    polar of the cone and <rho, b> = ||rho||^2 > 0: h = rho, with A^T rho
-    projected onto that polar, is a Farkas certificate (cycle 0, route
-    "span solve").  Else the kernel's dimension picks the candidate: xi_p
-    at 0 ("span solve"), the point of `_line_fiber` at 1 ("fiber
-    interval").  At 0, xi_p is the one point of span B that A maps to b,
-    so when it fails, y = xi_p - Pi(xi_p) and h = pinv((A B)^T) B^T y
-    give a Farkas certificate in closed form ("span solve", cycle 0).
-    Without one, Dykstra decides from xi_p, once more after a stall
-    without a certificate ("Dykstra search")."""
+    (ker A ∩ span B), xi_p the least-squares point of span B.  A
+    certificate in closed form (cycle 0, route "span solve") takes an h
+    and projects A^T h onto the polar of the cone.  When rho = b - A xi_p
+    exceeds bound(xi_p), h = rho: A^T rho ⊥ span B lies in that polar and
+    <rho, b> = ||rho||^2 > 0.  Else the kernel's dimension picks the
+    candidate: xi_p at 0 ("span solve"), the point of `_line_fiber` at 1
+    ("fiber interval").  At 0, xi_p is the one point of span B that A
+    maps to b, so when it fails, y = xi_p - Pi(xi_p) and
+    h = pinv((A B)^T) B^T y give the certificate, kept when its bound
+    exceeds bound(xi_p): a smaller one leaves room for a point near xi_p
+    within bound.  Without one, Dykstra decides from xi_p, once more
+    after a stall without a certificate ("Dykstra search")."""
     u, s, vt, r = svd
     c = u.T @ b
     xi_p = B @ (vt[:r].T @ (c[:r] / s[:r]))
+
+    def certificate(h):
+        t = A.T @ h
+        return _farkas_test(A, b, h, [t - cone.project(t)], 0)
+
     if r < b.size and _norm(c[r:]) > bound(xi_p):
-        rho = u[:, r:] @ c[r:]  # b - A xi_p, ⊥ range(A B) to rounding
-        y = A.T @ rho
-        farkas = _farkas_test(A, b, rho, [y - cone.project(y)], 0)
+        # h = b - A xi_p, ⊥ range(A B) to rounding
+        farkas = certificate(u[:, r:] @ c[r:])
         if farkas is not None:
             return xi_p, _fiber_residuals(A, b, cone, xi_p, bound(xi_p)), \
                 "span solve", None, farkas
@@ -297,16 +302,14 @@ def _fiber_solve(A, b, cone, B, svd, bound, tol):
         if resid[2]:
             return xi, resid, "fiber interval" if fiber else "span solve", \
                 fiber, None
-    if r == vt.shape[0]:
-        # y = xi_p - Pi(xi_p) is in the polar (Moreau) and h solves
-        # (A B)^T h = B^T y, so A^T h is in y + (span B)^perp, inside the
-        # polar too, and <h, A xi_p> = <y, xi_p> = ||y||^2
-        y = xi_p - cone.project(xi_p)
-        h = u[:, :r] @ ((vt @ (B.T @ y)) / s[:r])
-        t = A.T @ h
-        farkas = _farkas_test(A, b, h, [t - cone.project(t)], 0)
-        if farkas is not None:
-            return xi_p, resid, "span solve", None, farkas
+        if fiber is None:
+            # y = xi_p - Pi(xi_p) is in the polar (Moreau) and h solves
+            # (A B)^T h = B^T y, so A^T h is in y + (span B)^perp, inside
+            # the polar too, and <h, A xi_p> = <y, xi_p> = ||y||^2
+            y = xi_p - cone.project(xi_p)
+            farkas = certificate(u[:, :r] @ ((vt @ (B.T @ y)) / s[:r]))
+            if farkas is not None and farkas.bound > bound(xi_p):
+                return xi_p, resid, "span solve", None, farkas
     sets = AffineSet(A, b), cone
     xi, info = dykstra(*sets, xi_p, tol)
     if info.stalled and info.farkas is None:
@@ -384,11 +387,11 @@ class BasePoint:
     use: the graph point (g(x), 0) of the normal-cone map
     (`graph_point`), whose critical cone is T_K(g(x)) (`tangent`) and
     whose polar is N_K(g(x)) (`normal`), and its `CriticalData`
-    (`critical_data`).  There span C° is span N_K(g(x)) (`span_normal`),
-    with the one rank decision for J^T on it (`adjoint_on_span`) and the
-    kernel it leaves (`adjoint_kernel`).  A `BasePair` with lam = 0
-    reads `critical_data`, so T, N, the blocks' data and the J-level
-    bases are built once per point.
+    (`critical_data`).  There span C° is span N_K(g(x)), with the one
+    rank decision for J^T on it (`critical_data.adjoint_on_span`) and the
+    kernel it leaves (`critical_data.adjoint_kernel`).  A `BasePair` with
+    lam = 0 reads `critical_data`, so T, N, the blocks' data and the
+    J-level bases are built once per point.
     """
 
     def __init__(self, sys: ConstraintSystem, x, tol: Tol = DEFAULT_TOL):
@@ -421,18 +424,6 @@ class BasePoint:
     @cached_property
     def normal(self):
         return self.graph_point.critical_polar
-
-    @property
-    def span_normal(self):
-        return self.critical_data.span_critical_polar
-
-    @property
-    def adjoint_on_span(self):
-        return self.critical_data.adjoint_on_span
-
-    @property
-    def adjoint_kernel(self):
-        return self.critical_data.adjoint_kernel
 
 
 def _null_basis(M, tol):
@@ -563,18 +554,19 @@ class MultiplierSolveResult:
 def multiplier_solve(point: BasePoint, v,
                      with_uniqueness=True) -> MultiplierSolveResult:
     """Find lambda in N = N_K(g(x)) with grad g(x) lambda = v: the fiber
-    solve on `span_normal` and `adjoint_on_span`, its "span solve" named
-    "span-N solve".  With `with_uniqueness`, a found multiplier gets its
-    srcq certificate and, when srcq fails, a second member: on the fiber
-    interval route the point halfway from lam to an end of the interval,
-    else the first verified lam ± t w/||w|| (w its witness, t = 1, 1/2,
-    ..., 1/128).  Raises ValueError when v has the wrong shape or a
-    non-finite entry, or its norm overflows.
+    solve on span N and the SVD of J^T on it (`point.critical_data`),
+    its "span solve" named "span-N solve".  With `with_uniqueness`, a
+    found multiplier gets its srcq certificate and, when srcq fails, a
+    second member: on the fiber interval route the point halfway from
+    lam to an end of the interval, else the first verified lam ± t w/||w||
+    (w its witness, t = 1, 1/2, ..., 1/128).  Raises ValueError when v
+    has the wrong shape or a non-finite entry, or its norm overflows.
     """
     v = _shaped("v", v, point.sys.dim_x, "the system has dim_x")
-    scale, tol = _finite_scale(v=v), point.tol
+    scale, tol, data = _finite_scale(v=v), point.tol, point.critical_data
     lam, resid, route, fiber, farkas = _fiber_solve(
-        point.J.T, v, point.normal, point.span_normal, point.adjoint_on_span,
+        point.J.T, v, point.normal, data.span_critical_polar,
+        data.adjoint_on_span,
         lambda lam: tol.membership * (scale + _norm(lam)), tol)
     route = "span-N solve" if route == "span solve" else route
     res = MultiplierSolveResult(lam, *resid, route, farkas, fiber=fiber)
@@ -605,10 +597,10 @@ def srcq_check(pair: BasePair) -> Certificate:
     Holds is simultaneously: the qualification, isolated calmness of the
     multiplier map at v for lam, and local single-valuedness of the
     multiplier selection; all three readings are reported."""
-    point = pair.point
-    _, s, vt, r = point.adjoint_on_span
+    point, data = pair.point, pair.point.critical_data
+    _, s, vt, r = data.adjoint_on_span
     # the kernel basis is orthonormal: no second factorization
-    cert = _span_cone_trivial(point.adjoint_kernel, pair.critical_polar,
+    cert = _span_cone_trivial(data.adjoint_kernel, pair.critical_polar,
                               pair.tol)
     cert.details.update(
         adjoint_rank=r, span_normal_dim=vt.shape[0],
@@ -625,14 +617,15 @@ def srcq_check(pair: BasePair) -> Certificate:
 def nondegeneracy_check(point: BasePoint) -> Certificate:
     """Surjectivity of g'(x) onto Y modulo the lineality space Lin of
     T_K(g(x)), that is J^T injective on span N = Lin^perp: [J  Lin] has
-    rank dim Y - dim span N + r, r the rank of `adjoint_on_span`.  The
-    `fails` witness is the unit vector B vt[r] of span N, the first
-    column of `adjoint_kernel`."""
-    _, _, vt, r = point.adjoint_on_span
+    rank dim Y - dim span N + r, r the rank of the point's
+    `critical_data.adjoint_on_span`.  The `fails` witness is the unit
+    vector B vt[r] of span N, the first column of `adjoint_kernel`."""
+    data = point.critical_data
+    _, _, vt, r = data.adjoint_on_span
     m, k = point.sys.cone.dim, vt.shape[0]
     return Certificate(
         "holds" if r == k else "fails", float(k - r),
-        None if r == k else point.adjoint_kernel[:, 0],
+        None if r == k else data.adjoint_kernel[:, 0],
         "rank of [Jacobian | tangent-lineality] against dim Y",
         point.tol, details={"rank": m - k + r, "dim_y": m})
 
@@ -672,7 +665,7 @@ def strict_complementarity_check(res: MultiplierSolveResult) -> Certificate:
                            "holds) outside ri N_K(g(x))", tol,
                            details={"srcq": res.srcq})
     else:
-        B = pair.point.span_normal
+        B = pair.point.critical_data.span_critical_polar
         Uv = _null_basis(pair.v.reshape(1, -1), tol)
         q, s, vt, r = _span_svd(B @ (B.T @ (pair.J @ Uv)), tol=tol)
         cert = _span_cone_trivial(q[:, :r], pair.point.tangent.pointed(),

@@ -38,7 +38,7 @@ def _span_normal(cone, y):
     """An orthonormal basis of span N_K(y), read by a base point of the
     system g = y."""
     return BasePoint(affine_system(cone, np.zeros((cone.dim, 1)), y),
-                     [0.0]).span_normal
+                     [0.0]).critical_data.span_critical_polar
 
 
 def _system(rng, cone, y, k, lam0):
@@ -262,6 +262,37 @@ def test_planted_one_point_and_empty_fibers(sign):
             # which certifies the empty set; y is in T = N°
             assert not res.found and res.route == "Dykstra search", label
             assert res.farkas is not None and res.farkas.cycle >= 1, label
+            _recheck_farkas(point.J.T, v, point.tangent, *res.farkas[:3])
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_a_small_closed_form_bound_leaves_the_point_fiber_to_dykstra(sign):
+    # J = diag(1, 1e-6) at the apex of R^2 signed, so N is R^2 of the
+    # other sign and J^T keeps both of its directions (the rank cut is
+    # 1e-9).  For v = -sign (1, -1e-12) the one point of span N with
+    # J^T lam = v is -sign (1, -1e-6), 1e-6 off N, past its bound of
+    # about 3e-8; the closed-form certificate bounds the residual of
+    # every point by only about 1e-12, and Pi(lam_p) = -sign (1, 0) is a
+    # multiplier to 1e-12, which Dykstra finds.  At v = -sign (1, -1e-3)
+    # the same certificate bounds it by 1e-3 and decides in closed form
+    cone = ConeDesc([Orthant(2, sign)])
+    point = BasePoint(affine_system(cone, np.diag([1.0, 1e-6]),
+                                    np.zeros(2)), np.zeros(2))
+    pair = BasePair(point, np.zeros(2), np.zeros(2))
+    for off, found, route in ((1e-12, True, "Dykstra search"),
+                              (1e-3, False, "span solve")):
+        v = -sign * np.array([1.0, -off])
+        res = multiplier_solve(point, v)
+        cert = ngamma_graph_deriv_contains(pair, np.zeros(2), v)
+        assert res.found == found and cert.details["fiber_route"] == \
+            route, off
+        assert res.route == route.replace("span solve", "span-N solve")
+        assert cert.verdict == ("holds" if found else "fails"), off
+        if found:
+            assert np.linalg.norm(res.lam + sign * np.eye(2)[0]) <= 1e-12
+        else:
+            assert res.farkas.cycle == 0 and res.farkas.bound > 1e-4, off
+            assert cert.residual == res.farkas.bound, off
             _recheck_farkas(point.J.T, v, point.tangent, *res.farkas[:3])
 
 

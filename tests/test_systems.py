@@ -384,7 +384,7 @@ def test_span_normal_and_srcq_witnesses_on_every_primitive():
                 A = A[:, :2] @ rng.standard_normal((2, n))
             x = rng.standard_normal(n)
             point = BasePoint(affine_system(K, A, y - A @ x), x)
-            B = point.span_normal
+            B = point.critical_data.span_critical_polar
             assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-13)
             Lin = point.tangent.lineality_basis()
             if Lin.shape[1]:

@@ -634,9 +634,9 @@ def test_analyze_factorizes_the_adjoint_on_span_n_once(monkeypatch,
 
     for system, problem, x, v, route in cases:
         point = BasePoint(system, x)
-        J, B = point.J, point.span_normal
+        J, B = point.J, point.critical_data.span_critical_polar
         JLin = np.hstack([J, point.tangent.lineality_basis()])
-        kernel = point.adjoint_kernel
+        kernel = point.critical_data.adjoint_kernel
         del args[:]
         monkeypatch.setattr(np.linalg, "svd", spy)
         rc, report = analyze(problem, {"x": x, "v": v})
@@ -941,8 +941,10 @@ def test_qualify_plateau_is_searched_again(monkeypatch, tmp_path):
         # a block without a closed form sends the line to the fallback
         patch.setattr(point.normal, "line_interval", lambda a, k: None)
         lam, (_, _, ok), route, _, _ = constraint_system._fiber_solve(
-            point.J.T, v, point.normal, point.span_normal,
-            point.adjoint_on_span, lambda lam: point.tol.membership * (
+            point.J.T, v, point.normal,
+            point.critical_data.span_critical_polar,
+            point.critical_data.adjoint_on_span,
+            lambda lam: point.tol.membership * (
                 1.0 + np.linalg.norm(lam) + np.linalg.norm(v)), point.tol)
     assert [(i.cycles, i.stalled, i.farkas) for i in infos[:1]] == \
         [(100, True, None)]
